@@ -14,18 +14,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
 from .normgeom import Chart, NormParameter, ProfileJet, principal_curvatures
-from .quadrature import DomainInterval, EndpointKind
+from .quadrature import EndpointKind
 from .solver import CaseTag, ProfileBranch
 
 __all__ = [
     "Smoothness",
     "Topology",
     "Recipe",
+    "Chain",
+    "RECIPE_TABLE",
     "Junction",
     "AxisPoint",
     "AssembledSurface",
@@ -215,11 +216,6 @@ def _plus_minus(branch: ProfileBranch) -> tuple:
 # one-sided limits
 
 
-def _fd_second(uprime: Callable[[float], float], a: float, h: float) -> float:
-    return (-uprime(a + 2 * h) + 8 * uprime(a + h)
-            - 8 * uprime(a - h) + uprime(a - 2 * h)) / (12.0 * h)
-
-
 def _u2_limit(branch: ProfileBranch, a_star: float, side: int) -> float:
     """One-sided limit of u'' at a smooth endpoint; side=-1 from below."""
     width = branch.domain.upper - branch.domain.lower
@@ -255,7 +251,7 @@ def _inv_d2_limit(branch: ProfileBranch, a_star: float, side: int,
     for h in (1e-3 * width, 5e-4 * width):
         a = a_star + side * h
         up = branch.uprime(a)
-        upp = _fd_second(branch.uprime, a, 0.05 * h)
+        upp = branch.fd_second(a, 0.05 * h)
         vals.append(-upp / up ** 3)
     p = (m - 1) / m  # decay rate of the inverse second derivative
     if p == 0.0:
@@ -271,7 +267,7 @@ def _oriented_curvatures(p: NormParameter, arc: Arc, a: float) -> tuple:
     h = max(1e-9 * width, 1e-4 * min(max(1.0, abs(a)), dist))
     h = min(h, 0.25 * dist)
     d1 = branch.uprime(a)
-    d2 = _fd_second(branch.uprime, a, h)
+    d2 = branch.fd_second(a, h)
     k = principal_curvatures(
         p, ProfileJet(Chart.GRAPH_OVER_RADIUS, value=0.0, d1=d1, d2=d2,
                       radius=a))
@@ -378,6 +374,18 @@ def _chain(arcs: list) -> tuple:
     return out
 
 
+def _chain_ends(p: NormParameter, arcs: list) -> tuple:
+    """(topology, axis points) of an open chain whose two ends sit at the
+    same endpoint kind: sphere-like exactly when it ends on the axis."""
+    _, kind, _ = _end_alpha_kind(arcs[0], first=True)
+    if kind is not EndpointKind.AXIS_ZERO:
+        return Topology.OPEN_ANNULUS, []
+    ends = ((arcs[0], arcs[0].start), (arcs[-1], arcs[-1].end))
+    return Topology.SPHERE_LIKE, [
+        replace(axis_smoothness(p, arc.branch.case, arc.branch.lam), u=pt[1])
+        for arc, pt in ends]
+
+
 def _require(cond: bool, equation: str) -> None:
     if not cond:
         raise GluingMismatch(f"matching equation violated: {equation}")
@@ -399,25 +407,37 @@ def _cap_side(branch: ProfileBranch) -> str:
         "at a simple-root endpoint")
 
 
-_PAIRS = {
-    Recipe.C1_1: (CaseTag.LM1_SUB, CaseTag.LM1_NEG),
-    Recipe.C1_2: (CaseTag.LM1_SUB, CaseTag.LM1_NEG),
-    Recipe.C2: (CaseTag.LM1_DOUBLE_OUTER, CaseTag.LM1_NEG),
-    Recipe.C3: (CaseTag.LM1_TWO_OUTER, CaseTag.LM1_NEG),
-    Recipe.C4: (CaseTag.GEN_POS_PLUS, CaseTag.GEN_POS_MINUS_OUTER),
-    Recipe.C5: (CaseTag.GEN_MID_PLUS_SUB, CaseTag.GEN_MID_MINUS_OUTER),
-    Recipe.C6: (CaseTag.GEN_MID_PLUS_DOUBLE_OUTER, CaseTag.GEN_MID_MINUS_OUTER),
-    Recipe.C7: (CaseTag.GEN_MID_PLUS_TWO_OUTER, CaseTag.GEN_MID_MINUS_OUTER),
-    Recipe.C8: (CaseTag.GEN_LOW_PLUS_SUB, CaseTag.GEN_LOW_MINUS),
-    Recipe.C9: (CaseTag.GEN_LOW_PLUS_DOUBLE_OUTER, CaseTag.GEN_LOW_MINUS),
-    Recipe.C10: (CaseTag.GEN_LOW_PLUS_TWO_OUTER, CaseTag.GEN_LOW_MINUS),
-}
+class Chain(Enum):
+    """Order of the four arcs of a two-case recipe (b1, b2 and reflections)."""
 
-# chain shapes: sphere closes at two axis points, periodic repeats in u,
-# open runs off to |u| = infinity at double roots
-_SPHERE_RECIPES = {Recipe.C1_1, Recipe.C1_2, Recipe.C5, Recipe.C8}
-_PERIODIC_RECIPES = {Recipe.C3, Recipe.C4, Recipe.C7, Recipe.C10}
-_OPEN_RECIPES = {Recipe.C2, Recipe.C6, Recipe.C9}
+    LIKE_SIGNED = "like_signed"  # b1+, b2+, b2-, b1-; k1 jumps at the joins
+    CROSS = "cross"              # b1+, b2-, b2+, b1-
+    PERIODIC = "periodic"        # cap, rise, join, fall, cap; repeats in u
+
+
+# each two-case recipe: the case of its first and second branch, and how
+# the arcs are chained; topology, pieces and constants follow from these.
+# A chain closes into a sphere when it ends on the axis, and runs off to
+# |u| = infinity when it ends at a double root.
+RECIPE_TABLE = {
+    Recipe.C1_1: (CaseTag.LM1_SUB, CaseTag.LM1_NEG, Chain.LIKE_SIGNED),
+    Recipe.C1_2: (CaseTag.LM1_SUB, CaseTag.LM1_NEG, Chain.CROSS),
+    Recipe.C2: (CaseTag.LM1_DOUBLE_OUTER, CaseTag.LM1_NEG, Chain.CROSS),
+    Recipe.C3: (CaseTag.LM1_TWO_OUTER, CaseTag.LM1_NEG, Chain.PERIODIC),
+    Recipe.C4: (CaseTag.GEN_POS_PLUS, CaseTag.GEN_POS_MINUS_OUTER,
+                Chain.PERIODIC),
+    Recipe.C5: (CaseTag.GEN_MID_PLUS_SUB, CaseTag.GEN_MID_MINUS_OUTER,
+                Chain.CROSS),
+    Recipe.C6: (CaseTag.GEN_MID_PLUS_DOUBLE_OUTER, CaseTag.GEN_MID_MINUS_OUTER,
+                Chain.CROSS),
+    Recipe.C7: (CaseTag.GEN_MID_PLUS_TWO_OUTER, CaseTag.GEN_MID_MINUS_OUTER,
+                Chain.PERIODIC),
+    Recipe.C8: (CaseTag.GEN_LOW_PLUS_SUB, CaseTag.GEN_LOW_MINUS, Chain.CROSS),
+    Recipe.C9: (CaseTag.GEN_LOW_PLUS_DOUBLE_OUTER, CaseTag.GEN_LOW_MINUS,
+                Chain.CROSS),
+    Recipe.C10: (CaseTag.GEN_LOW_PLUS_TWO_OUTER, CaseTag.GEN_LOW_MINUS,
+                 Chain.PERIODIC),
+}
 
 
 def glue(bplus: ProfileBranch, bminus: ProfileBranch,
@@ -428,23 +448,17 @@ def glue(bplus: ProfileBranch, bminus: ProfileBranch,
         return _glue_cap(p, bplus, bminus)
     if recipe is Recipe.TORUS_4III:
         return _glue_torus_4iii(p, bplus, bminus)
-    if recipe not in _PAIRS:
+    if recipe not in RECIPE_TABLE:
         raise ValueError(f"unknown recipe {recipe}")
-    want1, want2 = _PAIRS[recipe]
+    want1, want2, chain = RECIPE_TABLE[recipe]
     b1, b2 = bplus, bminus
     if b1.case is want2 and b2.case is want1:
         b1, b2 = b2, b1
     _require(b1.case is want1 and b2.case is want2,
              f"{recipe.value} connects cases {want1.value} and {want2.value}")
     _require(b1.request.p.m == b2.request.p.m, "equal norm exponent m")
-    if recipe in (Recipe.C1_1, Recipe.C1_2, Recipe.C3):
-        _require(_same(b2.request.c1, -b1.request.c1), "c1* = -c1")
-    elif recipe is Recipe.C2:
-        _require(_same(b1.request.c1, 1.0), "c1 = 1")
-        _require(_same(b2.request.c1, -1.0), "c1* = -1")
-    else:
-        _require(_same(b1.lam, b2.lam), "equal lambda")
-        _require(_same(b2.request.c1, -b1.request.c1), "c1* = -c1")
+    _require(_same(b1.lam, b2.lam), "equal lambda")
+    _require(_same(b2.request.c1, -b1.request.c1), "c1* = -c1")
 
     a_star = b1.domain.upper
     _require(_same(a_star, b2.domain.lower),
@@ -452,58 +466,25 @@ def glue(bplus: ProfileBranch, bminus: ProfileBranch,
 
     b1p, b1m = _plus_minus(b1)
     b2p, b2m = _plus_minus(b2)
-
-    if recipe is Recipe.C1_1:
-        # pair the like-signed branches; k1 jumps at the junction
-        arcs = [Arc(b1p, +1), Arc(b2p, +1), Arc(b2m, -1), Arc(b1m, -1)]
-        junctions_at = [(0, a_star, "smooth_join"),
-                        (1, b2.domain.upper, "cap"),
-                        (2, a_star, "smooth_join")]
-        topology = Topology.SPHERE_LIKE
-    elif recipe in (Recipe.C1_2, Recipe.C2):
-        arcs = [Arc(b1p, +1), Arc(b2m, +1), Arc(b2p, -1), Arc(b1m, -1)]
-        junctions_at = [(0, a_star, "smooth_join"),
-                        (1, b2.domain.upper, "cap"),
-                        (2, a_star, "smooth_join")]
-        topology = (Topology.SPHERE_LIKE if recipe is Recipe.C1_2
-                    else Topology.OPEN_ANNULUS)
-    elif recipe in (Recipe.C5, Recipe.C8):
-        arcs = [Arc(b1p, +1), Arc(b2m, +1), Arc(b2p, -1), Arc(b1m, -1)]
-        junctions_at = [(0, a_star, "smooth_join"),
-                        (1, b2.domain.upper, "cap"),
-                        (2, a_star, "smooth_join")]
-        topology = Topology.SPHERE_LIKE
-    elif recipe in (Recipe.C6, Recipe.C9):
-        arcs = [Arc(b1p, +1), Arc(b2m, +1), Arc(b2p, -1), Arc(b1m, -1)]
-        junctions_at = [(0, a_star, "smooth_join"),
-                        (1, b2.domain.upper, "cap"),
-                        (2, a_star, "smooth_join")]
-        topology = Topology.OPEN_ANNULUS
-    else:  # C3, C4, C7, C10: cap - rise - join - fall - cap, periodic
-        cap1 = b1.anchor[0]
+    if chain is Chain.PERIODIC:
         arcs = [Arc(b1m, -1), Arc(b1p, +1), Arc(b2m, +1), Arc(b2p, -1)]
-        junctions_at = [(0, cap1, "cap"),
-                        (1, a_star, "smooth_join"),
-                        (2, b2.anchor[0], "cap")]
-        topology = Topology.OPEN_ANNULUS
-
+        junctions_at = [(b1.anchor[0], "cap"), (a_star, "smooth_join"),
+                        (b2.anchor[0], "cap")]
+    else:
+        rise, fall = (b2p, b2m) if chain is Chain.LIKE_SIGNED else (b2m, b2p)
+        arcs = [Arc(b1p, +1), Arc(rise, +1), Arc(fall, -1), Arc(b1m, -1)]
+        junctions_at = [(a_star, "smooth_join"), (b2.domain.upper, "cap"),
+                        (a_star, "smooth_join")]
     arcs = _chain(arcs)
     junctions = [_evaluate_junction(p, arcs[i], arcs[i + 1], a, kind)
-                 for i, a, kind in junctions_at]
-
-    axis_points = []
-    for arc, side in ((arcs[0], "start"), (arcs[-1], "end")):
-        pt = arc.start if side == "start" else arc.end
-        if _same(pt[0], 0.0, 1e-6) or pt[0] < 1e-5:
-            verdict = axis_smoothness(p, arc.branch.case, arc.branch.lam)
-            axis_points.append(replace(verdict, u=pt[1]))
-
+                 for i, (a, kind) in enumerate(junctions_at)]
+    topology, axis_points = _chain_ends(p, arcs)
     surface = AssembledSurface(
         arcs=arcs, junctions=junctions, topology=topology,
         axis_points=axis_points, p=p, lam=b1.lam, mu=b1.mu,
         constants={"alpha_star": a_star,
                    "d_first": b1.span, "d_second": b2.span})
-    if topology is Topology.OPEN_ANNULUS and recipe in _PERIODIC_RECIPES:
+    if chain is Chain.PERIODIC:
         _mark_extendable(surface)
     return surface
 
@@ -525,22 +506,13 @@ def _glue_cap(p: NormParameter, bplus: ProfileBranch,
         arcs = [Arc(bplus, +1), Arc(bminus, -1)]
     junctions = [_evaluate_junction(p, arcs[0], arcs[1], a_star, "cap")]
 
-    far_kind = (bplus.domain.upper_kind if side == "lower"
-                else bplus.domain.lower_kind)
-    axis_points = []
-    if far_kind is EndpointKind.AXIS_ZERO:
-        for arc, which in ((arcs[0], "start"), (arcs[1], "end")):
-            pt = arc.start if which == "start" else arc.end
-            verdict = axis_smoothness(p, arc.branch.case, arc.branch.lam)
-            axis_points.append(replace(verdict, u=pt[1]))
-        topology = Topology.SPHERE_LIKE
-    else:
-        topology = Topology.OPEN_ANNULUS
-
+    topology, axis_points = _chain_ends(p, arcs)
     surface = AssembledSurface(
         arcs=arcs, junctions=junctions, topology=topology,
         axis_points=axis_points, p=p, lam=bplus.lam, mu=bplus.mu,
         constants={"alpha_star": a_star, "d": bplus.span})
+    far_kind = (bplus.domain.upper_kind if side == "lower"
+                else bplus.domain.lower_kind)
     if far_kind is EndpointKind.SIMPLE_ROOT:
         _mark_extendable(surface)
     return surface

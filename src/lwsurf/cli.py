@@ -21,15 +21,15 @@ import warnings
 import numpy as np
 
 from .assembler import (
+    RECIPE_TABLE,
     AssembledSurface,
     GluingMismatch,
     Recipe,
-    Topology,
     cylinder,
     glue,
 )
 from .normgeom import NormParameter
-from .quadrature import EndpointKind, ToleranceError
+from .quadrature import EndpointKind
 from .solver import (
     IllConditionedWarning,
     NoSurfaceError,
@@ -37,6 +37,7 @@ from .solver import (
     WeingartenRelation,
     RelationForm,
     classify,
+    critical_c1,
     solve,
     solve_constant_k1,
     solve_constant_k2,
@@ -206,17 +207,6 @@ def _json_dump(path: str, payload: dict) -> None:
 # recipe assembly
 
 
-_CRITICAL = {
-    # recipes pinned to the double-root constant, computed from lam
-    "C6": lambda lam: 1.0 / ((lam + 1.0) * (-lam) ** (-lam)),
-    "C9": lambda lam: -1.0 / ((-(lam + 1.0))
-                              * (-(lam + 1.0) + 1.0) ** (-(lam + 1.0) + 1.0)),
-}
-
-# which solve() piece carries the outer branch used by each recipe
-_PIECE_INDEX = {"C2": 1, "C3": 1, "C6": 1, "C7": 1, "C9": 1, "C10": 1}
-
-
 def build_assembly(settings: dict, recipe_name: str) -> AssembledSurface:
     p = NormParameter(settings["m"])
     samples = settings["samples"]
@@ -244,19 +234,19 @@ def build_assembly(settings: dict, recipe_name: str) -> AssembledSurface:
         raise GluingMismatch(
             "matching equation violated: no branch with a simple-root cap")
 
-    if recipe_name in _CRITICAL:
-        c1 = _CRITICAL[recipe_name](lam)
-    idx = _PIECE_INDEX.get(recipe_name, 0)
-    lam1 = -1.0 if recipe_name in ("C1-1", "C1-2", "C2", "C3") else lam
-    if recipe_name == "C2":
-        c1 = 1.0
-    rel1 = WeingartenRelation.linear(lam1, 1.0)
-    rel2 = WeingartenRelation.linear(lam1, -1.0)
-    b1 = solve(SolveRequest(p=p, relation=rel1, c1=c1,
-                            samples=samples, tol=settings["tol"]))[idx]
-    b2 = solve(SolveRequest(p=p, relation=rel2, c1=-c1,
-                            samples=samples, tol=settings["tol"]))[0]
-    return glue(b1, b2, recipe)
+    want1, want2, _ = RECIPE_TABLE[recipe]
+    if want1.name.startswith("LM1_"):  # the 6.1 families have lam = -1
+        lam = -1.0
+    if want1.name.endswith("_DOUBLE_OUTER"):  # C2, C6, C9
+        c1 = critical_c1(lam)
+    pair = []
+    for mu, c, want in ((1.0, c1, want1), (-1.0, -c1, want2)):
+        branches = solve(SolveRequest(
+            p=p, relation=WeingartenRelation.linear(lam, mu), c1=c,
+            samples=samples, tol=settings["tol"]))
+        # without the wanted case, glue names the mismatch
+        pair.append(next((b for b in branches if b.case is want), branches[0]))
+    return glue(*pair, recipe)
 
 
 def _surface_polyline(surface: AssembledSurface):
@@ -424,8 +414,7 @@ def cmd_scan_coincidence(settings: dict) -> int:
         row_settings["c1"] = float(c1)
         try:
             surface = build_assembly(row_settings, recipe)
-        except (NoSurfaceError, GluingMismatch, RuntimeError, ValueError,
-                IndexError) as exc:
+        except (ValueError, RuntimeError) as exc:
             print(f"{c1:14.6g} skipped: {exc}")
             continue
         d1 = surface.constants.get("d_first", surface.constants.get("d"))
@@ -514,9 +503,12 @@ def main(argv=None) -> int:
     except CsvFormatError as exc:
         print(f"malformed profile CSV: {exc}", file=sys.stderr)
         return EXIT_BAD_CSV
-    except (ValueError, GluingMismatch, ToleranceError, RuntimeError,
-            OSError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as exc:
+        log.debug("unexpected error in %s", args.command, exc_info=True)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy import integrate, optimize
@@ -31,8 +31,6 @@ __all__ = [
     "ProfileSamples",
 ]
 
-# near-double roots inside this |f'| band get flagged instead of classified
-ILL_CONDITIONED_BAND = (1e-8, 1e-4)
 DOUBLE_ROOT_DERIV_TOL = 1e-8
 ROOT_VALUE_TOL = 1e-13
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable
 
@@ -23,7 +23,6 @@ from .quadrature import (
     DomainInterval,
     EndpointKind,
     IntegrandSpec,
-    ProfileSamples,
     bracket_roots,
     integrate_singular,
     profile_from_integral,
@@ -38,6 +37,7 @@ __all__ = [
     "NoSurfaceError",
     "IllConditionedWarning",
     "classify",
+    "critical_c1",
     "solve",
     "solve_constant_k2",
     "solve_constant_k1",
@@ -197,6 +197,12 @@ class ProfileBranch:
     def samples(self) -> np.ndarray:
         return np.column_stack([self.alpha, self.u, self.du])
 
+    def fd_second(self, a: float, h: float) -> float:
+        """u''(a) from the closed-form slope by a central 5-point stencil."""
+        f = self.uprime
+        return (-f(a + 2 * h) + 8 * f(a + h)
+                - 8 * f(a - h) + f(a - 2 * h)) / (12 * h)
+
 
 # ---------------------------------------------------------------------------
 # case analysis
@@ -232,8 +238,74 @@ def _boundary_warn(value: float, boundary: float, label: str) -> None:
             IllConditionedWarning, stacklevel=3)
 
 
-def _pow(x: float, y: float) -> float:
-    return math.pow(x, y)
+_AXIS = EndpointKind.AXIS_ZERO
+_ROOT = EndpointKind.SIMPLE_ROOT
+_CAP = EndpointKind.SMOOTH_CAP
+
+
+def critical_c1(lam: float) -> float:
+    """Value of c1 at which the mu = +1 family for lam < 0 has a double root.
+
+    Below it the profile runs from the axis to a cap in one piece; at it
+    the admissibility function touches zero; above it two simple roots cut
+    out an inner and an outer piece.
+    """
+    if lam == -1.0:
+        return 1.0
+    if -1.0 < lam < 0.0:
+        return 1.0 / ((lam + 1.0) * math.pow(-lam, -lam))
+    if lam < -1.0:
+        w = -(lam + 1.0)
+        return -1.0 / (w * math.pow(w + 1.0, w + 1.0))
+    raise NoSurfaceError(
+        f"lam = {lam}: the mu > 0 family has a double root only for lam < 0")
+
+
+def _single(tag: CaseTag, lo: float, hi: float, lo_kind: EndpointKind,
+            hi_kind: EndpointKind, anchor: float,
+            spec: IntegrandSpec | None = None, **closed_form) -> _Plan:
+    """Plan with one piece; ``closed_form`` keywords go to _Plan."""
+    dom = DomainInterval(lo, hi, lo_kind, hi_kind, label=tag.value)
+    return _Plan(tag, [_Piece(dom, anchor, tag)], spec=spec, **closed_form)
+
+
+def _sphere_plan(tag: CaseTag, radius: float) -> _Plan:
+    """Closed-form branch of alpha^2m + (u - shift)^2m = radius^2m."""
+    return _single(tag, 0.0, radius, _AXIS, _ROOT, radius,
+                   closed_form="sphere", sphere_radius=radius)
+
+
+def _split_plan(spec: IntegrandSpec, f: Callable[[float], float], c1: float,
+                c_crit: float, top: float, t_double: float, tags: tuple,
+                sub_anchor: float, probes: int) -> _Plan:
+    """Axis-to-cap interval (0, top) of a mu > 0 family, split at c_crit.
+
+    ``f`` is the admissibility function.  Below the critical constant the
+    whole interval is one piece; at it f has a double root at t_double;
+    above it f has two simple roots below top, which bound an inner and an
+    outer piece.  ``tags`` is (sub, double inner, double outer, two-root
+    inner, two-root outer).
+    """
+    sub, double_in, double_out, two_in, two_out = tags
+    if _near(c1, c_crit):
+        spec = replace(spec, roots=((t_double, 2),))
+        a_in = a_out = t_double
+        kind, inner, outer = EndpointKind.DOUBLE_ROOT, double_in, double_out
+        anchors = (0.0, top)
+    elif c1 < c_crit:
+        return _single(sub, 0.0, top, _AXIS, _CAP, sub_anchor, spec)
+    else:
+        roots = bracket_roots(f, 1e-12, top, probes=probes)
+        if len(roots) != 2:
+            raise RuntimeError(f"expected two roots below {top}, got {roots}")
+        a_in, a_out = roots[0][0], roots[1][0]
+        spec = replace(spec, roots=((a_in, 1), (a_out, 1)))
+        kind, inner, outer = _ROOT, two_in, two_out
+        anchors = (a_in, a_out)
+    d_in = DomainInterval(0.0, a_in, _AXIS, kind, label=inner.value)
+    d_out = DomainInterval(a_out, top, kind, _CAP, label=outer.value)
+    return _Plan(inner, [_Piece(d_in, anchors[0], inner),
+                         _Piece(d_out, anchors[1], outer)], spec=spec)
 
 
 def _homogeneous_plan(req: SolveRequest) -> _Plan:
@@ -254,19 +326,15 @@ def _homogeneous_plan(req: SolveRequest) -> _Plan:
             roots=((c2, 1),), decay_exponent=decay)
         tag = CaseTag.HOM_POS_FAST if decay > 1.0 and not _near(decay, 1.0) \
             else CaseTag.HOM_POS_SLOW
-        dom = DomainInterval(c2, math.inf, EndpointKind.SIMPLE_ROOT,
-                             EndpointKind.UNBOUNDED, label=tag.value)
-        return _Plan(tag, [_Piece(dom, c2, tag)], spec=spec)
+        return _single(tag, c2, math.inf, _ROOT, EndpointKind.UNBOUNDED, c2,
+                       spec)
     # lam < 0: domain (0, c2), integrand rewritten to stay finite at 0
     nl = -lam
     spec = IntegrandSpec(
         numerator=lambda t: t ** (q * nl),
         denominator=lambda t: c2 ** (2 * m * nl) - t ** (2 * m * nl),
         exponent=q / (2 * m), m=m, roots=((c2, 1),))
-    tag = CaseTag.HOM_NEG
-    dom = DomainInterval(0.0, c2, EndpointKind.AXIS_ZERO,
-                         EndpointKind.SIMPLE_ROOT, label=tag.value)
-    return _Plan(tag, [_Piece(dom, c2, tag)], spec=spec)
+    return _single(CaseTag.HOM_NEG, 0.0, c2, _AXIS, _ROOT, c2, spec)
 
 
 def _lm1_plan(req: SolveRequest) -> _Plan:
@@ -279,6 +347,9 @@ def _lm1_plan(req: SolveRequest) -> _Plan:
     def g(t: float) -> float:
         return t * (c1 - mu * math.log(t))
 
+    def f(t: float) -> float:
+        return 1.0 - g(t)
+
     spec = IntegrandSpec(
         numerator=lambda t: g(t) ** q,
         denominator=lambda t: 1.0 - g(t) ** (2 * m),
@@ -286,53 +357,23 @@ def _lm1_plan(req: SolveRequest) -> _Plan:
 
     if mu > 0.0:
         top = math.exp(c1)  # g vanishes there; admissibility needs t < top
-        _boundary_warn(c1, 1.0, "c1")
-        if c1 < 1.0 and not _near(c1, 1.0):
-            tag = CaseTag.LM1_SUB
-            dom = DomainInterval(0.0, top, EndpointKind.AXIS_ZERO,
-                                 EndpointKind.SMOOTH_CAP, label=tag.value)
-            return _Plan(tag, [_Piece(dom, top, tag)], spec=spec)
-        if _near(c1, 1.0):
-            spec = replace(spec, roots=((1.0, 2),))
-            d_in = DomainInterval(0.0, 1.0, EndpointKind.AXIS_ZERO,
-                                  EndpointKind.DOUBLE_ROOT,
-                                  label=CaseTag.LM1_DOUBLE_INNER.value)
-            d_out = DomainInterval(1.0, math.e, EndpointKind.DOUBLE_ROOT,
-                                   EndpointKind.SMOOTH_CAP,
-                                   label=CaseTag.LM1_DOUBLE_OUTER.value)
-            return _Plan(CaseTag.LM1_DOUBLE_INNER,
-                         [_Piece(d_in, 0.0, CaseTag.LM1_DOUBLE_INNER),
-                          _Piece(d_out, math.e, CaseTag.LM1_DOUBLE_OUTER)],
-                         spec=spec)
-        # c1 > 1: g reaches 1 twice, at a1 < e^(c1-1) < a2
-        roots = bracket_roots(lambda t: 1.0 - g(t), 1e-12, top, probes=256)
-        if len(roots) != 2:
-            raise RuntimeError(f"expected two roots of t*(c1 - log t) = 1, "
-                               f"found {roots}")
-        a1, a2 = roots[0][0], roots[1][0]
-        spec = replace(spec, roots=((a1, 1), (a2, 1)))
-        d_in = DomainInterval(0.0, a1, EndpointKind.AXIS_ZERO,
-                              EndpointKind.SIMPLE_ROOT,
-                              label=CaseTag.LM1_TWO_INNER.value)
-        d_out = DomainInterval(a2, top, EndpointKind.SIMPLE_ROOT,
-                               EndpointKind.SMOOTH_CAP,
-                               label=CaseTag.LM1_TWO_OUTER.value)
-        return _Plan(CaseTag.LM1_TWO_INNER,
-                     [_Piece(d_in, a1, CaseTag.LM1_TWO_INNER),
-                      _Piece(d_out, a2, CaseTag.LM1_TWO_OUTER)],
-                     spec=spec)
+        c_crit = critical_c1(-1.0)
+        _boundary_warn(c1, c_crit, "c1")
+        # g = 1 has its double root at e^(c1-1), which is 1 at c1 = 1
+        return _split_plan(
+            spec, f, c1, c_crit, top, math.exp(c_crit - 1.0),
+            (CaseTag.LM1_SUB, CaseTag.LM1_DOUBLE_INNER,
+             CaseTag.LM1_DOUBLE_OUTER, CaseTag.LM1_TWO_INNER,
+             CaseTag.LM1_TWO_OUTER), sub_anchor=top, probes=256)
     # mu < 0: domain (e^(-c1), a3) with a3 the unique solution of g = 1
     bottom = math.exp(-c1)
-    roots = bracket_roots(lambda t: 1.0 - g(t), bottom,
-                          bottom + 10.0 * (1.0 + abs(c1)), probes=256)
+    roots = bracket_roots(f, bottom, bottom + 10.0 * (1.0 + abs(c1)),
+                          probes=256)
     if not roots:
         raise RuntimeError("root of t*(c1 + log t) = 1 not bracketed")
     a3 = roots[0][0]
-    spec = replace(spec, roots=((a3, 1),))
-    tag = CaseTag.LM1_NEG
-    dom = DomainInterval(bottom, a3, EndpointKind.SMOOTH_CAP,
-                         EndpointKind.SIMPLE_ROOT, label=tag.value)
-    return _Plan(tag, [_Piece(dom, a3, tag)], spec=spec)
+    return _single(CaseTag.LM1_NEG, bottom, a3, _CAP, _ROOT, a3,
+                   replace(spec, roots=((a3, 1),)))
 
 
 def _gen_pos_plan(req: SolveRequest) -> _Plan:
@@ -359,54 +400,41 @@ def _gen_pos_plan(req: SolveRequest) -> _Plan:
         if c1 <= 0.0:
             raise NoSurfaceError(
                 "c1 <= 0: admissibility 0 < c1 - alpha^(lam+1)/(lam+1) fails")
-        a4 = _pow(c1 * (lam + 1.0), 1.0 / (lam + 1.0))
+        a4 = math.pow(c1 * (lam + 1.0), 1.0 / (lam + 1.0))
         roots = bracket_roots(f, 1e-12, a4, probes=256)
         if len(roots) != 1 or roots[0][1] != 1:
             raise RuntimeError(f"expected one simple root below {a4}, got {roots}")
         a5 = roots[0][0]
-        spec = replace(spec, roots=((a5, 1),))
-        tag = CaseTag.GEN_POS_PLUS
-        dom = DomainInterval(a5, a4, EndpointKind.SIMPLE_ROOT,
-                             EndpointKind.SMOOTH_CAP, label=tag.value)
-        return _Plan(tag, [_Piece(dom, a5, tag)], spec=spec)
+        return _single(CaseTag.GEN_POS_PLUS, a5, a4, _ROOT, _CAP, a5,
+                       replace(spec, roots=((a5, 1),)))
 
     # mu < 0 (the c1* family)
     bound = lam ** lam / (lam + 1.0)
     _boundary_warn(c1, bound, "c1*")
     _boundary_warn(c1, 0.0, "c1*")
     if _near(c1, 0.0):
-        tag = CaseTag.GEN_POS_MINUS_SPHERE
-        r = lam + 1.0
-        dom = DomainInterval(0.0, r, EndpointKind.AXIS_ZERO,
-                             EndpointKind.SIMPLE_ROOT, label=tag.value)
-        return _Plan(tag, [_Piece(dom, r, tag)], closed_form="sphere",
-                     sphere_radius=r)
+        return _sphere_plan(CaseTag.GEN_POS_MINUS_SPHERE, lam + 1.0)
     if c1 > 0.0:
         if c1 >= bound or _near(c1, bound):
             raise NoSurfaceError(
                 f"c1* >= lam^lam/(lam+1) = {bound}: admissible band is empty")
-        roots = bracket_roots(f, 1e-12, 10.0 * _pow(max(c1 * (lam + 1.0), 1.0),
-                                                    1.0 / (lam + 1.0)) + 10.0,
+        roots = bracket_roots(f, 1e-12,
+                              10.0 * math.pow(max(c1 * (lam + 1.0), 1.0),
+                                              1.0 / (lam + 1.0)) + 10.0,
                               probes=512)
         if len(roots) != 2:
             raise RuntimeError(f"expected two band roots, got {roots}")
         a6, a7 = roots[0][0], roots[1][0]
-        spec = replace(spec, roots=((a6, 1), (a7, 1)))
-        tag = CaseTag.GEN_POS_MINUS_BAND
-        dom = DomainInterval(a6, a7, EndpointKind.SIMPLE_ROOT,
-                             EndpointKind.SIMPLE_ROOT, label=tag.value)
-        return _Plan(tag, [_Piece(dom, a6, tag)], spec=spec)
+        return _single(CaseTag.GEN_POS_MINUS_BAND, a6, a7, _ROOT, _ROOT, a6,
+                       replace(spec, roots=((a6, 1), (a7, 1))))
     # c1 < 0: domain starts where N vanishes
-    a8 = _pow(-c1 * (lam + 1.0), 1.0 / (lam + 1.0))
+    a8 = math.pow(-c1 * (lam + 1.0), 1.0 / (lam + 1.0))
     roots = bracket_roots(f, a8, 10.0 * a8 + 10.0, probes=512)
     if len(roots) != 1:
         raise RuntimeError(f"expected one root above {a8}, got {roots}")
     a9 = roots[0][0]
-    spec = replace(spec, roots=((a9, 1),))
-    tag = CaseTag.GEN_POS_MINUS_OUTER
-    dom = DomainInterval(a8, a9, EndpointKind.SMOOTH_CAP,
-                         EndpointKind.SIMPLE_ROOT, label=tag.value)
-    return _Plan(tag, [_Piece(dom, a9, tag)], spec=spec)
+    return _single(CaseTag.GEN_POS_MINUS_OUTER, a8, a9, _CAP, _ROOT, a9,
+                   replace(spec, roots=((a9, 1),)))
 
 
 def _gen_mid_plan(req: SolveRequest) -> _Plan:
@@ -435,73 +463,35 @@ def _gen_mid_plan(req: SolveRequest) -> _Plan:
         if c1 <= 0.0:
             raise NoSurfaceError(
                 "c1 <= 0: admissibility 0 < c1 - alpha^(lam+1)/(lam+1) fails")
-        a10 = _pow(c1 * (lam + 1.0), 1.0 / (lam + 1.0))
-        c_crit = 1.0 / ((lam + 1.0) * _pow(nl, nl))
+        a10 = math.pow(c1 * (lam + 1.0), 1.0 / (lam + 1.0))
+        c_crit = critical_c1(lam)
         _boundary_warn(c1, c_crit, "c1")
-        if _near(c1, c_crit):
-            a11 = _pow(c1 * nl * (lam + 1.0), 1.0 / (lam + 1.0))
-            spec = replace(spec, roots=((a11, 2),))
-            d_in = DomainInterval(0.0, a11, EndpointKind.AXIS_ZERO,
-                                  EndpointKind.DOUBLE_ROOT,
-                                  label=CaseTag.GEN_MID_PLUS_DOUBLE_INNER.value)
-            d_out = DomainInterval(a11, a10, EndpointKind.DOUBLE_ROOT,
-                                   EndpointKind.SMOOTH_CAP,
-                                   label=CaseTag.GEN_MID_PLUS_DOUBLE_OUTER.value)
-            return _Plan(CaseTag.GEN_MID_PLUS_DOUBLE_INNER,
-                         [_Piece(d_in, 0.0, CaseTag.GEN_MID_PLUS_DOUBLE_INNER),
-                          _Piece(d_out, a10, CaseTag.GEN_MID_PLUS_DOUBLE_OUTER)],
-                         spec=spec)
-        if c1 < c_crit:
-            tag = CaseTag.GEN_MID_PLUS_SUB
-            dom = DomainInterval(0.0, a10, EndpointKind.AXIS_ZERO,
-                                 EndpointKind.SMOOTH_CAP, label=tag.value)
-            return _Plan(tag, [_Piece(dom, 0.0, tag)], spec=spec)
-        roots = bracket_roots(f, 1e-12, a10, probes=512)
-        if len(roots) != 2:
-            raise RuntimeError(f"expected two roots below {a10}, got {roots}")
-        a12, a13 = roots[0][0], roots[1][0]
-        spec = replace(spec, roots=((a12, 1), (a13, 1)))
-        d_in = DomainInterval(0.0, a12, EndpointKind.AXIS_ZERO,
-                              EndpointKind.SIMPLE_ROOT,
-                              label=CaseTag.GEN_MID_PLUS_TWO_INNER.value)
-        d_out = DomainInterval(a13, a10, EndpointKind.SIMPLE_ROOT,
-                               EndpointKind.SMOOTH_CAP,
-                               label=CaseTag.GEN_MID_PLUS_TWO_OUTER.value)
-        return _Plan(CaseTag.GEN_MID_PLUS_TWO_INNER,
-                     [_Piece(d_in, a12, CaseTag.GEN_MID_PLUS_TWO_INNER),
-                      _Piece(d_out, a13, CaseTag.GEN_MID_PLUS_TWO_OUTER)],
-                     spec=spec)
+        a11 = math.pow(c1 * nl * (lam + 1.0), 1.0 / (lam + 1.0))
+        return _split_plan(
+            spec, f, c1, c_crit, a10, a11,
+            (CaseTag.GEN_MID_PLUS_SUB, CaseTag.GEN_MID_PLUS_DOUBLE_INNER,
+             CaseTag.GEN_MID_PLUS_DOUBLE_OUTER, CaseTag.GEN_MID_PLUS_TWO_INNER,
+             CaseTag.GEN_MID_PLUS_TWO_OUTER), sub_anchor=0.0, probes=512)
 
     # mu < 0
     _boundary_warn(c1, 0.0, "c1*")
     if _near(c1, 0.0):
-        tag = CaseTag.GEN_MID_MINUS_SPHERE
-        r = lam + 1.0
-        dom = DomainInterval(0.0, r, EndpointKind.AXIS_ZERO,
-                             EndpointKind.SIMPLE_ROOT, label=tag.value)
-        return _Plan(tag, [_Piece(dom, r, tag)], closed_form="sphere",
-                     sphere_radius=r)
+        return _sphere_plan(CaseTag.GEN_MID_MINUS_SPHERE, lam + 1.0)
     if c1 > 0.0:
         roots = bracket_roots(f, 1e-12, 2.0 * (lam + 1.0) + 10.0, probes=512)
         if not roots:
             raise RuntimeError("root of the admissibility function not found")
         a14 = roots[0][0]
-        spec = replace(spec, roots=((a14, 1),))
-        tag = CaseTag.GEN_MID_MINUS_INNER
-        dom = DomainInterval(0.0, a14, EndpointKind.AXIS_ZERO,
-                             EndpointKind.SIMPLE_ROOT, label=tag.value)
-        return _Plan(tag, [_Piece(dom, a14, tag)], spec=spec)
-    a15 = _pow(-c1 * (lam + 1.0), 1.0 / (lam + 1.0))
+        return _single(CaseTag.GEN_MID_MINUS_INNER, 0.0, a14, _AXIS, _ROOT,
+                       a14, replace(spec, roots=((a14, 1),)))
+    a15 = math.pow(-c1 * (lam + 1.0), 1.0 / (lam + 1.0))
     roots = bracket_roots(f, a15, 10.0 * a15 + 10.0 * (lam + 1.0) + 10.0,
                           probes=512)
     if not roots:
         raise RuntimeError("outer admissibility root not found")
     a16 = roots[0][0]
-    spec = replace(spec, roots=((a16, 1),))
-    tag = CaseTag.GEN_MID_MINUS_OUTER
-    dom = DomainInterval(a15, a16, EndpointKind.SMOOTH_CAP,
-                         EndpointKind.SIMPLE_ROOT, label=tag.value)
-    return _Plan(tag, [_Piece(dom, a16, tag)], spec=spec)
+    return _single(CaseTag.GEN_MID_MINUS_OUTER, a15, a16, _CAP, _ROOT, a16,
+                   replace(spec, roots=((a16, 1),)))
 
 
 def _gen_low_plan(req: SolveRequest) -> _Plan:
@@ -525,113 +515,62 @@ def _gen_low_plan(req: SolveRequest) -> _Plan:
         exponent=q / (2 * m), m=m)
 
     if mu > 0.0:
-        thr = -1.0 / (w * _pow(w + 1.0, w + 1.0))
+        thr = critical_c1(lam)
         _boundary_warn(c1, thr, "c1")
         _boundary_warn(c1, 0.0, "c1")
         if _near(c1, 0.0):
-            tag = CaseTag.GEN_LOW_PLUS_SPHERE
-            dom = DomainInterval(0.0, w, EndpointKind.AXIS_ZERO,
-                                 EndpointKind.SIMPLE_ROOT, label=tag.value)
-            return _Plan(tag, [_Piece(dom, w, tag)], closed_form="sphere",
-                         sphere_radius=w)
+            return _sphere_plan(CaseTag.GEN_LOW_PLUS_SPHERE, w)
         if c1 > 0.0:
             roots = bracket_roots(f, 1e-12, w + 1.0, probes=512)
             if not roots:
                 raise RuntimeError("admissibility root not found for c1 > 0")
             a17 = roots[0][0]
-            spec = replace(spec, roots=((a17, 1),))
-            tag = CaseTag.GEN_LOW_PLUS_POS
-            dom = DomainInterval(0.0, a17, EndpointKind.AXIS_ZERO,
-                                 EndpointKind.SIMPLE_ROOT, label=tag.value)
-            return _Plan(tag, [_Piece(dom, a17, tag)], spec=spec)
+            return _single(CaseTag.GEN_LOW_PLUS_POS, 0.0, a17, _AXIS, _ROOT,
+                           a17, replace(spec, roots=((a17, 1),)))
         # c1 < 0: t*G(t) > 0 only below the zero of G
-        a18 = _pow(-c1 * w, -1.0 / w)
-        if _near(c1, thr):
-            a19 = _pow(-c1 * w * (w + 1.0), -1.0 / w)
-            spec = replace(spec, roots=((a19, 2),))
-            d_in = DomainInterval(0.0, a19, EndpointKind.AXIS_ZERO,
-                                  EndpointKind.DOUBLE_ROOT,
-                                  label=CaseTag.GEN_LOW_PLUS_DOUBLE_INNER.value)
-            d_out = DomainInterval(a19, a18, EndpointKind.DOUBLE_ROOT,
-                                   EndpointKind.SMOOTH_CAP,
-                                   label=CaseTag.GEN_LOW_PLUS_DOUBLE_OUTER.value)
-            return _Plan(CaseTag.GEN_LOW_PLUS_DOUBLE_INNER,
-                         [_Piece(d_in, 0.0, CaseTag.GEN_LOW_PLUS_DOUBLE_INNER),
-                          _Piece(d_out, a18,
-                                 CaseTag.GEN_LOW_PLUS_DOUBLE_OUTER)],
-                         spec=spec)
-        if c1 < thr:
-            tag = CaseTag.GEN_LOW_PLUS_SUB
-            dom = DomainInterval(0.0, a18, EndpointKind.AXIS_ZERO,
-                                 EndpointKind.SMOOTH_CAP, label=tag.value)
-            return _Plan(tag, [_Piece(dom, 0.0, tag)], spec=spec)
-        roots = bracket_roots(f, 1e-12, a18, probes=512)
-        if len(roots) != 2:
-            raise RuntimeError(f"expected two roots below {a18}, got {roots}")
-        a20, a21 = roots[0][0], roots[1][0]
-        spec = replace(spec, roots=((a20, 1), (a21, 1)))
-        d_in = DomainInterval(0.0, a20, EndpointKind.AXIS_ZERO,
-                              EndpointKind.SIMPLE_ROOT,
-                              label=CaseTag.GEN_LOW_PLUS_TWO_INNER.value)
-        d_out = DomainInterval(a21, a18, EndpointKind.SIMPLE_ROOT,
-                               EndpointKind.SMOOTH_CAP,
-                               label=CaseTag.GEN_LOW_PLUS_TWO_OUTER.value)
-        return _Plan(CaseTag.GEN_LOW_PLUS_TWO_INNER,
-                     [_Piece(d_in, a20, CaseTag.GEN_LOW_PLUS_TWO_INNER),
-                      _Piece(d_out, a21, CaseTag.GEN_LOW_PLUS_TWO_OUTER)],
-                     spec=spec)
+        a18 = math.pow(-c1 * w, -1.0 / w)
+        a19 = math.pow(-c1 * w * (w + 1.0), -1.0 / w)
+        return _split_plan(
+            spec, f, c1, thr, a18, a19,
+            (CaseTag.GEN_LOW_PLUS_SUB, CaseTag.GEN_LOW_PLUS_DOUBLE_INNER,
+             CaseTag.GEN_LOW_PLUS_DOUBLE_OUTER, CaseTag.GEN_LOW_PLUS_TWO_INNER,
+             CaseTag.GEN_LOW_PLUS_TWO_OUTER), sub_anchor=0.0, probes=512)
 
     # mu < 0: need c1 > 0 so that G turns positive
     if c1 <= 0.0:
         raise NoSurfaceError(
             "c1* <= 0 with lam < -1: t*G(t) stays nonpositive, no admissible "
             "interval")
-    a22 = _pow(c1 * w, -1.0 / w)
+    a22 = math.pow(c1 * w, -1.0 / w)
     roots = bracket_roots(f, a22, 10.0 * a22 + w + 10.0, probes=512)
     if not roots:
         raise RuntimeError("upper admissibility root not found")
     a23 = roots[0][0]
-    spec = replace(spec, roots=((a23, 1),))
-    tag = CaseTag.GEN_LOW_MINUS
-    dom = DomainInterval(a22, a23, EndpointKind.SMOOTH_CAP,
-                         EndpointKind.SIMPLE_ROOT, label=tag.value)
-    return _Plan(tag, [_Piece(dom, a23, tag)], spec=spec)
+    return _single(CaseTag.GEN_LOW_MINUS, a22, a23, _CAP, _ROOT, a23,
+                   replace(spec, roots=((a23, 1),)))
 
 
 def _plan(req: SolveRequest) -> _Plan:
     form = req.relation.form
     if form is RelationForm.K2_CONST:
-        tag = CaseTag.SPHERE_TRANSLATE
-        dom = DomainInterval(0.0, 1.0, EndpointKind.AXIS_ZERO,
-                             EndpointKind.SIMPLE_ROOT, label=tag.value)
-        return _Plan(tag, [_Piece(dom, 1.0, tag)], closed_form="sphere",
-                     sphere_radius=1.0)
+        return _sphere_plan(CaseTag.SPHERE_TRANSLATE, 1.0)
     if form is RelationForm.K1_CONST:
         mu = req.relation.mu
         c1 = req.c1
+        # at the inner end c1 - mu*alpha = 1 and u' blows up
         if mu > 0.0:
             lo, hi = max(0.0, c1 - 1.0), c1
             tag = CaseTag.K1_CONST_PLUS
+            kinds = (_ROOT if c1 - 1.0 > 0.0 else _AXIS, _CAP)
         else:
             lo, hi = max(0.0, -c1), 1.0 - c1
             tag = CaseTag.K1_CONST_MINUS
+            kinds = (_CAP if -c1 > 0.0 else _AXIS, _ROOT)
         if not lo < hi:
             raise NoSurfaceError(
                 "0 < c1 - mu*alpha < 1 has no solution with alpha > 0")
-        lo_kind = (EndpointKind.AXIS_ZERO if lo == 0.0
-                   else EndpointKind.SMOOTH_CAP)
-        # at the inner end c1 - mu*alpha = 1 and u' blows up
-        if mu > 0.0:
-            lo_kind = (EndpointKind.SIMPLE_ROOT if c1 - 1.0 > 0.0
-                       else EndpointKind.AXIS_ZERO)
-            hi_kind = EndpointKind.SMOOTH_CAP
-        else:
-            hi_kind = EndpointKind.SIMPLE_ROOT
-            lo_kind = (EndpointKind.SMOOTH_CAP if -c1 > 0.0
-                       else EndpointKind.AXIS_ZERO)
-        dom = DomainInterval(lo, hi, lo_kind, hi_kind, label=tag.value)
         anchor = hi if mu > 0.0 else lo
-        return _Plan(tag, [_Piece(dom, anchor, tag)], closed_form="k1const")
+        return _single(tag, lo, hi, *kinds, anchor, closed_form="k1const")
     if form is RelationForm.HOMOGENEOUS:
         return _homogeneous_plan(req)
     if form is RelationForm.INHOM_LAMBDA_MINUS1:

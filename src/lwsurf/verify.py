@@ -20,7 +20,6 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -29,6 +28,7 @@ from .normgeom import (
     Chart,
     NormParameter,
     ProfileJet,
+    axis_jet_from_radius_jet,
     principal_curvatures,
     oriented_radius_chart_curvatures,
     signed_odd_root_pow,
@@ -145,10 +145,7 @@ def _fd_jet_exact(branch: ProfileBranch, a: float) -> tuple:
     dist = min(a - lo, hi - a)
     h = max(1e-6, 1e-4 * min(max(1.0, abs(a)), dist))
     h = min(h, 0.25 * dist)
-    f = branch.uprime
-    d1 = f(a)
-    d2 = (-f(a + 2 * h) + 8 * f(a + h) - 8 * f(a - h) + f(a - 2 * h)) / (12 * h)
-    return d1, d2
+    return branch.uprime(a), branch.fd_second(a, h)
 
 
 def _relation_residual(p: NormParameter, a: float, d1: float, d2: float,
@@ -161,9 +158,9 @@ def _relation_residual(p: NormParameter, a: float, d1: float, d2: float,
         k = oriented_radius_chart_curvatures(p, a, d1, d2)
     else:
         # inverse chart: alpha as a function of u stays flat where u' blows up
-        k = principal_curvatures(
-            p, ProfileJet(Chart.GRAPH_OVER_AXIS, value=a, d1=1.0 / d1,
-                          d2=-d2 / d1 ** 3, radius=a))
+        k = principal_curvatures(p, axis_jet_from_radius_jet(
+            ProfileJet(Chart.GRAPH_OVER_RADIUS, value=0.0, d1=d1, d2=d2,
+                       radius=a)))
     return abs(k.k1 + lam * k.k2 - mu)
 
 
@@ -300,7 +297,7 @@ def residual_scan_table(p: NormParameter, alpha: np.ndarray, u: np.ndarray,
         with warnings.catch_warnings():
             # degree-6 fits on strongly graded windows are rank-deficient
             # in the trailing coefficients; the linear one stays usable
-            warnings.simplefilter("ignore", np.polynomial.polyutils.RankWarning)
+            warnings.simplefilter("ignore", np.exceptions.RankWarning)
             x = aw - a
             scale = np.max(np.abs(x))
             for deg in (4, 6):

@@ -24,6 +24,7 @@ from lwsurf import (
     solve_inhom_lambda_minus1,
 )
 from lwsurf.cli import DEFAULTS, build_assembly
+from lwsurf.solver import critical_c1
 
 
 P2 = NormParameter(2)
@@ -78,6 +79,23 @@ def surface_for(name: str):
 
 
 class TestRecipes:
+    def test_params_cover_every_recipe(self):
+        assert set(RECIPE_PARAMS) == {r.value for r in Recipe}
+
+    @pytest.mark.parametrize("name, lam", [("C2", 1.0), ("C6", -0.5),
+                                           ("C9", -2.0)])
+    def test_double_root_recipes_pin_c1(self, name, lam):
+        # --c1 is ignored: the outer piece exists only at the double root,
+        # and the 6.1 recipe C2 also ignores --lambda (lam = -1)
+        settings = dict(DEFAULTS, lam=lam, c1=0.123, samples=96)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            surf = build_assembly(settings, name)
+        lam_used = -1.0 if name == "C2" else lam
+        c1s = {a.branch.request.c1 for a in surf.arcs}
+        assert c1s == {critical_c1(lam_used), -critical_c1(lam_used)}
+        assert surf.lam == lam_used
+
     @pytest.mark.parametrize("name", sorted(RECIPE_PARAMS))
     def test_topology(self, name):
         assert surface_for(name).topology is EXPECTED_TOPOLOGY[name]

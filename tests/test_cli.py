@@ -189,6 +189,20 @@ class TestRecipeGeneration:
         assert "out of range" in err
 
 
+class TestUnexpectedErrors:
+    def test_one_line_message_without_traceback(self, capsys, monkeypatch,
+                                                tmp_path):
+        def boom(req):
+            raise KeyError("boom")
+
+        monkeypatch.setattr("lwsurf.cli.solve", boom)
+        code, _, err = run(capsys, "generate", "--lambda", "1", "--mu", "0",
+                           "--out", str(tmp_path / "x"))
+        assert code == 1
+        assert err.splitlines() == ["error: KeyError: 'boom'"]
+        assert "Traceback" not in err
+
+
 class TestScanCoincidence:
     def test_disclaimer_and_rows(self, capsys):
         code, out, _ = run(capsys, "scan-coincidence", "--recipe", "C3",

@@ -23,6 +23,7 @@ from lwsurf import (
     solve_inhom_lambda_minus1,
 )
 from lwsurf.quadrature import EndpointKind
+from lwsurf.solver import critical_c1
 from lwsurf.verify import residual_scan, slope_invariant
 
 from conftest import crit_mid, thr_low, instances, ALL_TAGS_WITH_TABLE
@@ -133,6 +134,16 @@ class TestClassification:
             solve_inhom_general(P2, 0.5, -1.0, 5.0)
         with pytest.raises(NoSurfaceError, match="c1\\* <= 0"):
             solve_inhom_general(P2, -2.0, -1.0, -0.5)
+
+    @pytest.mark.parametrize("lam", [-0.9, -0.5, -0.25, -1.5, -2.0, -3.7])
+    def test_critical_c1_matches_independent_formulas(self, lam):
+        expected = crit_mid(lam) if lam > -1.0 else thr_low(lam)
+        assert critical_c1(lam) == pytest.approx(expected, rel=1e-14)
+
+    def test_critical_c1_lambda_minus_one_and_no_double_root(self):
+        assert critical_c1(-1.0) == 1.0
+        with pytest.raises(NoSurfaceError, match="double root"):
+            critical_c1(0.5)
 
     def test_boundary_warning(self):
         with pytest.warns(IllConditionedWarning):
