@@ -11,7 +11,6 @@ exponent arithmetic, never from the size of a numeric estimate.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -26,6 +25,7 @@ __all__ = [
     "IntegrandSpec",
     "ToleranceError",
     "bracket_roots",
+    "double_root_factor",
     "integrate_singular",
     "profile_from_integral",
     "ProfileSamples",
@@ -223,14 +223,44 @@ def _edge_integrand(spec: IntegrandSpec, root: float, inward: int):
     return g
 
 
+def double_root_factor(p: float) -> Callable[[float], float]:
+    """phi_p(x) = (1+x)^p - 1 - p*x, accurate near its double zero x = 0.
+
+    At a critical constant the admissibility function A - B(t) equals
+    beta * phi_p(t/t_d - 1), which vanishes to second order at t_d; the
+    direct difference would lose all digits there to cancellation.  p = 1,
+    where phi_p vanishes identically, stands for the log limit
+    (1+x)*log1p(x) - x = lim phi_p(x)/(p-1).  Below |x| = 1/8 the binomial
+    series sum_{k>=2} C(p,k) x^k is summed to degree 20, whose first
+    omitted term is below 8^-19 of the leading one; further out the closed
+    form loses at most a few digits.
+    """
+    log_limit = p == 1.0
+    c = 0.5 if log_limit else 0.5 * p * (p - 1.0)
+    coeffs = []
+    for k in range(2, 21):
+        coeffs.append(c)
+        c *= (p - k) / (k + 1)
+    coeffs.reverse()  # Horner order, degree 20 first
+
+    def phi(x: float) -> float:
+        if abs(x) < 0.125:
+            acc = 0.0
+            for ck in coeffs:
+                acc = acc * x + ck
+            return acc * x * x
+        if log_limit:
+            return (1.0 + x) * math.log1p(x) - x
+        return math.expm1(p * math.log1p(x)) - p * x
+
+    return phi
+
+
 def _quad(f, a, b, tol):
-    # the returned error estimate is checked by the callers; the stock
-    # subdivision warnings would only duplicate that signal
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(f, a, b, epsabs=1e-14, epsrel=tol,
-                                  limit=200)
-    return val, err
+    # full_output skips quad's IntegrationWarning path; the returned error
+    # estimate is checked by the callers, which the warnings only duplicate
+    return integrate.quad(f, a, b, epsabs=1e-14, epsrel=tol, limit=200,
+                          full_output=1)[:2]
 
 
 def integrate_singular(spec: IntegrandSpec, a: float, b: float,
@@ -275,10 +305,8 @@ def integrate_singular(spec: IntegrandSpec, a: float, b: float,
         total += val
         err_total += err
     if math.isinf(b):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            val, err = integrate.quad(spec, max(lo, hi), np.inf,
-                                      epsabs=1e-14, epsrel=tol, limit=400)
+        val, err = integrate.quad(spec, max(lo, hi), np.inf, epsabs=1e-14,
+                                  epsrel=tol, limit=400, full_output=1)[:2]
         total += val
         err_total += err
     if not math.isfinite(total):

@@ -24,6 +24,7 @@ from .quadrature import (
     EndpointKind,
     IntegrandSpec,
     bracket_roots,
+    double_root_factor,
     integrate_singular,
     profile_from_integral,
 )
@@ -275,27 +276,43 @@ def _sphere_plan(tag: CaseTag, radius: float) -> _Plan:
                    closed_form="sphere", sphere_radius=radius)
 
 
-def _split_plan(spec: IntegrandSpec, f: Callable[[float], float], c1: float,
-                c_crit: float, top: float, t_double: float, tags: tuple,
-                sub_anchor: float, probes: int) -> _Plan:
+def _split_plan(spec: IntegrandSpec, factors: tuple, c1: float,
+                c_crit: float, top: float, tags: tuple, sub_anchor: float,
+                probes: int) -> _Plan:
     """Axis-to-cap interval (0, top) of a mu > 0 family, split at c_crit.
 
-    ``f`` is the admissibility function.  Below the critical constant the
-    whole interval is one piece; at it f has a double root at t_double;
-    above it f has two simple roots below top, which bound an inner and an
-    outer piece.  ``tags`` is (sub, double inner, double outer, two-root
-    inner, two-root outer).
+    ``factors`` is (A, B, beta, p, t_d): the spec's denominator is
+    A^2m - B(t)^2m, whose admissibility factor f = A - B has its stationary
+    point at t_d, and there f = beta * phi_p(t/t_d - 1) up to the constant
+    f(t_d) that vanishes at c_crit (see double_root_factor).  Below the
+    critical constant the whole interval is one piece; at it f has a double
+    root at t_d; above it f has two simple roots below top, which bound an
+    inner and an outer piece.  ``tags`` is (sub, double inner, double outer,
+    two-root inner, two-root outer).
     """
+    A, B, beta, p, t_d = factors
     sub, double_in, double_out, two_in, two_out = tags
     if _near(c1, c_crit):
-        spec = replace(spec, roots=((t_double, 2),))
-        a_in = a_out = t_double
+        # D = f * sum_{k<2m} A^k B^(2m-1-k) with f from its double-root
+        # factor, so D keeps its relative accuracy next to t_d
+        phi = double_root_factor(p)
+        a_pows = [A ** k for k in range(1, 2 * spec.m)]
+
+        def denominator(t: float) -> float:
+            b = B(t)
+            cofactor = 1.0
+            for a_k in a_pows:
+                cofactor = cofactor * b + a_k
+            return beta * phi((t - t_d) / t_d) * cofactor
+
+        spec = replace(spec, denominator=denominator, roots=((t_d, 2),))
+        a_in = a_out = t_d
         kind, inner, outer = EndpointKind.DOUBLE_ROOT, double_in, double_out
         anchors = (0.0, top)
     elif c1 < c_crit:
         return _single(sub, 0.0, top, _AXIS, _CAP, sub_anchor, spec)
     else:
-        roots = bracket_roots(f, 1e-12, top, probes=probes)
+        roots = bracket_roots(lambda t: A - B(t), 1e-12, top, probes=probes)
         if len(roots) != 2:
             raise RuntimeError(f"expected two roots below {top}, got {roots}")
         a_in, a_out = roots[0][0], roots[1][0]
@@ -359,9 +376,11 @@ def _lm1_plan(req: SolveRequest) -> _Plan:
         top = math.exp(c1)  # g vanishes there; admissibility needs t < top
         c_crit = critical_c1(-1.0)
         _boundary_warn(c1, c_crit, "c1")
-        # g = 1 has its double root at e^(c1-1), which is 1 at c1 = 1
+        # 1 - g is stationary at t_d = e^(c1-1), where it equals
+        # (1 - t_d) + t_d * ((1+x)*log1p(x) - x) with x = t/t_d - 1
+        t_d = math.exp(c1 - 1.0)
         return _split_plan(
-            spec, f, c1, c_crit, top, math.exp(c_crit - 1.0),
+            spec, (1.0, g, t_d, 1.0, t_d), c1, c_crit, top,
             (CaseTag.LM1_SUB, CaseTag.LM1_DOUBLE_INNER,
              CaseTag.LM1_DOUBLE_OUTER, CaseTag.LM1_TWO_INNER,
              CaseTag.LM1_TWO_OUTER), sub_anchor=top, probes=256)
@@ -449,9 +468,12 @@ def _gen_mid_plan(req: SolveRequest) -> _Plan:
     def N(t: float) -> float:
         return c1 * (lam + 1.0) - mu * t ** (lam + 1.0)
 
+    def B(t: float) -> float:
+        return t ** nl * N(t)
+
     def f(t: float) -> float:
         # (lam+1) - t^(-lam) * N(t), finite at t = 0
-        return (lam + 1.0) - t ** nl * N(t)
+        return (lam + 1.0) - B(t)
 
     spec = IntegrandSpec(
         numerator=lambda t: t ** (q * nl) * N(t) ** q,
@@ -466,9 +488,11 @@ def _gen_mid_plan(req: SolveRequest) -> _Plan:
         a10 = math.pow(c1 * (lam + 1.0), 1.0 / (lam + 1.0))
         c_crit = critical_c1(lam)
         _boundary_warn(c1, c_crit, "c1")
+        # f = (lam+1) + t - c1*(lam+1)*t^(-lam) is stationary at a11
         a11 = math.pow(c1 * nl * (lam + 1.0), 1.0 / (lam + 1.0))
+        beta = -c1 * (lam + 1.0) * a11 ** nl
         return _split_plan(
-            spec, f, c1, c_crit, a10, a11,
+            spec, (lam + 1.0, B, beta, nl, a11), c1, c_crit, a10,
             (CaseTag.GEN_MID_PLUS_SUB, CaseTag.GEN_MID_PLUS_DOUBLE_INNER,
              CaseTag.GEN_MID_PLUS_DOUBLE_OUTER, CaseTag.GEN_MID_PLUS_TWO_INNER,
              CaseTag.GEN_MID_PLUS_TWO_OUTER), sub_anchor=0.0, probes=512)
@@ -506,12 +530,15 @@ def _gen_low_plan(req: SolveRequest) -> _Plan:
     def G(t: float) -> float:
         return c1 * w * t ** w + mu
 
+    def B(t: float) -> float:
+        return t * G(t)
+
     def f(t: float) -> float:
-        return w - t * G(t)
+        return w - B(t)
 
     spec = IntegrandSpec(
-        numerator=lambda t: (t * G(t)) ** q,
-        denominator=lambda t: w ** (2 * m) - (t * G(t)) ** (2 * m),
+        numerator=lambda t: B(t) ** q,
+        denominator=lambda t: w ** (2 * m) - B(t) ** (2 * m),
         exponent=q / (2 * m), m=m)
 
     if mu > 0.0:
@@ -529,9 +556,11 @@ def _gen_low_plan(req: SolveRequest) -> _Plan:
                            a17, replace(spec, roots=((a17, 1),)))
         # c1 < 0: t*G(t) > 0 only below the zero of G
         a18 = math.pow(-c1 * w, -1.0 / w)
+        # f = w - t - c1*w*t^(w+1) is stationary at a19
         a19 = math.pow(-c1 * w * (w + 1.0), -1.0 / w)
+        beta = -c1 * w * a19 ** (w + 1.0)
         return _split_plan(
-            spec, f, c1, thr, a18, a19,
+            spec, (w, B, beta, w + 1.0, a19), c1, thr, a18,
             (CaseTag.GEN_LOW_PLUS_SUB, CaseTag.GEN_LOW_PLUS_DOUBLE_INNER,
              CaseTag.GEN_LOW_PLUS_DOUBLE_OUTER, CaseTag.GEN_LOW_PLUS_TWO_INNER,
              CaseTag.GEN_LOW_PLUS_TWO_OUTER), sub_anchor=0.0, probes=512)
