@@ -107,10 +107,11 @@ class Arc:
         return _endpoint_point(self.branch, side)
 
     def polyline(self) -> tuple:
-        a, u = self.branch.alpha, self.branch.u
+        """(alpha, u, du) samples in traversal order."""
+        b = self.branch
         if self.direction == -1:
-            a, u = a[::-1], u[::-1]
-        return a, u
+            return b.alpha[::-1], b.u[::-1], b.du[::-1]
+        return b.alpha, b.u, b.du
 
 
 @dataclass
@@ -154,12 +155,9 @@ class AssembledSurface:
     closure_gap: float | None = None
 
     def profile_polyline(self) -> tuple:
-        alphas, us = [], []
-        for arc in self.arcs:
-            a, u = arc.polyline()
-            alphas.append(a)
-            us.append(u)
-        return np.concatenate(alphas), np.concatenate(us)
+        """(alpha, u, du) of the whole chain, arc after arc."""
+        columns = zip(*(arc.polyline() for arc in self.arcs))
+        return tuple(np.concatenate(col) for col in columns)
 
 
 # ---------------------------------------------------------------------------
@@ -169,14 +167,8 @@ class AssembledSurface:
 def reflect_branch(branch: ProfileBranch) -> ProfileBranch:
     """Mirror u about the anchor value: the opposite-sign branch."""
     u0 = branch.anchor[1]
-    inner = branch.uprime
-
-    def uprime(a: float) -> float:
-        return -inner(a)
-
     req = replace(branch.request, sign=-branch.request.sign)
-    return replace(branch, request=req, u=2.0 * u0 - branch.u,
-                   du=-branch.du, uprime=uprime)
+    return replace(branch, request=req, u=2.0 * u0 - branch.u, du=-branch.du)
 
 
 def _shift_branch(branch: ProfileBranch, delta: float) -> ProfileBranch:

@@ -29,7 +29,6 @@ from .assembler import (
     glue,
 )
 from .normgeom import NormParameter
-from .quadrature import EndpointKind
 from .solver import (
     IllConditionedWarning,
     NoSurfaceError,
@@ -71,6 +70,7 @@ DEFAULTS = {
     "segments": 96,
     "piece": 0,
     "height": 1.0,
+    "steps": 9,
 }
 
 
@@ -95,7 +95,20 @@ def _read_config(path: str) -> dict:
     return values
 
 
-_INT_KEYS = {"m", "sign", "samples", "segments", "piece", "steps"}
+def _parse_bool(val: str) -> bool:
+    if val not in ("true", "false"):
+        raise ValueError(f"config key 'obj' must be true or false, got {val!r}")
+    return val == "true"
+
+
+# parser of each config key: float unless listed as int, str or bool
+_CONFIG_PARSERS = {
+    **dict.fromkeys(DEFAULTS.keys() | {"c1_min", "c1_max"}, float),
+    **dict.fromkeys(("m", "sign", "samples", "segments", "piece", "steps"),
+                    int),
+    **dict.fromkeys(("recipe", "special", "out", "profile", "report"), str),
+    "obj": _parse_bool,
+}
 
 
 def _merge_settings(args: argparse.Namespace) -> dict:
@@ -103,16 +116,9 @@ def _merge_settings(args: argparse.Namespace) -> dict:
     cfg_path = getattr(args, "config", None)
     if cfg_path:
         for key, val in _read_config(cfg_path).items():
-            if key in _INT_KEYS:
-                settings[key] = int(val)
-            elif key in settings or key in ("recipe", "special", "out",
-                                            "profile", "report",
-                                            "c1_min", "c1_max"):
-                settings[key] = (val if key in ("recipe", "special", "out",
-                                                "profile", "report")
-                                 else float(val))
-            else:
+            if key not in _CONFIG_PARSERS:
                 raise ValueError(f"unknown config key {key!r}")
+            settings[key] = _CONFIG_PARSERS[key](val)
     for key, val in vars(args).items():
         if key in ("config", "command"):
             continue
@@ -223,14 +229,12 @@ def build_assembly(settings: dict, recipe_name: str) -> AssembledSurface:
         req = _request(settings)
         plus = solve(req)
         minus = solve(dataclasses.replace(req, sign=-req.sign))
+        # glue decides whether a piece is anchored at a simple-root cap
         for bp, bm in zip(plus, minus):
-            dom, a0 = bp.domain, bp.anchor[0]
-            at_lower = (dom.lower_kind is EndpointKind.SIMPLE_ROOT
-                        and abs(a0 - dom.lower) <= 1e-9 * max(1.0, a0))
-            at_upper = (dom.upper_kind is EndpointKind.SIMPLE_ROOT
-                        and abs(a0 - dom.upper) <= 1e-9 * max(1.0, a0))
-            if at_lower or at_upper:
+            try:
                 return glue(bp, bm, recipe)
+            except GluingMismatch:
+                continue
         raise GluingMismatch(
             "matching equation violated: no branch with a simple-root cap")
 
@@ -247,17 +251,6 @@ def build_assembly(settings: dict, recipe_name: str) -> AssembledSurface:
         # without the wanted case, glue names the mismatch
         pair.append(next((b for b in branches if b.case is want), branches[0]))
     return glue(*pair, recipe)
-
-
-def _surface_polyline(surface: AssembledSurface):
-    alphas, us, dus = [], [], []
-    for arc in surface.arcs:
-        a, uu = arc.polyline()
-        d = arc.branch.du[::-1] if arc.direction == -1 else arc.branch.du
-        alphas.append(a)
-        us.append(uu)
-        dus.append(d)
-    return (np.concatenate(alphas), np.concatenate(us), np.concatenate(dus))
 
 
 def _surface_metadata(surface: AssembledSurface, settings: dict) -> dict:
@@ -284,8 +277,7 @@ def _surface_metadata(surface: AssembledSurface, settings: dict) -> dict:
              "curvatures_extend": ap.curvatures_extend}
             for ap in surface.axis_points
         ],
-        "d_errors": [b.quad_error for b in
-                     {id(a.branch): a.branch for a in surface.arcs}.values()],
+        "d_errors": [a.branch.quad_error for a in surface.arcs],
         "settings": {k: settings[k] for k in
                      ("m", "lam", "mu", "c1", "c2", "samples")},
     }
@@ -336,16 +328,15 @@ def cmd_generate(settings: dict) -> int:
                 "constants": surface.constants, "m": p.m}
     elif recipe:
         surface = build_assembly(settings, recipe)
-        alpha, u, du = _surface_polyline(surface)
+        alpha, u, du = surface.profile_polyline()
         meta = _surface_metadata(surface, settings)
         meta["case"] = surface.arcs[0].branch.case.value
         meta["recipe"] = recipe
     else:
         if special == "sphere":
-            branch = solve_constant_k2(p, c=settings["shift"],
-                                       sign=settings["sign"],
-                                       samples=settings["samples"])
-            branches = [branch]
+            branches = [solve_constant_k2(p, c=settings["shift"],
+                                          sign=settings["sign"],
+                                          samples=settings["samples"])]
         else:
             branches = solve(_request(settings))
         idx = settings["piece"]
@@ -363,8 +354,7 @@ def cmd_generate(settings: dict) -> int:
             "d_value": None if not math.isfinite(branch.span)
             else branch.span,
             "d_error": branch.quad_error,
-            "pieces": [d.label for d in classify(_request(settings))[1]]
-            if special != "sphere" else ["4ii"],
+            "pieces": [b.domain.label for b in branches],
             "settings": {k: settings[k] for k in
                          ("m", "lam", "mu", "c1", "c2", "shift", "sign",
                           "samples")},
@@ -402,9 +392,11 @@ def cmd_scan_coincidence(settings: dict) -> int:
         raise ValueError("scan-coincidence needs --recipe")
     lo = settings.get("c1_min")
     hi = settings.get("c1_max")
-    steps = int(settings.get("steps") or 9)
+    steps = settings["steps"]
     if lo is None or hi is None:
         raise ValueError("scan-coincidence needs --c1-min and --c1-max")
+    if steps < 1:
+        raise ValueError(f"--steps must be at least 1, got {steps}")
     print("# d-value coincidence scan; numeric events only, no torus "
           "existence is claimed")
     print(f"{'c1':>14} {'d_first':>16} {'d_second':>16} {'|diff|':>12} "

@@ -23,6 +23,7 @@ from .quadrature import (
     DomainInterval,
     EndpointKind,
     IntegrandSpec,
+    _build_grid,
     bracket_roots,
     double_root_factor,
     integrate_singular,
@@ -178,7 +179,13 @@ class SolveRequest:
 
 @dataclass
 class ProfileBranch:
-    """One signed monotone branch u(alpha) with its sample table."""
+    """One signed monotone branch u(alpha) with its sample table.
+
+    ``slope`` is the unsigned slope of the normalized (|mu| = 1) profile:
+    the IntegrandSpec of a quadrature branch, the NormCircle of a closed
+    form.  The signed physical slope, the relation constants and the
+    reflected branch are all derived from it, ``request`` and ``scale``.
+    """
 
     request: SolveRequest
     case: CaseTag
@@ -186,23 +193,57 @@ class ProfileBranch:
     alpha: np.ndarray
     u: np.ndarray
     du: np.ndarray
-    uprime: Callable[[float], float]
+    slope: Callable[[float], float]
     anchor: tuple
-    lam: float
-    mu: float
     span: float = math.inf       # total |u|-variation over the domain
     quad_error: float = 0.0
     scale: float = 1.0           # homothety applied after normalization
 
     @property
-    def samples(self) -> np.ndarray:
-        return np.column_stack([self.alpha, self.u, self.du])
+    def lam(self) -> float:
+        return self.request.relation.lam
+
+    @property
+    def mu(self) -> float:
+        """mu of the normalized relation; the physical one is mu / scale."""
+        return self.request.relation.mu
+
+    def uprime(self, a: float) -> float:
+        """Signed slope u'(a) of the branch as sampled (after rescaling)."""
+        return self.request.sign * self.slope(float(a) / self.scale)
 
     def fd_second(self, a: float, h: float) -> float:
         """u''(a) from the closed-form slope by a central 5-point stencil."""
         f = self.uprime
         return (-f(a + 2 * h) + 8 * f(a + h)
                 - 8 * f(a - h) + f(a - 2 * h)) / (12 * h)
+
+
+@dataclass(frozen=True)
+class NormCircle:
+    """Unsigned slope of the norm circle w^2m + (k*(u - shift))^2m = R^2m.
+
+    Here w = c - k*alpha.  Spheres are (c, k, R) = (0, -1, r) and the
+    constant-k1 arcs are (c1, mu, 1).  w is kept in this uncentred form:
+    numpy's array power rounds (a - c)^2m and (c - a)^2m differently.
+    """
+
+    c: float
+    k: float
+    R: float
+    m: int
+
+    def __call__(self, a: float) -> float:
+        q = 2 * self.m - 1
+        w = self.c - self.k * a
+        return w ** q * (self.R ** (2 * self.m) - w ** (2 * self.m)) \
+            ** (-q / (2 * self.m))
+
+    def height(self, alpha):
+        """u - shift on the + branch, (R^2m - w^2m)^(1/2m) / k."""
+        w = self.c - self.k * np.asarray(alpha)
+        return (self.R ** (2 * self.m) - w ** (2 * self.m)) \
+            ** (1.0 / (2 * self.m)) / self.k
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +262,7 @@ class _Plan:
     tag: CaseTag                 # leading tag (first piece) for reporting
     pieces: list
     spec: IntegrandSpec | None = None
-    closed_form: str | None = None   # "sphere" | "k1const"
-    sphere_radius: float = 1.0
+    circle: tuple | None = None  # (c, k, R) of a closed-form NormCircle
 
 
 def _near(x: float, y: float, rtol: float = EQUALITY_RTOL) -> bool:
@@ -264,16 +304,17 @@ def critical_c1(lam: float) -> float:
 
 def _single(tag: CaseTag, lo: float, hi: float, lo_kind: EndpointKind,
             hi_kind: EndpointKind, anchor: float,
-            spec: IntegrandSpec | None = None, **closed_form) -> _Plan:
-    """Plan with one piece; ``closed_form`` keywords go to _Plan."""
+            spec: IntegrandSpec | None = None,
+            circle: tuple | None = None) -> _Plan:
+    """Plan with one piece, from a quadrature spec or a norm circle."""
     dom = DomainInterval(lo, hi, lo_kind, hi_kind, label=tag.value)
-    return _Plan(tag, [_Piece(dom, anchor, tag)], spec=spec, **closed_form)
+    return _Plan(tag, [_Piece(dom, anchor, tag)], spec=spec, circle=circle)
 
 
 def _sphere_plan(tag: CaseTag, radius: float) -> _Plan:
     """Closed-form branch of alpha^2m + (u - shift)^2m = radius^2m."""
     return _single(tag, 0.0, radius, _AXIS, _ROOT, radius,
-                   closed_form="sphere", sphere_radius=radius)
+                   circle=(0.0, -1.0, radius))
 
 
 def _split_plan(spec: IntegrandSpec, factors: tuple, c1: float,
@@ -599,7 +640,7 @@ def _plan(req: SolveRequest) -> _Plan:
             raise NoSurfaceError(
                 "0 < c1 - mu*alpha < 1 has no solution with alpha > 0")
         anchor = hi if mu > 0.0 else lo
-        return _single(tag, lo, hi, *kinds, anchor, closed_form="k1const")
+        return _single(tag, lo, hi, *kinds, anchor, circle=(c1, mu, 1.0))
     if form is RelationForm.HOMOGENEOUS:
         return _homogeneous_plan(req)
     if form is RelationForm.INHOM_LAMBDA_MINUS1:
@@ -640,90 +681,42 @@ def _normalize(req: SolveRequest) -> tuple:
     return req, 1.0
 
 
-def _closed_sphere_branch(req: SolveRequest, piece: _Piece,
-                          radius: float) -> ProfileBranch:
-    """Branch of alpha^2m + (u - shift)^2m = radius^2m."""
-    m = req.p.m
-    q = 2 * m - 1
-    r2m = radius ** (2 * m)
-    sgn = req.sign
-
-    def u_of(a):
-        return -sgn * (r2m - np.asarray(a) ** (2 * m)) ** (1.0 / (2 * m)) \
-            + req.shift
-
-    def du_of(a: float) -> float:
-        a = float(a)
-        return sgn * a ** q * (r2m - a ** (2 * m)) ** (-q / (2 * m))
-
-    grid = _sphere_grid(piece.domain, req.samples, m)
-    alpha = grid
-    u = u_of(alpha)
-    du = np.array([du_of(a) for a in alpha])
-    return ProfileBranch(
-        request=req, case=piece.tag, domain=piece.domain, alpha=alpha,
-        u=np.asarray(u, dtype=float), du=du, uprime=du_of,
-        anchor=(piece.anchor_alpha, req.shift), lam=req.relation.lam,
-        mu=req.relation.mu, span=radius, quad_error=0.0)
-
-
-def _sphere_grid(domain: DomainInterval, samples: int, m: int) -> np.ndarray:
-    lo, hi = domain.lower, domain.upper
-    mid = 0.5 * (lo + hi)
-    n_lo = samples // 2
-    n_hi = samples - n_lo
-    lo_pts = lo + np.geomspace(min(1e-6, 1e-3 * (mid - lo)), mid - lo, n_lo)
-    s = np.linspace(0.0, (hi - mid) ** (1.0 / (2 * m)), n_hi + 1)[1:]
-    hi_pts = hi - s ** (2 * m)
-    return np.unique(np.concatenate([lo_pts, hi_pts]))
-
-
-def _k1const_branch(req: SolveRequest, piece: _Piece) -> ProfileBranch:
-    """Arc of (c1 - mu*alpha)^2m + (u - shift)^2m = 1."""
-    m = req.p.m
-    q = 2 * m - 1
-    mu = req.relation.mu
-    c1 = req.c1
-    sgn = req.sign
-
-    def w(a):
-        return c1 - mu * np.asarray(a)
-
-    def u_of(a):
-        return sgn / mu * (1.0 - w(a) ** (2 * m)) ** (1.0 / (2 * m)) + req.shift
-
-    def du_of(a: float) -> float:
-        ww = float(w(a))
-        return sgn * ww ** q * (1.0 - ww ** (2 * m)) ** (-q / (2 * m))
-
-    dom = piece.domain
-    # grade toward the w = 1 end where u' blows up
-    n = req.samples
+def _arc_grid(dom: DomainInterval, n: int, m: int) -> np.ndarray:
+    """Grid of a constant-k1 arc, graded toward the simple-root end
+    (|w| = 1), where u' blows up."""
     width = dom.upper - dom.lower
     s = np.linspace(0.0, width ** (1.0 / (2 * m)), n + 1)[1:]
-    if mu > 0.0 and c1 - 1.0 > 0.0:
-        grid = dom.lower + s ** (2 * m)          # w = 1 at the lower end
+    if dom.lower_kind is _ROOT:
+        grid = dom.lower + s ** (2 * m)
         grid = np.append(grid, dom.upper) if grid[-1] < dom.upper else grid
-    elif mu < 0.0:
-        grid = dom.upper - s ** (2 * m)          # w = 1 at the upper end
-        grid = np.sort(grid)
+    elif dom.upper_kind is _ROOT:
+        grid = np.sort(dom.upper - s ** (2 * m))
     else:
         grid = np.linspace(dom.lower + 1e-6 * width, dom.upper, n)
-    grid = np.unique(np.clip(grid, dom.lower + 1e-15 * max(1.0, width),
-                             dom.upper - 1e-15 * max(1.0, width)))
-    u = u_of(grid)
-    du = np.array([du_of(a) for a in grid])
+    pad = 1e-15 * max(1.0, width)
+    return np.unique(np.clip(grid, dom.lower + pad, dom.upper - pad))
+
+
+def _norm_circle_branch(req: SolveRequest, piece: _Piece,
+                        circle: tuple) -> ProfileBranch:
+    """Closed-form branch on the norm circle (c, k, R), see NormCircle."""
+    m = req.p.m
+    slope = NormCircle(*circle, m)
+    dom = piece.domain
+    # the arc for mu < 0, 0 <= c1 < 1 runs from the axis to a root like a
+    # sphere, but keeps the arc grading of the other constant-k1 pieces
+    if req.relation.form is RelationForm.K1_CONST:
+        alpha = _arc_grid(dom, req.samples, m)
+    else:
+        alpha = _build_grid(dom, req.samples, m, math.inf)
+    a0 = piece.anchor_alpha
     return ProfileBranch(
-        request=req, case=piece.tag, domain=dom, alpha=grid,
-        u=np.asarray(u, dtype=float), du=du, uprime=du_of,
-        anchor=(piece.anchor_alpha, float(u_of(piece.anchor_alpha))),
-        lam=0.0, mu=mu, span=1.0, quad_error=0.0)
-
-
-def _branch_span(spec: IntegrandSpec, dom: DomainInterval,
-                 tol: float) -> float:
-    res = integrate_singular(spec, dom.lower, dom.upper, tol=tol)
-    return res.value if res.finite else math.inf
+        request=req, case=piece.tag, domain=dom, alpha=alpha,
+        u=req.sign * slope.height(alpha) + req.shift,
+        du=req.sign * np.array([slope(float(a)) for a in alpha]),
+        slope=slope,
+        anchor=(a0, float(req.sign * slope.height(a0) + req.shift)),
+        span=circle[2])
 
 
 def _quadrature_branch(req: SolveRequest, piece: _Piece,
@@ -735,42 +728,31 @@ def _quadrature_branch(req: SolveRequest, piece: _Piece,
     table = profile_from_integral(
         spec, dom, req.sign, (piece.anchor_alpha, req.shift),
         samples=req.samples, tol=req.tol, upper_cut=cut)
-    sgn = req.sign
-
-    def uprime(a: float) -> float:
-        return sgn * spec(float(a))
-
-    has_double = any(mult >= 2 for _, mult in spec.roots)
     span = math.inf
-    if not has_double:
+    if not any(mult >= 2 for _, mult in spec.roots):
         try:
-            span = _branch_span(spec, dom, req.tol)
+            res = integrate_singular(spec, dom.lower, dom.upper, tol=req.tol)
+            span = res.value if res.finite else math.inf
         except Exception:
             span = math.nan
     return ProfileBranch(
         request=req, case=piece.tag, domain=dom, alpha=table.alpha,
-        u=table.u, du=table.du, uprime=uprime,
-        anchor=(piece.anchor_alpha, req.shift), lam=req.relation.lam,
-        mu=req.relation.mu, span=span, quad_error=table.quad_error)
+        u=table.u, du=table.du, slope=spec,
+        anchor=(piece.anchor_alpha, req.shift), span=span,
+        quad_error=table.quad_error)
 
 
 def _rescale(branch: ProfileBranch, scale: float) -> ProfileBranch:
     """Apply the homothety x -> scale*x, mapping |mu|=1 data to general mu."""
     if scale == 1.0:
         return branch
-    inner = branch.uprime
-
-    def uprime(a: float) -> float:
-        return inner(a / scale)
-
     dom = branch.domain
     return replace(
         branch,
         domain=DomainInterval(scale * dom.lower, scale * dom.upper,
                               dom.lower_kind, dom.upper_kind, label=dom.label),
         alpha=scale * branch.alpha, u=scale * branch.u, du=branch.du.copy(),
-        uprime=uprime, anchor=(scale * branch.anchor[0],
-                               scale * branch.anchor[1]),
+        anchor=(scale * branch.anchor[0], scale * branch.anchor[1]),
         span=scale * branch.span, scale=scale)
 
 
@@ -780,10 +762,8 @@ def solve(req: SolveRequest) -> list:
     plan = _plan(norm_req)
     branches = []
     for piece in plan.pieces:
-        if plan.closed_form == "sphere":
-            b = _closed_sphere_branch(norm_req, piece, plan.sphere_radius)
-        elif plan.closed_form == "k1const":
-            b = _k1const_branch(norm_req, piece)
+        if plan.circle:
+            b = _norm_circle_branch(norm_req, piece, plan.circle)
         else:
             b = _quadrature_branch(norm_req, piece, plan.spec)
         branches.append(_rescale(b, scale))

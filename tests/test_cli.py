@@ -215,6 +215,17 @@ class TestScanCoincidence:
                 if ln and not ln.startswith("#") and "c1" not in ln]
         assert len(rows) == 3
 
+    @pytest.mark.parametrize("steps", ["0", "-2"])
+    def test_steps_below_one_rejected_before_output(self, capsys, steps):
+        code, out, err = run(capsys, "scan-coincidence", "--recipe", "C3",
+                             "--lambda", "-1", "--mu", "1",
+                             "--c1-min", "1.4", "--c1-max", "1.6",
+                             "--steps", steps)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: --steps must be at least 1, got {steps}"]
+
 
 class TestConfigFile:
     def test_flags_override_config(self, capsys, tmp_path):
@@ -242,3 +253,26 @@ class TestConfigFile:
         code, out, _ = run(capsys, "classify", "--config", str(cfg))
         assert code == 0
         assert out.startswith("6.1i-1")
+
+    @pytest.mark.parametrize("value, written", [("true", True),
+                                                ("false", False)])
+    def test_obj_key(self, capsys, tmp_path, value, written):
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text(f"obj = {value}\nsamples = 32\nsegments = 4\n")
+        prefix = str(tmp_path / "s")
+        code, _, _ = run(capsys, "generate", "--special", "sphere",
+                         "--config", str(cfg), "--out", prefix)
+        assert code == 0
+        assert (tmp_path / "s.obj").is_file() is written
+
+    def test_obj_key_rejects_other_values(self, capsys, tmp_path):
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text("obj = yes\n")
+        code, out, err = run(capsys, "generate", "--special", "sphere",
+                             "--config", str(cfg),
+                             "--out", str(tmp_path / "s"))
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            "error: config key 'obj' must be true or false, got 'yes'"]
+        assert not (tmp_path / "s.csv").exists()

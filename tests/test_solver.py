@@ -1,5 +1,6 @@
 """Case taxonomy and branch construction tests."""
 
+import dataclasses
 import math
 import warnings
 
@@ -22,6 +23,7 @@ from lwsurf import (
     solve_inhom_general,
     solve_inhom_lambda_minus1,
 )
+from lwsurf.assembler import reflect_branch
 from lwsurf.quadrature import EndpointKind
 from lwsurf.solver import critical_c1
 from lwsurf.verify import residual_scan, slope_invariant
@@ -196,3 +198,43 @@ class TestBranchTables:
         b0 = solve_constant_k2(P2, c=0.0)
         b1 = solve_constant_k2(P2, c=0.7)
         assert np.allclose(b1.u - b0.u, 0.7, atol=1e-12)
+
+
+class TestBranchesAsData:
+    """The slope is the one callable of a branch; the rest is derived."""
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        # |mu| = 2: solved at |mu| = 1 and rescaled by 1/2
+        b = solve_inhom_general(P2, 0.5, 2.0, 0.8)[0]
+        return b, reflect_branch(b)
+
+    def test_rescaled_and_reflected_branches_share_the_slope(self, pair):
+        b, r = pair
+        assert b.scale == 0.5
+        assert r.slope is b.slope
+        assert r.request.sign == -b.request.sign
+
+    def test_uprime_matches_table_and_slope(self, pair):
+        for br in pair:
+            dom = br.domain
+            inner = [i for i, a in enumerate(br.alpha)
+                     if dom.lower < a < dom.upper]
+            for i in inner[1:-1:7]:
+                a = br.alpha[i]
+                got = br.uprime(a)
+                assert got == pytest.approx(br.du[i], rel=1e-12, abs=0.0)
+                assert got == br.request.sign * br.slope(a / br.scale)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_lam_mu_read_the_relation(self, m):
+        inst = instances(m)
+        assert math.isinf(inst["4ii"].lam) and inst["4iii-1"].lam == 0.0
+        for tag, b in inst.items():
+            assert b.lam == b.request.relation.lam, tag
+            assert b.mu == b.request.relation.mu, tag
+        b = inst["6.3i"]
+        other = WeingartenRelation.linear(0.25, -1.0)
+        moved = dataclasses.replace(
+            b, request=dataclasses.replace(b.request, relation=other))
+        assert (moved.lam, moved.mu) == (0.25, -1.0)
