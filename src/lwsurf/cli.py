@@ -258,7 +258,7 @@ def _surface_metadata(surface: AssembledSurface, settings: dict) -> dict:
         "topology": surface.topology.value,
         "m": surface.p.m,
         "lam": surface.lam,
-        "mu": surface.mu,
+        "mu": surface.mu / surface.arcs[0].branch.scale,
         "constants": surface.constants,
         "period": surface.period,
         "end_derivative_match": surface.end_derivative_match,
@@ -347,7 +347,7 @@ def cmd_generate(settings: dict) -> int:
         alpha, u, du = branch.alpha, branch.u, branch.du
         meta = {
             "case": branch.case.value, "m": p.m,
-            "lam": branch.lam, "mu": branch.mu,
+            "lam": branch.lam, "mu": branch.mu / branch.scale,
             "domain": [branch.domain.lower, branch.domain.upper],
             "endpoints": [branch.domain.lower_kind.value,
                           branch.domain.upper_kind.value],

@@ -401,22 +401,22 @@ def profile_from_integral(spec: IntegrandSpec, domain: DomainInterval,
     root_hi = None if math.isinf(domain.upper) else _root_at(spec, domain.upper)
     if root_hi is not None and root_hi[1] != 1:
         root_hi = None
+    g_lo = None if root_lo is None else _edge_integrand(spec, root_lo[0], +1)
+    # t = root - s^(2m): dt orientation already positive in s
+    g_hi = None if root_hi is None else _edge_integrand(spec, root_hi[0], -1)
     # cumulative integral from grid[0]
     U = np.zeros_like(grid)
     for i in range(1, len(grid)):
         t0, t1 = grid[i - 1], grid[i]
         if root_lo is not None and t1 - domain.lower <= 0.51 * span_hi:
-            g = _edge_integrand(spec, root_lo[0], +1)
             s0 = (t0 - root_lo[0]) ** (1.0 / (2 * spec.m))
             s1 = (t1 - root_lo[0]) ** (1.0 / (2 * spec.m))
-            val, err = _quad(g, s0, s1, tol)
+            val, err = _quad(g_lo, s0, s1, tol)
         elif (root_hi is not None
               and domain.upper - t0 <= 0.51 * (domain.upper - domain.lower)):
-            # t = root - s^(2m): dt orientation already positive in s
-            g = _edge_integrand(spec, root_hi[0], -1)
             s0 = (root_hi[0] - t1) ** (1.0 / (2 * spec.m))
             s1 = (root_hi[0] - t0) ** (1.0 / (2 * spec.m))
-            val, err = _quad(g, s0, s1, tol)
+            val, err = _quad(g_hi, s0, s1, tol)
         else:
             val, err = _quad(spec, t0, t1, tol)
         U[i] = U[i - 1] + val
@@ -431,20 +431,16 @@ def profile_from_integral(spec: IntegrandSpec, domain: DomainInterval,
                 return float(U[k])
         # anchor at a domain endpoint off the grid
         if alpha <= grid[0]:
-            root = _root_at(spec, domain.lower)
-            if root is not None and root[1] == 1:
-                g = _edge_integrand(spec, root[0], +1)
-                s1 = (grid[0] - root[0]) ** (1.0 / (2 * spec.m))
-                val, _ = _quad(g, 0.0, s1, tol)
+            if root_lo is not None:
+                s1 = (grid[0] - root_lo[0]) ** (1.0 / (2 * spec.m))
+                val, _ = _quad(g_lo, 0.0, s1, tol)
             else:
                 val, _ = _quad(spec, alpha, grid[0], tol)
             return float(U[0] - val)
         if alpha >= grid[-1]:
-            root = None if math.isinf(domain.upper) else _root_at(spec, domain.upper)
-            if root is not None and root[1] == 1:
-                g = _edge_integrand(spec, root[0], -1)
-                s1 = (root[0] - grid[-1]) ** (1.0 / (2 * spec.m))
-                val, _ = _quad(g, 0.0, s1, tol)
+            if root_hi is not None:
+                s1 = (root_hi[0] - grid[-1]) ** (1.0 / (2 * spec.m))
+                val, _ = _quad(g_hi, 0.0, s1, tol)
             else:
                 val, _ = _quad(spec, grid[-1], alpha, tol)
             return float(U[-1] + val)

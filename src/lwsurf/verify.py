@@ -31,7 +31,6 @@ from .normgeom import (
     axis_jet_from_radius_jet,
     principal_curvatures,
     oriented_radius_chart_curvatures,
-    signed_odd_root_pow,
 )
 from .quadrature import EndpointKind
 from .solver import ProfileBranch, RelationForm
@@ -384,17 +383,25 @@ def first_integral_drift(branch: ProfileBranch,
 
 
 def _ode_rhs(p: NormParameter, lam: float, mu: float):
-    """u'' solved from the oriented curvature relation k1 + lam*k2 = mu."""
+    """u'' solved from the oriented curvature relation k1 + lam*k2 = mu.
+
+    The odd-root powers of u' are ``signed_odd_root_pow`` written out, with
+    its exponents computed once: this runs on every solver stage.
+    """
     m, q = p.m, p.q
+    e_a1 = (2 * m) / q
+    e_b = -(2 * m - 2) / q
+    e_k2 = 1 / q
+    e_outer = -(2 * m + 1) / (2 * m)
+    e_norm = -1.0 / (2 * m)
 
     def rhs(a: float, y: np.ndarray) -> list:
         d1 = y[1]
-        A1 = signed_odd_root_pow(d1, 2 * m, q) + 1.0
-        B = (A1 ** (-(2 * m + 1) / (2 * m))
-             * signed_odd_root_pow(d1, -(2 * m - 2), q))
-        k2_raw = (-(1.0 / a) * A1 ** (-1.0 / (2 * m))
-                  * signed_odd_root_pow(d1, 1, q))
         s = 1.0 if d1 > 0.0 else -1.0
+        r = abs(d1)
+        A1 = r ** e_a1 + 1.0
+        B = A1 ** e_outer * r ** e_b
+        k2_raw = -(1.0 / a) * A1 ** e_norm * (s * r ** e_k2)
         d2 = -q * (s * mu - lam * k2_raw) / B
         return [d1, d2]
 
@@ -409,13 +416,17 @@ def ode_oracle(branch: ProfileBranch, tol: float = 1e-7,
 
     Starts from a mid-branch anchor whose first-integral residual must
     already be below ``fi_precondition`` (the oracle refuses to launch
-    from inconsistent data).  Integration runs outward in both directions
-    and truncates with a recorded reason when the slope blows up, the
-    slope crosses zero near a cap, or the axis is approached.  The
-    deviation is measured as |delta alpha|: the integrated point is mapped
-    back through the monotone table u -> alpha.  Points outside the slope
-    window [slope_floor, slope_cap] are excluded because the alpha chart
+    from inconsistent data).  The deviation is measured as |delta alpha|:
+    the integrated point is mapped back through the monotone table
+    u -> alpha.  Only points inside the slope window
+    [slope_floor, slope_cap] are compared, because the alpha chart
     degenerates at both ends (u' -> 0 at caps, u' -> inf at roots).
+    Integration runs outward in both directions and stops where the
+    window ends, recording the reason in ``details["truncations"]``:
+    "slope_blowup" when |u'| reaches slope_cap, "slope_floor" when |u'|
+    falls to slope_floor heading into a smooth cap or the axis,
+    "flat_slope" when u' crosses zero there, and "axis" when the
+    integration reaches its end next to an axis endpoint.
     """
     p = branch.request.p
     lam, mu = branch.lam, _physical_mu(branch)
@@ -441,10 +452,17 @@ def ode_oracle(branch: ProfileBranch, tol: float = 1e-7,
 
     blowup.terminal = True
 
+    def floor(a, y):
+        return abs(y[1]) - slope_floor
+
+    floor.terminal = True
+    floor.direction = -1
+
     def flat(a, y):
         return y[1]
 
     flat.terminal = True
+    reasons = ("slope_blowup", "slope_floor", "flat_slope")
     lo, hi = _domain_bounds(branch)
     width = hi - lo
     margin = 1e-9 * width
@@ -472,18 +490,20 @@ def ode_oracle(branch: ProfileBranch, tol: float = 1e-7,
         else:
             end = lo + margin
             if branch.domain.lower_kind is EndpointKind.AXIS_ZERO:
-                end = lo + max(1e-8, 1e-6 * width)
+                end = lo + 1e-6 * width
             sel = branch.alpha < a0
         if abs(end - a0) < 2 * margin:
             continue
         events = [blowup]
-        # only treat u' = 0 as terminal when heading into a smooth cap,
-        # otherwise a flat anchor start would stop immediately
+        # u' falling to the floor or to zero ends the integration only
+        # heading into a smooth cap or the axis, otherwise a flat anchor
+        # start would stop immediately
         kind = (branch.domain.upper_kind if direction == +1
                 else branch.domain.lower_kind)
         if kind in (EndpointKind.SMOOTH_CAP, EndpointKind.AXIS_ZERO):
-            events.append(flat)
-        t_eval = np.sort(branch.alpha[sel])
+            events += [floor, flat]
+        # rescaled tables can repeat an alpha, which t_eval must not
+        t_eval = np.unique(branch.alpha[sel])
         if direction == -1:
             t_eval = t_eval[::-1]
         t_eval = t_eval[np.abs(t_eval - a0) <= abs(end - a0)]
@@ -494,13 +514,14 @@ def ode_oracle(branch: ProfileBranch, tol: float = 1e-7,
         if not sol.success and sol.status != 1:
             raise RuntimeError(f"oracle integration failed: {sol.message}")
         if sol.status == 1:
-            reason = "slope_blowup" if len(sol.t_events[0]) else "flat_slope"
-            truncations.append({"direction": direction, "reason": reason,
-                                "alpha": float(sol.t[-1]) if len(sol.t)
-                                else a0})
+            k = next(k for k, te in enumerate(sol.t_events) if len(te))
+            truncations.append({"direction": direction, "reason": reasons[k],
+                                "alpha": float(sol.t_events[k][0])})
         elif kind is EndpointKind.AXIS_ZERO and direction == -1:
             truncations.append({"direction": direction, "reason": "axis",
                                 "alpha": float(end)})
+        if not len(sol.t):
+            continue  # an event fired before the first t_eval point
         for t, uval, dval in zip(sol.t, sol.y[0], sol.y[1]):
             if not slope_floor <= abs(dval) <= slope_cap:
                 continue

@@ -182,6 +182,22 @@ class TestRecipeGeneration:
         assert meta["end_derivative_match"] < 1e-8
         assert all(j["u_gap"] < 1e-8 for j in meta["junctions"])
 
+    @pytest.mark.parametrize("relation, mu", [
+        (("--lambda", "0", "--mu", "2", "--c1", "2"), 2.0),
+        (("--lambda", "-1", "--mu", "-2", "--c1", "0.5", "--recipe", "cap"),
+         -2.0),
+    ])
+    def test_metadata_records_physical_mu(self, capsys, tmp_path, relation,
+                                          mu):
+        # branches are built for |mu| = 1 and rescaled; the metadata names
+        # the relation that was asked for
+        prefix = str(tmp_path / "k")
+        code, _, _ = run(capsys, "generate", *relation, "--samples", "128",
+                         "--out", prefix)
+        assert code == 0
+        meta = json.loads((tmp_path / "k.meta.json").read_text())
+        assert meta["mu"] == mu
+
     def test_piece_out_of_range(self, capsys):
         code, _, err = run(capsys, "generate", "--lambda", "1", "--mu", "0",
                            "--piece", "5", "--out", "/tmp/nope")

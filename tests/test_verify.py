@@ -9,11 +9,14 @@ import pytest
 
 from lwsurf import (
     NormParameter,
+    SolveRequest,
     VerificationReport,
+    WeingartenRelation,
     first_integral_drift,
     ode_oracle,
     residual_scan,
     residual_scan_table,
+    solve,
     solve_constant_k2,
     solve_homogeneous,
     solve_inhom_general,
@@ -151,6 +154,44 @@ class TestOdeOracle:
         bad = dataclasses.replace(generic, du=generic.du * (1.0 + 1e-4))
         with pytest.raises(ValueError, match="precondition"):
             ode_oracle(bad)
+
+    @pytest.mark.parametrize("tag", ["6.3i", "6.1i-1"])
+    def test_stops_at_slope_floor(self, instances_m2, tag):
+        # heading into a smooth cap or the axis the integration ends where
+        # |u'| leaves the comparison window, not where u' crosses zero
+        branch = instances_m2[tag]
+        rep = ode_oracle(branch)
+        floors = [t for t in rep.details["truncations"]
+                  if t["reason"] == "slope_floor"]
+        assert floors
+        order = np.argsort(branch.alpha)
+        for t in floors:
+            du = np.interp(t["alpha"], branch.alpha[order],
+                           np.abs(branch.du[order]))
+            assert du == pytest.approx(1e-2, rel=1e-3)
+
+    def test_repeated_alpha_in_rescaled_table(self):
+        # the |mu| rescaling rounds two pairs of grid points to one alpha
+        b = solve(SolveRequest(
+            p=NormParameter(6), c1=-3.081271370571117,
+            relation=WeingartenRelation.linear(1.1828585412877528,
+                                               -1.4725058400636137)))[0]
+        assert len(np.unique(b.alpha)) < len(b.alpha)
+        rep = ode_oracle(b)
+        assert rep.passed
+        assert rep.n_points > 10
+
+    def test_axis_end_inside_tiny_domain(self):
+        # the domain is 5.8e-10 wide: the axis end of the integration must
+        # scale with it; the oracle then says it has nothing to compare
+        # instead of failing inside scipy
+        b = solve(SolveRequest(
+            p=NormParameter(6), c1=1.9107808635661785,
+            relation=WeingartenRelation.linear(-0.9117989047655644,
+                                               2.960521662685622)))[0]
+        assert b.domain.upper - b.domain.lower < 1e-9
+        with pytest.raises(RuntimeError, match="no comparable samples"):
+            ode_oracle(b)
 
 
 class TestSlopeInvariant:
