@@ -182,25 +182,43 @@ def read_profile_csv(path: str):
     return data[:, 0], data[:, 1], data[:, 2]
 
 
+# profile rows per formatted block of the OBJ writer: one block is one
+# string of about 0.3 MB at 96 segments, so memory stays flat in n
+OBJ_BLOCK_ROWS = 64
+
+
 def write_obj(path: str, alpha, u, segments: int) -> None:
-    """Revolved mesh; the v = 0 seam ring is duplicated at v = 2*pi."""
+    """Revolved mesh; the v = 0 seam ring is duplicated at v = 2*pi.
+
+    Vertices and faces are written in blocks of OBJ_BLOCK_ROWS profile
+    rows, each block one %-format of a flat tuple.  The ring angles go
+    through math.cos/math.sin and numpy only multiplies, so the floats,
+    and the bytes, are those of a per-vertex loop.
+    """
     alpha = np.asarray(alpha, dtype=float)
     u = np.asarray(u, dtype=float)
     n = len(alpha)
     rings = segments + 1
+    angles = [2.0 * math.pi * j / segments for j in range(rings)]
+    cos_v = np.array([math.cos(v) for v in angles])
+    sin_v = np.array([math.sin(v) for v in angles])
+    ring_index = np.arange(1, segments + 1)  # 1-based OBJ index in a ring
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for i in range(n):
-            for j in range(rings):
-                v = 2.0 * math.pi * j / segments
-                x = alpha[i] * math.cos(v)
-                y = alpha[i] * math.sin(v)
-                fh.write(f"v {x:.10e} {y:.10e} {u[i]:.10e}\n")
-        for i in range(n - 1):
-            for j in range(segments):
-                a = i * rings + j + 1
-                b = (i + 1) * rings + j + 1
-                fh.write(f"f {a} {b} {b + 1}\n")
-                fh.write(f"f {a} {b + 1} {a + 1}\n")
+        for i in range(0, n, OBJ_BLOCK_ROWS):
+            a = alpha[i:i + OBJ_BLOCK_ROWS, None]
+            xyz = np.empty((len(a), rings, 3))
+            xyz[:, :, 0] = a * cos_v
+            xyz[:, :, 1] = a * sin_v
+            xyz[:, :, 2] = u[i:i + OBJ_BLOCK_ROWS, None]
+            fh.write("v %.10e %.10e %.10e\n" * (xyz.size // 3)
+                     % tuple(xyz.ravel().tolist()))
+        for i in range(0, n - 1, OBJ_BLOCK_ROWS):
+            rows = np.arange(i, min(i + OBJ_BLOCK_ROWS, n - 1))
+            a = rows[:, None] * rings + ring_index
+            b = a + rings
+            quads = np.stack([a, b, b + 1, a, b + 1, a + 1], axis=-1)
+            fh.write("f %d %d %d\nf %d %d %d\n" * (quads.size // 6)
+                     % tuple(quads.ravel().tolist()))
 
 
 def _json_dump(path: str, payload: dict) -> None:
@@ -312,6 +330,8 @@ def cmd_generate(settings: dict) -> int:
     if not out:
         raise ValueError("generate needs --out PREFIX")
     segments = settings["segments"]
+    if segments < 1:
+        raise ValueError(f"--segments must be at least 1, got {segments}")
     special = settings.get("special")
     recipe = settings.get("recipe")
     p = NormParameter(settings["m"])

@@ -16,7 +16,6 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, optimize
 
 __all__ = [
     "EndpointKind",
@@ -33,6 +32,10 @@ __all__ = [
 
 DOUBLE_ROOT_DERIV_TOL = 1e-8
 ROOT_VALUE_TOL = 1e-13
+
+# scipy.integrate, imported by the first quadrature so that classification
+# and the closed forms never load scipy
+_integrate = None
 
 
 class ToleranceError(RuntimeError):
@@ -121,6 +124,75 @@ def _probe_grid(lo: float, hi: float, probes: int) -> np.ndarray:
     return np.linspace(lo + eps, hi - eps, probes)
 
 
+def _brent(f: Callable[[float], float], a: float, b: float, xtol: float,
+           rtol: float, maxiter: int = 100) -> float:
+    """Root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    A line-for-line port of the loop of scipy's ``brentq`` (brentq.c): the
+    same iterates, the same calls of f, so the same root to the bit.  Like
+    scipy it raises ValueError when f returns NaN or f(a), f(b) have the
+    same sign, and RuntimeError when maxiter steps do not converge.
+    """
+
+    def call(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             "solver cannot continue.")
+        return float(fx)
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                # in C the step is then inf or NaN, and the test below
+                # bisects
+                stry = math.nan
+            # C's MIN(|spre|, 3|sbis| - delta), NaN placement included
+            limit = 3 * abs(sbis) - delta
+            if abs(spre) < limit:
+                limit = abs(spre)
+            if 2 * abs(stry) < limit:  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
 def bracket_roots(f: Callable[[float], float], lo: float, hi: float,
                   probes: int = 64) -> list[tuple[float, int]]:
     """Locate roots of f on (lo, hi) with multiplicity 1 or 2.
@@ -160,7 +232,7 @@ def bracket_roots(f: Callable[[float], float], lo: float, hi: float,
             add(float(a), 2 if abs(fprime(a)) < DOUBLE_ROOT_DERIV_TOL * scale else 1)
             continue
         if fa * fb < 0.0:
-            root = optimize.brentq(f, a, b, xtol=1e-15, rtol=8.9e-16)
+            root = _brent(f, a, b, xtol=1e-15, rtol=8.9e-16)
             mult = 2 if abs(fprime(root)) < DOUBLE_ROOT_DERIV_TOL * scale else 1
             add(float(root), mult)
 
@@ -172,8 +244,8 @@ def bracket_roots(f: Callable[[float], float], lo: float, hi: float,
                 continue  # handled by the sign-change pass
             da, db = fprime(grid[i - 1]), fprime(grid[i + 1])
             if da * db < 0.0:
-                t0 = optimize.brentq(fprime, grid[i - 1], grid[i + 1],
-                                     xtol=1e-14, rtol=8.9e-16)
+                t0 = _brent(fprime, grid[i - 1], grid[i + 1],
+                            xtol=1e-14, rtol=8.9e-16)
                 if abs(f(t0)) < ROOT_VALUE_TOL * scale:
                     add(float(t0), 2)
     roots.sort(key=lambda rm: rm[0])
@@ -256,11 +328,15 @@ def double_root_factor(p: float) -> Callable[[float], float]:
     return phi
 
 
-def _quad(f, a, b, tol):
+def _quad(f, a, b, tol, limit=200):
+    global _integrate
+    if _integrate is None:
+        import scipy.integrate
+        _integrate = scipy.integrate
     # full_output skips quad's IntegrationWarning path; the returned error
     # estimate is checked by the callers, which the warnings only duplicate
-    return integrate.quad(f, a, b, epsabs=1e-14, epsrel=tol, limit=200,
-                          full_output=1)[:2]
+    return _integrate.quad(f, a, b, epsabs=1e-14, epsrel=tol, limit=limit,
+                           full_output=1)[:2]
 
 
 def integrate_singular(spec: IntegrandSpec, a: float, b: float,
@@ -305,8 +381,7 @@ def integrate_singular(spec: IntegrandSpec, a: float, b: float,
         total += val
         err_total += err
     if math.isinf(b):
-        val, err = integrate.quad(spec, max(lo, hi), np.inf, epsabs=1e-14,
-                                  epsrel=tol, limit=400, full_output=1)[:2]
+        val, err = _quad(spec, max(lo, hi), np.inf, tol, limit=400)
         total += val
         err_total += err
     if not math.isfinite(total):

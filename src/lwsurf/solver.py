@@ -700,6 +700,8 @@ def _arc_grid(dom: DomainInterval, n: int, m: int) -> np.ndarray:
 def _norm_circle_branch(req: SolveRequest, piece: _Piece,
                         circle: tuple) -> ProfileBranch:
     """Closed-form branch on the norm circle (c, k, R), see NormCircle."""
+    if req.samples < 2:
+        raise ValueError("need at least 2 samples")
     m = req.p.m
     slope = NormCircle(*circle, m)
     dom = piece.domain

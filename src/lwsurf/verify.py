@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .normgeom import (
     Chart,
@@ -428,6 +427,10 @@ def ode_oracle(branch: ProfileBranch, tol: float = 1e-7,
     "flat_slope" when u' crosses zero there, and "axis" when the
     integration reaches its end next to an axis endpoint.
     """
+    # scipy is imported here, not with the module, so that lwsurf imports
+    # and the CLI commands without an ODE solve stay numpy-only
+    from scipy.integrate import solve_ivp
+
     p = branch.request.p
     lam, mu = branch.lam, _physical_mu(branch)
     if math.isinf(lam):

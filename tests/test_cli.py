@@ -1,6 +1,7 @@
 """End-to-end command-line tests: files, exit codes, determinism."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from lwsurf.cli import (
     CsvFormatError,
     main,
     read_profile_csv,
+    write_obj,
     write_profile_csv,
 )
 
@@ -168,6 +170,56 @@ class TestObjExport:
         idx = [int(tok) for ln in faces for tok in ln.split()[1:]]
         assert min(idx) >= 1 and max(idx) <= len(verts)
 
+    @staticmethod
+    def write_obj_per_vertex(path, alpha, u, segments):
+        """The one-vertex-per-write OBJ writer the block writer replaced."""
+        alpha = np.asarray(alpha, dtype=float)
+        u = np.asarray(u, dtype=float)
+        n = len(alpha)
+        rings = segments + 1
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            for i in range(n):
+                for j in range(rings):
+                    v = 2.0 * math.pi * j / segments
+                    x = alpha[i] * math.cos(v)
+                    y = alpha[i] * math.sin(v)
+                    fh.write(f"v {x:.10e} {y:.10e} {u[i]:.10e}\n")
+            for i in range(n - 1):
+                for j in range(segments):
+                    a = i * rings + j + 1
+                    b = (i + 1) * rings + j + 1
+                    fh.write(f"f {a} {b} {b + 1}\n")
+                    fh.write(f"f {a} {b + 1} {a + 1}\n")
+
+    @pytest.mark.parametrize("segments", [1, 3, 96])
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 2044])
+    def test_block_writer_matches_per_vertex_writer(self, tmp_path, n,
+                                                    segments):
+        rng = np.random.default_rng(n * 100 + segments)
+        alpha = rng.normal(0.0, 3.0, n)  # negative alpha included
+        u = rng.normal(0.0, 1e3, n)
+        u[::5] = -0.0
+        alpha[1::7] = -0.0
+        alpha[::11] *= 1e-308  # products with cos and sin go subnormal
+        write_obj(str(tmp_path / "block.obj"), alpha, u, segments)
+        self.write_obj_per_vertex(str(tmp_path / "loop.obj"), alpha, u,
+                                  segments)
+        block = (tmp_path / "block.obj").read_bytes()
+        assert block == (tmp_path / "loop.obj").read_bytes()
+        assert block.count(b"\nf ") == 2 * (n - 1) * segments
+
+    @pytest.mark.parametrize("segments", ["0", "-3"])
+    def test_segments_below_one_rejected_before_output(self, capsys,
+                                                       tmp_path, segments):
+        code, out, err = run(capsys, "generate", "--special", "sphere",
+                             "--obj", "--segments", segments,
+                             "--out", str(tmp_path / "s"))
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: --segments must be at least 1, got {segments}"]
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestRecipeGeneration:
     def test_assembly_metadata(self, capsys, tmp_path):
@@ -197,6 +249,16 @@ class TestRecipeGeneration:
         assert code == 0
         meta = json.loads((tmp_path / "k.meta.json").read_text())
         assert meta["mu"] == mu
+
+    @pytest.mark.parametrize("samples", ["1", "0", "-4"])
+    def test_sphere_needs_two_samples(self, capsys, tmp_path, samples):
+        code, out, err = run(capsys, "generate", "--special", "sphere",
+                             "--samples", samples,
+                             "--out", str(tmp_path / "s"))
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == ["error: need at least 2 samples"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_piece_out_of_range(self, capsys):
         code, _, err = run(capsys, "generate", "--lambda", "1", "--mu", "0",

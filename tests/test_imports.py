@@ -1,0 +1,67 @@
+"""scipy is loaded on demand: importing lwsurf and the numpy-only CLI
+commands leave it unloaded, and quadrature and the ODE oracle load it on
+first use.  Each check runs in a fresh interpreter, because the test
+process itself has scipy loaded.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+PRELUDE = """
+import sys
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+"""
+
+
+def run_python(code: str, cwd) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", PRELUDE + textwrap.dedent(code)], cwd=cwd,
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_imports_and_numpy_only_commands_leave_scipy_unloaded(tmp_path):
+    out = run_python("""
+        import lwsurf
+        assert scipy_loaded() == [], scipy_loaded()
+        import lwsurf.cli
+        assert scipy_loaded() == [], scipy_loaded()
+        for argv in (
+                ["classify", "--m", "2", "--lambda", "-1", "--mu", "1",
+                 "--c1", "1.5"],
+                ["generate", "--special", "sphere", "--obj", "--out", "s"],
+                ["generate", "--lambda", "0", "--mu", "2", "--c1", "2",
+                 "--out", "k1"],
+                ["verify", "--profile", "s.csv", "--lambda", "1",
+                 "--mu", "-2"]):
+            assert lwsurf.cli.main(argv) == 0, argv
+            assert scipy_loaded() == [], (argv, scipy_loaded())
+        print("numpy only")
+        """, tmp_path)
+    assert out.splitlines()[-1] == "numpy only"
+
+
+def test_quadrature_and_oracle_load_scipy_on_demand(tmp_path):
+    out = run_python("""
+        from lwsurf import (NormParameter, SolveRequest, WeingartenRelation,
+                            ode_oracle, solve)
+        assert scipy_loaded() == []
+        [branch] = solve(SolveRequest(
+            p=NormParameter(2), relation=WeingartenRelation.linear(-1.0, 1.0),
+            c1=0.5, samples=64))
+        assert "scipy.integrate" in scipy_loaded()
+        report = ode_oracle(branch)
+        assert report.passed, report.max_residual
+        print(branch.case.value, report.n_points > 0)
+        """, tmp_path)
+    assert out.split() == ["6.1i-1", "True"]

@@ -153,6 +153,14 @@ class TestClassification:
 
 
 class TestBranchTables:
+    @pytest.mark.parametrize("samples", [1, 0])
+    def test_closed_forms_need_two_samples(self, samples):
+        p = NormParameter(2)
+        with pytest.raises(ValueError, match="need at least 2 samples"):
+            solve_constant_k2(p, samples=samples)
+        with pytest.raises(ValueError, match="need at least 2 samples"):
+            solve_constant_k1(p, 1.0, 0.5, samples=samples)
+
     def test_monotone_u(self, instances_m2):
         for tag, b in instances_m2.items():
             du = np.diff(b.u)
