@@ -193,11 +193,41 @@ def _brent(f: Callable[[float], float], a: float, b: float, xtol: float,
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
+def _refine(f: Callable[[float], float], a: float, b: float, xtol: float,
+            rtol: float) -> float:
+    """Root of f on the sign-change bracket [a, b]: Brent, then bisection.
+
+    Brent's iteration cap can run out next to a nearby double root, where
+    its interpolation steps crawl.  The bracket is then finished by
+    bisection under Brent's stopping rule, which always terminates.
+    """
+    try:
+        return _brent(f, a, b, xtol=xtol, rtol=rtol)
+    except RuntimeError:
+        pass
+    fa = float(f(a))
+    while True:
+        mid = 0.5 * (a + b)
+        if abs(b - a) < xtol + rtol * abs(mid) or mid in (a, b):
+            return mid
+        fm = float(f(mid))
+        if math.isnan(fm):
+            raise ValueError(f"The function value at x={mid} is NaN; "
+                             "solver cannot continue.")
+        if fm == 0.0:
+            return mid
+        if (fm < 0.0) == (fa < 0.0):
+            a, fa = mid, fm
+        else:
+            b = mid
+
+
 def bracket_roots(f: Callable[[float], float], lo: float, hi: float,
                   probes: int = 64) -> list[tuple[float, int]]:
     """Locate roots of f on (lo, hi) with multiplicity 1 or 2.
 
-    Sign changes on a probe grid are refined by Brent's method.  A local
+    Sign changes on a probe grid are refined by Brent's method, finished
+    by bisection where Brent's iteration cap runs out.  A local
     minimum of |f| that touches zero without a sign change is refined via
     the numeric derivative and reported with multiplicity 2.
     """
@@ -232,7 +262,7 @@ def bracket_roots(f: Callable[[float], float], lo: float, hi: float,
             add(float(a), 2 if abs(fprime(a)) < DOUBLE_ROOT_DERIV_TOL * scale else 1)
             continue
         if fa * fb < 0.0:
-            root = _brent(f, a, b, xtol=1e-15, rtol=8.9e-16)
+            root = _refine(f, a, b, xtol=1e-15, rtol=8.9e-16)
             mult = 2 if abs(fprime(root)) < DOUBLE_ROOT_DERIV_TOL * scale else 1
             add(float(root), mult)
 
@@ -244,8 +274,8 @@ def bracket_roots(f: Callable[[float], float], lo: float, hi: float,
                 continue  # handled by the sign-change pass
             da, db = fprime(grid[i - 1]), fprime(grid[i + 1])
             if da * db < 0.0:
-                t0 = _brent(fprime, grid[i - 1], grid[i + 1],
-                            xtol=1e-14, rtol=8.9e-16)
+                t0 = _refine(fprime, grid[i - 1], grid[i + 1],
+                             xtol=1e-14, rtol=8.9e-16)
                 if abs(f(t0)) < ROOT_VALUE_TOL * scale:
                     add(float(t0), 2)
     roots.sort(key=lambda rm: rm[0])

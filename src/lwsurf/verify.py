@@ -8,7 +8,9 @@ Three checks with different failure modes:
 * ``first_integral_drift`` measures the constancy of the conserved
   quantity along the branch, which is exact in the closed forms.
 * ``ode_oracle`` re-integrates the profile equation as an initial value
-  problem with an off-the-shelf high-order solver and compares tables.
+  problem and compares tables.  It steps scipy's DOP853 (Dormand-Prince
+  8(5,3), coefficients read from ``scipy.integrate.DOP853``) on two
+  Python floats, with solve_ivp's step rules, dense output and events.
 
 Each check returns a versioned, JSON-serializable report rather than a
 bare boolean so the CLI can surface the evidence.
@@ -18,8 +20,10 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
+from operator import mul
 
 import numpy as np
 
@@ -31,7 +35,7 @@ from .normgeom import (
     principal_curvatures,
     oriented_radius_chart_curvatures,
 )
-from .quadrature import EndpointKind
+from .quadrature import EndpointKind, _brent
 from .solver import ProfileBranch, RelationForm
 
 __all__ = [
@@ -384,7 +388,8 @@ def first_integral_drift(branch: ProfileBranch,
 def _ode_rhs(p: NormParameter, lam: float, mu: float):
     """u'' solved from the oriented curvature relation k1 + lam*k2 = mu.
 
-    The odd-root powers of u' are ``signed_odd_root_pow`` written out, with
+    ``rhs(a, (u, u'))`` returns the float pair ``(u', u'')``.  The
+    odd-root powers of u' are ``signed_odd_root_pow`` written out, with
     its exponents computed once: this runs on every solver stage.
     """
     m, q = p.m, p.q
@@ -394,17 +399,230 @@ def _ode_rhs(p: NormParameter, lam: float, mu: float):
     e_outer = -(2 * m + 1) / (2 * m)
     e_norm = -1.0 / (2 * m)
 
-    def rhs(a: float, y: np.ndarray) -> list:
-        d1 = y[1]
+    def second(a, d1):
         s = 1.0 if d1 > 0.0 else -1.0
         r = abs(d1)
         A1 = r ** e_a1 + 1.0
         B = A1 ** e_outer * r ** e_b
         k2_raw = -(1.0 / a) * A1 ** e_norm * (s * r ** e_k2)
-        d2 = -q * (s * mu - lam * k2_raw) / B
-        return [d1, d2]
+        return -q * (s * mu - lam * k2_raw) / B
+
+    def rhs(a: float, y) -> tuple:
+        d1 = y[1]
+        try:
+            return d1, second(a, d1)
+        except (ZeroDivisionError, OverflowError):
+            # Python floats raise where IEEE arithmetic gives 0 or inf, as
+            # for 0.0 ** -x at u' = 0; numpy scalars give the IEEE value
+            with np.errstate(all="ignore"):
+                return d1, float(second(np.float64(a), np.float64(d1)))
 
     return rhs
+
+
+# Dormand-Prince 8(5,3) (Hairer, Norsett & Wanner, Solving ODEs I, II.10)
+# as scipy's solve_ivp runs it, with scipy's coefficients and step rules
+_DOP853 = None
+_EVENT_XTOL = 4 * sys.float_info.epsilon
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_EXPONENT = -1.0 / 8.0  # -1/(error estimator order + 1)
+
+
+def _dop853_tableau() -> tuple:
+    """(A, B, C, E3, E5, D, A_EXTRA, C_EXTRA) of scipy's DOP853, as floats.
+
+    Read once, on the first oracle call, from the public class attributes.
+    Row s of A and of A_EXTRA keeps the s coefficients of the stages
+    before it, and C drops the first stage's zero.
+    """
+    global _DOP853
+    if _DOP853 is None:
+        from scipy.integrate import DOP853 as M
+
+        def row(x):
+            return tuple(float(v) for v in x)
+
+        n = M.n_stages
+        _DOP853 = (tuple(row(M.A[s, :s]) for s in range(1, n)), row(M.B),
+                   row(M.C[1:n]), row(M.E3), row(M.E5),
+                   tuple(row(d) for d in M.D),
+                   tuple(row(a[:n + 1 + k]) for k, a in enumerate(M.A_EXTRA)),
+                   row(M.C_EXTRA))
+    return _DOP853
+
+
+def _rms(a: float, b: float) -> float:
+    return math.sqrt(a * a + b * b) / math.sqrt(2.0)
+
+
+def _dop853_dense(rhs, t_old: float, y_old: tuple, y: tuple, h: float,
+                  k: tuple):
+    """The 7th-order interpolant of one step from t_old to t_old + h.
+
+    ``k`` holds each component's 13 stages of the step; the three extra
+    stages are appended to them.  Returns ``at(t) -> (u, u')``, scipy's
+    Dop853DenseOutput in the same order of operations.
+    """
+    D, A_EXTRA, C_EXTRA = _DOP853[5:]
+    for a, c in zip(A_EXTRA, C_EXTRA):
+        stage = rhs(t_old + c * h, tuple(yc + sum(map(mul, a, kc)) * h
+                                         for yc, kc in zip(y_old, k)))
+        for kc, f in zip(k, stage):
+            kc.append(f)
+    coeffs = []  # kc[0] and kc[12] are the slopes at the step's two ends
+    for yc_old, yc, kc in zip(y_old, y, k):
+        dy = yc - yc_old
+        coeffs.append((dy, h * kc[0] - dy, 2 * dy - h * (kc[12] + kc[0]))
+                      + tuple(h * sum(map(mul, d, kc)) for d in D))
+
+    def at(t: float) -> tuple:
+        x = (t - t_old) / h
+        x1 = 1 - x
+        return tuple(((((((F6 * x + F5) * x1 + F4) * x + F3) * x1 + F2) * x
+                       + F1) * x1 + F0) * x + yc_old
+                     for (F0, F1, F2, F3, F4, F5, F6), yc_old
+                     in zip(coeffs, y_old))
+
+    return at
+
+
+@dataclass
+class _Trajectory:
+    """Output of one ``_dop853`` run: samples, the event that ended it, work."""
+
+    t: list = field(default_factory=list)
+    u: list = field(default_factory=list)
+    du: list = field(default_factory=list)
+    event: int | None = None
+    t_event: float = math.nan
+    rhs_evals: int = 0
+    steps: int = 0
+    rejected_steps: int = 0
+
+
+def _dop853(rhs, t0: float, y0: tuple, t_bound: float, t_eval, events,
+            rtol: float, atol: float) -> _Trajectory:
+    """Integrate y' = rhs(t, y) for y = (u, u') from t0 to t_bound.
+
+    Runs scipy's DOP853 as ``solve_ivp`` does, on two Python floats: the
+    initial step, the 5/3 blended error norm, the step controller and the
+    7th-order dense output follow scipy's code.  ``t_eval`` lists output
+    points in the direction of integration; with None the start and every
+    step end are output points.  ``events`` are ``(g, direction)`` pairs, all
+    terminal: g(t, y) changing sign over a step in the given direction
+    (0 for either) stops the run at the root of g on the dense output.
+    """
+    A, B, C, E3, E5 = _dop853_tableau()[:5]
+    run = _Trajectory()
+    direction = 1.0 if t_bound >= t0 else -1.0
+    t, (u, v) = t0, y0
+    fu, fv = rhs(t, (u, v))
+    run.rhs_evals = 2
+    if t_eval is None:
+        run.t, run.u, run.du = [t], [u], [v]
+
+    # initial step (scipy's select_initial_step)
+    interval = abs(t_bound - t0)
+    su, sv = atol + abs(u) * rtol, atol + abs(v) * rtol
+    d0, d1 = _rms(u / su, v / sv), _rms(fu / su, fv / sv)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    hd = h0 * direction
+    f1u, f1v = rhs(t + hd, (u + hd * fu, v + hd * fv))
+    d2 = _rms((f1u - fu) / su, (f1v - fv) / sv) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** -_ERROR_EXPONENT
+    h_abs = min(100 * h0, h1, interval)
+
+    g = [ev(t, (u, v)) for ev, _ in events]
+    i_eval = 0
+    while True:
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise RuntimeError(
+                    "oracle integration failed: required step size is "
+                    "less than spacing between numbers")
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_bound) > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = abs(h)
+            ku, kv = [fu], [fv]
+            for a, c in zip(A, C):
+                ku_s, kv_s = rhs(t + c * h, (u + sum(map(mul, a, ku)) * h,
+                                             v + sum(map(mul, a, kv)) * h))
+                ku.append(ku_s)
+                kv.append(kv_s)
+            u_new = u + h * sum(map(mul, B, ku))
+            v_new = v + h * sum(map(mul, B, kv))
+            fu_new, fv_new = rhs(t + h, (u_new, v_new))
+            ku.append(fu_new)
+            kv.append(fv_new)
+            run.rhs_evals += 12
+            su = atol + max(abs(u), abs(u_new)) * rtol
+            sv = atol + max(abs(v), abs(v_new)) * rtol
+            e5 = math.hypot(sum(map(mul, E5, ku)) / su,
+                            sum(map(mul, E5, kv)) / sv) ** 2
+            e3 = math.hypot(sum(map(mul, E3, ku)) / su,
+                            sum(map(mul, E3, kv)) / sv) ** 2
+            if e5 == 0.0 and e3 == 0.0:
+                error = 0.0
+            else:
+                error = abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * 2)
+            if error < 1.0:
+                if error == 0.0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR,
+                                 _SAFETY * error ** _ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1.0, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error ** _ERROR_EXPONENT)
+            rejected = True
+            run.rejected_steps += 1
+        run.steps += 1
+        t_old, u_old, v_old = t, u, v
+        t, u, v, fu, fv = t_new, u_new, v_new, fu_new, fv_new
+        finished = direction * (t - t_bound) >= 0
+        g_new = [ev(t, (u, v)) for ev, _ in events]
+        active = [k for k, (_, d) in enumerate(events)
+                  if (d >= 0 and g[k] <= 0 <= g_new[k])
+                  or (d <= 0 and g[k] >= 0 >= g_new[k])]
+        g = g_new
+        if active or (t_eval is not None and i_eval < len(t_eval)
+                      and direction * (t_eval[i_eval] - t) <= 0):
+            dense = _dop853_dense(rhs, t_old, (u_old, v_old), (u, v), h,
+                                  (ku, kv))
+            run.rhs_evals += 3
+        if active:
+            roots = [(_brent(lambda s, ev=events[k][0]: ev(s, dense(s)),
+                             t_old, t, _EVENT_XTOL, _EVENT_XTOL), k)
+                     for k in active]
+            t, run.event = min(roots, key=lambda r: direction * r[0])
+            run.t_event = t
+            u, v = dense(t)
+        if t_eval is None:
+            run.t.append(t)
+            run.u.append(u)
+            run.du.append(v)
+        else:
+            while (i_eval < len(t_eval)
+                   and direction * (t_eval[i_eval] - t) <= 0):
+                s = t_eval[i_eval]
+                us, vs = dense(s)
+                run.t.append(s)
+                run.u.append(us)
+                run.du.append(vs)
+                i_eval += 1
+        if finished or run.event is not None:
+            return run
 
 
 def ode_oracle(branch: ProfileBranch, tol: float = 1e-7,
@@ -425,12 +643,10 @@ def ode_oracle(branch: ProfileBranch, tol: float = 1e-7,
     "slope_blowup" when |u'| reaches slope_cap, "slope_floor" when |u'|
     falls to slope_floor heading into a smooth cap or the axis,
     "flat_slope" when u' crosses zero there, and "axis" when the
-    integration reaches its end next to an axis endpoint.
+    integration reaches its end next to an axis endpoint.  The details
+    also count the integrator's work over both directions: right-hand
+    side evaluations, accepted steps and rejected steps.
     """
-    # scipy is imported here, not with the module, so that lwsurf imports
-    # and the CLI commands without an ODE solve stay numpy-only
-    from scipy.integrate import solve_ivp
-
     p = branch.request.p
     lam, mu = branch.lam, _physical_mu(branch)
     if math.isinf(lam):
@@ -449,41 +665,18 @@ def ode_oracle(branch: ProfileBranch, tol: float = 1e-7,
             f"exceeds the oracle precondition {fi_precondition:.1e}")
 
     rhs = _ode_rhs(p, lam, mu)
-
-    def blowup(a, y):
-        return slope_cap - abs(y[1])
-
-    blowup.terminal = True
-
-    def floor(a, y):
-        return abs(y[1]) - slope_floor
-
-    floor.terminal = True
-    floor.direction = -1
-
-    def flat(a, y):
-        return y[1]
-
-    flat.terminal = True
+    # (g, direction) event pairs, all terminal, in the order of ``reasons``
+    blowup = (lambda a, y: slope_cap - abs(y[1]), 0)
+    floor = (lambda a, y: abs(y[1]) - slope_floor, -1)
+    flat = (lambda a, y: y[1], 0)
     reasons = ("slope_blowup", "slope_floor", "flat_slope")
     lo, hi = _domain_bounds(branch)
     width = hi - lo
     margin = 1e-9 * width
 
-    # monotone inversion u -> alpha for the delta-alpha metric
-    u_tab = branch.u
-    a_tab = branch.alpha
-    if u_tab[-1] < u_tab[0]:
-        u_tab, a_tab = u_tab[::-1], a_tab[::-1]
-
-    def alpha_of_u(uval: float) -> float | None:
-        if not (u_tab[0] <= uval <= u_tab[-1]):
-            return None
-        return float(np.interp(uval, u_tab, a_tab))
-
     truncations = []
-    devs = []
-    n_compared = 0
+    work = {"rhs_evals": 0, "steps": 0, "rejected_steps": 0}
+    ts, us, dus = [], [], []
     for direction in (+1, -1):
         if direction == +1:
             end = hi - margin
@@ -510,41 +703,41 @@ def ode_oracle(branch: ProfileBranch, tol: float = 1e-7,
         if direction == -1:
             t_eval = t_eval[::-1]
         t_eval = t_eval[np.abs(t_eval - a0) <= abs(end - a0)]
-        sol = solve_ivp(rhs, (a0, end), [u0, d10], method="DOP853",
-                        rtol=rtol, atol=1e-12, events=events,
-                        t_eval=t_eval if len(t_eval) else None,
-                        dense_output=False)
-        if not sol.success and sol.status != 1:
-            raise RuntimeError(f"oracle integration failed: {sol.message}")
-        if sol.status == 1:
-            k = next(k for k, te in enumerate(sol.t_events) if len(te))
-            truncations.append({"direction": direction, "reason": reasons[k],
-                                "alpha": float(sol.t_events[k][0])})
+        run = _dop853(rhs, a0, (u0, d10), end,
+                      t_eval.tolist() if len(t_eval) else None, events,
+                      rtol=rtol, atol=1e-12)
+        for key in work:
+            work[key] += getattr(run, key)
+        if run.event is not None:
+            truncations.append({"direction": direction,
+                                "reason": reasons[run.event],
+                                "alpha": run.t_event})
         elif kind is EndpointKind.AXIS_ZERO and direction == -1:
             truncations.append({"direction": direction, "reason": "axis",
                                 "alpha": float(end)})
-        if not len(sol.t):
-            continue  # an event fired before the first t_eval point
-        for t, uval, dval in zip(sol.t, sol.y[0], sol.y[1]):
-            if not slope_floor <= abs(dval) <= slope_cap:
-                continue
-            a_back = alpha_of_u(uval)
-            if a_back is None:
-                continue
-            devs.append(abs(a_back - t))
-            n_compared += 1
+        ts += run.t
+        us += run.u
+        dus += run.du
 
-    if not devs:
+    # |delta alpha|: each integrated u inside the slope window and the
+    # table's u range is mapped back through the monotone table u -> alpha
+    u_tab, a_tab = branch.u, branch.alpha
+    if u_tab[-1] < u_tab[0]:
+        u_tab, a_tab = u_tab[::-1], a_tab[::-1]
+    ts, us, slopes = np.array(ts), np.array(us), np.abs(np.array(dus))
+    keep = ((slope_floor <= slopes) & (slopes <= slope_cap)
+            & (u_tab[0] <= us) & (us <= u_tab[-1]))
+    devs = np.abs(np.interp(us[keep], u_tab, a_tab) - ts[keep])
+    if not len(devs):
         raise RuntimeError("oracle produced no comparable samples")
-    devs = np.array(devs)
     max_dev = float(np.max(devs))
     return VerificationReport(
         kind="ode_oracle", case=branch.case.value,
-        passed=max_dev < tol, tolerance=tol, n_points=n_compared,
+        passed=max_dev < tol, tolerance=tol, n_points=len(devs),
         max_residual=max_dev, median_residual=float(np.median(devs)),
         details={"anchor_alpha": a0, "rtol": rtol,
                  "truncations": truncations,
-                 "first_integral_at_anchor": fi.median_residual})
+                 "first_integral_at_anchor": fi.median_residual, **work})
 
 
 def slope_invariant(branch: ProfileBranch) -> float:

@@ -55,6 +55,15 @@ class TestBracketRoots:
         assert roots[0][0] == pytest.approx(r1, abs=1e-10)
         assert roots[1][0] == pytest.approx(r2, abs=1e-10)
 
+    def test_brent_cap_next_to_double_root(self):
+        # a simple root 1.4e-12 from a double root: Brent's interpolation
+        # crawls and runs out of its 100 iterations; bisection finishes
+        c, d = 37.985826165876226, 1.3858335572361976e-12
+        f = lambda x: (x + c) ** 2 * (x + c - d)
+        roots = bracket_roots(f, -98.11043508113295, -33.76129618694514, 64)
+        assert len(roots) == 1
+        assert roots[0][0] == pytest.approx(-c + d, abs=1e-13)
+
 
 class TestIntegrateSingular:
     @pytest.mark.parametrize("m", [2, 3, 4])
