@@ -336,8 +336,8 @@ def cmd_generate(settings: dict) -> int:
     recipe = settings.get("recipe")
     p = NormParameter(settings["m"])
 
-    if special == "cylinder" or (_relation(settings).form is
-                                 RelationForm.K1_ZERO and not special):
+    if special == "cylinder" or (not special and _relation(settings).form
+                                 is RelationForm.K1_ZERO):
         radius, height = settings["c2"], settings["height"]
         surface = cylinder(p, radius, height)
         n = max(2, settings["samples"] // 8)

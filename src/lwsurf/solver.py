@@ -22,7 +22,7 @@ import numpy as np
 from .quadrature import (
     DomainInterval,
     EndpointKind,
-    IntegrandSpec,
+    ToleranceError,
     _build_grid,
     bracket_roots,
     double_root_factor,
@@ -79,6 +79,11 @@ class WeingartenRelation:
 
     def __post_init__(self) -> None:
         f = self.form
+        # only the translated sphere stands for lam = inf
+        if not (math.isfinite(self.lam) or f is RelationForm.K2_CONST):
+            raise ValueError(f"lam must be finite, got {self.lam}")
+        if not math.isfinite(self.mu):
+            raise ValueError(f"mu must be finite, got {self.mu}")
         if f is RelationForm.HOMOGENEOUS and self.lam == 0.0:
             raise ValueError("homogeneous relation needs lam != 0")
         if f is RelationForm.K1_CONST and self.mu == 0.0:
@@ -176,15 +181,24 @@ class SolveRequest:
     tol: float = 1e-10
     alpha_max_factor: float = 4.0
 
+    def __post_init__(self) -> None:
+        for name in ("c1", "c2", "shift"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if self.sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
+
 
 @dataclass
 class ProfileBranch:
     """One signed monotone branch u(alpha) with its sample table.
 
     ``slope`` is the unsigned slope of the normalized (|mu| = 1) profile:
-    the IntegrandSpec of a quadrature branch, the NormCircle of a closed
-    form.  The signed physical slope, the relation constants and the
-    reflected branch are all derived from it, ``request`` and ``scale``.
+    the SlopeLaw of a quadrature branch, the NormCircle of a closed form.
+    The signed physical slope, the relation constants and the reflected
+    branch are all derived from it, ``request`` and ``scale``.  Both
+    slopes are plain data, so branches pickle.
     """
 
     request: SolveRequest
@@ -193,7 +207,7 @@ class ProfileBranch:
     alpha: np.ndarray
     u: np.ndarray
     du: np.ndarray
-    slope: Callable[[float], float]
+    slope: SlopeLaw | NormCircle
     anchor: tuple
     span: float = math.inf       # total |u|-variation over the domain
     quad_error: float = 0.0
@@ -246,6 +260,109 @@ class NormCircle:
             ** (1.0 / (2 * self.m)) / self.k
 
 
+# The quadrature families map a power k and their constants to (P^k, Q^k),
+# each side a float where it does not depend on t, else a function of t.
+# Powers are grouped as in the closed forms, t**(k*lam) and not
+# (t**lam)**k, which rounds differently.  N = c1*(lam+1) - mu*t^(lam+1).
+#
+#   family    relation           P              Q
+#   hom_pos   mu = 0, lam > 0    t^lam          c2^lam
+#   hom_neg   mu = 0, lam < 0    c2^(-lam)      t^(-lam)
+#   lm1       lam = -1           1              t*(c1 - mu*log t)
+#   gen_pos   lam > 0            (lam+1)*t^lam  N
+#   gen_mid   -1 < lam < 0       lam+1          t^(-lam)*N
+#   gen_low   lam < -1           w = -(lam+1)   t*(c1*w*t^w + mu)
+
+
+def _hom_pos(k: int, lam: float, c2: float) -> tuple:
+    e = k * lam
+    return (lambda t: t ** e), c2 ** e
+
+
+def _hom_neg(k: int, lam: float, c2: float) -> tuple:
+    e = k * -lam
+    return c2 ** e, (lambda t: t ** e)
+
+
+def _lm1(k: int, c1: float, mu: float) -> tuple:
+    return 1.0, (lambda t: (t * (c1 - mu * math.log(t))) ** k)
+
+
+def _gen_pos(k: int, lam: float, c1: float, mu: float) -> tuple:
+    a, e, c, lp = (lam + 1.0) ** k, k * lam, c1 * (lam + 1.0), lam + 1.0
+    return (lambda t: a * t ** e), (lambda t: (c - mu * t ** lp) ** k)
+
+
+def _gen_mid(k: int, lam: float, c1: float, mu: float) -> tuple:
+    e, c, lp = k * -lam, c1 * (lam + 1.0), lam + 1.0
+    return lp ** k, (lambda t: t ** e * (c - mu * t ** lp) ** k)
+
+
+def _gen_low(k: int, lam: float, c1: float, mu: float) -> tuple:
+    w = -(lam + 1.0)
+    cw = c1 * w
+    return w ** k, (lambda t: (t * (cw * t ** w + mu)) ** k)
+
+
+def _minus(a, b):
+    """t -> a - b, for sides that are floats or functions of t."""
+    if not callable(a):
+        return lambda t: a - b(t)
+    if not callable(b):
+        return lambda t: a(t) - b
+    return lambda t: a(t) - b(t)
+
+
+@dataclass(frozen=True)
+class SlopeLaw:
+    """Unsigned slope Q^q / (P^2m - Q^2m)^(q/2m), q = 2m-1, of a quadrature
+    branch, admissible where P > Q > 0; pickles by its fields.
+
+    ``family`` is the function giving (P^k, Q^k), one of _hom_pos ...
+    _gen_low, and ``params`` its constants.  The law derives ``numerator``
+    Q^q, ``denominator`` P^2m - Q^2m and the admissibility ``gap`` P - Q,
+    all that quadrature reads of an IntegrandSpec.  ``double = (beta, p,
+    t_d)`` selects the denominator beta*phi_p(t/t_d - 1) * sum_{k<2m} P^k
+    Q^(2m-1-k) (P constant), accurate next to a double root t_d of P - Q.
+    """
+
+    family: Callable
+    params: tuple
+    m: int
+    roots: tuple = ()
+    decay_exponent: float | None = None
+    double: tuple | None = None
+
+    def __post_init__(self) -> None:
+        m2 = 2 * self.m
+        powers = self.family
+        p1, q1 = powers(1, *self.params)
+        q_q = powers(m2 - 1, *self.params)[1]
+        numerator = q_q if callable(q_q) else (lambda t: q_q)
+        if self.double:
+            beta, p, t_d = self.double
+            phi = double_root_factor(p)
+            p_pows = [powers(k, *self.params)[0] for k in range(1, m2)]
+
+            def denominator(t: float) -> float:
+                b = q1(t)
+                cofactor = 1.0
+                for p_k in p_pows:
+                    cofactor = cofactor * b + p_k
+                return beta * phi((t - t_d) / t_d) * cofactor
+        else:
+            denominator = _minus(*powers(m2, *self.params))
+        vars(self).update(numerator=numerator, denominator=denominator,
+                          gap=_minus(p1, q1), exponent=(m2 - 1) / m2)
+
+    def __call__(self, t: float) -> float:
+        return self.numerator(t) / self.denominator(t) ** self.exponent
+
+    def __reduce__(self):
+        return SlopeLaw, (self.family, self.params, self.m, self.roots,
+                          self.decay_exponent, self.double)
+
+
 # ---------------------------------------------------------------------------
 # case analysis
 
@@ -261,8 +378,7 @@ class _Piece:
 class _Plan:
     tag: CaseTag                 # leading tag (first piece) for reporting
     pieces: list
-    spec: IntegrandSpec | None = None
-    circle: tuple | None = None  # (c, k, R) of a closed-form NormCircle
+    slope: SlopeLaw | NormCircle
 
 
 def _near(x: float, y: float, rtol: float = EQUALITY_RTOL) -> bool:
@@ -304,115 +420,86 @@ def critical_c1(lam: float) -> float:
 
 def _single(tag: CaseTag, lo: float, hi: float, lo_kind: EndpointKind,
             hi_kind: EndpointKind, anchor: float,
-            spec: IntegrandSpec | None = None,
-            circle: tuple | None = None) -> _Plan:
-    """Plan with one piece, from a quadrature spec or a norm circle."""
+            slope: SlopeLaw | NormCircle) -> _Plan:
+    """Plan with one piece."""
     dom = DomainInterval(lo, hi, lo_kind, hi_kind, label=tag.value)
-    return _Plan(tag, [_Piece(dom, anchor, tag)], spec=spec, circle=circle)
+    return _Plan(tag, [_Piece(dom, anchor, tag)], slope)
 
 
-def _sphere_plan(tag: CaseTag, radius: float) -> _Plan:
+def _sphere_plan(tag: CaseTag, radius: float, m: int) -> _Plan:
     """Closed-form branch of alpha^2m + (u - shift)^2m = radius^2m."""
     return _single(tag, 0.0, radius, _AXIS, _ROOT, radius,
-                   circle=(0.0, -1.0, radius))
+                   NormCircle(0.0, -1.0, radius, m))
 
 
-def _split_plan(spec: IntegrandSpec, factors: tuple, c1: float,
-                c_crit: float, top: float, tags: tuple, sub_anchor: float,
+def _roots(law: SlopeLaw, lo: float, hi: float, probes: int,
+           message: str, count: int = 0, simple: bool = False) -> tuple:
+    """The law with the roots of its gap P - Q on (lo, hi) marked simple,
+    and their locations: exactly ``count`` roots (all simple if ``simple``),
+    or with count 0 the first one; RuntimeError(message) otherwise."""
+    roots = bracket_roots(law.gap, lo, hi, probes=probes)
+    if not count:
+        if not roots:
+            raise RuntimeError(message)
+        roots = roots[:1]
+    elif len(roots) != count or simple and any(k != 1 for _, k in roots):
+        raise RuntimeError(f"{message}, got {roots}")
+    at = [r for r, _ in roots]
+    return replace(law, roots=tuple((r, 1) for r in at)), at
+
+
+def _split_plan(law: SlopeLaw, double: tuple, c1: float, c_crit: float,
+                top: float, case: str, sub_anchor: float,
                 probes: int) -> _Plan:
     """Axis-to-cap interval (0, top) of a mu > 0 family, split at c_crit.
 
-    ``factors`` is (A, B, beta, p, t_d): the spec's denominator is
-    A^2m - B(t)^2m, whose admissibility factor f = A - B has its stationary
-    point at t_d, and there f = beta * phi_p(t/t_d - 1) up to the constant
-    f(t_d) that vanishes at c_crit (see double_root_factor).  Below the
-    critical constant the whole interval is one piece; at it f has a double
-    root at t_d; above it f has two simple roots below top, which bound an
-    inner and an outer piece.  ``tags`` is (sub, double inner, double outer,
-    two-root inner, two-root outer).
+    The gap P - Q of the law (P constant) is stationary at t_d, where
+    ``double = (beta, p, t_d)`` gives P - Q = beta*phi_p(t/t_d - 1) up to
+    the constant (P - Q)(t_d) that vanishes at c_crit.  Below c_crit the
+    interval is one piece, tag case-1; at it a double root at t_d splits it
+    (case-2-1, case-2-2); above it two simple roots below top cut out an
+    inner and an outer piece (case-3-1, case-3-2).
     """
-    A, B, beta, p, t_d = factors
-    sub, double_in, double_out, two_in, two_out = tags
     if _near(c1, c_crit):
-        # D = f * sum_{k<2m} A^k B^(2m-1-k) with f from its double-root
-        # factor, so D keeps its relative accuracy next to t_d
-        phi = double_root_factor(p)
-        a_pows = [A ** k for k in range(1, 2 * spec.m)]
-
-        def denominator(t: float) -> float:
-            b = B(t)
-            cofactor = 1.0
-            for a_k in a_pows:
-                cofactor = cofactor * b + a_k
-            return beta * phi((t - t_d) / t_d) * cofactor
-
-        spec = replace(spec, denominator=denominator, roots=((t_d, 2),))
-        a_in = a_out = t_d
-        kind, inner, outer = EndpointKind.DOUBLE_ROOT, double_in, double_out
-        anchors = (0.0, top)
+        a_in = a_out = double[2]
+        law = replace(law, double=double, roots=((a_in, 2),))
+        n, kind, anchors = "2", EndpointKind.DOUBLE_ROOT, (0.0, top)
     elif c1 < c_crit:
-        return _single(sub, 0.0, top, _AXIS, _CAP, sub_anchor, spec)
+        return _single(CaseTag(f"{case}-1"), 0.0, top, _AXIS, _CAP,
+                       sub_anchor, law)
     else:
-        roots = bracket_roots(lambda t: A - B(t), 1e-12, top, probes=probes)
-        if len(roots) != 2:
-            raise RuntimeError(f"expected two roots below {top}, got {roots}")
-        a_in, a_out = roots[0][0], roots[1][0]
-        spec = replace(spec, roots=((a_in, 1), (a_out, 1)))
-        kind, inner, outer = _ROOT, two_in, two_out
-        anchors = (a_in, a_out)
+        law, (a_in, a_out) = _roots(law, 1e-12, top, probes,
+                                    f"expected two roots below {top}", 2)
+        n, kind, anchors = "3", _ROOT, (a_in, a_out)
+    inner, outer = CaseTag(f"{case}-{n}-1"), CaseTag(f"{case}-{n}-2")
     d_in = DomainInterval(0.0, a_in, _AXIS, kind, label=inner.value)
     d_out = DomainInterval(a_out, top, kind, _CAP, label=outer.value)
     return _Plan(inner, [_Piece(d_in, anchors[0], inner),
-                         _Piece(d_out, anchors[1], outer)], spec=spec)
+                         _Piece(d_out, anchors[1], outer)], law)
 
 
 def _homogeneous_plan(req: SolveRequest) -> _Plan:
-    m = req.p.m
-    q = 2 * m - 1
-    lam = req.relation.lam
-    c2 = req.c2
+    m, lam, c2 = req.p.m, req.relation.lam, req.c2
     if c2 <= 0.0:
         raise ValueError("homogeneous relation needs c2 > 0")
     if lam > 0.0:
-        decay = q * lam
+        decay = (2 * m - 1) * lam
         _boundary_warn(decay, 1.0, "(2m-1)*lam")
-        num_c = c2 ** (q * lam)
-        spec = IntegrandSpec(
-            numerator=lambda t: num_c,
-            denominator=lambda t: t ** (2 * m * lam) - c2 ** (2 * m * lam),
-            exponent=q / (2 * m), m=m,
-            roots=((c2, 1),), decay_exponent=decay)
+        law = SlopeLaw(_hom_pos, (lam, c2), m, roots=((c2, 1),),
+                       decay_exponent=decay)
         tag = CaseTag.HOM_POS_FAST if decay > 1.0 and not _near(decay, 1.0) \
             else CaseTag.HOM_POS_SLOW
         return _single(tag, c2, math.inf, _ROOT, EndpointKind.UNBOUNDED, c2,
-                       spec)
+                       law)
     # lam < 0: domain (0, c2), integrand rewritten to stay finite at 0
-    nl = -lam
-    spec = IntegrandSpec(
-        numerator=lambda t: t ** (q * nl),
-        denominator=lambda t: c2 ** (2 * m * nl) - t ** (2 * m * nl),
-        exponent=q / (2 * m), m=m, roots=((c2, 1),))
-    return _single(CaseTag.HOM_NEG, 0.0, c2, _AXIS, _ROOT, c2, spec)
+    law = SlopeLaw(_hom_neg, (lam, c2), m, roots=((c2, 1),))
+    return _single(CaseTag.HOM_NEG, 0.0, c2, _AXIS, _ROOT, c2, law)
 
 
 def _lm1_plan(req: SolveRequest) -> _Plan:
     """lam = -1 taxonomy; auxiliary function g(t) = t*(c1 - mu*log t)."""
-    m = req.p.m
-    q = 2 * m - 1
-    mu = req.relation.mu
-    c1 = req.c1
-
-    def g(t: float) -> float:
-        return t * (c1 - mu * math.log(t))
-
-    def f(t: float) -> float:
-        return 1.0 - g(t)
-
-    spec = IntegrandSpec(
-        numerator=lambda t: g(t) ** q,
-        denominator=lambda t: 1.0 - g(t) ** (2 * m),
-        exponent=q / (2 * m), m=m)
-
+    mu, c1 = req.relation.mu, req.c1
+    law = SlopeLaw(_lm1, (c1, mu), req.p.m)
     if mu > 0.0:
         top = math.exp(c1)  # g vanishes there; admissibility needs t < top
         c_crit = critical_c1(-1.0)
@@ -420,108 +507,57 @@ def _lm1_plan(req: SolveRequest) -> _Plan:
         # 1 - g is stationary at t_d = e^(c1-1), where it equals
         # (1 - t_d) + t_d * ((1+x)*log1p(x) - x) with x = t/t_d - 1
         t_d = math.exp(c1 - 1.0)
-        return _split_plan(
-            spec, (1.0, g, t_d, 1.0, t_d), c1, c_crit, top,
-            (CaseTag.LM1_SUB, CaseTag.LM1_DOUBLE_INNER,
-             CaseTag.LM1_DOUBLE_OUTER, CaseTag.LM1_TWO_INNER,
-             CaseTag.LM1_TWO_OUTER), sub_anchor=top, probes=256)
+        return _split_plan(law, (t_d, 1.0, t_d), c1, c_crit, top, "6.1i",
+                           sub_anchor=top, probes=256)
     # mu < 0: domain (e^(-c1), a3) with a3 the unique solution of g = 1
     bottom = math.exp(-c1)
-    roots = bracket_roots(f, bottom, bottom + 10.0 * (1.0 + abs(c1)),
-                          probes=256)
-    if not roots:
-        raise RuntimeError("root of t*(c1 + log t) = 1 not bracketed")
-    a3 = roots[0][0]
-    return _single(CaseTag.LM1_NEG, bottom, a3, _CAP, _ROOT, a3,
-                   replace(spec, roots=((a3, 1),)))
+    law, (a3,) = _roots(law, bottom, bottom + 10.0 * (1.0 + abs(c1)), 256,
+                        "root of t*(c1 + log t) = 1 not bracketed")
+    return _single(CaseTag.LM1_NEG, bottom, a3, _CAP, _ROOT, a3, law)
 
 
 def _gen_pos_plan(req: SolveRequest) -> _Plan:
     """lam > 0 branch of the general relation."""
-    m = req.p.m
-    q = 2 * m - 1
-    lam = req.relation.lam
-    mu = req.relation.mu
-    c1 = req.c1
-
-    def N(t: float) -> float:
-        return c1 * (lam + 1.0) - mu * t ** (lam + 1.0)
-
-    def f(t: float) -> float:
-        return (lam + 1.0) * t ** lam - N(t)
-
-    spec = IntegrandSpec(
-        numerator=lambda t: N(t) ** q,
-        denominator=lambda t: ((lam + 1.0) ** (2 * m) * t ** (2 * m * lam)
-                               - N(t) ** (2 * m)),
-        exponent=q / (2 * m), m=m)
-
+    lam, mu, c1 = req.relation.lam, req.relation.mu, req.c1
+    law = SlopeLaw(_gen_pos, (lam, c1, mu), req.p.m)
     if mu > 0.0:
         if c1 <= 0.0:
             raise NoSurfaceError(
                 "c1 <= 0: admissibility 0 < c1 - alpha^(lam+1)/(lam+1) fails")
         a4 = math.pow(c1 * (lam + 1.0), 1.0 / (lam + 1.0))
-        roots = bracket_roots(f, 1e-12, a4, probes=256)
-        if len(roots) != 1 or roots[0][1] != 1:
-            raise RuntimeError(f"expected one simple root below {a4}, got {roots}")
-        a5 = roots[0][0]
-        return _single(CaseTag.GEN_POS_PLUS, a5, a4, _ROOT, _CAP, a5,
-                       replace(spec, roots=((a5, 1),)))
+        law, (a5,) = _roots(law, 1e-12, a4, 256,
+                            f"expected one simple root below {a4}", 1,
+                            simple=True)
+        return _single(CaseTag.GEN_POS_PLUS, a5, a4, _ROOT, _CAP, a5, law)
 
     # mu < 0 (the c1* family)
     bound = lam ** lam / (lam + 1.0)
     _boundary_warn(c1, bound, "c1*")
     _boundary_warn(c1, 0.0, "c1*")
     if _near(c1, 0.0):
-        return _sphere_plan(CaseTag.GEN_POS_MINUS_SPHERE, lam + 1.0)
+        return _sphere_plan(CaseTag.GEN_POS_MINUS_SPHERE, lam + 1.0, req.p.m)
     if c1 > 0.0:
         if c1 >= bound or _near(c1, bound):
             raise NoSurfaceError(
                 f"c1* >= lam^lam/(lam+1) = {bound}: admissible band is empty")
-        roots = bracket_roots(f, 1e-12,
-                              10.0 * math.pow(max(c1 * (lam + 1.0), 1.0),
-                                              1.0 / (lam + 1.0)) + 10.0,
-                              probes=512)
-        if len(roots) != 2:
-            raise RuntimeError(f"expected two band roots, got {roots}")
-        a6, a7 = roots[0][0], roots[1][0]
+        hi = 10.0 * math.pow(max(c1 * (lam + 1.0), 1.0),
+                             1.0 / (lam + 1.0)) + 10.0
+        law, (a6, a7) = _roots(law, 1e-12, hi, 512,
+                               "expected two band roots", 2)
         return _single(CaseTag.GEN_POS_MINUS_BAND, a6, a7, _ROOT, _ROOT, a6,
-                       replace(spec, roots=((a6, 1), (a7, 1))))
+                       law)
     # c1 < 0: domain starts where N vanishes
     a8 = math.pow(-c1 * (lam + 1.0), 1.0 / (lam + 1.0))
-    roots = bracket_roots(f, a8, 10.0 * a8 + 10.0, probes=512)
-    if len(roots) != 1:
-        raise RuntimeError(f"expected one root above {a8}, got {roots}")
-    a9 = roots[0][0]
-    return _single(CaseTag.GEN_POS_MINUS_OUTER, a8, a9, _CAP, _ROOT, a9,
-                   replace(spec, roots=((a9, 1),)))
+    law, (a9,) = _roots(law, a8, 10.0 * a8 + 10.0, 512,
+                        f"expected one root above {a8}", 1)
+    return _single(CaseTag.GEN_POS_MINUS_OUTER, a8, a9, _CAP, _ROOT, a9, law)
 
 
 def _gen_mid_plan(req: SolveRequest) -> _Plan:
     """-1 < lam < 0 branch; integrand rewritten to stay finite at the axis."""
-    m = req.p.m
-    q = 2 * m - 1
-    lam = req.relation.lam
-    mu = req.relation.mu
-    c1 = req.c1
+    lam, mu, c1 = req.relation.lam, req.relation.mu, req.c1
     nl = -lam
-
-    def N(t: float) -> float:
-        return c1 * (lam + 1.0) - mu * t ** (lam + 1.0)
-
-    def B(t: float) -> float:
-        return t ** nl * N(t)
-
-    def f(t: float) -> float:
-        # (lam+1) - t^(-lam) * N(t), finite at t = 0
-        return (lam + 1.0) - B(t)
-
-    spec = IntegrandSpec(
-        numerator=lambda t: t ** (q * nl) * N(t) ** q,
-        denominator=lambda t: ((lam + 1.0) ** (2 * m)
-                               - t ** (2 * m * nl) * N(t) ** (2 * m)),
-        exponent=q / (2 * m), m=m)
-
+    law = SlopeLaw(_gen_mid, (lam, c1, mu), req.p.m)
     if mu > 0.0:
         if c1 <= 0.0:
             raise NoSurfaceError(
@@ -529,82 +565,51 @@ def _gen_mid_plan(req: SolveRequest) -> _Plan:
         a10 = math.pow(c1 * (lam + 1.0), 1.0 / (lam + 1.0))
         c_crit = critical_c1(lam)
         _boundary_warn(c1, c_crit, "c1")
-        # f = (lam+1) + t - c1*(lam+1)*t^(-lam) is stationary at a11
+        # P - Q = (lam+1) + t - c1*(lam+1)*t^(-lam) is stationary at a11
         a11 = math.pow(c1 * nl * (lam + 1.0), 1.0 / (lam + 1.0))
         beta = -c1 * (lam + 1.0) * a11 ** nl
-        return _split_plan(
-            spec, (lam + 1.0, B, beta, nl, a11), c1, c_crit, a10,
-            (CaseTag.GEN_MID_PLUS_SUB, CaseTag.GEN_MID_PLUS_DOUBLE_INNER,
-             CaseTag.GEN_MID_PLUS_DOUBLE_OUTER, CaseTag.GEN_MID_PLUS_TWO_INNER,
-             CaseTag.GEN_MID_PLUS_TWO_OUTER), sub_anchor=0.0, probes=512)
+        return _split_plan(law, (beta, nl, a11), c1, c_crit, a10, "6.3iii",
+                           sub_anchor=0.0, probes=512)
 
     # mu < 0
     _boundary_warn(c1, 0.0, "c1*")
     if _near(c1, 0.0):
-        return _sphere_plan(CaseTag.GEN_MID_MINUS_SPHERE, lam + 1.0)
+        return _sphere_plan(CaseTag.GEN_MID_MINUS_SPHERE, lam + 1.0, req.p.m)
     if c1 > 0.0:
-        roots = bracket_roots(f, 1e-12, 2.0 * (lam + 1.0) + 10.0, probes=512)
-        if not roots:
-            raise RuntimeError("root of the admissibility function not found")
-        a14 = roots[0][0]
+        law, (a14,) = _roots(law, 1e-12, 2.0 * (lam + 1.0) + 10.0, 512,
+                             "root of the admissibility function not found")
         return _single(CaseTag.GEN_MID_MINUS_INNER, 0.0, a14, _AXIS, _ROOT,
-                       a14, replace(spec, roots=((a14, 1),)))
+                       a14, law)
     a15 = math.pow(-c1 * (lam + 1.0), 1.0 / (lam + 1.0))
-    roots = bracket_roots(f, a15, 10.0 * a15 + 10.0 * (lam + 1.0) + 10.0,
-                          probes=512)
-    if not roots:
-        raise RuntimeError("outer admissibility root not found")
-    a16 = roots[0][0]
+    law, (a16,) = _roots(law, a15, 10.0 * a15 + 10.0 * (lam + 1.0) + 10.0,
+                         512, "outer admissibility root not found")
     return _single(CaseTag.GEN_MID_MINUS_OUTER, a15, a16, _CAP, _ROOT, a16,
-                   replace(spec, roots=((a16, 1),)))
+                   law)
 
 
 def _gen_low_plan(req: SolveRequest) -> _Plan:
     """lam < -1 branch, parameterized internally by omega = -(lam+1) > 0."""
-    m = req.p.m
-    q = 2 * m - 1
-    lam = req.relation.lam
-    mu = req.relation.mu
-    c1 = req.c1
+    lam, mu, c1 = req.relation.lam, req.relation.mu, req.c1
     w = -(lam + 1.0)
-
-    def G(t: float) -> float:
-        return c1 * w * t ** w + mu
-
-    def B(t: float) -> float:
-        return t * G(t)
-
-    def f(t: float) -> float:
-        return w - B(t)
-
-    spec = IntegrandSpec(
-        numerator=lambda t: B(t) ** q,
-        denominator=lambda t: w ** (2 * m) - B(t) ** (2 * m),
-        exponent=q / (2 * m), m=m)
-
+    law = SlopeLaw(_gen_low, (lam, c1, mu), req.p.m)
     if mu > 0.0:
         thr = critical_c1(lam)
         _boundary_warn(c1, thr, "c1")
         _boundary_warn(c1, 0.0, "c1")
         if _near(c1, 0.0):
-            return _sphere_plan(CaseTag.GEN_LOW_PLUS_SPHERE, w)
+            return _sphere_plan(CaseTag.GEN_LOW_PLUS_SPHERE, w, req.p.m)
         if c1 > 0.0:
-            roots = bracket_roots(f, 1e-12, w + 1.0, probes=512)
-            if not roots:
-                raise RuntimeError("admissibility root not found for c1 > 0")
-            a17 = roots[0][0]
+            law, (a17,) = _roots(law, 1e-12, w + 1.0, 512,
+                                 "admissibility root not found for c1 > 0")
             return _single(CaseTag.GEN_LOW_PLUS_POS, 0.0, a17, _AXIS, _ROOT,
-                           a17, replace(spec, roots=((a17, 1),)))
+                           a17, law)
         # c1 < 0: t*G(t) > 0 only below the zero of G
         a18 = math.pow(-c1 * w, -1.0 / w)
-        # f = w - t - c1*w*t^(w+1) is stationary at a19
+        # P - Q = w - t - c1*w*t^(w+1) is stationary at a19
         a19 = math.pow(-c1 * w * (w + 1.0), -1.0 / w)
         beta = -c1 * w * a19 ** (w + 1.0)
-        return _split_plan(
-            spec, (w, B, beta, w + 1.0, a19), c1, thr, a18,
-            (CaseTag.GEN_LOW_PLUS_SUB, CaseTag.GEN_LOW_PLUS_DOUBLE_INNER,
-             CaseTag.GEN_LOW_PLUS_DOUBLE_OUTER, CaseTag.GEN_LOW_PLUS_TWO_INNER,
-             CaseTag.GEN_LOW_PLUS_TWO_OUTER), sub_anchor=0.0, probes=512)
+        return _split_plan(law, (beta, w + 1.0, a19), c1, thr, a18, "6.3v-3",
+                           sub_anchor=0.0, probes=512)
 
     # mu < 0: need c1 > 0 so that G turns positive
     if c1 <= 0.0:
@@ -612,21 +617,17 @@ def _gen_low_plan(req: SolveRequest) -> _Plan:
             "c1* <= 0 with lam < -1: t*G(t) stays nonpositive, no admissible "
             "interval")
     a22 = math.pow(c1 * w, -1.0 / w)
-    roots = bracket_roots(f, a22, 10.0 * a22 + w + 10.0, probes=512)
-    if not roots:
-        raise RuntimeError("upper admissibility root not found")
-    a23 = roots[0][0]
-    return _single(CaseTag.GEN_LOW_MINUS, a22, a23, _CAP, _ROOT, a23,
-                   replace(spec, roots=((a23, 1),)))
+    law, (a23,) = _roots(law, a22, 10.0 * a22 + w + 10.0, 512,
+                         "upper admissibility root not found")
+    return _single(CaseTag.GEN_LOW_MINUS, a22, a23, _CAP, _ROOT, a23, law)
 
 
 def _plan(req: SolveRequest) -> _Plan:
     form = req.relation.form
     if form is RelationForm.K2_CONST:
-        return _sphere_plan(CaseTag.SPHERE_TRANSLATE, 1.0)
+        return _sphere_plan(CaseTag.SPHERE_TRANSLATE, 1.0, req.p.m)
     if form is RelationForm.K1_CONST:
-        mu = req.relation.mu
-        c1 = req.c1
+        mu, c1 = req.relation.mu, req.c1
         # at the inner end c1 - mu*alpha = 1 and u' blows up
         if mu > 0.0:
             lo, hi = max(0.0, c1 - 1.0), c1
@@ -640,7 +641,8 @@ def _plan(req: SolveRequest) -> _Plan:
             raise NoSurfaceError(
                 "0 < c1 - mu*alpha < 1 has no solution with alpha > 0")
         anchor = hi if mu > 0.0 else lo
-        return _single(tag, lo, hi, *kinds, anchor, circle=(c1, mu, 1.0))
+        return _single(tag, lo, hi, *kinds, anchor,
+                       NormCircle(c1, mu, 1.0, req.p.m))
     if form is RelationForm.HOMOGENEOUS:
         return _homogeneous_plan(req)
     if form is RelationForm.INHOM_LAMBDA_MINUS1:
@@ -698,12 +700,11 @@ def _arc_grid(dom: DomainInterval, n: int, m: int) -> np.ndarray:
 
 
 def _norm_circle_branch(req: SolveRequest, piece: _Piece,
-                        circle: tuple) -> ProfileBranch:
-    """Closed-form branch on the norm circle (c, k, R), see NormCircle."""
+                        slope: NormCircle) -> ProfileBranch:
+    """Closed-form branch on a norm circle."""
     if req.samples < 2:
         raise ValueError("need at least 2 samples")
     m = req.p.m
-    slope = NormCircle(*circle, m)
     dom = piece.domain
     # the arc for mu < 0, 0 <= c1 < 1 runs from the axis to a root like a
     # sphere, but keeps the arc grading of the other constant-k1 pieces
@@ -718,28 +719,28 @@ def _norm_circle_branch(req: SolveRequest, piece: _Piece,
         du=req.sign * np.array([slope(float(a)) for a in alpha]),
         slope=slope,
         anchor=(a0, float(req.sign * slope.height(a0) + req.shift)),
-        span=circle[2])
+        span=slope.R)
 
 
 def _quadrature_branch(req: SolveRequest, piece: _Piece,
-                       spec: IntegrandSpec) -> ProfileBranch:
+                       law: SlopeLaw) -> ProfileBranch:
     dom = piece.domain
     cut = math.inf
     if not dom.bounded:
         cut = req.alpha_max_factor * max(dom.lower, 1.0)
     table = profile_from_integral(
-        spec, dom, req.sign, (piece.anchor_alpha, req.shift),
+        law, dom, req.sign, (piece.anchor_alpha, req.shift),
         samples=req.samples, tol=req.tol, upper_cut=cut)
     span = math.inf
-    if not any(mult >= 2 for _, mult in spec.roots):
+    if not any(mult >= 2 for _, mult in law.roots):
         try:
-            res = integrate_singular(spec, dom.lower, dom.upper, tol=req.tol)
+            res = integrate_singular(law, dom.lower, dom.upper, tol=req.tol)
             span = res.value if res.finite else math.inf
-        except Exception:
+        except ToleranceError:
             span = math.nan
     return ProfileBranch(
         request=req, case=piece.tag, domain=dom, alpha=table.alpha,
-        u=table.u, du=table.du, slope=spec,
+        u=table.u, du=table.du, slope=law,
         anchor=(piece.anchor_alpha, req.shift), span=span,
         quad_error=table.quad_error)
 
@@ -762,14 +763,10 @@ def solve(req: SolveRequest) -> list:
     """All admissible branches for a request, one per maximal interval."""
     norm_req, scale = _normalize(req)
     plan = _plan(norm_req)
-    branches = []
-    for piece in plan.pieces:
-        if plan.circle:
-            b = _norm_circle_branch(norm_req, piece, plan.circle)
-        else:
-            b = _quadrature_branch(norm_req, piece, plan.spec)
-        branches.append(_rescale(b, scale))
-    return branches
+    build = (_norm_circle_branch if isinstance(plan.slope, NormCircle)
+             else _quadrature_branch)
+    return [_rescale(build(norm_req, piece, plan.slope), scale)
+            for piece in plan.pieces]
 
 
 # ---------------------------------------------------------------------------

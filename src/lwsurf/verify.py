@@ -35,7 +35,7 @@ from .normgeom import (
     principal_curvatures,
     oriented_radius_chart_curvatures,
 )
-from .quadrature import EndpointKind, _brent
+from .quadrature import _SINGULAR_KINDS, EndpointKind, _brent
 from .solver import ProfileBranch, RelationForm
 
 __all__ = [
@@ -53,9 +53,6 @@ REPORT_VERSION = "1"
 # beyond this slope the graph-over-radius finite differences are replaced
 # by the inverse graph-over-axis jet
 CHART_SWITCH_SLOPE = 10.0
-
-_SINGULAR_KINDS = (EndpointKind.SIMPLE_ROOT, EndpointKind.DOUBLE_ROOT,
-                   EndpointKind.AXIS_ZERO)
 
 
 @dataclass

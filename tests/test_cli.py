@@ -354,3 +354,55 @@ class TestConfigFile:
         assert err.splitlines() == [
             "error: config key 'obj' must be true or false, got 'yes'"]
         assert not (tmp_path / "s.csv").exists()
+
+
+class TestNonFiniteConstants:
+    """Constants are checked when the request is built: exit 1, one error
+    line naming the field, and no file."""
+
+    @pytest.mark.parametrize("command, flags, config, field", [
+        ("classify", ["--lambda", "-0.5", "--mu", "nan", "--c1", "1"], "",
+         "mu"),
+        ("generate", ["--lambda", "-0.5", "--mu", "nan", "--c1", "1"], "",
+         "mu"),
+        ("classify", ["--lambda", "nan", "--mu", "1"], "", "lam"),
+        ("generate", ["--lambda", "nan", "--mu", "1"], "", "lam"),
+        ("generate", ["--lambda", "inf", "--mu", "1"], "", "lam"),
+        ("generate", ["--lambda=-inf", "--mu", "0"], "", "lam"),
+        ("generate", ["--lambda", "-1", "--mu", "1", "--c1", "nan"], "",
+         "c1"),
+        ("generate", ["--lambda", "1", "--mu", "0", "--c2", "inf"], "",
+         "c2"),
+        ("generate", ["--special", "sphere", "--shift", "nan"], "", "shift"),
+        ("generate", ["--special", "sphere"], "sign = 2\n", "sign"),
+        ("generate", ["--lambda", "-1", "--mu", "1", "--c1", "1.5"],
+         "sign = 0\n", "sign"),
+    ])
+    def test_rejected(self, capsys, tmp_path, command, flags, config, field):
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text(config)
+        argv = [command, "--config", str(cfg), *flags]
+        if command == "generate":
+            argv += ["--out", str(tmp_path / "prof"), "--obj"]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {field} "), err
+        assert [p.name for p in tmp_path.iterdir()] == ["job.cfg"]
+
+    def test_sphere_ignores_the_relation_flags(self, capsys, tmp_path):
+        code, _, _ = run(capsys, "generate", "--special", "sphere",
+                         "--lambda", "nan", "--mu", "inf",
+                         "--out", str(tmp_path / "s"))
+        assert code == 0
+        assert (tmp_path / "s.csv").is_file()
+
+    def test_verify_accepts_lambda_inf(self, capsys, tmp_path):
+        prefix = str(tmp_path / "s")
+        assert run(capsys, "generate", "--special", "sphere",
+                   "--out", prefix)[0] == 0
+        code, out, _ = run(capsys, "verify", "--profile", prefix + ".csv",
+                           "--lambda", "inf", "--mu", "-1")
+        assert code == 0
+        assert json.loads(out)["passed"]

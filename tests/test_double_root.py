@@ -1,8 +1,8 @@
 """Double-root plans: the factored denominator against mpmath references.
 
-At c1 = critical_c1(lam) the admissibility function A - B(t) of the mu > 0
+At c1 = critical_c1(lam) the admissibility function P - Q(t) of the mu > 0
 families touches zero at t_d, and the solver evaluates the denominator
-A^2m - B^2m as (A - B) times its cofactor, with A - B taken from
+P^2m - Q^2m as (P - Q) times its cofactor, with P - Q taken from
 double_root_factor.  These tests check that factor, that the factored
 denominator is the same function as the plain one away from t_d, and that
 the inner double-root branches are accurate up to the last grid point.
@@ -51,7 +51,7 @@ FAMILIES = [(-1.0, "6.1i-2"), (-0.5, "6.3iii-2"), (-2.0, "6.3v-3-2")]
 
 
 def plain_denominator(lam: float, m: int, c1):
-    """Unfactored A^2m - B(t)^2m of the family, in the given arithmetic."""
+    """Unfactored P^2m - Q(t)^2m of the family, in the given arithmetic."""
     if lam == -1.0:
         log = mp.log if isinstance(c1, mp.mpf) else math.log
         return lambda t: 1 - (t * (c1 - log(t))) ** (2 * m)
@@ -76,13 +76,13 @@ def double_plan(lam: float, m: int):
 def test_factored_denominator_is_the_plain_one(lam, family, m):
     c1, plan = double_plan(lam, m)
     assert plan.tag.value == family + "-1"
-    (t_d, mult), = plan.spec.roots
+    (t_d, mult), = plan.slope.roots
     assert mult == 2
     top = plan.pieces[1].domain.upper
     plain = plain_denominator(lam, m, c1)
     ts = [t for t in np.linspace(1e-3 * t_d, top, 400)[:-1]
           if abs(t - t_d) > 0.1 * t_d]
-    worst = max(abs(plan.spec.denominator(t) / plain(t) - 1.0) for t in ts)
+    worst = max(abs(plan.slope.denominator(t) / plain(t) - 1.0) for t in ts)
     assert worst <= 1e-12, worst
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -23,8 +24,9 @@ from lwsurf import (
     solve_inhom_general,
     solve_inhom_lambda_minus1,
 )
+from lwsurf import solver
 from lwsurf.assembler import reflect_branch
-from lwsurf.quadrature import EndpointKind
+from lwsurf.quadrature import EndpointKind, ToleranceError
 from lwsurf.solver import critical_c1
 from lwsurf.verify import residual_scan, slope_invariant
 
@@ -246,3 +248,49 @@ class TestBranchesAsData:
         moved = dataclasses.replace(
             b, request=dataclasses.replace(b.request, relation=other))
         assert (moved.lam, moved.mu) == (0.25, -1.0)
+
+
+class TestPickle:
+    """Branches are data: they round-trip through pickle with the slope."""
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_every_instance_round_trips(self, m):
+        for tag, b in instances(m).items():
+            c = pickle.loads(pickle.dumps(b))
+            assert c.domain == b.domain and c.anchor == b.anchor, tag
+            # equal fields: the family constants and the roots of a law
+            assert c.slope == b.slope, tag
+            assert getattr(c.slope, "roots", None) == getattr(
+                b.slope, "roots", None), tag
+            inner = [a for a in b.alpha
+                     if b.domain.lower < a < b.domain.upper]
+            for a in inner:
+                assert c.uprime(a) == b.uprime(a), (tag, a)
+
+    def test_law_pickles_by_its_fields(self):
+        law = instances(2)["6.1i-2-1"].slope
+        assert law.double is not None
+        copy = pickle.loads(pickle.dumps(law))
+        assert copy == law and copy.double == law.double
+        assert copy.denominator(0.9) == law.denominator(0.9)
+        assert copy.gap(0.5) == law.gap(0.5)
+
+
+class TestSpanFailures:
+    """Only the documented ToleranceError turns the span into NaN."""
+
+    def test_tolerance_error_gives_nan(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ToleranceError("over budget", 1.0, 1.0)
+
+        monkeypatch.setattr(solver, "integrate_singular", fail)
+        b = solve_inhom_general(P2, 0.5, 1.0, 0.8)[0]
+        assert math.isnan(b.span)
+
+    def test_other_errors_propagate(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ZeroDivisionError("bug")
+
+        monkeypatch.setattr(solver, "integrate_singular", fail)
+        with pytest.raises(ZeroDivisionError):
+            solve_inhom_general(P2, 0.5, 1.0, 0.8)
