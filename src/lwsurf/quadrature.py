@@ -33,9 +33,9 @@ __all__ = [
 DOUBLE_ROOT_DERIV_TOL = 1e-8
 ROOT_VALUE_TOL = 1e-13
 
-# scipy.integrate, imported by the first quadrature so that classification
-# and the closed forms never load scipy
-_integrate = None
+# quadpack.quad, imported by the first panel so that classification and
+# the closed forms never compile the QUADPACK port
+_qags = None
 
 
 class ToleranceError(RuntimeError):
@@ -128,10 +128,11 @@ def _brent(f: Callable[[float], float], a: float, b: float, xtol: float,
            rtol: float, maxiter: int = 100) -> float:
     """Root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
 
-    A line-for-line port of the loop of scipy's ``brentq`` (brentq.c): the
-    same iterates, the same calls of f, so the same root to the bit.  Like
-    scipy it raises ValueError when f returns NaN or f(a), f(b) have the
-    same sign, and RuntimeError when maxiter steps do not converge.
+    A line-for-line port of the loop of ``optimize.brentq`` (brentq.c):
+    the same iterates, the same calls of f, so the same root to the bit.
+    Like ``brentq`` it raises ValueError when f returns NaN or f(a), f(b)
+    have the same sign, and RuntimeError when maxiter steps do not
+    converge.
     """
 
     def call(x: float) -> float:
@@ -359,14 +360,15 @@ def double_root_factor(p: float) -> Callable[[float], float]:
 
 
 def _quad(f, a, b, tol, limit=200):
-    global _integrate
-    if _integrate is None:
-        import scipy.integrate
-        _integrate = scipy.integrate
-    # full_output skips quad's IntegrationWarning path; the returned error
-    # estimate is checked by the callers, which the warnings only duplicate
-    return _integrate.quad(f, a, b, epsabs=1e-14, epsrel=tol, limit=limit,
-                           full_output=1)[:2]
+    """(value, abserr) by QUADPACK's QAGS, or QAGI on an infinite range.
+
+    The callers check the returned error estimate; no warning is issued.
+    """
+    global _qags
+    if _qags is None:
+        from .quadpack import quad
+        _qags = quad
+    return _qags(f, a, b, 1e-14, tol, limit)
 
 
 def integrate_singular(spec: IntegrandSpec, a: float, b: float,
@@ -509,6 +511,9 @@ def profile_from_integral(spec: IntegrandSpec, domain: DomainInterval,
     g_lo = None if root_lo is None else _edge_integrand(spec, root_lo[0], +1)
     # t = root - s^(2m): dt orientation already positive in s
     g_hi = None if root_hi is None else _edge_integrand(spec, root_hi[0], -1)
+    # the quadrature calls its integrand from Python code, which calls a
+    # bound method faster than an instance with __call__
+    integrand = spec.__call__
     # cumulative integral from grid[0]
     U = np.zeros_like(grid)
     for i in range(1, len(grid)):
@@ -523,7 +528,7 @@ def profile_from_integral(spec: IntegrandSpec, domain: DomainInterval,
             s1 = (root_hi[0] - t0) ** (1.0 / (2 * spec.m))
             val, err = _quad(g_hi, s0, s1, tol)
         else:
-            val, err = _quad(spec, t0, t1, tol)
+            val, err = _quad(integrand, t0, t1, tol)
         U[i] = U[i - 1] + val
         err_total += err
 
@@ -540,14 +545,14 @@ def profile_from_integral(spec: IntegrandSpec, domain: DomainInterval,
                 s1 = (grid[0] - root_lo[0]) ** (1.0 / (2 * spec.m))
                 val, _ = _quad(g_lo, 0.0, s1, tol)
             else:
-                val, _ = _quad(spec, alpha, grid[0], tol)
+                val, _ = _quad(integrand, alpha, grid[0], tol)
             return float(U[0] - val)
         if alpha >= grid[-1]:
             if root_hi is not None:
                 s1 = (root_hi[0] - grid[-1]) ** (1.0 / (2 * spec.m))
                 val, _ = _quad(g_hi, 0.0, s1, tol)
             else:
-                val, _ = _quad(spec, grid[-1], alpha, tol)
+                val, _ = _quad(integrand, grid[-1], alpha, tol)
             return float(U[-1] + val)
         raise ValueError(f"anchor {alpha} not resolvable on the grid")
 

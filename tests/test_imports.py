@@ -1,6 +1,6 @@
-"""scipy is loaded on demand: importing lwsurf and the numpy-only CLI
-commands leave it unloaded, and quadrature and the ODE oracle load it on
-first use.  Each check runs in a fresh interpreter, because the test
+"""scipy is loaded only by the ODE oracle, which reads its DOP853
+tableau: importing lwsurf, quadrature and every CLI command leave it
+unloaded.  Each check runs in a fresh interpreter, because the test
 process itself has scipy loaded.
 """
 
@@ -51,17 +51,26 @@ def test_imports_and_numpy_only_commands_leave_scipy_unloaded(tmp_path):
     assert out.splitlines()[-1] == "numpy only"
 
 
-def test_quadrature_and_oracle_load_scipy_on_demand(tmp_path):
+def test_only_the_oracle_loads_scipy(tmp_path):
     out = run_python("""
+        import lwsurf.cli
         from lwsurf import (NormParameter, SolveRequest, WeingartenRelation,
                             ode_oracle, solve)
-        assert scipy_loaded() == []
         [branch] = solve(SolveRequest(
             p=NormParameter(2), relation=WeingartenRelation.linear(-1.0, 1.0),
             c1=0.5, samples=64))
-        assert "scipy.integrate" in scipy_loaded()
+        assert scipy_loaded() == [], scipy_loaded()
+        c3 = ["--lambda", "-1", "--mu", "1"]
+        for argv in (
+                ["generate", *c3, "--c1", "1.5", "--recipe", "C3",
+                 "--out", "t"],
+                ["scan-coincidence", "--recipe", "C3", *c3,
+                 "--c1-min", "1.3", "--c1-max", "1.7", "--steps", "3"]):
+            assert lwsurf.cli.main(argv) == 0, argv
+            assert scipy_loaded() == [], (argv, scipy_loaded())
         report = ode_oracle(branch)
+        assert "scipy.integrate" in scipy_loaded()
         assert report.passed, report.max_residual
         print(branch.case.value, report.n_points > 0)
         """, tmp_path)
-    assert out.split() == ["6.1i-1", "True"]
+    assert out.split()[-2:] == ["6.1i-1", "True"]
