@@ -241,6 +241,9 @@ def _adaptive(rule, f, a: float, b: float, epsabs: float, epsrel: float,
 
     ``epsabs`` is not NaN, so ``max(epsabs, x)`` is C's fmax there.
     """
+    if limit < 1:
+        raise ValueError("Invalid 'limit' argument. There must be at least "
+                         "one subinterval")
     if epsabs <= 0.0 and epsrel < max(50.0 * _EPMACH, 0.5e-28):
         return 0.0, 0.0  # ier = 6
     # first approximation to the integral
