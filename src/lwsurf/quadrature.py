@@ -1,11 +1,12 @@
 """Quadrature for profile integrals with endpoint singularities.
 
 The profile integrands have the shape numerator / denominator^e with
-e = (2m-1)/2m and a denominator vanishing at domain boundaries.  A simple
-root gives an integrable singularity which the substitution
-t = root +/- s^(2m) removes exactly; a double root makes the integral
-diverge because 2e >= 1.  Divergence is decided from root multiplicity and
-exponent arithmetic, never from the size of a numeric estimate.
+e = (2m-1)/2m and a denominator vanishing at domain boundaries.  The
+domain's endpoint kinds record where it vanishes and how: a simple root
+gives an integrable singularity which the substitution t = root +/- s^(2m)
+removes exactly; a double root makes the integral diverge because 2e >= 1.
+Divergence is decided from the endpoint kinds and exponent arithmetic,
+never from the size of a numeric estimate.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ __all__ = [
     "ProfileSamples",
 ]
 
-DOUBLE_ROOT_DERIV_TOL = 1e-8
 ROOT_VALUE_TOL = 1e-13
 
 # quadpack.quad, imported by the first panel so that classification and
@@ -79,23 +79,22 @@ class QuadratureResult:
     finite: bool
     value: float = math.nan
     error_estimate: float = math.nan
-    divergent_sign: int = 0
 
     @staticmethod
     def finite_value(value: float, error: float) -> "QuadratureResult":
         return QuadratureResult(True, value=value, error_estimate=error)
 
     @staticmethod
-    def divergent(sign: int) -> "QuadratureResult":
-        return QuadratureResult(False, divergent_sign=sign)
+    def divergent() -> "QuadratureResult":
+        return QuadratureResult(False)
 
 
 @dataclass(frozen=True)
 class IntegrandSpec:
     """Profile integrand numerator(t) / denominator(t)^exponent.
 
-    ``roots`` lists known denominator roots as (location, multiplicity)
-    pairs; only roots sitting at the integration endpoints matter.
+    The endpoint kinds of the domain it is integrated over say where the
+    denominator vanishes.
     ``decay_exponent`` is the algebraic decay rate of the full integrand at
     infinity, used for the finiteness decision on unbounded intervals.
     """
@@ -104,24 +103,10 @@ class IntegrandSpec:
     denominator: Callable[[float], float]
     exponent: float
     m: int
-    roots: tuple = ()
     decay_exponent: float | None = None
 
     def __call__(self, t: float) -> float:
         return self.numerator(t) / self.denominator(t) ** self.exponent
-
-
-def _probe_grid(lo: float, hi: float, probes: int) -> np.ndarray:
-    if math.isinf(hi):
-        # linear sweep near the left end plus a geometric sweep further out
-        base = lo if lo > 0 else 0.0
-        lin = np.linspace(base + 1e-9 * max(1.0, abs(base) + 1.0),
-                          base + 10.0, probes // 2)
-        geo = np.geomspace(base + 10.0, base + 1e6, probes - probes // 2)
-        return np.concatenate([lin, geo])
-    span = hi - lo
-    eps = 1e-9 * span
-    return np.linspace(lo + eps, hi - eps, probes)
 
 
 def _brent(f: Callable[[float], float], a: float, b: float, xtol: float,
@@ -224,72 +209,40 @@ def _refine(f: Callable[[float], float], a: float, b: float, xtol: float,
 
 
 def bracket_roots(f: Callable[[float], float], lo: float, hi: float,
-                  probes: int = 64) -> list[tuple[float, int]]:
-    """Locate roots of f on (lo, hi) with multiplicity 1 or 2.
+                  probes: int = 64) -> list[float]:
+    """Sorted roots of f on the finite window (lo, hi).
 
     Sign changes on a probe grid are refined by Brent's method, finished
-    by bisection where Brent's iteration cap runs out.  A local
-    minimum of |f| that touches zero without a sign change is refined via
-    the numeric derivative and reported with multiplicity 2.
+    by bisection where Brent's iteration cap runs out; a refined point
+    where |f| is not small is a pole and is dropped.  Double roots, which
+    do not change sign, are known analytically (DomainInterval kinds).
     """
     if probes < 8:
         raise ValueError("need at least 8 probes")
-    grid = _probe_grid(lo, hi, probes)
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"need a finite window lo < hi, got ({lo}, {hi})")
+    eps = 1e-9 * (hi - lo)
+    grid = np.linspace(lo + eps, hi - eps, probes)
     vals = np.array([f(t) for t in grid])
     finite = np.isfinite(vals)
     grid, vals = grid[finite], vals[finite]
     if grid.size < 2:
         return []
     scale = max(1.0, float(np.max(np.abs(vals))))
-    h_scale = grid[-1] - grid[0]
 
-    def fprime(t: float) -> float:
-        h = 1e-7 * max(1.0, abs(t))
-        return (f(t + h) - f(t - h)) / (2.0 * h)
-
-    roots: list[tuple[float, int]] = []
-
-    def add(root: float, mult: int) -> None:
-        for r, _ in roots:
-            if abs(r - root) < 1e-10 * max(1.0, abs(root)):
-                return
-        roots.append((root, mult))
-
-    # simple roots: sign changes
+    roots: list[float] = []
     for i in range(len(grid) - 1):
-        a, b = grid[i], grid[i + 1]
-        fa, fb = vals[i], vals[i + 1]
-        if fa == 0.0:
-            add(float(a), 2 if abs(fprime(a)) < DOUBLE_ROOT_DERIV_TOL * scale else 1)
+        if vals[i] == 0.0:
+            root = float(grid[i])
+        elif vals[i] * vals[i + 1] < 0.0:
+            root = float(_refine(f, grid[i], grid[i + 1], xtol=1e-15,
+                                 rtol=8.9e-16))
+        else:
             continue
-        if fa * fb < 0.0:
-            root = _refine(f, a, b, xtol=1e-15, rtol=8.9e-16)
-            mult = 2 if abs(fprime(root)) < DOUBLE_ROOT_DERIV_TOL * scale else 1
-            add(float(root), mult)
-
-    # double roots: zero-touching local minima of |f| without a sign change
-    absvals = np.abs(vals)
-    for i in range(1, len(grid) - 1):
-        if absvals[i] <= absvals[i - 1] and absvals[i] <= absvals[i + 1]:
-            if vals[i - 1] * vals[i + 1] <= 0.0:
-                continue  # handled by the sign-change pass
-            da, db = fprime(grid[i - 1]), fprime(grid[i + 1])
-            if da * db < 0.0:
-                t0 = _refine(fprime, grid[i - 1], grid[i + 1],
-                             xtol=1e-14, rtol=8.9e-16)
-                if abs(f(t0)) < ROOT_VALUE_TOL * scale:
-                    add(float(t0), 2)
-    roots.sort(key=lambda rm: rm[0])
-    # sanity: refined roots must satisfy the value tolerance
-    return [(r, m_) for r, m_ in roots
-            if abs(f(r)) < ROOT_VALUE_TOL * scale * 10 or m_ == 2]
-
-
-def _root_at(spec: IntegrandSpec, point: float) -> tuple[float, int] | None:
-    for root, mult in spec.roots:
-        if abs(root - point) <= 1e-9 * max(1.0, abs(point)):
-            return root, mult
-    return None
+        if all(abs(r - root) >= 1e-10 * max(1.0, abs(root)) for r in roots):
+            roots.append(root)
+    roots.sort()
+    return [r for r in roots if abs(f(r)) < ROOT_VALUE_TOL * scale * 10]
 
 
 def _edge_integrand(spec: IntegrandSpec, root: float, inward: int):
@@ -371,21 +324,23 @@ def _quad(f, a, b, tol, limit=200):
     return _qags(f, a, b, 1e-14, tol, limit)
 
 
-def integrate_singular(spec: IntegrandSpec, a: float, b: float,
+def integrate_singular(spec: IntegrandSpec, domain: DomainInterval,
                        tol: float = 1e-10) -> QuadratureResult:
-    """Integral of the spec over (a, b) with singular-endpoint handling.
+    """Integral of the spec over the domain with singular-endpoint handling.
 
     Double-root endpoints are classified divergent analytically because the
-    local exponent 2*(2m-1)/2m is at least 1; unbounded upper limits are
-    finite exactly when the declared decay exponent exceeds 1.
+    local exponent 2*(2m-1)/2m is at least 1; simple-root endpoints are
+    regularized by substitution; unbounded upper limits are finite exactly
+    when the declared decay exponent exceeds 1.
     """
-    root_a = _root_at(spec, a)
-    root_b = None if math.isinf(b) else _root_at(spec, b)
-    if (root_a and root_a[1] >= 2) or (root_b and root_b[1] >= 2):
-        return QuadratureResult.divergent(+1)
+    if EndpointKind.DOUBLE_ROOT in (domain.lower_kind, domain.upper_kind):
+        return QuadratureResult.divergent()
+    a, b = domain.lower, domain.upper
     if math.isinf(b):
         if spec.decay_exponent is None or spec.decay_exponent <= 1.0:
-            return QuadratureResult.divergent(+1)
+            return QuadratureResult.divergent()
+    root_a = domain.lower_kind is EndpointKind.SIMPLE_ROOT
+    root_b = domain.upper_kind is EndpointKind.SIMPLE_ROOT
 
     total, err_total = 0.0, 0.0
     lo, hi = a, b
@@ -395,7 +350,7 @@ def integrate_singular(spec: IntegrandSpec, a: float, b: float,
 
     if root_a:
         w = mid - lo
-        g = _edge_integrand(spec, root_a[0], +1)
+        g = _edge_integrand(spec, a, +1)
         val, err = _quad(g, 0.0, w ** (1.0 / (2 * spec.m)), tol)
         total += val
         err_total += err
@@ -403,7 +358,7 @@ def integrate_singular(spec: IntegrandSpec, a: float, b: float,
     if root_b:
         w = hi - mid if root_a else hi - 0.5 * (lo + hi)
         inner = hi - w
-        g = _edge_integrand(spec, root_b[0], -1)
+        g = _edge_integrand(spec, b, -1)
         val, err = _quad(g, 0.0, w ** (1.0 / (2 * spec.m)), tol)
         total += val
         err_total += err
@@ -502,15 +457,12 @@ def profile_from_integral(spec: IntegrandSpec, domain: DomainInterval,
 
     err_total = 0.0
     span_hi = min(domain.upper, upper_cut) - domain.lower
-    root_lo = _root_at(spec, domain.lower)
-    if root_lo is not None and root_lo[1] != 1:
-        root_lo = None  # substitution regularizes simple roots only
-    root_hi = None if math.isinf(domain.upper) else _root_at(spec, domain.upper)
-    if root_hi is not None and root_hi[1] != 1:
-        root_hi = None
-    g_lo = None if root_lo is None else _edge_integrand(spec, root_lo[0], +1)
+    # the substitution regularizes simple roots only
+    root_lo = domain.lower_kind is EndpointKind.SIMPLE_ROOT
+    root_hi = domain.upper_kind is EndpointKind.SIMPLE_ROOT
+    g_lo = _edge_integrand(spec, domain.lower, +1) if root_lo else None
     # t = root - s^(2m): dt orientation already positive in s
-    g_hi = None if root_hi is None else _edge_integrand(spec, root_hi[0], -1)
+    g_hi = _edge_integrand(spec, domain.upper, -1) if root_hi else None
     # the quadrature calls its integrand from Python code, which calls a
     # bound method faster than an instance with __call__
     integrand = spec.__call__
@@ -518,14 +470,14 @@ def profile_from_integral(spec: IntegrandSpec, domain: DomainInterval,
     U = np.zeros_like(grid)
     for i in range(1, len(grid)):
         t0, t1 = grid[i - 1], grid[i]
-        if root_lo is not None and t1 - domain.lower <= 0.51 * span_hi:
-            s0 = (t0 - root_lo[0]) ** (1.0 / (2 * spec.m))
-            s1 = (t1 - root_lo[0]) ** (1.0 / (2 * spec.m))
+        if root_lo and t1 - domain.lower <= 0.51 * span_hi:
+            s0 = (t0 - domain.lower) ** (1.0 / (2 * spec.m))
+            s1 = (t1 - domain.lower) ** (1.0 / (2 * spec.m))
             val, err = _quad(g_lo, s0, s1, tol)
-        elif (root_hi is not None
+        elif (root_hi
               and domain.upper - t0 <= 0.51 * (domain.upper - domain.lower)):
-            s0 = (root_hi[0] - t1) ** (1.0 / (2 * spec.m))
-            s1 = (root_hi[0] - t0) ** (1.0 / (2 * spec.m))
+            s0 = (domain.upper - t1) ** (1.0 / (2 * spec.m))
+            s1 = (domain.upper - t0) ** (1.0 / (2 * spec.m))
             val, err = _quad(g_hi, s0, s1, tol)
         else:
             val, err = _quad(integrand, t0, t1, tol)
@@ -541,15 +493,15 @@ def profile_from_integral(spec: IntegrandSpec, domain: DomainInterval,
                 return float(U[k])
         # anchor at a domain endpoint off the grid
         if alpha <= grid[0]:
-            if root_lo is not None:
-                s1 = (grid[0] - root_lo[0]) ** (1.0 / (2 * spec.m))
+            if root_lo:
+                s1 = (grid[0] - domain.lower) ** (1.0 / (2 * spec.m))
                 val, _ = _quad(g_lo, 0.0, s1, tol)
             else:
                 val, _ = _quad(integrand, alpha, grid[0], tol)
             return float(U[0] - val)
         if alpha >= grid[-1]:
-            if root_hi is not None:
-                s1 = (root_hi[0] - grid[-1]) ** (1.0 / (2 * spec.m))
+            if root_hi:
+                s1 = (domain.upper - grid[-1]) ** (1.0 / (2 * spec.m))
                 val, _ = _quad(g_hi, 0.0, s1, tol)
             else:
                 val, _ = _quad(integrand, grid[-1], alpha, tol)

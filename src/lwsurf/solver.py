@@ -186,6 +186,12 @@ class SolveRequest:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        # an unbounded branch is cut at alpha_max_factor * max(lower, 1),
+        # which must lie above the lower end
+        if not (math.isfinite(self.alpha_max_factor)
+                and self.alpha_max_factor > 1.0):
+            raise ValueError("alpha_max_factor must be finite and > 1, got "
+                             f"{self.alpha_max_factor}")
         if self.sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
 
@@ -329,7 +335,6 @@ class SlopeLaw:
     family: Callable
     params: tuple
     m: int
-    roots: tuple = ()
     decay_exponent: float | None = None
     double: tuple | None = None
 
@@ -359,7 +364,7 @@ class SlopeLaw:
         return self.numerator(t) / self.denominator(t) ** self.exponent
 
     def __reduce__(self):
-        return SlopeLaw, (self.family, self.params, self.m, self.roots,
+        return SlopeLaw, (self.family, self.params, self.m,
                           self.decay_exponent, self.double)
 
 
@@ -433,19 +438,18 @@ def _sphere_plan(tag: CaseTag, radius: float, m: int) -> _Plan:
 
 
 def _roots(law: SlopeLaw, lo: float, hi: float, probes: int,
-           message: str, count: int = 0, simple: bool = False) -> tuple:
-    """The law with the roots of its gap P - Q on (lo, hi) marked simple,
-    and their locations: exactly ``count`` roots (all simple if ``simple``),
-    or with count 0 the first one; RuntimeError(message) otherwise."""
+           message: str, count: int = 0) -> list:
+    """The roots of the gap P - Q of the law on (lo, hi): exactly ``count``
+    of them, or with count 0 the first one; RuntimeError(message)
+    otherwise."""
     roots = bracket_roots(law.gap, lo, hi, probes=probes)
     if not count:
         if not roots:
             raise RuntimeError(message)
-        roots = roots[:1]
-    elif len(roots) != count or simple and any(k != 1 for _, k in roots):
+        return roots[:1]
+    if len(roots) != count:
         raise RuntimeError(f"{message}, got {roots}")
-    at = [r for r, _ in roots]
-    return replace(law, roots=tuple((r, 1) for r in at)), at
+    return roots
 
 
 def _split_plan(law: SlopeLaw, double: tuple, c1: float, c_crit: float,
@@ -462,14 +466,14 @@ def _split_plan(law: SlopeLaw, double: tuple, c1: float, c_crit: float,
     """
     if _near(c1, c_crit):
         a_in = a_out = double[2]
-        law = replace(law, double=double, roots=((a_in, 2),))
+        law = replace(law, double=double)
         n, kind, anchors = "2", EndpointKind.DOUBLE_ROOT, (0.0, top)
     elif c1 < c_crit:
         return _single(CaseTag(f"{case}-1"), 0.0, top, _AXIS, _CAP,
                        sub_anchor, law)
     else:
-        law, (a_in, a_out) = _roots(law, 1e-12, top, probes,
-                                    f"expected two roots below {top}", 2)
+        a_in, a_out = _roots(law, 1e-12, top, probes,
+                             f"expected two roots below {top}", 2)
         n, kind, anchors = "3", _ROOT, (a_in, a_out)
     inner, outer = CaseTag(f"{case}-{n}-1"), CaseTag(f"{case}-{n}-2")
     d_in = DomainInterval(0.0, a_in, _AXIS, kind, label=inner.value)
@@ -485,14 +489,13 @@ def _homogeneous_plan(req: SolveRequest) -> _Plan:
     if lam > 0.0:
         decay = (2 * m - 1) * lam
         _boundary_warn(decay, 1.0, "(2m-1)*lam")
-        law = SlopeLaw(_hom_pos, (lam, c2), m, roots=((c2, 1),),
-                       decay_exponent=decay)
+        law = SlopeLaw(_hom_pos, (lam, c2), m, decay_exponent=decay)
         tag = CaseTag.HOM_POS_FAST if decay > 1.0 and not _near(decay, 1.0) \
             else CaseTag.HOM_POS_SLOW
         return _single(tag, c2, math.inf, _ROOT, EndpointKind.UNBOUNDED, c2,
                        law)
     # lam < 0: domain (0, c2), integrand rewritten to stay finite at 0
-    law = SlopeLaw(_hom_neg, (lam, c2), m, roots=((c2, 1),))
+    law = SlopeLaw(_hom_neg, (lam, c2), m)
     return _single(CaseTag.HOM_NEG, 0.0, c2, _AXIS, _ROOT, c2, law)
 
 
@@ -511,8 +514,8 @@ def _lm1_plan(req: SolveRequest) -> _Plan:
                            sub_anchor=top, probes=256)
     # mu < 0: domain (e^(-c1), a3) with a3 the unique solution of g = 1
     bottom = math.exp(-c1)
-    law, (a3,) = _roots(law, bottom, bottom + 10.0 * (1.0 + abs(c1)), 256,
-                        "root of t*(c1 + log t) = 1 not bracketed")
+    a3, = _roots(law, bottom, bottom + 10.0 * (1.0 + abs(c1)), 256,
+                 "root of t*(c1 + log t) = 1 not bracketed")
     return _single(CaseTag.LM1_NEG, bottom, a3, _CAP, _ROOT, a3, law)
 
 
@@ -525,9 +528,8 @@ def _gen_pos_plan(req: SolveRequest) -> _Plan:
             raise NoSurfaceError(
                 "c1 <= 0: admissibility 0 < c1 - alpha^(lam+1)/(lam+1) fails")
         a4 = math.pow(c1 * (lam + 1.0), 1.0 / (lam + 1.0))
-        law, (a5,) = _roots(law, 1e-12, a4, 256,
-                            f"expected one simple root below {a4}", 1,
-                            simple=True)
+        a5, = _roots(law, 1e-12, a4, 256,
+                     f"expected one simple root below {a4}", 1)
         return _single(CaseTag.GEN_POS_PLUS, a5, a4, _ROOT, _CAP, a5, law)
 
     # mu < 0 (the c1* family)
@@ -542,14 +544,14 @@ def _gen_pos_plan(req: SolveRequest) -> _Plan:
                 f"c1* >= lam^lam/(lam+1) = {bound}: admissible band is empty")
         hi = 10.0 * math.pow(max(c1 * (lam + 1.0), 1.0),
                              1.0 / (lam + 1.0)) + 10.0
-        law, (a6, a7) = _roots(law, 1e-12, hi, 512,
-                               "expected two band roots", 2)
+        a6, a7 = _roots(law, 1e-12, hi, 512,
+                        "expected two band roots", 2)
         return _single(CaseTag.GEN_POS_MINUS_BAND, a6, a7, _ROOT, _ROOT, a6,
                        law)
     # c1 < 0: domain starts where N vanishes
     a8 = math.pow(-c1 * (lam + 1.0), 1.0 / (lam + 1.0))
-    law, (a9,) = _roots(law, a8, 10.0 * a8 + 10.0, 512,
-                        f"expected one root above {a8}", 1)
+    a9, = _roots(law, a8, 10.0 * a8 + 10.0, 512,
+                 f"expected one root above {a8}", 1)
     return _single(CaseTag.GEN_POS_MINUS_OUTER, a8, a9, _CAP, _ROOT, a9, law)
 
 
@@ -576,13 +578,13 @@ def _gen_mid_plan(req: SolveRequest) -> _Plan:
     if _near(c1, 0.0):
         return _sphere_plan(CaseTag.GEN_MID_MINUS_SPHERE, lam + 1.0, req.p.m)
     if c1 > 0.0:
-        law, (a14,) = _roots(law, 1e-12, 2.0 * (lam + 1.0) + 10.0, 512,
-                             "root of the admissibility function not found")
+        a14, = _roots(law, 1e-12, 2.0 * (lam + 1.0) + 10.0, 512,
+                      "root of the admissibility function not found")
         return _single(CaseTag.GEN_MID_MINUS_INNER, 0.0, a14, _AXIS, _ROOT,
                        a14, law)
     a15 = math.pow(-c1 * (lam + 1.0), 1.0 / (lam + 1.0))
-    law, (a16,) = _roots(law, a15, 10.0 * a15 + 10.0 * (lam + 1.0) + 10.0,
-                         512, "outer admissibility root not found")
+    a16, = _roots(law, a15, 10.0 * a15 + 10.0 * (lam + 1.0) + 10.0, 512,
+                  "outer admissibility root not found")
     return _single(CaseTag.GEN_MID_MINUS_OUTER, a15, a16, _CAP, _ROOT, a16,
                    law)
 
@@ -599,8 +601,8 @@ def _gen_low_plan(req: SolveRequest) -> _Plan:
         if _near(c1, 0.0):
             return _sphere_plan(CaseTag.GEN_LOW_PLUS_SPHERE, w, req.p.m)
         if c1 > 0.0:
-            law, (a17,) = _roots(law, 1e-12, w + 1.0, 512,
-                                 "admissibility root not found for c1 > 0")
+            a17, = _roots(law, 1e-12, w + 1.0, 512,
+                          "admissibility root not found for c1 > 0")
             return _single(CaseTag.GEN_LOW_PLUS_POS, 0.0, a17, _AXIS, _ROOT,
                            a17, law)
         # c1 < 0: t*G(t) > 0 only below the zero of G
@@ -617,8 +619,8 @@ def _gen_low_plan(req: SolveRequest) -> _Plan:
             "c1* <= 0 with lam < -1: t*G(t) stays nonpositive, no admissible "
             "interval")
     a22 = math.pow(c1 * w, -1.0 / w)
-    law, (a23,) = _roots(law, a22, 10.0 * a22 + w + 10.0, 512,
-                         "upper admissibility root not found")
+    a23, = _roots(law, a22, 10.0 * a22 + w + 10.0, 512,
+                  "upper admissibility root not found")
     return _single(CaseTag.GEN_LOW_MINUS, a22, a23, _CAP, _ROOT, a23, law)
 
 
@@ -731,13 +733,11 @@ def _quadrature_branch(req: SolveRequest, piece: _Piece,
     table = profile_from_integral(
         law, dom, req.sign, (piece.anchor_alpha, req.shift),
         samples=req.samples, tol=req.tol, upper_cut=cut)
-    span = math.inf
-    if not any(mult >= 2 for _, mult in law.roots):
-        try:
-            res = integrate_singular(law, dom.lower, dom.upper, tol=req.tol)
-            span = res.value if res.finite else math.inf
-        except ToleranceError:
-            span = math.nan
+    try:
+        res = integrate_singular(law, dom, tol=req.tol)
+        span = res.value if res.finite else math.inf
+    except ToleranceError:
+        span = math.nan
     return ProfileBranch(
         request=req, case=piece.tag, domain=dom, alpha=table.alpha,
         u=table.u, du=table.du, slope=law,

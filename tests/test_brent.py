@@ -1,9 +1,9 @@
 """Parity of the in-house Brent root finder with scipy.optimize.brentq.
 
 bracket_roots refines every bracket with quadrature._brent, a port of
-scipy's brentq loop.  The roots must agree to the bit, so that root
-locations, and every table built from them, do not depend on which of
-the two ran.
+scipy's brentq loop, and the ODE oracle locates its events with it.  The
+roots must agree to the bit, so that root locations, and every table
+built from them, do not depend on which of the two ran.
 """
 
 import math
@@ -13,10 +13,11 @@ import pytest
 from scipy.optimize import brentq
 
 from lwsurf.quadrature import _brent
+from lwsurf.verify import _EVENT_XTOL
 
-# the (xtol, rtol) pairs bracket_roots passes: sign changes, then the
-# derivative zeros of double roots
-TOLERANCES = [(1e-15, 8.9e-16), (1e-14, 8.9e-16)]
+# the (xtol, rtol) pair bracket_roots passes for sign changes, a looser
+# xtol, and the pair ode_oracle passes to locate its events
+TOLERANCES = [(1e-15, 8.9e-16), (1e-14, 8.9e-16), (_EVENT_XTOL, _EVENT_XTOL)]
 
 FUNCTIONS = {
     "cubic": lambda x: x ** 3 - 2.0 * x - 5.0,

@@ -15,7 +15,7 @@ import pytest
 
 from lwsurf import NormParameter, SolveRequest, WeingartenRelation
 from lwsurf import solver
-from lwsurf.quadrature import double_root_factor
+from lwsurf.quadrature import EndpointKind, double_root_factor
 from lwsurf.solver import critical_c1
 
 mp = pytest.importorskip("mpmath")
@@ -76,8 +76,9 @@ def double_plan(lam: float, m: int):
 def test_factored_denominator_is_the_plain_one(lam, family, m):
     c1, plan = double_plan(lam, m)
     assert plan.tag.value == family + "-1"
-    (t_d, mult), = plan.slope.roots
-    assert mult == 2
+    inner = plan.pieces[0].domain
+    t_d = inner.upper
+    assert inner.upper_kind is EndpointKind.DOUBLE_ROOT
     top = plan.pieces[1].domain.upper
     plain = plain_denominator(lam, m, c1)
     ts = [t for t in np.linspace(1e-3 * t_d, top, 400)[:-1]

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import pickle
+import sys
 import warnings
 
 import numpy as np
@@ -26,8 +27,8 @@ from lwsurf import (
 )
 from lwsurf import solver
 from lwsurf.assembler import reflect_branch
-from lwsurf.quadrature import EndpointKind, ToleranceError
-from lwsurf.solver import critical_c1
+from lwsurf.quadrature import ROOT_VALUE_TOL, EndpointKind, ToleranceError
+from lwsurf.solver import SlopeLaw, critical_c1
 from lwsurf.verify import residual_scan, slope_invariant
 
 from conftest import crit_mid, thr_low, instances, ALL_TAGS_WITH_TABLE
@@ -154,6 +155,46 @@ class TestClassification:
             classify(req_for(P2, -0.5, 1.0, c1=crit_mid(-0.5) * (1.0 + 1e-6)))
 
 
+class TestRequestValidation:
+    @pytest.mark.parametrize("factor", [0.5, 1.0, -4.0, math.inf, math.nan])
+    def test_alpha_max_factor_must_exceed_one(self, factor):
+        # the cut alpha_max_factor * max(lower, 1) must lie above lower
+        with pytest.raises(ValueError, match="alpha_max_factor"):
+            SolveRequest(p=P2, relation=WeingartenRelation.homogeneous(1.0),
+                         alpha_max_factor=factor)
+
+    def test_solve_homogeneous_rejects_a_cut_below_the_domain(self):
+        with pytest.raises(ValueError, match="alpha_max_factor"):
+            solve_homogeneous(P2, 1.0, 1.0, alpha_max_factor=0.5)
+
+
+class TestEndpointKinds:
+    """Quadrature reads where the denominator P^2m - Q^2m vanishes from the
+    endpoint kinds alone, so the kinds must match the zeros of P - Q."""
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_root_kinds_are_the_zeros_of_the_gap(self, m):
+        roots = (EndpointKind.SIMPLE_ROOT, EndpointKind.DOUBLE_ROOT)
+        checked = 0
+        for tag, b in instances(m).items():
+            law = b.slope
+            if not isinstance(law, SlopeLaw):
+                continue
+            scale = max(1.0, max(abs(law.gap(float(a) / b.scale))
+                                 for a in b.alpha))
+            d = b.domain
+            for end, kind in ((d.lower, d.lower_kind),
+                              (d.upper, d.upper_kind)):
+                if kind is EndpointKind.UNBOUNDED:
+                    continue
+                # the axis end t = 0 is a limit point: log t is undefined
+                t = max(end / b.scale, sys.float_info.min)
+                is_zero = abs(law.gap(t)) <= ROOT_VALUE_TOL * scale
+                assert is_zero == (kind in roots), (tag, end, kind)
+                checked += 1
+        assert checked >= 50
+
+
 class TestBranchTables:
     @pytest.mark.parametrize("samples", [1, 0])
     def test_closed_forms_need_two_samples(self, samples):
@@ -258,10 +299,8 @@ class TestPickle:
         for tag, b in instances(m).items():
             c = pickle.loads(pickle.dumps(b))
             assert c.domain == b.domain and c.anchor == b.anchor, tag
-            # equal fields: the family constants and the roots of a law
+            # equal fields: the family constants of a law
             assert c.slope == b.slope, tag
-            assert getattr(c.slope, "roots", None) == getattr(
-                b.slope, "roots", None), tag
             inner = [a for a in b.alpha
                      if b.domain.lower < a < b.domain.upper]
             for a in inner:
