@@ -12,13 +12,19 @@ lists keep QUADPACK's 1-based indices; slot 0 is unused.
 Nearly every call ends after the first application of the 21-point rule,
 so that rule is written out node by node: on the taxonomy's panels a loop
 over the nodes took 11% longer per call, integrand included.
+``first_rule`` applies that first step to many panels at once, with an
+integrand that maps arrays: the same nodes and sums in the same order,
+so every panel it accepts has the (value, abserr) bits ``quad`` returns.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import repeat
 
-__all__ = ["quad"]
+import numpy as np
+
+__all__ = ["quad", "first_rule"]
 
 _EPMACH = 2.220446049250313e-16      # d1mach(4) = 2**-52
 _UFLOW = 2.2250738585072014e-308     # d1mach(1)
@@ -232,6 +238,86 @@ def _estimate(resk: float, resg: float, resabs: float, resasc: float,
             abserr = resasc
     if resabs > _TINY:
         abserr = max((_EPMACH * 50.0) * resabs, abserr)
+    return result, abserr, resabs, resasc
+
+
+def first_rule(f, a: np.ndarray, b: np.ndarray, epsabs: float,
+               epsrel: float) -> tuple:
+    """dqagse's first step on every panel (a[i], b[i]), a < b, at once.
+
+    ``f`` maps a float array to its values; +, -, *, / and abs round as
+    Python floats do, so where f returns the values the scalar integrand
+    gives, the rule's sums are the scalar sums.  Returns arrays
+    (result, abserr, done): where ``done``, the 21 values are finite and
+    dqagse stops after this rule, so ``quad(f, a[i], b[i], epsabs,
+    epsrel, limit)`` returns (result[i], abserr[i]) for any limit.  The
+    other panels need the scalar ``quad``.
+    """
+    n = a.size
+    if epsabs <= 0.0 and epsrel < max(50.0 * _EPMACH, 0.5e-28):
+        return np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool)
+    with np.errstate(all="ignore"):
+        result, abserr, defabs, resabs, finite = _qk21_array(f, a, b)
+        errbnd = epsrel * np.abs(result)
+        errbnd = np.where(errbnd > epsabs, errbnd, epsabs)
+        done = ((abserr == 0.0) | (abserr <= errbnd) & (abserr != resabs)
+                | (abserr <= (100.0 * _EPMACH) * defabs) & (abserr > errbnd))
+    return result, abserr, done & finite
+
+
+def _qk21_array(f, a: np.ndarray, b: np.ndarray) -> tuple:
+    """_qk21 on every panel: (result, abserr, resabs, resasc, finite),
+    finite saying that all 21 values of the panel are finite."""
+    centr = 0.5 * (a + b)
+    hlgth = 0.5 * (b - a)
+    # row 0 the centre, rows 2j-1 and 2j the pair centr -/+ hlgth*xgk(j)
+    x = np.empty((21, a.size))
+    x[0] = centr
+    for j, xj in enumerate(_XGK21):
+        d = hlgth * xj
+        x[2 * j + 1] = centr - d
+        x[2 * j + 2] = centr + d
+    fv = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+    fc, lv, rv = fv[0], fv[1::2], fv[2::2]
+    k = _WGK21
+    s = lv + rv
+    # the node orders of _qk21's sums, 1-based
+    order_k = (2, 4, 6, 8, 10, 1, 3, 5, 7, 9)
+    resk = k[10] * fc
+    resabs = k[10] * np.abs(fc)
+    for j in order_k:
+        resk = resk + k[j - 1] * s[j - 1]
+        resabs = resabs + k[j - 1] * (np.abs(lv[j - 1]) + np.abs(rv[j - 1]))
+    resg = _WG10[0] * s[1]
+    for i in range(1, 5):
+        resg = resg + _WG10[i] * s[2 * i + 1]
+    reskh = resk * 0.5
+    resasc = k[10] * np.abs(fc - reskh)
+    for j in range(10):
+        resasc = resasc + k[j] * (np.abs(lv[j] - reskh)
+                                  + np.abs(rv[j] - reskh))
+    return _estimate_array(resk, resg, resabs, resasc, hlgth) + (
+        np.isfinite(fv).all(axis=0),)
+
+
+def _estimate_array(resk, resg, resabs, resasc, hlgth) -> tuple:
+    """_estimate on arrays.  The scaling power runs through libm one
+    float at a time, and only where it is below 1: elsewhere min(1, .)
+    is 1."""
+    result = resk * hlgth
+    resabs = resabs * hlgth
+    resasc = resasc * hlgth
+    abserr = np.abs((resk - resg) * hlgth)
+    scaled = (resasc != 0.0) & (abserr != 0.0)
+    ratio = 200.0 * abserr / resasc
+    below = scaled & (ratio < 1.0)
+    factor = np.ones_like(ratio)
+    factor[below] = np.fromiter(map(pow, ratio[below].tolist(), repeat(1.5)),
+                                float, int(below.sum()))
+    abserr = np.where(scaled, resasc * factor, abserr)
+    floor = (_EPMACH * 50.0) * resabs
+    # Python's max(floor, abserr): floor unless abserr is larger
+    abserr = np.where((resabs > _TINY) & ~(abserr > floor), floor, abserr)
     return result, abserr, resabs, resasc
 
 

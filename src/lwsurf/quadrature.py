@@ -7,6 +7,11 @@ gives an integrable singularity which the substitution t = root +/- s^(2m)
 removes exactly; a double root makes the integral diverge because 2e >= 1.
 Divergence is decided from the endpoint kinds and exponent arithmetic,
 never from the size of a numeric estimate.
+
+Integrands take a float or a float array.  On arrays, powers and logs call
+libm one float at a time (``libm``, ``LibmArray``) and only +, -, *, / and
+abs run as numpy loops, so every element has the bits of the scalar
+evaluation.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -33,9 +39,86 @@ __all__ = [
 
 ROOT_VALUE_TOL = 1e-13
 
-# quadpack.quad, imported by the first panel so that classification and
+# panels per array pass of the 21-point rule; a block's nodes are
+# 512*21 floats, so no table holds all its nodes at once
+PANEL_BLOCK = 512
+_EPSABS = 1e-14  # every panel's absolute tolerance
+
+# lwsurf.quadpack, imported by the first panel so that classification and
 # the closed forms never compile the QUADPACK port
-_qags = None
+_quadpack = None
+
+
+def libm(fn, x, *args):
+    """fn(v, *args) for every float v of the array x, one Python call each.
+
+    ``libm(pow, x, e)`` rounds each element as ``v ** e`` does, through
+    libm's pow; numpy's own power loops can round differently.  An element
+    whose call raises or gives a complex number is NaN; the scalar
+    evaluation raises there.  So is every element of a complex array,
+    whose scalar values are complex.
+    """
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        return np.full(x.shape, math.nan)
+    # a memoryview yields the Python floats one at a time, where a list
+    # would hold them all
+    values = memoryview(np.ascontiguousarray(x, dtype=float).ravel())
+    try:
+        out = np.fromiter(map(fn, values, *map(repeat, args)), float,
+                          len(values))
+    except (ArithmeticError, TypeError, ValueError):
+        out = np.array([_or_nan(fn, v, args) for v in values], dtype=float)
+    return out.reshape(x.shape)
+
+
+def _or_nan(fn, v: float, args: tuple) -> float:
+    try:
+        y = fn(v, *args)
+    except (ArithmeticError, ValueError):
+        return math.nan
+    return math.nan if isinstance(y, complex) else y
+
+
+class LibmArray(np.ndarray):
+    """A float array whose ``**`` calls libm's pow on every element.
+
+    Formulas written for floats run unchanged on it: +, -, *, / and abs
+    are numpy loops, which round as Python floats do, and ``x ** e`` is
+    ``libm(pow, x, e)`` for a float or int exponent e.
+    """
+
+    def __pow__(self, e):
+        return libm(pow, self, e).view(LibmArray)
+
+
+def as_libm(t):
+    """t viewed as a LibmArray if it is an array; a float unchanged."""
+    if isinstance(t, np.ndarray):
+        return t.view(LibmArray)
+    return t
+
+
+def log(t):
+    """math.log of a float, or of every float of an array."""
+    if isinstance(t, np.ndarray):
+        return libm(math.log, t).view(LibmArray)
+    return math.log(t)
+
+
+def exact_values(f, x: np.ndarray, python_floats: bool = False) -> np.ndarray:
+    """f at every float of x through f's array form.
+
+    An entry the array form leaves non-finite is evaluated again by the
+    scalar form, on the element of x or, with ``python_floats``, on its
+    Python float: that gives the value, warning or exception of a loop
+    over the elements.
+    """
+    with np.errstate(all="ignore"):
+        y = np.array(np.broadcast_to(f(x), x.shape), dtype=float)
+    for i in np.flatnonzero(~np.isfinite(y)).tolist():
+        y[i] = f(float(x[i]) if python_floats else x[i])
+    return y
 
 
 class ToleranceError(RuntimeError):
@@ -105,8 +188,18 @@ class IntegrandSpec:
     m: int
     decay_exponent: float | None = None
 
-    def __call__(self, t: float) -> float:
-        return self.numerator(t) / self.denominator(t) ** self.exponent
+    def terms(self, t) -> tuple:
+        """(numerator, denominator) at t; on an array, constant callables
+        broadcast."""
+        if isinstance(t, np.ndarray):
+            t = as_libm(t)
+            return (np.broadcast_to(self.numerator(t), t.shape),
+                    np.broadcast_to(self.denominator(t), t.shape))
+        return self.numerator(t), self.denominator(t)
+
+    def __call__(self, t):
+        num, den = self.terms(t)
+        return num / as_libm(den) ** self.exponent
 
 
 def _brent(f: Callable[[float], float], a: float, b: float, xtol: float,
@@ -250,7 +343,9 @@ def _edge_integrand(spec: IntegrandSpec, root: float, inward: int):
 
     The denominator factor (t-root) is divided out analytically; the
     remaining cofactor is evaluated as denominator(t)/|t-root| with a
-    one-sided derivative fallback very close to the root.
+    one-sided derivative fallback very close to the root.  s is a float
+    or an array; on an array the denominator is evaluated only where the
+    quotient is used.
     """
     m = spec.m
     e = spec.exponent
@@ -264,14 +359,24 @@ def _edge_integrand(spec: IntegrandSpec, root: float, inward: int):
     cof0 = 2.0 * c_a - c_b
     cof_slope = (c_b - c_a) / h0
 
-    def g(s: float) -> float:
+    def g(s):
+        s = as_libm(s)
         d = s ** (2 * m)
         t = root + inward * d
-        if d > h0:
-            cof = spec.denominator(t) / d
-        else:
+        if isinstance(s, np.ndarray):
+            far = d > h0
+            num = np.empty_like(d)
             cof = cof0 + cof_slope * d
-        val = 2 * m * spec.numerator(t) * cof ** (-e)
+            num[far], den = spec.terms(t[far])
+            cof[far] = den / d[far]
+            num[~far] = spec.numerator(t[~far])
+        elif d > h0:
+            num, den = spec.terms(t)
+            cof = den / d
+        else:
+            num = spec.numerator(t)
+            cof = cof0 + cof_slope * d
+        val = 2 * m * num * cof ** (-e)
         if pw != 0.0:
             val *= s ** pw
         return val
@@ -289,7 +394,7 @@ def double_root_factor(p: float) -> Callable[[float], float]:
     (1+x)*log1p(x) - x = lim phi_p(x)/(p-1).  Below |x| = 1/8 the binomial
     series sum_{k>=2} C(p,k) x^k is summed to degree 20, whose first
     omitted term is below 8^-19 of the leading one; further out the closed
-    form loses at most a few digits.
+    form loses at most a few digits.  x is a float or an array.
     """
     log_limit = p == 1.0
     c = 0.5 if log_limit else 0.5 * p * (p - 1.0)
@@ -299,17 +404,38 @@ def double_root_factor(p: float) -> Callable[[float], float]:
         c *= (p - k) / (k + 1)
     coeffs.reverse()  # Horner order, degree 20 first
 
-    def phi(x: float) -> float:
-        if abs(x) < 0.125:
-            acc = 0.0
-            for ck in coeffs:
-                acc = acc * x + ck
-            return acc * x * x
+    def series(x):
+        acc = 0.0
+        for ck in coeffs:
+            acc = acc * x + ck
+        return acc * x * x
+
+    def closed(x, log1p, expm1):
         if log_limit:
-            return (1.0 + x) * math.log1p(x) - x
-        return math.expm1(p * math.log1p(x)) - p * x
+            return (1.0 + x) * log1p(x) - x
+        return expm1(p * log1p(x)) - p * x
+
+    def phi(x):
+        if isinstance(x, np.ndarray):
+            out = np.empty_like(x)
+            near = np.abs(x) < 0.125
+            out[near] = series(x[near])
+            out[~near] = closed(x[~near], lambda v: libm(math.log1p, v),
+                                lambda v: libm(math.expm1, v))
+            return out
+        if abs(x) < 0.125:
+            return series(x)
+        return closed(x, math.log1p, math.expm1)
 
     return phi
+
+
+def _qp():
+    global _quadpack
+    if _quadpack is None:
+        from . import quadpack
+        _quadpack = quadpack
+    return _quadpack
 
 
 def _quad(f, a, b, tol, limit=200):
@@ -317,11 +443,38 @@ def _quad(f, a, b, tol, limit=200):
 
     The callers check the returned error estimate; no warning is issued.
     """
-    global _qags
-    if _qags is None:
-        from .quadpack import quad
-        _qags = quad
-    return _qags(f, a, b, 1e-14, tol, limit)
+    return _qp().quad(f, a, b, _EPSABS, tol, limit)
+
+
+def _panel_quad(integrands: list, which: np.ndarray, a: np.ndarray,
+                b: np.ndarray, tol: float) -> tuple:
+    """(values, errors): ``_quad(integrands[which[i]], a[i], b[i], tol)``
+    for every panel i, bit for bit.
+
+    Each integrand's panels with a < b go through quadpack.first_rule
+    together, PANEL_BLOCK at a time.  A panel goes to the scalar ``_quad``
+    only where that rule bisects or gives a non-finite value, or where
+    a < b fails.  Those panels run in panel order, so an exception is the
+    one a loop over the panels raises first.
+    """
+    first_rule = _qp().first_rule
+    values, errors = np.zeros(a.size), np.zeros(a.size)
+    scalar = ~(a < b)
+    for k, f in enumerate(integrands):
+        idx = np.flatnonzero((which == k) & ~scalar)
+        for start in range(0, idx.size, PANEL_BLOCK):
+            block = idx[start:start + PANEL_BLOCK]
+            values[block], errors[block], done = first_rule(
+                f, a[block], b[block], _EPSABS, tol)
+            scalar[block[~done]] = True
+    for i in np.flatnonzero(scalar).tolist():
+        values[i], errors[i] = _quad(integrands[which[i]], a[i], b[i], tol)
+    return values, errors
+
+
+def _running_sum(x: np.ndarray) -> np.ndarray:
+    """[0, x0, x0 + x1, ...], added left to right as a Python loop adds."""
+    return np.add.accumulate(np.concatenate(([0.0], x)))
 
 
 def integrate_singular(spec: IntegrandSpec, domain: DomainInterval,
@@ -455,34 +608,36 @@ def profile_from_integral(spec: IntegrandSpec, domain: DomainInterval,
             np.isclose(grid, a0, rtol=0, atol=1e-14 * max(1.0, abs(a0)))):
         grid = np.sort(np.append(grid, a0))
 
-    err_total = 0.0
-    span_hi = min(domain.upper, upper_cut) - domain.lower
-    # the substitution regularizes simple roots only
+    lower, upper = domain.lower, domain.upper
+    span_hi = min(upper, upper_cut) - lower
+    # each panel's integrand: the spec, or next to a simple root the edge
+    # integrand in s, t = root +/- s^(2m)
     root_lo = domain.lower_kind is EndpointKind.SIMPLE_ROOT
     root_hi = domain.upper_kind is EndpointKind.SIMPLE_ROOT
-    g_lo = _edge_integrand(spec, domain.lower, +1) if root_lo else None
+    g_lo = _edge_integrand(spec, lower, +1) if root_lo else None
     # t = root - s^(2m): dt orientation already positive in s
-    g_hi = _edge_integrand(spec, domain.upper, -1) if root_hi else None
-    # the quadrature calls its integrand from Python code, which calls a
-    # bound method faster than an instance with __call__
-    integrand = spec.__call__
+    g_hi = _edge_integrand(spec, upper, -1) if root_hi else None
+    t0, t1 = grid[:-1], grid[1:]
+    a, b = t0.copy(), t1.copy()
+    which = np.zeros(t0.size, dtype=int)
+    integrands = [spec]
+    to_s = 1.0 / (2 * spec.m)
+    if root_lo:
+        near = t1 - lower <= 0.51 * span_hi
+        which[near] = len(integrands)
+        integrands.append(g_lo)
+        a[near] = libm(pow, t0[near] - lower, to_s)
+        b[near] = libm(pow, t1[near] - lower, to_s)
+    if root_hi:
+        near = (which == 0) & (upper - t0 <= 0.51 * (upper - lower))
+        which[near] = len(integrands)
+        integrands.append(g_hi)
+        a[near] = libm(pow, upper - t1[near], to_s)
+        b[near] = libm(pow, upper - t0[near], to_s)
+    values, errors = _panel_quad(integrands, which, a, b, tol)
     # cumulative integral from grid[0]
-    U = np.zeros_like(grid)
-    for i in range(1, len(grid)):
-        t0, t1 = grid[i - 1], grid[i]
-        if root_lo and t1 - domain.lower <= 0.51 * span_hi:
-            s0 = (t0 - domain.lower) ** (1.0 / (2 * spec.m))
-            s1 = (t1 - domain.lower) ** (1.0 / (2 * spec.m))
-            val, err = _quad(g_lo, s0, s1, tol)
-        elif (root_hi
-              and domain.upper - t0 <= 0.51 * (domain.upper - domain.lower)):
-            s0 = (domain.upper - t1) ** (1.0 / (2 * spec.m))
-            s1 = (domain.upper - t0) ** (1.0 / (2 * spec.m))
-            val, err = _quad(g_hi, s0, s1, tol)
-        else:
-            val, err = _quad(integrand, t0, t1, tol)
-        U[i] = U[i - 1] + val
-        err_total += err
+    U = _running_sum(values)
+    err_total = float(_running_sum(errors)[-1])
 
     # value of the cumulative integral at the anchor position
     def cumulative_at(alpha: float) -> float:
@@ -494,21 +649,21 @@ def profile_from_integral(spec: IntegrandSpec, domain: DomainInterval,
         # anchor at a domain endpoint off the grid
         if alpha <= grid[0]:
             if root_lo:
-                s1 = (grid[0] - domain.lower) ** (1.0 / (2 * spec.m))
+                s1 = (grid[0] - lower) ** to_s
                 val, _ = _quad(g_lo, 0.0, s1, tol)
             else:
-                val, _ = _quad(integrand, alpha, grid[0], tol)
+                val, _ = _quad(spec, alpha, grid[0], tol)
             return float(U[0] - val)
         if alpha >= grid[-1]:
             if root_hi:
-                s1 = (domain.upper - grid[-1]) ** (1.0 / (2 * spec.m))
+                s1 = (upper - grid[-1]) ** to_s
                 val, _ = _quad(g_hi, 0.0, s1, tol)
             else:
-                val, _ = _quad(integrand, grid[-1], alpha, tol)
+                val, _ = _quad(spec, grid[-1], alpha, tol)
             return float(U[-1] + val)
         raise ValueError(f"anchor {alpha} not resolvable on the grid")
 
     offset = cumulative_at(a0)
     u = u0 + sign * (U - offset)
-    du = sign * np.array([spec(t) for t in grid])
+    du = sign * exact_values(spec, grid)
     return ProfileSamples(alpha=grid, u=u, du=du, quad_error=err_total)

@@ -24,9 +24,12 @@ from .quadrature import (
     EndpointKind,
     ToleranceError,
     _build_grid,
+    as_libm,
     bracket_roots,
     double_root_factor,
+    exact_values,
     integrate_singular,
+    log,
     profile_from_integral,
 )
 
@@ -228,12 +231,15 @@ class ProfileBranch:
         """mu of the normalized relation; the physical one is mu / scale."""
         return self.request.relation.mu
 
-    def uprime(self, a: float) -> float:
-        """Signed slope u'(a) of the branch as sampled (after rescaling)."""
-        return self.request.sign * self.slope(float(a) / self.scale)
+    def uprime(self, a):
+        """Signed slope u'(a) of the branch as sampled (after rescaling);
+        a is a float or a float array."""
+        x = a if isinstance(a, np.ndarray) else float(a)
+        return self.request.sign * self.slope(x / self.scale)
 
-    def fd_second(self, a: float, h: float) -> float:
-        """u''(a) from the closed-form slope by a central 5-point stencil."""
+    def fd_second(self, a, h):
+        """u''(a) from the closed-form slope by a central 5-point stencil;
+        a and h are floats or float arrays."""
         f = self.uprime
         return (-f(a + 2 * h) + 8 * f(a + h)
                 - 8 * f(a - h) + f(a - 2 * h)) / (12 * h)
@@ -253,9 +259,10 @@ class NormCircle:
     R: float
     m: int
 
-    def __call__(self, a: float) -> float:
+    def __call__(self, a):
+        """The slope at a, a float or a float array."""
         q = 2 * self.m - 1
-        w = self.c - self.k * a
+        w = self.c - self.k * as_libm(a)
         return w ** q * (self.R ** (2 * self.m) - w ** (2 * self.m)) \
             ** (-q / (2 * self.m))
 
@@ -266,57 +273,55 @@ class NormCircle:
             ** (1.0 / (2 * self.m)) / self.k
 
 
-# The quadrature families map a power k and their constants to (P^k, Q^k),
-# each side a float where it does not depend on t, else a function of t.
-# Powers are grouped as in the closed forms, t**(k*lam) and not
-# (t**lam)**k, which rounds differently.  N = c1*(lam+1) - mu*t^(lam+1).
+# A quadrature family maps its constants to (base, P, Q).  base(t) is the
+# subexpression of t that P and Q share, or None; P(k, t, b) and Q(k, t, b)
+# are P^k and Q^k at t, given b = base(t).  t is a float or a LibmArray,
+# whose ** runs libm's pow, so one formula serves both.  Powers are grouped
+# as in the closed forms, t**(k*lam) and not (t**lam)**k, which rounds
+# differently.  N = c1*(lam+1) - mu*t^(lam+1).
 #
-#   family    relation           P              Q
-#   hom_pos   mu = 0, lam > 0    t^lam          c2^lam
-#   hom_neg   mu = 0, lam < 0    c2^(-lam)      t^(-lam)
-#   lm1       lam = -1           1              t*(c1 - mu*log t)
-#   gen_pos   lam > 0            (lam+1)*t^lam  N
-#   gen_mid   -1 < lam < 0       lam+1          t^(-lam)*N
-#   gen_low   lam < -1           w = -(lam+1)   t*(c1*w*t^w + mu)
+#   family    relation           P              Q                  base
+#   hom_pos   mu = 0, lam > 0    t^lam          c2^lam             -
+#   hom_neg   mu = 0, lam < 0    c2^(-lam)      t^(-lam)           -
+#   lm1       lam = -1           1              t*(c1 - mu*log t)  Q
+#   gen_pos   lam > 0            (lam+1)*t^lam  N                  N
+#   gen_mid   -1 < lam < 0       lam+1          t^(-lam)*N         N
+#   gen_low   lam < -1           w = -(lam+1)   t*(c1*w*t^w + mu)  Q
 
 
-def _hom_pos(k: int, lam: float, c2: float) -> tuple:
-    e = k * lam
-    return (lambda t: t ** e), c2 ** e
+def _hom_pos(lam: float, c2: float) -> tuple:
+    return (None, lambda k, t, b: t ** (k * lam),
+            lambda k, t, b: c2 ** (k * lam))
 
 
-def _hom_neg(k: int, lam: float, c2: float) -> tuple:
-    e = k * -lam
-    return c2 ** e, (lambda t: t ** e)
+def _hom_neg(lam: float, c2: float) -> tuple:
+    return (None, lambda k, t, b: c2 ** (k * -lam),
+            lambda k, t, b: t ** (k * -lam))
 
 
-def _lm1(k: int, c1: float, mu: float) -> tuple:
-    return 1.0, (lambda t: (t * (c1 - mu * math.log(t))) ** k)
+def _lm1(c1: float, mu: float) -> tuple:
+    return (lambda t: t * (c1 - mu * log(t)),
+            lambda k, t, b: 1.0, lambda k, t, b: b ** k)
 
 
-def _gen_pos(k: int, lam: float, c1: float, mu: float) -> tuple:
-    a, e, c, lp = (lam + 1.0) ** k, k * lam, c1 * (lam + 1.0), lam + 1.0
-    return (lambda t: a * t ** e), (lambda t: (c - mu * t ** lp) ** k)
+def _gen_pos(lam: float, c1: float, mu: float) -> tuple:
+    lp = lam + 1.0
+    return (lambda t: c1 * lp - mu * t ** lp,
+            lambda k, t, b: lp ** k * t ** (k * lam),
+            lambda k, t, b: b ** k)
 
 
-def _gen_mid(k: int, lam: float, c1: float, mu: float) -> tuple:
-    e, c, lp = k * -lam, c1 * (lam + 1.0), lam + 1.0
-    return lp ** k, (lambda t: t ** e * (c - mu * t ** lp) ** k)
+def _gen_mid(lam: float, c1: float, mu: float) -> tuple:
+    lp = lam + 1.0
+    return (lambda t: c1 * lp - mu * t ** lp,
+            lambda k, t, b: lp ** k,
+            lambda k, t, b: t ** (k * -lam) * b ** k)
 
 
-def _gen_low(k: int, lam: float, c1: float, mu: float) -> tuple:
+def _gen_low(lam: float, c1: float, mu: float) -> tuple:
     w = -(lam + 1.0)
-    cw = c1 * w
-    return w ** k, (lambda t: (t * (cw * t ** w + mu)) ** k)
-
-
-def _minus(a, b):
-    """t -> a - b, for sides that are floats or functions of t."""
-    if not callable(a):
-        return lambda t: a - b(t)
-    if not callable(b):
-        return lambda t: a(t) - b
-    return lambda t: a(t) - b(t)
+    return (lambda t: t * (c1 * w * t ** w + mu),
+            lambda k, t, b: w ** k, lambda k, t, b: b ** k)
 
 
 @dataclass(frozen=True)
@@ -324,10 +329,12 @@ class SlopeLaw:
     """Unsigned slope Q^q / (P^2m - Q^2m)^(q/2m), q = 2m-1, of a quadrature
     branch, admissible where P > Q > 0; pickles by its fields.
 
-    ``family`` is the function giving (P^k, Q^k), one of _hom_pos ...
+    ``family`` is the function giving (base, P, Q), one of _hom_pos ...
     _gen_low, and ``params`` its constants.  The law derives ``numerator``
     Q^q, ``denominator`` P^2m - Q^2m and the admissibility ``gap`` P - Q,
-    all that quadrature reads of an IntegrandSpec.  ``double = (beta, p,
+    all that quadrature reads of an IntegrandSpec; ``terms`` gives the
+    first two at once, sharing the base.  All but ``gap`` take a float or
+    a float array, with the same bits per element.  ``double = (beta, p,
     t_d)`` selects the denominator beta*phi_p(t/t_d - 1) * sum_{k<2m} P^k
     Q^(2m-1-k) (P constant), accurate next to a double root t_d of P - Q.
     """
@@ -340,28 +347,46 @@ class SlopeLaw:
 
     def __post_init__(self) -> None:
         m2 = 2 * self.m
-        powers = self.family
-        p1, q1 = powers(1, *self.params)
-        q_q = powers(m2 - 1, *self.params)[1]
-        numerator = q_q if callable(q_q) else (lambda t: q_q)
+        base, P, Q = self.family(*self.params)
+        p_pows = phi = None
         if self.double:
-            beta, p, t_d = self.double
-            phi = double_root_factor(p)
-            p_pows = [powers(k, *self.params)[0] for k in range(1, m2)]
+            phi = double_root_factor(self.double[1])
+            p_pows = [P(k, None, None) for k in range(1, m2)]
+        vars(self).update(_base=base, _P=P, _Q=Q, _phi=phi, _p_pows=p_pows,
+                          exponent=(m2 - 1) / m2)
 
-            def denominator(t: float) -> float:
-                b = q1(t)
-                cofactor = 1.0
-                for p_k in p_pows:
-                    cofactor = cofactor * b + p_k
-                return beta * phi((t - t_d) / t_d) * cofactor
-        else:
-            denominator = _minus(*powers(m2, *self.params))
-        vars(self).update(numerator=numerator, denominator=denominator,
-                          gap=_minus(p1, q1), exponent=(m2 - 1) / m2)
+    def terms(self, t, denominator: bool = True) -> tuple:
+        """(Q^q, denominator) at t; the denominator is None when not
+        asked for."""
+        t = as_libm(t)
+        m2, Q = 2 * self.m, self._Q
+        b = self._base(t) if self._base else None
+        num = Q(m2 - 1, t, b)
+        if not denominator:
+            return num, None
+        if not self.double:
+            return num, self._P(m2, t, b) - Q(m2, t, b)
+        beta, _, t_d = self.double
+        q1 = Q(1, t, b)
+        cofactor = 1.0
+        for p_k in self._p_pows:
+            cofactor = cofactor * q1 + p_k
+        return num, beta * self._phi((t - t_d) / t_d) * cofactor
 
-    def __call__(self, t: float) -> float:
-        return self.numerator(t) / self.denominator(t) ** self.exponent
+    def numerator(self, t):
+        return self.terms(t, denominator=False)[0]
+
+    def denominator(self, t):
+        return self.terms(t)[1]
+
+    def gap(self, t: float) -> float:
+        """P - Q at the float t."""
+        b = self._base(t) if self._base else None
+        return self._P(1, t, b) - self._Q(1, t, b)
+
+    def __call__(self, t):
+        num, den = self.terms(t)
+        return num / den ** self.exponent
 
     def __reduce__(self):
         return SlopeLaw, (self.family, self.params, self.m,
@@ -718,7 +743,7 @@ def _norm_circle_branch(req: SolveRequest, piece: _Piece,
     return ProfileBranch(
         request=req, case=piece.tag, domain=dom, alpha=alpha,
         u=req.sign * slope.height(alpha) + req.shift,
-        du=req.sign * np.array([slope(float(a)) for a in alpha]),
+        du=req.sign * exact_values(slope, alpha, python_floats=True),
         slope=slope,
         anchor=(a0, float(req.sign * slope.height(a0) + req.shift)),
         span=slope.R)

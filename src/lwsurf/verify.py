@@ -147,6 +147,24 @@ def _fd_jet_exact(branch: ProfileBranch, a: float) -> tuple:
     return branch.uprime(a), branch.fd_second(a, h)
 
 
+def _fd_jets_exact(branch: ProfileBranch, a: np.ndarray) -> list:
+    """_fd_jet_exact at every point of a, as a list of float pairs.
+
+    All stencils are evaluated at once by the array slope; a point where
+    that leaves a value non-finite is evaluated again by _fd_jet_exact.
+    """
+    lo, hi = _domain_bounds(branch)
+    dist = np.minimum(a - lo, hi - a)
+    h = np.maximum(1e-6, 1e-4 * np.minimum(np.maximum(1.0, np.abs(a)), dist))
+    h = np.minimum(h, 0.25 * dist)
+    with np.errstate(all="ignore"):
+        d1, d2 = branch.uprime(a), branch.fd_second(a, h)
+    jets = list(zip(d1.tolist(), d2.tolist()))
+    for i in np.flatnonzero(~(np.isfinite(d1) & np.isfinite(d2))).tolist():
+        jets[i] = _fd_jet_exact(branch, float(a[i]))
+    return jets
+
+
 def _relation_residual(p: NormParameter, a: float, d1: float, d2: float,
                        lam: float, mu: float) -> float:
     if math.isinf(lam):
@@ -211,13 +229,24 @@ def residual_scan(branch: ProfileBranch, epsilon: float = 1e-3,
         raise ValueError("exclusion zones removed every sample point")
 
     alphas, residuals = [], []
-    for i in idx:
-        a = float(branch.alpha[i])
-        d1, d2 = _fd_jet_exact(branch, a)
+    points = branch.alpha[idx]
+    for a, (d1, d2) in zip(points.tolist(), _fd_jets_exact(branch, points)):
         if d1 == 0.0:
             continue
         residuals.append(_relation_residual(p, a, d1, d2, lam, mu))
         alphas.append(a)
+    details = {"lam": lam, "mu": mu, "m": p.m, "epsilon": epsilon,
+               "slope_source": "closed_form",
+               "chart_switch_slope": CHART_SWITCH_SLOPE}
+    zones = _exclusion_zones(branch, epsilon)
+    if not residuals:
+        # the slope underflows to 0 on a vanishingly narrow domain
+        details["reason"] = "no scanned point has a nonzero slope"
+        return VerificationReport(
+            kind="residual_scan", case=branch.case.value, passed=False,
+            tolerance=tol, n_points=0, max_residual=math.nan,
+            median_residual=math.nan, excluded_zones=zones,
+            excluded_fraction=1.0, details=details)
     alphas = np.array(alphas)
     residuals = np.array(residuals)
     max_res = float(np.max(residuals))
@@ -226,12 +255,9 @@ def residual_scan(branch: ProfileBranch, epsilon: float = 1e-3,
         passed=max_res < tol, tolerance=tol, n_points=len(residuals),
         max_residual=max_res, median_residual=float(np.median(residuals)),
         rms_residual=float(np.sqrt(np.mean(residuals ** 2))),
-        excluded_zones=_exclusion_zones(branch, epsilon),
+        excluded_zones=zones,
         excluded_fraction=1.0 - len(residuals) / len(branch.alpha),
-        edge_growth=_edge_growth(alphas, residuals),
-        details={"lam": lam, "mu": mu, "m": p.m, "epsilon": epsilon,
-                 "slope_source": "closed_form",
-                 "chart_switch_slope": CHART_SWITCH_SLOPE})
+        edge_growth=_edge_growth(alphas, residuals), details=details)
     return report
 
 

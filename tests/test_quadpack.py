@@ -1,7 +1,9 @@
 """Parity of the in-house QUADPACK port with scipy.integrate.quad.
 
-Every profile panel goes through quadrature._quad, which runs
-quadpack.quad, a port of QUADPACK's QAGS and QAGI.  Value and error
+Profile panels go through quadrature._panel_quad: quadpack.first_rule on
+all panels at once, and quadpack.quad, a port of QUADPACK's QAGS and
+QAGI, on the panels that rule does not finish.  Spans and tails go
+through quadrature._quad, which runs quadpack.quad.  Value and error
 estimate must agree with scipy's quad to the bit, so that tables, spans
 and quad_error do not depend on which of the two ran.  Most checks also
 require the same evaluation points in the same order, which pins down
@@ -18,7 +20,8 @@ from scipy.integrate import quad as scipy_quad
 import lwsurf.quadrature as quadrature
 from conftest import build_instances
 from lwsurf import NormParameter, SolveRequest, WeingartenRelation, solve
-from lwsurf.quadpack import quad
+from lwsurf.quadpack import first_rule, quad
+from lwsurf.quadrature import as_libm, libm
 
 EPSABS = 1e-14  # what quadrature._quad passes
 
@@ -59,21 +62,56 @@ def assert_same(f, a, b, epsrel=1e-10, limit=200, ordered=True) -> int:
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_taxonomy_panels_bit_identical(m, monkeypatch):
-    """A sample of the panels that building every m = 2, 3 instance makes:
-    every 50th call, every call that bisects, and the unbounded tail."""
-    calls = []
-    port = quadrature._quad
+    """Every panel that building every m = 2, 3 instance integrates.
 
-    def record(f, a, b, tol, limit=200):
-        calls.append((f, a, b, tol, limit))
+    _panel_quad returns the (value, abserr) bits of quad on each panel;
+    a panel its array pass accepts is one that quad ends after the first
+    rule, and every panel that quad bisects goes to the scalar fallback.
+    A sample is compared with scipy: every 50th panel and scalar call,
+    every one that bisects, and the unbounded tail."""
+    panels, scalar_calls = [], []
+    panel_quad, port = quadrature._panel_quad, quadrature._quad
+
+    def record_panels(integrands, which, a, b, tol):
+        values, errors = panel_quad(integrands, which, a, b, tol)
+        done = np.zeros(a.size, dtype=bool)
+        for k, f in enumerate(integrands):
+            idx = np.flatnonzero((which == k) & (a < b))
+            for start in range(0, idx.size, quadrature.PANEL_BLOCK):
+                block = idx[start:start + quadrature.PANEL_BLOCK]
+                done[block] = first_rule(f, a[block], b[block], EPSABS,
+                                         tol)[2]
+        for i in range(a.size):
+            panels.append((integrands[which[i]], a[i], b[i], tol,
+                           (values[i], errors[i]), done[i]))
+        return values, errors
+
+    def record_scalar(f, a, b, tol, limit=200):
+        scalar_calls.append((f, a, b, tol, limit))
         return port(f, a, b, tol, limit)
 
-    monkeypatch.setattr(quadrature, "_quad", record)
+    monkeypatch.setattr(quadrature, "_panel_quad", record_panels)
+    monkeypatch.setattr(quadrature, "_quad", record_scalar)
     build_instances(m)
     monkeypatch.undo()
-    assert len(calls) > 13000
-    bisected = tails = 0
-    for index, (f, a, b, tol, limit) in enumerate(calls):
+    assert len(panels) > 13000
+    bisected = tails = fallback = 0
+    for index, (f, a, b, tol, got, done) in enumerate(panels):
+        evaluations = [0]
+
+        def counted(x, f=f):
+            evaluations[0] += 1
+            return f(x)
+
+        assert hexes(quad(counted, a, b, EPSABS, tol, 200)) == hexes(got)
+        loop = evaluations[0] > 21
+        assert not (done and evaluations[0] != 21), (a, b)
+        fallback += not done
+        if loop or index % 50 == 0:
+            assert_same(f, a, b, tol)
+            bisected += loop
+    assert 0 < fallback < len(panels) // 100
+    for index, (f, a, b, tol, limit) in enumerate(scalar_calls):
         evaluations = [0]
 
         def counted(x, f=f):
@@ -82,11 +120,10 @@ def test_taxonomy_panels_bit_identical(m, monkeypatch):
 
         quad(counted, a, b, EPSABS, tol, limit)
         tail = math.isinf(b)
-        loop = not tail and evaluations[0] > 21
-        if tail or loop or index % 50 == 0:
+        if tail or evaluations[0] > 21 or index % 50 == 0:
             assert_same(f, a, b, tol, limit)
             tails += tail
-            bisected += loop
+            bisected += not tail and evaluations[0] > 21
     assert tails == 1
     assert bisected >= 10
 
@@ -214,6 +251,55 @@ def test_one_non_finite_value(special, at, limit):
         got = quad(recorded(f, seen_port), a, b, EPSABS, 1e-10, limit)
         assert hexes(got) == hexes(want)
         assert seen_port == seen_ref
+
+
+# ---------------------------------------------------------------------------
+# the first rule on many panels at once
+
+
+def mapped(fn):
+    """fn on a float, and on every float of an array through libm."""
+    return lambda x: libm(fn, x) if isinstance(x, np.ndarray) else fn(x)
+
+
+FIRST_RULE = {
+    "inverse_sqrt": (lambda x: as_libm(x) ** -0.5, 0.0, 1.0),
+    "oscillating": (mapped(lambda x: math.sin(30.0 * x)), 0.0, 2.0),
+    "log": (mapped(math.log), 0.0, 1.0),
+    "overflowing": (lambda x: 1.6e308 * (1.0 - x), 0.0, 1.0),
+    "complex_left_half": (lambda x: as_libm(x - 0.5) ** 0.5, 0.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIRST_RULE))
+def test_first_rule_panels_match_quad(name):
+    """A panel first_rule accepts has quad's bits and is one that quad ends
+    after its first rule; a panel quad bisects, or raises on, is not
+    accepted."""
+    f, a, b = FIRST_RULE[name]
+    cuts = np.sort(np.random.default_rng(7).uniform(a, b, 300))
+    lo = np.concatenate(([a], cuts[:-1]))
+    hi = np.concatenate(([b], cuts[1:]))
+    result, abserr, done = first_rule(f, lo, hi, EPSABS, 1e-10)
+    for i in range(lo.size):
+        evaluations = [0]
+
+        def counted(x):
+            evaluations[0] += 1
+            return f(x)
+
+        try:
+            got = quad(counted, lo[i], hi[i], EPSABS, 1e-10, 200)
+        except TypeError:
+            assert not done[i]
+            continue
+        if done[i]:
+            assert evaluations[0] == 21
+            assert hexes(got) == hexes((result[i], abserr[i]))
+        if evaluations[0] > 21:
+            assert not done[i]
+    if name != "overflowing":
+        assert done.any()
 
 
 # ---------------------------------------------------------------------------

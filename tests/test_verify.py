@@ -73,6 +73,24 @@ class TestResidualScan:
         with pytest.raises(ValueError):
             residual_scan(b)
 
+    def test_no_nonzero_slope_gives_failed_report(self):
+        """A sweep draw (seed 405) whose 6.3iii-1 domain ends at 2.9e-46:
+        the slope underflows to 0 at every scanned point, and the scan
+        reports a failure instead of raising."""
+        req = SolveRequest(
+            p=NormParameter(5),
+            relation=WeingartenRelation.linear(-0.9676349260580417,
+                                               2.263783851459214),
+            c1=1.065926470183868)
+        (b,) = solve(req)
+        assert b.case.value == "6.3iii-1" and b.domain.upper < 1e-45
+        rep = residual_scan(b)
+        assert not rep.passed
+        assert rep.n_points == 0 and rep.excluded_fraction == 1.0
+        assert rep.details["reason"] == "no scanned point has a nonzero slope"
+        assert math.isnan(rep.max_residual)
+        assert json.loads(rep.to_json())["passed"] is False
+
     def test_wrong_relation_fails(self, generic):
         # scanning the table against a different relation must fail loudly
         rep = residual_scan_table(
