@@ -21,7 +21,6 @@ from .normgeom import (
 from .quadrature import (
     DomainInterval,
     EndpointKind,
-    IntegrandSpec,
     QuadratureResult,
     ToleranceError,
     bracket_roots,

@@ -1,10 +1,12 @@
-"""QUADPACK's adaptive quadrature: QAGS on finite and QAGI on infinite ranges.
+"""QUADPACK's adaptive quadrature: QAGS on (a, b) and QAGI on (a, inf).
 
 A port of ``dqagse`` and ``dqagie`` with their rules ``dqk21`` and
 ``dqk15i``, the error-list ordering ``dqpsrt`` and the epsilon algorithm
 ``dqelg`` (Piessens, de Doncker-Kapenga, Ueberhuber and Kahaner,
-*QUADPACK*, Springer 1983).  ``quad`` returns the same ``(value, abserr)``
-as ``scipy.integrate.quad`` with the same ``epsabs``, ``epsrel`` and
+*QUADPACK*, Springer 1983).  Only the ranges lwsurf integrates over are
+served: a <= b with a finite and b finite or +inf, with epsabs > 0 and
+limit >= 1.  There ``quad`` returns the same ``(value, abserr)`` as
+``scipy.integrate.quad`` with the same ``epsabs``, ``epsrel`` and
 ``limit``, bit for bit: the same nodes, the sums in the same order, the
 same branches, and C's ``fmax``/``fmin`` where a NaN can reach them.  The
 lists keep QUADPACK's 1-based indices; slot 0 is unused.
@@ -96,30 +98,20 @@ def _fmax(x: float, y: float) -> float:
 def quad(f, a, b, epsabs: float, epsrel: float, limit: int) -> tuple:
     """(value, abserr) of the integral of f over (a, b), as scipy's quad.
 
-    f is called with Python floats.  Its values are converted as
-    ``float()`` converts them, as scipy's C wrapper does, so a complex
-    value raises TypeError.
+    a <= b, a finite, b finite or +inf; epsabs > 0 and limit >= 1.  f is
+    called with Python floats.  Its values are converted as ``float()``
+    converts them, as scipy's C wrapper does, so a complex value raises
+    TypeError.
     """
     a, b = float(a), float(b)
     if a == b:
         return 0.0, 0.0
-    if b < a:
-        value, abserr = quad(f, b, a, epsabs, epsrel, limit)
-        return -value, abserr
-    if b != math.inf and a != -math.inf:
+    if b != math.inf:
         return _adaptive(_qk21, f, a, b, epsabs, epsrel, limit)
-    # dqagie maps x in (0, 1] to t = boun + dinf*(1 - x)/x; on the whole
-    # line (inf = 2) it adds f(-t)
-    both = a == -math.inf and b == math.inf
-    boun, dinf = ((0.0, 1.0) if both else
-                  (a, 1.0) if b == math.inf else (b, -1.0))
 
+    # dqagie maps x in (0, 1] to t = a + (1 - x)/x
     def mapped(x: float) -> float:
-        t = boun + dinf * (1.0 - x) / x
-        value = float(f(t))
-        if both:
-            value = value + float(f(-t))
-        return (value / x) / x
+        return (float(f(a + (1.0 - x) / x)) / x) / x
 
     return _adaptive(_qk15, mapped, 0.0, 1.0, epsabs, epsrel, limit)
 
@@ -243,7 +235,8 @@ def _estimate(resk: float, resg: float, resabs: float, resasc: float,
 
 def first_rule(f, a: np.ndarray, b: np.ndarray, epsabs: float,
                epsrel: float) -> tuple:
-    """dqagse's first step on every panel (a[i], b[i]), a < b, at once.
+    """dqagse's first step on every panel (a[i], b[i]), a < b, at once;
+    epsabs > 0.
 
     ``f`` maps a float array to its values; +, -, *, / and abs round as
     Python floats do, so where f returns the values the scalar integrand
@@ -253,9 +246,6 @@ def first_rule(f, a: np.ndarray, b: np.ndarray, epsabs: float,
     epsrel, limit)`` returns (result[i], abserr[i]) for any limit.  The
     other panels need the scalar ``quad``.
     """
-    n = a.size
-    if epsabs <= 0.0 and epsrel < max(50.0 * _EPMACH, 0.5e-28):
-        return np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool)
     with np.errstate(all="ignore"):
         result, abserr, defabs, resabs, finite = _qk21_array(f, a, b)
         errbnd = epsrel * np.abs(result)
@@ -325,13 +315,9 @@ def _adaptive(rule, f, a: float, b: float, epsabs: float, epsrel: float,
               limit: int) -> tuple:
     """dqagse's (and dqagie's) bisection with epsilon extrapolation.
 
-    ``epsabs`` is not NaN, so ``max(epsabs, x)`` is C's fmax there.
+    ``epsabs`` is positive, so ``max(epsabs, x)`` is C's fmax there, and
+    the tolerances are never too small for dqagse (ier = 6).
     """
-    if limit < 1:
-        raise ValueError("Invalid 'limit' argument. There must be at least "
-                         "one subinterval")
-    if epsabs <= 0.0 and epsrel < max(50.0 * _EPMACH, 0.5e-28):
-        return 0.0, 0.0  # ier = 6
     # first approximation to the integral
     result, abserr, defabs, resabs = rule(f, a, b)
     dres = abs(result)

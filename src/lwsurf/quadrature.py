@@ -1,10 +1,12 @@
 """Quadrature for profile integrals with endpoint singularities.
 
-The profile integrands have the shape numerator / denominator^e with
-e = (2m-1)/2m and a denominator vanishing at domain boundaries.  The
-domain's endpoint kinds record where it vanishes and how: a simple root
-gives an integrable singularity which the substitution t = root +/- s^(2m)
-removes exactly; a double root makes the integral diverge because 2e >= 1.
+The one integrand is a branch's SlopeLaw, Q^q / (P^2m - Q^2m)^e with
+q = 2m-1 and e = q/2m; quadrature reads only its ``terms``, ``m``,
+``exponent`` and ``decay_exponent``.  The denominator vanishes at domain
+boundaries, and the domain's endpoint kinds record where and how: a
+simple root gives an integrable singularity which the substitution
+t = root +/- s^(2m) removes exactly; a double root makes the integral
+diverge because 2e >= 1.
 Divergence is decided from the endpoint kinds and exponent arithmetic,
 never from the size of a numeric estimate.
 
@@ -20,15 +22,17 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .solver import SlopeLaw
 
 __all__ = [
     "EndpointKind",
     "DomainInterval",
     "QuadratureResult",
-    "IntegrandSpec",
     "ToleranceError",
     "bracket_roots",
     "double_root_factor",
@@ -172,36 +176,6 @@ class QuadratureResult:
         return QuadratureResult(False)
 
 
-@dataclass(frozen=True)
-class IntegrandSpec:
-    """Profile integrand numerator(t) / denominator(t)^exponent.
-
-    The endpoint kinds of the domain it is integrated over say where the
-    denominator vanishes.
-    ``decay_exponent`` is the algebraic decay rate of the full integrand at
-    infinity, used for the finiteness decision on unbounded intervals.
-    """
-
-    numerator: Callable[[float], float]
-    denominator: Callable[[float], float]
-    exponent: float
-    m: int
-    decay_exponent: float | None = None
-
-    def terms(self, t) -> tuple:
-        """(numerator, denominator) at t; on an array, constant callables
-        broadcast."""
-        if isinstance(t, np.ndarray):
-            t = as_libm(t)
-            return (np.broadcast_to(self.numerator(t), t.shape),
-                    np.broadcast_to(self.denominator(t), t.shape))
-        return self.numerator(t), self.denominator(t)
-
-    def __call__(self, t):
-        num, den = self.terms(t)
-        return num / as_libm(den) ** self.exponent
-
-
 def _brent(f: Callable[[float], float], a: float, b: float, xtol: float,
            rtol: float, maxiter: int = 100) -> float:
     """Root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
@@ -338,24 +312,23 @@ def bracket_roots(f: Callable[[float], float], lo: float, hi: float,
     return [r for r in roots if abs(f(r)) < ROOT_VALUE_TOL * scale * 10]
 
 
-def _edge_integrand(spec: IntegrandSpec, root: float, inward: int):
+def _edge_integrand(law: SlopeLaw, root: float, inward: int):
     """Smooth integrand in s after the substitution t = root + inward*s^(2m).
 
-    The denominator factor (t-root) is divided out analytically; the
-    remaining cofactor is evaluated as denominator(t)/|t-root| with a
-    one-sided derivative fallback very close to the root.  s is a float
-    or an array; on an array the denominator is evaluated only where the
-    quotient is used.
+    The denominator factor (t-root) is divided out analytically, and its
+    power s^(2m-1) cancels that of dt/ds; the remaining cofactor is
+    evaluated as denominator(t)/|t-root| with a one-sided derivative
+    fallback very close to the root.  s is a float or an array; on an
+    array the denominator is evaluated only where the quotient is used.
     """
-    m = spec.m
-    e = spec.exponent
-    pw = (2 * m - 1) - 2 * m * e  # zero for the canonical exponent
+    m = law.m
+    e = law.exponent
     # below h0 the direct quotient denominator(t)/d loses digits to the
     # rounding of root + d, so a local linear model of the cofactor is
     # used instead (coefficients by one-sided Richardson extrapolation)
     h0 = 1e-5 * max(1.0, abs(root))
-    c_a = spec.denominator(root + inward * h0) / h0
-    c_b = spec.denominator(root + inward * 2.0 * h0) / (2.0 * h0)
+    c_a = law.terms(root + inward * h0)[1] / h0
+    c_b = law.terms(root + inward * 2.0 * h0)[1] / (2.0 * h0)
     cof0 = 2.0 * c_a - c_b
     cof_slope = (c_b - c_a) / h0
 
@@ -367,19 +340,16 @@ def _edge_integrand(spec: IntegrandSpec, root: float, inward: int):
             far = d > h0
             num = np.empty_like(d)
             cof = cof0 + cof_slope * d
-            num[far], den = spec.terms(t[far])
+            num[far], den = law.terms(t[far])
             cof[far] = den / d[far]
-            num[~far] = spec.numerator(t[~far])
+            num[~far] = law.terms(t[~far], denominator=False)[0]
         elif d > h0:
-            num, den = spec.terms(t)
+            num, den = law.terms(t)
             cof = den / d
         else:
-            num = spec.numerator(t)
+            num = law.terms(t, denominator=False)[0]
             cof = cof0 + cof_slope * d
-        val = 2 * m * num * cof ** (-e)
-        if pw != 0.0:
-            val *= s ** pw
-        return val
+        return 2 * m * num * cof ** (-e)
 
     return g
 
@@ -477,9 +447,9 @@ def _running_sum(x: np.ndarray) -> np.ndarray:
     return np.add.accumulate(np.concatenate(([0.0], x)))
 
 
-def integrate_singular(spec: IntegrandSpec, domain: DomainInterval,
+def integrate_singular(law: SlopeLaw, domain: DomainInterval,
                        tol: float = 1e-10) -> QuadratureResult:
-    """Integral of the spec over the domain with singular-endpoint handling.
+    """Integral of the law over the domain with singular-endpoint handling.
 
     Double-root endpoints are classified divergent analytically because the
     local exponent 2*(2m-1)/2m is at least 1; simple-root endpoints are
@@ -489,9 +459,9 @@ def integrate_singular(spec: IntegrandSpec, domain: DomainInterval,
     if EndpointKind.DOUBLE_ROOT in (domain.lower_kind, domain.upper_kind):
         return QuadratureResult.divergent()
     a, b = domain.lower, domain.upper
-    if math.isinf(b):
-        if spec.decay_exponent is None or spec.decay_exponent <= 1.0:
-            return QuadratureResult.divergent()
+    if math.isinf(b) and (law.decay_exponent is None
+                          or law.decay_exponent <= 1.0):
+        return QuadratureResult.divergent()
     root_a = domain.lower_kind is EndpointKind.SIMPLE_ROOT
     root_b = domain.upper_kind is EndpointKind.SIMPLE_ROOT
 
@@ -503,25 +473,25 @@ def integrate_singular(spec: IntegrandSpec, domain: DomainInterval,
 
     if root_a:
         w = mid - lo
-        g = _edge_integrand(spec, a, +1)
-        val, err = _quad(g, 0.0, w ** (1.0 / (2 * spec.m)), tol)
+        g = _edge_integrand(law, a, +1)
+        val, err = _quad(g, 0.0, w ** (1.0 / (2 * law.m)), tol)
         total += val
         err_total += err
         lo = mid
     if root_b:
         w = hi - mid if root_a else hi - 0.5 * (lo + hi)
         inner = hi - w
-        g = _edge_integrand(spec, b, -1)
-        val, err = _quad(g, 0.0, w ** (1.0 / (2 * spec.m)), tol)
+        g = _edge_integrand(law, b, -1)
+        val, err = _quad(g, 0.0, w ** (1.0 / (2 * law.m)), tol)
         total += val
         err_total += err
         hi = inner
     if hi > lo:
-        val, err = _quad(spec, lo, hi, tol)
+        val, err = _quad(law, lo, hi, tol)
         total += val
         err_total += err
     if math.isinf(b):
-        val, err = _quad(spec, max(lo, hi), np.inf, tol, limit=400)
+        val, err = _quad(law, max(lo, hi), np.inf, tol, limit=400)
         total += val
         err_total += err
     if not math.isfinite(total):
@@ -543,8 +513,8 @@ class ProfileSamples:
     quad_error: float = 0.0
 
 
-def _edge_offsets(width: float, n: int, kind: EndpointKind, m: int,
-                  include_end: bool) -> np.ndarray:
+def _edge_offsets(width: float, n: int, kind: EndpointKind,
+                  m: int) -> np.ndarray:
     """Distances from an endpoint, ascending, graded by endpoint kind."""
     if kind is EndpointKind.SIMPLE_ROOT:
         s = np.linspace(0.0, width ** (1.0 / (2 * m)), n + 1)[1:]
@@ -555,10 +525,8 @@ def _edge_offsets(width: float, n: int, kind: EndpointKind, m: int,
     if kind is EndpointKind.AXIS_ZERO:
         d0 = min(1e-6, 1e-3 * width)
         return np.geomspace(d0, width, n)
-    # smooth / regular endpoints: uniform, optionally including the end
-    if include_end:
-        return np.linspace(0.0, width, n)
-    return np.linspace(0.0, width, n + 1)[1:]
+    # a smooth cap or an unbounded end (cut): uniform, the end included
+    return np.linspace(0.0, width, n)
 
 
 _SINGULAR_KINDS = (EndpointKind.SIMPLE_ROOT, EndpointKind.DOUBLE_ROOT,
@@ -576,52 +544,48 @@ def _build_grid(domain: DomainInterval, samples: int, m: int,
     mid = 0.5 * (lo + up)
     n_lo = samples // 2
     n_hi = samples - n_lo
-    lo_pts = lo + _edge_offsets(mid - lo, n_lo, lk, m,
-                                include_end=lk is EndpointKind.SMOOTH_CAP)
-    hi_pts = up - _edge_offsets(up - mid, n_hi, uk, m,
-                                include_end=uk in (EndpointKind.SMOOTH_CAP,
-                                                   EndpointKind.UNBOUNDED))
+    lo_pts = lo + _edge_offsets(mid - lo, n_lo, lk, m)
+    hi_pts = up - _edge_offsets(up - mid, n_hi, uk, m)
     grid = np.unique(np.concatenate([lo_pts, hi_pts]))
     return grid
 
 
-def profile_from_integral(spec: IntegrandSpec, domain: DomainInterval,
+def profile_from_integral(law: SlopeLaw, domain: DomainInterval,
                           sign: int, anchor: tuple[float, float],
                           samples: int = 512, tol: float = 1e-10,
                           upper_cut: float = math.inf) -> ProfileSamples:
-    """Sample u(alpha) = u0 + sign * int_{alpha0}^{alpha} F on a graded grid.
+    """Sample u(alpha) = u0 + sign * int_{alpha0}^{alpha} law on a graded
+    grid.
 
-    The anchor (alpha0, u0) may sit at an integrable endpoint; the panel
-    adjacent to a simple denominator root is integrated in the regularized
-    variable.  The du column is the closed-form integrand, signed.
+    The anchor alpha0 is domain.lower or domain.upper, and may be an
+    integrable singular endpoint; the panels next to a simple denominator
+    root are integrated in the regularized variable.  The du column is
+    the closed-form integrand, signed.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     a0, u0 = anchor
-    if not (domain.lower - 1e-12 <= a0 <= domain.upper + 1e-12):
-        raise ValueError("anchor outside domain closure")
-
-    grid = _build_grid(domain, samples, spec.m, upper_cut)
-    if domain.lower < a0 < domain.upper and not np.any(
-            np.isclose(grid, a0, rtol=0, atol=1e-14 * max(1.0, abs(a0)))):
-        grid = np.sort(np.append(grid, a0))
-
     lower, upper = domain.lower, domain.upper
+    if a0 not in (lower, upper):
+        raise ValueError(f"anchor {a0} is not an end of the domain "
+                         f"[{lower}, {upper}]")
+
+    grid = _build_grid(domain, samples, law.m, upper_cut)
     span_hi = min(upper, upper_cut) - lower
-    # each panel's integrand: the spec, or next to a simple root the edge
+    # each panel's integrand: the law, or next to a simple root the edge
     # integrand in s, t = root +/- s^(2m)
     root_lo = domain.lower_kind is EndpointKind.SIMPLE_ROOT
     root_hi = domain.upper_kind is EndpointKind.SIMPLE_ROOT
-    g_lo = _edge_integrand(spec, lower, +1) if root_lo else None
+    g_lo = _edge_integrand(law, lower, +1) if root_lo else None
     # t = root - s^(2m): dt orientation already positive in s
-    g_hi = _edge_integrand(spec, upper, -1) if root_hi else None
+    g_hi = _edge_integrand(law, upper, -1) if root_hi else None
     t0, t1 = grid[:-1], grid[1:]
     a, b = t0.copy(), t1.copy()
     which = np.zeros(t0.size, dtype=int)
-    integrands = [spec]
-    to_s = 1.0 / (2 * spec.m)
+    integrands = [law]
+    to_s = 1.0 / (2 * law.m)
     if root_lo:
         near = t1 - lower <= 0.51 * span_hi
         which[near] = len(integrands)
@@ -639,31 +603,29 @@ def profile_from_integral(spec: IntegrandSpec, domain: DomainInterval,
     U = _running_sum(values)
     err_total = float(_running_sum(errors)[-1])
 
-    # value of the cumulative integral at the anchor position
+    # value of the cumulative integral at the anchor, a domain end
     def cumulative_at(alpha: float) -> float:
         idx = np.searchsorted(grid, alpha)
         j = int(np.clip(idx, 0, len(grid) - 1))
         for k in (j - 1, j, j + 1):
             if 0 <= k < len(grid) and abs(grid[k] - alpha) <= 1e-12 * max(1.0, abs(alpha)):
                 return float(U[k])
-        # anchor at a domain endpoint off the grid
-        if alpha <= grid[0]:
+        # the end is off the grid: add the piece out to it
+        if alpha == lower:
             if root_lo:
                 s1 = (grid[0] - lower) ** to_s
                 val, _ = _quad(g_lo, 0.0, s1, tol)
             else:
-                val, _ = _quad(spec, alpha, grid[0], tol)
+                val, _ = _quad(law, alpha, grid[0], tol)
             return float(U[0] - val)
-        if alpha >= grid[-1]:
-            if root_hi:
-                s1 = (upper - grid[-1]) ** to_s
-                val, _ = _quad(g_hi, 0.0, s1, tol)
-            else:
-                val, _ = _quad(spec, grid[-1], alpha, tol)
-            return float(U[-1] + val)
-        raise ValueError(f"anchor {alpha} not resolvable on the grid")
+        if root_hi:
+            s1 = (upper - grid[-1]) ** to_s
+            val, _ = _quad(g_hi, 0.0, s1, tol)
+        else:
+            val, _ = _quad(law, grid[-1], alpha, tol)
+        return float(U[-1] + val)
 
     offset = cumulative_at(a0)
     u = u0 + sign * (U - offset)
-    du = sign * exact_values(spec, grid)
+    du = sign * exact_values(law, grid)
     return ProfileSamples(alpha=grid, u=u, du=du, quad_error=err_total)

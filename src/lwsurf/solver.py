@@ -53,6 +53,8 @@ __all__ = [
 
 EQUALITY_RTOL = 1e-12
 ILL_CONDITIONED_RTOL = 1e-4
+# an unbounded branch is tabulated up to ALPHA_MAX_FACTOR * max(lower, 1)
+ALPHA_MAX_FACTOR = 4.0
 
 
 class NoSurfaceError(ValueError):
@@ -182,19 +184,12 @@ class SolveRequest:
     sign: int = +1
     samples: int = 512
     tol: float = 1e-10
-    alpha_max_factor: float = 4.0
 
     def __post_init__(self) -> None:
         for name in ("c1", "c2", "shift"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        # an unbounded branch is cut at alpha_max_factor * max(lower, 1),
-        # which must lie above the lower end
-        if not (math.isfinite(self.alpha_max_factor)
-                and self.alpha_max_factor > 1.0):
-            raise ValueError("alpha_max_factor must be finite and > 1, got "
-                             f"{self.alpha_max_factor}")
         if self.sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
 
@@ -330,13 +325,14 @@ class SlopeLaw:
     branch, admissible where P > Q > 0; pickles by its fields.
 
     ``family`` is the function giving (base, P, Q), one of _hom_pos ...
-    _gen_low, and ``params`` its constants.  The law derives ``numerator``
-    Q^q, ``denominator`` P^2m - Q^2m and the admissibility ``gap`` P - Q,
-    all that quadrature reads of an IntegrandSpec; ``terms`` gives the
-    first two at once, sharing the base.  All but ``gap`` take a float or
-    a float array, with the same bits per element.  ``double = (beta, p,
-    t_d)`` selects the denominator beta*phi_p(t/t_d - 1) * sum_{k<2m} P^k
-    Q^(2m-1-k) (P constant), accurate next to a double root t_d of P - Q.
+    _gen_low, and ``params`` its constants.  ``terms`` gives numerator Q^q
+    and denominator P^2m - Q^2m at once, sharing the base; with ``m``,
+    ``exponent`` and ``decay_exponent`` they are all quadrature reads.
+    ``gap`` is the admissibility function P - Q.  All but ``gap`` take a
+    float or a float array, with the same bits per element.  ``double =
+    (beta, p, t_d)`` selects the denominator beta*phi_p(t/t_d - 1) *
+    sum_{k<2m} P^k Q^(2m-1-k) (P constant), accurate next to a double
+    root t_d of P - Q.
     """
 
     family: Callable
@@ -372,12 +368,6 @@ class SlopeLaw:
         for p_k in self._p_pows:
             cofactor = cofactor * q1 + p_k
         return num, beta * self._phi((t - t_d) / t_d) * cofactor
-
-    def numerator(self, t):
-        return self.terms(t, denominator=False)[0]
-
-    def denominator(self, t):
-        return self.terms(t)[1]
 
     def gap(self, t: float) -> float:
         """P - Q at the float t."""
@@ -738,7 +728,10 @@ def _norm_circle_branch(req: SolveRequest, piece: _Piece,
     if req.relation.form is RelationForm.K1_CONST:
         alpha = _arc_grid(dom, req.samples, m)
     else:
-        alpha = _build_grid(dom, req.samples, m, math.inf)
+        # at m >= 4 the points next to the root round onto it, where the
+        # slope is infinite; they move to the float below it
+        grid = _build_grid(dom, req.samples, m, math.inf)
+        alpha = np.unique(np.minimum(grid, np.nextafter(dom.upper, 0.0)))
     a0 = piece.anchor_alpha
     return ProfileBranch(
         request=req, case=piece.tag, domain=dom, alpha=alpha,
@@ -754,7 +747,7 @@ def _quadrature_branch(req: SolveRequest, piece: _Piece,
     dom = piece.domain
     cut = math.inf
     if not dom.bounded:
-        cut = req.alpha_max_factor * max(dom.lower, 1.0)
+        cut = ALPHA_MAX_FACTOR * max(dom.lower, 1.0)
     table = profile_from_integral(
         law, dom, req.sign, (piece.anchor_alpha, req.shift),
         samples=req.samples, tol=req.tol, upper_cut=cut)
@@ -815,11 +808,10 @@ def solve_constant_k1(p, mu: float, c1: float, c2: float = 0.0,
 
 
 def solve_homogeneous(p, lam: float, c2: float, sign: int = +1,
-                      samples: int = 512, tol: float = 1e-10,
-                      alpha_max_factor: float = 4.0) -> ProfileBranch:
+                      samples: int = 512,
+                      tol: float = 1e-10) -> ProfileBranch:
     req = SolveRequest(p=p, relation=WeingartenRelation.homogeneous(lam),
-                       c2=c2, sign=sign, samples=samples, tol=tol,
-                       alpha_max_factor=alpha_max_factor)
+                       c2=c2, sign=sign, samples=samples, tol=tol)
     return solve(req)[0]
 
 

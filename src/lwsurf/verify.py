@@ -53,6 +53,10 @@ REPORT_VERSION = "1"
 # beyond this slope the graph-over-radius finite differences are replaced
 # by the inverse graph-over-axis jet
 CHART_SWITCH_SLOPE = 10.0
+# the |u'| range residual_scan_table and ode_oracle compare in
+SLOPE_WINDOW = (1e-2, 100.0)
+ORACLE_RTOL = 1e-10  # the oracle's relative step tolerance
+ORACLE_FI_PRECONDITION = 1e-10  # first-integral residual it starts from
 
 
 @dataclass
@@ -263,9 +267,8 @@ def residual_scan(branch: ProfileBranch, epsilon: float = 1e-3,
 
 def residual_scan_table(p: NormParameter, alpha: np.ndarray, u: np.ndarray,
                         du: np.ndarray, lam: float, mu: float,
-                        epsilon: float = 1e-3, tol: float = 1e-6,
-                        slope_floor: float = 1e-2,
-                        slope_cap: float = 100.0) -> VerificationReport:
+                        epsilon: float = 1e-3,
+                        tol: float = 1e-6) -> VerificationReport:
     """Residual scan over a bare (alpha, u, du) table, e.g. a loaded CSV.
 
     The relation is checked through its divergence form: with W the
@@ -276,8 +279,8 @@ def residual_scan_table(p: NormParameter, alpha: np.ndarray, u: np.ndarray,
     closest of four local polynomial fits (degree 4 and 6, in alpha and
     in log alpha); the log coordinate resolves the fractional powers of
     alpha that graded grids produce near the axis.  Points with |du|
-    outside [slope_floor, slope_cap] are excluded because the radius
-    chart degenerates at caps and roots.
+    outside SLOPE_WINDOW are excluded because the radius chart
+    degenerates at caps and roots.
     """
     alpha = np.asarray(alpha, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -304,6 +307,7 @@ def residual_scan_table(p: NormParameter, alpha: np.ndarray, u: np.ndarray,
         lam, mu = 1.0, 2.0 * mu
     lo, hi = float(alpha[0]), float(alpha[-1])
     width = hi - lo
+    slope_floor, slope_cap = SLOPE_WINDOW
     mask = ((alpha - lo > epsilon * width) & (hi - alpha > epsilon * width)
             & (np.abs(du) > slope_floor) & (np.abs(du) < slope_cap))
     idx = np.flatnonzero(mask)
@@ -354,7 +358,7 @@ def residual_scan_table(p: NormParameter, alpha: np.ndarray, u: np.ndarray,
         details={"lam": lam, "mu": mu, "m": p.m, "epsilon": epsilon,
                  "slope_source": "du_column",
                  "residual_form": "divergence",
-                 "slope_window": [slope_floor, slope_cap],
+                 "slope_window": list(SLOPE_WINDOW),
                  "chart_switch_slope": CHART_SWITCH_SLOPE})
 
 
@@ -648,27 +652,23 @@ def _dop853(rhs, t0: float, y0: tuple, t_bound: float, t_eval, events,
             return run
 
 
-def ode_oracle(branch: ProfileBranch, tol: float = 1e-7,
-               rtol: float = 1e-10, slope_cap: float = 100.0,
-               slope_floor: float = 1e-2,
-               fi_precondition: float = 1e-10) -> VerificationReport:
+def ode_oracle(branch: ProfileBranch, tol: float = 1e-7) -> VerificationReport:
     """Re-integrates the profile equation and compares with the table.
 
     Starts from a mid-branch anchor whose first-integral residual must
-    already be below ``fi_precondition`` (the oracle refuses to launch
+    already be below ORACLE_FI_PRECONDITION (the oracle refuses to launch
     from inconsistent data).  The deviation is measured as |delta alpha|:
     the integrated point is mapped back through the monotone table
-    u -> alpha.  Only points inside the slope window
-    [slope_floor, slope_cap] are compared, because the alpha chart
-    degenerates at both ends (u' -> 0 at caps, u' -> inf at roots).
-    Integration runs outward in both directions and stops where the
-    window ends, recording the reason in ``details["truncations"]``:
-    "slope_blowup" when |u'| reaches slope_cap, "slope_floor" when |u'|
-    falls to slope_floor heading into a smooth cap or the axis,
-    "flat_slope" when u' crosses zero there, and "axis" when the
-    integration reaches its end next to an axis endpoint.  The details
-    also count the integrator's work over both directions: right-hand
-    side evaluations, accepted steps and rejected steps.
+    u -> alpha.  Only points inside SLOPE_WINDOW = (floor, cap) are
+    compared, because the alpha chart degenerates at both ends (u' -> 0
+    at caps, u' -> inf at roots).  Integration runs outward in both
+    directions and stops where the window ends, recording the reason in
+    ``details["truncations"]``: "slope_blowup" when |u'| reaches the cap,
+    "slope_floor" when |u'| falls to the floor heading into a smooth cap
+    or the axis, "flat_slope" when u' crosses zero there, and "axis" when
+    the integration reaches its end next to an axis endpoint.  The
+    details also count the integrator's work over both directions:
+    right-hand side evaluations, accepted steps and rejected steps.
     """
     p = branch.request.p
     lam, mu = branch.lam, _physical_mu(branch)
@@ -682,12 +682,13 @@ def ode_oracle(branch: ProfileBranch, tol: float = 1e-7,
     a0 = float(branch.alpha[anchor_idx])
     u0 = float(branch.u[anchor_idx])
     d10 = float(branch.du[anchor_idx])
-    if fi.median_residual > fi_precondition:
+    if fi.median_residual > ORACLE_FI_PRECONDITION:
         raise ValueError(
             f"first-integral residual {fi.median_residual:.3e} at the anchor "
-            f"exceeds the oracle precondition {fi_precondition:.1e}")
+            f"exceeds the oracle precondition {ORACLE_FI_PRECONDITION:.1e}")
 
     rhs = _ode_rhs(p, lam, mu)
+    slope_floor, slope_cap = SLOPE_WINDOW
     # (g, direction) event pairs, all terminal, in the order of ``reasons``
     blowup = (lambda a, y: slope_cap - abs(y[1]), 0)
     floor = (lambda a, y: abs(y[1]) - slope_floor, -1)
@@ -728,7 +729,7 @@ def ode_oracle(branch: ProfileBranch, tol: float = 1e-7,
         t_eval = t_eval[np.abs(t_eval - a0) <= abs(end - a0)]
         run = _dop853(rhs, a0, (u0, d10), end,
                       t_eval.tolist() if len(t_eval) else None, events,
-                      rtol=rtol, atol=1e-12)
+                      rtol=ORACLE_RTOL, atol=1e-12)
         for key in work:
             work[key] += getattr(run, key)
         if run.event is not None:
@@ -758,7 +759,7 @@ def ode_oracle(branch: ProfileBranch, tol: float = 1e-7,
         kind="ode_oracle", case=branch.case.value,
         passed=max_dev < tol, tolerance=tol, n_points=len(devs),
         max_residual=max_dev, median_residual=float(np.median(devs)),
-        details={"anchor_alpha": a0, "rtol": rtol,
+        details={"anchor_alpha": a0, "rtol": ORACLE_RTOL,
                  "truncations": truncations,
                  "first_integral_at_anchor": fi.median_residual, **work})
 

@@ -54,9 +54,9 @@ def test_slope_on_every_table_grid(m):
             kinds.add("double" if law.double else "law")
             num, den = law.terms(b.alpha)
             assert bits(np.broadcast_to(num, b.alpha.shape)) == bits(
-                law.numerator(t) for t in b.alpha.tolist()), tag
+                law.terms(t)[0] for t in b.alpha.tolist()), tag
             assert bits(den) == bits(
-                law.denominator(t) for t in b.alpha.tolist()), tag
+                law.terms(t)[1] for t in b.alpha.tolist()), tag
     assert kinds == {"circle", "double", "law"}
 
 

@@ -83,7 +83,7 @@ def test_factored_denominator_is_the_plain_one(lam, family, m):
     plain = plain_denominator(lam, m, c1)
     ts = [t for t in np.linspace(1e-3 * t_d, top, 400)[:-1]
           if abs(t - t_d) > 0.1 * t_d]
-    worst = max(abs(plan.slope.denominator(t) / plain(t) - 1.0) for t in ts)
+    worst = max(abs(plan.slope.terms(t)[1] / plain(t) - 1.0) for t in ts)
     assert worst <= 1e-12, worst
 
 

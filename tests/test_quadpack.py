@@ -42,16 +42,13 @@ def recorded(f, points: list):
     return g
 
 
-def assert_same(f, a, b, epsrel=1e-10, limit=200, ordered=True) -> int:
+def assert_same(f, a, b, epsrel=1e-10, limit=200) -> int:
     """Bit-equal (value, abserr) from the same evaluation points; returns
     the number of evaluations."""
     seen_ref, seen_port = [], []
     want = reference(recorded(f, seen_ref), a, b, epsrel, limit)
     got = quad(recorded(f, seen_port), a, b, EPSABS, epsrel, limit)
     assert hexes(got) == hexes(want), (a, b, epsrel, limit)
-    if not ordered:  # dqk15i evaluates +t and -t in another order
-        seen_ref.sort()
-        seen_port.sort()
     assert seen_port == seen_ref
     return len(seen_port)
 
@@ -179,17 +176,6 @@ def test_limit_exhaustion(limit):
     assert "maximum number of subdivisions" in out[3]
 
 
-def test_limit_below_one_raises_like_scipy():
-    f = SINGULAR["inverse_sqrt"][0]
-    for limit in (0, -3):
-        with pytest.raises(ValueError, match="at least one subinterval"):
-            reference(f, 0.0, 1.0, 1e-10, limit)
-        with pytest.raises(ValueError, match="at least one subinterval"):
-            quad(f, 0.0, 1.0, EPSABS, 1e-10, limit)
-        with pytest.raises(ValueError, match="at least one subinterval"):
-            quad(f, 1.0, math.inf, EPSABS, 1e-10, limit)
-
-
 @pytest.mark.parametrize("f, epsrel, last", [
     (lambda x: x ** -0.5, 1e-15, 11),                   # in the loop
     (lambda x: 1.0 + 1e-15 * math.sin(1e7 * x), 1e-16, 1),  # first rule
@@ -211,18 +197,8 @@ def test_unbounded_tails(f, a, limit):
     assert_same(f, a, math.inf, 1e-10, limit)
 
 
-def test_infinite_lower_and_both_limits():
-    assert_same(lambda t: math.exp(t), -math.inf, 0.5)
-    assert_same(lambda t: math.exp(-t * t), -math.inf, math.inf,
-                ordered=False)
-    assert_same(lambda t: 1.0 / (1.0 + t * t), -math.inf, math.inf,
-                ordered=False)
-
-
-def test_reversed_and_empty_ranges():
+def test_empty_range():
     f = SINGULAR["inverse_sqrt"][0]
-    assert assert_same(f, 1.0, 0.0) > 21
-    assert assert_same(lambda t: t ** -1.5, math.inf, 2.0) > 15
     assert quad(f, 1.0, 1.0, EPSABS, 1e-10, 200) == (0.0, 0.0)
 
 

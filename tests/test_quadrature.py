@@ -9,20 +9,23 @@ from scipy import special
 from lwsurf import (
     DomainInterval,
     EndpointKind,
-    IntegrandSpec,
     bracket_roots,
     integrate_singular,
     profile_from_integral,
 )
+from lwsurf.solver import SlopeLaw, _hom_pos
 
 
-def simple_root_spec(m: int, a: float, b: float) -> IntegrandSpec:
-    """1/(t - a)^((2m-1)/2m) on (a, b): integral is 2m*(b - a)^(1/2m)."""
-    return IntegrandSpec(
-        numerator=lambda t: 1.0,
-        denominator=lambda t: t - a,
-        exponent=(2 * m - 1) / (2 * m),
-        m=m)
+def simple_root_law(m: int, a: float) -> SlopeLaw:
+    """a^(q/2m) / (t - a)^(q/2m), q = 2m-1: the homogeneous law with
+    lam = 1/2m and c2 = a, whose P^2m - Q^2m is t - a."""
+    return SlopeLaw(_hom_pos, (1.0 / (2 * m), a), m)
+
+
+def simple_root_integral(m: int, a: float, t: float) -> float:
+    """Integral of simple_root_law(m, a) over (a, t)."""
+    q = 2 * m - 1
+    return 2 * m * a ** (q / (2 * m)) * (t - a) ** (1.0 / (2 * m))
 
 
 def interval(a: float, b: float, lower: str, upper: str) -> DomainInterval:
@@ -79,106 +82,104 @@ class TestIntegrateSingular:
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_simple_root_closed_form(self, m):
         a, b = 0.5, 2.5
-        res = integrate_singular(simple_root_spec(m, a, b),
+        res = integrate_singular(simple_root_law(m, a),
                                  interval(a, b, "SIMPLE_ROOT", "SMOOTH_CAP"))
         assert res.finite
-        expected = 2 * m * (b - a) ** (1.0 / (2 * m))
-        assert res.value == pytest.approx(expected, abs=1e-10)
+        assert res.value == pytest.approx(simple_root_integral(m, a, b),
+                                          abs=1e-10)
 
     def test_quarter_beta_integral(self):
         # int_1^inf dt / (t^4 - 1)^(3/4) = B(1/2, 1/4) / 4, evaluated
         # independently through the Gamma function
-        m = 2
-        spec = IntegrandSpec(
-            numerator=lambda t: 1.0,
-            denominator=lambda t: t ** 4 - 1.0,
-            exponent=0.75, m=m, decay_exponent=3.0)
+        law = SlopeLaw(_hom_pos, (1.0, 1.0), 2, decay_exponent=3.0)
         res = integrate_singular(
-            spec, interval(1.0, math.inf, "SIMPLE_ROOT", "UNBOUNDED"))
+            law, interval(1.0, math.inf, "SIMPLE_ROOT", "UNBOUNDED"))
         expected = special.beta(0.5, 0.25) / 4.0
         assert res.finite
         assert res.value == pytest.approx(expected, abs=1e-9)
 
     def test_double_root_divergent(self):
-        m = 2
-        spec = IntegrandSpec(
-            numerator=lambda t: 1.0,
-            denominator=lambda t: (t - 1.0) ** 2,
-            exponent=0.75, m=m)
+        # the endpoint kind alone decides; the law is never evaluated
         res = integrate_singular(
-            spec, interval(1.0, 2.0, "DOUBLE_ROOT", "SMOOTH_CAP"))
+            simple_root_law(2, 1.0),
+            interval(1.0, 2.0, "DOUBLE_ROOT", "SMOOTH_CAP"))
         assert not res.finite
 
     def test_slow_decay_divergent(self):
-        m = 2
-        spec = IntegrandSpec(
-            numerator=lambda t: 1.0,
-            denominator=lambda t: t,
-            exponent=1.0, m=m, decay_exponent=1.0)
+        # lam = 1/3 at m = 2: the integrand decays like t^-(2m-1)*lam = 1/t
+        law = SlopeLaw(_hom_pos, (1.0 / 3.0, 1.0), 2, decay_exponent=1.0)
         res = integrate_singular(
-            spec, interval(1.0, math.inf, "SMOOTH_CAP", "UNBOUNDED"))
+            law, interval(1.0, math.inf, "SMOOTH_CAP", "UNBOUNDED"))
         assert not res.finite
 
     def test_regular_integral(self):
-        m = 2
-        spec = IntegrandSpec(
-            numerator=lambda t: t,
-            denominator=lambda t: 1.0,
-            exponent=1.0, m=m)
+        m, a = 2, 0.5
         res = integrate_singular(
-            spec, interval(0.0, 2.0, "SMOOTH_CAP", "SMOOTH_CAP"))
-        assert res.value == pytest.approx(2.0, abs=1e-12)
+            simple_root_law(m, a),
+            interval(1.5, 2.5, "SMOOTH_CAP", "SMOOTH_CAP"))
+        expected = (simple_root_integral(m, a, 2.5)
+                    - simple_root_integral(m, a, 1.5))
+        assert res.value == pytest.approx(expected, abs=1e-12)
 
 
 class TestProfileFromIntegral:
-    def test_trivial_linear_profile(self):
-        # du/dalpha = 1 everywhere: u is alpha - alpha0
-        m = 2
-        spec = IntegrandSpec(numerator=lambda t: 1.0,
-                             denominator=lambda t: 1.0,
-                             exponent=1.0, m=m)
-        dom = DomainInterval(0.0, 1.0, EndpointKind.SMOOTH_CAP,
+    def test_three_sample_profile(self):
+        # the smallest table, anchored at a smooth end off any root
+        m, a = 2, 0.5
+        dom = DomainInterval(1.5, 2.5, EndpointKind.SMOOTH_CAP,
                              EndpointKind.SMOOTH_CAP)
-        prof = profile_from_integral(spec, dom, +1, (0.0, 0.0), samples=3)
-        assert np.allclose(prof.u, prof.alpha, atol=1e-13)
-        assert np.allclose(prof.du, 1.0)
+        prof = profile_from_integral(simple_root_law(m, a), dom, +1,
+                                     (1.5, 0.0), samples=3)
+        assert prof.alpha.tolist() == [1.5, 2.0, 2.5]
+        expected = [simple_root_integral(m, a, t)
+                    - simple_root_integral(m, a, 1.5) for t in prof.alpha]
+        assert np.allclose(prof.u, expected, rtol=0, atol=1e-13)
+        assert np.allclose(prof.du, a ** 0.75 / (prof.alpha - a) ** 0.75,
+                           rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_singular_edge_profile_matches_closed_form(self, m):
-        # du/dalpha = (alpha - 1)^(-(2m-1)/2m) integrates to
-        # 2m * (alpha - 1)^(1/2m)
+        # du/dalpha = (a / (alpha - a))^((2m-1)/2m) integrates to
+        # 2m * a^((2m-1)/2m) * (alpha - a)^(1/2m)
         a, b = 1.0, 2.0
-        spec = simple_root_spec(m, a, b)
         dom = DomainInterval(a, b, EndpointKind.SIMPLE_ROOT,
                              EndpointKind.SMOOTH_CAP)
-        prof = profile_from_integral(spec, dom, +1, (a, 0.0), samples=128)
-        expected = 2 * m * (prof.alpha - a) ** (1.0 / (2 * m))
+        prof = profile_from_integral(simple_root_law(m, a), dom, +1, (a, 0.0),
+                                     samples=128)
+        expected = simple_root_integral(m, a, prof.alpha)
         assert np.max(np.abs(prof.u - expected)) < 1e-10
 
     def test_sign_flip(self):
-        m = 2
-        spec = simple_root_spec(m, 1.0, 2.0)
+        law = simple_root_law(2, 1.0)
         dom = DomainInterval(1.0, 2.0, EndpointKind.SIMPLE_ROOT,
                              EndpointKind.SMOOTH_CAP)
-        up = profile_from_integral(spec, dom, +1, (1.0, 0.5), samples=64)
-        dn = profile_from_integral(spec, dom, -1, (1.0, 0.5), samples=64)
+        up = profile_from_integral(law, dom, +1, (1.0, 0.5), samples=64)
+        dn = profile_from_integral(law, dom, -1, (1.0, 0.5), samples=64)
         assert np.allclose(up.u - 0.5, -(dn.u - 0.5), atol=1e-13)
         assert np.allclose(up.du, -dn.du)
 
     def test_anchor_outside_domain_rejected(self):
-        m = 2
-        spec = simple_root_spec(m, 1.0, 2.0)
         dom = DomainInterval(1.0, 2.0, EndpointKind.SIMPLE_ROOT,
                              EndpointKind.SMOOTH_CAP)
         with pytest.raises(ValueError):
-            profile_from_integral(spec, dom, +1, (3.0, 0.0))
+            profile_from_integral(simple_root_law(2, 1.0), dom, +1,
+                                  (3.0, 0.0))
 
-    def test_graded_grid_denser_near_simple_root(self):
-        m = 2
-        spec = simple_root_spec(m, 1.0, 2.0)
+    @pytest.mark.parametrize("alpha0", [1.5, math.nextafter(1.0, 2.0),
+                                        math.nextafter(2.0, 1.0)])
+    def test_interior_anchor_rejected(self, alpha0):
+        # an anchor is an end of the domain, never a point inside it
         dom = DomainInterval(1.0, 2.0, EndpointKind.SIMPLE_ROOT,
                              EndpointKind.SMOOTH_CAP)
-        prof = profile_from_integral(spec, dom, +1, (1.0, 0.0), samples=128)
+        with pytest.raises(ValueError, match="not an end of the domain"):
+            profile_from_integral(simple_root_law(2, 1.0), dom, +1,
+                                  (alpha0, 0.0))
+
+    def test_graded_grid_denser_near_simple_root(self):
+        dom = DomainInterval(1.0, 2.0, EndpointKind.SIMPLE_ROOT,
+                             EndpointKind.SMOOTH_CAP)
+        prof = profile_from_integral(simple_root_law(2, 1.0), dom, +1,
+                                     (1.0, 0.0), samples=128)
         steps = np.diff(prof.alpha)
         # edge panel adjacent to the root is much finer than the far end
         assert steps[0] < 1e-3 * steps[-1]

@@ -155,19 +155,6 @@ class TestClassification:
             classify(req_for(P2, -0.5, 1.0, c1=crit_mid(-0.5) * (1.0 + 1e-6)))
 
 
-class TestRequestValidation:
-    @pytest.mark.parametrize("factor", [0.5, 1.0, -4.0, math.inf, math.nan])
-    def test_alpha_max_factor_must_exceed_one(self, factor):
-        # the cut alpha_max_factor * max(lower, 1) must lie above lower
-        with pytest.raises(ValueError, match="alpha_max_factor"):
-            SolveRequest(p=P2, relation=WeingartenRelation.homogeneous(1.0),
-                         alpha_max_factor=factor)
-
-    def test_solve_homogeneous_rejects_a_cut_below_the_domain(self):
-        with pytest.raises(ValueError, match="alpha_max_factor"):
-            solve_homogeneous(P2, 1.0, 1.0, alpha_max_factor=0.5)
-
-
 class TestEndpointKinds:
     """Quadrature reads where the denominator P^2m - Q^2m vanishes from the
     endpoint kinds alone, so the kinds must match the zeros of P - Q."""
@@ -311,7 +298,7 @@ class TestPickle:
         assert law.double is not None
         copy = pickle.loads(pickle.dumps(law))
         assert copy == law and copy.double == law.double
-        assert copy.denominator(0.9) == law.denominator(0.9)
+        assert copy.terms(0.9) == law.terms(0.9)
         assert copy.gap(0.5) == law.gap(0.5)
 
 

@@ -236,3 +236,22 @@ class TestReportSerialization:
         out = rep.as_dict()
         json.dumps(out)
         assert out["details"] == {"x": 2.0, "y": [3]}
+
+
+@pytest.mark.parametrize("m", [4, 5, 6])
+def test_spheres_at_large_m_pass_every_verifier(m):
+    """At m >= 4 the sphere grid's points next to the root round onto it,
+    where the slope is infinite; the grid ends on the float below it."""
+    p = NormParameter(m)
+    branches = [solve_constant_k2(p)]
+    for lam, mu in ((0.5, -1.0), (-0.5, -1.0), (-2.0, 1.0)):
+        branches += solve_inhom_general(p, lam, mu, 0.0)
+    assert [b.case.value for b in branches] == ["4ii", "6.3ii-1", "6.3iv-1",
+                                                "6.3v-1"]
+    for b in branches:
+        tag = b.case.value
+        assert b.alpha[-1] < b.domain.upper, tag
+        assert np.isfinite(b.du).all() and np.isfinite(b.u).all(), tag
+        assert residual_scan(b).passed, tag
+        assert first_integral_drift(b).passed, tag
+        assert ode_oracle(b).passed, tag
