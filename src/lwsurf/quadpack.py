@@ -11,18 +11,18 @@ limit >= 1.  There ``quad`` returns the same ``(value, abserr)`` as
 same branches, and C's ``fmax``/``fmin`` where a NaN can reach them.  The
 lists keep QUADPACK's 1-based indices; slot 0 is unused.
 
-Nearly every call ends after the first application of the 21-point rule,
-so that rule is written out node by node: on the taxonomy's panels a loop
-over the nodes took 11% longer per call, integrand included.
-``first_rule`` applies that first step to many panels at once, with an
-integrand that maps arrays: the same nodes and sums in the same order,
-so every panel it accepts has the (value, abserr) bits ``quad`` returns.
+Both rules are data, ``_RULE21`` and ``_RULE15``, and one function,
+``_rule``, applies either to one interval or to many panels at once.
+``first_rule`` is dqagse's first step on such panels, with an integrand
+that maps arrays: the same nodes and sums in the same order, so every
+panel it accepts has the (value, abserr) bits ``quad`` returns.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,6 +88,36 @@ _WG15 = (0.0, 0.129484966168869693270611432679082,
          0.0, 0.417959183673469387755102040816327)
 
 
+class _Rule(NamedTuple):
+    """A Gauss-Kronrod rule on the centre and the node pairs
+    centr -/+ hlgth*x, the pairs in QUADPACK's evaluation order."""
+    x: tuple      # the pairs' abscissae on (0, 1)
+    wk: tuple     # their Kronrod weights
+    wc: float     # the centre's Kronrod weight
+    gauss: tuple  # the Gauss sum's (weight, pair) terms; pair None: centre
+    asc: tuple    # resasc's (weight, pair) terms, pairs in natural order
+
+
+def _rule_data(xgk, wgk, gauss, order) -> _Rule:
+    """The _Rule of the tables xgk(1..n) and wgk(1..n+1), wgk(n+1) the
+    centre's; ``gauss`` numbers pairs 0..n-1 as xgk does, ``order`` lists
+    them in evaluation order."""
+    at = {j: i for i, j in enumerate(order)}
+    return _Rule(tuple(xgk[j] for j in order), tuple(wgk[j] for j in order),
+                 wgk[-1], tuple((w, at.get(j)) for w, j in gauss),
+                 tuple((wgk[j], at[j]) for j in range(len(xgk))))
+
+
+# dqk21 evaluates the centre, the Gauss pairs xgk(2), xgk(4), ..., then
+# xgk(1), xgk(3), ...; dqk15i evaluates its pairs in order, and keeps the
+# Kronrod-only pairs' zero Gauss weights, since 0 * inf is NaN
+_RULE21 = _rule_data(_XGK21, _WGK21, [(w, 2 * i + 1) for i, w in
+                                      enumerate(_WG10)],
+                     (1, 3, 5, 7, 9, 0, 2, 4, 6, 8))
+_RULE15 = _rule_data(_XGK15, _WGK15,
+                     [(_WG15[7], None), *zip(_WG15, range(7))], range(7))
+
+
 def _fmax(x: float, y: float) -> float:
     """C's fmax: a NaN argument yields the other one."""
     if x != x:
@@ -107,112 +137,57 @@ def quad(f, a, b, epsabs: float, epsrel: float, limit: int) -> tuple:
     if a == b:
         return 0.0, 0.0
     if b != math.inf:
-        return _adaptive(_qk21, f, a, b, epsabs, epsrel, limit)
+        return _adaptive(_RULE21, f, a, b, epsabs, epsrel, limit)
 
     # dqagie maps x in (0, 1] to t = a + (1 - x)/x
     def mapped(x: float) -> float:
         return (float(f(a + (1.0 - x) / x)) / x) / x
 
-    return _adaptive(_qk15, mapped, 0.0, 1.0, epsabs, epsrel, limit)
+    return _adaptive(_RULE15, mapped, 0.0, 1.0, epsabs, epsrel, limit)
 
 
-def _qk21(f, a: float, b: float) -> tuple:
-    """dqk21 on (a, b), a <= b: (result, abserr, resabs, resasc)."""
-    x1, x2, x3, x4, x5, x6, x7, x8, x9, x10 = _XGK21
-    k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11 = _WGK21
-    g2, g4, g6, g8, g10 = _WG10
+def _rule(rule: _Rule, f, a, b) -> tuple:
+    """The rule on (a, b), a <= b: (result, abserr, resabs, resasc).
+
+    a and b are floats, or arrays of panels: then f maps the array of
+    all their nodes at once, and a fifth entry says of each panel that
+    all its values are finite.  The sums run over the rule's terms in the
+    same order either way, so a panel gets the bits of its float call.
+    """
+    x, wk, wc, gauss, asc = rule
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)  # >= 0, so it is also dhlgth
-    # f at the centre, the Gauss nodes, then the Kronrod nodes; lj and rj
-    # are fv1(j) and fv2(j)
-    fc = f(centr)
-    d = hlgth * x2
-    l2 = f(centr - d)
-    r2 = f(centr + d)
-    d = hlgth * x4
-    l4 = f(centr - d)
-    r4 = f(centr + d)
-    d = hlgth * x6
-    l6 = f(centr - d)
-    r6 = f(centr + d)
-    d = hlgth * x8
-    l8 = f(centr - d)
-    r8 = f(centr + d)
-    d = hlgth * x10
-    l10 = f(centr - d)
-    r10 = f(centr + d)
-    d = hlgth * x1
-    l1 = f(centr - d)
-    r1 = f(centr + d)
-    d = hlgth * x3
-    l3 = f(centr - d)
-    r3 = f(centr + d)
-    d = hlgth * x5
-    l5 = f(centr - d)
-    r5 = f(centr + d)
-    d = hlgth * x7
-    l7 = f(centr - d)
-    r7 = f(centr + d)
-    d = hlgth * x9
-    l9 = f(centr - d)
-    r9 = f(centr + d)
-    s1, s2, s3, s4, s5 = l1 + r1, l2 + r2, l3 + r3, l4 + r4, l5 + r5
-    s6, s7, s8, s9, s10 = l6 + r6, l7 + r7, l8 + r8, l9 + r9, l10 + r10
-    resk = (k11 * fc + k2 * s2 + k4 * s4 + k6 * s6 + k8 * s8 + k10 * s10
-            + k1 * s1 + k3 * s3 + k5 * s5 + k7 * s7 + k9 * s9)
-    if type(resk) is not float:
-        # not all values were Python floats: run the rule again on the
-        # same values, converted one by one as scipy converts them
-        values = iter((fc, l2, r2, l4, r4, l6, r6, l8, r8, l10, r10,
-                       l1, r1, l3, r3, l5, r5, l7, r7, l9, r9))
-        return _qk21(lambda _: float(next(values)), a, b)
-    resg = g2 * s2 + g4 * s4 + g6 * s6 + g8 * s8 + g10 * s10
-    resabs = (k11 * abs(fc) + k2 * (abs(l2) + abs(r2))
-              + k4 * (abs(l4) + abs(r4)) + k6 * (abs(l6) + abs(r6))
-              + k8 * (abs(l8) + abs(r8)) + k10 * (abs(l10) + abs(r10))
-              + k1 * (abs(l1) + abs(r1)) + k3 * (abs(l3) + abs(r3))
-              + k5 * (abs(l5) + abs(r5)) + k7 * (abs(l7) + abs(r7))
-              + k9 * (abs(l9) + abs(r9)))
+    nodes = [centr]
+    for xj in x:
+        d = hlgth * xj
+        nodes += centr - d, centr + d
+    panels = isinstance(a, np.ndarray)
+    if panels:
+        fv = np.asarray(f(np.concatenate(nodes)), dtype=float)
+        fv = fv.reshape(len(nodes), a.size)
+    else:
+        fv = list(map(f, nodes))
+        if set(map(type, fv)) != {float}:
+            fv = [float(v) for v in fv]  # as scipy's C wrapper converts
+    fc, lv, rv = fv[0], fv[1::2], fv[2::2]
+    resk = wc * fc
+    resabs = wc * abs(fc)
+    for w, l, r in zip(wk, lv, rv):
+        resk = resk + w * (l + r)
+        resabs = resabs + w * (abs(l) + abs(r))
+    # dqk21's start; dqk15i starts at its centre term, and the sign of a
+    # zero resg cannot reach abs(resk - resg)
+    resg = 0.0
+    for w, j in gauss:
+        resg = resg + w * (fc if j is None else lv[j] + rv[j])
     reskh = resk * 0.5
-    resasc = (k11 * abs(fc - reskh)
-              + k1 * (abs(l1 - reskh) + abs(r1 - reskh))
-              + k2 * (abs(l2 - reskh) + abs(r2 - reskh))
-              + k3 * (abs(l3 - reskh) + abs(r3 - reskh))
-              + k4 * (abs(l4 - reskh) + abs(r4 - reskh))
-              + k5 * (abs(l5 - reskh) + abs(r5 - reskh))
-              + k6 * (abs(l6 - reskh) + abs(r6 - reskh))
-              + k7 * (abs(l7 - reskh) + abs(r7 - reskh))
-              + k8 * (abs(l8 - reskh) + abs(r8 - reskh))
-              + k9 * (abs(l9 - reskh) + abs(r9 - reskh))
-              + k10 * (abs(l10 - reskh) + abs(r10 - reskh)))
-    return _estimate(resk, resg, resabs, resasc, hlgth)
-
-
-def _qk15(f, a: float, b: float) -> tuple:
-    """dqk15i's sums on (a, b) for the mapped integrand f."""
-    centr = 0.5 * (a + b)
-    hlgth = 0.5 * (b - a)
-    fc = f(centr)
-    resg = _WG15[7] * fc
-    resk = _WGK15[7] * fc
-    resabs = abs(resk)
-    fv1, fv2 = [], []
-    for j in range(7):
-        absc = hlgth * _XGK15[j]
-        fval1 = f(centr - absc)
-        fval2 = f(centr + absc)
-        fv1.append(fval1)
-        fv2.append(fval2)
-        fsum = fval1 + fval2
-        resg = resg + _WG15[j] * fsum
-        resk = resk + _WGK15[j] * fsum
-        resabs = resabs + _WGK15[j] * (abs(fval1) + abs(fval2))
-    reskh = resk * 0.5
-    resasc = _WGK15[7] * abs(fc - reskh)
-    for j in range(7):
-        resasc = resasc + _WGK15[j] * (abs(fv1[j] - reskh)
-                                       + abs(fv2[j] - reskh))
-    return _estimate(resk, resg, resabs, resasc, hlgth)
+    resasc = wc * abs(fc - reskh)
+    for w, j in asc:
+        resasc = resasc + w * (abs(lv[j] - reskh) + abs(rv[j] - reskh))
+    if not panels:
+        return _estimate(resk, resg, resabs, resasc, hlgth)
+    return _estimate_array(resk, resg, resabs, resasc, hlgth) + (
+        np.isfinite(fv).all(axis=0),)
 
 
 def _estimate(resk: float, resg: float, resabs: float, resasc: float,
@@ -231,63 +206,6 @@ def _estimate(resk: float, resg: float, resabs: float, resasc: float,
     if resabs > _TINY:
         abserr = max((_EPMACH * 50.0) * resabs, abserr)
     return result, abserr, resabs, resasc
-
-
-def first_rule(f, a: np.ndarray, b: np.ndarray, epsabs: float,
-               epsrel: float) -> tuple:
-    """dqagse's first step on every panel (a[i], b[i]), a < b, at once;
-    epsabs > 0.
-
-    ``f`` maps a float array to its values; +, -, *, / and abs round as
-    Python floats do, so where f returns the values the scalar integrand
-    gives, the rule's sums are the scalar sums.  Returns arrays
-    (result, abserr, done): where ``done``, the 21 values are finite and
-    dqagse stops after this rule, so ``quad(f, a[i], b[i], epsabs,
-    epsrel, limit)`` returns (result[i], abserr[i]) for any limit.  The
-    other panels need the scalar ``quad``.
-    """
-    with np.errstate(all="ignore"):
-        result, abserr, defabs, resabs, finite = _qk21_array(f, a, b)
-        errbnd = epsrel * np.abs(result)
-        errbnd = np.where(errbnd > epsabs, errbnd, epsabs)
-        done = ((abserr == 0.0) | (abserr <= errbnd) & (abserr != resabs)
-                | (abserr <= (100.0 * _EPMACH) * defabs) & (abserr > errbnd))
-    return result, abserr, done & finite
-
-
-def _qk21_array(f, a: np.ndarray, b: np.ndarray) -> tuple:
-    """_qk21 on every panel: (result, abserr, resabs, resasc, finite),
-    finite saying that all 21 values of the panel are finite."""
-    centr = 0.5 * (a + b)
-    hlgth = 0.5 * (b - a)
-    # row 0 the centre, rows 2j-1 and 2j the pair centr -/+ hlgth*xgk(j)
-    x = np.empty((21, a.size))
-    x[0] = centr
-    for j, xj in enumerate(_XGK21):
-        d = hlgth * xj
-        x[2 * j + 1] = centr - d
-        x[2 * j + 2] = centr + d
-    fv = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
-    fc, lv, rv = fv[0], fv[1::2], fv[2::2]
-    k = _WGK21
-    s = lv + rv
-    # the node orders of _qk21's sums, 1-based
-    order_k = (2, 4, 6, 8, 10, 1, 3, 5, 7, 9)
-    resk = k[10] * fc
-    resabs = k[10] * np.abs(fc)
-    for j in order_k:
-        resk = resk + k[j - 1] * s[j - 1]
-        resabs = resabs + k[j - 1] * (np.abs(lv[j - 1]) + np.abs(rv[j - 1]))
-    resg = _WG10[0] * s[1]
-    for i in range(1, 5):
-        resg = resg + _WG10[i] * s[2 * i + 1]
-    reskh = resk * 0.5
-    resasc = k[10] * np.abs(fc - reskh)
-    for j in range(10):
-        resasc = resasc + k[j] * (np.abs(lv[j] - reskh)
-                                  + np.abs(rv[j] - reskh))
-    return _estimate_array(resk, resg, resabs, resasc, hlgth) + (
-        np.isfinite(fv).all(axis=0),)
 
 
 def _estimate_array(resk, resg, resabs, resasc, hlgth) -> tuple:
@@ -311,22 +229,46 @@ def _estimate_array(resk, resg, resabs, resasc, hlgth) -> tuple:
     return result, abserr, resabs, resasc
 
 
-def _adaptive(rule, f, a: float, b: float, epsabs: float, epsrel: float,
-              limit: int) -> tuple:
+def first_rule(f, a: np.ndarray, b: np.ndarray, epsabs: float,
+               epsrel: float) -> tuple:
+    """dqagse's first step on every panel (a[i], b[i]), a < b, at once;
+    epsabs > 0.
+
+    ``f`` maps a float array to its values; +, -, *, / and abs round as
+    Python floats do, so where f returns the values the scalar integrand
+    gives, the rule's sums are the scalar sums.  Returns arrays
+    (result, abserr, done): where ``done``, the 21 values are finite and
+    dqagse stops after this rule, so ``quad(f, a[i], b[i], epsabs,
+    epsrel, limit)`` returns (result[i], abserr[i]) for any limit.  The
+    other panels need the scalar ``quad``.
+    """
+    with np.errstate(all="ignore"):
+        result, abserr, defabs, resabs, finite = _rule(_RULE21, f, a, b)
+        done = _accepted(result, abserr, defabs, resabs, epsabs, epsrel)
+    return result, abserr, done & finite
+
+
+def _accepted(result, abserr, defabs, resabs, epsabs: float,
+              epsrel: float):
+    """dqagse's test that its first rule application is the answer, on
+    floats or arrays.  ``epsabs`` is positive, so ``max(epsabs, x)`` is
+    C's fmax there."""
+    errbnd = np.fmax(epsabs, epsrel * abs(result))
+    return ((abserr == 0.0) | (abserr <= errbnd) & (abserr != resabs)
+            | (abserr <= (100.0 * _EPMACH) * defabs) & (abserr > errbnd))
+
+
+def _adaptive(rule: _Rule, f, a: float, b: float, epsabs: float,
+              epsrel: float, limit: int) -> tuple:
     """dqagse's (and dqagie's) bisection with epsilon extrapolation.
 
     ``epsabs`` is positive, so ``max(epsabs, x)`` is C's fmax there, and
     the tolerances are never too small for dqagse (ier = 6).
     """
     # first approximation to the integral
-    result, abserr, defabs, resabs = rule(f, a, b)
-    dres = abs(result)
-    errbnd = epsrel * dres  # max(epsabs, epsrel*dres) without the call
-    if not errbnd > epsabs:
-        errbnd = epsabs
-    if (limit == 1 or abserr == 0.0
-            or abserr <= errbnd and abserr != resabs
-            or abserr <= (100.0 * _EPMACH) * defabs and abserr > errbnd):
+    result, abserr, defabs, resabs = _rule(rule, f, a, b)
+    if limit == 1 or _accepted(result, abserr, defabs, resabs, epsabs,
+                               epsrel):
         return result, abserr
     alist = [0.0] * (limit + 1)
     blist = [0.0] * (limit + 1)
@@ -354,8 +296,8 @@ def _adaptive(rule, f, a: float, b: float, epsabs: float, epsrel: float,
         a2 = b1
         b2 = blist[maxerr]
         erlast = errmax
-        area1, error1, resabs, defab1 = rule(f, a1, b1)
-        area2, error2, resabs, defab2 = rule(f, a2, b2)
+        area1, error1, resabs, defab1 = _rule(rule, f, a1, b1)
+        area2, error2, resabs, defab2 = _rule(rule, f, a2, b2)
         area12 = area1 + area2
         erro12 = error1 + error2
         errsum = errsum + erro12 - errmax

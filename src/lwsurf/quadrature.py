@@ -479,7 +479,7 @@ def integrate_singular(law: SlopeLaw, domain: DomainInterval,
         err_total += err
         lo = mid
     if root_b:
-        w = hi - mid if root_a else hi - 0.5 * (lo + hi)
+        w = hi - mid
         inner = hi - w
         g = _edge_integrand(law, b, -1)
         val, err = _quad(g, 0.0, w ** (1.0 / (2 * law.m)), tol)

@@ -774,7 +774,8 @@ def _rescale(branch: ProfileBranch, scale: float) -> ProfileBranch:
                               dom.lower_kind, dom.upper_kind, label=dom.label),
         alpha=scale * branch.alpha, u=scale * branch.u, du=branch.du.copy(),
         anchor=(scale * branch.anchor[0], scale * branch.anchor[1]),
-        span=scale * branch.span, scale=scale)
+        span=scale * branch.span, quad_error=scale * branch.quad_error,
+        scale=scale)
 
 
 def solve(req: SolveRequest) -> list:

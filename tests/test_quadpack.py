@@ -20,7 +20,7 @@ from scipy.integrate import quad as scipy_quad
 import lwsurf.quadrature as quadrature
 from conftest import build_instances
 from lwsurf import NormParameter, SolveRequest, WeingartenRelation, solve
-from lwsurf.quadpack import first_rule, quad
+from lwsurf.quadpack import _RULE21, _rule, first_rule, quad
 from lwsurf.quadrature import as_libm, libm
 
 EPSABS = 1e-14  # what quadrature._quad passes
@@ -276,6 +276,40 @@ def test_first_rule_panels_match_quad(name):
             assert not done[i]
     if name != "overflowing":
         assert done.any()
+
+
+@pytest.mark.parametrize("name", sorted(FIRST_RULE))
+def test_rule_on_panels_matches_rule_on_floats(name):
+    """The 21-point rule on an array of panels gives every panel the
+    (result, abserr, resabs, resasc) bits of the rule on its floats,
+    whether first_rule accepts the panel or not, and whether its values
+    and sums are finite or not.  A panel whose float values include a
+    complex one raises there, and the array pass flags it non-finite."""
+    f, a, b = FIRST_RULE[name]
+    cuts = np.sort(np.random.default_rng(11).uniform(a, b, 300))
+    lo = np.concatenate(([a], cuts[:-1]))
+    hi = np.concatenate(([b], cuts[1:]))
+    with np.errstate(all="ignore"):
+        *sums, finite = _rule(_RULE21, f, lo, hi)
+    for i in range(lo.size):
+        values = []
+
+        def g(x):
+            values.append(f(x))
+            return values[-1]
+
+        try:
+            got = _rule(_RULE21, g, float(lo[i]), float(hi[i]))
+        except TypeError:
+            assert not finite[i]
+            continue
+        assert len(values) == 21
+        assert [v.hex() for v in got] == [float(s[i]).hex() for s in sums]
+        assert finite[i] == all(map(math.isfinite, values))
+    if name == "overflowing":
+        assert finite.all() and not np.isfinite(sums[0]).all()
+    elif name == "complex_left_half":
+        assert not finite.all()
 
 
 # ---------------------------------------------------------------------------

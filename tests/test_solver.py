@@ -232,6 +232,22 @@ class TestBranchTables:
         rep = residual_scan(b)
         assert rep.passed, rep.max_residual
 
+    @pytest.mark.parametrize("build", [
+        lambda mu: solve_inhom_general(P2, -0.5, mu, 2.0),
+        lambda mu: solve_inhom_lambda_minus1(P2, mu, 1.5),
+        lambda mu: solve_inhom_general(P2, 0.5, mu, 0.8),
+    ], ids=["general", "lam=-1", "lam>0"])
+    def test_mu_rescaling_scales_span_and_error(self, build):
+        # mu = 4 is the mu = 1 branch scaled by 1/4, a power of two, so
+        # lengths and their error estimates scale exactly
+        unit, scaled = build(1.0), build(4.0)
+        assert len(unit) == len(scaled) > 0
+        for b1, b4 in zip(unit, scaled):
+            assert b4.scale == 0.25
+            assert b4.span == 0.25 * b1.span
+            assert b1.quad_error > 0.0
+            assert b4.quad_error == 0.25 * b1.quad_error
+
     def test_shift_moves_axis_constant(self):
         b0 = solve_constant_k2(P2, c=0.0)
         b1 = solve_constant_k2(P2, c=0.7)
