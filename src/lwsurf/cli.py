@@ -272,11 +272,16 @@ def build_assembly(settings: dict, recipe_name: str) -> AssembledSurface:
 
 
 def _surface_metadata(surface: AssembledSurface, settings: dict) -> dict:
+    # the cap recipe solves the requested relation: write the requested mu,
+    # which mu / scale of a rescaled branch need not round back to; the
+    # other recipes fix mu
+    mu = (settings["mu"] if Recipe(settings["recipe"]) is Recipe.CAP
+          else surface.mu / surface.arcs[0].branch.scale)
     return {
         "topology": surface.topology.value,
         "m": surface.p.m,
         "lam": surface.lam,
-        "mu": surface.mu / surface.arcs[0].branch.scale,
+        "mu": mu,
         "constants": surface.constants,
         "period": surface.period,
         "end_derivative_match": surface.end_derivative_match,
@@ -367,7 +372,10 @@ def cmd_generate(settings: dict) -> int:
         alpha, u, du = branch.alpha, branch.u, branch.du
         meta = {
             "case": branch.case.value, "m": p.m,
-            "lam": branch.lam, "mu": branch.mu / branch.scale,
+            "lam": branch.lam,
+            # the requested mu, which mu / scale need not round back to
+            "mu": (branch.mu / branch.scale if special == "sphere"
+                   else settings["mu"]),
             "domain": [branch.domain.lower, branch.domain.upper],
             "endpoints": [branch.domain.lower_kind.value,
                           branch.domain.upper_kind.value],

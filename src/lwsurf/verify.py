@@ -18,6 +18,7 @@ bare boolean so the CLI can surface the evidence.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import sys
@@ -35,7 +36,14 @@ from .normgeom import (
     principal_curvatures,
     oriented_radius_chart_curvatures,
 )
-from .quadrature import _SINGULAR_KINDS, EndpointKind, _brent
+from .quadrature import (
+    _SINGULAR_KINDS,
+    EndpointKind,
+    _brent,
+    as_libm,
+    exact_values,
+    log,
+)
 from .solver import ProfileBranch, RelationForm
 
 __all__ = [
@@ -76,88 +84,61 @@ class VerificationReport:
     version: str = REPORT_VERSION
 
     def as_dict(self) -> dict:
-        def clean(x):
-            if isinstance(x, dict):
-                return {k: clean(v) for k, v in x.items()}
-            if isinstance(x, (list, tuple)):
-                return [clean(v) for v in x]
-            if isinstance(x, (np.floating, np.integer)):
-                return float(x)
-            if isinstance(x, np.bool_):
-                return bool(x)
-            return x
-
-        return {
-            "version": self.version,
-            "kind": self.kind,
-            "case": self.case,
-            "passed": bool(self.passed),
-            "tolerance": float(self.tolerance),
-            "n_points": int(self.n_points),
-            "max_residual": float(self.max_residual),
-            "median_residual": float(self.median_residual),
-            "rms_residual": float(self.rms_residual),
-            "excluded_zones": clean(self.excluded_zones),
-            "excluded_fraction": float(self.excluded_fraction),
-            "edge_growth": bool(self.edge_growth),
-            "details": clean(self.details),
-        }
+        """The report in plain Python types, ``version`` first."""
+        return _plain({"version": self.version, **dataclasses.asdict(self)})
 
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.as_dict(), **kwargs)
+
+
+def _plain(x):
+    """x with tuples as lists, numpy numbers as floats and numpy bools as
+    bools, so that json can write it."""
+    if isinstance(x, dict):
+        return {k: _plain(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_plain(v) for v in x]
+    if isinstance(x, np.bool_):
+        return bool(x)
+    return float(x) if isinstance(x, (np.floating, np.integer)) else x
 
 
 # ---------------------------------------------------------------------------
 # helpers
 
 
-def _physical_mu(branch: ProfileBranch) -> float:
-    return branch.mu / branch.scale
+def _scan_frame(branch: ProfileBranch, epsilon: float = 1e-3) -> tuple:
+    """``(lo, hi, mask, zones)``: the interval a branch is checked on.
 
-
-def _domain_bounds(branch: ProfileBranch) -> tuple:
-    lo = branch.domain.lower
-    hi = min(branch.domain.upper, float(branch.alpha[-1]))
-    return lo, hi
-
-
-def _scan_mask(branch: ProfileBranch, exclusion: float) -> np.ndarray:
-    """Interior sample mask, excluding zones near singular endpoints."""
-    lo, hi = _domain_bounds(branch)
+    ``hi`` is the last sample where a cut ends the table.  A singular or
+    cut end excludes ``epsilon * width`` next to it and any other end
+    ``1e-9 * width``; ``mask`` selects the samples left, and ``zones``
+    lists the excluded neighbourhoods of the singular and cut ends.
+    """
+    dom, a = branch.domain, branch.alpha
+    lo, hi = dom.lower, min(dom.upper, float(a[-1]))
     width = hi - lo
-    a = branch.alpha
-    mask = np.ones(a.shape, dtype=bool)
-    if branch.domain.lower_kind in _SINGULAR_KINDS:
-        mask &= a - lo > exclusion * width
-    else:
-        mask &= a - lo > 1e-9 * width
-    if branch.domain.upper_kind in _SINGULAR_KINDS or not branch.domain.bounded:
-        mask &= hi - a > exclusion * width
-    else:
-        mask &= hi - a > 1e-9 * width
-    return mask
+    cut_lo = dom.lower_kind in _SINGULAR_KINDS
+    cut_hi = dom.upper_kind in _SINGULAR_KINDS or not dom.bounded
+    mask = ((a - lo > (epsilon if cut_lo else 1e-9) * width)
+            & (hi - a > (epsilon if cut_hi else 1e-9) * width))
+    zones = [(zone, f"{kind.value} endpoint") for cut, kind, zone in (
+        (cut_lo, dom.lower_kind, (lo, lo + epsilon * width)),
+        (cut_hi, dom.upper_kind, (hi - epsilon * width, hi))) if cut]
+    return lo, hi, mask, zones
 
 
-def _fd_jet_exact(branch: ProfileBranch, a: float) -> tuple:
-    """(u', u'') from the closed-form slope via a central 5-point stencil.
+def _fd_jets_exact(branch: ProfileBranch, a: np.ndarray, lo: float,
+                   hi: float) -> list:
+    """(u', u'') at every point of a inside [lo, hi], as float pairs: the
+    closed-form slope and a central 5-point stencil on it.
 
-    The step shrinks with the distance to the nearest endpoint because the
+    The step shrinks with the distance to the nearest end because the
     higher derivatives of the slope grow algebraically at simple roots.
-    """
-    lo, hi = _domain_bounds(branch)
-    dist = min(a - lo, hi - a)
-    h = max(1e-6, 1e-4 * min(max(1.0, abs(a)), dist))
-    h = min(h, 0.25 * dist)
-    return branch.uprime(a), branch.fd_second(a, h)
-
-
-def _fd_jets_exact(branch: ProfileBranch, a: np.ndarray) -> list:
-    """_fd_jet_exact at every point of a, as a list of float pairs.
-
     All stencils are evaluated at once by the array slope; a point where
-    that leaves a value non-finite is evaluated again by _fd_jet_exact.
+    that leaves a value non-finite is evaluated again on Python floats,
+    which gives the value or exception of the scalar slope.
     """
-    lo, hi = _domain_bounds(branch)
     dist = np.minimum(a - lo, hi - a)
     h = np.maximum(1e-6, 1e-4 * np.minimum(np.maximum(1.0, np.abs(a)), dist))
     h = np.minimum(h, 0.25 * dist)
@@ -165,7 +146,8 @@ def _fd_jets_exact(branch: ProfileBranch, a: np.ndarray) -> list:
         d1, d2 = branch.uprime(a), branch.fd_second(a, h)
     jets = list(zip(d1.tolist(), d2.tolist()))
     for i in np.flatnonzero(~(np.isfinite(d1) & np.isfinite(d2))).tolist():
-        jets[i] = _fd_jet_exact(branch, float(a[i]))
+        x = float(a[i])
+        jets[i] = branch.uprime(x), branch.fd_second(x, float(h[i]))
     return jets
 
 
@@ -197,21 +179,25 @@ def _edge_growth(alphas: np.ndarray, residuals: np.ndarray) -> bool:
     return outer > 10.0 * max(middle, 1e-16)
 
 
+def _report(kind: str, case: str, tol: float, residuals, alphas=None,
+            **fields) -> VerificationReport:
+    """The report whose verdict and statistics come from ``residuals``;
+    no residual fails.  The residual scans also pass the ``alphas`` they
+    scanned, for the rms residual and the edge-growth flag."""
+    r = np.asarray(residuals, dtype=float)
+    top = median = math.nan
+    if r.size:
+        top, median = float(np.max(r)), float(np.median(r))
+        if alphas is not None:
+            fields["rms_residual"] = float(np.sqrt(np.mean(r ** 2)))
+            fields["edge_growth"] = _edge_growth(np.asarray(alphas), r)
+    return VerificationReport(
+        kind=kind, case=case, passed=top < tol, tolerance=float(tol),
+        n_points=r.size, max_residual=top, median_residual=median, **fields)
+
+
 # ---------------------------------------------------------------------------
 # checks
-
-
-def _exclusion_zones(branch: ProfileBranch, epsilon: float) -> list:
-    lo, hi = _domain_bounds(branch)
-    width = hi - lo
-    zones = []
-    if branch.domain.lower_kind in _SINGULAR_KINDS:
-        zones.append(((lo, lo + epsilon * width),
-                      f"{branch.domain.lower_kind.value} endpoint"))
-    if branch.domain.upper_kind in _SINGULAR_KINDS or not branch.domain.bounded:
-        zones.append(((hi - epsilon * width, hi),
-                      f"{branch.domain.upper_kind.value} endpoint"))
-    return zones
 
 
 def residual_scan(branch: ProfileBranch, epsilon: float = 1e-3,
@@ -226,15 +212,15 @@ def residual_scan(branch: ProfileBranch, epsilon: float = 1e-3,
     if len(branch.alpha) < 32:
         raise ValueError("residual scan needs at least 32 samples")
     p = branch.request.p
-    lam, mu = branch.lam, _physical_mu(branch)
-    mask = _scan_mask(branch, epsilon)
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
+    lam, mu = branch.lam, branch.mu / branch.scale
+    lo, hi, mask, zones = _scan_frame(branch, epsilon)
+    points = branch.alpha[mask]
+    if points.size == 0:
         raise ValueError("exclusion zones removed every sample point")
 
     alphas, residuals = [], []
-    points = branch.alpha[idx]
-    for a, (d1, d2) in zip(points.tolist(), _fd_jets_exact(branch, points)):
+    for a, (d1, d2) in zip(points.tolist(),
+                           _fd_jets_exact(branch, points, lo, hi)):
         if d1 == 0.0:
             continue
         residuals.append(_relation_residual(p, a, d1, d2, lam, mu))
@@ -242,27 +228,13 @@ def residual_scan(branch: ProfileBranch, epsilon: float = 1e-3,
     details = {"lam": lam, "mu": mu, "m": p.m, "epsilon": epsilon,
                "slope_source": "closed_form",
                "chart_switch_slope": CHART_SWITCH_SLOPE}
-    zones = _exclusion_zones(branch, epsilon)
     if not residuals:
         # the slope underflows to 0 on a vanishingly narrow domain
         details["reason"] = "no scanned point has a nonzero slope"
-        return VerificationReport(
-            kind="residual_scan", case=branch.case.value, passed=False,
-            tolerance=tol, n_points=0, max_residual=math.nan,
-            median_residual=math.nan, excluded_zones=zones,
-            excluded_fraction=1.0, details=details)
-    alphas = np.array(alphas)
-    residuals = np.array(residuals)
-    max_res = float(np.max(residuals))
-    report = VerificationReport(
-        kind="residual_scan", case=branch.case.value,
-        passed=max_res < tol, tolerance=tol, n_points=len(residuals),
-        max_residual=max_res, median_residual=float(np.median(residuals)),
-        rms_residual=float(np.sqrt(np.mean(residuals ** 2))),
-        excluded_zones=zones,
-        excluded_fraction=1.0 - len(residuals) / len(branch.alpha),
-        edge_growth=_edge_growth(alphas, residuals), details=details)
-    return report
+    return _report("residual_scan", branch.case.value, tol, residuals, alphas,
+                   excluded_zones=zones,
+                   excluded_fraction=1.0 - len(residuals) / len(branch.alpha),
+                   details=details)
 
 
 def residual_scan_table(p: NormParameter, alpha: np.ndarray, u: np.ndarray,
@@ -282,9 +254,7 @@ def residual_scan_table(p: NormParameter, alpha: np.ndarray, u: np.ndarray,
     outside SLOPE_WINDOW are excluded because the radius chart
     degenerates at caps and roots.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    u = np.asarray(u, dtype=float)
-    du = np.asarray(du, dtype=float)
+    alpha, u, du = (np.asarray(x, dtype=float) for x in (alpha, u, du))
     if alpha.ndim != 1 or alpha.shape != u.shape or alpha.shape != du.shape:
         raise ValueError("alpha, u, du must be 1-d arrays of equal length")
     if len(alpha) < 32:
@@ -312,7 +282,7 @@ def residual_scan_table(p: NormParameter, alpha: np.ndarray, u: np.ndarray,
             & (np.abs(du) > slope_floor) & (np.abs(du) < slope_cap))
     idx = np.flatnonzero(mask)
 
-    w_col = np.array([_W(p, float(d)) for d in du])
+    w_col = exact_values(lambda d: _W(p, d), du, python_floats=True)
     npts, half = 7, 3
     polyfit = np.polynomial.polynomial.polyfit
 
@@ -322,39 +292,31 @@ def residual_scan_table(p: NormParameter, alpha: np.ndarray, u: np.ndarray,
         j0 = max(0, min(int(i) - half, len(alpha) - npts))
         aw = alpha[j0:j0 + npts]
         ww = w_col[j0:j0 + npts]
+        # fits in alpha - a and in log(alpha / a); the slope in the log
+        # coordinate is a times the slope in alpha
+        coords = [(aw - a, 1.0)]
+        if aw[0] > 0.0:
+            coords.append((np.log(aw / a), a))
         estimates = []
         with warnings.catch_warnings():
             # degree-6 fits on strongly graded windows are rank-deficient
             # in the trailing coefficients; the linear one stays usable
             warnings.simplefilter("ignore", np.exceptions.RankWarning)
-            x = aw - a
-            scale = np.max(np.abs(x))
-            for deg in (4, 6):
-                coef = polyfit(x / scale, ww, deg)
-                estimates.append(float(coef[1] / scale))
-            if aw[0] > 0.0:
-                xl = np.log(aw / a)
-                scale = np.max(np.abs(xl))
+            for x, da in coords:
+                scale = np.max(np.abs(x))
                 for deg in (4, 6):
-                    coef = polyfit(xl / scale, ww, deg)
-                    estimates.append(float(coef[1] / scale) / a)
+                    coef = polyfit(x / scale, ww, deg)
+                    estimates.append(float(coef[1] / scale) / da)
         target = lam * float(w_col[i]) / a + mu
         residuals.append(min(abs(wp + target) for wp in estimates))
         alphas.append(a)
     if not residuals:
         raise ValueError("exclusion zones removed every sample point")
-    alphas = np.array(alphas)
-    residuals = np.array(residuals)
-    max_res = float(np.max(residuals))
-    return VerificationReport(
-        kind="residual_scan", case="table",
-        passed=max_res < tol, tolerance=tol, n_points=len(residuals),
-        max_residual=max_res, median_residual=float(np.median(residuals)),
-        rms_residual=float(np.sqrt(np.mean(residuals ** 2))),
+    return _report(
+        "residual_scan", "table", tol, residuals, alphas,
         excluded_zones=[((lo, lo + epsilon * width), "table edge"),
                         ((hi - epsilon * width, hi), "table edge")],
         excluded_fraction=1.0 - len(residuals) / len(alpha),
-        edge_growth=_edge_growth(alphas, residuals),
         details={"lam": lam, "mu": mu, "m": p.m, "epsilon": epsilon,
                  "slope_source": "du_column",
                  "residual_form": "divergence",
@@ -362,10 +324,11 @@ def residual_scan_table(p: NormParameter, alpha: np.ndarray, u: np.ndarray,
                  "chart_switch_slope": CHART_SWITCH_SLOPE})
 
 
-def _W(p: NormParameter, d1: float) -> float:
-    """Conserved slope factor |u'|^(1/q) * (1 + |u'|^(2m/q))^(-1/2m)."""
+def _W(p: NormParameter, d1):
+    """Conserved slope factor |u'|^(1/q) * (1 + |u'|^(2m/q))^(-1/2m) of a
+    float or, with libm's powers, of every float of an array."""
     m, q = p.m, p.q
-    s = abs(d1)
+    s = abs(as_libm(d1))
     return s ** (1.0 / q) * (1.0 + s ** (2 * m / q)) ** (-1.0 / (2 * m))
 
 
@@ -378,38 +341,32 @@ def first_integral_drift(branch: ProfileBranch,
     alpha^lam * W alone in the homogeneous case.  Evaluated in normalized
     (|mu| = 1) coordinates and compared with the branch constant.
     """
-    p = branch.request.p
-    form = branch.request.relation.form
+    req = branch.request
+    p, form = req.p, req.relation.form
     lam, mu = branch.lam, branch.mu
-    mask = _scan_mask(branch, 1e-3)
-    a = branch.alpha[mask] / branch.scale
-    d1 = branch.du[mask]
-
     if form is RelationForm.HOMOGENEOUS:
-        vals = np.array([av ** lam * _W(p, dv) for av, dv in zip(a, d1)])
-        expected = branch.request.c2 ** lam
+        value, expected = (lambda a, w: a ** lam * w), req.c2 ** lam
     elif form is RelationForm.INHOM_LAMBDA_MINUS1:
-        vals = np.array([_W(p, dv) / av + mu * math.log(av)
-                         for av, dv in zip(a, d1)])
-        expected = branch.request.c1
+        value, expected = (lambda a, w: w / a + mu * log(a)), req.c1
     elif form in (RelationForm.INHOM_GENERAL, RelationForm.K1_CONST):
-        vals = np.array([av ** lam * _W(p, dv)
-                         + mu / (lam + 1.0) * av ** (lam + 1.0)
-                         for av, dv in zip(a, d1)])
-        expected = branch.request.c1
+        value, expected = (lambda a, w: a ** lam * w
+                           + mu / (lam + 1.0) * a ** (lam + 1.0)), req.c1
     elif form is RelationForm.K2_CONST:
-        vals = np.array([_W(p, dv) / av for av, dv in zip(a, d1)])
-        expected = 1.0  # unit sphere: W/alpha = 1/radius
+        # unit sphere: W/alpha = 1/radius
+        value, expected = (lambda a, w: w / a), 1.0
     else:
         raise ValueError(f"no first integral form for {form}")
 
-    drift = np.abs(vals - expected)
-    max_drift = float(np.max(drift))
-    return VerificationReport(
-        kind="first_integral", case=branch.case.value,
-        passed=max_drift < tol, tolerance=tol, n_points=len(vals),
-        max_residual=max_drift, median_residual=float(np.median(drift)),
-        details={"expected": expected, "form": form.value})
+    mask = _scan_frame(branch)[2]
+    a, d1 = branch.alpha[mask] / branch.scale, branch.du[mask]
+    # the array form, on index arrays; a value it leaves non-finite is
+    # evaluated again on the numpy scalars a[k] and d1[k], which gives
+    # the value and warning of a loop over the elements
+    vals = exact_values(lambda k: value(as_libm(a[k]), _W(p, d1[k])),
+                        np.arange(len(a)))
+    return _report("first_integral", branch.case.value, tol,
+                   np.abs(vals - expected),
+                   details={"expected": expected, "form": form.value})
 
 
 def _ode_rhs(p: NormParameter, lam: float, mu: float):
@@ -533,11 +490,11 @@ def _dop853(rhs, t0: float, y0: tuple, t_bound: float, t_eval, events,
 
     Runs scipy's DOP853 as ``solve_ivp`` does, on two Python floats: the
     initial step, the 5/3 blended error norm, the step controller and the
-    7th-order dense output follow scipy's code.  ``t_eval`` lists output
-    points in the direction of integration; with None the start and every
-    step end are output points.  ``events`` are ``(g, direction)`` pairs, all
-    terminal: g(t, y) changing sign over a step in the given direction
-    (0 for either) stops the run at the root of g on the dense output.
+    7th-order dense output follow scipy's code.  ``t_eval`` lists the
+    output points in the direction of integration.  ``events`` are
+    ``(g, direction)`` pairs, all terminal: g(t, y) changing sign over a
+    step in the given direction (0 for either) stops the run at the root
+    of g on the dense output.
     """
     A, B, C, E3, E5 = _dop853_tableau()[:5]
     run = _Trajectory()
@@ -545,8 +502,6 @@ def _dop853(rhs, t0: float, y0: tuple, t_bound: float, t_eval, events,
     t, (u, v) = t0, y0
     fu, fv = rhs(t, (u, v))
     run.rhs_evals = 2
-    if t_eval is None:
-        run.t, run.u, run.du = [t], [u], [v]
 
     # initial step (scipy's select_initial_step)
     interval = abs(t_bound - t0)
@@ -623,7 +578,7 @@ def _dop853(rhs, t0: float, y0: tuple, t_bound: float, t_eval, events,
                   if (d >= 0 and g[k] <= 0 <= g_new[k])
                   or (d <= 0 and g[k] >= 0 >= g_new[k])]
         g = g_new
-        if active or (t_eval is not None and i_eval < len(t_eval)
+        if active or (i_eval < len(t_eval)
                       and direction * (t_eval[i_eval] - t) <= 0):
             dense = _dop853_dense(rhs, t_old, (u_old, v_old), (u, v), h,
                                   (ku, kv))
@@ -635,19 +590,13 @@ def _dop853(rhs, t0: float, y0: tuple, t_bound: float, t_eval, events,
             t, run.event = min(roots, key=lambda r: direction * r[0])
             run.t_event = t
             u, v = dense(t)
-        if t_eval is None:
-            run.t.append(t)
-            run.u.append(u)
-            run.du.append(v)
-        else:
-            while (i_eval < len(t_eval)
-                   and direction * (t_eval[i_eval] - t) <= 0):
-                s = t_eval[i_eval]
-                us, vs = dense(s)
-                run.t.append(s)
-                run.u.append(us)
-                run.du.append(vs)
-                i_eval += 1
+        while i_eval < len(t_eval) and direction * (t_eval[i_eval] - t) <= 0:
+            s = t_eval[i_eval]
+            us, vs = dense(s)
+            run.t.append(s)
+            run.u.append(us)
+            run.du.append(vs)
+            i_eval += 1
         if finished or run.event is not None:
             return run
 
@@ -655,9 +604,10 @@ def _dop853(rhs, t0: float, y0: tuple, t_bound: float, t_eval, events,
 def ode_oracle(branch: ProfileBranch, tol: float = 1e-7) -> VerificationReport:
     """Re-integrates the profile equation and compares with the table.
 
-    Starts from a mid-branch anchor whose first-integral residual must
-    already be below ORACLE_FI_PRECONDITION (the oracle refuses to launch
-    from inconsistent data).  The deviation is measured as |delta alpha|:
+    Starts from a mid-branch anchor.  The median first-integral residual
+    over the whole branch (first_integral_drift's) must already be below
+    ORACLE_FI_PRECONDITION: the oracle refuses to launch from
+    inconsistent data.  The deviation is measured as |delta alpha|:
     the integrated point is mapped back through the monotone table
     u -> alpha.  Only points inside SLOPE_WINDOW = (floor, cap) are
     compared, because the alpha chart degenerates at both ends (u' -> 0
@@ -671,7 +621,7 @@ def ode_oracle(branch: ProfileBranch, tol: float = 1e-7) -> VerificationReport:
     right-hand side evaluations, accepted steps and rejected steps.
     """
     p = branch.request.p
-    lam, mu = branch.lam, _physical_mu(branch)
+    lam, mu = branch.lam, branch.mu / branch.scale
     if math.isinf(lam):
         # a constant-k2 branch is a Birkhoff sphere, where k1 = k2 = mu;
         # integrate the equivalent symmetric relation k1 + k2 = 2*mu
@@ -684,8 +634,9 @@ def ode_oracle(branch: ProfileBranch, tol: float = 1e-7) -> VerificationReport:
     d10 = float(branch.du[anchor_idx])
     if fi.median_residual > ORACLE_FI_PRECONDITION:
         raise ValueError(
-            f"first-integral residual {fi.median_residual:.3e} at the anchor "
-            f"exceeds the oracle precondition {ORACLE_FI_PRECONDITION:.1e}")
+            f"median first-integral residual {fi.median_residual:.3e} over "
+            f"the branch exceeds the oracle precondition "
+            f"{ORACLE_FI_PRECONDITION:.1e}")
 
     rhs = _ode_rhs(p, lam, mu)
     slope_floor, slope_cap = SLOPE_WINDOW
@@ -694,41 +645,33 @@ def ode_oracle(branch: ProfileBranch, tol: float = 1e-7) -> VerificationReport:
     floor = (lambda a, y: abs(y[1]) - slope_floor, -1)
     flat = (lambda a, y: y[1], 0)
     reasons = ("slope_blowup", "slope_floor", "flat_slope")
-    lo, hi = _domain_bounds(branch)
+    lo, hi = _scan_frame(branch)[:2]
     width = hi - lo
     margin = 1e-9 * width
+    upper, lower = branch.domain.upper_kind, branch.domain.lower_kind
+    ends = ((+1, upper, hi if upper is EndpointKind.SMOOTH_CAP
+             else hi - margin),
+            (-1, lower, lo + 1e-6 * width if lower is EndpointKind.AXIS_ZERO
+             else lo + margin))
 
     truncations = []
     work = {"rhs_evals": 0, "steps": 0, "rejected_steps": 0}
     ts, us, dus = [], [], []
-    for direction in (+1, -1):
-        if direction == +1:
-            end = hi - margin
-            if branch.domain.upper_kind is EndpointKind.SMOOTH_CAP:
-                end = hi
-            sel = branch.alpha > a0
-        else:
-            end = lo + margin
-            if branch.domain.lower_kind is EndpointKind.AXIS_ZERO:
-                end = lo + 1e-6 * width
-            sel = branch.alpha < a0
+    for direction, kind, end in ends:
         if abs(end - a0) < 2 * margin:
             continue
         events = [blowup]
         # u' falling to the floor or to zero ends the integration only
         # heading into a smooth cap or the axis, otherwise a flat anchor
         # start would stop immediately
-        kind = (branch.domain.upper_kind if direction == +1
-                else branch.domain.lower_kind)
         if kind in (EndpointKind.SMOOTH_CAP, EndpointKind.AXIS_ZERO):
             events += [floor, flat]
-        # rescaled tables can repeat an alpha, which t_eval must not
-        t_eval = np.unique(branch.alpha[sel])
-        if direction == -1:
-            t_eval = t_eval[::-1]
+        # the table points ahead, in the direction of integration; rescaled
+        # tables can repeat an alpha, which t_eval must not
+        ahead = np.unique(branch.alpha[direction * (branch.alpha - a0) > 0])
+        t_eval = ahead[::direction]
         t_eval = t_eval[np.abs(t_eval - a0) <= abs(end - a0)]
-        run = _dop853(rhs, a0, (u0, d10), end,
-                      t_eval.tolist() if len(t_eval) else None, events,
+        run = _dop853(rhs, a0, (u0, d10), end, t_eval.tolist(), events,
                       rtol=ORACLE_RTOL, atol=1e-12)
         for key in work:
             work[key] += getattr(run, key)
@@ -754,14 +697,11 @@ def ode_oracle(branch: ProfileBranch, tol: float = 1e-7) -> VerificationReport:
     devs = np.abs(np.interp(us[keep], u_tab, a_tab) - ts[keep])
     if not len(devs):
         raise RuntimeError("oracle produced no comparable samples")
-    max_dev = float(np.max(devs))
-    return VerificationReport(
-        kind="ode_oracle", case=branch.case.value,
-        passed=max_dev < tol, tolerance=tol, n_points=len(devs),
-        max_residual=max_dev, median_residual=float(np.median(devs)),
-        details={"anchor_alpha": a0, "rtol": ORACLE_RTOL,
-                 "truncations": truncations,
-                 "first_integral_at_anchor": fi.median_residual, **work})
+    return _report("ode_oracle", branch.case.value, tol, devs,
+                   details={"anchor_alpha": a0, "rtol": ORACLE_RTOL,
+                            "truncations": truncations,
+                            "first_integral_at_anchor": fi.median_residual,
+                            **work})
 
 
 def slope_invariant(branch: ProfileBranch) -> float:

@@ -9,6 +9,7 @@ second time with numpy's AVX-512 loops disabled, to show that the bits do
 not depend on numpy's SIMD dispatch.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -90,8 +91,8 @@ def test_edge_integrands_on_every_table_grid(m):
 @pytest.mark.parametrize("m", [2, 3])
 def test_residual_stencil_matches_the_scalar_one(m):
     for tag, b in instances(m).items():
-        points = b.alpha[verify._scan_mask(b, 1e-3)]
-        lo, hi = verify._domain_bounds(b)
+        lo, hi, mask, _ = verify._scan_frame(b, 1e-3)
+        points = b.alpha[mask]
         h = [min(max(1e-6, 1e-4 * min(max(1.0, abs(a)), min(a - lo, hi - a))),
                  0.25 * min(a - lo, hi - a)) for a in points.tolist()]
         d1 = b.uprime(points)
@@ -100,9 +101,37 @@ def test_residual_stencil_matches_the_scalar_one(m):
         assert bits(d1) == bits(b.uprime(a) for a in points.tolist()), tag
         assert bits(d2) == bits(b.fd_second(a, step) for a, step
                                 in zip(points.tolist(), h)), tag
-        jets = verify._fd_jets_exact(b, points)
-        want = [verify._fd_jet_exact(b, a) for a in points.tolist()]
-        assert [bits(j) for j in jets] == [bits(j) for j in want], tag
+        jets = verify._fd_jets_exact(b, points, lo, hi)
+        assert [bits(j) for j in jets] == [bits(j) for j in zip(d1, d2)], tag
+
+
+class NanAtOnePoint:
+    """A slope whose array form gives NaN at one point; its float form is
+    the law's and counts its calls."""
+
+    def __init__(self, law, bad: float):
+        self.law, self.bad, self.float_calls = law, bad, 0
+
+    def __call__(self, t):
+        if isinstance(t, np.ndarray):
+            return np.where(t == self.bad, math.nan, self.law(t))
+        self.float_calls += 1
+        return self.law(t)
+
+
+def test_stencil_evaluates_a_non_finite_point_again(instances_m2):
+    b = instances_m2["6.3i"]
+    lo, hi, mask, _ = verify._scan_frame(b)
+    points = b.alpha[mask]
+    slope = NanAtOnePoint(b.slope, float(points[len(points) // 2]))
+    nan_b = dataclasses.replace(b, slope=slope)
+    assert np.isnan(nan_b.uprime(points)).sum() == 1
+    jets = verify._fd_jets_exact(nan_b, points, lo, hi)
+    # u' and the four stencil points of that one point, on Python floats
+    assert slope.float_calls == 5
+    want = verify._fd_jets_exact(b, points, lo, hi)
+    assert [bits(j) for j in jets] == [bits(j) for j in want]
+    assert residual_scan(nan_b).as_dict() == residual_scan(b).as_dict()
 
 
 def test_complex_slope_still_raises_type_error():

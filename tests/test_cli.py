@@ -238,6 +238,10 @@ class TestRecipeGeneration:
         (("--lambda", "0", "--mu", "2", "--c1", "2"), 2.0),
         (("--lambda", "-1", "--mu", "-2", "--c1", "0.5", "--recipe", "cap"),
          -2.0),
+        # 1/(1/mu) does not round back to these
+        (("--lambda", "0.5", "--mu", "0.9", "--c1", "0.8"), 0.9),
+        (("--lambda", "1", "--mu", "-0.9", "--c1", "0.3", "--recipe", "cap"),
+         -0.9),
     ])
     def test_metadata_records_physical_mu(self, capsys, tmp_path, relation,
                                           mu):

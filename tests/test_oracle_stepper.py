@@ -67,19 +67,15 @@ class TestEvents:
         # the run.  The decoy with direction -1 never sees a fall of u'.
         events = [(lambda t, y: y[1] + 2.0, -1),
                   (lambda t, y: y[0] + 0.5, +1)]
-        ours, ref = both_runs(-5.0, None, events)
+        t_eval = list(np.linspace(-0.1, -4.9, 49))
+        ours, ref = both_runs(-5.0, t_eval, events)
         assert ours.event == ref.event == 1
         assert ours.t_event == pytest.approx(-5 * math.pi / 6, abs=1e-10)
         assert ours.t_event == pytest.approx(ref.t_event, rel=1e-14)
-        # without a grid the start and every step end are outputs, the
-        # event included.  The error estimate is a sum that cancels to
-        # 1e-10 of its terms, and numpy's dot adds them in another order,
-        # so the step ends agree only to the controller's rounding.
-        assert ours.t[0] == 0.0 and ours.t[-1] == ours.t_event
-        assert len(ours.t) == len(ref.t)
-        np.testing.assert_allclose(ours.t, ref.t, rtol=1e-6)
+        # the grid points passed before the event are kept
+        assert ours.t == ref.t == [t for t in t_eval if t >= ours.t_event]
         np.testing.assert_allclose(ours.u, np.sin(ours.t), atol=1e-9)
-        assert ours.u[-1] == pytest.approx(ref.u[-1], abs=1e-14)
+        np.testing.assert_allclose(ours.u, ref.u, rtol=1e-12, atol=1e-15)
         assert ours.rhs_evals == ref.rhs_evals
 
 

@@ -108,6 +108,23 @@ class TestResidualScanTable:
         assert rep.case == "table"
         assert rep.details["slope_source"] == "du_column"
 
+    def test_decreasing_alpha_is_reversed(self, generic):
+        args = (generic.lam, generic.mu / generic.scale)
+        forward = residual_scan_table(P2, generic.alpha, generic.u,
+                                      generic.du, *args)
+        backward = residual_scan_table(P2, generic.alpha[::-1],
+                                       generic.u[::-1], generic.du[::-1],
+                                       *args)
+        assert backward.as_dict() == forward.as_dict()
+
+    def test_non_monotone_alpha_rejected(self, generic):
+        order = np.arange(len(generic.alpha))
+        order[[40, 41]] = order[[41, 40]]
+        with pytest.raises(ValueError, match="alpha must be monotone"):
+            residual_scan_table(P2, generic.alpha[order], generic.u[order],
+                                generic.du[order], generic.lam,
+                                generic.mu / generic.scale)
+
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             residual_scan_table(P2, np.zeros(40), np.zeros(40),
@@ -210,6 +227,27 @@ class TestOdeOracle:
         assert b.domain.upper - b.domain.lower < 1e-9
         with pytest.raises(RuntimeError, match="no comparable samples"):
             ode_oracle(b)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_decreasing_profiles_pass_every_verifier(m):
+    """sign = -1 branches fall along alpha, so the oracle maps its samples
+    back through the reversed table u -> alpha."""
+    branches = []
+    for lam, mu, c1 in ((-1.0, 1.0, 1.5), (-1.0, -1.0, -0.5), (0.5, 1.0, 0.8),
+                        (-0.5, -1.0, 2.0), (-2.0, 1.0, 0.3),
+                        (-2.0, -1.0, 0.4), (1.0, -1.0, 0.3)):
+        branches += solve(SolveRequest(
+            p=NormParameter(m), relation=WeingartenRelation.linear(lam, mu),
+            c1=c1, sign=-1))
+    assert len(branches) == 8
+    for b in branches:
+        tag = b.case.value
+        assert b.u[-1] < b.u[0], tag
+        assert residual_scan(b).passed, tag
+        assert first_integral_drift(b).passed, tag
+        rep = ode_oracle(b)
+        assert rep.passed and rep.n_points > 10, tag
 
 
 class TestSlopeInvariant:
