@@ -95,16 +95,36 @@ class Arc:
 
     @property
     def start(self) -> tuple:
-        return self.endpoint(first=True)
+        return self._point(first=True)
 
     @property
     def end(self) -> tuple:
-        return self.endpoint(first=False)
+        return self._point(first=False)
 
-    def endpoint(self, first: bool) -> tuple:
-        lower_side = (self.direction == +1) == first
-        side = "lower" if lower_side else "upper"
-        return _endpoint_point(self.branch, side)
+    def end_record(self, first: bool) -> tuple:
+        """(alpha, kind, inward side) of the domain end the arc starts at
+        (first) or ends at; the side is +1 when the branch lies above it."""
+        dom = self.branch.domain
+        if (self.direction == +1) == first:
+            return dom.lower, dom.lower_kind, +1
+        return dom.upper, dom.upper_kind, -1
+
+    def _point(self, first: bool) -> tuple:
+        """(alpha, u) limit of the branch at that end."""
+        a, kind, side = self.end_record(first)
+        branch = self.branch
+        a0, u0 = branch.anchor
+        if abs(a - a0) <= 1e-9 * max(1.0, abs(a0)):
+            return a, u0
+        # u moves away from the anchor, which is the other end
+        sgn = -side * branch.request.sign
+        if kind is EndpointKind.DOUBLE_ROOT:
+            return a, math.copysign(math.inf, sgn)
+        if kind is EndpointKind.SIMPLE_ROOT and math.isfinite(branch.span):
+            return a, u0 + sgn * branch.span
+        # smooth / axis / cut endpoints are on the sample grid
+        idx = 0 if side == +1 else -1
+        return float(branch.alpha[idx]), float(branch.u[idx])
 
     def polyline(self) -> tuple:
         """(alpha, u, du) samples in traversal order."""
@@ -178,25 +198,6 @@ def _shift_branch(branch: ProfileBranch, delta: float) -> ProfileBranch:
                    anchor=(branch.anchor[0], branch.anchor[1] + delta))
 
 
-def _endpoint_point(branch: ProfileBranch, side: str) -> tuple:
-    """(alpha, u) limit of the branch at the lower or upper domain end."""
-    dom = branch.domain
-    a = dom.lower if side == "lower" else dom.upper
-    kind = dom.lower_kind if side == "lower" else dom.upper_kind
-    a0, u0 = branch.anchor
-    if abs(a - a0) <= 1e-9 * max(1.0, abs(a0)):
-        return a, u0
-    if kind is EndpointKind.DOUBLE_ROOT:
-        sgn = branch.request.sign * (1 if side == "upper" else -1)
-        return a, math.copysign(math.inf, sgn)
-    if kind is EndpointKind.SIMPLE_ROOT and math.isfinite(branch.span):
-        sgn = branch.request.sign * (1 if a > a0 else -1)
-        return a, u0 + sgn * branch.span
-    # smooth / axis / cut endpoints are on the sample grid
-    idx = 0 if side == "lower" else -1
-    return float(branch.alpha[idx]), float(branch.u[idx])
-
-
 def _plus_minus(branch: ProfileBranch) -> tuple:
     if branch.request.sign == +1:
         return branch, reflect_branch(branch)
@@ -213,14 +214,17 @@ def _u2_limit(branch: ProfileBranch, a_star: float, side: int) -> float:
     width = branch.domain.upper - branch.domain.lower
     h1 = 1e-5 * max(1.0, width)
     h2 = h1 / 2.0
-    v0 = branch.uprime(a_star) if _inside(branch, a_star) else 0.0
+    v0 = _slope_at(branch, a_star)
     d1 = (v0 - branch.uprime(a_star + side * h1)) / (-side * h1)
     d2 = (v0 - branch.uprime(a_star + side * h2)) / (-side * h2)
     return 2.0 * d2 - d1
 
 
-def _inside(branch: ProfileBranch, a: float) -> bool:
-    return branch.domain.lower < a < branch.domain.upper
+def _slope_at(branch: ProfileBranch, a: float) -> float:
+    """u'(a), or 0 at a smooth end of the domain."""
+    if branch.domain.lower < a < branch.domain.upper:
+        return branch.uprime(a)
+    return 0.0
 
 
 def _inv_d1_limit(branch: ProfileBranch, a_star: float, side: int,
@@ -270,23 +274,19 @@ def _oriented_curvatures(p: NormParameter, arc: Arc, a: float) -> tuple:
 # junction evaluation
 
 
-def _evaluate_junction(p: NormParameter, left: Arc, right: Arc,
-                       a_star: float, kind: str) -> Junction:
+def _evaluate_junction(p: NormParameter, left: Arc, right: Arc) -> Junction:
+    """Grade the point where ``left`` ends and ``right`` starts: a cap
+    where that end is a simple root, a smooth join anywhere else."""
+    a_star, end_kind, lside = left.end_record(first=False)
+    rside = right.end_record(first=True)[2]
+    kind = "cap" if end_kind is EndpointKind.SIMPLE_ROOT else "smooth_join"
     lb, rb = left.branch, right.branch
     lw = lb.domain.upper - lb.domain.lower
     rw = rb.domain.upper - rb.domain.lower
-    # side of a_star each branch lives on
-    lside = -1 if abs(lb.domain.upper - a_star) < abs(lb.domain.lower - a_star) else +1
-    rside = -1 if abs(rb.domain.upper - a_star) < abs(rb.domain.lower - a_star) else +1
-
-    lpt = _endpoint_point(lb, "upper" if lside == -1 else "lower")
-    rpt = _endpoint_point(rb, "upper" if rside == -1 else "lower")
-    u_gap = abs(lpt[1] - rpt[1])
+    u_gap = abs(left.end[1] - right.start[1])
 
     if kind == "smooth_join":
-        dul = lb.uprime(a_star) if _inside(lb, a_star) else 0.0
-        dur = rb.uprime(a_star) if _inside(rb, a_star) else 0.0
-        du_gap = abs(dul - dur)
+        du_gap = abs(_slope_at(lb, a_star) - _slope_at(rb, a_star))
         d2l = _u2_limit(lb, a_star, lside)
         d2r = _u2_limit(rb, a_star, rside)
     else:
@@ -356,8 +356,8 @@ def axis_smoothness(p: NormParameter, case: CaseTag, lam: float) -> AxisPoint:
 # chain assembly
 
 
-def _chain(arcs: list) -> tuple:
-    """Shift arcs so consecutive endpoints agree; returns (arcs, shifts)."""
+def _chain(arcs: list) -> list:
+    """Shift each arc so that it starts where the one before it ends."""
     out = [arcs[0]]
     for arc in arcs[1:]:
         prev_end = out[-1].end
@@ -369,8 +369,7 @@ def _chain(arcs: list) -> tuple:
 def _chain_ends(p: NormParameter, arcs: list) -> tuple:
     """(topology, axis points) of an open chain whose two ends sit at the
     same endpoint kind: sphere-like exactly when it ends on the axis."""
-    _, kind, _ = _end_alpha_kind(arcs[0], first=True)
-    if kind is not EndpointKind.AXIS_ZERO:
+    if arcs[0].end_record(first=True)[1] is not EndpointKind.AXIS_ZERO:
         return Topology.OPEN_ANNULUS, []
     ends = ((arcs[0], arcs[0].start), (arcs[-1], arcs[-1].end))
     return Topology.SPHERE_LIKE, [
@@ -387,31 +386,22 @@ def _same(a: float, b: float, tol: float = 1e-9) -> bool:
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
-def _cap_side(branch: ProfileBranch) -> str:
-    dom = branch.domain
-    a0 = branch.anchor[0]
-    if dom.lower_kind is EndpointKind.SIMPLE_ROOT and _same(a0, dom.lower):
-        return "lower"
-    if dom.upper_kind is EndpointKind.SIMPLE_ROOT and _same(a0, dom.upper):
-        return "upper"
-    raise GluingMismatch(
-        "matching equation violated: cap recipe needs the branch anchored "
-        "at a simple-root endpoint")
-
-
 class Chain(Enum):
     """Order of the four arcs of a two-case recipe (b1, b2 and reflections)."""
 
     LIKE_SIGNED = "like_signed"  # b1+, b2+, b2-, b1-; k1 jumps at the joins
     CROSS = "cross"              # b1+, b2-, b2+, b1-
     PERIODIC = "periodic"        # cap, rise, join, fall, cap; repeats in u
+    TORUS = "torus"              # a cross chain closed by a cap at its start
 
 
 # each two-case recipe: the case of its first and second branch, and how
 # the arcs are chained; topology, pieces and constants follow from these.
-# A chain closes into a sphere when it ends on the axis, and runs off to
-# |u| = infinity when it ends at a double root.
+# An open chain closes into a sphere when it ends on the axis, and runs
+# off to |u| = infinity when it ends at a double root.
 RECIPE_TABLE = {
+    Recipe.TORUS_4III: (CaseTag.K1_CONST_PLUS, CaseTag.K1_CONST_MINUS,
+                        Chain.TORUS),
     Recipe.C1_1: (CaseTag.LM1_SUB, CaseTag.LM1_NEG, Chain.LIKE_SIGNED),
     Recipe.C1_2: (CaseTag.LM1_SUB, CaseTag.LM1_NEG, Chain.CROSS),
     Recipe.C2: (CaseTag.LM1_DOUBLE_OUTER, CaseTag.LM1_NEG, Chain.CROSS),
@@ -434,138 +424,102 @@ RECIPE_TABLE = {
 
 def glue(bplus: ProfileBranch, bminus: ProfileBranch,
          recipe: Recipe) -> AssembledSurface:
-    """Assemble two branches (and their reflections) per a named recipe."""
+    """Assemble two branches (and their reflections) per a named recipe.
+
+    Each pair of consecutive arcs meets at a junction; a torus chain also
+    closes from its last arc back to its first.
+    """
     p = bplus.request.p
+    chain = None
     if recipe is Recipe.CAP:
-        return _glue_cap(p, bplus, bminus)
-    if recipe is Recipe.TORUS_4III:
-        return _glue_torus_4iii(p, bplus, bminus)
-    if recipe not in RECIPE_TABLE:
-        raise ValueError(f"unknown recipe {recipe}")
-    want1, want2, chain = RECIPE_TABLE[recipe]
-    b1, b2 = bplus, bminus
-    if b1.case is want2 and b2.case is want1:
-        b1, b2 = b2, b1
-    _require(b1.case is want1 and b2.case is want2,
-             f"{recipe.value} connects cases {want1.value} and {want2.value}")
-    _require(b1.request.p.m == b2.request.p.m, "equal norm exponent m")
-    _require(_same(b1.lam, b2.lam), "equal lambda")
-    _require(_same(b2.request.c1, -b1.request.c1), "c1* = -c1")
+        b1, arcs, constants = _cap_arcs(bplus, bminus)
+    elif recipe in RECIPE_TABLE:
+        want1, want2, chain = RECIPE_TABLE[recipe]
+        b1, b2 = bplus, bminus
+        if b1.case is want2 and b2.case is want1:
+            b1, b2 = b2, b1
+        _require(b1.case is want1 and b2.case is want2,
+                 f"{recipe.value} connects cases {want1.value} and "
+                 f"{want2.value}")
+        _require(b1.request.p.m == b2.request.p.m, "equal norm exponent m")
+        _require(_same(b1.lam, b2.lam), "equal lambda")
+        _require(_same(b2.request.c1, -b1.request.c1), "c1* = -c1")
+        a_star = b1.domain.upper
+        _require(_same(a_star, b2.domain.lower),
+                 "shared smooth endpoint alpha (e.g. alpha_4 = alpha_8)")
+        if chain is Chain.TORUS:
+            _require(b1.request.c1 > 1.0, "c1 > 1 (profile clears the axis)")
 
-    a_star = b1.domain.upper
-    _require(_same(a_star, b2.domain.lower),
-             "shared smooth endpoint alpha (e.g. alpha_4 = alpha_8)")
-
-    b1p, b1m = _plus_minus(b1)
-    b2p, b2m = _plus_minus(b2)
-    if chain is Chain.PERIODIC:
-        arcs = [Arc(b1m, -1), Arc(b1p, +1), Arc(b2m, +1), Arc(b2p, -1)]
-        junctions_at = [(b1.anchor[0], "cap"), (a_star, "smooth_join"),
-                        (b2.anchor[0], "cap")]
+        b1p, b1m = _plus_minus(b1)
+        b2p, b2m = _plus_minus(b2)
+        if chain is Chain.PERIODIC:
+            arcs = [Arc(b1m, -1), Arc(b1p, +1), Arc(b2m, +1), Arc(b2p, -1)]
+        else:
+            rise, fall = (b2p, b2m) if chain is Chain.LIKE_SIGNED else (b2m, b2p)
+            arcs = [Arc(b1p, +1), Arc(rise, +1), Arc(fall, -1), Arc(b1m, -1)]
+        constants = ({"c1": b1.request.c1} if chain is Chain.TORUS else
+                     {"alpha_star": a_star, "d_first": b1.span,
+                      "d_second": b2.span})
     else:
-        rise, fall = (b2p, b2m) if chain is Chain.LIKE_SIGNED else (b2m, b2p)
-        arcs = [Arc(b1p, +1), Arc(rise, +1), Arc(fall, -1), Arc(b1m, -1)]
-        junctions_at = [(a_star, "smooth_join"), (b2.domain.upper, "cap"),
-                        (a_star, "smooth_join")]
+        raise ValueError(f"unknown recipe {recipe}")
+
     arcs = _chain(arcs)
-    junctions = [_evaluate_junction(p, arcs[i], arcs[i + 1], a, kind)
-                 for i, (a, kind) in enumerate(junctions_at)]
-    topology, axis_points = _chain_ends(p, arcs)
+    closed = chain is Chain.TORUS
+    junctions = [_evaluate_junction(p, left, right) for left, right
+                 in zip(arcs, arcs[1:] + arcs[:1] if closed else arcs[1:])]
+    topology, axis_points = ((Topology.TORUS, []) if closed
+                             else _chain_ends(p, arcs))
     surface = AssembledSurface(
         arcs=arcs, junctions=junctions, topology=topology,
         axis_points=axis_points, p=p, lam=b1.lam, mu=b1.mu,
-        constants={"alpha_star": a_star,
-                   "d_first": b1.span, "d_second": b2.span})
-    if chain is Chain.PERIODIC:
+        constants=constants)
+    if closed:
+        (a0, u0), (a1, u1) = arcs[0].start, arcs[-1].end
+        surface.closure_gap = math.hypot(a0 - a1, u0 - u1)
+    else:
         _mark_extendable(surface)
     return surface
 
 
-def _glue_cap(p: NormParameter, bplus: ProfileBranch,
-              bminus: ProfileBranch) -> AssembledSurface:
+def _cap_arcs(bplus: ProfileBranch, bminus: ProfileBranch) -> tuple:
+    """(plus branch, arcs, constants) of the cap recipe: the + and -
+    branch of one case, joined at the simple root they are anchored at."""
     _require(bplus.case is bminus.case, "cap joins branches of one case")
     _require(_same(bplus.request.c1, bminus.request.c1), "equal c1")
     _require(bplus.request.sign != bminus.request.sign, "opposite signs")
     if bplus.request.sign == -1:
         bplus, bminus = bminus, bplus
-    side = _cap_side(bplus)
-    a_star = bplus.anchor[0]
     # align the minus branch to the same cap value
     bminus = _shift_branch(bminus, bplus.anchor[1] - bminus.anchor[1])
-    if side == "lower":
-        arcs = [Arc(bminus, -1), Arc(bplus, +1)]
-    else:
-        arcs = [Arc(bplus, +1), Arc(bminus, -1)]
-    junctions = [_evaluate_junction(p, arcs[0], arcs[1], a_star, "cap")]
-
-    topology, axis_points = _chain_ends(p, arcs)
-    surface = AssembledSurface(
-        arcs=arcs, junctions=junctions, topology=topology,
-        axis_points=axis_points, p=p, lam=bplus.lam, mu=bplus.mu,
-        constants={"alpha_star": a_star, "d": bplus.span})
-    far_kind = (bplus.domain.upper_kind if side == "lower"
-                else bplus.domain.lower_kind)
-    if far_kind is EndpointKind.SIMPLE_ROOT:
-        _mark_extendable(surface)
-    return surface
-
-
-def _glue_torus_4iii(p: NormParameter, b1: ProfileBranch,
-                     b2: ProfileBranch) -> AssembledSurface:
-    if b1.case is CaseTag.K1_CONST_MINUS and b2.case is CaseTag.K1_CONST_PLUS:
-        b1, b2 = b2, b1
-    _require(b1.case is CaseTag.K1_CONST_PLUS
-             and b2.case is CaseTag.K1_CONST_MINUS,
-             "torus joins the two constant-k1 arc families")
-    _require(b1.request.c1 > 1.0, "c1 > 1 (profile clears the axis)")
-    _require(_same(b2.request.c1, -b1.request.c1), "c3 = -c1")
-    c1 = b1.request.c1
-    b1p, b1m = _plus_minus(b1)
-    b2p, b2m = _plus_minus(b2)
-    # quarter arcs: up the left side, across the top, down the right,
-    # back along the bottom
-    arcs = _chain([Arc(b1p, +1), Arc(b2m, +1), Arc(b2p, -1), Arc(b1m, -1)])
-    junctions = [
-        _evaluate_junction(p, arcs[0], arcs[1], c1, "smooth_join"),
-        _evaluate_junction(p, arcs[1], arcs[2], c1 + 1.0, "cap"),
-        _evaluate_junction(p, arcs[2], arcs[3], c1, "smooth_join"),
-    ]
-    start, end = arcs[0].start, arcs[-1].end
-    gap = math.hypot(start[0] - end[0], start[1] - end[1])
-    closing = _evaluate_junction(p, arcs[-1], arcs[0], c1 - 1.0, "cap")
-    junctions.append(closing)
-    surface = AssembledSurface(
-        arcs=arcs, junctions=junctions, topology=Topology.TORUS,
-        axis_points=[], p=p, lam=0.0, mu=b1.mu,
-        constants={"c1": c1}, closure_gap=gap)
-    return surface
-
-
-def _end_alpha_kind(arc: Arc, first: bool) -> tuple:
-    branch = arc.branch
-    lower_side = (arc.direction == +1) == first
-    kind = (branch.domain.lower_kind if lower_side
-            else branch.domain.upper_kind)
-    a = branch.domain.lower if lower_side else branch.domain.upper
-    side = +1 if lower_side else -1  # interior direction from the endpoint
-    return a, kind, side
+    plus, minus = Arc(bplus, +1), Arc(bminus, -1)
+    for first, arcs in ((True, [minus, plus]), (False, [plus, minus])):
+        a, kind, _ = plus.end_record(first)
+        if kind is EndpointKind.SIMPLE_ROOT and _same(bplus.anchor[0], a):
+            return bplus, arcs, {"alpha_star": bplus.anchor[0],
+                                 "d": bplus.span}
+    raise GluingMismatch(
+        "matching equation violated: cap recipe needs the branch anchored "
+        "at a simple-root endpoint")
 
 
 def _mark_extendable(surface: AssembledSurface) -> None:
+    """Set the period of an open chain that repeats: its two ends sit at
+    one alpha and one kind, and the chain passes through that end.  At a
+    smooth cap alpha keeps its direction, at a simple root it turns."""
     first, last = surface.arcs[0], surface.arcs[-1]
-    a0, k0, s0 = _end_alpha_kind(first, first=True)
-    a1, k1, s1 = _end_alpha_kind(last, first=False)
-    if not _same(a0, a1) or k0 is not k1:
+    a0, k0, s0 = first.end_record(first=True)
+    a1, k1, s1 = last.end_record(first=False)
+    turns = k0 is EndpointKind.SIMPLE_ROOT
+    if (k0 not in (EndpointKind.SMOOTH_CAP, EndpointKind.SIMPLE_ROOT)
+            or k1 is not k0 or not _same(a0, a1)
+            or (first.direction == last.direction) == turns):
         return
-    if k0 is EndpointKind.SMOOTH_CAP:
-        match = abs(first.branch.uprime(a0) if _inside(first.branch, a0) else 0.0) \
-            + abs(last.branch.uprime(a1) if _inside(last.branch, a1) else 0.0)
-    elif k0 is EndpointKind.SIMPLE_ROOT:
+    if turns:
         m = surface.p.m
         match = abs(_inv_d1_limit(first.branch, a0, s0, m)
                     - _inv_d1_limit(last.branch, a1, s1, m))
     else:
-        return
+        match = abs(_slope_at(first.branch, a0)) + abs(_slope_at(last.branch, a1))
     surface.end_derivative_match = match
     surface.period = abs(first.start[1] - last.end[1])
 

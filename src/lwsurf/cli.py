@@ -38,7 +38,6 @@ from .solver import (
     classify,
     critical_c1,
     solve,
-    solve_constant_k1,
     solve_constant_k2,
 )
 from .verify import residual_scan_table
@@ -238,11 +237,6 @@ def build_assembly(settings: dict, recipe_name: str) -> AssembledSurface:
     c1 = settings["c1"]
     recipe = Recipe(recipe_name)
 
-    if recipe is Recipe.TORUS_4III:
-        b1 = solve_constant_k1(p, 1.0, c1, samples=samples)
-        b2 = solve_constant_k1(p, -1.0, -c1, samples=samples)
-        return glue(b1, b2, recipe)
-
     if recipe is Recipe.CAP:
         req = _request(settings)
         plus = solve(req)
@@ -259,6 +253,8 @@ def build_assembly(settings: dict, recipe_name: str) -> AssembledSurface:
     want1, want2, _ = RECIPE_TABLE[recipe]
     if want1.name.startswith("LM1_"):  # the 6.1 families have lam = -1
         lam = -1.0
+    elif want1.name.startswith("K1_"):  # the 4iii arcs have lam = 0
+        lam = 0.0
     if want1.name.endswith("_DOUBLE_OUTER"):  # C2, C6, C9
         c1 = critical_c1(lam)
     pair = []

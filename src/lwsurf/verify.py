@@ -618,7 +618,9 @@ def ode_oracle(branch: ProfileBranch, tol: float = 1e-7) -> VerificationReport:
     or the axis, "flat_slope" when u' crosses zero there, and "axis" when
     the integration reaches its end next to an axis endpoint.  The
     details also count the integrator's work over both directions:
-    right-hand side evaluations, accepted steps and rejected steps.
+    right-hand side evaluations, accepted steps and rejected steps.  When
+    no integrated point is comparable, the report fails with
+    ``n_points = 0`` and says so in ``details["reason"]``.
     """
     p = branch.request.p
     lam, mu = branch.lam, branch.mu / branch.scale
@@ -695,13 +697,15 @@ def ode_oracle(branch: ProfileBranch, tol: float = 1e-7) -> VerificationReport:
     keep = ((slope_floor <= slopes) & (slopes <= slope_cap)
             & (u_tab[0] <= us) & (us <= u_tab[-1]))
     devs = np.abs(np.interp(us[keep], u_tab, a_tab) - ts[keep])
+    details = {"anchor_alpha": a0, "rtol": ORACLE_RTOL,
+               "truncations": truncations,
+               "first_integral_at_anchor": fi.median_residual, **work}
     if not len(devs):
-        raise RuntimeError("oracle produced no comparable samples")
+        # no integrated point has its slope inside SLOPE_WINDOW, e.g. a
+        # flat arc or a vanishingly narrow domain
+        details["reason"] = "oracle produced no comparable samples"
     return _report("ode_oracle", branch.case.value, tol, devs,
-                   details={"anchor_alpha": a0, "rtol": ORACLE_RTOL,
-                            "truncations": truncations,
-                            "first_integral_at_anchor": fi.median_residual,
-                            **work})
+                   details=details)
 
 
 def slope_invariant(branch: ProfileBranch) -> float:

@@ -8,6 +8,7 @@ import pytest
 
 from lwsurf import (
     CaseTag,
+    EndpointKind,
     GluingMismatch,
     NormParameter,
     NotPeriodic,
@@ -96,6 +97,13 @@ class TestRecipes:
         assert c1s == {critical_c1(lam_used), -critical_c1(lam_used)}
         assert surf.lam == lam_used
 
+    def test_torus_ignores_the_relation_flags(self):
+        # the 4iii arcs have lam = 0 and mu = +/-1
+        settings = dict(DEFAULTS, lam=3.0, mu=5.0, c1=2.0, samples=96)
+        surf = build_assembly(settings, "torus-4iii")
+        assert (surf.lam, surf.mu) == (0.0, 1.0)
+        assert {a.branch.mu for a in surf.arcs} == {1.0, -1.0}
+
     @pytest.mark.parametrize("name", sorted(RECIPE_PARAMS))
     def test_topology(self, name):
         assert surface_for(name).topology is EXPECTED_TOPOLOGY[name]
@@ -119,6 +127,22 @@ class TestRecipes:
                 continue
             assert abs(ea - sa) < 1e-8, name
             assert abs(eu - su) < 1e-8, name
+
+    @pytest.mark.parametrize("name", sorted(RECIPE_PARAMS))
+    def test_junctions_sit_where_the_arcs_meet(self, name):
+        # each junction is graded at the end the left arc stops at and the
+        # right arc starts from; the torus closes from its last arc to its
+        # first; a simple-root end is a cap, every other end a smooth join
+        surf = surface_for(name)
+        closing = surf.arcs[:1] if surf.topology is Topology.TORUS else []
+        rights = surf.arcs[1:] + closing
+        assert len(surf.junctions) == len(rights)
+        for j, left, right in zip(surf.junctions, surf.arcs, rights):
+            a_end, kind, _ = left.end_record(first=False)
+            a_start, right_kind, _ = right.end_record(first=True)
+            assert j.alpha_star == a_end == a_start, name
+            assert right_kind is kind, name
+            assert (j.kind == "cap") == (kind is EndpointKind.SIMPLE_ROOT)
 
     def test_c1_1_has_curvature_jump_joins(self):
         # pairing like-signed branches keeps the tangent but jumps k1
@@ -155,12 +179,19 @@ class TestPeriodicExtension:
         assert tube.period > 0.0
         assert not tube.may_be_torus
 
+    @pytest.mark.parametrize("name", sorted(RECIPE_PARAMS))
+    def test_period_only_on_repeating_chains(self, name):
+        # the cap of RECIPE_PARAMS ends at a smooth cap, which its chain
+        # turns back from, so it does not repeat
+        assert (surface_for(name).period is not None) == (name in EXTENDABLE)
+
     def test_band_cap_extends(self):
         # a cap on a band between two simple roots repeats in u
         settings = dict(DEFAULTS)
         settings.update(lam=1.0, mu=-1.0, c1=0.3, samples=192)
         surf = build_assembly(settings, "cap")
         assert surf.topology is Topology.OPEN_ANNULUS
+        assert surf.period is not None
         tube = extend_periodic(surf)
         assert tube.topology is Topology.PERIODIC_TUBE
         assert surf.end_derivative_match < 1e-8
@@ -191,6 +222,13 @@ class TestGluingMismatch:
         b2 = solve_constant_k1(P2, -1.0, -0.8, samples=96)
         with pytest.raises(GluingMismatch, match="c1 > 1"):
             glue(b1, b2, Recipe.TORUS_4III)
+
+    def test_torus_rejects_a_wrong_case(self):
+        b1 = solve_constant_k1(P2, 1.0, 2.0, samples=96)
+        with pytest.raises(GluingMismatch, match="connects cases"):
+            glue(b1, b1, Recipe.TORUS_4III)
+        with pytest.raises(GluingMismatch, match="connects cases"):
+            glue(b1, solve_constant_k2(P2, samples=96), Recipe.TORUS_4III)
 
     def test_cap_needs_simple_root_anchor(self):
         b = solve_constant_k2(P2, samples=96)

@@ -17,6 +17,7 @@ from lwsurf import (
     residual_scan,
     residual_scan_table,
     solve,
+    solve_constant_k1,
     solve_constant_k2,
     solve_homogeneous,
     solve_inhom_general,
@@ -225,8 +226,20 @@ class TestOdeOracle:
             relation=WeingartenRelation.linear(-0.9117989047655644,
                                                2.960521662685622)))[0]
         assert b.domain.upper - b.domain.lower < 1e-9
-        with pytest.raises(RuntimeError, match="no comparable samples"):
-            ode_oracle(b)
+        rep = ode_oracle(b)
+        assert not rep.passed and rep.n_points == 0
+        assert rep.details["reason"] == "oracle produced no comparable samples"
+
+    def test_flat_arc_fails_without_comparable_samples(self):
+        # |u'| <= 0.5^7 on the whole arc, below the slope window's floor:
+        # the oracle reports that it compared nothing instead of raising
+        b = solve_constant_k1(NormParameter(4), 1.0, 0.5)
+        assert np.max(np.abs(b.du)) < 1e-2
+        rep = ode_oracle(b)
+        assert not rep.passed and rep.n_points == 0
+        assert math.isnan(rep.max_residual)
+        assert rep.details["reason"] == "oracle produced no comparable samples"
+        assert residual_scan(b).passed and first_integral_drift(b).passed
 
 
 @pytest.mark.parametrize("m", [2, 3])

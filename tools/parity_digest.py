@@ -18,14 +18,19 @@ Each line is one group and its digest:
 * ``sweep-SEED``: every draw of the benchmark's sweep at that seed,
   ``residual_scan`` and ``first_integral_drift`` on every branch;
 * ``cli``: the bytes ``lwsurf generate`` and ``lwsurf verify`` print and
-  write for the cli workload's ``sphere.csv`` and ``prof.csv``.
+  write for the cli workload's ``sphere.csv`` and ``prof.csv``;
+* ``assemblies``: the bytes ``lwsurf generate --recipe`` and ``lwsurf
+  scan-coincidence --recipe`` print and write at m = 2, 3 for every
+  recipe at the constants of ``tests/test_assembler.py``'s
+  ``RECIPE_PARAMS``, for three more caps (a band, ``mu = -0.9`` and a
+  sphere piece), and for three inputs that raise ``GluingMismatch``.
 
 A branch contributes the bytes of ``alpha``, ``u`` and ``du`` and the bits
 of ``span``, ``quad_error`` and ``anchor``; a verifier its report as
 ``as_dict()`` JSON with sorted keys; a call that raises its exception type
 and message.  ``--root`` names the checkout whose ``src`` is imported
 (default: the one this script is in); the item lists come from this
-checkout's ``perfbench/workloads.py``.
+checkout's ``perfbench/workloads.py`` and ``tests/test_assembler.py``.
 """
 
 from __future__ import annotations
@@ -121,13 +126,10 @@ def sweep(lwsurf, workloads, seed: int) -> str:
     return _digest(entries)
 
 
-def cli(lwsurf_cli, workloads) -> str:
-    """The cli workload's generate and verify calls in one scratch folder;
-    relative paths keep the printed bytes free of the folder's name."""
-    calls = [argv for group in workloads._cli_groups()
-             for name, argv, _ in group
-             if name in ("generate-sphere", "verify-sphere", "generate-4096",
-                         "verify-4096")]
+def _cli_digest(lwsurf_cli, calls) -> str:
+    """Exit code, printed bytes and every file written, after each of the
+    calls in turn, all run in one scratch folder; relative paths keep the
+    printed bytes free of the folder's name."""
     entries = []
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
@@ -147,6 +149,48 @@ def cli(lwsurf_cli, workloads) -> str:
     return _digest(entries)
 
 
+def cli(lwsurf_cli, workloads) -> str:
+    """The cli workload's generate and verify calls."""
+    return _cli_digest(lwsurf_cli, [
+        argv for group in workloads._cli_groups() for name, argv, _ in group
+        if name in ("generate-sphere", "verify-sphere", "generate-4096",
+                    "verify-4096")])
+
+
+# (recipe, constants) beyond RECIPE_PARAMS: caps on a band between two
+# simple roots, at a |mu| != 1 and on a sphere piece, which glue; C4 off
+# its lam > 0 family, a torus that meets the axis and a cap without a
+# simple-root piece, which raise GluingMismatch
+_MORE_ASSEMBLIES = (
+    ("cap", dict(lam=1.0, mu=-1.0, c1=0.3)),
+    ("cap", dict(lam=1.0, mu=-0.9, c1=0.3)),
+    ("cap", dict(lam=-2.0, mu=1.0, c1=0.0)),
+    ("C4", dict(lam=-0.5, c1=0.8)),
+    ("torus-4iii", dict(c1=0.8)),
+    ("cap", dict(lam=-0.5, mu=1.0, c1=2.0)),
+)
+
+
+def assemblies(lwsurf_cli, recipe_params) -> str:
+    """generate and scan-coincidence for every recipe input at m = 2, 3;
+    the scan runs c1 over a range wide enough to skip rows."""
+    flags = {"lam": "--lambda", "mu": "--mu", "c1": "--c1"}
+    calls = []
+    for m in (2, 3):
+        for i, (name, params) in enumerate(
+                [*recipe_params.items(), *_MORE_ASSEMBLIES]):
+            given = [x for key, value in params.items()
+                     for x in (flags[key], repr(value))]
+            common = ["--recipe", name, "--m", str(m), "--samples", "128",
+                      *given]
+            c1 = params.get("c1", 0.0)
+            calls += [["generate", *common, "--out", f"a{m}-{i}"],
+                      ["scan-coincidence", *common,
+                       "--c1-min", repr(c1 - 2.0), "--c1-max", repr(c1 + 2.0),
+                       "--steps", "5"]]
+    return _cli_digest(lwsurf_cli, calls)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--root", type=Path, default=HERE,
@@ -156,9 +200,11 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     sys.path.insert(0, str(args.root.resolve() / "src"))
     sys.path.insert(0, str(HERE / "perfbench"))
+    sys.path.insert(0, str(HERE / "tests"))
     import lwsurf
     import lwsurf.cli
     import workloads
+    from test_assembler import RECIPE_PARAMS
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -167,6 +213,7 @@ def main(argv=None) -> int:
         for seed in args.seeds:
             print(f"sweep-{seed}", sweep(lwsurf, workloads, seed))
         print("cli", cli(lwsurf.cli, workloads))
+        print("assemblies", assemblies(lwsurf.cli, RECIPE_PARAMS))
     return 0
 
 
