@@ -7,6 +7,11 @@ its two principal curvatures come from the differential of the Birkhoff
 normal field.  All fractional powers with odd denominator 2m-1 use the real
 odd-root convention so that profiles with negative slope stay inside the
 real formulas.
+
+The curvature functions take floats or float arrays.  On arrays, powers
+run through ``quadrature.libm`` and the rest through numpy's +, -, *, /,
+so every element has the bits of the float evaluation, and an element
+whose float evaluation raises is NaN.
 """
 
 from __future__ import annotations
@@ -16,6 +21,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+
+from .quadrature import LibmArray, as_libm, libm
 
 __all__ = [
     "Chart",
@@ -90,13 +97,18 @@ def phi(p: NormParameter, x) -> float:
     return float((x[0] ** 2 + x[1] ** 2) ** p.m + x[2] ** (2 * p.m))
 
 
-def signed_odd_root_pow(x: float, p: int, q: int) -> float:
+def signed_odd_root_pow(x, p: int, q: int):
     """Real power x^(p/q) for odd q: sign(x)^p * |x|^(p/q).
 
-    Continuous in x for p >= q; raises for a negative power of zero.
+    Continuous in x for p >= q; raises for a negative power of zero.  x is
+    a float or a float array, whose elements have the float's bits and
+    are NaN where the float raises.
     """
     if q <= 0 or q % 2 == 0:
         raise ValueError(f"q must be an odd positive integer, got {q}")
+    if isinstance(x, np.ndarray):
+        y = libm(pow, np.abs(x), p / q).view(LibmArray)
+        return np.negative(y, where=x < 0.0, out=y) if p % 2 else y
     if x == 0.0:
         if p < 0:
             raise ZeroDivisionError("negative fractional power of zero")
@@ -131,53 +143,71 @@ def principal_curvatures(p: NormParameter, jet: ProfileJet) -> PrincipalCurvatur
     Uses the graph-over-axis formulas when the profile is radius(u) and the
     graph-over-radius formulas when it is axis(u).  Signs follow the normal
     with positive axis component; see ``oriented_radius_chart_curvatures``
-    for the orientation-normalized variant.
+    for the orientation-normalized variant.  The jet's numbers are floats
+    or float arrays; on arrays, an element whose float jet raises is NaN.
     """
-    if jet.d1 == 0.0:
+    d1, d2, radius = jet.d1, jet.d2, jet.radius
+    if isinstance(d1, np.ndarray):
+        d1 = np.where((d1 == 0.0) | (radius <= 0.0), math.nan, d1)
+    elif d1 == 0.0:
         raise ValueError("profile jet needs d1 != 0")
-    if jet.radius <= 0.0:
+    elif radius <= 0.0:
         raise ValueError("profile jet needs radius > 0")
     m, q = p.m, p.q
-    A1 = signed_odd_root_pow(jet.d1, 2 * m, q) + 1.0
+    A1 = signed_odd_root_pow(d1, 2 * m, q) + 1.0
     outer = A1 ** (-(2 * m + 1) / (2 * m))
-    inner = signed_odd_root_pow(jet.d1, -(2 * m - 2), q)
+    inner = signed_odd_root_pow(d1, -(2 * m - 2), q)
     if jet.chart is Chart.GRAPH_OVER_AXIS:
-        k1 = (1.0 / q) * outer * inner * jet.d2
-        k2 = -(1.0 / jet.radius) * A1 ** (-1.0 / (2 * m))
+        k1 = (1.0 / q) * outer * inner * d2
+        k2 = -(1.0 / radius) * A1 ** (-1.0 / (2 * m))
     else:
-        k1 = -(1.0 / q) * outer * inner * jet.d2
-        k2 = (-(1.0 / jet.radius) * A1 ** (-1.0 / (2 * m))
-              * signed_odd_root_pow(jet.d1, 1, q))
+        k1 = -(1.0 / q) * outer * inner * d2
+        k2 = (-(1.0 / radius) * A1 ** (-1.0 / (2 * m))
+              * signed_odd_root_pow(d1, 1, q))
     return PrincipalCurvatures(k1=k1, k2=k2)
 
 
-def oriented_radius_chart_curvatures(p: NormParameter, radius: float,
-                                     d1: float, d2: float) -> PrincipalCurvatures:
+def oriented_radius_chart_curvatures(p: NormParameter, radius, d1,
+                                     d2) -> PrincipalCurvatures:
     """Graph-over-radius curvatures normalized to the d1 > 0 orientation.
 
     The two graph charts induce opposite normals when the axis profile is
     decreasing; negating both curvatures for d1 < 0 makes the pair agree
-    with the graph-over-axis values at the same geometric point.
+    with the graph-over-axis values at the same geometric point.  The
+    arguments are floats or float arrays.
     """
     k = principal_curvatures(
         p, ProfileJet(Chart.GRAPH_OVER_RADIUS, value=0.0, d1=d1, d2=d2,
                       radius=radius))
+    if isinstance(d1, np.ndarray):
+        flip = d1 < 0.0
+        return PrincipalCurvatures(k1=np.where(flip, -k.k1, k.k1),
+                                   k2=np.where(flip, -k.k2, k.k2))
     if d1 < 0.0:
         return PrincipalCurvatures(k1=-k.k1, k2=-k.k2)
     return k
 
 
 def axis_jet_from_radius_jet(jet: ProfileJet) -> ProfileJet:
-    """Convert a graph-over-radius jet to the inverse graph-over-axis jet."""
+    """Convert a graph-over-radius jet to the inverse graph-over-axis jet.
+
+    On float arrays, an element where the float jet raises is NaN: d1 = 0,
+    or d1 ** 3 overflows or is 0.
+    """
     if jet.chart is not Chart.GRAPH_OVER_RADIUS:
         raise ValueError("expected a graph-over-radius jet")
-    if jet.d1 == 0.0:
+    d1 = as_libm(jet.d1)
+    if isinstance(d1, np.ndarray):
+        cube = d1 ** 3
+        d1 = np.where(np.isnan(cube) | (cube == 0.0), math.nan,
+                      d1).view(LibmArray)
+    elif d1 == 0.0:
         raise ValueError("chart inversion needs d1 != 0")
     return ProfileJet(
         chart=Chart.GRAPH_OVER_AXIS,
         value=jet.radius,
-        d1=1.0 / jet.d1,
-        d2=-jet.d2 / jet.d1 ** 3,
+        d1=1.0 / d1,
+        d2=-jet.d2 / d1 ** 3,
         radius=jet.radius,
     )
 

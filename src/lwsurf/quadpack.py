@@ -21,7 +21,6 @@ panel it accepts has the (value, abserr) bits ``quad`` returns.
 from __future__ import annotations
 
 import math
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -209,9 +208,9 @@ def _estimate(resk: float, resg: float, resabs: float, resasc: float,
 
 
 def _estimate_array(resk, resg, resabs, resasc, hlgth) -> tuple:
-    """_estimate on arrays.  The scaling power runs through libm one
-    float at a time, and only where it is below 1: elsewhere min(1, .)
-    is 1."""
+    """_estimate on arrays.  The scaling power runs through
+    np.float_power, which rounds as libm's pow, and only where it is
+    below 1: elsewhere min(1, .) is 1."""
     result = resk * hlgth
     resabs = resabs * hlgth
     resasc = resasc * hlgth
@@ -220,8 +219,7 @@ def _estimate_array(resk, resg, resabs, resasc, hlgth) -> tuple:
     ratio = 200.0 * abserr / resasc
     below = scaled & (ratio < 1.0)
     factor = np.ones_like(ratio)
-    factor[below] = np.fromiter(map(pow, ratio[below].tolist(), repeat(1.5)),
-                                float, int(below.sum()))
+    factor[below] = np.float_power(ratio[below], 1.5)
     abserr = np.where(scaled, resasc * factor, abserr)
     floor = (_EPMACH * 50.0) * resabs
     # Python's max(floor, abserr): floor unless abserr is larger

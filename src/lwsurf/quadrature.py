@@ -10,10 +10,14 @@ diverge because 2e >= 1.
 Divergence is decided from the endpoint kinds and exponent arithmetic,
 never from the size of a numeric estimate.
 
-Integrands take a float or a float array.  On arrays, powers and logs call
-libm one float at a time (``libm``, ``LibmArray``) and only +, -, *, / and
-abs run as numpy loops, so every element has the bits of the scalar
-evaluation.
+Integrands take a float or a float array, and every element of an array
+has the bits of the scalar evaluation (``libm``, ``LibmArray``).  Powers
+run through ``np.float_power``: numpy does not SIMD-dispatch that ufunc,
+so it is a plain C loop over libm's pow, the function Python's
+``float ** e`` calls.  log, log1p and expm1 call libm one float at a
+time, because numpy's float64 loops for them are SIMD-dispatched and
+differ from libm in the last bit.  Only +, -, *, / and abs run as other
+numpy loops, which round as Python floats do.
 """
 
 from __future__ import annotations
@@ -54,17 +58,25 @@ _quadpack = None
 
 
 def libm(fn, x, *args):
-    """fn(v, *args) for every float v of the array x, one Python call each.
+    """fn(v, *args) for every float v of the array x, with the bits of
+    the float call.
 
-    ``libm(pow, x, e)`` rounds each element as ``v ** e`` does, through
-    libm's pow; numpy's own power loops can round differently.  An element
-    whose call raises or gives a complex number is NaN; the scalar
-    evaluation raises there.  So is every element of a complex array,
-    whose scalar values are complex.
+    ``libm(pow, x, e)`` is ``np.float_power(x, e)``, a plain C loop over
+    libm's pow (see above); other functions are called once per element.
+    An element whose float call raises or gives a complex number is NaN:
+    for pow, an infinite power of a finite base, where Python raises
+    OverflowError (or ZeroDivisionError at ``0.0 ** -e``), and a
+    fractional power of a negative base.  So is every element of a
+    complex array, whose scalar values are complex.
     """
     x = np.asarray(x)
     if np.iscomplexobj(x):
         return np.full(x.shape, math.nan)
+    if fn is pow:
+        with np.errstate(all="ignore"):
+            out = np.asarray(np.float_power(x, *args))
+        out[np.isinf(out) & np.isfinite(x)] = math.nan
+        return out
     # a memoryview yields the Python floats one at a time, where a list
     # would hold them all
     values = memoryview(np.ascontiguousarray(x, dtype=float).ravel())
@@ -85,7 +97,7 @@ def _or_nan(fn, v: float, args: tuple) -> float:
 
 
 class LibmArray(np.ndarray):
-    """A float array whose ``**`` calls libm's pow on every element.
+    """A float array whose ``**`` rounds every element as libm's pow.
 
     Formulas written for floats run unchanged on it: +, -, *, / and abs
     are numpy loops, which round as Python floats do, and ``x ** e`` is
@@ -110,18 +122,19 @@ def log(t):
     return math.log(t)
 
 
-def exact_values(f, x: np.ndarray, python_floats: bool = False) -> np.ndarray:
-    """f at every float of x through f's array form.
+def exact_values(f, *xs: np.ndarray,
+                 python_floats: bool = False) -> np.ndarray:
+    """f at every index of the equal-shape arrays xs through f's array form.
 
     An entry the array form leaves non-finite is evaluated again by the
-    scalar form, on the element of x or, with ``python_floats``, on its
-    Python float: that gives the value, warning or exception of a loop
-    over the elements.
+    scalar form, on the elements of xs or, with ``python_floats``, on
+    their Python floats: that gives the value, warning or exception of a
+    loop over the elements.
     """
     with np.errstate(all="ignore"):
-        y = np.array(np.broadcast_to(f(x), x.shape), dtype=float)
+        y = np.array(np.broadcast_to(f(*xs), xs[0].shape), dtype=float)
     for i in np.flatnonzero(~np.isfinite(y)).tolist():
-        y[i] = f(float(x[i]) if python_floats else x[i])
+        y[i] = f(*(float(x[i]) if python_floats else x[i] for x in xs))
     return y
 
 

@@ -234,10 +234,15 @@ class ProfileBranch:
 
     def fd_second(self, a, h):
         """u''(a) from the closed-form slope by a central 5-point stencil;
-        a and h are floats or float arrays."""
-        f = self.uprime
-        return (-f(a + 2 * h) + 8 * f(a + h)
-                - 8 * f(a - h) + f(a - 2 * h)) / (12 * h)
+        a and h are floats or float arrays.  On arrays, the slopes at the
+        four stencil points are one array call."""
+        points = (a + 2 * h, a + h, a - h, a - 2 * h)
+        if isinstance(a, np.ndarray):
+            f2, f1, b1, b2 = self.uprime(
+                np.stack(np.broadcast_arrays(*points)))
+        else:
+            f2, f1, b1, b2 = map(self.uprime, points)
+        return (-f2 + 8 * f1 - 8 * b1 + b2) / (12 * h)
 
 
 @dataclass(frozen=True)

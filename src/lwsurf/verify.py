@@ -9,8 +9,9 @@ Three checks with different failure modes:
   quantity along the branch, which is exact in the closed forms.
 * ``ode_oracle`` re-integrates the profile equation as an initial value
   problem and compares tables.  It steps scipy's DOP853 (Dormand-Prince
-  8(5,3), coefficients read from ``scipy.integrate.DOP853``) on two
-  Python floats, with solve_ivp's step rules, dense output and events.
+  8(5,3), with the bits of ``scipy.integrate.DOP853``'s coefficients) on
+  two Python floats, with solve_ivp's step rules, dense output and
+  events, and does not import scipy.
 
 Each check returns a versioned, JSON-serializable report rather than a
 bare boolean so the CLI can surface the evidence.
@@ -31,6 +32,7 @@ import numpy as np
 from .normgeom import (
     Chart,
     NormParameter,
+    PrincipalCurvatures,
     ProfileJet,
     axis_jet_from_radius_jet,
     principal_curvatures,
@@ -129,8 +131,8 @@ def _scan_frame(branch: ProfileBranch, epsilon: float = 1e-3) -> tuple:
 
 
 def _fd_jets_exact(branch: ProfileBranch, a: np.ndarray, lo: float,
-                   hi: float) -> list:
-    """(u', u'') at every point of a inside [lo, hi], as float pairs: the
+                   hi: float) -> tuple:
+    """The arrays (u', u'') at the points a inside [lo, hi]: the
     closed-form slope and a central 5-point stencil on it.
 
     The step shrinks with the distance to the nearest end because the
@@ -144,27 +146,40 @@ def _fd_jets_exact(branch: ProfileBranch, a: np.ndarray, lo: float,
     h = np.minimum(h, 0.25 * dist)
     with np.errstate(all="ignore"):
         d1, d2 = branch.uprime(a), branch.fd_second(a, h)
-    jets = list(zip(d1.tolist(), d2.tolist()))
     for i in np.flatnonzero(~(np.isfinite(d1) & np.isfinite(d2))).tolist():
         x = float(a[i])
-        jets[i] = branch.uprime(x), branch.fd_second(x, float(h[i]))
-    return jets
+        d1[i], d2[i] = branch.uprime(x), branch.fd_second(x, float(h[i]))
+    return d1, d2
 
 
-def _relation_residual(p: NormParameter, a: float, d1: float, d2: float,
-                       lam: float, mu: float) -> float:
+def _relation_residual(p: NormParameter, a, d1, d2, lam: float, mu: float):
+    """|k1 + lam*k2 - mu| from the graph-over-radius jet (d1, d2) at
+    radius a: floats, or float arrays with the floats' bits."""
     if math.isinf(lam):
         # constant-k2 relation: the residual is |k2 - mu| directly
-        k = oriented_radius_chart_curvatures(p, a, d1, d2)
-        return abs(k.k2 - mu)
-    if abs(d1) <= CHART_SWITCH_SLOPE:
-        k = oriented_radius_chart_curvatures(p, a, d1, d2)
-    else:
-        # inverse chart: alpha as a function of u stays flat where u' blows up
-        k = principal_curvatures(p, axis_jet_from_radius_jet(
-            ProfileJet(Chart.GRAPH_OVER_RADIUS, value=0.0, d1=d1, d2=d2,
-                       radius=a)))
-    return abs(k.k1 + lam * k.k2 - mu)
+        return abs(oriented_radius_chart_curvatures(p, a, d1, d2).k2 - mu)
+    # inverse chart: alpha as a function of u stays flat where u' blows up
+    flat = abs(d1) <= CHART_SWITCH_SLOPE
+    if not isinstance(flat, np.ndarray):
+        k = _chart_curvatures(p, a, d1, d2, flat)
+        return abs(k.k1 + lam * k.k2 - mu)
+    k1, k2 = np.empty_like(a), np.empty_like(a)
+    for part, is_flat in ((flat, True), (~flat, False)):
+        if part.any():
+            k = _chart_curvatures(p, a[part], d1[part], d2[part], is_flat)
+            k1[part], k2[part] = k.k1, k.k2
+    return abs(k1 + lam * k2 - mu)
+
+
+def _chart_curvatures(p: NormParameter, a, d1, d2,
+                      flat) -> PrincipalCurvatures:
+    """The oriented radius-chart curvatures where the slope is flat, the
+    inverse graph-over-axis ones elsewhere."""
+    if flat:
+        return oriented_radius_chart_curvatures(p, a, d1, d2)
+    return principal_curvatures(p, axis_jet_from_radius_jet(
+        ProfileJet(Chart.GRAPH_OVER_RADIUS, value=0.0, d1=d1, d2=d2,
+                   radius=a)))
 
 
 def _edge_growth(alphas: np.ndarray, residuals: np.ndarray) -> bool:
@@ -218,17 +233,18 @@ def residual_scan(branch: ProfileBranch, epsilon: float = 1e-3,
     if points.size == 0:
         raise ValueError("exclusion zones removed every sample point")
 
-    alphas, residuals = [], []
-    for a, (d1, d2) in zip(points.tolist(),
-                           _fd_jets_exact(branch, points, lo, hi)):
-        if d1 == 0.0:
-            continue
-        residuals.append(_relation_residual(p, a, d1, d2, lam, mu))
-        alphas.append(a)
+    d1, d2 = _fd_jets_exact(branch, points, lo, hi)
+    keep = d1 != 0.0
+    alphas = points[keep]
+    # a residual the array form leaves non-finite is evaluated again on
+    # Python floats, which gives the value or exception of the float form
+    residuals = exact_values(
+        lambda a, d1, d2: _relation_residual(p, a, d1, d2, lam, mu),
+        alphas, d1[keep], d2[keep], python_floats=True)
     details = {"lam": lam, "mu": mu, "m": p.m, "epsilon": epsilon,
                "slope_source": "closed_form",
                "chart_switch_slope": CHART_SWITCH_SLOPE}
-    if not residuals:
+    if not residuals.size:
         # the slope underflows to 0 on a vanishingly narrow domain
         details["reason"] = "no scanned point has a nonzero slope"
     return _report("residual_scan", branch.case.value, tol, residuals, alphas,
@@ -358,12 +374,11 @@ def first_integral_drift(branch: ProfileBranch,
         raise ValueError(f"no first integral form for {form}")
 
     mask = _scan_frame(branch)[2]
-    a, d1 = branch.alpha[mask] / branch.scale, branch.du[mask]
-    # the array form, on index arrays; a value it leaves non-finite is
-    # evaluated again on the numpy scalars a[k] and d1[k], which gives
-    # the value and warning of a loop over the elements
-    vals = exact_values(lambda k: value(as_libm(a[k]), _W(p, d1[k])),
-                        np.arange(len(a)))
+    # a value the array form leaves non-finite is evaluated again on the
+    # numpy scalars of a and du, which gives the value and warning of a
+    # loop over the elements
+    vals = exact_values(lambda a, d1: value(as_libm(a), _W(p, d1)),
+                        branch.alpha[mask] / branch.scale, branch.du[mask])
     return _report("first_integral", branch.case.value, tol,
                    np.abs(vals - expected),
                    details={"expected": expected, "form": form.value})
@@ -406,33 +421,117 @@ def _ode_rhs(p: NormParameter, lam: float, mu: float):
 
 # Dormand-Prince 8(5,3) (Hairer, Norsett & Wanner, Solving ODEs I, II.10)
 # as scipy's solve_ivp runs it, with scipy's coefficients and step rules
-_DOP853 = None
 _EVENT_XTOL = 4 * sys.float_info.epsilon
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1.0 / 8.0  # -1/(error estimator order + 1)
 
-
-def _dop853_tableau() -> tuple:
-    """(A, B, C, E3, E5, D, A_EXTRA, C_EXTRA) of scipy's DOP853, as floats.
-
-    Read once, on the first oracle call, from the public class attributes.
-    Row s of A and of A_EXTRA keeps the s coefficients of the stages
-    before it, and C drops the first stage's zero.
-    """
-    global _DOP853
-    if _DOP853 is None:
-        from scipy.integrate import DOP853 as M
-
-        def row(x):
-            return tuple(float(v) for v in x)
-
-        n = M.n_stages
-        _DOP853 = (tuple(row(M.A[s, :s]) for s in range(1, n)), row(M.B),
-                   row(M.C[1:n]), row(M.E3), row(M.E5),
-                   tuple(row(d) for d in M.D),
-                   tuple(row(a[:n + 1 + k]) for k, a in enumerate(M.A_EXTRA)),
-                   row(M.C_EXTRA))
-    return _DOP853
+# The tableau: the float values of scipy.integrate.DOP853's A, B, C, E3,
+# E5, D, A_EXTRA and C_EXTRA, written by repr, so each has scipy's bits.
+# Row s of _A and of _A_EXTRA keeps the coefficients of the stages before
+# it, and _C drops the first stage's zero.
+_A = (
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+    (
+        0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596,
+        -0.017578125,
+    ),
+    (
+        0.03709200011850479, 0.0, 0.0, 0.17038392571223998,
+        0.10726203044637328, -0.015319437748624402, 0.008273789163814023,
+    ),
+    (
+        0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+        27.59209969944671, 20.154067550477894, -43.48988418106996,
+    ),
+    (
+        0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+        21.230051448181193, 15.279233632882423, -33.28821096898486,
+        -0.020331201708508627,
+    ),
+    (
+        -0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+        -8.149787010746927, -18.52006565999696, 22.739487099350505,
+        2.4936055526796523, -3.0467644718982196,
+    ),
+    (
+        2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+        -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+        -8.87285693353063, 12.360567175794303, 0.6433927460157636,
+    ),
+)
+_B = (
+    0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+    1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+    -0.1521609496625161, 0.20136540080403034, 0.04471061572777259,
+)
+_C = (
+    0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+    0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+    0.6512820512820513, 0.6, 0.8571428571428571, 1.0,
+)
+_E3 = (
+    -0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+    1.8915178993145003, -5.801203960010585, -0.4226823213237919,
+    -0.1521609496625161, 0.20136540080403034, 0.02265179219836082, 0.0,
+)
+_E5 = (
+    0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+    -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+    0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0.0,
+)
+_D = (
+    (
+        -8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777,
+        -3.0689499459498917, 2.38466765651207, 2.117034582445028,
+        -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+        -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+        -4.436036387594894,
+    ),
+    (
+        10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817,
+        165.20045171727028, -374.5467547226902, -22.113666853125306,
+        7.733432668472264, -30.674084731089398, -9.332130526430229,
+        15.697238121770845, -31.139403219565178, -9.35292435884448,
+        35.81684148639408,
+    ),
+    (
+        19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518,
+        -189.17813819516758, 527.8081592054236, -11.57390253995963,
+        6.8812326946963, -1.0006050966910838, 0.7777137798053443,
+        -2.778205752353508, -60.19669523126412, 84.32040550667716,
+        11.99229113618279,
+    ),
+    (
+        -25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643,
+        -231.5293791760455, 357.6391179106141, 93.40532418362432,
+        -37.45832313645163, 104.0996495089623, 29.8402934266605,
+        -43.53345659001114, 96.32455395918828, -39.17726167561544,
+        -149.72683625798564,
+    ),
+)
+_A_EXTRA = (
+    (
+        0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483,
+        -0.2462390374708025, -0.12419142326381637, 0.15329179827876568,
+        0.00820105229563469, 0.007567897660545699, -0.008298,
+    ),
+    (
+        0.03183464816350214, 0.0, 0.0, 0.0, 0.0, 0.028300909672366776,
+        0.053541988307438566, -0.05492374857139099, 0.0, 0.0,
+        -0.00010834732869724932, 0.0003825710908356584,
+        -0.00034046500868740456, 0.1413124436746325,
+    ),
+    (
+        -0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164,
+        7.683421196062599, 4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0,
+        -0.0013990241651590145, 2.9475147891527724, -9.15095847217987,
+    ),
+)
+_C_EXTRA = (0.1, 0.2, 0.7777777777777778)
 
 
 def _rms(a: float, b: float) -> float:
@@ -447,8 +546,7 @@ def _dop853_dense(rhs, t_old: float, y_old: tuple, y: tuple, h: float,
     stages are appended to them.  Returns ``at(t) -> (u, u')``, scipy's
     Dop853DenseOutput in the same order of operations.
     """
-    D, A_EXTRA, C_EXTRA = _DOP853[5:]
-    for a, c in zip(A_EXTRA, C_EXTRA):
+    for a, c in zip(_A_EXTRA, _C_EXTRA):
         stage = rhs(t_old + c * h, tuple(yc + sum(map(mul, a, kc)) * h
                                          for yc, kc in zip(y_old, k)))
         for kc, f in zip(k, stage):
@@ -457,7 +555,7 @@ def _dop853_dense(rhs, t_old: float, y_old: tuple, y: tuple, h: float,
     for yc_old, yc, kc in zip(y_old, y, k):
         dy = yc - yc_old
         coeffs.append((dy, h * kc[0] - dy, 2 * dy - h * (kc[12] + kc[0]))
-                      + tuple(h * sum(map(mul, d, kc)) for d in D))
+                      + tuple(h * sum(map(mul, d, kc)) for d in _D))
 
     def at(t: float) -> tuple:
         x = (t - t_old) / h
@@ -496,7 +594,6 @@ def _dop853(rhs, t0: float, y0: tuple, t_bound: float, t_eval, events,
     step in the given direction (0 for either) stops the run at the root
     of g on the dense output.
     """
-    A, B, C, E3, E5 = _dop853_tableau()[:5]
     run = _Trajectory()
     direction = 1.0 if t_bound >= t0 else -1.0
     t, (u, v) = t0, y0
@@ -535,23 +632,23 @@ def _dop853(rhs, t0: float, y0: tuple, t_bound: float, t_eval, events,
             h = t_new - t
             h_abs = abs(h)
             ku, kv = [fu], [fv]
-            for a, c in zip(A, C):
+            for a, c in zip(_A, _C):
                 ku_s, kv_s = rhs(t + c * h, (u + sum(map(mul, a, ku)) * h,
                                              v + sum(map(mul, a, kv)) * h))
                 ku.append(ku_s)
                 kv.append(kv_s)
-            u_new = u + h * sum(map(mul, B, ku))
-            v_new = v + h * sum(map(mul, B, kv))
+            u_new = u + h * sum(map(mul, _B, ku))
+            v_new = v + h * sum(map(mul, _B, kv))
             fu_new, fv_new = rhs(t + h, (u_new, v_new))
             ku.append(fu_new)
             kv.append(fv_new)
             run.rhs_evals += 12
             su = atol + max(abs(u), abs(u_new)) * rtol
             sv = atol + max(abs(v), abs(v_new)) * rtol
-            e5 = math.hypot(sum(map(mul, E5, ku)) / su,
-                            sum(map(mul, E5, kv)) / sv) ** 2
-            e3 = math.hypot(sum(map(mul, E3, ku)) / su,
-                            sum(map(mul, E3, kv)) / sv) ** 2
+            e5 = math.hypot(sum(map(mul, _E5, ku)) / su,
+                            sum(map(mul, _E5, kv)) / sv) ** 2
+            e3 = math.hypot(sum(map(mul, _E3, ku)) / su,
+                            sum(map(mul, _E3, kv)) / sv) ** 2
             if e5 == 0.0 and e3 == 0.0:
                 error = 0.0
             else:
@@ -710,6 +807,7 @@ def ode_oracle(branch: ProfileBranch, tol: float = 1e-7) -> VerificationReport:
 
 def slope_invariant(branch: ProfileBranch) -> float:
     """Max |du - uprime(alpha)| over the table: internal consistency."""
-    vals = [abs(float(d) - branch.uprime(float(a)))
-            for a, d in zip(branch.alpha, branch.du)]
-    return max(vals)
+    dev = exact_values(lambda a, d: abs(d - branch.uprime(a)), branch.alpha,
+                       branch.du, python_floats=True)
+    # Python's max, as a loop over the points takes it, NaNs included
+    return max(dev.tolist())

@@ -1,12 +1,17 @@
-"""The array forms of the slopes give the scalar forms' bits.
+"""The array forms of the slopes and curvatures give the scalar forms' bits.
 
-Slope laws, norm circles, the edge integrands of simple roots and the
-residual scan's 5-point stencil take float arrays: powers and logs run
-through libm one float at a time and only +, -, *, / and abs run as numpy
-loops, so each element rounds as the scalar evaluation does.  These tests
-check that on every table grid of the m = 2, 3 taxonomy.  CI runs them a
-second time with numpy's AVX-512 loops disabled, to show that the bits do
-not depend on numpy's SIMD dispatch.
+Slope laws, norm circles, the edge integrands of simple roots, the
+residual scan's 5-point stencil, normgeom's curvature functions and the
+residual scan's residuals take float arrays.  Powers run through
+``np.float_power``, which numpy does not SIMD-dispatch: it is a plain C
+loop over libm's pow, the function Python's ``float ** e`` calls.  log,
+log1p and expm1 call libm one float at a time, because numpy's float64
+loops for them are SIMD-dispatched and differ from ``math`` in the last
+bit.  Only +, -, *, / and abs run as other numpy loops.  So each element
+rounds as the scalar evaluation does.  These tests check that on a fixed
+corpus of powers and on every table grid of the taxonomy.  CI runs them a
+second time with numpy's AVX-512 loops disabled, and the floor job on the
+oldest numpy, to show that the bits depend on neither.
 """
 
 import dataclasses
@@ -27,7 +32,15 @@ from lwsurf import (
     residual_scan,
     solve,
 )
-from lwsurf.quadrature import _edge_integrand
+from lwsurf.normgeom import (
+    Chart,
+    ProfileJet,
+    axis_jet_from_radius_jet,
+    oriented_radius_chart_curvatures,
+    principal_curvatures,
+    signed_odd_root_pow,
+)
+from lwsurf.quadrature import LibmArray, _edge_integrand, exact_values, libm
 from lwsurf.solver import NormCircle, SlopeLaw
 
 
@@ -35,9 +48,68 @@ def bits(values) -> list:
     return [float(v).hex() for v in values]
 
 
-def request(m, lam, mu, c1) -> SolveRequest:
+def request(m, lam, mu, c1, sign=1) -> SolveRequest:
     return SolveRequest(p=NormParameter(m),
-                        relation=WeingartenRelation.linear(lam, mu), c1=c1)
+                        relation=WeingartenRelation.linear(lam, mu), c1=c1,
+                        sign=sign)
+
+
+TINY = 2.2250738585072014e-308  # the smallest normal float
+POW_BASES = [
+    0.0, -0.0, 5e-324, -5e-324, TINY / 3, -TINY / 3, TINY, 1e-300, 1e-10,
+    0.5, 1.0 - 2.0 ** -53, 1.0, 1.0 + 2.0 ** -52, 2.0, 3.7, 1e10, 1e300,
+    1.7976931348623157e308, math.inf, -math.inf, math.nan, -1.0, -0.5, -2.0,
+    -3.7, -1e10, -1e300,
+]
+_rng = np.random.default_rng(16)
+POW_BASES += (_rng.choice([-1.0, 1.0], 400)
+              * 10.0 ** _rng.uniform(-320, 308, 400)).tolist()
+
+
+def pow_exponents() -> list:
+    """The exponents the code raises to at m = 1..6, and a few more: the
+    odd-root powers p/q of normgeom and the first integral, the norm's
+    k/2m, the integer powers, and k*lam, lam + 1 and -(lam + 1) at the
+    taxonomy's lam values."""
+    out = {0.0, 1.5, 2.5, -0.5, 3.0, -3.0}
+    for m in range(1, 7):
+        q, m2 = 2 * m - 1, 2 * m
+        out.update(p / q for p in range(-m2, m2 + 1))
+        out.update(k / m2 for k in range(-m2 - 1, m2 + 2))
+        out.update(float(k) for k in range(-3, m2 + 1))
+        for lam in (1.0, 0.5, -0.5, -2.0, 0.5 / q):
+            out.update((lam + 1.0, -(lam + 1.0)))
+            out.update(k * s for k in range(1, m2 + 1) for s in (lam, -lam))
+    return sorted(out)
+
+
+def test_float_power_gives_pythons_pow_bits():
+    """np.float_power has the bits of Python's pow wherever that gives a
+    float; libm(pow, ...) has them everywhere, with NaN where Python
+    raises (overflow, 0.0 ** -e) or gives a complex number."""
+    x = np.array(POW_BASES)
+    raised = complex_values = 0
+    for e in pow_exponents():
+        want = []
+        for v in POW_BASES:
+            try:
+                y = v ** e
+            except (OverflowError, ZeroDivisionError):
+                raised += 1
+                y = None
+            if isinstance(y, complex):
+                complex_values += 1
+            want.append(y)
+        with np.errstate(all="ignore"):
+            fp = np.float_power(x, e)
+        assert [f.hex() for f, y in zip(fp.tolist(), want)
+                if isinstance(y, float)] == [
+                    y.hex() for y in want if isinstance(y, float)], e
+        got = libm(pow, x, e)
+        assert bits(got) == bits(y if isinstance(y, float) else math.nan
+                                 for y in want), e
+        assert bits(x.view(LibmArray) ** e) == bits(got), e
+    assert raised > 0 and complex_values > 0
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -101,8 +173,8 @@ def test_residual_stencil_matches_the_scalar_one(m):
         assert bits(d1) == bits(b.uprime(a) for a in points.tolist()), tag
         assert bits(d2) == bits(b.fd_second(a, step) for a, step
                                 in zip(points.tolist(), h)), tag
-        jets = verify._fd_jets_exact(b, points, lo, hi)
-        assert [bits(j) for j in jets] == [bits(j) for j in zip(d1, d2)], tag
+        got = verify._fd_jets_exact(b, points, lo, hi)
+        assert [bits(x) for x in got] == [bits(d1), bits(d2)], tag
 
 
 class NanAtOnePoint:
@@ -126,11 +198,11 @@ def test_stencil_evaluates_a_non_finite_point_again(instances_m2):
     slope = NanAtOnePoint(b.slope, float(points[len(points) // 2]))
     nan_b = dataclasses.replace(b, slope=slope)
     assert np.isnan(nan_b.uprime(points)).sum() == 1
-    jets = verify._fd_jets_exact(nan_b, points, lo, hi)
+    got = verify._fd_jets_exact(nan_b, points, lo, hi)
     # u' and the four stencil points of that one point, on Python floats
     assert slope.float_calls == 5
     want = verify._fd_jets_exact(b, points, lo, hi)
-    assert [bits(j) for j in jets] == [bits(j) for j in want]
+    assert [bits(x) for x in got] == [bits(x) for x in want]
     assert residual_scan(nan_b).as_dict() == residual_scan(b).as_dict()
 
 
@@ -155,3 +227,143 @@ def test_array_paths_emit_no_runtime_warning():
         (b,) = solve(request(5, -0.9676349260580417, 2.263783851459214,
                              1.065926470183868))
         assert math.isnan(residual_scan(b).max_residual)
+
+
+def scalar_each(f, *arrays) -> list:
+    """f on the Python floats of each index of arrays, as a list of
+    tuples; NaNs where f raises."""
+    out = []
+    for args in zip(*(x.tolist() for x in arrays)):
+        try:
+            y = f(*args)
+        except (ArithmeticError, ValueError):
+            y = None
+        out.append(y if isinstance(y, tuple) or y is None else (y,))
+    width = next((len(y) for y in out if y is not None), 1)
+    return [y or (math.nan,) * width for y in out]
+
+
+def jet_corpus() -> tuple:
+    """(radius, d1, d2) arrays: slopes of both signs on both sides of
+    CHART_SWITCH_SLOPE, zero, tiny, huge and non-finite entries, and a
+    few radii at or below zero."""
+    rng = np.random.default_rng(1616)
+    n = 400
+    d1 = np.concatenate([
+        rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8, 8, n),
+        [0.0, -0.0, 5e-324, -1e-300, 1e200, -1e200, math.inf, -math.inf,
+         math.nan, 10.0, -10.0, math.nextafter(10.0, 11.0)]])
+    d2 = rng.normal(size=d1.size) * 10.0 ** rng.uniform(-3, 6, d1.size)
+    radius = 10.0 ** rng.uniform(-6, 3, d1.size)
+    d2[:3], radius[3:6] = (math.inf, -math.inf, math.nan), (0.0, -1.0,
+                                                            math.nan)
+    return radius, d1, d2
+
+
+def curvature_pairs(k) -> tuple:
+    return k.k1, k.k2
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_curvature_functions_on_arrays(m):
+    """Each element of normgeom's array forms has the bits of the float
+    form, or is NaN where the float form raises."""
+    p = NormParameter(m)
+    radius, d1, d2 = jet_corpus()
+    with np.errstate(all="ignore"):
+        for k in range(-2 * m, 2 * m + 1):
+            got = signed_odd_root_pow(d1, k, p.q)
+            want = scalar_each(lambda x: signed_odd_root_pow(x, k, p.q), d1)
+            assert bits(got) == bits(w for (w,) in want), k
+        for chart in Chart:
+            got = curvature_pairs(principal_curvatures(
+                p, ProfileJet(chart, 0.0, d1, d2, radius)))
+            want = scalar_each(lambda r, x, y: curvature_pairs(
+                principal_curvatures(p, ProfileJet(chart, 0.0, x, y, r))),
+                radius, d1, d2)
+            assert [bits(g) for g in got] == [bits(w) for w in zip(*want)]
+        got = curvature_pairs(oriented_radius_chart_curvatures(
+            p, radius, d1, d2))
+        want = scalar_each(lambda r, x, y: curvature_pairs(
+            oriented_radius_chart_curvatures(p, r, x, y)), radius, d1, d2)
+        assert [bits(g) for g in got] == [bits(w) for w in zip(*want)]
+        jet = axis_jet_from_radius_jet(
+            ProfileJet(Chart.GRAPH_OVER_RADIUS, 0.0, d1, d2, radius))
+        want = scalar_each(lambda r, x, y: (lambda j: (j.d1, j.d2))(
+            axis_jet_from_radius_jet(
+                ProfileJet(Chart.GRAPH_OVER_RADIUS, 0.0, x, y, r))),
+            radius, d1, d2)
+        assert [bits(jet.d1), bits(jet.d2)] == [bits(w) for w in zip(*want)]
+        for lam in (1.0, -0.5, -2.0, math.inf):
+            got = verify._relation_residual(p, radius, d1, d2, lam, -1.0)
+            want = scalar_each(lambda r, x, y: verify._relation_residual(
+                p, r, x, y, lam, -1.0), radius, d1, d2)
+            assert bits(got) == bits(w for (w,) in want), lam
+
+
+def decreasing_branches(m: int) -> list:
+    """The sign = -1 branches of test_verify's decreasing profiles."""
+    branches = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        for lam, mu, c1 in ((-1.0, 1.0, 1.5), (0.5, 1.0, 0.8),
+                            (-2.0, -1.0, 0.4), (1.0, -1.0, 0.3)):
+            branches += solve(request(m, lam, mu, c1, sign=-1))
+    return branches
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_residuals_on_every_table_grid(m):
+    """The scan's array residuals have the bits of the float loop on the
+    taxonomy and on decreasing branches, at every point where they are
+    finite; both charts, negative slopes and lam = inf all occur."""
+    seen = set()
+    with warnings.catch_warnings():
+        # at m >= 4 a table holds a row at its simple root, where the
+        # slope divides by zero
+        warnings.simplefilter("ignore", RuntimeWarning)
+        branches = [*instances(m).values(), *decreasing_branches(m)]
+    for b in branches:
+        lo, hi, mask, _ = verify._scan_frame(b)
+        points = b.alpha[mask]
+        if not points.size:
+            continue
+        d1, d2 = verify._fd_jets_exact(b, points, lo, hi)
+        keep = d1 != 0.0
+        a, d1, d2 = points[keep], d1[keep], d2[keep]
+        lam, mu = b.lam, b.mu / b.scale
+        with np.errstate(all="ignore"):
+            got = verify._relation_residual(b.request.p, a, d1, d2, lam, mu)
+        want = scalar_each(lambda x, y, z: verify._relation_residual(
+            b.request.p, x, y, z, lam, mu), a, d1, d2)
+        finite = np.isfinite(got)
+        assert bits(got[finite]) == bits(
+            w for (w,), f in zip(want, finite) if f), b.case.value
+        seen.update(("steep" if s else "flat") for s in
+                    np.unique(np.abs(d1) > verify.CHART_SWITCH_SLOPE))
+        seen.update(["decreasing"] if np.any(d1 < 0.0) else [])
+        seen.update(["lam=inf"] if math.isinf(lam) else [])
+    assert seen == {"steep", "flat", "decreasing", "lam=inf"}
+
+
+def test_residual_evaluates_a_non_finite_entry_again():
+    """An entry the array residual leaves non-finite is evaluated again
+    on Python floats, which gives the loop's value or exception."""
+    p = NormParameter(2)
+    a, d1 = np.array([0.5, 0.7, 0.9]), np.array([0.3, -2.0, 40.0])
+    float_calls = []
+
+    def residual(a, x, y):
+        if not isinstance(a, np.ndarray):
+            float_calls.append(a)
+        return verify._relation_residual(p, a, x, y, 0.5, 1.0)
+
+    d2 = np.array([1.0, math.inf, 2.0])
+    got = exact_values(residual, a, d1, d2, python_floats=True)
+    assert float_calls == [0.7]
+    assert bits(got) == bits(residual(*v) for v in zip(
+        a.tolist(), d1.tolist(), d2.tolist()))
+    # in the inverse chart, d1 ** 3 overflows: the float loop raises
+    d1[2] = 1e200
+    with pytest.raises(OverflowError):
+        exact_values(residual, a, d1, np.ones(3), python_floats=True)

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from lwsurf import (
     solve_homogeneous,
     solve_inhom_general,
 )
+from lwsurf import verify
 from lwsurf.verify import slope_invariant
 
 
@@ -169,6 +171,25 @@ class TestFirstIntegral:
 
 
 class TestOdeOracle:
+    def test_tableau_has_scipys_bits(self):
+        from scipy.integrate import DOP853 as M
+
+        def row(x):
+            return [float(v).hex() for v in x]
+
+        def rows(x):
+            return [[v.hex() for v in r] for r in x]
+
+        n = M.n_stages
+        assert rows(verify._A) == [row(M.A[s, :s]) for s in range(1, n)]
+        assert rows(verify._D) == [row(d) for d in M.D]
+        assert rows(verify._A_EXTRA) == [
+            row(a[:n + 1 + k]) for k, a in enumerate(M.A_EXTRA)]
+        for ours, theirs in ((verify._B, M.B), (verify._C, M.C[1:n]),
+                             (verify._E3, M.E3), (verify._E5, M.E5),
+                             (verify._C_EXTRA, M.C_EXTRA)):
+            assert [v.hex() for v in ours] == row(theirs)
+
     def test_sphere(self, sphere):
         rep = ode_oracle(sphere)
         assert rep.passed
@@ -267,6 +288,25 @@ class TestSlopeInvariant:
     def test_solver_tables_consistent(self, sphere, generic):
         assert slope_invariant(sphere) < 1e-12
         assert slope_invariant(generic) < 1e-12
+
+    def test_same_maximum_as_a_loop(self, instances_m2):
+        """Also on m = 4 tables with a row at or past a simple root, where
+        the loop meets NaN, complex and raising slopes."""
+        def outcome(f):
+            try:
+                return float(f()).hex()
+            except ArithmeticError as exc:
+                return repr(exc)
+
+        branches = list(instances_m2.values())
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for args in ((-0.5, 1.0, 3.2), (-2.0, 1.0, 0.3)):
+                branches += solve_inhom_general(NormParameter(4), *args)
+        for b in branches:
+            loop = outcome(lambda: max(abs(float(d) - b.uprime(float(a)))
+                                       for a, d in zip(b.alpha, b.du)))
+            assert outcome(lambda: slope_invariant(b)) == loop, b.case.value
 
 
 class TestReportSerialization:
