@@ -13,9 +13,14 @@ lists keep QUADPACK's 1-based indices; slot 0 is unused.
 
 Both rules are data, ``_RULE21`` and ``_RULE15``, and one function,
 ``_rule``, applies either to one interval or to many panels at once.
-``first_rule`` is dqagse's first step on such panels, with an integrand
-that maps arrays: the same nodes and sums in the same order, so every
-panel it accepts has the (value, abserr) bits ``quad`` returns.
+dqagse's loop, ``_adaptive``, is a generator that asks for the rule
+values of the intervals it needs, so two callers run it: ``quad``
+applies the rule to floats, and ``panels`` runs dqagse on many panels in
+lockstep, with an integrand that maps arrays, and applies the rule to
+each round's intervals of all of them in one array pass.  The nodes and
+sums are the same in the same order, so every panel whose values are
+finite gets the (value, abserr) bits ``quad`` returns.  ``first_rule`` is
+the first step alone.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["quad", "first_rule"]
+__all__ = ["quad", "panels", "first_rule"]
 
 _EPMACH = 2.220446049250313e-16      # d1mach(4) = 2**-52
 _UFLOW = 2.2250738585072014e-308     # d1mach(1)
@@ -136,13 +141,74 @@ def quad(f, a, b, epsabs: float, epsrel: float, limit: int) -> tuple:
     if a == b:
         return 0.0, 0.0
     if b != math.inf:
-        return _adaptive(_RULE21, f, a, b, epsabs, epsrel, limit)
+        return _on_floats(_RULE21, f, a, b, epsabs, epsrel, limit)
 
     # dqagie maps x in (0, 1] to t = a + (1 - x)/x
     def mapped(x: float) -> float:
         return (float(f(a + (1.0 - x) / x)) / x) / x
 
-    return _adaptive(_RULE15, mapped, 0.0, 1.0, epsabs, epsrel, limit)
+    return _on_floats(_RULE15, mapped, 0.0, 1.0, epsabs, epsrel, limit)
+
+
+def _on_floats(rule: _Rule, f, a: float, b: float, epsabs: float,
+               epsrel: float, limit: int) -> tuple:
+    """_adaptive with the rule applied to each interval in turn."""
+    steps = _adaptive(a, b, epsabs, epsrel, limit)
+    try:
+        intervals = next(steps)
+        while True:
+            intervals = steps.send([_rule(rule, f, lo, hi)
+                                    for lo, hi in intervals])
+    except StopIteration as stop:
+        return stop.value
+
+
+def panels(f, a: np.ndarray, b: np.ndarray, epsabs: float, epsrel: float,
+           limit: int) -> tuple:
+    """``quad(f, a[i], b[i], epsabs, epsrel, limit)`` on every panel
+    (a[i], b[i]), a < b, at once, with an integrand that maps arrays as
+    ``first_rule``'s does.
+
+    The first rule runs on all panels in one array pass.  dqagse then
+    bisects every panel that rule rejects in lockstep, each round's
+    halves of all of them in one array pass, seeded with the first
+    rule's values.  Returns arrays (result, abserr, replay).  A panel
+    with ``replay`` met a non-finite value, in its first rule or in a
+    half, and needs the scalar ``quad``, which gives a loop's value or
+    exception there; every other panel has the bits ``quad`` returns.
+    """
+    first, finite, accepted = _first(f, a, b, epsabs, epsrel)
+    result, abserr = first[0], first[1]
+    replay = ~finite
+    rejected = np.flatnonzero(finite & ~accepted).tolist()
+    steps, rules = {}, {}
+    for i, values in zip(rejected,
+                         zip(*(x[rejected].tolist() for x in first))):
+        steps[i] = _adaptive(float(a[i]), float(b[i]), epsabs, epsrel,
+                             limit)
+        next(steps[i])  # it asks for the panel's rule: the first one
+        rules[i] = [values]
+    while rules:
+        halves = {}
+        for i, values in rules.items():
+            try:
+                halves[i] = steps[i].send(values)
+            except StopIteration as stop:
+                result[i], abserr[i] = stop.value
+        if not halves:
+            break
+        lo, hi = np.array(list(halves.values())).reshape(-1, 2).T
+        with np.errstate(all="ignore"):
+            *sums, finite = _rule(_RULE21, f, lo, hi)
+        sums = list(zip(*(x.tolist() for x in sums)))
+        finite = finite.reshape(-1, 2).all(axis=1).tolist()
+        rules = {}
+        for k, i in enumerate(halves):
+            if finite[k]:
+                rules[i] = sums[2 * k:2 * k + 2]
+            else:
+                replay[i] = True
+    return result, abserr, replay
 
 
 def _rule(rule: _Rule, f, a, b) -> tuple:
@@ -237,13 +303,19 @@ def first_rule(f, a: np.ndarray, b: np.ndarray, epsabs: float,
     gives, the rule's sums are the scalar sums.  Returns arrays
     (result, abserr, done): where ``done``, the 21 values are finite and
     dqagse stops after this rule, so ``quad(f, a[i], b[i], epsabs,
-    epsrel, limit)`` returns (result[i], abserr[i]) for any limit.  The
-    other panels need the scalar ``quad``.
+    epsrel, limit)`` returns (result[i], abserr[i]) for any limit.
+    ``panels`` finishes the others.
     """
+    (result, abserr, *_), finite, accepted = _first(f, a, b, epsabs, epsrel)
+    return result, abserr, accepted & finite
+
+
+def _first(f, a, b, epsabs: float, epsrel: float) -> tuple:
+    """The first rule on the panels, (result, abserr, resabs, resasc);
+    where its values are finite; and where dqagse accepts it."""
     with np.errstate(all="ignore"):
-        result, abserr, defabs, resabs, finite = _rule(_RULE21, f, a, b)
-        done = _accepted(result, abserr, defabs, resabs, epsabs, epsrel)
-    return result, abserr, done & finite
+        *rule, finite = _rule(_RULE21, f, a, b)
+        return rule, finite, _accepted(*rule, epsabs, epsrel)
 
 
 def _accepted(result, abserr, defabs, resabs, epsabs: float,
@@ -256,15 +328,18 @@ def _accepted(result, abserr, defabs, resabs, epsabs: float,
             | (abserr <= (100.0 * _EPMACH) * defabs) & (abserr > errbnd))
 
 
-def _adaptive(rule: _Rule, f, a: float, b: float, epsabs: float,
-              epsrel: float, limit: int) -> tuple:
-    """dqagse's (and dqagie's) bisection with epsilon extrapolation.
+def _adaptive(a: float, b: float, epsabs: float, epsrel: float,
+              limit: int):
+    """dqagse's (and dqagie's) bisection with epsilon extrapolation, as a
+    generator: it yields the intervals whose rule values it needs, first
+    ((a, b),) and then each bisection's two halves, is sent their rules'
+    (result, abserr, resabs, resasc) tuples, and returns (value, abserr).
 
     ``epsabs`` is positive, so ``max(epsabs, x)`` is C's fmax there, and
     the tolerances are never too small for dqagse (ier = 6).
     """
     # first approximation to the integral
-    result, abserr, defabs, resabs = _rule(rule, f, a, b)
+    (result, abserr, defabs, resabs), = yield ((a, b),)
     if limit == 1 or _accepted(result, abserr, defabs, resabs, epsabs,
                                epsrel):
         return result, abserr
@@ -294,8 +369,8 @@ def _adaptive(rule: _Rule, f, a: float, b: float, epsabs: float,
         a2 = b1
         b2 = blist[maxerr]
         erlast = errmax
-        area1, error1, resabs, defab1 = _rule(rule, f, a1, b1)
-        area2, error2, resabs, defab2 = _rule(rule, f, a2, b2)
+        (area1, error1, resabs, defab1), (area2, error2, resabs, defab2) \
+            = yield (a1, b1), (a2, b2)
         area12 = area1 + area2
         erro12 = error1 + error2
         errsum = errsum + erro12 - errmax

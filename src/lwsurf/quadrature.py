@@ -51,6 +51,7 @@ ROOT_VALUE_TOL = 1e-13
 # 512*21 floats, so no table holds all its nodes at once
 PANEL_BLOCK = 512
 _EPSABS = 1e-14  # every panel's absolute tolerance
+_LIMIT = 200     # dqagse's subdivision limit on a finite range
 
 # lwsurf.quadpack, imported by the first panel so that classification and
 # the closed forms never compile the QUADPACK port
@@ -288,14 +289,16 @@ def _refine(f: Callable[[float], float], a: float, b: float, xtol: float,
             b = mid
 
 
-def bracket_roots(f: Callable[[float], float], lo: float, hi: float,
+def bracket_roots(f: Callable, lo: float, hi: float,
                   probes: int = 64) -> list[float]:
     """Sorted roots of f on the finite window (lo, hi).
 
-    Sign changes on a probe grid are refined by Brent's method, finished
-    by bisection where Brent's iteration cap runs out; a refined point
-    where |f| is not small is a pole and is dropped.  Double roots, which
-    do not change sign, are known analytically (DomainInterval kinds).
+    f maps a float, or a float array element by element with the same
+    bits.  The probe grid is evaluated in one call of f, and its sign
+    changes are refined on floats by Brent's method, finished by
+    bisection where Brent's iteration cap runs out; a refined point where
+    |f| is not small is a pole and is dropped.  Double roots, which do
+    not change sign, are known analytically (DomainInterval kinds).
     """
     if probes < 8:
         raise ValueError("need at least 8 probes")
@@ -303,22 +306,23 @@ def bracket_roots(f: Callable[[float], float], lo: float, hi: float,
         raise ValueError(f"need a finite window lo < hi, got ({lo}, {hi})")
     eps = 1e-9 * (hi - lo)
     grid = np.linspace(lo + eps, hi - eps, probes)
-    vals = np.array([f(t) for t in grid])
-    finite = np.isfinite(vals)
-    grid, vals = grid[finite], vals[finite]
-    if grid.size < 2:
-        return []
+    with np.errstate(all="ignore"):
+        vals = np.asarray(f(grid), dtype=float)
+        finite = np.isfinite(vals)
+        grid, vals = grid[finite], vals[finite]
+        if grid.size < 2:
+            return []
+        # a zero, or a sign change whose product does not underflow
+        starts = (vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)
     scale = max(1.0, float(np.max(np.abs(vals))))
 
     roots: list[float] = []
-    for i in range(len(grid) - 1):
+    for i in np.flatnonzero(starts).tolist():
         if vals[i] == 0.0:
             root = float(grid[i])
-        elif vals[i] * vals[i + 1] < 0.0:
+        else:
             root = float(_refine(f, grid[i], grid[i + 1], xtol=1e-15,
                                  rtol=8.9e-16))
-        else:
-            continue
         if all(abs(r - root) >= 1e-10 * max(1.0, abs(root)) for r in roots):
             roots.append(root)
     roots.sort()
@@ -421,7 +425,7 @@ def _qp():
     return _quadpack
 
 
-def _quad(f, a, b, tol, limit=200):
+def _quad(f, a, b, tol, limit=_LIMIT):
     """(value, abserr) by QUADPACK's QAGS, or QAGI on an infinite range.
 
     The callers check the returned error estimate; no warning is issued.
@@ -434,22 +438,24 @@ def _panel_quad(integrands: list, which: np.ndarray, a: np.ndarray,
     """(values, errors): ``_quad(integrands[which[i]], a[i], b[i], tol)``
     for every panel i, bit for bit.
 
-    Each integrand's panels with a < b go through quadpack.first_rule
-    together, PANEL_BLOCK at a time.  A panel goes to the scalar ``_quad``
-    only where that rule bisects or gives a non-finite value, or where
-    a < b fails.  Those panels run in panel order, so an exception is the
-    one a loop over the panels raises first.
+    Each integrand's panels with a < b go through quadpack.panels
+    together, PANEL_BLOCK at a time: the first rule on all of them, then
+    dqagse's bisection of the rejected ones in lockstep, one array pass
+    per round.  A panel goes to the scalar ``_quad`` only where a rule
+    gives a non-finite value, or where a < b fails.  Those panels run in
+    panel order after all others, so an exception is the one a loop over
+    the panels raises first.
     """
-    first_rule = _qp().first_rule
+    panels = _qp().panels
     values, errors = np.zeros(a.size), np.zeros(a.size)
     scalar = ~(a < b)
     for k, f in enumerate(integrands):
         idx = np.flatnonzero((which == k) & ~scalar)
         for start in range(0, idx.size, PANEL_BLOCK):
             block = idx[start:start + PANEL_BLOCK]
-            values[block], errors[block], done = first_rule(
-                f, a[block], b[block], _EPSABS, tol)
-            scalar[block[~done]] = True
+            values[block], errors[block], replay = panels(
+                f, a[block], b[block], _EPSABS, tol, _LIMIT)
+            scalar[block[replay]] = True
     for i in np.flatnonzero(scalar).tolist():
         values[i], errors[i] = _quad(integrands[which[i]], a[i], b[i], tol)
     return values, errors

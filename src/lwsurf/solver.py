@@ -333,8 +333,8 @@ class SlopeLaw:
     _gen_low, and ``params`` its constants.  ``terms`` gives numerator Q^q
     and denominator P^2m - Q^2m at once, sharing the base; with ``m``,
     ``exponent`` and ``decay_exponent`` they are all quadrature reads.
-    ``gap`` is the admissibility function P - Q.  All but ``gap`` take a
-    float or a float array, with the same bits per element.  ``double =
+    ``gap`` is the admissibility function P - Q.  All take a float or a
+    float array, with the same bits per element.  ``double =
     (beta, p, t_d)`` selects the denominator beta*phi_p(t/t_d - 1) *
     sum_{k<2m} P^k Q^(2m-1-k) (P constant), accurate next to a double
     root t_d of P - Q.
@@ -374,8 +374,9 @@ class SlopeLaw:
             cofactor = cofactor * q1 + p_k
         return num, beta * self._phi((t - t_d) / t_d) * cofactor
 
-    def gap(self, t: float) -> float:
-        """P - Q at the float t."""
+    def gap(self, t):
+        """P - Q at t."""
+        t = as_libm(t)
         b = self._base(t) if self._base else None
         return self._P(1, t, b) - self._Q(1, t, b)
 

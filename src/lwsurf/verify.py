@@ -806,8 +806,16 @@ def ode_oracle(branch: ProfileBranch, tol: float = 1e-7) -> VerificationReport:
 
 
 def slope_invariant(branch: ProfileBranch) -> float:
-    """Max |du - uprime(alpha)| over the table: internal consistency."""
-    dev = exact_values(lambda a, d: abs(d - branch.uprime(a)), branch.alpha,
-                       branch.du, python_floats=True)
-    # Python's max, as a loop over the points takes it, NaNs included
-    return max(dev.tolist())
+    """Max |du - uprime(alpha)| over the table: internal consistency.
+
+    NaN when a point's deviation is not finite, or its float form raises
+    ArithmeticError: no maximum bounds the table then.
+    """
+    try:
+        dev = exact_values(lambda a, d: abs(d - branch.uprime(a)),
+                           branch.alpha, branch.du, python_floats=True)
+    except ArithmeticError:
+        return math.nan
+    if not np.isfinite(dev).all():
+        return math.nan
+    return float(dev.max())

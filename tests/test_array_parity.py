@@ -15,12 +15,15 @@ oldest numpy, to show that the bits depend on neither.
 """
 
 import dataclasses
+import importlib.util
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lwsurf.solver as solver
 import lwsurf.verify as verify
 from conftest import build_instances, instances
 from lwsurf import (
@@ -29,6 +32,7 @@ from lwsurf import (
     NormParameter,
     SolveRequest,
     WeingartenRelation,
+    classify,
     residual_scan,
     solve,
 )
@@ -40,8 +44,24 @@ from lwsurf.normgeom import (
     principal_curvatures,
     signed_odd_root_pow,
 )
-from lwsurf.quadrature import LibmArray, _edge_integrand, exact_values, libm
-from lwsurf.solver import NormCircle, SlopeLaw
+from lwsurf.quadrature import (
+    ROOT_VALUE_TOL,
+    LibmArray,
+    _edge_integrand,
+    _refine,
+    exact_values,
+    libm,
+)
+from lwsurf.solver import (
+    NormCircle,
+    SlopeLaw,
+    _gen_low,
+    _gen_mid,
+    _gen_pos,
+    _hom_neg,
+    _hom_pos,
+    _lm1,
+)
 
 
 def bits(values) -> list:
@@ -367,3 +387,126 @@ def test_residual_evaluates_a_non_finite_entry_again():
     d1[2] = 1e200
     with pytest.raises(OverflowError):
         exact_values(residual, a, d1, np.ones(3), python_floats=True)
+
+
+# ---------------------------------------------------------------------------
+# the probe grid of bracket_roots
+
+
+# each family at constants of both signs where it has any: the
+# taxonomy's, and some of the sweep's box
+GAP_LAWS = [
+    (_hom_pos, (1.0, 1.0)), (_hom_pos, (0.1, 2.5)),
+    (_hom_neg, (-0.5, 1.0)), (_hom_neg, (-3.3, 0.7)),
+    (_lm1, (1.5, 1.0)), (_lm1, (-0.5, -1.0)), (_lm1, (4.2, -3.1)),
+    (_gen_pos, (0.5, 0.8, 1.0)), (_gen_pos, (2.7, -4.1, -0.3)),
+    (_gen_mid, (-0.5, 3.2, 1.0)), (_gen_mid, (-0.9, 0.4, -2.2)),
+    (_gen_low, (-2.0, 0.3, 1.0)), (_gen_low, (-3.8, -1.7, 4.6)),
+]
+
+
+def probe_corpus() -> np.ndarray:
+    """Probe-like points: uniform grids as bracket_roots lays them, and
+    points from 1e-300 to 1e300 of both signs, and zero."""
+    rng = np.random.default_rng(17)
+    wide = 10.0 ** rng.uniform(-300, 300, 300)
+    return np.concatenate([np.linspace(1e-12, 12.0, 512),
+                           np.linspace(3.1, 48.0, 256), wide, -wide,
+                           [0.0, -0.0, 1.0, 5e-324]])
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_gap_on_arrays(m):
+    """SlopeLaw.gap on an array gives every finite element the bits of
+    the float call; where the array element is not finite, the float
+    call raises, gives a complex number or is not finite either."""
+    t = probe_corpus()
+    for family, params in GAP_LAWS:
+        law = SlopeLaw(family, params, m)
+        with np.errstate(all="ignore"):
+            got = law.gap(t)
+        want = scalar_each(law.gap, t)
+        finite = np.isfinite(got)
+        assert bits(got[finite]) == bits(
+            w for (w,), f in zip(want, finite) if f), (family, params)
+        assert not any(isinstance(w, float) and math.isfinite(w)
+                       for (w,), f in zip(want, finite) if not f)
+        assert finite.sum() > 700, (family, params)
+
+
+def scalar_probe_roots(f, lo, hi, probes=64) -> list:
+    """bracket_roots as it was before its probe grid took arrays: f on
+    each probe, and sign changes found one pair at a time."""
+    if probes < 8:
+        raise ValueError("need at least 8 probes")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"need a finite window lo < hi, got ({lo}, {hi})")
+    eps = 1e-9 * (hi - lo)
+    grid = np.linspace(lo + eps, hi - eps, probes)
+    vals = np.array([f(t) for t in grid])
+    finite = np.isfinite(vals)
+    grid, vals = grid[finite], vals[finite]
+    if grid.size < 2:
+        return []
+    scale = max(1.0, float(np.max(np.abs(vals))))
+
+    roots: list[float] = []
+    for i in range(len(grid) - 1):
+        if vals[i] == 0.0:
+            root = float(grid[i])
+        elif vals[i] * vals[i + 1] < 0.0:
+            root = float(_refine(f, grid[i], grid[i + 1], xtol=1e-15,
+                                 rtol=8.9e-16))
+        else:
+            continue
+        if all(abs(r - root) >= 1e-10 * max(1.0, abs(root)) for r in roots):
+            roots.append(root)
+    roots.sort()
+    return [r for r in roots if abs(f(r)) < ROOT_VALUE_TOL * scale * 10]
+
+
+def sweep_draws(seed: int) -> list:
+    """The benchmark sweep's draws at a seed."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.Sweep(path.parent, seed, path.parent).items
+
+
+def test_bracket_roots_as_the_scalar_probe_loop(monkeypatch):
+    """Every bracket_roots call of the taxonomy at m = 2, 3 and of
+    classifying the seed-401 sweep draws finds the roots, or raises the
+    exception, of the loop that probed one float at a time."""
+    calls = []
+    bracket_roots = solver.bracket_roots
+
+    def both(f, lo, hi, probes=64):
+        def outcome(find):
+            try:
+                return bits(find(f, lo, hi, probes))
+            except Exception as exc:
+                return repr(exc)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            want = outcome(scalar_probe_roots)
+        got = outcome(bracket_roots)
+        calls.append((lo, hi, got, want))
+        return bracket_roots(f, lo, hi, probes)
+
+    monkeypatch.setattr(solver, "bracket_roots", both)
+    build_instances(2)
+    build_instances(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for m, lam, mu, c1 in sweep_draws(401):
+            try:
+                classify(request(m, lam, mu, c1))
+            except Exception:  # the draws' known failures
+                pass
+    monkeypatch.undo()
+    assert [(lo, hi, got) for lo, hi, got, _ in calls] == [
+        (lo, hi, want) for lo, hi, _, want in calls]
+    assert len(calls) > 200
+    assert sum(map(len, (got for _, _, got, _ in calls))) > 200

@@ -1,9 +1,10 @@
 """Parity of the in-house QUADPACK port with scipy.integrate.quad.
 
-Profile panels go through quadrature._panel_quad: quadpack.first_rule on
-all panels at once, and quadpack.quad, a port of QUADPACK's QAGS and
-QAGI, on the panels that rule does not finish.  Spans and tails go
-through quadrature._quad, which runs quadpack.quad.  Value and error
+Profile panels go through quadrature._panel_quad: quadpack.panels runs
+the first rule on all panels at once and bisects the ones it rejects in
+lockstep, and quadpack.quad, a port of QUADPACK's QAGS and QAGI, takes
+the panels that meet a non-finite value.  Spans and tails go through
+quadrature._quad, which runs quadpack.quad.  Value and error
 estimate must agree with scipy's quad to the bit, so that tables, spans
 and quad_error do not depend on which of the two ran.  Most checks also
 require the same evaluation points in the same order, which pins down
@@ -20,8 +21,9 @@ from scipy.integrate import quad as scipy_quad
 import lwsurf.quadrature as quadrature
 from conftest import build_instances
 from lwsurf import NormParameter, SolveRequest, WeingartenRelation, solve
-from lwsurf.quadpack import _RULE21, _rule, first_rule, quad
-from lwsurf.quadrature import as_libm, libm
+import lwsurf.quadpack as quadpack
+from lwsurf.quadpack import _RULE21, _rule, first_rule, panels, quad
+from lwsurf.quadrature import as_libm, libm, log
 
 EPSABS = 1e-14  # what quadrature._quad passes
 
@@ -62,10 +64,11 @@ def test_taxonomy_panels_bit_identical(m, monkeypatch):
     """Every panel that building every m = 2, 3 instance integrates.
 
     _panel_quad returns the (value, abserr) bits of quad on each panel;
-    a panel its array pass accepts is one that quad ends after the first
-    rule, and every panel that quad bisects goes to the scalar fallback.
-    A sample is compared with scipy: every 50th panel and scalar call,
-    every one that bisects, and the unbounded tail."""
+    a panel the first array pass accepts is one that quad ends after the
+    first rule, and every panel that quad bisects is bisected in lockstep
+    with the table's other rejected panels.  A sample is compared with
+    scipy: every 50th panel and scalar call, every one that bisects, and
+    the unbounded tail."""
     panels, scalar_calls = [], []
     panel_quad, port = quadrature._panel_quad, quadrature._quad
 
@@ -310,6 +313,121 @@ def test_rule_on_panels_matches_rule_on_floats(name):
         assert finite.all() and not np.isfinite(sums[0]).all()
     elif name == "complex_left_half":
         assert not finite.all()
+
+
+# ---------------------------------------------------------------------------
+# dqagse on many panels in lockstep
+
+
+def loop_of_quad(f, lo, hi, epsrel=1e-10, limit=200) -> list:
+    return [hexes(quad(f, a, b, EPSABS, epsrel, limit))
+            for a, b in zip(lo.tolist(), hi.tolist())]
+
+
+def raised_or(run, *args):
+    """run(*args), or the repr of the TypeError it raises."""
+    try:
+        return run(*args)
+    except TypeError as exc:
+        return repr(exc)
+
+
+@pytest.mark.parametrize("name", sorted(FIRST_RULE))
+def test_panel_quad_matches_a_loop_of_quad(name):
+    """_panel_quad on 300 seeded panels, many of them rejected by the
+    first rule and bisected, gives every panel the bits of quad on its
+    floats.  Where quad raises on some panel, _panel_quad raises what the
+    loop raises; without those panels, every bit is the loop's."""
+    f, a, b = FIRST_RULE[name]
+    lo, hi = np.sort(np.random.default_rng(17).uniform(a, b, (2, 300)),
+                     axis=0)
+    lo[:20] = a  # panels from the left end, where three are singular
+
+    def lockstep(lo, hi):
+        values, errors = quadrature._panel_quad(
+            [f], np.zeros(lo.size, dtype=int), lo, hi, 1e-10)
+        return list(map(hexes, zip(values, errors)))
+
+    assert raised_or(lockstep, lo, hi) == raised_or(loop_of_quad, f, lo, hi)
+    fine = np.array([not isinstance(raised_or(loop_of_quad, f, x, y), str)
+                     for x, y in zip(lo[:, None], hi[:, None])])
+    assert lockstep(lo[fine], hi[fine]) == loop_of_quad(f, lo[fine],
+                                                        hi[fine])
+    assert not first_rule(f, lo[fine], hi[fine], EPSABS, 1e-10)[2].all()
+
+
+def epsilon_table_integrand(x):
+    return 1.0 / (x * (-log(x)) ** 3)
+
+
+# dqagse paths a lockstep panel takes, each from a synthetic integrand
+# above: (integrand, range, epsrel, limit, scipy's message or None)
+LOCKSTEP_PATHS = {
+    # test_limit_exhaustion: ier = 1 after limit - 1 = 2 bisections
+    "limit": (FIRST_RULE["inverse_sqrt"][0], 0.0, 1.0, 1e-10, 3,
+              "maximum number of subdivisions"),
+    # test_roundoff_exit: ier = 2 in the loop, at last = 11
+    "roundoff": (FIRST_RULE["inverse_sqrt"][0], 0.0, 1.0, 1e-15, 200,
+                 "roundoff error is detected"),
+    # test_epsilon_table_at_its_cap: _qelg on nearly every bisection
+    "qelg": (epsilon_table_integrand, 0.0, 0.5, 1e-8, 100, None),
+}
+
+
+@pytest.mark.parametrize("path", sorted(LOCKSTEP_PATHS))
+def test_lockstep_paths(path, monkeypatch):
+    """quadpack.panels on the path's range and on 40 seeded panels inside
+    it gives quad's bits for each, with no panel replayed on floats."""
+    f, a, b, epsrel, limit, message = LOCKSTEP_PATHS[path]
+    lo, hi = np.sort(np.random.default_rng(5).uniform(a, b, (2, 41)),
+                     axis=0)
+    lo[0], hi[0] = a, b
+    qelg_calls = [0]
+    qelg = quadpack._qelg
+
+    def counted_qelg(*args):
+        qelg_calls[0] += 1
+        return qelg(*args)
+
+    monkeypatch.setattr(quadpack, "_qelg", counted_qelg)
+    values, errors, replay = panels(f, lo, hi, EPSABS, epsrel, limit)
+    monkeypatch.undo()
+    assert not replay.any()
+    assert list(map(hexes, zip(values, errors))) == loop_of_quad(
+        f, lo, hi, epsrel, limit)
+    out = reference(f, a, b, epsrel, limit)
+    if message:
+        assert message in out[3]
+    else:
+        assert qelg_calls[0] > 40
+
+
+def test_first_raising_panel_raises():
+    """Of two panels whose float integrand raises, _panel_quad raises the
+    lower index's exception, as a loop does: here one panel raises in a
+    bisection's half, after its first rule passed in the lockstep, and
+    the other in its first rule."""
+    def f(x):
+        if isinstance(x, np.ndarray):
+            return np.where((x < 1e-3) | (x > 1.5), math.nan,
+                            as_libm(x) ** -0.5)
+        if x < 1e-3:
+            raise ValueError("below 1e-3")
+        if x > 1.5:
+            raise ZeroDivisionError("above 1.5")
+        return x ** -0.5
+
+    for lo, hi, error in (([0.0, 1.0], [1.0, 2.0], ValueError),
+                          ([1.0, 0.0], [2.0, 1.0], ZeroDivisionError)):
+        lo, hi = np.array(lo), np.array(hi)
+        assert _rule(_RULE21, f, lo, hi)[4].tolist() == [
+            lo[0] == 0.0, lo[1] == 0.0]
+        assert panels(f, lo, hi, EPSABS, 1e-10, 200)[2].all()
+        with pytest.raises(error):
+            loop_of_quad(f, lo, hi)
+        with pytest.raises(error):
+            quadrature._panel_quad([f], np.zeros(2, dtype=int), lo, hi,
+                                   1e-10)
 
 
 # ---------------------------------------------------------------------------

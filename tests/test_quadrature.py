@@ -1,18 +1,25 @@
 """Singular quadrature engine tests against independent closed forms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import special
 
+import lwsurf.quadrature as quadrature
 from lwsurf import (
     DomainInterval,
     EndpointKind,
+    NormParameter,
+    SolveRequest,
+    WeingartenRelation,
     bracket_roots,
+    classify,
     integrate_singular,
     profile_from_integral,
 )
+from lwsurf.quadrature import log
 from lwsurf.solver import SlopeLaw, _hom_pos
 
 
@@ -48,7 +55,8 @@ class TestBracketRoots:
         # direct brentq on hand-picked brackets
         from scipy.optimize import brentq
         c1 = 1.5
-        f = lambda t: 1.0 - t * (c1 - math.log(t))
+        # lwsurf's log: math.log on a float, and on every float of an array
+        f = lambda t: 1.0 - t * (c1 - log(t))
         roots = bracket_roots(f, 1e-12, math.exp(c1), probes=256)
         assert len(roots) == 2
         r1 = brentq(f, 0.3, 1.2)
@@ -66,9 +74,29 @@ class TestBracketRoots:
         assert roots[0] == pytest.approx(-c + d, abs=1e-13)
 
     def test_sign_change_across_a_pole_dropped(self):
-        # 1/(t - 1.3) changes sign at its pole, where |f| is not small
-        f = lambda t: 1.0 / (t - 1.3) if t != 1.3 else math.inf
+        # 1/(t - 1.3) changes sign at its pole, where |f| is not small;
+        # inf at the pole itself, on a float and on an array
+        def f(t):
+            d = np.asarray(t, dtype=float) - 1.3
+            with np.errstate(divide="ignore"):
+                return np.where(d != 0.0, 1.0 / d, math.inf)
         assert bracket_roots(f, 0.0, 3.0) == []
+
+    def test_probe_scan_emits_no_overflow_warning(self):
+        """A sweep draw whose probe values are so large that the product
+        of two neighbours overflows: the sign test still holds, and no
+        RuntimeWarning comes out of the probe scan."""
+        req = SolveRequest(p=NormParameter(3), relation=WeingartenRelation
+                           .linear(-1.0099327183766427, -1.3347097074541474),
+                           c1=0.7042997230779999)
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            try:
+                classify(req)
+            except RuntimeError:  # its upper root is not found
+                pass
+        assert [w for w in seen if issubclass(w.category, RuntimeWarning)
+                and w.filename == quadrature.__file__] == []
 
     @pytest.mark.parametrize("lo,hi", [(0.0, math.inf), (0.0, math.nan),
                                        (2.0, 2.0), (3.0, 1.0),
