@@ -19,8 +19,7 @@ applies the rule to floats, and ``panels`` runs dqagse on many panels in
 lockstep, with an integrand that maps arrays, and applies the rule to
 each round's intervals of all of them in one array pass.  The nodes and
 sums are the same in the same order, so every panel whose values are
-finite gets the (value, abserr) bits ``quad`` returns.  ``first_rule`` is
-the first step alone.
+finite gets the (value, abserr) bits ``quad`` returns.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["quad", "panels", "first_rule"]
+__all__ = ["quad", "panels"]
 
 _EPMACH = 2.220446049250313e-16      # d1mach(4) = 2**-52
 _UFLOW = 2.2250738585072014e-308     # d1mach(1)
@@ -166,8 +165,10 @@ def _on_floats(rule: _Rule, f, a: float, b: float, epsabs: float,
 def panels(f, a: np.ndarray, b: np.ndarray, epsabs: float, epsrel: float,
            limit: int) -> tuple:
     """``quad(f, a[i], b[i], epsabs, epsrel, limit)`` on every panel
-    (a[i], b[i]), a < b, at once, with an integrand that maps arrays as
-    ``first_rule``'s does.
+    (a[i], b[i]), a < b, at once, with an integrand ``f`` that maps a
+    float array to its values.  +, -, *, / and abs round as Python floats
+    do, so where f returns the values the scalar integrand gives, the
+    rule's sums are the scalar sums.
 
     The first rule runs on all panels in one array pass.  dqagse then
     bisects every panel that rule rejects in lockstep, each round's
@@ -291,23 +292,6 @@ def _estimate_array(resk, resg, resabs, resasc, hlgth) -> tuple:
     # Python's max(floor, abserr): floor unless abserr is larger
     abserr = np.where((resabs > _TINY) & ~(abserr > floor), floor, abserr)
     return result, abserr, resabs, resasc
-
-
-def first_rule(f, a: np.ndarray, b: np.ndarray, epsabs: float,
-               epsrel: float) -> tuple:
-    """dqagse's first step on every panel (a[i], b[i]), a < b, at once;
-    epsabs > 0.
-
-    ``f`` maps a float array to its values; +, -, *, / and abs round as
-    Python floats do, so where f returns the values the scalar integrand
-    gives, the rule's sums are the scalar sums.  Returns arrays
-    (result, abserr, done): where ``done``, the 21 values are finite and
-    dqagse stops after this rule, so ``quad(f, a[i], b[i], epsabs,
-    epsrel, limit)`` returns (result[i], abserr[i]) for any limit.
-    ``panels`` finishes the others.
-    """
-    (result, abserr, *_), finite, accepted = _first(f, a, b, epsabs, epsrel)
-    return result, abserr, accepted & finite
 
 
 def _first(f, a, b, epsabs: float, epsrel: float) -> tuple:

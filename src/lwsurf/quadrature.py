@@ -123,19 +123,19 @@ def log(t):
     return math.log(t)
 
 
-def exact_values(f, *xs: np.ndarray,
-                 python_floats: bool = False) -> np.ndarray:
-    """f at every index of the equal-shape arrays xs through f's array form.
+def exact_values(f, x: np.ndarray) -> np.ndarray:
+    """f at every element of the array x through f's array form.
 
     An entry the array form leaves non-finite is evaluated again by the
-    scalar form, on the elements of xs or, with ``python_floats``, on
-    their Python floats: that gives the value, warning or exception of a
-    loop over the elements.
+    scalar form on the numpy scalar x[i]: that gives the value and
+    warning of a loop over the elements.  The tables' ``du`` columns need
+    it at a row on or past a simple root, where the array slope is NaN
+    and the scalar one inf.
     """
     with np.errstate(all="ignore"):
-        y = np.array(np.broadcast_to(f(*xs), xs[0].shape), dtype=float)
+        y = np.array(np.broadcast_to(f(x), x.shape), dtype=float)
     for i in np.flatnonzero(~np.isfinite(y)).tolist():
-        y[i] = f(*(float(x[i]) if python_floats else x[i] for x in xs))
+        y[i] = f(x[i])
     return y
 
 
@@ -312,8 +312,10 @@ def bracket_roots(f: Callable, lo: float, hi: float,
         grid, vals = grid[finite], vals[finite]
         if grid.size < 2:
             return []
-        # a zero, or a sign change whose product does not underflow
-        starts = (vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)
+        # a zero, or a sign change between two nonzero neighbours; their
+        # signs are compared, since their product can underflow to 0
+        starts = (vals[:-1] == 0.0) | (np.sign(vals[:-1])
+                                       * np.sign(vals[1:]) < 0.0)
     scale = max(1.0, float(np.max(np.abs(vals))))
 
     roots: list[float] = []

@@ -742,7 +742,7 @@ def _norm_circle_branch(req: SolveRequest, piece: _Piece,
     return ProfileBranch(
         request=req, case=piece.tag, domain=dom, alpha=alpha,
         u=req.sign * slope.height(alpha) + req.shift,
-        du=req.sign * exact_values(slope, alpha, python_floats=True),
+        du=req.sign * exact_values(slope, alpha),
         slope=slope,
         anchor=(a0, float(req.sign * slope.height(a0) + req.shift)),
         span=slope.R)

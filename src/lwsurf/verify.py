@@ -14,7 +14,13 @@ Three checks with different failure modes:
   events, and does not import scipy.
 
 Each check returns a versioned, JSON-serializable report rather than a
-bare boolean so the CLI can surface the evidence.
+bare boolean so the CLI can surface the evidence.  The checks compute
+once, on arrays, and raise only on malformed input: too few samples,
+arrays not monotone or of unequal shape, an unknown relation form, or a
+table the oracle's precondition rejects.  A value that is not finite at
+a compared point fails the report with a NaN or inf ``max_residual``; a
+check with no point to compare fails with ``n_points = 0`` and a
+``details["reason"]``.
 """
 
 from __future__ import annotations
@@ -43,7 +49,6 @@ from .quadrature import (
     EndpointKind,
     _brent,
     as_libm,
-    exact_values,
     log,
 )
 from .solver import ProfileBranch, RelationForm
@@ -137,19 +142,14 @@ def _fd_jets_exact(branch: ProfileBranch, a: np.ndarray, lo: float,
 
     The step shrinks with the distance to the nearest end because the
     higher derivatives of the slope grow algebraically at simple roots.
-    All stencils are evaluated at once by the array slope; a point where
-    that leaves a value non-finite is evaluated again on Python floats,
-    which gives the value or exception of the scalar slope.
+    All stencils are evaluated at once by the array slope; a value it
+    leaves non-finite stays so, and fails the scan.
     """
     dist = np.minimum(a - lo, hi - a)
     h = np.maximum(1e-6, 1e-4 * np.minimum(np.maximum(1.0, np.abs(a)), dist))
     h = np.minimum(h, 0.25 * dist)
     with np.errstate(all="ignore"):
-        d1, d2 = branch.uprime(a), branch.fd_second(a, h)
-    for i in np.flatnonzero(~(np.isfinite(d1) & np.isfinite(d2))).tolist():
-        x = float(a[i])
-        d1[i], d2[i] = branch.uprime(x), branch.fd_second(x, float(h[i]))
-    return d1, d2
+        return branch.uprime(a), branch.fd_second(a, h)
 
 
 def _relation_residual(p: NormParameter, a, d1, d2, lam: float, mu: float):
@@ -230,21 +230,18 @@ def residual_scan(branch: ProfileBranch, epsilon: float = 1e-3,
     lam, mu = branch.lam, branch.mu / branch.scale
     lo, hi, mask, zones = _scan_frame(branch, epsilon)
     points = branch.alpha[mask]
-    if points.size == 0:
-        raise ValueError("exclusion zones removed every sample point")
-
     d1, d2 = _fd_jets_exact(branch, points, lo, hi)
     keep = d1 != 0.0
     alphas = points[keep]
-    # a residual the array form leaves non-finite is evaluated again on
-    # Python floats, which gives the value or exception of the float form
-    residuals = exact_values(
-        lambda a, d1, d2: _relation_residual(p, a, d1, d2, lam, mu),
-        alphas, d1[keep], d2[keep], python_floats=True)
+    with np.errstate(all="ignore"):
+        residuals = _relation_residual(p, alphas, d1[keep], d2[keep], lam,
+                                       mu)
     details = {"lam": lam, "mu": mu, "m": p.m, "epsilon": epsilon,
                "slope_source": "closed_form",
                "chart_switch_slope": CHART_SWITCH_SLOPE}
-    if not residuals.size:
+    if not points.size:
+        details["reason"] = "exclusion zones removed every sample point"
+    elif not residuals.size:
         # the slope underflows to 0 on a vanishingly narrow domain
         details["reason"] = "no scanned point has a nonzero slope"
     return _report("residual_scan", branch.case.value, tol, residuals, alphas,
@@ -298,7 +295,8 @@ def residual_scan_table(p: NormParameter, alpha: np.ndarray, u: np.ndarray,
             & (np.abs(du) > slope_floor) & (np.abs(du) < slope_cap))
     idx = np.flatnonzero(mask)
 
-    w_col = exact_values(lambda d: _W(p, d), du, python_floats=True)
+    with np.errstate(all="ignore"):
+        w_col = _W(p, du)
     npts, half = 7, 3
     polyfit = np.polynomial.polynomial.polyfit
 
@@ -326,18 +324,19 @@ def residual_scan_table(p: NormParameter, alpha: np.ndarray, u: np.ndarray,
         target = lam * float(w_col[i]) / a + mu
         residuals.append(min(abs(wp + target) for wp in estimates))
         alphas.append(a)
+    details = {"lam": lam, "mu": mu, "m": p.m, "epsilon": epsilon,
+               "slope_source": "du_column",
+               "residual_form": "divergence",
+               "slope_window": list(SLOPE_WINDOW),
+               "chart_switch_slope": CHART_SWITCH_SLOPE}
     if not residuals:
-        raise ValueError("exclusion zones removed every sample point")
+        details["reason"] = "exclusion zones removed every sample point"
     return _report(
         "residual_scan", "table", tol, residuals, alphas,
         excluded_zones=[((lo, lo + epsilon * width), "table edge"),
                         ((hi - epsilon * width, hi), "table edge")],
         excluded_fraction=1.0 - len(residuals) / len(alpha),
-        details={"lam": lam, "mu": mu, "m": p.m, "epsilon": epsilon,
-                 "slope_source": "du_column",
-                 "residual_form": "divergence",
-                 "slope_window": list(SLOPE_WINDOW),
-                 "chart_switch_slope": CHART_SWITCH_SLOPE})
+        details=details)
 
 
 def _W(p: NormParameter, d1):
@@ -374,11 +373,9 @@ def first_integral_drift(branch: ProfileBranch,
         raise ValueError(f"no first integral form for {form}")
 
     mask = _scan_frame(branch)[2]
-    # a value the array form leaves non-finite is evaluated again on the
-    # numpy scalars of a and du, which gives the value and warning of a
-    # loop over the elements
-    vals = exact_values(lambda a, d1: value(as_libm(a), _W(p, d1)),
-                        branch.alpha[mask] / branch.scale, branch.du[mask])
+    with np.errstate(all="ignore"):
+        vals = value(as_libm(branch.alpha[mask] / branch.scale),
+                     _W(p, branch.du[mask]))
     return _report("first_integral", branch.case.value, tol,
                    np.abs(vals - expected),
                    details={"expected": expected, "form": form.value})
@@ -808,14 +805,9 @@ def ode_oracle(branch: ProfileBranch, tol: float = 1e-7) -> VerificationReport:
 def slope_invariant(branch: ProfileBranch) -> float:
     """Max |du - uprime(alpha)| over the table: internal consistency.
 
-    NaN when a point's deviation is not finite, or its float form raises
-    ArithmeticError: no maximum bounds the table then.
+    NaN when a point's deviation is not finite: no maximum bounds the
+    table then.
     """
-    try:
-        dev = exact_values(lambda a, d: abs(d - branch.uprime(a)),
-                           branch.alpha, branch.du, python_floats=True)
-    except ArithmeticError:
-        return math.nan
-    if not np.isfinite(dev).all():
-        return math.nan
-    return float(dev.max())
+    with np.errstate(all="ignore"):
+        dev = np.abs(branch.du - branch.uprime(branch.alpha))
+    return float(dev.max()) if np.isfinite(dev).all() else math.nan

@@ -49,7 +49,6 @@ from lwsurf.quadrature import (
     LibmArray,
     _edge_integrand,
     _refine,
-    exact_values,
     libm,
 )
 from lwsurf.solver import (
@@ -211,19 +210,26 @@ class NanAtOnePoint:
         return self.law(t)
 
 
-def test_stencil_evaluates_a_non_finite_point_again(instances_m2):
+def test_stencil_leaves_a_non_finite_point_to_fail_the_scan(instances_m2):
+    """A point where the array slope gives NaN is not evaluated again on
+    floats: its u' stays NaN, every other point keeps its bits, and the
+    scan fails without raising."""
     b = instances_m2["6.3i"]
     lo, hi, mask, _ = verify._scan_frame(b)
     points = b.alpha[mask]
     slope = NanAtOnePoint(b.slope, float(points[len(points) // 2]))
     nan_b = dataclasses.replace(b, slope=slope)
-    assert np.isnan(nan_b.uprime(points)).sum() == 1
-    got = verify._fd_jets_exact(nan_b, points, lo, hi)
-    # u' and the four stencil points of that one point, on Python floats
-    assert slope.float_calls == 5
+    d1, d2 = verify._fd_jets_exact(nan_b, points, lo, hi)
+    assert slope.float_calls == 0
     want = verify._fd_jets_exact(b, points, lo, hi)
-    assert [bits(x) for x in got] == [bits(x) for x in want]
-    assert residual_scan(nan_b).as_dict() == residual_scan(b).as_dict()
+    bad = len(points) // 2
+    assert np.isnan(d1[bad])
+    rest = np.arange(len(points)) != bad
+    assert [bits(x[rest]) for x in (d1, d2)] == [bits(x[rest]) for x in want]
+    rep = residual_scan(nan_b)
+    assert slope.float_calls == 0
+    assert not rep.passed and math.isnan(rep.max_residual)
+    assert residual_scan(b).passed
 
 
 def test_complex_slope_still_raises_type_error():
@@ -366,27 +372,47 @@ def test_residuals_on_every_table_grid(m):
     assert seen == {"steep", "flat", "decreasing", "lam=inf"}
 
 
-def test_residual_evaluates_a_non_finite_entry_again():
-    """An entry the array residual leaves non-finite is evaluated again
-    on Python floats, which gives the loop's value or exception."""
+class SpikeAtOnePoint:
+    """A slope that is the law's except at one point, where its array
+    form and its float form both give ``value``."""
+
+    def __init__(self, law, bad: float, value: float):
+        self.law, self.bad, self.value = law, bad, value
+
+    def __call__(self, t):
+        if isinstance(t, np.ndarray):
+            return np.where(t == self.bad, self.value, self.law(t))
+        return self.value if t == self.bad else self.law(t)
+
+
+def test_non_finite_residuals_fail_the_report(instances_m2):
+    """An infinite d2, and in the inverse chart a d1 whose cube overflows,
+    leave the array residual non-finite where the float form gives inf or
+    raises OverflowError; nothing raises, and the report fails."""
     p = NormParameter(2)
-    a, d1 = np.array([0.5, 0.7, 0.9]), np.array([0.3, -2.0, 40.0])
-    float_calls = []
-
-    def residual(a, x, y):
-        if not isinstance(a, np.ndarray):
-            float_calls.append(a)
-        return verify._relation_residual(p, a, x, y, 0.5, 1.0)
-
-    d2 = np.array([1.0, math.inf, 2.0])
-    got = exact_values(residual, a, d1, d2, python_floats=True)
-    assert float_calls == [0.7]
-    assert bits(got) == bits(residual(*v) for v in zip(
-        a.tolist(), d1.tolist(), d2.tolist()))
-    # in the inverse chart, d1 ** 3 overflows: the float loop raises
-    d1[2] = 1e200
+    a = np.array([0.5, 0.7, 0.9, 0.9])
+    d1 = np.array([0.3, -2.0, 40.0, 1e200])
+    d2 = np.array([1.0, math.inf, 2.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="ignore"):
+            got = verify._relation_residual(p, a, d1, d2, 0.5, 1.0)
+        rep = verify._report("residual_scan", "test", 1e-6, got, a)
+    assert np.isfinite(got).tolist() == [True, False, True, False]
+    finite = np.isfinite(got)
+    assert bits(got[finite]) == bits(
+        verify._relation_residual(p, *v, 0.5, 1.0)
+        for v in zip(a[finite].tolist(), d1[finite].tolist(),
+                     d2[finite].tolist()))
     with pytest.raises(OverflowError):
-        exact_values(residual, a, d1, np.ones(3), python_floats=True)
+        verify._relation_residual(p, 0.9, 1e200, 1.0, 0.5, 1.0)
+    assert not rep.passed and not math.isfinite(rep.max_residual)
+    # a table point whose slope is 1e200 on arrays and on floats alike
+    b = instances_m2["6.3i"]
+    points = b.alpha[verify._scan_frame(b)[2]]
+    spike = SpikeAtOnePoint(b.slope, float(points[len(points) // 2]), 1e200)
+    rep = residual_scan(dataclasses.replace(b, slope=spike))
+    assert not rep.passed and not math.isfinite(rep.max_residual)
 
 
 # ---------------------------------------------------------------------------

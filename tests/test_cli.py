@@ -101,6 +101,41 @@ class TestGenerateVerifyRoundTrip:
         assert code == 1
         assert not json.loads(out)["passed"]
 
+    def test_overflowing_slope_fails_verify(self, capsys, tmp_path):
+        """A du of 1e300 overflows the normal-angle function W inside a
+        compared point's fit window: the report fails, nothing raises."""
+        from lwsurf import solve_constant_k2
+        b = solve_constant_k2(NormParameter(2), samples=64)
+        du = b.du.copy()
+        du[40] = 1e300
+        path = str(tmp_path / "p.csv")
+        write_profile_csv(path, b.alpha, b.u, du)
+        code, out, err = run(capsys, "verify", "--profile", path,
+                             "--lambda", "1", "--mu", "-2")
+        assert code == 1
+        assert "error:" not in err
+        report = json.loads(out)
+        assert not report["passed"] and math.isnan(report["max_residual"])
+
+    def test_flat_profile_fails_verify_without_points(self, capsys,
+                                                      tmp_path):
+        """At m = 4 the 6.3iii-1 axis-to-cap piece has no slope inside
+        SLOPE_WINDOW: verify prints a failed report with no point."""
+        prefix = str(tmp_path / "f4")
+        code, _, _ = run(capsys, "generate", "--m", "4", "--lambda", "-0.5",
+                         "--mu", "1", "--c1", "2", "--out", prefix)
+        assert code == 0
+        meta = json.loads((tmp_path / "f4.meta.json").read_text())
+        assert meta["case"] == "6.3iii-1"
+        code, out, err = run(capsys, "verify", "--m", "4", "--profile",
+                             prefix + ".csv", "--lambda", "-0.5", "--mu", "1")
+        assert code == 1
+        assert "error:" not in err
+        report = json.loads(out)
+        assert not report["passed"] and report["n_points"] == 0
+        assert report["details"]["reason"] == (
+            "exclusion zones removed every sample point")
+
 
 class TestDeterminism:
     def test_byte_identical_outputs(self, capsys, tmp_path):

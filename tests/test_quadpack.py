@@ -22,7 +22,7 @@ import lwsurf.quadrature as quadrature
 from conftest import build_instances
 from lwsurf import NormParameter, SolveRequest, WeingartenRelation, solve
 import lwsurf.quadpack as quadpack
-from lwsurf.quadpack import _RULE21, _rule, first_rule, panels, quad
+from lwsurf.quadpack import _RULE21, _first, _rule, panels, quad
 from lwsurf.quadrature import as_libm, libm, log
 
 EPSABS = 1e-14  # what quadrature._quad passes
@@ -31,6 +31,14 @@ EPSABS = 1e-14  # what quadrature._quad passes
 def reference(f, a, b, epsrel, limit):
     return scipy_quad(f, a, b, epsabs=EPSABS, epsrel=epsrel, limit=limit,
                       full_output=1)
+
+
+def first_rule(f, a, b, epsabs, epsrel) -> tuple:
+    """dqagse's first step on every panel (a[i], b[i]) at once: arrays
+    (result, abserr, done), where ``done`` says that the 21 values are
+    finite and dqagse stops after this rule."""
+    (result, abserr, *_), finite, accepted = _first(f, a, b, epsabs, epsrel)
+    return result, abserr, accepted & finite
 
 
 def hexes(pair) -> tuple:

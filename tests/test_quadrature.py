@@ -82,6 +82,11 @@ class TestBracketRoots:
                 return np.where(d != 0.0, 1.0 / d, math.inf)
         assert bracket_roots(f, 0.0, 3.0) == []
 
+    def test_sign_change_whose_product_underflows(self):
+        # neighbouring probe values near 1e-202 multiply to 0.0
+        assert bracket_roots(lambda t: 1e-200 * (t - 0.7), 0.0, 1.0) == [
+            pytest.approx(0.7, abs=1e-15)]
+
     def test_probe_scan_emits_no_overflow_warning(self):
         """A sweep draw whose probe values are so large that the product
         of two neighbours overflows: the sign test still holds, and no

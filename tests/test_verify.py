@@ -94,6 +94,14 @@ class TestResidualScan:
         assert math.isnan(rep.max_residual)
         assert json.loads(rep.to_json())["passed"] is False
 
+    def test_no_point_left_gives_failed_report(self, generic):
+        rep = residual_scan(generic, epsilon=1.0)
+        assert not rep.passed
+        assert rep.n_points == 0 and rep.excluded_fraction == 1.0
+        assert rep.details["reason"] == (
+            "exclusion zones removed every sample point")
+        assert math.isnan(rep.max_residual)
+
     def test_wrong_relation_fails(self, generic):
         # scanning the table against a different relation must fail loudly
         rep = residual_scan_table(
@@ -127,6 +135,16 @@ class TestResidualScanTable:
             residual_scan_table(P2, generic.alpha[order], generic.u[order],
                                 generic.du[order], generic.lam,
                                 generic.mu / generic.scale)
+
+    def test_no_point_left_gives_failed_report(self, generic):
+        rep = residual_scan_table(
+            P2, generic.alpha, generic.u, generic.du, generic.lam,
+            generic.mu / generic.scale, epsilon=0.5)
+        assert not rep.passed
+        assert rep.n_points == 0 and rep.excluded_fraction == 1.0
+        assert rep.details["reason"] == (
+            "exclusion zones removed every sample point")
+        assert math.isnan(rep.max_residual)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
