@@ -19,7 +19,8 @@ applies the rule to floats, and ``panels`` runs dqagse on many panels in
 lockstep, with an integrand that maps arrays, and applies the rule to
 each round's intervals of all of them in one array pass.  The nodes and
 sums are the same in the same order, so every panel whose values are
-finite gets the (value, abserr) bits ``quad`` returns.
+finite gets the (value, abserr) bits ``quad`` returns; a panel that meets
+a non-finite value gets a non-finite one.
 """
 
 from __future__ import annotations
@@ -173,14 +174,13 @@ def panels(f, a: np.ndarray, b: np.ndarray, epsabs: float, epsrel: float,
     The first rule runs on all panels in one array pass.  dqagse then
     bisects every panel that rule rejects in lockstep, each round's
     halves of all of them in one array pass, seeded with the first
-    rule's values.  Returns arrays (result, abserr, replay).  A panel
-    with ``replay`` met a non-finite value, in its first rule or in a
-    half, and needs the scalar ``quad``, which gives a loop's value or
-    exception there; every other panel has the bits ``quad`` returns.
+    rule's values.  Returns arrays (result, abserr).  A panel whose rule
+    meets a non-finite value leaves the lockstep there with a non-finite
+    result: the first rule's own, or NaN in a half.  Every other panel
+    has the bits ``quad`` returns.
     """
     first, finite, accepted = _first(f, a, b, epsabs, epsrel)
     result, abserr = first[0], first[1]
-    replay = ~finite
     rejected = np.flatnonzero(finite & ~accepted).tolist()
     steps, rules = {}, {}
     for i, values in zip(rejected,
@@ -208,8 +208,8 @@ def panels(f, a: np.ndarray, b: np.ndarray, epsabs: float, epsrel: float,
             if finite[k]:
                 rules[i] = sums[2 * k:2 * k + 2]
             else:
-                replay[i] = True
-    return result, abserr, replay
+                result[i] = abserr[i] = math.nan
+    return result, abserr
 
 
 def _rule(rule: _Rule, f, a, b) -> tuple:

@@ -123,22 +123,6 @@ def log(t):
     return math.log(t)
 
 
-def exact_values(f, x: np.ndarray) -> np.ndarray:
-    """f at every element of the array x through f's array form.
-
-    An entry the array form leaves non-finite is evaluated again by the
-    scalar form on the numpy scalar x[i]: that gives the value and
-    warning of a loop over the elements.  The tables' ``du`` columns need
-    it at a row on or past a simple root, where the array slope is NaN
-    and the scalar one inf.
-    """
-    with np.errstate(all="ignore"):
-        y = np.array(np.broadcast_to(f(x), x.shape), dtype=float)
-    for i in np.flatnonzero(~np.isfinite(y)).tolist():
-        y[i] = f(x[i])
-    return y
-
-
 class ToleranceError(RuntimeError):
     """Requested tolerance could not be met; carries the best estimate."""
 
@@ -438,28 +422,22 @@ def _quad(f, a, b, tol, limit=_LIMIT):
 def _panel_quad(integrands: list, which: np.ndarray, a: np.ndarray,
                 b: np.ndarray, tol: float) -> tuple:
     """(values, errors): ``_quad(integrands[which[i]], a[i], b[i], tol)``
-    for every panel i, bit for bit.
+    for every panel i whose rules meet only finite values, bit for bit.
 
-    Each integrand's panels with a < b go through quadpack.panels
-    together, PANEL_BLOCK at a time: the first rule on all of them, then
-    dqagse's bisection of the rejected ones in lockstep, one array pass
-    per round.  A panel goes to the scalar ``_quad`` only where a rule
-    gives a non-finite value, or where a < b fails.  Those panels run in
-    panel order after all others, so an exception is the one a loop over
-    the panels raises first.
+    Each integrand's panels go through quadpack.panels together,
+    PANEL_BLOCK at a time: the first rule on all of them, then dqagse's
+    bisection of the rejected ones in lockstep, one array pass per round.
+    A panel whose rule meets a non-finite value gets a non-finite value,
+    and a zero-width panel (0.0, 0.0), as ``_quad`` returns there.
     """
     panels = _qp().panels
     values, errors = np.zeros(a.size), np.zeros(a.size)
-    scalar = ~(a < b)
     for k, f in enumerate(integrands):
-        idx = np.flatnonzero((which == k) & ~scalar)
+        idx = np.flatnonzero((which == k) & (a != b))
         for start in range(0, idx.size, PANEL_BLOCK):
             block = idx[start:start + PANEL_BLOCK]
-            values[block], errors[block], replay = panels(
+            values[block], errors[block] = panels(
                 f, a[block], b[block], _EPSABS, tol, _LIMIT)
-            scalar[block[replay]] = True
-    for i in np.flatnonzero(scalar).tolist():
-        values[i], errors[i] = _quad(integrands[which[i]], a[i], b[i], tol)
     return values, errors
 
 
@@ -581,7 +559,8 @@ def profile_from_integral(law: SlopeLaw, domain: DomainInterval,
     The anchor alpha0 is domain.lower or domain.upper, and may be an
     integrable singular endpoint; the panels next to a simple denominator
     root are integrated in the regularized variable.  The du column is
-    the closed-form integrand, signed.
+    the closed-form integrand, signed.  A non-finite panel integral
+    raises ToleranceError, as integrate_singular does.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
@@ -623,6 +602,9 @@ def profile_from_integral(law: SlopeLaw, domain: DomainInterval,
     # cumulative integral from grid[0]
     U = _running_sum(values)
     err_total = float(_running_sum(errors)[-1])
+    if not math.isfinite(U[-1]):
+        raise ToleranceError("integral evaluation produced non-finite value",
+                             float(U[-1]), err_total)
 
     # value of the cumulative integral at the anchor, a domain end
     def cumulative_at(alpha: float) -> float:
@@ -648,5 +630,7 @@ def profile_from_integral(law: SlopeLaw, domain: DomainInterval,
 
     offset = cumulative_at(a0)
     u = u0 + sign * (U - offset)
-    du = sign * exact_values(law, grid)
+    with np.errstate(all="ignore"):
+        # a plain array: the law gives a LibmArray, whose ** is libm's
+        du = sign * np.asarray(law(grid))
     return ProfileSamples(alpha=grid, u=u, du=du, quad_error=err_total)

@@ -27,7 +27,6 @@ from .quadrature import (
     as_libm,
     bracket_roots,
     double_root_factor,
-    exact_values,
     integrate_singular,
     log,
     profile_from_integral,
@@ -739,10 +738,12 @@ def _norm_circle_branch(req: SolveRequest, piece: _Piece,
         grid = _build_grid(dom, req.samples, m, math.inf)
         alpha = np.unique(np.minimum(grid, np.nextafter(dom.upper, 0.0)))
     a0 = piece.anchor_alpha
+    with np.errstate(all="ignore"):
+        du = req.sign * np.asarray(slope(alpha))
     return ProfileBranch(
         request=req, case=piece.tag, domain=dom, alpha=alpha,
         u=req.sign * slope.height(alpha) + req.shift,
-        du=req.sign * exact_values(slope, alpha),
+        du=du,
         slope=slope,
         anchor=(a0, float(req.sign * slope.height(a0) + req.shift)),
         span=slope.R)

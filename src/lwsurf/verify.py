@@ -381,11 +381,14 @@ def first_integral_drift(branch: ProfileBranch,
                    details={"expected": expected, "form": form.value})
 
 
-def _ode_rhs(p: NormParameter, lam: float, mu: float):
+def _ode_rhs(p: NormParameter, lam: float, mu: float, s: float):
     """u'' solved from the oriented curvature relation k1 + lam*k2 = mu.
 
     ``rhs(a, (u, u'))`` returns the float pair ``(u', u'')``.  The
-    odd-root powers of u' are ``signed_odd_root_pow`` written out, with
+    orientation ``s``, +1.0 or -1.0, is the sign of the start slope, held
+    for the whole run since a monotone branch never changes it; the sign
+    of each u' would flip u'' where a step's stages cross u' = 0 next to
+    a smooth cap.  The odd-root powers of u' are ``signed_odd_root_pow`` written out, with
     its exponents computed once: this runs on every solver stage.
     """
     m, q = p.m, p.q
@@ -396,7 +399,6 @@ def _ode_rhs(p: NormParameter, lam: float, mu: float):
     e_norm = -1.0 / (2 * m)
 
     def second(a, d1):
-        s = 1.0 if d1 > 0.0 else -1.0
         r = abs(d1)
         A1 = r ** e_a1 + 1.0
         B = A1 ** e_outer * r ** e_b
@@ -734,7 +736,7 @@ def ode_oracle(branch: ProfileBranch, tol: float = 1e-7) -> VerificationReport:
             f"the branch exceeds the oracle precondition "
             f"{ORACLE_FI_PRECONDITION:.1e}")
 
-    rhs = _ode_rhs(p, lam, mu)
+    rhs = _ode_rhs(p, lam, mu, 1.0 if d10 > 0.0 else -1.0)
     slope_floor, slope_cap = SLOPE_WINDOW
     # (g, direction) event pairs, all terminal, in the order of ``reasons``
     blowup = (lambda a, y: slope_cap - abs(y[1]), 0)

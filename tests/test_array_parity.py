@@ -35,6 +35,9 @@ from lwsurf import (
     classify,
     residual_scan,
     solve,
+    solve_homogeneous,
+    solve_inhom_general,
+    solve_inhom_lambda_minus1,
 )
 from lwsurf.normgeom import (
     Chart,
@@ -47,6 +50,7 @@ from lwsurf.normgeom import (
 from lwsurf.quadrature import (
     ROOT_VALUE_TOL,
     LibmArray,
+    ToleranceError,
     _edge_integrand,
     _refine,
     libm,
@@ -232,20 +236,22 @@ def test_stencil_leaves_a_non_finite_point_to_fail_the_scan(instances_m2):
     assert residual_scan(b).passed
 
 
-def test_complex_slope_still_raises_type_error():
-    """The seed-402 sweep draw: the array pass leaves the complex values
-    to the scalar fallback, which raises as the panel loop did, and never
-    casts a complex value to a real one."""
+def test_complex_slope_raises_tolerance_error():
+    """The seed-402 sweep draw: the array pass leaves NaN where the
+    scalar slope is complex, never casting a complex value to a real
+    one, and the table raises ToleranceError."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IllConditionedWarning)
         warnings.simplefilter("error", np.exceptions.ComplexWarning)
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(TypeError, match="not 'complex'"):
+        with pytest.raises(ToleranceError, match="non-finite value"):
             solve(request(6, -0.09214164874133957, 0.8025229379416952,
                           4.822590238398405))
 
 
 def test_array_paths_emit_no_runtime_warning():
+    """Nor do the tables at m >= 4 whose row on a simple root, or past
+    one, has an infinite or NaN slope."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for b in build_instances(2).values():
@@ -253,6 +259,14 @@ def test_array_paths_emit_no_runtime_warning():
         (b,) = solve(request(5, -0.9676349260580417, 2.263783851459214,
                              1.065926470183868))
         assert math.isnan(residual_scan(b).max_residual)
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        for m in (4, 5, 6):
+            p = NormParameter(m)
+            b = solve_homogeneous(p, 1.0, 1.0)
+            assert math.isinf(b.du[0])
+            solve_inhom_lambda_minus1(p, 1.0, 1.5)
+            solve_inhom_general(p, -0.5, 1.0, 3.2)
+            solve_inhom_general(p, -2.0, 1.0, 0.3)
 
 
 def scalar_each(f, *arrays) -> list:
@@ -344,11 +358,7 @@ def test_residuals_on_every_table_grid(m):
     taxonomy and on decreasing branches, at every point where they are
     finite; both charts, negative slopes and lam = inf all occur."""
     seen = set()
-    with warnings.catch_warnings():
-        # at m >= 4 a table holds a row at its simple root, where the
-        # slope divides by zero
-        warnings.simplefilter("ignore", RuntimeWarning)
-        branches = [*instances(m).values(), *decreasing_branches(m)]
+    branches = [*instances(m).values(), *decreasing_branches(m)]
     for b in branches:
         lo, hi, mask, _ = verify._scan_frame(b)
         points = b.alpha[mask]

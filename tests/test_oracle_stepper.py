@@ -107,7 +107,7 @@ class TestRhs:
     def test_zero_slope_gives_the_ieee_value(self, m):
         # 0.0 ** negative raises on Python floats; the numpy scalar gives
         # inf there, so u'' = finite / inf = 0
-        rhs = _ode_rhs(NormParameter(m), -0.5, 1.0)
+        rhs = _ode_rhs(NormParameter(m), -0.5, 1.0, -1.0)
         with np.errstate(all="ignore"):
             expected = rhs(np.float64(1.3), np.array([0.2, 0.0]))
         got = rhs(1.3, (0.2, 0.0))

@@ -2,13 +2,13 @@
 
 Profile panels go through quadrature._panel_quad: quadpack.panels runs
 the first rule on all panels at once and bisects the ones it rejects in
-lockstep, and quadpack.quad, a port of QUADPACK's QAGS and QAGI, takes
-the panels that meet a non-finite value.  Spans and tails go through
-quadrature._quad, which runs quadpack.quad.  Value and error
+lockstep.  Spans and tails go through quadrature._quad, which runs
+quadpack.quad, a port of QUADPACK's QAGS and QAGI.  Value and error
 estimate must agree with scipy's quad to the bit, so that tables, spans
 and quad_error do not depend on which of the two ran.  Most checks also
 require the same evaluation points in the same order, which pins down
-every branch the two take.
+every branch the two take.  A panel that meets a non-finite value has a
+non-finite value, and a table with one raises ToleranceError.
 """
 
 import math
@@ -23,7 +23,15 @@ from conftest import build_instances
 from lwsurf import NormParameter, SolveRequest, WeingartenRelation, solve
 import lwsurf.quadpack as quadpack
 from lwsurf.quadpack import _RULE21, _first, _rule, panels, quad
-from lwsurf.quadrature import as_libm, libm, log
+from lwsurf.quadrature import (
+    DomainInterval,
+    EndpointKind,
+    ToleranceError,
+    as_libm,
+    libm,
+    log,
+    profile_from_integral,
+)
 
 EPSABS = 1e-14  # what quadrature._quad passes
 
@@ -295,7 +303,8 @@ def test_rule_on_panels_matches_rule_on_floats(name):
     (result, abserr, resabs, resasc) bits of the rule on its floats,
     whether first_rule accepts the panel or not, and whether its values
     and sums are finite or not.  A panel whose float values include a
-    complex one raises there, and the array pass flags it non-finite."""
+    complex one raises there, and the array pass flags it non-finite;
+    panels then gives it a non-finite result."""
     f, a, b = FIRST_RULE[name]
     cuts = np.sort(np.random.default_rng(11).uniform(a, b, 300))
     lo = np.concatenate(([a], cuts[:-1]))
@@ -317,6 +326,8 @@ def test_rule_on_panels_matches_rule_on_floats(name):
         assert len(values) == 21
         assert [v.hex() for v in got] == [float(s[i]).hex() for s in sums]
         assert finite[i] == all(map(math.isfinite, values))
+    result = panels(f, lo, hi, EPSABS, 1e-10, 200)[0]
+    assert not np.isfinite(result[~finite]).any()
     if name == "overflowing":
         assert finite.all() and not np.isfinite(sums[0]).all()
     elif name == "complex_left_half":
@@ -332,36 +343,29 @@ def loop_of_quad(f, lo, hi, epsrel=1e-10, limit=200) -> list:
             for a, b in zip(lo.tolist(), hi.tolist())]
 
 
-def raised_or(run, *args):
-    """run(*args), or the repr of the TypeError it raises."""
-    try:
-        return run(*args)
-    except TypeError as exc:
-        return repr(exc)
-
-
 @pytest.mark.parametrize("name", sorted(FIRST_RULE))
 def test_panel_quad_matches_a_loop_of_quad(name):
     """_panel_quad on 300 seeded panels, many of them rejected by the
-    first rule and bisected, gives every panel the bits of quad on its
-    floats.  Where quad raises on some panel, _panel_quad raises what the
-    loop raises; without those panels, every bit is the loop's."""
+    first rule and bisected, gives every panel on which quad returns the
+    bits of quad on its floats.  Where quad raises, the value or the
+    error is non-finite."""
     f, a, b = FIRST_RULE[name]
     lo, hi = np.sort(np.random.default_rng(17).uniform(a, b, (2, 300)),
                      axis=0)
     lo[:20] = a  # panels from the left end, where three are singular
-
-    def lockstep(lo, hi):
-        values, errors = quadrature._panel_quad(
-            [f], np.zeros(lo.size, dtype=int), lo, hi, 1e-10)
-        return list(map(hexes, zip(values, errors)))
-
-    assert raised_or(lockstep, lo, hi) == raised_or(loop_of_quad, f, lo, hi)
-    fine = np.array([not isinstance(raised_or(loop_of_quad, f, x, y), str)
-                     for x, y in zip(lo[:, None], hi[:, None])])
-    assert lockstep(lo[fine], hi[fine]) == loop_of_quad(f, lo[fine],
-                                                        hi[fine])
-    assert not first_rule(f, lo[fine], hi[fine], EPSABS, 1e-10)[2].all()
+    values, errors = quadrature._panel_quad(
+        [f], np.zeros(lo.size, dtype=int), lo, hi, 1e-10)
+    raised = 0
+    for x, y, got in zip(lo.tolist(), hi.tolist(), zip(values, errors)):
+        try:
+            want = quad(f, x, y, EPSABS, 1e-10, 200)
+        except TypeError:
+            raised += 1
+            assert not all(map(math.isfinite, got)), (x, y)
+            continue
+        assert hexes(got) == hexes(want), (x, y)
+    assert (raised > 0) == (name == "complex_left_half")
+    assert not first_rule(f, lo, hi, EPSABS, 1e-10)[2].all()
 
 
 def epsilon_table_integrand(x):
@@ -385,7 +389,7 @@ LOCKSTEP_PATHS = {
 @pytest.mark.parametrize("path", sorted(LOCKSTEP_PATHS))
 def test_lockstep_paths(path, monkeypatch):
     """quadpack.panels on the path's range and on 40 seeded panels inside
-    it gives quad's bits for each, with no panel replayed on floats."""
+    it gives quad's bits for each."""
     f, a, b, epsrel, limit, message = LOCKSTEP_PATHS[path]
     lo, hi = np.sort(np.random.default_rng(5).uniform(a, b, (2, 41)),
                      axis=0)
@@ -398,9 +402,8 @@ def test_lockstep_paths(path, monkeypatch):
         return qelg(*args)
 
     monkeypatch.setattr(quadpack, "_qelg", counted_qelg)
-    values, errors, replay = panels(f, lo, hi, EPSABS, epsrel, limit)
+    values, errors = panels(f, lo, hi, EPSABS, epsrel, limit)
     monkeypatch.undo()
-    assert not replay.any()
     assert list(map(hexes, zip(values, errors))) == loop_of_quad(
         f, lo, hi, epsrel, limit)
     out = reference(f, a, b, epsrel, limit)
@@ -410,32 +413,34 @@ def test_lockstep_paths(path, monkeypatch):
         assert qelg_calls[0] > 40
 
 
-def test_first_raising_panel_raises():
-    """Of two panels whose float integrand raises, _panel_quad raises the
-    lower index's exception, as a loop does: here one panel raises in a
-    bisection's half, after its first rule passed in the lockstep, and
-    the other in its first rule."""
-    def f(x):
-        if isinstance(x, np.ndarray):
-            return np.where((x < 1e-3) | (x > 1.5), math.nan,
-                            as_libm(x) ** -0.5)
-        if x < 1e-3:
-            raise ValueError("below 1e-3")
-        if x > 1.5:
-            raise ZeroDivisionError("above 1.5")
-        return x ** -0.5
+class NanSlope:
+    """x^-1/2 on arrays, NaN below 1e-3 and above 1.5."""
 
-    for lo, hi, error in (([0.0, 1.0], [1.0, 2.0], ValueError),
-                          ([1.0, 0.0], [2.0, 1.0], ZeroDivisionError)):
-        lo, hi = np.array(lo), np.array(hi)
-        assert _rule(_RULE21, f, lo, hi)[4].tolist() == [
-            lo[0] == 0.0, lo[1] == 0.0]
-        assert panels(f, lo, hi, EPSABS, 1e-10, 200)[2].all()
-        with pytest.raises(error):
-            loop_of_quad(f, lo, hi)
-        with pytest.raises(error):
-            quadrature._panel_quad([f], np.zeros(2, dtype=int), lo, hi,
-                                   1e-10)
+    m = 1
+
+    def __call__(self, x):
+        return np.where((x < 1e-3) | (x > 1.5), math.nan,
+                        as_libm(x) ** -0.5)
+
+
+def test_table_whose_panel_meets_nan_raises():
+    """On (0, 1) the first rule is finite and rejected, and a bisection's
+    half meets NaN; on (1, 2) the first rule meets it.  Either panel's
+    value is NaN, and a table with either raises ToleranceError from
+    profile_from_integral, as integrate_singular raises on a non-finite
+    integral."""
+    f = NanSlope()
+    lo, hi = np.array([0.0, 1.0]), np.array([1.0, 2.0])
+    assert _rule(_RULE21, f, lo, hi)[4].tolist() == [True, False]
+    assert first_rule(f, lo, hi, EPSABS, 1e-10)[2].tolist() == [False] * 2
+    assert np.isnan(panels(f, lo, hi, EPSABS, 1e-10, 200)[0]).all()
+    for lower, upper, samples in ((0.0, 1.0, 2), (1.0, 2.0, 2),
+                                  (0.0, 2.0, 3)):
+        domain = DomainInterval(lower, upper, EndpointKind.SMOOTH_CAP,
+                                EndpointKind.SMOOTH_CAP)
+        with pytest.raises(ToleranceError, match="non-finite value"):
+            profile_from_integral(f, domain, +1, (lower, 0.0),
+                                  samples=samples)
 
 
 # ---------------------------------------------------------------------------
@@ -466,10 +471,14 @@ def test_complex_value_raises_type_error():
 ])
 def test_complex_slope_raises_from_solve(m, lam, mu, c1):
     """Two sweep draws whose misplaced root pair makes the denominator
-    negative inside a panel: solve raises instead of returning a table."""
+    negative inside a panel: the slope is NaN there on arrays, and solve
+    raises ToleranceError instead of returning a table, without casting a
+    complex value to a real one or warning of the NaN."""
     req = SolveRequest(p=NormParameter(m),
                        relation=WeingartenRelation.linear(lam, mu), c1=c1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        with pytest.raises(TypeError):
+        warnings.simplefilter("error", np.exceptions.ComplexWarning)
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ToleranceError, match="non-finite value"):
             solve(req)

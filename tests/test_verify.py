@@ -23,6 +23,7 @@ from lwsurf import (
     solve_homogeneous,
     solve_inhom_general,
 )
+from conftest import crit_mid
 from lwsurf import verify
 from lwsurf.verify import slope_invariant
 
@@ -279,6 +280,23 @@ class TestOdeOracle:
         assert math.isnan(rep.max_residual)
         assert rep.details["reason"] == "oracle produced no comparable samples"
         assert residual_scan(b).passed and first_integral_drift(b).passed
+
+    @pytest.mark.parametrize("lam, c1, tag", [
+        (-1.0, 1.0, "6.1i-2-2"),
+        (-0.5, crit_mid(-0.5), "6.3iii-2-2"),
+        (-0.5, 3.2, "6.3iii-3-2"),
+    ])
+    def test_orientation_holds_across_the_cap(self, lam, c1, tag):
+        # at m = 1 the run toward the smooth cap ends in a step whose
+        # stages cross u' = 0; taking the orientation from each u' flipped
+        # u'' there, and the dense output was off by up to 1e-3 in alpha
+        (b,) = [b for b in solve(SolveRequest(
+            p=NormParameter(1), relation=WeingartenRelation.linear(lam, 1.0),
+            c1=c1)) if b.case.value == tag]
+        rep = ode_oracle(b)
+        assert rep.passed and rep.max_residual < 1e-9, tag
+        assert "slope_floor" in [t["reason"]
+                                 for t in rep.details["truncations"]]
 
 
 @pytest.mark.parametrize("m", [2, 3])
