@@ -5,22 +5,23 @@ A port of ``dqagse`` and ``dqagie`` with their rules ``dqk21`` and
 ``dqelg`` (Piessens, de Doncker-Kapenga, Ueberhuber and Kahaner,
 *QUADPACK*, Springer 1983).  Only the ranges lwsurf integrates over are
 served: a <= b with a finite and b finite or +inf, with epsabs > 0 and
-limit >= 1.  There ``quad`` returns the same ``(value, abserr)`` as
+limit >= 1.  The integrand maps a float array to its values.  Where it
+gives each float the bits it gives that float in an array, ``panels``
+and ``quad`` return the same ``(value, abserr)`` as
 ``scipy.integrate.quad`` with the same ``epsabs``, ``epsrel`` and
 ``limit``, bit for bit: the same nodes, the sums in the same order, the
 same branches, and C's ``fmax``/``fmin`` where a NaN can reach them.  The
 lists keep QUADPACK's 1-based indices; slot 0 is unused.
 
 Both rules are data, ``_RULE21`` and ``_RULE15``, and one function,
-``_rule``, applies either to one interval or to many panels at once.
-dqagse's loop, ``_adaptive``, is a generator that asks for the rule
-values of the intervals it needs, so two callers run it: ``quad``
-applies the rule to floats, and ``panels`` runs dqagse on many panels in
-lockstep, with an integrand that maps arrays, and applies the rule to
-each round's intervals of all of them in one array pass.  The nodes and
-sums are the same in the same order, so every panel whose values are
-finite gets the (value, abserr) bits ``quad`` returns; a panel that meets
-a non-finite value gets a non-finite one.
+``_rule``, applies either one to an array of panels at once.  dqagse's loop,
+``_adaptive``, is a generator that asks for the rule values of the
+intervals it needs, and one driver runs it: ``panels`` runs dqagse on
+many panels in lockstep, and applies the rule to each round's intervals
+of all of them in one array pass.  ``quad`` is ``panels`` on one range,
+with dqagie's map and dqk15i on (a, inf).  A panel that meets a
+non-finite or complex value gets a non-finite result, and nothing is
+raised.
 """
 
 from __future__ import annotations
@@ -94,26 +95,29 @@ _WG15 = (0.0, 0.129484966168869693270611432679082,
 
 class _Rule(NamedTuple):
     """A Gauss-Kronrod rule on the centre and the node pairs
-    centr -/+ hlgth*x, the pairs in QUADPACK's evaluation order."""
-    x: tuple      # the pairs' abscissae on (0, 1)
-    wk: tuple     # their Kronrod weights
-    wc: float     # the centre's Kronrod weight
-    gauss: tuple  # the Gauss sum's (weight, pair) terms; pair None: centre
-    asc: tuple    # resasc's (weight, pair) terms, pairs in natural order
+    centr -/+ hlgth*x.  Its sums are (weights, rows) terms over the rows
+    of node values: row 0 the centre, row 1 + j pair j, in xgk's order."""
+    x: np.ndarray  # the pairs' abscissae on (0, 1)
+    k: tuple       # resk's and resabs' terms, in QUADPACK's order
+    g: tuple       # resg's terms
+    asc: tuple     # resasc's terms, the pairs in natural order
 
 
 def _rule_data(xgk, wgk, gauss, order) -> _Rule:
     """The _Rule of the tables xgk(1..n) and wgk(1..n+1), wgk(n+1) the
-    centre's; ``gauss`` numbers pairs 0..n-1 as xgk does, ``order`` lists
-    them in evaluation order."""
-    at = {j: i for i, j in enumerate(order)}
-    return _Rule(tuple(xgk[j] for j in order), tuple(wgk[j] for j in order),
-                 wgk[-1], tuple((w, at.get(j)) for w, j in gauss),
-                 tuple((wgk[j], at[j]) for j in range(len(xgk))))
+    centre's; ``gauss`` lists (weight, pair) with pair None for the
+    centre, ``order`` the order in which the Kronrod sum adds the pairs."""
+    def terms(pairs):
+        w, j = zip(*pairs)
+        return np.array(w), np.array([0 if i is None else 1 + i for i in j])
+    return _Rule(np.array(xgk)[:, None],
+                 terms([(wgk[-1], None), *((wgk[j], j) for j in order)]),
+                 terms(gauss),
+                 terms([(wgk[-1], None), *zip(wgk, range(len(xgk)))]))
 
 
-# dqk21 evaluates the centre, the Gauss pairs xgk(2), xgk(4), ..., then
-# xgk(1), xgk(3), ...; dqk15i evaluates its pairs in order, and keeps the
+# dqk21 adds the centre, the Gauss pairs xgk(2), xgk(4), ..., then
+# xgk(1), xgk(3), ...; dqk15i adds its pairs in order, and keeps the
 # Kronrod-only pairs' zero Gauss weights, since 0 * inf is NaN
 _RULE21 = _rule_data(_XGK21, _WGK21, [(w, 2 * i + 1) for i, w in
                                       enumerate(_WG10)],
@@ -132,54 +136,47 @@ def _fmax(x: float, y: float) -> float:
 def quad(f, a, b, epsabs: float, epsrel: float, limit: int) -> tuple:
     """(value, abserr) of the integral of f over (a, b), as scipy's quad.
 
-    a <= b, a finite, b finite or +inf; epsabs > 0 and limit >= 1.  f is
-    called with Python floats.  Its values are converted as ``float()``
-    converts them, as scipy's C wrapper does, so a complex value raises
-    TypeError.
+    a <= b, a finite, b finite or +inf; epsabs > 0 and limit >= 1.  It
+    is ``panels`` on the one range; on (a, inf) dqagie maps x in (0, 1]
+    to t = a + (1 - x)/x and applies dqk15i.  f maps arrays as for
+    ``panels``.
     """
     a, b = float(a), float(b)
     if a == b:
         return 0.0, 0.0
-    if b != math.inf:
-        return _on_floats(_RULE21, f, a, b, epsabs, epsrel, limit)
-
-    # dqagie maps x in (0, 1] to t = a + (1 - x)/x
-    def mapped(x: float) -> float:
-        return (float(f(a + (1.0 - x) / x)) / x) / x
-
-    return _on_floats(_RULE15, mapped, 0.0, 1.0, epsabs, epsrel, limit)
-
-
-def _on_floats(rule: _Rule, f, a: float, b: float, epsabs: float,
-               epsrel: float, limit: int) -> tuple:
-    """_adaptive with the rule applied to each interval in turn."""
-    steps = _adaptive(a, b, epsabs, epsrel, limit)
-    try:
-        intervals = next(steps)
-        while True:
-            intervals = steps.send([_rule(rule, f, lo, hi)
-                                    for lo, hi in intervals])
-    except StopIteration as stop:
-        return stop.value
+    rule = _RULE21
+    if b == math.inf:
+        rule, f, a, b = (_RULE15, lambda x, f=f, a=a:
+                         f(a + (1.0 - x) / x) / x / x, 0.0, 1.0)
+    result, abserr = _lockstep(rule, f, np.array([a]), np.array([b]),
+                               epsabs, epsrel, limit)
+    return float(result[0]), float(abserr[0])
 
 
 def panels(f, a: np.ndarray, b: np.ndarray, epsabs: float, epsrel: float,
            limit: int) -> tuple:
-    """``quad(f, a[i], b[i], epsabs, epsrel, limit)`` on every panel
-    (a[i], b[i]), a < b, at once, with an integrand ``f`` that maps a
-    float array to its values.  +, -, *, / and abs round as Python floats
-    do, so where f returns the values the scalar integrand gives, the
-    rule's sums are the scalar sums.
+    """dqagse on every panel (a[i], b[i]), a < b, at once, with an
+    integrand ``f`` that maps a float array to its values: arrays
+    (result, abserr) with the bits ``scipy.integrate.quad`` returns on
+    each panel with the same ``epsabs``, ``epsrel`` and ``limit``, for an
+    integrand that gives each float the bits of the array's element.
+    +, -, *, / and abs round as Python floats do, so the sums are
+    QUADPACK's.  Int and float32 values convert as floats do.
 
     The first rule runs on all panels in one array pass.  dqagse then
     bisects every panel that rule rejects in lockstep, each round's
     halves of all of them in one array pass, seeded with the first
-    rule's values.  Returns arrays (result, abserr).  A panel whose rule
-    meets a non-finite value leaves the lockstep there with a non-finite
-    result: the first rule's own, or NaN in a half.  Every other panel
-    has the bits ``quad`` returns.
+    rule's values.  A panel whose rule meets a non-finite or complex
+    value leaves the lockstep there with a non-finite result: the first
+    rule's own, or NaN in a half.
     """
-    first, finite, accepted = _first(f, a, b, epsabs, epsrel)
+    return _lockstep(_RULE21, f, a, b, epsabs, epsrel, limit)
+
+
+def _lockstep(rule: _Rule, f, a, b, epsabs: float, epsrel: float,
+              limit: int) -> tuple:
+    """``panels`` with the given rule: dqk21, or dqk15i on QAGI's map."""
+    first, finite, accepted = _first(rule, f, a, b, epsabs, epsrel)
     result, abserr = first[0], first[1]
     rejected = np.flatnonzero(finite & ~accepted).tolist()
     steps, rules = {}, {}
@@ -200,7 +197,7 @@ def panels(f, a: np.ndarray, b: np.ndarray, epsabs: float, epsrel: float,
             break
         lo, hi = np.array(list(halves.values())).reshape(-1, 2).T
         with np.errstate(all="ignore"):
-            *sums, finite = _rule(_RULE21, f, lo, hi)
+            *sums, finite = _rule(rule, f, lo, hi)
         sums = list(zip(*(x.tolist() for x in sums)))
         finite = finite.reshape(-1, 2).all(axis=1).tolist()
         rules = {}
@@ -212,76 +209,40 @@ def panels(f, a: np.ndarray, b: np.ndarray, epsabs: float, epsrel: float,
     return result, abserr
 
 
-def _rule(rule: _Rule, f, a, b) -> tuple:
-    """The rule on (a, b), a <= b: (result, abserr, resabs, resasc).
+def _rule(rule: _Rule, f, a: np.ndarray, b: np.ndarray) -> tuple:
+    """The rule on the panels (a, b), a <= b: arrays (result, abserr,
+    resabs, resasc), and where all of a panel's values are finite.
 
-    a and b are floats, or arrays of panels: then f maps the array of
-    all their nodes at once, and a fifth entry says of each panel that
-    all its values are finite.  The sums run over the rule's terms in the
-    same order either way, so a panel gets the bits of its float call.
+    f maps the stacked rows of nodes at once.  Each sum is one
+    np.add.accumulate down its rows of terms, which adds strictly in row
+    order, so a panel gets the bits of QUADPACK's loop.  resg starts at
+    its first term, not at 0.0 + it: only the sign of a zero differs,
+    and it cannot reach abs(resk - resg).  The error's scaling power
+    runs through np.float_power, which rounds as libm's pow, and only
+    where it is below 1: elsewhere min(1, .) is 1, as where C's pow
+    overflows or the ratio is NaN.
     """
-    x, wk, wc, gauss, asc = rule
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)  # >= 0, so it is also dhlgth
-    nodes = [centr]
-    for xj in x:
-        d = hlgth * xj
-        nodes += centr - d, centr + d
-    panels = isinstance(a, np.ndarray)
-    if panels:
-        fv = np.asarray(f(np.concatenate(nodes)), dtype=float)
-        fv = fv.reshape(len(nodes), a.size)
-    else:
-        fv = list(map(f, nodes))
-        if set(map(type, fv)) != {float}:
-            fv = [float(v) for v in fv]  # as scipy's C wrapper converts
-    fc, lv, rv = fv[0], fv[1::2], fv[2::2]
-    resk = wc * fc
-    resabs = wc * abs(fc)
-    for w, l, r in zip(wk, lv, rv):
-        resk = resk + w * (l + r)
-        resabs = resabs + w * (abs(l) + abs(r))
-    # dqk21's start; dqk15i starts at its centre term, and the sign of a
-    # zero resg cannot reach abs(resk - resg)
-    resg = 0.0
-    for w, j in gauss:
-        resg = resg + w * (fc if j is None else lv[j] + rv[j])
-    reskh = resk * 0.5
-    resasc = wc * abs(fc - reskh)
-    for w, j in asc:
-        resasc = resasc + w * (abs(lv[j] - reskh) + abs(rv[j] - reskh))
-    if not panels:
-        return _estimate(resk, resg, resabs, resasc, hlgth)
-    return _estimate_array(resk, resg, resabs, resasc, hlgth) + (
-        np.isfinite(fv).all(axis=0),)
+    d = hlgth * rule.x
+    nodes = np.concatenate((centr[None], centr - d, centr + d))
+    fv = np.asarray(f(nodes.ravel()))
+    if np.iscomplexobj(fv):  # a complex value has no float: NaN, as libm
+        fv = np.full(fv.shape, math.nan)
+    fv = fv.astype(float, copy=False).reshape(nodes.shape)
+    n = len(rule.x)
 
+    def total(terms, v):
+        """The terms' sum over the centre's row of v and each pair's
+        two rows added."""
+        w, row = terms
+        rows = np.concatenate((v[:1], v[1:n + 1] + v[n + 1:]))
+        return np.add.accumulate(w[:, None] * rows[row])[-1]
 
-def _estimate(resk: float, resg: float, resabs: float, resasc: float,
-              hlgth: float) -> tuple:
-    """The tail both rules share: scale by the half-length and estimate
-    the error from the Gauss-Kronrod difference."""
-    result = resk * hlgth
-    resabs = resabs * hlgth
-    resasc = resasc * hlgth
-    abserr = abs((resk - resg) * hlgth)
-    if resasc != 0.0 and abserr != 0.0:
-        try:
-            abserr = resasc * min(1.0, (200.0 * abserr / resasc) ** 1.5)
-        except OverflowError:  # C's pow gives inf, and fmin 1
-            abserr = resasc
-    if resabs > _TINY:
-        abserr = max((_EPMACH * 50.0) * resabs, abserr)
-    return result, abserr, resabs, resasc
-
-
-def _estimate_array(resk, resg, resabs, resasc, hlgth) -> tuple:
-    """_estimate on arrays.  The scaling power runs through
-    np.float_power, which rounds as libm's pow, and only where it is
-    below 1: elsewhere min(1, .) is 1."""
-    result = resk * hlgth
-    resabs = resabs * hlgth
-    resasc = resasc * hlgth
-    abserr = np.abs((resk - resg) * hlgth)
+    resk = total(rule.k, fv)
+    resabs = total(rule.k, np.abs(fv)) * hlgth
+    resasc = total(rule.asc, np.abs(fv - resk * 0.5)) * hlgth
+    abserr = np.abs((resk - total(rule.g, fv)) * hlgth)
     scaled = (resasc != 0.0) & (abserr != 0.0)
     ratio = 200.0 * abserr / resasc
     below = scaled & (ratio < 1.0)
@@ -289,17 +250,18 @@ def _estimate_array(resk, resg, resabs, resasc, hlgth) -> tuple:
     factor[below] = np.float_power(ratio[below], 1.5)
     abserr = np.where(scaled, resasc * factor, abserr)
     floor = (_EPMACH * 50.0) * resabs
-    # Python's max(floor, abserr): floor unless abserr is larger
+    # QUADPACK's max(floor, abserr): floor unless abserr is larger
     abserr = np.where((resabs > _TINY) & ~(abserr > floor), floor, abserr)
-    return result, abserr, resabs, resasc
+    return (resk * hlgth, abserr, resabs, resasc,
+            np.isfinite(fv).all(axis=0))
 
 
-def _first(f, a, b, epsabs: float, epsrel: float) -> tuple:
+def _first(rule: _Rule, f, a, b, epsabs: float, epsrel: float) -> tuple:
     """The first rule on the panels, (result, abserr, resabs, resasc);
     where its values are finite; and where dqagse accepts it."""
     with np.errstate(all="ignore"):
-        *rule, finite = _rule(_RULE21, f, a, b)
-        return rule, finite, _accepted(*rule, epsabs, epsrel)
+        *sums, finite = _rule(rule, f, a, b)
+        return sums, finite, _accepted(*sums, epsabs, epsrel)
 
 
 def _accepted(result, abserr, defabs, resabs, epsabs: float,

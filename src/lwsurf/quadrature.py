@@ -10,6 +10,11 @@ diverge because 2e >= 1.
 Divergence is decided from the endpoint kinds and exponent arithmetic,
 never from the size of a numeric estimate.
 
+Every finite integral runs through quadpack.panels on arrays: a table's
+grid panels, the piece out to an anchor off the grid and the span's
+pieces go through one panel call per table (``_panel_quad``), and only
+the span's unbounded tail runs on its own, through QAGI (quadpack.quad).
+
 Integrands take a float or a float array, and every element of an array
 has the bits of the scalar evaluation (``libm``, ``LibmArray``).  Powers
 run through ``np.float_power``: numpy does not SIMD-dispatch that ufunc,
@@ -411,24 +416,17 @@ def _qp():
     return _quadpack
 
 
-def _quad(f, a, b, tol, limit=_LIMIT):
-    """(value, abserr) by QUADPACK's QAGS, or QAGI on an infinite range.
-
-    The callers check the returned error estimate; no warning is issued.
-    """
-    return _qp().quad(f, a, b, _EPSABS, tol, limit)
-
-
 def _panel_quad(integrands: list, which: np.ndarray, a: np.ndarray,
                 b: np.ndarray, tol: float) -> tuple:
-    """(values, errors): ``_quad(integrands[which[i]], a[i], b[i], tol)``
-    for every panel i whose rules meet only finite values, bit for bit.
+    """(values, errors): dqagse on every panel (a[i], b[i]) of the
+    integrand ``integrands[which[i]]``, with scipy.integrate.quad's bits
+    where its rules meet only finite values.
 
     Each integrand's panels go through quadpack.panels together,
     PANEL_BLOCK at a time: the first rule on all of them, then dqagse's
     bisection of the rejected ones in lockstep, one array pass per round.
     A panel whose rule meets a non-finite value gets a non-finite value,
-    and a zero-width panel (0.0, 0.0), as ``_quad`` returns there.
+    and a zero-width panel (0.0, 0.0), as quad returns there.
     """
     panels = _qp().panels
     values, errors = np.zeros(a.size), np.zeros(a.size)
@@ -446,53 +444,53 @@ def _running_sum(x: np.ndarray) -> np.ndarray:
     return np.add.accumulate(np.concatenate(([0.0], x)))
 
 
-def integrate_singular(law: SlopeLaw, domain: DomainInterval,
-                       tol: float = 1e-10) -> QuadratureResult:
-    """Integral of the law over the domain with singular-endpoint handling.
+def _span_plan(law: SlopeLaw, domain: DomainInterval):
+    """The span's split, or None where it diverges: its pieces
+    (integrand, a, b) in the order their values are added, the integrand
+    0 for the law, 1 and 2 for the lower and upper edge integrands in s,
+    and where the unbounded tail starts (None on a bounded domain).
 
-    Double-root endpoints are classified divergent analytically because the
-    local exponent 2*(2m-1)/2m is at least 1; simple-root endpoints are
-    regularized by substitution; unbounded upper limits are finite exactly
-    when the declared decay exponent exceeds 1.
+    Double-root endpoints are divergent because the local exponent
+    2*(2m-1)/2m is at least 1; an unbounded upper limit is finite exactly
+    when the declared decay exponent exceeds 1.  The domain is split at
+    its midpoint (at a cut on an unbounded one), with one substituted
+    edge per simple root.
     """
     if EndpointKind.DOUBLE_ROOT in (domain.lower_kind, domain.upper_kind):
-        return QuadratureResult.divergent()
+        return None
     a, b = domain.lower, domain.upper
     if math.isinf(b) and (law.decay_exponent is None
                           or law.decay_exponent <= 1.0):
-        return QuadratureResult.divergent()
-    root_a = domain.lower_kind is EndpointKind.SIMPLE_ROOT
-    root_b = domain.upper_kind is EndpointKind.SIMPLE_ROOT
-
-    total, err_total = 0.0, 0.0
+        return None
     lo, hi = a, b
     if math.isinf(b):
         hi = max(2.0 * abs(a) + 10.0, 10.0)
     mid = 0.5 * (lo + hi)
-
-    if root_a:
-        w = mid - lo
-        g = _edge_integrand(law, a, +1)
-        val, err = _quad(g, 0.0, w ** (1.0 / (2 * law.m)), tol)
-        total += val
-        err_total += err
+    pieces = []
+    if domain.lower_kind is EndpointKind.SIMPLE_ROOT:
+        pieces.append((1, 0.0, (mid - lo) ** (1.0 / (2 * law.m))))
         lo = mid
-    if root_b:
+    if domain.upper_kind is EndpointKind.SIMPLE_ROOT:
         w = hi - mid
-        inner = hi - w
-        g = _edge_integrand(law, b, -1)
-        val, err = _quad(g, 0.0, w ** (1.0 / (2 * law.m)), tol)
-        total += val
-        err_total += err
-        hi = inner
+        pieces.append((2, 0.0, w ** (1.0 / (2 * law.m))))
+        hi = hi - w
     if hi > lo:
-        val, err = _quad(law, lo, hi, tol)
-        total += val
-        err_total += err
-    if math.isinf(b):
-        val, err = _quad(law, max(lo, hi), np.inf, tol, limit=400)
-        total += val
-        err_total += err
+        pieces.append((0, lo, hi))
+    return pieces, max(lo, hi) if math.isinf(b) else None
+
+
+def _span(law: SlopeLaw, tail, values: list, errors: list,
+          tol: float) -> QuadratureResult:
+    """The span from its pieces' values and errors, added in order, and
+    QAGI on the unbounded tail from ``tail`` on; ToleranceError where the
+    total is not finite or its error estimate exceeds the tolerance."""
+    total, err_total = 0.0, 0.0
+    if tail is not None:
+        value, error = _qp().quad(law, tail, math.inf, _EPSABS, tol, 400)
+        values, errors = [*values, value], [*errors, error]
+    for value, error in zip(values, errors):
+        total += value
+        err_total += error
     if not math.isfinite(total):
         raise ToleranceError("integral evaluation produced non-finite value",
                              total, err_total)
@@ -500,6 +498,36 @@ def integrate_singular(law: SlopeLaw, domain: DomainInterval,
         raise ToleranceError("quadrature error estimate exceeds tolerance",
                              total, err_total)
     return QuadratureResult.finite_value(total, err_total)
+
+
+def _edge_integrands(law: SlopeLaw, domain: DomainInterval) -> list:
+    """The law and the edge integrands in s at the lower and upper simple
+    roots (None where the end is not one): the integrands of _span_plan's
+    and profile_from_integral's pieces."""
+    root_lo = domain.lower_kind is EndpointKind.SIMPLE_ROOT
+    root_hi = domain.upper_kind is EndpointKind.SIMPLE_ROOT
+    # t = root - s^(2m): dt orientation already positive in s
+    return [law, _edge_integrand(law, domain.lower, +1) if root_lo else None,
+            _edge_integrand(law, domain.upper, -1) if root_hi else None]
+
+
+def integrate_singular(law: SlopeLaw, domain: DomainInterval,
+                       tol: float = 1e-10) -> QuadratureResult:
+    """Integral of the law over the domain with singular-endpoint handling.
+
+    Divergence is decided from the endpoint kinds and the decay exponent
+    (_span_plan); simple-root endpoints are regularized by substitution,
+    and the pieces go through one _panel_quad call, as the span pieces of
+    profile_from_integral do, so both give the same bits.
+    """
+    plan = _span_plan(law, domain)
+    if plan is None:
+        return QuadratureResult.divergent()
+    pieces, tail = plan
+    which, a, b = map(np.array, zip(*pieces))
+    values, errors = _panel_quad(_edge_integrands(law, domain), which, a,
+                                 b, tol)
+    return _span(law, tail, values.tolist(), errors.tolist(), tol)
 
 
 @dataclass
@@ -510,6 +538,7 @@ class ProfileSamples:
     u: np.ndarray
     du: np.ndarray
     quad_error: float = 0.0
+    span: float = math.nan  # total |u|-variation over the domain
 
 
 def _edge_offsets(width: float, n: int, kind: EndpointKind,
@@ -554,13 +583,17 @@ def profile_from_integral(law: SlopeLaw, domain: DomainInterval,
                           samples: int = 512, tol: float = 1e-10,
                           upper_cut: float = math.inf) -> ProfileSamples:
     """Sample u(alpha) = u0 + sign * int_{alpha0}^{alpha} law on a graded
-    grid.
+    grid, with the span integrate_singular gives.
 
     The anchor alpha0 is domain.lower or domain.upper, and may be an
     integrable singular endpoint; the panels next to a simple denominator
-    root are integrated in the regularized variable.  The du column is
-    the closed-form integrand, signed.  A non-finite panel integral
-    raises ToleranceError, as integrate_singular does.
+    root are integrated in the regularized variable.  The grid panels,
+    the piece out to an anchor off the grid and the span's pieces
+    (_span_plan) go through one _panel_quad call.  The du column is the
+    closed-form integrand, signed.  A non-finite table or anchor piece
+    raises ToleranceError, as integrate_singular does.  The span is the
+    value when finite, inf when divergent and NaN where _span raises
+    ToleranceError.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
@@ -576,61 +609,69 @@ def profile_from_integral(law: SlopeLaw, domain: DomainInterval,
     span_hi = min(upper, upper_cut) - lower
     # each panel's integrand: the law, or next to a simple root the edge
     # integrand in s, t = root +/- s^(2m)
-    root_lo = domain.lower_kind is EndpointKind.SIMPLE_ROOT
-    root_hi = domain.upper_kind is EndpointKind.SIMPLE_ROOT
-    g_lo = _edge_integrand(law, lower, +1) if root_lo else None
-    # t = root - s^(2m): dt orientation already positive in s
-    g_hi = _edge_integrand(law, upper, -1) if root_hi else None
+    integrands = _edge_integrands(law, domain)
+    root_lo, root_hi = (g is not None for g in integrands[1:])
     t0, t1 = grid[:-1], grid[1:]
     a, b = t0.copy(), t1.copy()
     which = np.zeros(t0.size, dtype=int)
-    integrands = [law]
     to_s = 1.0 / (2 * law.m)
     if root_lo:
         near = t1 - lower <= 0.51 * span_hi
-        which[near] = len(integrands)
-        integrands.append(g_lo)
+        which[near] = 1
         a[near] = libm(pow, t0[near] - lower, to_s)
         b[near] = libm(pow, t1[near] - lower, to_s)
     if root_hi:
         near = (which == 0) & (upper - t0 <= 0.51 * (upper - lower))
-        which[near] = len(integrands)
-        integrands.append(g_hi)
+        which[near] = 2
         a[near] = libm(pow, upper - t1[near], to_s)
         b[near] = libm(pow, upper - t0[near], to_s)
-    values, errors = _panel_quad(integrands, which, a, b, tol)
+    # the anchor's row: one within 1e-12 * max(1, |a0|) of it, j - 1
+    # tried before j; off the grid, the piece out to it is integrated
+    j = int(np.clip(np.searchsorted(grid, a0), 0, len(grid) - 1))
+    radius = 1e-12 * max(1.0, abs(a0))
+    row = next((k for k in (j - 1, j, j + 1)
+                if 0 <= k < len(grid) and abs(grid[k] - a0) <= radius), None)
+    pieces = []
+    if row is None and a0 == lower:
+        pieces.append((1, 0.0, (grid[0] - lower) ** to_s) if root_lo
+                      else (0, a0, grid[0]))
+    elif row is None:
+        pieces.append((2, 0.0, (upper - grid[-1]) ** to_s) if root_hi
+                      else (0, grid[-1], a0))
+    plan = _span_plan(law, domain)
+    pieces += plan[0] if plan else []
+    more = np.array(pieces).reshape(-1, 3).T
+    values, errors = _panel_quad(
+        integrands, np.concatenate((which, more[0].astype(int))),
+        np.concatenate((a, more[1])), np.concatenate((b, more[2])), tol)
+    n = t0.size
     # cumulative integral from grid[0]
-    U = _running_sum(values)
-    err_total = float(_running_sum(errors)[-1])
+    U = _running_sum(values[:n])
+    err_total = float(_running_sum(errors[:n])[-1])
     if not math.isfinite(U[-1]):
         raise ToleranceError("integral evaluation produced non-finite value",
                              float(U[-1]), err_total)
-
-    # value of the cumulative integral at the anchor, a domain end
-    def cumulative_at(alpha: float) -> float:
-        idx = np.searchsorted(grid, alpha)
-        j = int(np.clip(idx, 0, len(grid) - 1))
-        for k in (j - 1, j, j + 1):
-            if 0 <= k < len(grid) and abs(grid[k] - alpha) <= 1e-12 * max(1.0, abs(alpha)):
-                return float(U[k])
-        # the end is off the grid: add the piece out to it
-        if alpha == lower:
-            if root_lo:
-                s1 = (grid[0] - lower) ** to_s
-                val, _ = _quad(g_lo, 0.0, s1, tol)
-            else:
-                val, _ = _quad(law, alpha, grid[0], tol)
-            return float(U[0] - val)
-        if root_hi:
-            s1 = (upper - grid[-1]) ** to_s
-            val, _ = _quad(g_hi, 0.0, s1, tol)
-        else:
-            val, _ = _quad(law, grid[-1], alpha, tol)
-        return float(U[-1] + val)
-
-    offset = cumulative_at(a0)
+    if row is not None:
+        offset = float(U[row])
+    else:
+        piece = values[n]
+        if not math.isfinite(piece):
+            raise ToleranceError(
+                "integral evaluation produced non-finite value",
+                float(piece), float(errors[n]))
+        offset = float(U[0] - piece if a0 == lower else U[-1] + piece)
+        n += 1
+    if plan is None:
+        span = math.inf
+    else:
+        try:
+            span = _span(law, plan[1], values[n:].tolist(),
+                         errors[n:].tolist(), tol).value
+        except ToleranceError:
+            span = math.nan
     u = u0 + sign * (U - offset)
     with np.errstate(all="ignore"):
         # a plain array: the law gives a LibmArray, whose ** is libm's
         du = sign * np.asarray(law(grid))
-    return ProfileSamples(alpha=grid, u=u, du=du, quad_error=err_total)
+    return ProfileSamples(alpha=grid, u=u, du=du, quad_error=err_total,
+                          span=span)

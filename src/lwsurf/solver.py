@@ -22,12 +22,10 @@ import numpy as np
 from .quadrature import (
     DomainInterval,
     EndpointKind,
-    ToleranceError,
     _build_grid,
     as_libm,
     bracket_roots,
     double_root_factor,
-    integrate_singular,
     log,
     profile_from_integral,
 )
@@ -758,15 +756,10 @@ def _quadrature_branch(req: SolveRequest, piece: _Piece,
     table = profile_from_integral(
         law, dom, req.sign, (piece.anchor_alpha, req.shift),
         samples=req.samples, tol=req.tol, upper_cut=cut)
-    try:
-        res = integrate_singular(law, dom, tol=req.tol)
-        span = res.value if res.finite else math.inf
-    except ToleranceError:
-        span = math.nan
     return ProfileBranch(
         request=req, case=piece.tag, domain=dom, alpha=table.alpha,
         u=table.u, du=table.du, slope=law,
-        anchor=(piece.anchor_alpha, req.shift), span=span,
+        anchor=(piece.anchor_alpha, req.shift), span=table.span,
         quad_error=table.quad_error)
 
 

@@ -5,8 +5,10 @@ test modules, because solving all ~30 branches is the dominant cost of
 the suite.
 """
 
+import importlib.util
 import math
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -72,6 +74,15 @@ def build_instances(m: int) -> dict:
             put(solve_inhom_general(p, -2.0, 1.0, c1))
         put(solve_inhom_general(p, -2.0, -1.0, 0.4))
     return out
+
+
+def workloads():
+    """The benchmark's workload module, perfbench/workloads.py."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 _CACHE: dict = {}

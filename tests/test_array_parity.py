@@ -15,7 +15,6 @@ oldest numpy, to show that the bits depend on neither.
 """
 
 import dataclasses
-import importlib.util
 import math
 import warnings
 from pathlib import Path
@@ -25,7 +24,7 @@ import pytest
 
 import lwsurf.solver as solver
 import lwsurf.verify as verify
-from conftest import build_instances, instances
+from conftest import build_instances, instances, workloads
 from lwsurf import (
     EndpointKind,
     IllConditionedWarning,
@@ -503,11 +502,8 @@ def scalar_probe_roots(f, lo, hi, probes=64) -> list:
 
 def sweep_draws(seed: int) -> list:
     """The benchmark sweep's draws at a seed."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads.Sweep(path.parent, seed, path.parent).items
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    return workloads().Sweep(perfbench, seed, perfbench).items
 
 
 def test_bracket_roots_as_the_scalar_probe_loop(monkeypatch):

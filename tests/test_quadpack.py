@@ -1,14 +1,18 @@
 """Parity of the in-house QUADPACK port with scipy.integrate.quad.
 
-Profile panels go through quadrature._panel_quad: quadpack.panels runs
-the first rule on all panels at once and bisects the ones it rejects in
-lockstep.  Spans and tails go through quadrature._quad, which runs
-quadpack.quad, a port of QUADPACK's QAGS and QAGI.  Value and error
-estimate must agree with scipy's quad to the bit, so that tables, spans
-and quad_error do not depend on which of the two ran.  Most checks also
-require the same evaluation points in the same order, which pins down
-every branch the two take.  A panel that meets a non-finite value has a
-non-finite value, and a table with one raises ToleranceError.
+Profile panels, span pieces and anchor pieces go through
+quadrature._panel_quad: quadpack.panels runs the first rule on all
+panels at once and bisects the ones it rejects in lockstep.  The
+unbounded tail goes through quadpack.quad, which is panels on one range
+with QAGI's map and rule.  The integrands map arrays and give each float
+the bits of the float call (quadrature.libm, as_libm), so scipy's quad
+on the floats is the reference: value and error estimate must agree to
+the bit, so that tables, spans and quad_error do not depend on the port.
+Most checks also require the same evaluation points, sorted, since a
+round evaluates all its nodes in one array; that pins down every branch
+the two take.  A panel that meets a non-finite or complex value has a
+non-finite value, nothing is raised, and a table with one raises
+ToleranceError.
 """
 
 import math
@@ -33,10 +37,11 @@ from lwsurf.quadrature import (
     profile_from_integral,
 )
 
-EPSABS = 1e-14  # what quadrature._quad passes
+EPSABS = 1e-14  # what quadrature passes
 
 
 def reference(f, a, b, epsrel, limit):
+    """scipy's quad, which calls f with Python floats."""
     return scipy_quad(f, a, b, epsabs=EPSABS, epsrel=epsrel, limit=limit,
                       full_output=1)
 
@@ -45,7 +50,8 @@ def first_rule(f, a, b, epsabs, epsrel) -> tuple:
     """dqagse's first step on every panel (a[i], b[i]) at once: arrays
     (result, abserr, done), where ``done`` says that the 21 values are
     finite and dqagse stops after this rule."""
-    (result, abserr, *_), finite, accepted = _first(f, a, b, epsabs, epsrel)
+    (result, abserr, *_), finite, accepted = _first(_RULE21, f, a, b,
+                                                    epsabs, epsrel)
     return result, abserr, accepted & finite
 
 
@@ -54,8 +60,9 @@ def hexes(pair) -> tuple:
 
 
 def recorded(f, points: list):
+    """f, recording the floats it is called with, one or an array."""
     def g(x):
-        points.append(x.hex())
+        points.extend(np.ravel(x).tolist())
         return f(x)
     return g
 
@@ -67,7 +74,7 @@ def assert_same(f, a, b, epsrel=1e-10, limit=200) -> int:
     want = reference(recorded(f, seen_ref), a, b, epsrel, limit)
     got = quad(recorded(f, seen_port), a, b, EPSABS, epsrel, limit)
     assert hexes(got) == hexes(want), (a, b, epsrel, limit)
-    assert seen_port == seen_ref
+    assert sorted(seen_port) == sorted(seen_ref)
     return len(seen_port)
 
 
@@ -77,82 +84,54 @@ def assert_same(f, a, b, epsrel=1e-10, limit=200) -> int:
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_taxonomy_panels_bit_identical(m, monkeypatch):
-    """Every panel that building every m = 2, 3 instance integrates.
-
-    _panel_quad returns the (value, abserr) bits of quad on each panel;
-    a panel the first array pass accepts is one that quad ends after the
-    first rule, and every panel that quad bisects is bisected in lockstep
-    with the table's other rejected panels.  A sample is compared with
-    scipy: every 50th panel and scalar call, every one that bisects, and
-    the unbounded tail."""
-    panels, scalar_calls = [], []
-    panel_quad, port = quadrature._panel_quad, quadrature._quad
+    """Every panel, span piece and anchor piece that building every
+    m = 2, 3 instance integrates, and the unbounded tail, has the
+    (value, abserr) bits of scipy's quad on its floats.  Some of them
+    bisect, and the span pieces reach dqagse's bisection too."""
+    pieces, tails = [], []
+    panel_quad, port = quadrature._panel_quad, quadpack.quad
 
     def record_panels(integrands, which, a, b, tol):
         values, errors = panel_quad(integrands, which, a, b, tol)
-        done = np.zeros(a.size, dtype=bool)
-        for k, f in enumerate(integrands):
-            idx = np.flatnonzero((which == k) & (a < b))
-            for start in range(0, idx.size, quadrature.PANEL_BLOCK):
-                block = idx[start:start + quadrature.PANEL_BLOCK]
-                done[block] = first_rule(f, a[block], b[block], EPSABS,
-                                         tol)[2]
-        for i in range(a.size):
-            panels.append((integrands[which[i]], a[i], b[i], tol,
-                           (values[i], errors[i]), done[i]))
+        pieces.extend(
+            (integrands[k], x, y, tol, 200, got) for k, x, y, got in zip(
+                which.tolist(), a.tolist(), b.tolist(),
+                zip(values.tolist(), errors.tolist())))
         return values, errors
 
-    def record_scalar(f, a, b, tol, limit=200):
-        scalar_calls.append((f, a, b, tol, limit))
-        return port(f, a, b, tol, limit)
+    def record_tail(f, a, b, epsabs, epsrel, limit):
+        got = port(f, a, b, epsabs, epsrel, limit)
+        tails.append((f, a, b, epsrel, limit, got))
+        return got
 
     monkeypatch.setattr(quadrature, "_panel_quad", record_panels)
-    monkeypatch.setattr(quadrature, "_quad", record_scalar)
+    monkeypatch.setattr(quadpack, "quad", record_tail)
     build_instances(m)
     monkeypatch.undo()
-    assert len(panels) > 13000
-    bisected = tails = fallback = 0
-    for index, (f, a, b, tol, got, done) in enumerate(panels):
-        evaluations = [0]
-
-        def counted(x, f=f):
-            evaluations[0] += 1
-            return f(x)
-
-        assert hexes(quad(counted, a, b, EPSABS, tol, 200)) == hexes(got)
-        loop = evaluations[0] > 21
-        assert not (done and evaluations[0] != 21), (a, b)
-        fallback += not done
-        if loop or index % 50 == 0:
-            assert_same(f, a, b, tol)
-            bisected += loop
-    assert 0 < fallback < len(panels) // 100
-    for index, (f, a, b, tol, limit) in enumerate(scalar_calls):
-        evaluations = [0]
-
-        def counted(x, f=f):
-            evaluations[0] += 1
-            return f(x)
-
-        quad(counted, a, b, EPSABS, tol, limit)
-        tail = math.isinf(b)
-        if tail or evaluations[0] > 21 or index % 50 == 0:
-            assert_same(f, a, b, tol, limit)
-            tails += tail
-            bisected += not tail and evaluations[0] > 21
-    assert tails == 1
-    assert bisected >= 10
+    assert len(pieces) > 13000
+    assert len(tails) == 1
+    bisected = 0
+    for f, a, b, tol, limit, got in pieces + tails:
+        want = reference(f, a, b, tol, limit)
+        assert hexes(got) == hexes(want), (a, b)
+        bisected += want[2]["last"] > 1
+    assert 10 <= bisected < len(pieces) // 50
 
 
 # ---------------------------------------------------------------------------
 # synthetic integrands
 
 
+def mapped(fn):
+    """fn on a float, and on every float of an array through libm."""
+    return lambda x: libm(fn, x) if isinstance(x, np.ndarray) else fn(x)
+
+
 SINGULAR = {
-    "inverse_sqrt": (lambda x: x ** -0.5, 0.0, 1.0),
-    "log": (lambda x: math.log(x), 0.0, 1.0),
-    "interior_cusp": (lambda x: abs(x - 0.3) ** -0.5 if x != 0.3 else 0.0,
-                      0.0, 1.0),
+    "inverse_sqrt": (lambda x: as_libm(x) ** -0.5, 0.0, 1.0),
+    "log": (log, 0.0, 1.0),
+    "interior_cusp": (mapped(lambda x: abs(x - 0.3) ** -0.5 if x != 0.3
+                             else 0.0), 0.0, 1.0),
 }
 
 
@@ -167,22 +146,26 @@ def test_endpoint_singularities_bisect_and_extrapolate(name, epsrel):
 def test_equal_error_estimates():
     """A singularity at the midpoint gives both halves the same error, so
     dqpsrt's ordering decides ties."""
-    f = lambda x: abs(x - 0.5) ** -0.5 if x != 0.5 else 0.0
+    f = mapped(lambda x: abs(x - 0.5) ** -0.5 if x != 0.5 else 0.0)
     for epsrel in (1e-10, 1e-13):
         assert assert_same(f, 0.0, 1.0, epsrel) > 21
+
+
+def epsilon_table_integrand(x):
+    return 1.0 / (x * (-log(x)) ** 3)
 
 
 def test_epsilon_table_at_its_cap():
     """Extrapolation on nearly every bisection fills dqelg's table to its
     limexp = 50 entries, which then drops its oldest ones."""
-    f = lambda x: 1.0 / (x * (-math.log(x)) ** 3)
-    assert assert_same(f, 0.0, 0.5, 1e-8, 100) == 21 * 199
+    assert assert_same(epsilon_table_integrand, 0.0, 0.5, 1e-8,
+                       100) == 21 * 199
 
 
 def test_overflowing_sums():
     """The node sums overflow to inf, so the Gauss-Kronrod difference is
     NaN and the error estimate comes from the resabs floor."""
-    assert_same(lambda x: 1.6e308, 0.0, 1.0)
+    assert_same(mapped(lambda x: 1.6e308), 0.0, 1.0)
     assert_same(lambda x: 1.6e308 * (1.0 - x), 0.0, 1.0)
 
 
@@ -196,8 +179,8 @@ def test_limit_exhaustion(limit):
 
 
 @pytest.mark.parametrize("f, epsrel, last", [
-    (lambda x: x ** -0.5, 1e-15, 11),                   # in the loop
-    (lambda x: 1.0 + 1e-15 * math.sin(1e7 * x), 1e-16, 1),  # first rule
+    (lambda x: as_libm(x) ** -0.5, 1e-15, 11),  # in the loop
+    (mapped(lambda x: 1.0 + 1e-15 * math.sin(1e7 * x)), 1e-16, 1),  # first
 ])
 def test_roundoff_exit(f, epsrel, last):
     assert_same(f, 0.0, 1.0, epsrel, 200)
@@ -207,9 +190,9 @@ def test_roundoff_exit(f, epsrel, last):
 
 
 @pytest.mark.parametrize("f, a", [
-    (lambda t: t ** -1.1, 1.0),
-    (lambda t: t ** -1.5, 2.0),
-    (lambda t: math.exp(-t), 0.0),
+    (lambda t: as_libm(t) ** -1.1, 1.0),
+    (lambda t: as_libm(t) ** -1.5, 2.0),
+    (mapped(lambda t: math.exp(-t)), 0.0),
 ])
 @pytest.mark.parametrize("limit", [3, 50, 400])
 def test_unbounded_tails(f, a, limit):
@@ -221,40 +204,45 @@ def test_empty_range():
     assert quad(f, 1.0, 1.0, EPSABS, 1e-10, 200) == (0.0, 0.0)
 
 
+# (integrand, a, b): ranges of dqk21 and of dqk15i after QAGI's map
+CONTRACT_RANGES = (
+    (SINGULAR["inverse_sqrt"][0], 0.0, 1.0),
+    (mapped(lambda x: math.sin(30.0 * x)), 0.0, 2.0),
+    (lambda t: as_libm(1.0 + t) ** -1.5, 0.0, math.inf),
+)
+
+
 @pytest.mark.parametrize("special", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("at", [0, 7, 20, 60, 250])
 @pytest.mark.parametrize("limit", [20, 50])
 def test_one_non_finite_value(special, at, limit):
-    """NaN or inf at one evaluation.  NaN then reaches QUADPACK's
-    comparisons, whose outcomes decide which interval is bisected next and
-    when to extrapolate.  limit <= 50 keeps scipy inside its 52-entry
-    epsilon table, which a NaN area can overrun (undefined behaviour in
-    C)."""
-    for base, a, b in ((lambda x: x ** -0.5, 0.0, 1.0),
-                       (lambda x: math.sin(30.0 * x), 0.0, 2.0),
-                       (lambda t: (1.0 + t) ** -1.5, 0.0, math.inf)):
+    """NaN or inf at the at-th evaluated float, on dqk21 and dqk15i
+    ranges.  A rule that meets it has a non-finite sum, and the range
+    leaves dqagse with a non-finite result, without an exception or a
+    warning; scipy instead carries the value through dqagse's
+    comparisons.  A run that ends before that evaluation has scipy's
+    bits."""
+    for base, a, b in CONTRACT_RANGES:
         calls = [0]
 
         def f(x, base=base):
-            calls[0] += 1
-            return special if calls[0] == at + 1 else base(x)
+            y = np.array(base(x), dtype=float)
+            if 0 <= at - calls[0] < y.size:
+                y.flat[at - calls[0]] = special
+            calls[0] += y.size
+            return y
 
-        # f counts its calls, so each run gets a fresh counter
-        seen_ref, seen_port = [], []
-        want = reference(recorded(f, seen_ref), a, b, 1e-10, limit)
-        calls[0] = 0
-        got = quad(recorded(f, seen_port), a, b, EPSABS, 1e-10, limit)
-        assert hexes(got) == hexes(want)
-        assert seen_port == seen_ref
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = quad(f, a, b, EPSABS, 1e-10, limit)
+        if calls[0] > at:
+            assert not math.isfinite(got[0]), (a, b)
+        else:
+            assert hexes(got) == hexes(reference(base, a, b, 1e-10, limit))
 
 
 # ---------------------------------------------------------------------------
 # the first rule on many panels at once
-
-
-def mapped(fn):
-    """fn on a float, and on every float of an array through libm."""
-    return lambda x: libm(fn, x) if isinstance(x, np.ndarray) else fn(x)
 
 
 FIRST_RULE = {
@@ -264,34 +252,37 @@ FIRST_RULE = {
     "overflowing": (lambda x: 1.6e308 * (1.0 - x), 0.0, 1.0),
     "complex_left_half": (lambda x: as_libm(x - 0.5) ** 0.5, 0.0, 1.0),
 }
+# scipy's limit on these panels: the overflowing sums give NaN areas, and
+# above 50 these overrun scipy's 52-entry epsilon table (undefined
+# behaviour in C, which can crash the process)
+SAFE_LIMIT = 50
+
+
+def seeded_panels(name: str, seed: int) -> tuple:
+    """300 panels that tile the range of FIRST_RULE[name]."""
+    f, a, b = FIRST_RULE[name]
+    cuts = np.sort(np.random.default_rng(seed).uniform(a, b, 300))
+    return f, np.concatenate(([a], cuts[:-1])), np.concatenate(([b],
+                                                                cuts[1:]))
 
 
 @pytest.mark.parametrize("name", sorted(FIRST_RULE))
 def test_first_rule_panels_match_quad(name):
-    """A panel first_rule accepts has quad's bits and is one that quad ends
-    after its first rule; a panel quad bisects, or raises on, is not
-    accepted."""
-    f, a, b = FIRST_RULE[name]
-    cuts = np.sort(np.random.default_rng(7).uniform(a, b, 300))
-    lo = np.concatenate(([a], cuts[:-1]))
-    hi = np.concatenate(([b], cuts[1:]))
+    """A panel first_rule accepts has the bits of scipy's quad and is one
+    that scipy ends after its first rule; a panel scipy bisects, or
+    raises on, is not accepted."""
+    f, lo, hi = seeded_panels(name, 7)
     result, abserr, done = first_rule(f, lo, hi, EPSABS, 1e-10)
     for i in range(lo.size):
-        evaluations = [0]
-
-        def counted(x):
-            evaluations[0] += 1
-            return f(x)
-
         try:
-            got = quad(counted, lo[i], hi[i], EPSABS, 1e-10, 200)
-        except TypeError:
+            want = reference(f, lo[i], hi[i], 1e-10, SAFE_LIMIT)
+        except TypeError:  # a complex value
             assert not done[i]
             continue
         if done[i]:
-            assert evaluations[0] == 21
-            assert hexes(got) == hexes((result[i], abserr[i]))
-        if evaluations[0] > 21:
+            assert want[2]["neval"] == 21
+            assert hexes((result[i], abserr[i])) == hexes(want)
+        if want[2]["neval"] > 21:
             assert not done[i]
     if name != "overflowing":
         assert done.any()
@@ -300,32 +291,24 @@ def test_first_rule_panels_match_quad(name):
 @pytest.mark.parametrize("name", sorted(FIRST_RULE))
 def test_rule_on_panels_matches_rule_on_floats(name):
     """The 21-point rule on an array of panels gives every panel the
-    (result, abserr, resabs, resasc) bits of the rule on its floats,
-    whether first_rule accepts the panel or not, and whether its values
-    and sums are finite or not.  A panel whose float values include a
-    complex one raises there, and the array pass flags it non-finite;
-    panels then gives it a non-finite result."""
-    f, a, b = FIRST_RULE[name]
-    cuts = np.sort(np.random.default_rng(11).uniform(a, b, 300))
-    lo = np.concatenate(([a], cuts[:-1]))
-    hi = np.concatenate(([b], cuts[1:]))
+    (result, abserr) bits of scipy's first rule on its floats (dqagse
+    ends there at limit 1), whether first_rule accepts the panel or not,
+    and whether its values and sums are finite or not.  Where a float
+    value is complex, scipy raises, and the array pass flags the panel
+    non-finite; panels then gives it a non-finite result."""
+    f, lo, hi = seeded_panels(name, 11)
     with np.errstate(all="ignore"):
         *sums, finite = _rule(_RULE21, f, lo, hi)
     for i in range(lo.size):
         values = []
-
-        def g(x):
-            values.append(f(x))
-            return values[-1]
-
         try:
-            got = _rule(_RULE21, g, float(lo[i]), float(hi[i]))
+            want = reference(recorded(f, values), lo[i], hi[i], 1e-10, 1)
         except TypeError:
             assert not finite[i]
             continue
-        assert len(values) == 21
-        assert [v.hex() for v in got] == [float(s[i]).hex() for s in sums]
-        assert finite[i] == all(map(math.isfinite, values))
+        assert want[2]["neval"] == 21
+        assert hexes((sums[0][i], sums[1][i])) == hexes(want)
+        assert finite[i] == all(map(math.isfinite, map(f, values)))
     result = panels(f, lo, hi, EPSABS, 1e-10, 200)[0]
     assert not np.isfinite(result[~finite]).any()
     if name == "overflowing":
@@ -339,16 +322,18 @@ def test_rule_on_panels_matches_rule_on_floats(name):
 
 
 def loop_of_quad(f, lo, hi, epsrel=1e-10, limit=200) -> list:
-    return [hexes(quad(f, a, b, EPSABS, epsrel, limit))
+    """scipy's quad on each panel in turn."""
+    return [hexes(reference(f, a, b, epsrel, limit))
             for a, b in zip(lo.tolist(), hi.tolist())]
 
 
 @pytest.mark.parametrize("name", sorted(FIRST_RULE))
-def test_panel_quad_matches_a_loop_of_quad(name):
+def test_panel_quad_matches_a_loop_of_quad(name, monkeypatch):
     """_panel_quad on 300 seeded panels, many of them rejected by the
-    first rule and bisected, gives every panel on which quad returns the
-    bits of quad on its floats.  Where quad raises, the value or the
-    error is non-finite."""
+    first rule and bisected, gives every panel on which scipy's quad
+    returns its bits, both at SAFE_LIMIT.  Where scipy raises, the value
+    or the error is non-finite."""
+    monkeypatch.setattr(quadrature, "_LIMIT", SAFE_LIMIT)
     f, a, b = FIRST_RULE[name]
     lo, hi = np.sort(np.random.default_rng(17).uniform(a, b, (2, 300)),
                      axis=0)
@@ -358,7 +343,7 @@ def test_panel_quad_matches_a_loop_of_quad(name):
     raised = 0
     for x, y, got in zip(lo.tolist(), hi.tolist(), zip(values, errors)):
         try:
-            want = quad(f, x, y, EPSABS, 1e-10, 200)
+            want = reference(f, x, y, 1e-10, SAFE_LIMIT)
         except TypeError:
             raised += 1
             assert not all(map(math.isfinite, got)), (x, y)
@@ -443,26 +428,66 @@ def test_table_whose_panel_meets_nan_raises():
                                   samples=samples)
 
 
+class NanBelow:
+    """x^(1/2) on arrays, NaN below 1e-7."""
+
+    m = 1
+
+    def __call__(self, x):
+        return np.where(x < 1e-7, math.nan, as_libm(x) ** 0.5)
+
+
+def test_anchor_piece_that_meets_nan_raises():
+    """The anchor 0.0 of an axis end lies off the grid, whose first point
+    is 1e-6, so only the piece out to it meets the NaN; the table raises
+    ToleranceError instead of giving every u as NaN."""
+    domain = DomainInterval(0.0, 1.0, EndpointKind.AXIS_ZERO,
+                            EndpointKind.SMOOTH_CAP)
+    with pytest.raises(ToleranceError, match="non-finite value"):
+        profile_from_integral(NanBelow(), domain, +1, (0.0, 0.0),
+                              samples=64)
+    table = profile_from_integral(NanBelow(), DomainInterval(
+        1e-6, 1.0, EndpointKind.SMOOTH_CAP, EndpointKind.SMOOTH_CAP), +1,
+        (1e-6, 0.0), samples=64)
+    assert np.isfinite(table.u).all()
+
+
 # ---------------------------------------------------------------------------
-# integrand values that are not Python floats
+# integrand values that are not floats
 
 
 def test_numpy_and_int_values_convert_like_scipy():
-    assert_same(lambda x: np.float64(x) ** -0.5, 0.0, 1.0)
-    assert_same(lambda x: 3, 0.0, 2.0)
-    assert_same(lambda x: np.float32(x) ** 2, 0.0, 1.0)
+    """Int and float32 values convert as floats, on dqk21 and dqk15i
+    ranges."""
+    assert_same(lambda x: np.full(np.shape(x), 3), 0.0, 2.0)
+    assert_same(lambda x: np.square(np.asarray(x, dtype=np.float32)),
+                0.0, 1.0)
+    assert_same(lambda t: np.where(np.asarray(t) < 5.0, 3, 0), 0.0,
+                math.inf)
+    assert_same(lambda t: np.square(np.asarray(1.0 / (1.0 + t),
+                                               dtype=np.float32)),
+                0.0, math.inf)
 
 
-def test_complex_value_raises_type_error():
+def test_complex_value_gives_non_finite_result():
+    """A complex value has no float.  scipy raises TypeError on it; the
+    array rule gives the range a non-finite result instead, without
+    casting it to a real one, raising or warning, on dqk21 and dqk15i
+    ranges alike."""
     def f(x):
-        return 1j if 0.4 < x < 0.45 else x
+        return np.where((0.4 < x) & (x < 0.45), 1j, x)
 
-    with pytest.raises(TypeError):
-        reference(f, 0.0, 1.0, 1e-10, 200)
-    with pytest.raises(TypeError):
-        quad(f, 0.0, 1.0, EPSABS, 1e-10, 200)
-    with pytest.raises(TypeError):
-        quad(f, 0.0, math.inf, EPSABS, 1e-10, 200)
+    for b in (1.0, math.inf):
+        with pytest.raises(TypeError):
+            reference(f, 0.0, b, 1e-10, 200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not math.isfinite(quad(f, 0.0, b, EPSABS, 1e-10, 200)[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = panels(f, np.array([0.0, 0.5]), np.array([0.5, 1.0]),
+                        EPSABS, 1e-10, 200)[0]
+    assert not np.isfinite(values).any()
 
 
 @pytest.mark.parametrize("m, lam, mu, c1", [

@@ -25,13 +25,24 @@ from lwsurf import (
     solve_inhom_general,
     solve_inhom_lambda_minus1,
 )
-from lwsurf import solver
+from lwsurf import quadrature, solver
 from lwsurf.assembler import reflect_branch
-from lwsurf.quadrature import ROOT_VALUE_TOL, EndpointKind, ToleranceError
+from lwsurf.quadrature import (
+    ROOT_VALUE_TOL,
+    EndpointKind,
+    ToleranceError,
+    integrate_singular,
+)
 from lwsurf.solver import SlopeLaw, critical_c1
 from lwsurf.verify import residual_scan, slope_invariant
 
-from conftest import crit_mid, thr_low, instances, ALL_TAGS_WITH_TABLE
+from conftest import (
+    ALL_TAGS_WITH_TABLE,
+    crit_mid,
+    instances,
+    thr_low,
+    workloads,
+)
 
 
 P2 = NormParameter(2)
@@ -325,7 +336,7 @@ class TestSpanFailures:
         def fail(*args, **kwargs):
             raise ToleranceError("over budget", 1.0, 1.0)
 
-        monkeypatch.setattr(solver, "integrate_singular", fail)
+        monkeypatch.setattr(quadrature, "_span", fail)
         b = solve_inhom_general(P2, 0.5, 1.0, 0.8)[0]
         assert math.isnan(b.span)
 
@@ -333,6 +344,33 @@ class TestSpanFailures:
         def fail(*args, **kwargs):
             raise ZeroDivisionError("bug")
 
-        monkeypatch.setattr(solver, "integrate_singular", fail)
+        monkeypatch.setattr(quadrature, "_span", fail)
         with pytest.raises(ZeroDivisionError):
             solve_inhom_general(P2, 0.5, 1.0, 0.8)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_span_is_integrate_singulars(m):
+    """solve takes the span from its table's panel call; on every
+    taxonomy branch it has the bits of integrate_singular on the branch's
+    law and domain: the value, inf where it diverges, and NaN where it
+    raises ToleranceError."""
+    p = NormParameter(m)
+    laws = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        for name, args, _ in workloads()._taxonomy_calls(m):
+            built = getattr(solver, name)(p, *args)
+            for b in built if isinstance(built, list) else [built]:
+                if not isinstance(b.slope, SlopeLaw):
+                    continue
+                assert b.scale == 1.0
+                try:
+                    res = integrate_singular(b.slope, b.domain,
+                                             b.request.tol)
+                    want = res.value if res.finite else math.inf
+                except ToleranceError:
+                    want = math.nan
+                assert b.span.hex() == want.hex(), (name, args, b.case)
+                laws += 1
+    assert laws >= 25

@@ -11,7 +11,7 @@ comparing the printed lines:
 
 Each line is one group and its digest:
 
-* ``taxonomy``: one instance of every table-bearing case tag at m = 2, 3
+* ``taxonomy``: one instance of every table-bearing case tag at m = 1..6
   (the benchmark's taxonomy calls), all three verifiers;
 * ``spheres``: the sphere of ``solve_constant_k2`` and the three spheres
   of ``solve_inhom_general`` at m = 4, 5, 6, all three verifiers;
@@ -92,7 +92,7 @@ def taxonomy(lwsurf, workloads) -> str:
     checks = (lwsurf.residual_scan, lwsurf.first_integral_drift,
               lwsurf.ode_oracle)
     entries = []
-    for m in (2, 3):
+    for m in range(1, 7):
         p = lwsurf.NormParameter(m)
         for name, args, _ in workloads._taxonomy_calls(m):
             entries += _solved(lambda: getattr(lwsurf, name)(p, *args),
