@@ -40,7 +40,7 @@ from .solver import (
     solve,
     solve_constant_k2,
 )
-from .verify import residual_scan_table
+from .verify import TABLE_TOL, residual_scan_table
 
 log = logging.getLogger("lwsurf")
 
@@ -64,8 +64,7 @@ DEFAULTS = {
     "sign": 1,
     "samples": 512,
     "tol": 1e-10,
-    "epsilon": 1e-3,
-    "verify_tol": 1e-6,
+    "verify_tol": TABLE_TOL,
     "segments": 96,
     "piece": 0,
     "height": 1.0,
@@ -400,9 +399,8 @@ def cmd_verify(settings: dict) -> int:
         raise ValueError("verify needs --profile FILE.csv")
     alpha, u, du = read_profile_csv(path)
     p = NormParameter(settings["m"])
-    report = residual_scan_table(
-        p, alpha, u, du, settings["lam"], settings["mu"],
-        epsilon=settings["epsilon"], tol=settings["verify_tol"])
+    report = residual_scan_table(p, alpha, u, du, settings["lam"],
+                                 settings["mu"], tol=settings["verify_tol"])
     out = settings.get("report")
     if out:
         _json_dump(out, report.as_dict())
@@ -482,10 +480,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--height", type=float, dest="height")
     sp.add_argument("--recipe", choices=[r.value for r in Recipe])
 
-    sp = sub.add_parser("verify", help="residual scan of a profile CSV")
+    sp = sub.add_parser("verify",
+                       help="first-integral check of a profile CSV")
     _add_common(sp)
     sp.add_argument("--profile", help="profile CSV path")
-    sp.add_argument("--epsilon", type=float, dest="epsilon")
     sp.add_argument("--verify-tol", type=float, dest="verify_tol")
     sp.add_argument("--report", help="write the JSON report here")
 

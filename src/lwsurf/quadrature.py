@@ -604,6 +604,8 @@ def profile_from_integral(law: SlopeLaw, domain: DomainInterval,
     if a0 not in (lower, upper):
         raise ValueError(f"anchor {a0} is not an end of the domain "
                          f"[{lower}, {upper}]")
+    if not math.isfinite(a0):
+        raise ValueError(f"anchor {a0} is not finite")
 
     grid = _build_grid(domain, samples, law.m, upper_cut)
     span_hi = min(upper, upper_cut) - lower

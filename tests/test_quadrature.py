@@ -208,6 +208,16 @@ class TestProfileFromIntegral:
             profile_from_integral(simple_root_law(2, 1.0), dom, +1,
                                   (alpha0, 0.0))
 
+    def test_anchor_at_an_infinite_end_rejected(self):
+        # every grid row lies within 1e-12 * inf of inf, so without the
+        # check the anchor snapped to the second-to-last row
+        law = SlopeLaw(_hom_pos, (1.0, 1.0), 2, decay_exponent=3.0)
+        dom = DomainInterval(1.0, math.inf, EndpointKind.SIMPLE_ROOT,
+                             EndpointKind.UNBOUNDED)
+        with pytest.raises(ValueError, match="anchor inf is not finite"):
+            profile_from_integral(law, dom, +1, (math.inf, 0.0), samples=64,
+                                  upper_cut=50.0)
+
     def test_graded_grid_denser_near_simple_root(self):
         dom = DomainInterval(1.0, 2.0, EndpointKind.SIMPLE_ROOT,
                              EndpointKind.SMOOTH_CAP)

@@ -23,8 +23,9 @@ from lwsurf import (
     solve_homogeneous,
     solve_inhom_general,
 )
-from conftest import crit_mid
+from conftest import crit_mid, instances
 from lwsurf import verify
+from lwsurf.cli import read_profile_csv, write_profile_csv
 from lwsurf.verify import slope_invariant
 
 
@@ -39,6 +40,14 @@ def sphere():
 @pytest.fixture(scope="module")
 def generic():
     return solve_inhom_general(P2, 0.5, 1.0, 0.8, samples=128)[0]
+
+
+def csv_round_trip(branch, tmp_path) -> tuple:
+    """(alpha, u, du) of the branch as lwsurf generate writes and lwsurf
+    verify reads them: 14 significant digits."""
+    path = str(tmp_path / "profile.csv")
+    write_profile_csv(path, branch.alpha, branch.u, branch.du)
+    return read_profile_csv(path)
 
 
 class TestResidualScan:
@@ -104,11 +113,12 @@ class TestResidualScan:
         assert math.isnan(rep.max_residual)
 
     def test_wrong_relation_fails(self, generic):
-        # scanning the table against a different relation must fail loudly
+        # scanning the table against a different relation must fail
+        # loudly: the first integral's relative residual reaches 0.89
         rep = residual_scan_table(
             P2, generic.alpha, generic.u, generic.du, lam=0.5, mu=-1.0)
         assert not rep.passed
-        assert rep.max_residual > 1e-2
+        assert rep.max_residual > 0.5
 
 
 class TestResidualScanTable:
@@ -137,15 +147,36 @@ class TestResidualScanTable:
                                 generic.du[order], generic.lam,
                                 generic.mu / generic.scale)
 
-    def test_no_point_left_gives_failed_report(self, generic):
-        rep = residual_scan_table(
-            P2, generic.alpha, generic.u, generic.du, generic.lam,
-            generic.mu / generic.scale, epsilon=0.5)
-        assert not rep.passed
-        assert rep.n_points == 0 and rep.excluded_fraction == 1.0
-        assert rep.details["reason"] == (
-            "exclusion zones removed every sample point")
-        assert math.isnan(rep.max_residual)
+    @pytest.mark.parametrize("which", ["generic", "m1_sphere"])
+    def test_every_row_of_a_csv_is_checked(self, which, generic, tmp_path):
+        """Also on the m = 1 sphere, whose constant is 0: next to the axis
+        its terms are 1e-12, and against them alone the median's rounding
+        read 4e-10."""
+        b = generic if which == "generic" else solve_constant_k2(
+            NormParameter(1))
+        alpha, u, du = csv_round_trip(b, tmp_path)
+        rep = residual_scan_table(b.request.p, alpha, u, du, b.lam,
+                                  b.mu / b.scale)
+        assert rep.passed, rep.max_residual
+        assert rep.n_points == len(alpha)
+        assert rep.excluded_fraction == 0.0 and rep.excluded_zones == []
+
+    def test_a_row_on_the_axis_is_excluded(self):
+        """A sweep draw (seed 409) whose 6.3iv-3 table starts at a smooth
+        cap on alpha = 0, where the first integral's terms are 0 * inf: that
+        row is left out and reported, every other row is checked."""
+        req = SolveRequest(
+            p=NormParameter(6),
+            relation=WeingartenRelation.linear(-0.9971090282468014,
+                                               -1.745293185482544),
+            c1=-2.0513967321393913)
+        (b,) = solve(req)
+        assert b.case.value == "6.3iv-3" and b.alpha[0] == 0.0
+        rep = residual_scan_table(req.p, b.alpha, b.u, b.du, b.lam,
+                                  b.mu / b.scale)
+        assert rep.passed, rep.max_residual
+        assert rep.n_points == len(b.alpha) - 1
+        assert rep.excluded_zones == [((0.0, 0.0), "axis")]
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -154,6 +185,25 @@ class TestResidualScanTable:
         with pytest.raises(ValueError):
             residual_scan_table(P2, np.zeros(8), np.zeros(8), np.zeros(8),
                                 1.0, 0.0)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_one_corrupted_slope_fails(self, m, tmp_path):
+        """du[i] *= 1 + 1e-7 at one interior row fails the check, at the
+        caps' flat slopes as well as the steep ones.  (Where |du| is in the
+        hundreds W barely moves with du: at m = 3 the 6.1i-3-1 row with
+        |du| = 649 passes.)"""
+        for tag in ("5i-1", "6.1i-3-1", "6.3i"):
+            b = instances(m)[tag]
+            alpha, u, du = csv_round_trip(b, tmp_path)
+            args = (NormParameter(m), alpha, u)
+            relation = (b.lam, b.mu / b.scale)
+            assert residual_scan_table(*args, du, *relation).passed, tag
+            n = len(alpha)
+            for i in range(n // 8, n - n // 8, n // 8):
+                bad = du.copy()
+                bad[i] *= 1 + 1e-7
+                assert not residual_scan_table(*args, bad, *relation).passed, \
+                    (tag, i, du[i])
 
 
 class TestEdgeGrowthFlag:
