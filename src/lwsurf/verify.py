@@ -11,7 +11,9 @@ Three checks of a branch, with different failure modes:
   problem and compares tables.  It steps scipy's DOP853 (Dormand-Prince
   8(5,3), with the bits of ``scipy.integrate.DOP853``'s coefficients) on
   two Python floats, with solve_ivp's step rules, dense output and
-  events, and does not import scipy.
+  events, and does not import scipy.  The stages are straight-line float
+  code generated once from the tableau, and u is carried but never read:
+  the relation gives u'' from (alpha, u') alone.
 
 ``residual_scan_table`` checks a bare table, such as a CSV that ``lwsurf
 verify`` reads: the same conserved quantity on every row, from the
@@ -29,11 +31,11 @@ point to compare fails with ``n_points = 0`` and a ``details["reason"]``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import sys
 from dataclasses import dataclass, field
-from operator import mul
 
 import numpy as np
 
@@ -360,11 +362,12 @@ def first_integral_drift(branch: ProfileBranch,
 def _ode_rhs(p: NormParameter, lam: float, mu: float, s: float):
     """u'' solved from the oriented curvature relation k1 + lam*k2 = mu.
 
-    ``rhs(a, (u, u'))`` returns the float pair ``(u', u'')``.  The
-    orientation ``s``, +1.0 or -1.0, is the sign of the start slope, held
-    for the whole run since a monotone branch never changes it; the sign
-    of each u' would flip u'' where a step's stages cross u' = 0 next to
-    a smooth cap.  The odd-root powers of u' are ``signed_odd_root_pow`` written out, with
+    ``f(a, u')`` returns u'' as a float.  The relation does not involve u,
+    so the stepper carries u and never passes it.  The orientation ``s``,
+    +1.0 or -1.0, is the sign of the start slope, held for the whole run
+    since a monotone branch never changes it; the sign of each u' would
+    flip u'' where a step's stages cross u' = 0 next to a smooth cap.  The
+    odd-root powers of u' are ``signed_odd_root_pow`` written out, with
     its exponents computed once: this runs on every solver stage.
     """
     m, q = p.m, p.q
@@ -381,17 +384,16 @@ def _ode_rhs(p: NormParameter, lam: float, mu: float, s: float):
         k2_raw = -(1.0 / a) * A1 ** e_norm * (s * r ** e_k2)
         return -q * (s * mu - lam * k2_raw) / B
 
-    def rhs(a: float, y) -> tuple:
-        d1 = y[1]
+    def f(a: float, d1: float) -> float:
         try:
-            return d1, second(a, d1)
+            return second(a, d1)
         except (ZeroDivisionError, OverflowError):
             # Python floats raise where IEEE arithmetic gives 0 or inf, as
             # for 0.0 ** -x at u' = 0; numpy scalars give the IEEE value
             with np.errstate(all="ignore"):
-                return d1, float(second(np.float64(a), np.float64(d1)))
+                return float(second(np.float64(a), np.float64(d1)))
 
-    return rhs
+    return f
 
 
 # Dormand-Prince 8(5,3) (Hairer, Norsett & Wanner, Solving ODEs I, II.10)
@@ -513,34 +515,86 @@ def _rms(a: float, b: float) -> float:
     return math.sqrt(a * a + b * b) / math.sqrt(2.0)
 
 
-def _dop853_dense(rhs, t_old: float, y_old: tuple, y: tuple, h: float,
-                  k: tuple):
-    """The 7th-order interpolant of one step from t_old to t_old + h.
+def _sum_source(coefficients, k: str) -> str:
+    """The source of ``0.0 + c0 * k0 + c1 * k1 + ...`` over the stages
+    named k0, k1, ..., in the tableau's order.
 
-    ``k`` holds each component's 13 stages of the step; the three extra
-    stages are appended to them.  Returns ``at(t) -> (u, u')``, scipy's
-    Dop853DenseOutput in the same order of operations.
+    Python adds left to right, so this is the sum ``builtins.sum`` gives
+    on Python 3.11 (``0.0 + x`` equals ``0 + x`` for every float, -0.0
+    included) and that its compensated form no longer gives from 3.12.
+    Zero coefficients stay: ``0.0 * k`` is -0.0 for a negative stage and
+    NaN for an infinite one.
     """
-    for a, c in zip(_A_EXTRA, _C_EXTRA):
-        stage = rhs(t_old + c * h, tuple(yc + sum(map(mul, a, kc)) * h
-                                         for yc, kc in zip(y_old, k)))
-        for kc, f in zip(k, stage):
-            kc.append(f)
-    coeffs = []  # kc[0] and kc[12] are the slopes at the step's two ends
-    for yc_old, yc, kc in zip(y_old, y, k):
-        dy = yc - yc_old
-        coeffs.append((dy, h * kc[0] - dy, 2 * dy - h * (kc[12] + kc[0]))
-                      + tuple(h * sum(map(mul, d, kc)) for d in _D))
+    return " + ".join(["0.0"] + [f"{c!r} * {k}{s}"
+                                 for s, c in enumerate(coefficients)])
 
-    def at(t: float) -> tuple:
-        x = (t - t_old) / h
-        x1 = 1 - x
-        return tuple(((((((F6 * x + F5) * x1 + F4) * x + F3) * x1 + F2) * x
-                       + F1) * x1 + F0) * x + yc_old
-                     for (F0, F1, F2, F3, F4, F5, F6), yc_old
-                     in zip(coeffs, y_old))
 
-    return at
+def _stage_source() -> str:
+    """The source of ``_step`` and ``_dense``, written out from the
+    tableau.
+
+    Stage s of the pair (u, u') evaluates ``f`` at its u' input, named
+    ``ku{s}`` because it is also the stage's slope of u; ``kv{s}`` is
+    ``f``'s value there.  The u inputs are never formed: f does not read
+    them.  Stages 0-12 are the step's, 13-15 the interpolant's extra ones.
+    """
+    last = len(_B)
+    ku = ", ".join(f"ku{s}" for s in range(last + 1))
+    kv = ", ".join(f"kv{s}" for s in range(last + 1))
+    lines = ["def _step(f, t, h, u, v, kv0):", "    ku0 = v"]
+    for s, (a, c) in enumerate(zip(_A, _C), 1):
+        lines += [f"    ku{s} = v + ({_sum_source(a, 'kv')}) * h",
+                  f"    kv{s} = f(t + {c!r} * h, ku{s})"]
+    errors = ", ".join(_sum_source(e, k) for e in (_E5, _E3)
+                       for k in ("ku", "kv"))
+    lines += [
+        f"    u_new = u + h * ({_sum_source(_B, 'ku')})",
+        f"    ku{last} = v + h * ({_sum_source(_B, 'kv')})",
+        f"    kv{last} = f(t + h, ku{last})",
+        f"    return u_new, ku{last}, {errors}, ({ku}), ({kv})",
+        "",
+        "def _dense(f, t, h, u_old, v_old, u, v, ku, kv):",
+        f"    {ku} = ku",
+        f"    {kv} = kv"]
+    for s, (a, c) in enumerate(zip(_A_EXTRA, _C_EXTRA), last + 1):
+        lines += [f"    ku{s} = v_old + ({_sum_source(a, 'kv')}) * h",
+                  f"    kv{s} = f(t + {c!r} * h, ku{s})"]
+    for y, k in (("u", "ku"), ("v", "kv")):
+        lines += [f"    c{y}0 = {y} - {y}_old",
+                  f"    c{y}1 = h * {k}0 - c{y}0",
+                  f"    c{y}2 = 2 * c{y}0 - h * ({k}{last} + {k}0)"]
+        lines += [f"    c{y}{j} = h * ({_sum_source(d, k)})"
+                  for j, d in enumerate(_D, 3)]
+    horner = ("((((((c{0}6 * x + c{0}5) * x1 + c{0}4) * x + c{0}3) * x1"
+              " + c{0}2) * x + c{0}1) * x1 + c{0}0) * x + {0}_old")
+    lines += ["",
+              "    def at(s):",
+              "        x = (s - t) / h",
+              "        x1 = 1 - x",
+              f"        return ({horner.format('u')},",
+              f"                {horner.format('v')})",
+              "",
+              "    return at"]
+    return "\n".join(lines) + "\n"
+
+
+@functools.cache
+def _stage_code() -> tuple:
+    """``(_step, _dense)`` compiled from ``_stage_source()``, once, on the
+    first ``_dop853`` call: importing lwsurf does not pay for it.
+
+    ``_step(f, t, h, u, v, f(t, v))`` takes one DOP853 step and returns
+    ``(u_new, v_new, e5_u, e5_v, e3_u, e3_v, ku, kv)``: the 8th-order
+    solution, the E5 and E3 error sums of each component, and the 13
+    stage slopes of each; ``kv[12]`` is f at the new point.
+    ``_dense(f, t, h, u_old, v_old, u, v, ku, kv)`` runs the three extra
+    stages and returns ``at(s) -> (u, u')``, the step's 7th-order
+    interpolant.  Both follow scipy's formulas, with every sum added left
+    to right (``_sum_source``).
+    """
+    namespace = {}
+    exec(compile(_stage_source(), "<dop853 stages>", "exec"), namespace)
+    return namespace["_step"], namespace["_dense"]
 
 
 @dataclass
@@ -557,33 +611,38 @@ class _Trajectory:
     rejected_steps: int = 0
 
 
-def _dop853(rhs, t0: float, y0: tuple, t_bound: float, t_eval, events,
+def _dop853(f, t0: float, y0: tuple, t_bound: float, t_eval, events,
             rtol: float, atol: float) -> _Trajectory:
-    """Integrate y' = rhs(t, y) for y = (u, u') from t0 to t_bound.
+    """Integrate u'' = f(t, u') for y = (u, u') from t0 to t_bound.
 
-    Runs scipy's DOP853 as ``solve_ivp`` does, on two Python floats: the
-    initial step, the 5/3 blended error norm, the step controller and the
-    7th-order dense output follow scipy's code.  ``t_eval`` lists the
-    output points in the direction of integration.  ``events`` are
-    ``(g, direction)`` pairs, all terminal: g(t, y) changing sign over a
-    step in the given direction (0 for either) stops the run at the root
-    of g on the dense output.
+    Runs scipy's DOP853 as ``solve_ivp`` does on y' = (u', f(t, u')), on
+    two Python floats: the initial step, the 5/3 blended error norm, the
+    step controller and the 7th-order dense output follow scipy's code.
+    The stages are straight-line code, ``_stage_code()``; u is carried
+    and never passed to f.  ``rhs_evals`` counts the evaluations of f, as
+    scipy's ``nfev`` counts those of y'.  ``t_eval`` lists the output
+    points in the direction of integration.  ``events`` are ``(g,
+    direction)`` pairs, all terminal: g(t, y) changing sign over a step
+    in the given direction (0 for either) stops the run at the root of g
+    on the dense output.
     """
+    step, dense_output = _stage_code()
     run = _Trajectory()
     direction = 1.0 if t_bound >= t0 else -1.0
     t, (u, v) = t0, y0
-    fu, fv = rhs(t, (u, v))
+    fv = f(t, v)
     run.rhs_evals = 2
 
-    # initial step (scipy's select_initial_step)
+    # initial step (scipy's select_initial_step); the slope of u is v
     interval = abs(t_bound - t0)
     su, sv = atol + abs(u) * rtol, atol + abs(v) * rtol
-    d0, d1 = _rms(u / su, v / sv), _rms(fu / su, fv / sv)
+    d0, d1 = _rms(u / su, v / sv), _rms(v / su, fv / sv)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
     hd = h0 * direction
-    f1u, f1v = rhs(t + hd, (u + hd * fu, v + hd * fv))
-    d2 = _rms((f1u - fu) / su, (f1v - fv) / sv) / h0
+    v1 = v + hd * fv
+    f1v = f(t + hd, v1)
+    d2 = _rms((v1 - v) / su, (f1v - fv) / sv) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -606,24 +665,13 @@ def _dop853(rhs, t0: float, y0: tuple, t_bound: float, t_eval, events,
                 t_new = t_bound
             h = t_new - t
             h_abs = abs(h)
-            ku, kv = [fu], [fv]
-            for a, c in zip(_A, _C):
-                ku_s, kv_s = rhs(t + c * h, (u + sum(map(mul, a, ku)) * h,
-                                             v + sum(map(mul, a, kv)) * h))
-                ku.append(ku_s)
-                kv.append(kv_s)
-            u_new = u + h * sum(map(mul, _B, ku))
-            v_new = v + h * sum(map(mul, _B, kv))
-            fu_new, fv_new = rhs(t + h, (u_new, v_new))
-            ku.append(fu_new)
-            kv.append(fv_new)
+            (u_new, v_new, e5u, e5v, e3u, e3v,
+             ku, kv) = step(f, t, h, u, v, fv)
             run.rhs_evals += 12
             su = atol + max(abs(u), abs(u_new)) * rtol
             sv = atol + max(abs(v), abs(v_new)) * rtol
-            e5 = math.hypot(sum(map(mul, _E5, ku)) / su,
-                            sum(map(mul, _E5, kv)) / sv) ** 2
-            e3 = math.hypot(sum(map(mul, _E3, ku)) / su,
-                            sum(map(mul, _E3, kv)) / sv) ** 2
+            e5 = math.hypot(e5u / su, e5v / sv) ** 2
+            e3 = math.hypot(e3u / su, e3v / sv) ** 2
             if e5 == 0.0 and e3 == 0.0:
                 error = 0.0
             else:
@@ -643,7 +691,7 @@ def _dop853(rhs, t0: float, y0: tuple, t_bound: float, t_eval, events,
             run.rejected_steps += 1
         run.steps += 1
         t_old, u_old, v_old = t, u, v
-        t, u, v, fu, fv = t_new, u_new, v_new, fu_new, fv_new
+        t, u, v, fv = t_new, u_new, v_new, kv[-1]
         finished = direction * (t - t_bound) >= 0
         g_new = [ev(t, (u, v)) for ev, _ in events]
         active = [k for k, (_, d) in enumerate(events)
@@ -652,8 +700,7 @@ def _dop853(rhs, t0: float, y0: tuple, t_bound: float, t_eval, events,
         g = g_new
         if active or (i_eval < len(t_eval)
                       and direction * (t_eval[i_eval] - t) <= 0):
-            dense = _dop853_dense(rhs, t_old, (u_old, v_old), (u, v), h,
-                                  (ku, kv))
+            dense = dense_output(f, t_old, h, u_old, v_old, u, v, ku, kv)
             run.rhs_evals += 3
         if active:
             roots = [(_brent(lambda s, ev=events[k][0]: ev(s, dense(s)),
@@ -676,7 +723,9 @@ def _dop853(rhs, t0: float, y0: tuple, t_bound: float, t_eval, events,
 def ode_oracle(branch: ProfileBranch, tol: float = 1e-7) -> VerificationReport:
     """Re-integrates the profile equation and compares with the table.
 
-    Starts from a mid-branch anchor.  The median first-integral residual
+    Starts from the middle table row or, where |u'| there is above the
+    cap of SLOPE_WINDOW, from the row nearest the middle whose |u'| is
+    not.  The median first-integral residual
     over the whole branch (first_integral_drift's) must already be below
     ORACLE_FI_PRECONDITION: the oracle refuses to launch from
     inconsistent data.  The deviation is measured as |delta alpha|:
@@ -702,7 +751,15 @@ def ode_oracle(branch: ProfileBranch, tol: float = 1e-7) -> VerificationReport:
         lam, mu = 1.0, 2.0 * mu
     # physical relation: k1 + lam*k2 = mu_phys with mu_phys = mu/scale
     fi = first_integral_drift(branch, tol=math.inf)
+    slope_floor, slope_cap = SLOPE_WINDOW
     anchor_idx = len(branch.alpha) // 2
+    slopes = np.abs(branch.du)
+    if slopes[anchor_idx] > slope_cap:
+        # a graded grid can crowd past the middle toward a root; start at
+        # the row nearest the middle that the window does not already cut
+        below = np.flatnonzero(slopes <= slope_cap)
+        if len(below):
+            anchor_idx = below[np.argmin(np.abs(below - anchor_idx))]
     a0 = float(branch.alpha[anchor_idx])
     u0 = float(branch.u[anchor_idx])
     d10 = float(branch.du[anchor_idx])
@@ -712,8 +769,7 @@ def ode_oracle(branch: ProfileBranch, tol: float = 1e-7) -> VerificationReport:
             f"the branch exceeds the oracle precondition "
             f"{ORACLE_FI_PRECONDITION:.1e}")
 
-    rhs = _ode_rhs(p, lam, mu, 1.0 if d10 > 0.0 else -1.0)
-    slope_floor, slope_cap = SLOPE_WINDOW
+    f = _ode_rhs(p, lam, mu, 1.0 if d10 > 0.0 else -1.0)
     # (g, direction) event pairs, all terminal, in the order of ``reasons``
     blowup = (lambda a, y: slope_cap - abs(y[1]), 0)
     floor = (lambda a, y: abs(y[1]) - slope_floor, -1)
@@ -745,7 +801,7 @@ def ode_oracle(branch: ProfileBranch, tol: float = 1e-7) -> VerificationReport:
         ahead = np.unique(branch.alpha[direction * (branch.alpha - a0) > 0])
         t_eval = ahead[::direction]
         t_eval = t_eval[np.abs(t_eval - a0) <= abs(end - a0)]
-        run = _dop853(rhs, a0, (u0, d10), end, t_eval.tolist(), events,
+        run = _dop853(f, a0, (u0, d10), end, t_eval.tolist(), events,
                       rtol=ORACLE_RTOL, atol=1e-12)
         for key in work:
             work[key] += getattr(run, key)

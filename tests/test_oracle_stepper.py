@@ -1,8 +1,11 @@
-"""The ODE oracle's DOP853 stepper against scipy's solve_ivp.
+"""The ODE oracle's DOP853 stepper against scipy's solve_ivp and against
+its loop form.
 
 The stepper runs scipy's DOP853 on two Python floats; solve_ivp, used
 here only as the reference, runs the same method on numpy arrays.  Both
-follow the same step rules, so they agree to rounding.
+follow the same step rules, so they agree to rounding.  The loop form
+below runs the same stages as ``verify._dop853``'s straight-line code,
+one tableau row at a time, and must give the same bits.
 """
 
 import math
@@ -11,12 +14,17 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from lwsurf import NormParameter, ode_oracle
+from lwsurf import (
+    NormParameter,
+    ode_oracle,
+    solve_constant_k2,
+    solve_inhom_general,
+)
 from lwsurf import verify
 from lwsurf.verify import _dop853, _ode_rhs
 
 
-def solve_ivp_run(rhs, t0, y0, t_bound, t_eval, events, rtol, atol):
+def solve_ivp_run(f, t0, y0, t_bound, t_eval, events, rtol, atol):
     """``verify._dop853`` through solve_ivp: same arguments, same output."""
     functions = []
     for g, direction in events:
@@ -25,9 +33,9 @@ def solve_ivp_run(rhs, t0, y0, t_bound, t_eval, events, rtol, atol):
         event.terminal = True
         event.direction = direction
         functions.append(event)
-    sol = solve_ivp(rhs, (t0, t_bound), list(y0), method="DOP853",
-                    rtol=rtol, atol=atol, events=functions or None,
-                    t_eval=t_eval)
+    sol = solve_ivp(lambda t, y: (y[1], f(t, y[1])), (t0, t_bound),
+                    list(y0), method="DOP853", rtol=rtol, atol=atol,
+                    events=functions or None, t_eval=t_eval)
     assert sol.status >= 0, sol.message
     run = verify._Trajectory(t=list(sol.t), u=list(sol.y[0]),
                              du=list(sol.y[1]), rhs_evals=sol.nfev)
@@ -37,21 +45,196 @@ def solve_ivp_run(rhs, t0, y0, t_bound, t_eval, events, rtol, atol):
     return run
 
 
-def oscillator(t, y):
-    """u'' = -u, so u = sin t and u' = cos t from (0, 1) at t = 0."""
-    return y[1], -y[0]
+def dot(coefficients, k) -> float:
+    """sum(c * x) added left to right, as builtins.sum added floats before
+    Python 3.12 made it compensated."""
+    total = 0.0
+    for c, x in zip(coefficients, k):
+        total += c * x
+    return total
 
 
-def both_runs(t_bound, t_eval, events):
+def loop_dense(rhs, t_old, y_old, y, h, k):
+    """The interpolant of one step, a tableau row at a time."""
+    for a, c in zip(verify._A_EXTRA, verify._C_EXTRA):
+        stage = rhs(t_old + c * h, tuple(yc + dot(a, kc) * h
+                                         for yc, kc in zip(y_old, k)))
+        for kc, fc in zip(k, stage):
+            kc.append(fc)
+    coeffs = []
+    for yc_old, yc, kc in zip(y_old, y, k):
+        dy = yc - yc_old
+        coeffs.append([dy, h * kc[0] - dy, 2 * dy - h * (kc[12] + kc[0])]
+                      + [h * dot(d, kc) for d in verify._D])
+
+    def at(t):
+        x = (t - t_old) / h
+        x1 = 1 - x
+        values = []
+        for (F0, F1, F2, F3, F4, F5, F6), yc_old in zip(coeffs, y_old):
+            values.append(((((((F6 * x + F5) * x1 + F4) * x + F3) * x1 + F2)
+                            * x + F1) * x1 + F0) * x + yc_old)
+        return tuple(values)
+
+    return at
+
+
+def loop_dop853(f, t0, y0, t_bound, t_eval, events, rtol, atol):
+    """``verify._dop853`` with the stages of both components of
+    y' = (u', f(t, u')) formed row by row from the tableau."""
+
+    def rhs(t, y):
+        return y[1], f(t, y[1])
+
+    run = verify._Trajectory()
+    direction = 1.0 if t_bound >= t0 else -1.0
+    t, (u, v) = t0, y0
+    fu, fv = rhs(t, (u, v))
+    run.rhs_evals = 2
+    interval = abs(t_bound - t0)
+    su, sv = atol + abs(u) * rtol, atol + abs(v) * rtol
+    d0, d1 = verify._rms(u / su, v / sv), verify._rms(fu / su, fv / sv)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    hd = h0 * direction
+    f1u, f1v = rhs(t + hd, (u + hd * fu, v + hd * fv))
+    d2 = verify._rms((f1u - fu) / su, (f1v - fv) / sv) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** -verify._ERROR_EXPONENT
+    h_abs = min(100 * h0, h1, interval)
+
+    g = [ev(t, (u, v)) for ev, _ in events]
+    i_eval = 0
+    while True:
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise RuntimeError("required step size is less than "
+                                   "spacing between numbers")
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_bound) > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = abs(h)
+            ku, kv = [fu], [fv]
+            for a, c in zip(verify._A, verify._C):
+                ku_s, kv_s = rhs(t + c * h, (u + dot(a, ku) * h,
+                                             v + dot(a, kv) * h))
+                ku.append(ku_s)
+                kv.append(kv_s)
+            u_new = u + h * dot(verify._B, ku)
+            v_new = v + h * dot(verify._B, kv)
+            fu_new, fv_new = rhs(t + h, (u_new, v_new))
+            ku.append(fu_new)
+            kv.append(fv_new)
+            run.rhs_evals += 12
+            su = atol + max(abs(u), abs(u_new)) * rtol
+            sv = atol + max(abs(v), abs(v_new)) * rtol
+            e5 = math.hypot(dot(verify._E5, ku) / su,
+                            dot(verify._E5, kv) / sv) ** 2
+            e3 = math.hypot(dot(verify._E3, ku) / su,
+                            dot(verify._E3, kv) / sv) ** 2
+            if e5 == 0.0 and e3 == 0.0:
+                error = 0.0
+            else:
+                error = abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * 2)
+            if error < 1.0:
+                if error == 0.0:
+                    factor = verify._MAX_FACTOR
+                else:
+                    factor = min(verify._MAX_FACTOR, verify._SAFETY
+                                 * error ** verify._ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1.0, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(verify._MIN_FACTOR,
+                         verify._SAFETY * error ** verify._ERROR_EXPONENT)
+            rejected = True
+            run.rejected_steps += 1
+        run.steps += 1
+        t_old, u_old, v_old = t, u, v
+        t, u, v, fu, fv = t_new, u_new, v_new, fu_new, fv_new
+        finished = direction * (t - t_bound) >= 0
+        g_new = [ev(t, (u, v)) for ev, _ in events]
+        active = [k for k, (_, d) in enumerate(events)
+                  if (d >= 0 and g[k] <= 0 <= g_new[k])
+                  or (d <= 0 and g[k] >= 0 >= g_new[k])]
+        g = g_new
+        if active or (i_eval < len(t_eval)
+                      and direction * (t_eval[i_eval] - t) <= 0):
+            dense = loop_dense(rhs, t_old, (u_old, v_old), (u, v), h,
+                               (ku, kv))
+            run.rhs_evals += 3
+        if active:
+            roots = [(verify._brent(lambda s, ev=events[k][0]: ev(s, dense(s)),
+                                    t_old, t, verify._EVENT_XTOL,
+                                    verify._EVENT_XTOL), k)
+                     for k in active]
+            t, run.event = min(roots, key=lambda r: direction * r[0])
+            run.t_event = t
+            u, v = dense(t)
+        while i_eval < len(t_eval) and direction * (t_eval[i_eval] - t) <= 0:
+            s = t_eval[i_eval]
+            us, vs = dense(s)
+            run.t.append(s)
+            run.u.append(us)
+            run.du.append(vs)
+            i_eval += 1
+        if finished or run.event is not None:
+            return run
+
+
+def bits(run) -> tuple:
+    """Every field of a trajectory, floats by ``float.hex``."""
+    return ([x.hex() for x in run.t], [x.hex() for x in run.u],
+            [x.hex() for x in run.du], run.event, run.t_event.hex(),
+            run.rhs_evals, run.steps, run.rejected_steps)
+
+
+@pytest.fixture
+def checked_runs(monkeypatch) -> list:
+    """The oracle's runs, each checked bit for bit against
+    ``loop_dop853`` as it is made."""
+    runs = []
+
+    def checked(*args, **kwargs):
+        ours = _dop853(*args, **kwargs)
+        assert bits(ours) == bits(loop_dop853(*args, **kwargs))
+        runs.append(ours)
+        return ours
+
+    monkeypatch.setattr(verify, "_dop853", checked)
+    return runs
+
+
+def oscillator(t, du):
+    """u'' = -sin t, so u = sin t and u' = cos t from (0, 1) at t = 0."""
+    return -math.sin(t)
+
+
+def both_runs(t_bound, t_eval, events, reference=solve_ivp_run):
     args = (oscillator, 0.0, (0.0, 1.0), t_bound, t_eval, events,
             1e-10, 1e-12)
-    return _dop853(*args), solve_ivp_run(*args)
+    return _dop853(*args), reference(*args)
+
+
+TERMINAL = (5.0, list(np.linspace(0.1, 3.0, 30)), [(lambda t, y: y[1], 0)])
+# integrating toward negative t, u + 1/2 falls through zero at -pi/6 and
+# rises through it at -5*pi/6; only the rise may stop the run.  The decoy
+# with direction -1 never sees a fall of u'.
+BACKWARD = (-5.0, list(np.linspace(-0.1, -4.9, 49)),
+            [(lambda t, y: y[1] + 2.0, -1), (lambda t, y: y[0] + 0.5, +1)])
 
 
 class TestEvents:
     def test_terminal_event(self):
-        t_eval = list(np.linspace(0.1, 3.0, 30))
-        ours, ref = both_runs(5.0, t_eval, [(lambda t, y: y[1], 0)])
+        t_eval = TERMINAL[1]
+        ours, ref = both_runs(*TERMINAL)
         assert ours.event == ref.event == 0
         assert ours.t_event == pytest.approx(math.pi / 2, abs=1e-10)
         assert ours.t_event == pytest.approx(ref.t_event, rel=1e-14)
@@ -62,21 +245,43 @@ class TestEvents:
         assert ours.rhs_evals == ref.rhs_evals
 
     def test_directional_event_backward(self):
-        # integrating toward negative t, u + 1/2 falls through zero at
-        # -pi/6 and rises through it at -5*pi/6; only the rise may stop
-        # the run.  The decoy with direction -1 never sees a fall of u'.
-        events = [(lambda t, y: y[1] + 2.0, -1),
-                  (lambda t, y: y[0] + 0.5, +1)]
-        t_eval = list(np.linspace(-0.1, -4.9, 49))
-        ours, ref = both_runs(-5.0, t_eval, events)
+        ours, ref = both_runs(*BACKWARD)
         assert ours.event == ref.event == 1
         assert ours.t_event == pytest.approx(-5 * math.pi / 6, abs=1e-10)
         assert ours.t_event == pytest.approx(ref.t_event, rel=1e-14)
         # the grid points passed before the event are kept
-        assert ours.t == ref.t == [t for t in t_eval if t >= ours.t_event]
+        assert ours.t == ref.t == [t for t in BACKWARD[1]
+                                   if t >= ours.t_event]
         np.testing.assert_allclose(ours.u, np.sin(ours.t), atol=1e-9)
         np.testing.assert_allclose(ours.u, ref.u, rtol=1e-12, atol=1e-15)
         assert ours.rhs_evals == ref.rhs_evals
+
+
+class TestLoopForm:
+    """``_dop853``'s straight-line stages against ``loop_dop853``."""
+
+    @pytest.mark.parametrize("case", [TERMINAL, BACKWARD],
+                             ids=["terminal", "backward"])
+    def test_oscillator(self, case):
+        ours, ref = both_runs(*case, reference=loop_dop853)
+        assert bits(ours) == bits(ref)
+
+    def test_every_taxonomy_branch(self, instances_m2, instances_m3,
+                                   checked_runs):
+        branches = [*instances_m2.values(), *instances_m3.values()]
+        for branch in branches:
+            ode_oracle(branch)
+        assert len(checked_runs) >= len(branches)
+
+    @pytest.mark.parametrize("m", [4, 5, 6])
+    def test_spheres(self, m, checked_runs):
+        p = NormParameter(m)
+        branches = [solve_constant_k2(p)] + [
+            b for lam, mu in ((0.5, -1.0), (-0.5, -1.0), (-2.0, 1.0))
+            for b in solve_inhom_general(p, lam, mu, 0.0)]
+        for branch in branches:
+            ode_oracle(branch)
+        assert len(checked_runs) >= len(branches)
 
 
 class TestOracleParity:
@@ -107,10 +312,10 @@ class TestRhs:
     def test_zero_slope_gives_the_ieee_value(self, m):
         # 0.0 ** negative raises on Python floats; the numpy scalar gives
         # inf there, so u'' = finite / inf = 0
-        rhs = _ode_rhs(NormParameter(m), -0.5, 1.0, -1.0)
+        f = _ode_rhs(NormParameter(m), -0.5, 1.0, -1.0)
         with np.errstate(all="ignore"):
-            expected = rhs(np.float64(1.3), np.array([0.2, 0.0]))
-        got = rhs(1.3, (0.2, 0.0))
-        assert got == (0.0, 0.0)
-        assert got == tuple(float(v) for v in expected)
-        assert all(type(v) is float for v in got)
+            expected = f(np.float64(1.3), np.float64(0.0))
+        got = f(1.3, 0.0)
+        assert got == 0.0
+        assert got == float(expected)
+        assert type(got) is float
