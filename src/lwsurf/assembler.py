@@ -19,7 +19,7 @@ import numpy as np
 
 from .normgeom import Chart, NormParameter, ProfileJet, principal_curvatures
 from .quadrature import EndpointKind
-from .solver import CaseTag, ProfileBranch
+from .solver import CaseTag, ProfileBranch, fd_step
 
 __all__ = [
     "Smoothness",
@@ -258,12 +258,11 @@ def _inv_d2_limit(branch: ProfileBranch, a_star: float, side: int,
 
 def _oriented_curvatures(p: NormParameter, arc: Arc, a: float) -> tuple:
     branch = arc.branch
-    width = branch.domain.upper - branch.domain.lower
-    dist = min(a - branch.domain.lower, branch.domain.upper - a)
-    h = max(1e-9 * width, 1e-4 * min(max(1.0, abs(a)), dist))
-    h = min(h, 0.25 * dist)
+    lo, hi = branch.domain.lower, branch.domain.upper
     d1 = branch.uprime(a)
-    d2 = branch.fd_second(a, h)
+    # a floor of 1e-9 of the width, not fd_step's default: the junctions'
+    # recorded k1 values are graded with it
+    d2 = branch.fd_second(a, fd_step(a, lo, hi, 1e-9 * (hi - lo)))
     k = principal_curvatures(
         p, ProfileJet(Chart.GRAPH_OVER_RADIUS, value=0.0, d1=d1, d2=d2,
                       radius=a))

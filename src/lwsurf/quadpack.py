@@ -1,37 +1,33 @@
-"""QUADPACK's adaptive quadrature: QAGS on (a, b) and QAGI on (a, inf).
+"""QUADPACK's adaptive quadrature QAGS, on many panels at once.
 
-A port of ``dqagse`` and ``dqagie`` with their rules ``dqk21`` and
-``dqk15i``, the error-list ordering ``dqpsrt`` and the epsilon algorithm
-``dqelg`` (Piessens, de Doncker-Kapenga, Ueberhuber and Kahaner,
-*QUADPACK*, Springer 1983).  Only the ranges lwsurf integrates over are
-served: a <= b with a finite and b finite or +inf, with epsabs > 0 and
-limit >= 1.  The integrand maps a float array to its values.  Where it
-gives each float the bits it gives that float in an array, ``panels``
-and ``quad`` return the same ``(value, abserr)`` as
+A port of ``dqagse`` with its rule ``dqk21``, the error-list ordering
+``dqpsrt`` and the epsilon algorithm ``dqelg`` (Piessens,
+de Doncker-Kapenga, Ueberhuber and Kahaner, *QUADPACK*, Springer 1983).
+Only the ranges lwsurf integrates over are served: a < b, both finite,
+with epsabs > 0 and limit >= 1; an unbounded range is first mapped to
+a finite one by its caller.  The integrand maps a float array to its
+values.  Where it gives each float the bits it gives that float in an
+array, ``panels`` returns on each panel the same ``(value, abserr)`` as
 ``scipy.integrate.quad`` with the same ``epsabs``, ``epsrel`` and
 ``limit``, bit for bit: the same nodes, the sums in the same order, the
 same branches, and C's ``fmax``/``fmin`` where a NaN can reach them.  The
 lists keep QUADPACK's 1-based indices; slot 0 is unused.
 
-Both rules are data, ``_RULE21`` and ``_RULE15``, and one function,
-``_rule``, applies either one to an array of panels at once.  dqagse's loop,
-``_adaptive``, is a generator that asks for the rule values of the
-intervals it needs, and one driver runs it: ``panels`` runs dqagse on
-many panels in lockstep, and applies the rule to each round's intervals
-of all of them in one array pass.  ``quad`` is ``panels`` on one range,
-with dqagie's map and dqk15i on (a, inf).  A panel that meets a
-non-finite or complex value gets a non-finite result, and nothing is
-raised.
+The rule is data, and one function, ``_rule``, applies it to an array of
+panels at once.  dqagse's loop, ``_adaptive``, is a generator that asks
+for the rule values of the intervals it needs, and ``panels`` runs it on
+many panels in lockstep, applying the rule to each round's intervals of
+all of them in one array pass.  A panel that meets a non-finite or
+complex value gets a non-finite result, and nothing is raised.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["quad", "panels"]
+__all__ = ["panels"]
 
 _EPMACH = 2.220446049250313e-16      # d1mach(4) = 2**-52
 _UFLOW = 2.2250738585072014e-308     # d1mach(1)
@@ -69,61 +65,23 @@ _WG10 = (0.066671344308688137593568809893332,
          0.269266719309996355091226921569469,
          0.295524224714752870173892994651338)
 
-# dqk15i: 15-point Kronrod abscissae xgk(1..7) (xgk(8) = 0), weights
-# wgk(1..8), and the 7-point Gauss weights wg(1..8) of the same nodes,
-# zero where the node is Kronrod-only
-_XGK15 = (0.991455371120812639206854697526329,
-          0.949107912342758524526189684047851,
-          0.864864423359769072789712788640926,
-          0.741531185599394439863864773280788,
-          0.586087235467691130294144845693013,
-          0.405845151377397166906606412076961,
-          0.207784955007898467600689403773245)
-_WGK15 = (0.022935322010529224963732008058970,
-          0.063092092629978553290700663189204,
-          0.104790010322250183839876322541518,
-          0.140653259715525918745189590510238,
-          0.169004726639267902826583426598550,
-          0.190350578064785409913256402421014,
-          0.204432940075298892414161999234649,
-          0.209482141084727828012999174891714)
-_WG15 = (0.0, 0.129484966168869693270611432679082,
-         0.0, 0.279705391489276667901467771423780,
-         0.0, 0.381830050505118944950369775488975,
-         0.0, 0.417959183673469387755102040816327)
+
+def _terms(pairs) -> tuple:
+    """(weights, rows) of a sum's (weight, row) terms, in the order
+    QUADPACK adds them."""
+    w, row = zip(*pairs)
+    return np.array(w)[:, None], np.array(row)
 
 
-class _Rule(NamedTuple):
-    """A Gauss-Kronrod rule on the centre and the node pairs
-    centr -/+ hlgth*x.  Its sums are (weights, rows) terms over the rows
-    of node values: row 0 the centre, row 1 + j pair j, in xgk's order."""
-    x: np.ndarray  # the pairs' abscissae on (0, 1)
-    k: tuple       # resk's and resabs' terms, in QUADPACK's order
-    g: tuple       # resg's terms
-    asc: tuple     # resasc's terms, the pairs in natural order
-
-
-def _rule_data(xgk, wgk, gauss, order) -> _Rule:
-    """The _Rule of the tables xgk(1..n) and wgk(1..n+1), wgk(n+1) the
-    centre's; ``gauss`` lists (weight, pair) with pair None for the
-    centre, ``order`` the order in which the Kronrod sum adds the pairs."""
-    def terms(pairs):
-        w, j = zip(*pairs)
-        return np.array(w), np.array([0 if i is None else 1 + i for i in j])
-    return _Rule(np.array(xgk)[:, None],
-                 terms([(wgk[-1], None), *((wgk[j], j) for j in order)]),
-                 terms(gauss),
-                 terms([(wgk[-1], None), *zip(wgk, range(len(xgk)))]))
-
-
-# dqk21 adds the centre, the Gauss pairs xgk(2), xgk(4), ..., then
-# xgk(1), xgk(3), ...; dqk15i adds its pairs in order, and keeps the
-# Kronrod-only pairs' zero Gauss weights, since 0 * inf is NaN
-_RULE21 = _rule_data(_XGK21, _WGK21, [(w, 2 * i + 1) for i, w in
-                                      enumerate(_WG10)],
-                     (1, 3, 5, 7, 9, 0, 2, 4, 6, 8))
-_RULE15 = _rule_data(_XGK15, _WGK15,
-                     [(_WG15[7], None), *zip(_WG15, range(7))], range(7))
+# the node pairs centr -/+ hlgth*x, and each sum's terms over the rows of
+# node values, row 0 the centre and row 1 + j pair j: resk and resabs add
+# the centre, the Gauss pairs xgk(2), xgk(4), ..., then xgk(1), xgk(3),
+# ...; resg the Gauss pairs; resasc the centre and the pairs in order
+_X = np.array(_XGK21)[:, None]
+_K = _terms([(_WGK21[10], 0), *((_WGK21[j], 1 + j) for j in
+                                (1, 3, 5, 7, 9, 0, 2, 4, 6, 8))])
+_G = _terms([(w, 2 + 2 * i) for i, w in enumerate(_WG10)])
+_ASC = _terms((w, j) for j, w in enumerate((_WGK21[10], *_WGK21[:10])))
 
 
 def _fmax(x: float, y: float) -> float:
@@ -131,26 +89,6 @@ def _fmax(x: float, y: float) -> float:
     if x != x:
         return y
     return x if y != y or x >= y else y
-
-
-def quad(f, a, b, epsabs: float, epsrel: float, limit: int) -> tuple:
-    """(value, abserr) of the integral of f over (a, b), as scipy's quad.
-
-    a <= b, a finite, b finite or +inf; epsabs > 0 and limit >= 1.  It
-    is ``panels`` on the one range; on (a, inf) dqagie maps x in (0, 1]
-    to t = a + (1 - x)/x and applies dqk15i.  f maps arrays as for
-    ``panels``.
-    """
-    a, b = float(a), float(b)
-    if a == b:
-        return 0.0, 0.0
-    rule = _RULE21
-    if b == math.inf:
-        rule, f, a, b = (_RULE15, lambda x, f=f, a=a:
-                         f(a + (1.0 - x) / x) / x / x, 0.0, 1.0)
-    result, abserr = _lockstep(rule, f, np.array([a]), np.array([b]),
-                               epsabs, epsrel, limit)
-    return float(result[0]), float(abserr[0])
 
 
 def panels(f, a: np.ndarray, b: np.ndarray, epsabs: float, epsrel: float,
@@ -170,17 +108,12 @@ def panels(f, a: np.ndarray, b: np.ndarray, epsabs: float, epsrel: float,
     value leaves the lockstep there with a non-finite result: the first
     rule's own, or NaN in a half.
     """
-    return _lockstep(_RULE21, f, a, b, epsabs, epsrel, limit)
-
-
-def _lockstep(rule: _Rule, f, a, b, epsabs: float, epsrel: float,
-              limit: int) -> tuple:
-    """``panels`` with the given rule: dqk21, or dqk15i on QAGI's map."""
-    first, finite, accepted = _first(rule, f, a, b, epsabs, epsrel)
+    with np.errstate(all="ignore"):
+        *first, finite = _rule(f, a, b)
     result, abserr = first[0], first[1]
-    rejected = np.flatnonzero(finite & ~accepted).tolist()
+    rejected = np.flatnonzero(finite & ~_accepted(*first, epsabs, epsrel))
     steps, rules = {}, {}
-    for i, values in zip(rejected,
+    for i, values in zip(rejected.tolist(),
                          zip(*(x[rejected].tolist() for x in first))):
         steps[i] = _adaptive(float(a[i]), float(b[i]), epsabs, epsrel,
                              limit)
@@ -197,7 +130,7 @@ def _lockstep(rule: _Rule, f, a, b, epsabs: float, epsrel: float,
             break
         lo, hi = np.array(list(halves.values())).reshape(-1, 2).T
         with np.errstate(all="ignore"):
-            *sums, finite = _rule(rule, f, lo, hi)
+            *sums, finite = _rule(f, lo, hi)
         sums = list(zip(*(x.tolist() for x in sums)))
         finite = finite.reshape(-1, 2).all(axis=1).tolist()
         rules = {}
@@ -209,8 +142,8 @@ def _lockstep(rule: _Rule, f, a, b, epsabs: float, epsrel: float,
     return result, abserr
 
 
-def _rule(rule: _Rule, f, a: np.ndarray, b: np.ndarray) -> tuple:
-    """The rule on the panels (a, b), a <= b: arrays (result, abserr,
+def _rule(f, a: np.ndarray, b: np.ndarray) -> tuple:
+    """dqk21 on the panels (a, b), a <= b: arrays (result, abserr,
     resabs, resasc), and where all of a panel's values are finite.
 
     f maps the stacked rows of nodes at once.  Each sum is one
@@ -224,25 +157,24 @@ def _rule(rule: _Rule, f, a: np.ndarray, b: np.ndarray) -> tuple:
     """
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)  # >= 0, so it is also dhlgth
-    d = hlgth * rule.x
+    d = hlgth * _X
     nodes = np.concatenate((centr[None], centr - d, centr + d))
     fv = np.asarray(f(nodes.ravel()))
     if np.iscomplexobj(fv):  # a complex value has no float: NaN, as libm
         fv = np.full(fv.shape, math.nan)
     fv = fv.astype(float, copy=False).reshape(nodes.shape)
-    n = len(rule.x)
 
     def total(terms, v):
         """The terms' sum over the centre's row of v and each pair's
         two rows added."""
         w, row = terms
-        rows = np.concatenate((v[:1], v[1:n + 1] + v[n + 1:]))
-        return np.add.accumulate(w[:, None] * rows[row])[-1]
+        rows = np.concatenate((v[:1], v[1:11] + v[11:]))
+        return np.add.accumulate(w * rows[row])[-1]
 
-    resk = total(rule.k, fv)
-    resabs = total(rule.k, np.abs(fv)) * hlgth
-    resasc = total(rule.asc, np.abs(fv - resk * 0.5)) * hlgth
-    abserr = np.abs((resk - total(rule.g, fv)) * hlgth)
+    resk = total(_K, fv)
+    resabs = total(_K, np.abs(fv)) * hlgth
+    resasc = total(_ASC, np.abs(fv - resk * 0.5)) * hlgth
+    abserr = np.abs((resk - total(_G, fv)) * hlgth)
     scaled = (resasc != 0.0) & (abserr != 0.0)
     ratio = 200.0 * abserr / resasc
     below = scaled & (ratio < 1.0)
@@ -254,14 +186,6 @@ def _rule(rule: _Rule, f, a: np.ndarray, b: np.ndarray) -> tuple:
     abserr = np.where((resabs > _TINY) & ~(abserr > floor), floor, abserr)
     return (resk * hlgth, abserr, resabs, resasc,
             np.isfinite(fv).all(axis=0))
-
-
-def _first(rule: _Rule, f, a, b, epsabs: float, epsrel: float) -> tuple:
-    """The first rule on the panels, (result, abserr, resabs, resasc);
-    where its values are finite; and where dqagse accepts it."""
-    with np.errstate(all="ignore"):
-        *sums, finite = _rule(rule, f, a, b)
-        return sums, finite, _accepted(*sums, epsabs, epsrel)
 
 
 def _accepted(result, abserr, defabs, resabs, epsabs: float,
@@ -276,7 +200,7 @@ def _accepted(result, abserr, defabs, resabs, epsabs: float,
 
 def _adaptive(a: float, b: float, epsabs: float, epsrel: float,
               limit: int):
-    """dqagse's (and dqagie's) bisection with epsilon extrapolation, as a
+    """dqagse's bisection with epsilon extrapolation, as a
     generator: it yields the intervals whose rule values it needs, first
     ((a, b),) and then each bisection's two halves, is sent their rules'
     (result, abserr, resabs, resasc) tuples, and returns (value, abserr).

@@ -12,8 +12,9 @@ never from the size of a numeric estimate.
 
 Every finite integral runs through quadpack.panels on arrays: a table's
 grid panels, the piece out to an anchor off the grid and the span's
-pieces go through one panel call per table (``_panel_quad``), and only
-the span's unbounded tail runs on its own, through QAGI (quadpack.quad).
+pieces go through one panel call per table (``_panel_quad``).  The
+span's unbounded tail is one of those pieces, on (0, 1) after QUADPACK's
+map for QAGI (dqagie), and the same 21-point rule integrates it.
 
 Integrands take a float or a float array, and every element of an array
 has the bits of the scalar evaluation (``libm``, ``LibmArray``).  Powers
@@ -444,27 +445,30 @@ def _running_sum(x: np.ndarray) -> np.ndarray:
     return np.add.accumulate(np.concatenate(([0.0], x)))
 
 
+def _tail_start(domain: DomainInterval) -> float:
+    """Where the span of an unbounded domain leaves the law for its tail."""
+    return max(2.0 * abs(domain.lower) + 10.0, 10.0)
+
+
 def _span_plan(law: SlopeLaw, domain: DomainInterval):
-    """The span's split, or None where it diverges: its pieces
-    (integrand, a, b) in the order their values are added, the integrand
-    0 for the law, 1 and 2 for the lower and upper edge integrands in s,
-    and where the unbounded tail starts (None on a bounded domain).
+    """The span's pieces (integrand, a, b) in the order their values are
+    added, or None where it diverges.  The integrand is 0 for the law, 1
+    and 2 for the lower and upper edge integrands in s, and 3 for the
+    unbounded tail on (0, 1) (_edge_integrands).
 
     Double-root endpoints are divergent because the local exponent
     2*(2m-1)/2m is at least 1; an unbounded upper limit is finite exactly
     when the declared decay exponent exceeds 1.  The domain is split at
-    its midpoint (at a cut on an unbounded one), with one substituted
-    edge per simple root.
+    its midpoint (at the tail's start on an unbounded one), with one
+    substituted edge per simple root.
     """
     if EndpointKind.DOUBLE_ROOT in (domain.lower_kind, domain.upper_kind):
         return None
-    a, b = domain.lower, domain.upper
-    if math.isinf(b) and (law.decay_exponent is None
-                          or law.decay_exponent <= 1.0):
-        return None
-    lo, hi = a, b
-    if math.isinf(b):
-        hi = max(2.0 * abs(a) + 10.0, 10.0)
+    lo, hi = domain.lower, domain.upper
+    if not domain.bounded:
+        if law.decay_exponent is None or law.decay_exponent <= 1.0:
+            return None
+        hi = _tail_start(domain)
     mid = 0.5 * (lo + hi)
     pieces = []
     if domain.lower_kind is EndpointKind.SIMPLE_ROOT:
@@ -476,18 +480,16 @@ def _span_plan(law: SlopeLaw, domain: DomainInterval):
         hi = hi - w
     if hi > lo:
         pieces.append((0, lo, hi))
-    return pieces, max(lo, hi) if math.isinf(b) else None
+    if not domain.bounded:
+        pieces.append((3, 0.0, 1.0))
+    return pieces
 
 
-def _span(law: SlopeLaw, tail, values: list, errors: list,
-          tol: float) -> QuadratureResult:
-    """The span from its pieces' values and errors, added in order, and
-    QAGI on the unbounded tail from ``tail`` on; ToleranceError where the
-    total is not finite or its error estimate exceeds the tolerance."""
+def _span(values: list, errors: list, tol: float) -> QuadratureResult:
+    """The span from its pieces' values and errors, added in order;
+    ToleranceError where the total is not finite or its error estimate
+    exceeds the tolerance."""
     total, err_total = 0.0, 0.0
-    if tail is not None:
-        value, error = _qp().quad(law, tail, math.inf, _EPSABS, tol, 400)
-        values, errors = [*values, value], [*errors, error]
     for value, error in zip(values, errors):
         total += value
         err_total += error
@@ -501,14 +503,24 @@ def _span(law: SlopeLaw, tail, values: list, errors: list,
 
 
 def _edge_integrands(law: SlopeLaw, domain: DomainInterval) -> list:
-    """The law and the edge integrands in s at the lower and upper simple
-    roots (None where the end is not one): the integrands of _span_plan's
-    and profile_from_integral's pieces."""
+    """The integrands of _span_plan's and profile_from_integral's pieces:
+    the law; the edge integrands in s at the lower and upper simple roots
+    (None where the end is not one); and on an unbounded domain the tail
+    on dqagie's map x = 1/(1 + t - start) of (start, inf) to (0, 1]
+    (else None)."""
     root_lo = domain.lower_kind is EndpointKind.SIMPLE_ROOT
     root_hi = domain.upper_kind is EndpointKind.SIMPLE_ROOT
+    tail = None
+    if not domain.bounded:
+        start = _tail_start(domain)
+
+        def tail(x):
+            return law(start + (1.0 - x) / x) / x / x
+
     # t = root - s^(2m): dt orientation already positive in s
     return [law, _edge_integrand(law, domain.lower, +1) if root_lo else None,
-            _edge_integrand(law, domain.upper, -1) if root_hi else None]
+            _edge_integrand(law, domain.upper, -1) if root_hi else None,
+            tail]
 
 
 def integrate_singular(law: SlopeLaw, domain: DomainInterval,
@@ -523,11 +535,10 @@ def integrate_singular(law: SlopeLaw, domain: DomainInterval,
     plan = _span_plan(law, domain)
     if plan is None:
         return QuadratureResult.divergent()
-    pieces, tail = plan
-    which, a, b = map(np.array, zip(*pieces))
+    which, a, b = map(np.array, zip(*plan))
     values, errors = _panel_quad(_edge_integrands(law, domain), which, a,
                                  b, tol)
-    return _span(law, tail, values.tolist(), errors.tolist(), tol)
+    return _span(values.tolist(), errors.tolist(), tol)
 
 
 @dataclass
@@ -612,7 +623,7 @@ def profile_from_integral(law: SlopeLaw, domain: DomainInterval,
     # each panel's integrand: the law, or next to a simple root the edge
     # integrand in s, t = root +/- s^(2m)
     integrands = _edge_integrands(law, domain)
-    root_lo, root_hi = (g is not None for g in integrands[1:])
+    root_lo, root_hi = (g is not None for g in integrands[1:3])
     t0, t1 = grid[:-1], grid[1:]
     a, b = t0.copy(), t1.copy()
     which = np.zeros(t0.size, dtype=int)
@@ -641,7 +652,7 @@ def profile_from_integral(law: SlopeLaw, domain: DomainInterval,
         pieces.append((2, 0.0, (upper - grid[-1]) ** to_s) if root_hi
                       else (0, grid[-1], a0))
     plan = _span_plan(law, domain)
-    pieces += plan[0] if plan else []
+    pieces += plan or []
     more = np.array(pieces).reshape(-1, 3).T
     values, errors = _panel_quad(
         integrands, np.concatenate((which, more[0].astype(int))),
@@ -667,8 +678,8 @@ def profile_from_integral(law: SlopeLaw, domain: DomainInterval,
         span = math.inf
     else:
         try:
-            span = _span(law, plan[1], values[n:].tolist(),
-                         errors[n:].tolist(), tol).value
+            span = _span(values[n:].tolist(), errors[n:].tolist(),
+                         tol).value
         except ToleranceError:
             span = math.nan
     u = u0 + sign * (U - offset)

@@ -242,6 +242,29 @@ class ProfileBranch:
         return (-f2 + 8 * f1 - 8 * b1 + b2) / (12 * h)
 
 
+def fd_step(a, lo: float, hi: float, floor=None):
+    """The step of ``fd_second`` at a inside (lo, hi): a float, or an
+    array for an array a.
+
+    The step is 1e-4 * max(1, |a|), shrunk with the distance ``dist`` to
+    the nearer end because the slope's higher derivatives grow
+    algebraically at simple roots; at least ``floor``; and at most
+    dist/4, so that the stencil stays inside.  The default floor is the
+    step that balances the slope's rounding at a +/- h, eps*|a|/h
+    relative, against the stencil's error (h/dist)^4, which is
+    (eps*|a|)^(1/5) * dist^(4/5), capped at 1e-6.
+    """
+    dist = np.minimum(a - lo, hi - a)
+    if floor is None:
+        # np.float_power: libm's pow on floats and arrays alike
+        floor = np.minimum(1e-6, np.float_power(
+            np.finfo(float).eps * np.abs(a), 0.2) * np.float_power(dist, 0.8))
+    h = np.maximum(floor,
+                   1e-4 * np.minimum(np.maximum(1.0, np.abs(a)), dist))
+    h = np.minimum(h, 0.25 * dist)
+    return h if isinstance(a, np.ndarray) else float(h)
+
+
 @dataclass(frozen=True)
 class NormCircle:
     """Unsigned slope of the norm circle w^2m + (k*(u - shift))^2m = R^2m.

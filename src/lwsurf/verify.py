@@ -55,7 +55,7 @@ from .quadrature import (
     as_libm,
     log,
 )
-from .solver import ProfileBranch
+from .solver import ProfileBranch, fd_step
 
 __all__ = [
     "REPORT_VERSION",
@@ -148,16 +148,12 @@ def _fd_jets_exact(branch: ProfileBranch, a: np.ndarray, lo: float,
     """The arrays (u', u'') at the points a inside [lo, hi]: the
     closed-form slope and a central 5-point stencil on it.
 
-    The step shrinks with the distance to the nearest end because the
-    higher derivatives of the slope grow algebraically at simple roots.
+    The steps are ``fd_step``'s on (lo, hi), with its default floor.
     All stencils are evaluated at once by the array slope; a value it
     leaves non-finite stays so, and fails the scan.
     """
-    dist = np.minimum(a - lo, hi - a)
-    h = np.maximum(1e-6, 1e-4 * np.minimum(np.maximum(1.0, np.abs(a)), dist))
-    h = np.minimum(h, 0.25 * dist)
     with np.errstate(all="ignore"):
-        return branch.uprime(a), branch.fd_second(a, h)
+        return branch.uprime(a), branch.fd_second(a, fd_step(a, lo, hi))
 
 
 def _relation_residual(p: NormParameter, a, d1, d2, lam: float, mu: float):

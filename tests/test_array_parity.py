@@ -63,6 +63,7 @@ from lwsurf.solver import (
     _hom_neg,
     _hom_pos,
     _lm1,
+    fd_step,
 )
 
 
@@ -187,8 +188,8 @@ def test_residual_stencil_matches_the_scalar_one(m):
     for tag, b in instances(m).items():
         lo, hi, mask, _ = verify._scan_frame(b, 1e-3)
         points = b.alpha[mask]
-        h = [min(max(1e-6, 1e-4 * min(max(1.0, abs(a)), min(a - lo, hi - a))),
-                 0.25 * min(a - lo, hi - a)) for a in points.tolist()]
+        h = [fd_step(a, lo, hi) for a in points.tolist()]
+        assert bits(fd_step(points, lo, hi)) == bits(h), tag
         d1 = b.uprime(points)
         d2 = b.fd_second(points, np.array(h))
         assert np.isfinite(d1).all() and np.isfinite(d2).all(), tag

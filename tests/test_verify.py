@@ -120,6 +120,27 @@ class TestResidualScan:
         assert not rep.passed
         assert rep.max_residual > 0.5
 
+    def test_narrow_domain_step_follows_the_distance(self):
+        """A 6.3i band of width 0.059 whose scanned rows lie down to
+        6.2e-5 from its simple root.  A fixed step of 1e-6 is 1/60 of that
+        distance, and the stencil's h^4 error failed the scan there at
+        1.3e-5.  With the step shrinking with the distance the scan
+        passes with a hundredfold margin, and against a relation whose mu
+        is off by 1e-5 of itself it still fails."""
+        req = SolveRequest(
+            p=P2, relation=WeingartenRelation.linear(1.82372283242643,
+                                                     4.374456136843154),
+            c1=0.02295669838045722)
+        branch, = solve(req)
+        assert branch.case.value == "6.3i"
+        rep = residual_scan(branch)
+        assert rep.passed and rep.max_residual < 1e-7, rep.max_residual
+        off = dataclasses.replace(branch, request=dataclasses.replace(
+            req, relation=WeingartenRelation.linear(
+                branch.lam, branch.mu * (1.0 + 1e-5))))
+        rep = residual_scan(off)
+        assert not rep.passed and rep.max_residual > 1e-5
+
 
 class TestResidualScanTable:
     def test_round_trip_matches_direct_scan(self, generic):
