@@ -1,10 +1,11 @@
 """Command-line interface: classify, generate, verify, scan-coincidence.
 
-Exit codes: 0 success, 1 generic failure, 2 no admissible surface for the
-given constants (the violated inequality is printed), 3 malformed profile
-CSV.  Precedence for settings is flags > config file > defaults; the
-config file is a flat ``key = value`` text format using the long flag
-names.  The environment variable LWSURF_LOG sets the log level.
+Exit codes: 0 success, 1 generic failure (a usage error included), 2 no
+admissible surface for the given constants (the violated inequality is
+printed), 3 malformed profile CSV.  Precedence for settings is flags >
+config file > defaults; the config file is a flat ``key = value`` text
+format using the long flag names.  The environment variable LWSURF_LOG
+sets the log level.
 """
 
 from __future__ import annotations
@@ -71,6 +72,9 @@ DEFAULTS = {
     "steps": 9,
 }
 
+# the closed forms that ``generate --special`` and the config key name
+SPECIALS = ("sphere", "cylinder")
+
 
 # ---------------------------------------------------------------------------
 # config plumbing
@@ -93,19 +97,24 @@ def _read_config(path: str) -> dict:
     return values
 
 
-def _parse_bool(val: str) -> bool:
-    if val not in ("true", "false"):
-        raise ValueError(f"config key 'obj' must be true or false, got {val!r}")
-    return val == "true"
+def _one_of(key: str, values: tuple, convert=str):
+    """Parser of a config key that takes only the given values."""
+    def parse(val: str):
+        if val not in values:
+            raise ValueError(f"config key {key!r} must be "
+                             f"{' or '.join(values)}, got {val!r}")
+        return convert(val)
+    return parse
 
 
-# parser of each config key: float unless listed as int, str or bool
+# parser of each config key: float unless listed as int, str or a choice
 _CONFIG_PARSERS = {
     **dict.fromkeys(DEFAULTS.keys() | {"c1_min", "c1_max"}, float),
     **dict.fromkeys(("m", "sign", "samples", "segments", "piece", "steps"),
                     int),
-    **dict.fromkeys(("recipe", "special", "out", "profile", "report"), str),
-    "obj": _parse_bool,
+    **dict.fromkeys(("recipe", "out", "profile", "report"), str),
+    "obj": _one_of("obj", ("true", "false"), lambda val: val == "true"),
+    "special": _one_of("special", SPECIALS),
 }
 
 
@@ -445,6 +454,15 @@ def cmd_scan_coincidence(settings: dict) -> int:
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with its usage errors on EXIT_ERROR: exit code 2 means no
+    admissible surface here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", help="flat key = value settings file")
     sp.add_argument("--m", type=int, dest="m")
@@ -459,7 +477,7 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="lwsurf",
         description="Rotational linear Weingarten surfaces in the "
                     "((x1^2+x2^2)^m + x3^(2m))^(1/2m) normed space")
@@ -476,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--segments", type=int, dest="segments")
     sp.add_argument("--piece", type=int, dest="piece",
                     help="which maximal interval to sample")
-    sp.add_argument("--special", choices=("sphere", "cylinder"))
+    sp.add_argument("--special", choices=SPECIALS)
     sp.add_argument("--height", type=float, dest="height")
     sp.add_argument("--recipe", choices=[r.value for r in Recipe])
 

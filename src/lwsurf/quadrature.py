@@ -574,6 +574,10 @@ _SINGULAR_KINDS = (EndpointKind.SIMPLE_ROOT, EndpointKind.DOUBLE_ROOT,
 
 def _build_grid(domain: DomainInterval, samples: int, m: int,
                 upper_cut: float) -> np.ndarray:
+    """The rows of every branch table.  With a singular end, half of them
+    come from each end, graded by its kind (_edge_offsets); otherwise they
+    are uniform.  A cap or cut end is a row, and at m >= 4 rows can round
+    onto a simple root; the closed forms clip them off the ends."""
     lo, up = domain.lower, min(domain.upper, upper_cut)
     lk, uk = domain.lower_kind, domain.upper_kind
     if math.isinf(domain.upper):

@@ -272,6 +272,8 @@ class NormCircle:
     Here w = c - k*alpha.  Spheres are (c, k, R) = (0, -1, r) and the
     constant-k1 arcs are (c1, mu, 1).  w is kept in this uncentred form:
     numpy's array power rounds (a - c)^2m and (c - a)^2m differently.
+    The root is |w| = R, where the slope is infinite; next to an arc's
+    root the rounding of w can land on it.
     """
 
     c: float
@@ -726,41 +728,21 @@ def _normalize(req: SolveRequest) -> tuple:
     return req, 1.0
 
 
-def _arc_grid(dom: DomainInterval, n: int, m: int) -> np.ndarray:
-    """Grid of a constant-k1 arc, graded toward the simple-root end
-    (|w| = 1), where u' blows up."""
-    width = dom.upper - dom.lower
-    s = np.linspace(0.0, width ** (1.0 / (2 * m)), n + 1)[1:]
-    if dom.lower_kind is _ROOT:
-        grid = dom.lower + s ** (2 * m)
-        grid = np.append(grid, dom.upper) if grid[-1] < dom.upper else grid
-    elif dom.upper_kind is _ROOT:
-        grid = np.sort(dom.upper - s ** (2 * m))
-    else:
-        grid = np.linspace(dom.lower + 1e-6 * width, dom.upper, n)
-    pad = 1e-15 * max(1.0, width)
-    return np.unique(np.clip(grid, dom.lower + pad, dom.upper - pad))
-
-
 def _norm_circle_branch(req: SolveRequest, piece: _Piece,
                         slope: NormCircle) -> ProfileBranch:
-    """Closed-form branch on a norm circle."""
+    """Closed-form branch on a norm circle, on the rows of _build_grid
+    strictly inside the domain and off its root."""
     if req.samples < 2:
         raise ValueError("need at least 2 samples")
-    m = req.p.m
     dom = piece.domain
-    # the arc for mu < 0, 0 <= c1 < 1 runs from the axis to a root like a
-    # sphere, but keeps the arc grading of the other constant-k1 pieces
-    if req.relation.form is RelationForm.K1_CONST:
-        alpha = _arc_grid(dom, req.samples, m)
-    else:
-        # at m >= 4 the points next to the root round onto it, where the
-        # slope is infinite; they move to the float below it
-        grid = _build_grid(dom, req.samples, m, math.inf)
-        alpha = np.unique(np.minimum(grid, np.nextafter(dom.upper, 0.0)))
-    a0 = piece.anchor_alpha
+    grid = np.unique(np.clip(_build_grid(dom, req.samples, req.p.m, math.inf),
+                             np.nextafter(dom.lower, math.inf),
+                             np.nextafter(dom.upper, 0.0)))
     with np.errstate(all="ignore"):
-        du = req.sign * np.asarray(slope(alpha))
+        du = req.sign * np.asarray(slope(grid))
+    off_root = np.isfinite(du)
+    alpha, du = grid[off_root], du[off_root]
+    a0 = piece.anchor_alpha
     return ProfileBranch(
         request=req, case=piece.tag, domain=dom, alpha=alpha,
         u=req.sign * slope.height(alpha) + req.shift,

@@ -719,9 +719,7 @@ def _dop853(f, t0: float, y0: tuple, t_bound: float, t_eval, events,
 def ode_oracle(branch: ProfileBranch, tol: float = 1e-7) -> VerificationReport:
     """Re-integrates the profile equation and compares with the table.
 
-    Starts from the middle table row or, where |u'| there is above the
-    cap of SLOPE_WINDOW, from the row nearest the middle whose |u'| is
-    not.  The median first-integral residual
+    Starts from the middle table row.  The median first-integral residual
     over the whole branch (first_integral_drift's) must already be below
     ORACLE_FI_PRECONDITION: the oracle refuses to launch from
     inconsistent data.  The deviation is measured as |delta alpha|:
@@ -749,13 +747,6 @@ def ode_oracle(branch: ProfileBranch, tol: float = 1e-7) -> VerificationReport:
     fi = first_integral_drift(branch, tol=math.inf)
     slope_floor, slope_cap = SLOPE_WINDOW
     anchor_idx = len(branch.alpha) // 2
-    slopes = np.abs(branch.du)
-    if slopes[anchor_idx] > slope_cap:
-        # a graded grid can crowd past the middle toward a root; start at
-        # the row nearest the middle that the window does not already cut
-        below = np.flatnonzero(slopes <= slope_cap)
-        if len(below):
-            anchor_idx = below[np.argmin(np.abs(below - anchor_idx))]
     a0 = float(branch.alpha[anchor_idx])
     u0 = float(branch.u[anchor_idx])
     d10 = float(branch.du[anchor_idx])

@@ -322,6 +322,33 @@ class TestUnexpectedErrors:
         assert "Traceback" not in err
 
 
+class TestUsageErrors:
+    """A rejected flag exits 1 with argparse's message; exit 2 means no
+    admissible surface."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["generate", "--special", "spere", "--out", "x"],
+         "argument --special: invalid choice: 'spere'"),
+        (["generate", "--sign", "3", "--out", "x"],
+         "argument --sign: invalid choice: 3"),
+        (["classify", "--m", "two"], "argument --m: invalid int value"),
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
+    ])
+    def test_exit_one(self, capsys, monkeypatch, tmp_path, argv, message):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert message in capsys.readouterr().err.splitlines()[-1]
+        assert not any(tmp_path.iterdir())
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--help"])
+        assert exc.value.code == 0
+        assert "--special {sphere,cylinder}" in capsys.readouterr().out
+
+
 class TestScanCoincidence:
     def test_disclaimer_and_rows(self, capsys):
         code, out, _ = run(capsys, "scan-coincidence", "--recipe", "C3",
@@ -395,6 +422,18 @@ class TestConfigFile:
         assert err.splitlines() == [
             "error: config key 'obj' must be true or false, got 'yes'"]
         assert not (tmp_path / "s.csv").exists()
+
+    def test_special_key_takes_the_flag_choices(self, capsys, tmp_path):
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text("special = spere\n")
+        code, out, err = run(capsys, "generate", "--config", str(cfg),
+                             "--out", str(tmp_path / "s"))
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            "error: config key 'special' must be sphere or cylinder, got "
+            "'spere'"]
+        assert [p.name for p in tmp_path.iterdir()] == ["job.cfg"]
 
 
 class TestNonFiniteConstants:

@@ -220,6 +220,39 @@ class TestBranchTables:
             assert b.alpha[0] >= b.domain.lower - 1e-12, tag
             assert b.alpha[-1] <= b.domain.upper + 1e-12, tag
 
+    @pytest.mark.parametrize("m", range(1, 7))
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("build, rescaled", [
+        (lambda p, s: solve_constant_k2(p, sign=s), False),
+        (lambda p, s: solve_inhom_general(p, 0.5, -1.0, 0.0, s)[0], False),
+        (lambda p, s: solve_inhom_general(p, 0.5, -3.0, 0.0, s)[0], True),
+        # 4iii-1 from a root (c1 = 1.25: next to it w rounds onto 1 at
+        # m >= 4), and from the axis
+        (lambda p, s: solve_constant_k1(p, 1.0, 2.0, sign=s), False),
+        (lambda p, s: solve_constant_k1(p, 1.0, 1.25, sign=s), False),
+        (lambda p, s: solve_constant_k1(p, 1.0, 0.5, sign=s), False),
+        (lambda p, s: solve_constant_k1(p, 3.0, 2.0, sign=s), True),
+        # 4iii-2 to a root, from a cap and from the axis
+        (lambda p, s: solve_constant_k1(p, -1.0, -2.0, sign=s), False),
+        (lambda p, s: solve_constant_k1(p, -1.0, 0.5, sign=s), False),
+        (lambda p, s: solve_constant_k1(p, -3.0, -2.0, sign=s), True),
+    ], ids=["sphere", "6.3ii-1", "6.3ii-1-mu3", "4iii-1", "4iii-1-w",
+            "4iii-1-axis", "4iii-1-mu3", "4iii-2", "4iii-2-axis",
+            "4iii-2-mu3"])
+    def test_closed_form_rows_inside_the_domain(self, m, sign, build,
+                                                rescaled):
+        b = build(NormParameter(m), sign)
+        steps = np.diff(b.alpha)
+        if rescaled:
+            # the rescale can round two neighbouring rows onto one alpha,
+            # as test_verify's test_repeated_alpha_in_rescaled_table shows
+            assert np.all(steps >= 0.0)
+        else:
+            assert np.all(steps > 0.0)
+        assert b.domain.lower < b.alpha[0]
+        assert b.alpha[-1] < b.domain.upper
+        assert np.all(np.isfinite(b.du))
+
     def test_anchor_on_curve(self, instances_m2):
         for tag, b in instances_m2.items():
             a0, u0 = b.anchor
