@@ -28,6 +28,7 @@ from .quadrature import (
     profile_from_integral,
 )
 from .solver import (
+    BracketError,
     CaseTag,
     IllConditionedWarning,
     NoSurfaceError,

@@ -39,7 +39,6 @@ from .solver import (
     classify,
     critical_c1,
     solve,
-    solve_constant_k2,
 )
 from .verify import TABLE_TOL, residual_scan_table
 
@@ -97,12 +96,11 @@ def _read_config(path: str) -> dict:
     return values
 
 
-def _one_of(key: str, values: tuple, convert=str):
+def _one_of(values: tuple, convert=str):
     """Parser of a config key that takes only the given values."""
     def parse(val: str):
         if val not in values:
-            raise ValueError(f"config key {key!r} must be "
-                             f"{' or '.join(values)}, got {val!r}")
+            raise ValueError(f"must be {' or '.join(values)}, got {val!r}")
         return convert(val)
     return parse
 
@@ -113,8 +111,8 @@ _CONFIG_PARSERS = {
     **dict.fromkeys(("m", "sign", "samples", "segments", "piece", "steps"),
                     int),
     **dict.fromkeys(("recipe", "out", "profile", "report"), str),
-    "obj": _one_of("obj", ("true", "false"), lambda val: val == "true"),
-    "special": _one_of("special", SPECIALS),
+    "obj": _one_of(("true", "false"), lambda val: val == "true"),
+    "special": _one_of(SPECIALS),
 }
 
 
@@ -125,7 +123,10 @@ def _merge_settings(args: argparse.Namespace) -> dict:
         for key, val in _read_config(cfg_path).items():
             if key not in _CONFIG_PARSERS:
                 raise ValueError(f"unknown config key {key!r}")
-            settings[key] = _CONFIG_PARSERS[key](val)
+            try:
+                settings[key] = _CONFIG_PARSERS[key](val)
+            except ValueError as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from exc
     for key, val in vars(args).items():
         if key in ("config", "command"):
             continue
@@ -362,12 +363,10 @@ def cmd_generate(settings: dict) -> int:
         meta["case"] = surface.arcs[0].branch.case.value
         meta["recipe"] = recipe
     else:
-        if special == "sphere":
-            branches = [solve_constant_k2(p, c=settings["shift"],
-                                          sign=settings["sign"],
-                                          samples=settings["samples"])]
-        else:
-            branches = solve(_request(settings))
+        # the translated sphere is the relation k1 + inf*k2 = -1
+        solved = ({**settings, "lam": math.inf, "mu": -1.0}
+                  if special == "sphere" else settings)
+        branches = solve(_request(solved))
         idx = settings["piece"]
         if not 0 <= idx < len(branches):
             raise ValueError(f"piece index {idx} out of range "
@@ -378,8 +377,7 @@ def cmd_generate(settings: dict) -> int:
             "case": branch.case.value, "m": p.m,
             "lam": branch.lam,
             # the requested mu, which mu / scale need not round back to
-            "mu": (branch.mu / branch.scale if special == "sphere"
-                   else settings["mu"]),
+            "mu": solved["mu"],
             "domain": [branch.domain.lower, branch.domain.upper],
             "endpoints": [branch.domain.lower_kind.value,
                           branch.domain.upper_kind.value],

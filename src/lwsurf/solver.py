@@ -37,6 +37,7 @@ __all__ = [
     "SolveRequest",
     "ProfileBranch",
     "NoSurfaceError",
+    "BracketError",
     "IllConditionedWarning",
     "classify",
     "critical_c1",
@@ -58,13 +59,17 @@ class NoSurfaceError(ValueError):
     """No admissible profile exists; the message names the failed inequality."""
 
 
+class BracketError(RuntimeError):
+    """The probe grid did not bracket the roots that the case needs."""
+
+
 class IllConditionedWarning(UserWarning):
     """Constants sit close to a taxonomy boundary; results may be unstable."""
 
 
 class RelationForm(Enum):
-    K1_ZERO = "k1_zero"                      # cylinder
-    K2_CONST = "k2_const"                    # translated sphere
+    K1_ZERO = "k1_zero"                      # cylinder: lam = mu = 0
+    K2_CONST = "k2_const"                    # translated sphere: lam = inf
     K1_CONST = "k1_const"                    # lam = 0, mu != 0
     HOMOGENEOUS = "homogeneous"              # mu = 0, lam != 0
     INHOM_LAMBDA_MINUS1 = "inhom_lambda_minus1"
@@ -73,58 +78,42 @@ class RelationForm(Enum):
 
 @dataclass(frozen=True)
 class WeingartenRelation:
-    """Normalized linear relation k1 + lam*k2 = mu between the curvatures."""
+    """Linear relation k1 + lam*k2 = mu between the curvatures.
 
-    form: RelationForm
-    lam: float = 0.0
-    mu: float = 0.0
+    The relation is its two constants; its ``form``, the paper's case
+    split, follows from them.  ``mu`` is finite, and ``lam`` is finite
+    except for the translated sphere k2 = -1, written (inf, -1).
+    """
+
+    lam: float
+    mu: float
 
     def __post_init__(self) -> None:
-        f = self.form
-        # only the translated sphere stands for lam = inf
-        if not (math.isfinite(self.lam) or f is RelationForm.K2_CONST):
-            raise ValueError(f"lam must be finite, got {self.lam}")
         if not math.isfinite(self.mu):
             raise ValueError(f"mu must be finite, got {self.mu}")
-        if f is RelationForm.HOMOGENEOUS and self.lam == 0.0:
-            raise ValueError("homogeneous relation needs lam != 0")
-        if f is RelationForm.K1_CONST and self.mu == 0.0:
-            raise ValueError("constant-k1 relation needs mu != 0")
-        if f is RelationForm.INHOM_LAMBDA_MINUS1 and self.mu == 0.0:
-            raise ValueError("lam = -1 relation needs mu != 0")
-        if f is RelationForm.INHOM_GENERAL:
-            if self.mu == 0.0 or self.lam in (0.0, -1.0):
-                raise ValueError("general relation needs mu != 0, lam not in {0,-1}")
+        if not (math.isfinite(self.lam)
+                or (self.lam == math.inf and self.mu == -1.0)):
+            raise ValueError(f"lam must be finite, or inf with mu = -1, "
+                             f"got {self.lam}")
 
-    @staticmethod
-    def k1_zero() -> "WeingartenRelation":
-        return WeingartenRelation(RelationForm.K1_ZERO)
-
-    @staticmethod
-    def k2_const() -> "WeingartenRelation":
-        return WeingartenRelation(RelationForm.K2_CONST, lam=math.inf, mu=-1.0)
-
-    @staticmethod
-    def k1_const(mu: float) -> "WeingartenRelation":
-        return WeingartenRelation(RelationForm.K1_CONST, lam=0.0, mu=mu)
-
-    @staticmethod
-    def homogeneous(lam: float) -> "WeingartenRelation":
-        return WeingartenRelation(RelationForm.HOMOGENEOUS, lam=lam, mu=0.0)
+    @property
+    def form(self) -> RelationForm:
+        lam, mu = self.lam, self.mu
+        if math.isinf(lam):
+            return RelationForm.K2_CONST
+        if mu == 0.0:
+            return (RelationForm.K1_ZERO if lam == 0.0
+                    else RelationForm.HOMOGENEOUS)
+        if lam == 0.0:
+            return RelationForm.K1_CONST
+        if lam == -1.0:
+            return RelationForm.INHOM_LAMBDA_MINUS1
+        return RelationForm.INHOM_GENERAL
 
     @staticmethod
     def linear(lam: float, mu: float) -> "WeingartenRelation":
-        """General k1 + lam*k2 = mu, dispatching on the special values."""
-        if mu == 0.0:
-            if lam == 0.0:
-                return WeingartenRelation.k1_zero()
-            return WeingartenRelation.homogeneous(lam)
-        if lam == 0.0:
-            return WeingartenRelation.k1_const(mu)
-        if lam == -1.0:
-            return WeingartenRelation(RelationForm.INHOM_LAMBDA_MINUS1,
-                                      lam=lam, mu=mu)
-        return WeingartenRelation(RelationForm.INHOM_GENERAL, lam=lam, mu=mu)
+        """The relation k1 + lam*k2 = mu."""
+        return WeingartenRelation(lam, mu)
 
 
 class CaseTag(Enum):
@@ -170,7 +159,9 @@ class SolveRequest:
     ``c1`` is the first integration constant of the normalized (|mu| = 1)
     problem; for the homogeneous relation ``c2`` plays that role.  ``shift``
     is the additive axis constant.  General |mu| != 1 inputs are solved in
-    normalized form and rescaled by 1/|mu| afterwards.
+    normalized form and rescaled by 1/|mu| afterwards.  ``c1``, ``c2``
+    and ``shift`` are finite, ``samples`` is at least 2 and ``tol`` is
+    finite and nonnegative.
     """
 
     p: object  # NormParameter
@@ -189,6 +180,10 @@ class SolveRequest:
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
+        if self.samples < 2:
+            raise ValueError("need at least 2 samples")
+        if not (math.isfinite(self.tol) and self.tol >= 0.0):
+            raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
 
 
 @dataclass
@@ -424,7 +419,6 @@ class _Piece:
 
 @dataclass
 class _Plan:
-    tag: CaseTag                 # leading tag (first piece) for reporting
     pieces: list
     slope: SlopeLaw | NormCircle
 
@@ -471,7 +465,7 @@ def _single(tag: CaseTag, lo: float, hi: float, lo_kind: EndpointKind,
             slope: SlopeLaw | NormCircle) -> _Plan:
     """Plan with one piece."""
     dom = DomainInterval(lo, hi, lo_kind, hi_kind, label=tag.value)
-    return _Plan(tag, [_Piece(dom, anchor, tag)], slope)
+    return _Plan([_Piece(dom, anchor, tag)], slope)
 
 
 def _sphere_plan(tag: CaseTag, radius: float, m: int) -> _Plan:
@@ -483,15 +477,15 @@ def _sphere_plan(tag: CaseTag, radius: float, m: int) -> _Plan:
 def _roots(law: SlopeLaw, lo: float, hi: float, probes: int,
            message: str, count: int = 0) -> list:
     """The roots of the gap P - Q of the law on (lo, hi): exactly ``count``
-    of them, or with count 0 the first one; RuntimeError(message)
+    of them, or with count 0 the first one; BracketError(message)
     otherwise."""
     roots = bracket_roots(law.gap, lo, hi, probes=probes)
     if not count:
         if not roots:
-            raise RuntimeError(message)
+            raise BracketError(message)
         return roots[:1]
     if len(roots) != count:
-        raise RuntimeError(f"{message}, got {roots}")
+        raise BracketError(f"{message}, got {roots}")
     return roots
 
 
@@ -521,8 +515,8 @@ def _split_plan(law: SlopeLaw, double: tuple, c1: float, c_crit: float,
     inner, outer = CaseTag(f"{case}-{n}-1"), CaseTag(f"{case}-{n}-2")
     d_in = DomainInterval(0.0, a_in, _AXIS, kind, label=inner.value)
     d_out = DomainInterval(a_out, top, kind, _CAP, label=outer.value)
-    return _Plan(inner, [_Piece(d_in, anchors[0], inner),
-                         _Piece(d_out, anchors[1], outer)], law)
+    return _Plan([_Piece(d_in, anchors[0], inner),
+                  _Piece(d_out, anchors[1], outer)], law)
 
 
 def _homogeneous_plan(req: SolveRequest) -> _Plan:
@@ -703,14 +697,16 @@ def _plan(req: SolveRequest) -> _Plan:
 
 
 def classify(req: SolveRequest) -> tuple:
-    """Case label and admissible alpha-intervals for a request.
+    """Case label of the first piece and the admissible alpha-intervals
+    of a request; the case follows from the relation's form and c1.
 
     Raises NoSurfaceError (naming the violated inequality) when the
-    admissible set is empty.  Constants near a taxonomy boundary trigger an
-    IllConditionedWarning.
+    admissible set is empty, and BracketError when the roots that bound
+    the intervals are not bracketed.  Constants near a taxonomy boundary
+    trigger an IllConditionedWarning.
     """
     plan = _plan(_normalize(req)[0])
-    return plan.tag, [piece.domain for piece in plan.pieces]
+    return plan.pieces[0].tag, [piece.domain for piece in plan.pieces]
 
 
 # ---------------------------------------------------------------------------
@@ -718,11 +714,10 @@ def classify(req: SolveRequest) -> tuple:
 
 
 def _normalize(req: SolveRequest) -> tuple:
-    """Rescale a general-mu request to |mu| = 1; returns (request, scale)."""
+    """Rescale a request with mu not in {0, 1, -1} to |mu| = 1; returns
+    (request, scale)."""
     mu = req.relation.mu
-    if req.relation.form in (RelationForm.INHOM_LAMBDA_MINUS1,
-                             RelationForm.INHOM_GENERAL,
-                             RelationForm.K1_CONST) and abs(mu) != 1.0:
+    if mu != 0.0 and abs(mu) != 1.0:
         rel = replace(req.relation, mu=math.copysign(1.0, mu))
         return replace(req, relation=rel), 1.0 / abs(mu)
     return req, 1.0
@@ -732,8 +727,6 @@ def _norm_circle_branch(req: SolveRequest, piece: _Piece,
                         slope: NormCircle) -> ProfileBranch:
     """Closed-form branch on a norm circle, on the rows of _build_grid
     strictly inside the domain and off its root."""
-    if req.samples < 2:
-        raise ValueError("need at least 2 samples")
     dom = piece.domain
     grid = np.unique(np.clip(_build_grid(dom, req.samples, req.p.m, math.inf),
                              np.nextafter(dom.lower, math.inf),
@@ -800,7 +793,7 @@ def solve(req: SolveRequest) -> list:
 def solve_constant_k2(p, c: float = 0.0, sign: int = +1,
                       samples: int = 512) -> ProfileBranch:
     """Unit sphere translated along the axis: k2 = -1 identically."""
-    req = SolveRequest(p=p, relation=WeingartenRelation.k2_const(),
+    req = SolveRequest(p=p, relation=WeingartenRelation(math.inf, -1.0),
                        shift=c, sign=sign, samples=samples)
     return solve(req)[0]
 
@@ -808,7 +801,7 @@ def solve_constant_k2(p, c: float = 0.0, sign: int = +1,
 def solve_constant_k1(p, mu: float, c1: float, c2: float = 0.0,
                       sign: int = +1, samples: int = 512) -> ProfileBranch:
     """Circle-like arc with k1 = mu constant (mu = +/-1)."""
-    req = SolveRequest(p=p, relation=WeingartenRelation.k1_const(mu),
+    req = SolveRequest(p=p, relation=WeingartenRelation(0.0, mu),
                        c1=c1, shift=c2, sign=sign, samples=samples)
     return solve(req)[0]
 
@@ -816,7 +809,7 @@ def solve_constant_k1(p, mu: float, c1: float, c2: float = 0.0,
 def solve_homogeneous(p, lam: float, c2: float, sign: int = +1,
                       samples: int = 512,
                       tol: float = 1e-10) -> ProfileBranch:
-    req = SolveRequest(p=p, relation=WeingartenRelation.homogeneous(lam),
+    req = SolveRequest(p=p, relation=WeingartenRelation(lam, 0.0),
                        c2=c2, sign=sign, samples=samples, tol=tol)
     return solve(req)[0]
 

@@ -38,6 +38,11 @@ class TestClassify:
         lines = out.strip().splitlines()
         assert [ln.split(",")[0] for ln in lines] == ["6.1i-3-1", "6.1i-3-2"]
 
+    def test_sphere_relation(self, capsys):
+        code, out, _ = run(capsys, "classify", "--lambda", "inf", "--mu", "-1")
+        assert code == 0
+        assert out.startswith("4ii, domain (0, 1)")
+
     def test_cylinder_relation(self, capsys):
         code, out, _ = run(capsys, "classify", "--lambda", "0", "--mu", "0")
         assert code == 0
@@ -68,6 +73,22 @@ class TestGenerateVerifyRoundTrip:
         assert report["passed"]
         assert report["max_residual"] < 1e-8
         assert json.loads((tmp_path / "report.json").read_text()) == report
+
+    def test_special_sphere_is_the_relation_inf_minus_one(self, capsys,
+                                                          tmp_path):
+        for name, flags in (("s", ["--special", "sphere"]),
+                            ("r", ["--lambda", "inf", "--mu", "-1"])):
+            code, _, _ = run(capsys, "generate", *flags, "--m", "4",
+                             "--sign", "-1", "--shift", "0.5",
+                             "--out", str(tmp_path / name))
+            assert code == 0
+        assert ((tmp_path / "s.csv").read_bytes()
+                == (tmp_path / "r.csv").read_bytes())
+        metas = [json.loads((tmp_path / f"{name}.meta.json").read_text())
+                 for name in "sr"]
+        assert metas[0].pop("settings") != metas[1].pop("settings")
+        assert metas[0] == metas[1]
+        assert metas[0]["case"] == "4ii" and metas[0]["mu"] == -1.0
 
     def test_homogeneous_profile_at_default_tolerance(self, capsys, tmp_path):
         prefix = str(tmp_path / "hom")
@@ -392,6 +413,16 @@ class TestConfigFile:
         assert code == 1
         assert "unknown config key" in err
 
+    def test_bad_value_names_its_key(self, capsys, tmp_path):
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text("m = 2.5\n")
+        code, out, err = run(capsys, "classify", "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            "error: config key 'm': invalid literal for int() with base 10: "
+            "'2.5'"]
+
     def test_comments_and_blank_lines(self, capsys, tmp_path):
         cfg = tmp_path / "job.cfg"
         cfg.write_text("# a job\n\nlambda = -1  # trailing\nmu = 1\n"
@@ -420,7 +451,7 @@ class TestConfigFile:
         assert code == 1
         assert out == ""
         assert err.splitlines() == [
-            "error: config key 'obj' must be true or false, got 'yes'"]
+            "error: config key 'obj': must be true or false, got 'yes'"]
         assert not (tmp_path / "s.csv").exists()
 
     def test_special_key_takes_the_flag_choices(self, capsys, tmp_path):
@@ -431,7 +462,7 @@ class TestConfigFile:
         assert code == 1
         assert out == ""
         assert err.splitlines() == [
-            "error: config key 'special' must be sphere or cylinder, got "
+            "error: config key 'special': must be sphere or cylinder, got "
             "'spere'"]
         assert [p.name for p in tmp_path.iterdir()] == ["job.cfg"]
 
@@ -457,6 +488,10 @@ class TestNonFiniteConstants:
         ("generate", ["--special", "sphere"], "sign = 2\n", "sign"),
         ("generate", ["--lambda", "-1", "--mu", "1", "--c1", "1.5"],
          "sign = 0\n", "sign"),
+        *[("generate", ["--lambda", "1", "--mu", "0", "--c2", "1",
+                        "--tol", tol], "", "tol")
+          for tol in ("-1", "nan", "inf")],
+        ("classify", ["--lambda", "1", "--mu", "0"], "tol = nan\n", "tol"),
     ])
     def test_rejected(self, capsys, tmp_path, command, flags, config, field):
         cfg = tmp_path / "job.cfg"

@@ -75,7 +75,7 @@ def double_plan(lam: float, m: int):
 @pytest.mark.parametrize("lam,family", FAMILIES)
 def test_factored_denominator_is_the_plain_one(lam, family, m):
     c1, plan = double_plan(lam, m)
-    assert plan.tag.value == family + "-1"
+    assert plan.pieces[0].tag.value == family + "-1"
     inner = plan.pieces[0].domain
     t_d = inner.upper
     assert inner.upper_kind is EndpointKind.DOUBLE_ROOT

@@ -11,10 +11,12 @@ import pytest
 from scipy.optimize import brentq
 
 from lwsurf import (
+    BracketError,
     CaseTag,
     IllConditionedWarning,
     NormParameter,
     NoSurfaceError,
+    RelationForm,
     SolveRequest,
     WeingartenRelation,
     classify,
@@ -34,7 +36,12 @@ from lwsurf.quadrature import (
     integrate_singular,
 )
 from lwsurf.solver import SlopeLaw, critical_c1
-from lwsurf.verify import residual_scan, slope_invariant
+from lwsurf.verify import (
+    first_integral_drift,
+    ode_oracle,
+    residual_scan,
+    slope_invariant,
+)
 
 from conftest import (
     ALL_TAGS_WITH_TABLE,
@@ -55,20 +62,57 @@ def req_for(p, lam, mu, c1=0.0, c2=1.0):
 
 class TestRelationDispatch:
     def test_forms(self):
-        from lwsurf import RelationForm
-        assert WeingartenRelation.linear(0.0, 0.0).form is RelationForm.K1_ZERO
-        assert WeingartenRelation.linear(0.0, 1.0).form is RelationForm.K1_CONST
-        assert WeingartenRelation.linear(2.0, 0.0).form is RelationForm.HOMOGENEOUS
-        assert (WeingartenRelation.linear(-1.0, 2.0).form
-                is RelationForm.INHOM_LAMBDA_MINUS1)
-        assert (WeingartenRelation.linear(0.7, -1.0).form
-                is RelationForm.INHOM_GENERAL)
+        # the form of a relation follows from its two constants
+        for lam, mu, form in (
+                (0.0, 0.0, RelationForm.K1_ZERO),
+                (-0.0, 0.0, RelationForm.K1_ZERO),
+                (math.inf, -1.0, RelationForm.K2_CONST),
+                (0.0, 1.0, RelationForm.K1_CONST),
+                (0.0, -2.5, RelationForm.K1_CONST),
+                (2.0, 0.0, RelationForm.HOMOGENEOUS),
+                (-0.5, -0.0, RelationForm.HOMOGENEOUS),
+                (-1.0, 2.0, RelationForm.INHOM_LAMBDA_MINUS1),
+                (0.7, -1.0, RelationForm.INHOM_GENERAL),
+                (-3.0, 0.5, RelationForm.INHOM_GENERAL)):
+            relation = WeingartenRelation(lam, mu)
+            assert relation.form is form, (lam, mu)
+            assert WeingartenRelation.linear(lam, mu) == relation
+        assert [f.name for f in dataclasses.fields(WeingartenRelation)] \
+            == ["lam", "mu"]
 
-    def test_invalid_combinations(self):
-        with pytest.raises(ValueError):
-            WeingartenRelation.homogeneous(0.0)
-        with pytest.raises(ValueError):
-            WeingartenRelation.k1_const(0.0)
+    def test_invalid_constants(self):
+        # lam = inf stands only for the translated sphere, mu = -1
+        for lam, mu, field in ((math.nan, 1.0, "lam"),
+                               (-math.inf, -1.0, "lam"),
+                               (math.inf, 1.0, "lam"),
+                               (math.inf, 0.0, "lam"),
+                               (1.0, math.nan, "mu"),
+                               (0.0, math.inf, "mu"),
+                               (math.inf, -math.inf, "mu")):
+            with pytest.raises(ValueError, match=f"^{field} must be finite"):
+                WeingartenRelation(lam, mu)
+
+    def test_pair_builds_the_relation_it_names(self):
+        # the first argument is lam: (0.5, 1) is a 6.3 relation, not a
+        # constant-k1 arc
+        req = SolveRequest(P2, WeingartenRelation(0.5, 1.0), c1=0.8)
+        branches = solve(req)
+        assert [b.case for b in branches] == [CaseTag.GEN_POS_PLUS]
+        b, = branches
+        assert (b.lam, b.mu) == (0.5, 1.0)
+        for check in (residual_scan, first_integral_drift, ode_oracle):
+            assert check(b).passed, check.__name__
+
+    def test_unbracketed_roots_raise_the_named_error(self):
+        # sweep seed 401: the probe grid finds one of the two 6.3iii-3
+        # roots below top
+        req = SolveRequest(NormParameter(4), WeingartenRelation(
+            -0.012137292640919561, 4.190876646895785), c1=3.5124454836960304)
+        for call in (solve, classify):
+            with pytest.raises(BracketError,
+                               match="^expected two roots below 3.52"):
+                call(req)
+        assert issubclass(BracketError, RuntimeError)
 
 
 class TestClassification:
@@ -201,6 +245,18 @@ class TestBranchTables:
             solve_constant_k2(p, samples=samples)
         with pytest.raises(ValueError, match="need at least 2 samples"):
             solve_constant_k1(p, 1.0, 0.5, samples=samples)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("samples", 1, "need at least 2 samples"),
+        ("tol", -1.0, "tol must be finite and >= 0"),
+        ("tol", math.nan, "tol must be finite and >= 0"),
+        ("tol", math.inf, "tol must be finite and >= 0"),
+    ])
+    def test_request_checks_samples_and_tol(self, field, value, message):
+        # the request rejects the value before any table is built
+        with pytest.raises(ValueError, match=message):
+            SolveRequest(P2, WeingartenRelation(1.0, 0.0),
+                         **{field: value})
 
     def test_monotone_u(self, instances_m2):
         for tag, b in instances_m2.items():
