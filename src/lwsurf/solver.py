@@ -60,7 +60,9 @@ class NoSurfaceError(ValueError):
 
 
 class BracketError(RuntimeError):
-    """The probe grid did not bracket the roots that the case needs."""
+    """The roots that the case needs were not bracketed: the probe grid
+    missed them, or an end of the interval they lie in exceeds the float
+    range."""
 
 
 class IllConditionedWarning(UserWarning):
@@ -626,6 +628,17 @@ def _gen_mid_plan(req: SolveRequest) -> _Plan:
                    law)
 
 
+def _low_pow(bound: str, w: float, base: float, exponent: float) -> float:
+    """base^exponent, a term of the lam < -1 interval end or stationary
+    point that ``bound`` names; BracketError where it exceeds the float
+    range."""
+    try:
+        return math.pow(base, exponent)
+    except OverflowError:
+        raise BracketError(f"{bound} exceeds the float range at "
+                           f"w = -(lam+1) = {w!r}") from None
+
+
 def _gen_low_plan(req: SolveRequest) -> _Plan:
     """lam < -1 branch, parameterized internally by omega = -(lam+1) > 0."""
     lam, mu, c1 = req.relation.lam, req.relation.mu, req.c1
@@ -643,10 +656,11 @@ def _gen_low_plan(req: SolveRequest) -> _Plan:
             return _single(CaseTag.GEN_LOW_PLUS_POS, 0.0, a17, _AXIS, _ROOT,
                            a17, law)
         # c1 < 0: t*G(t) > 0 only below the zero of G
-        a18 = math.pow(-c1 * w, -1.0 / w)
+        a18 = _low_pow("a18 = (-c1*w)^(-1/w)", w, -c1 * w, -1.0 / w)
         # P - Q = w - t - c1*w*t^(w+1) is stationary at a19
-        a19 = math.pow(-c1 * w * (w + 1.0), -1.0 / w)
-        beta = -c1 * w * a19 ** (w + 1.0)
+        a19 = _low_pow("a19 = (-c1*w*(w+1))^(-1/w)", w,
+                       -c1 * w * (w + 1.0), -1.0 / w)
+        beta = -c1 * w * _low_pow("beta = -c1*w*a19^(w+1)", w, a19, w + 1.0)
         return _split_plan(law, (beta, w + 1.0, a19), c1, thr, a18, "6.3v-3",
                            sub_anchor=0.0, probes=512)
 
@@ -655,7 +669,7 @@ def _gen_low_plan(req: SolveRequest) -> _Plan:
         raise NoSurfaceError(
             "c1* <= 0 with lam < -1: t*G(t) stays nonpositive, no admissible "
             "interval")
-    a22 = math.pow(c1 * w, -1.0 / w)
+    a22 = _low_pow("a22 = (c1*w)^(-1/w)", w, c1 * w, -1.0 / w)
     a23, = _roots(law, a22, 10.0 * a22 + w + 10.0, 512,
                   "upper admissibility root not found")
     return _single(CaseTag.GEN_LOW_MINUS, a22, a23, _CAP, _ROOT, a23, law)
