@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import math
@@ -151,15 +152,146 @@ def _request(settings: dict) -> SolveRequest:
 # writers
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.13e}"
+@functools.cache
+def _sci_tables(digits: int) -> tuple:
+    """The tables of ``_sci_text``, built on first use and indexed by
+    k + 23 for |k| <= 23: the multiplier and the divisor that scale by
+    10**k, one of them 1.0, and the slots of the exponent e = digits - 1 - k
+    (sign, an empty hundreds slot, tens, units) as one uint32.  Every
+    power of ten up to 10**22 is a float exactly; the scale at |k| = 23 is
+    NaN."""
+    ks = range(-23, 24)
+    mul = np.array([float(10 ** k) if 0 <= k <= 22 else 1.0 for k in ks])
+    div = np.array([float(10 ** -k) if -22 <= k < 0 else 1.0 for k in ks])
+    mul[[0, -1]] = math.nan
+    exps = [digits - 1 - k for k in ks]
+    exponents = np.frombuffer(
+        "".join(f"{'+-'[e < 0]}\0{abs(e):02d}" for e in exps).encode("ascii"),
+        np.uint32).copy()
+    return mul, div, exponents
+
+
+def _sci_text(x, digits: int) -> np.ndarray:
+    """The text of ``'%.{digits-1}e' % v`` for every element v of the float
+    array x, as a uint8 slot matrix of shape ``x.shape + (digits + 7,)``:
+    the bytes of a row that are not NUL are v's text, in order.
+
+    A row's slots are the sign, the leading digit, '.', the other
+    ``digits - 1`` digits, 'e', the exponent's sign and its hundreds, tens
+    and units.  The sign is NUL for a v without sign bit and the hundreds
+    always, unless Python's formatter wrote the row.  Every byte is proven
+    equal to Python's, or comes from Python's formatter.
+
+    Fast path.  With e = floor(log10|v|) and k = digits - 1 - e, form
+    s = |v| * 10**k as one multiply, or for k < 0 one divide, by a power
+    of ten that is a float exactly (|k| <= 22; the other operand of the
+    table's multiply-divide pair is 1.0).  log10 may round across a
+    power of ten, so k is corrected once to bring s into
+    [10**(digits-1), 10**digits).  Python prints the exact value
+    S = |v| * 10**k rounded half-even to an integer: its digits, with the
+    exponent e.  s is S correctly rounded, so it lies within half an ulp
+    of S (at most 2**-17 < 7.7e-6 at 11 digits, where s < 2**37, and
+    2**-7 < 7.9e-3 at 14, where s < 2**47).  At those sizes every
+    half-integer N + 1/2 is a float, and rounding is monotone: S below it
+    gives s at most N + 1/2, S above it gives s at least N + 1/2.  So the
+    tie band is the half-integers themselves: where the fraction of s is
+    not exactly 1/2, s and S lie strictly on one side of every
+    half-integer, S is no tie, and rint(s) is Python's integer.  A
+    rint(s) of 10**digits is the carry into a new leading 1: the digits
+    of 10**(digits-1) with the exponent e + 1.  A zero is all zeros with
+    exponent +00.  The digits and the exponent are integer arithmetic.
+
+    Python's formatter writes every other element into its row, padded
+    with NUL: those with s on a half-integer, non-finite values, |k| > 22
+    (which holds for any three-digit exponent and for products like
+    alpha*sin(pi), about 1e-16), and those whose s is still outside
+    [10**(digits-1), 10**digits) after the one correction, which only a
+    log10 off by two or more would leave.
+    """
+    x = np.asarray(x, dtype=float)
+    a = np.abs(x).ravel()
+    width = digits + 7
+    lo, hi = float(10 ** (digits - 1)), float(10 ** digits)
+    mul, div, exponents = _sci_tables(digits)
+
+    # log10(0) = -inf, and a signaling NaN flags invalid
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = (digits - 1) - np.floor(np.log10(a))
+        # k + 23, the tables' index; fmax and fmin take NaN to an edge
+        at = np.fmin(np.fmax(k, -22.0), 22.0).astype(np.intp) + 23
+        s = a * mul[at] / div[at]
+        at += (s < lo).astype(np.intp) - (s >= hi)
+        zero = a == 0.0
+        at[zero] = digits + 22  # k = digits - 1: exponent +00
+        s = a * mul[at] / div[at]
+        fast = (s >= lo) & (s < hi) & (s - np.floor(s) != 0.5)
+    s[~fast] = 0.0
+    fast |= zero
+    q = np.rint(s).astype(np.int64)
+    carry = q == 10 ** digits
+    q[carry] //= 10
+    at -= carry
+
+    # slot by slot, each a contiguous row of the transpose
+    text = np.empty((width, a.size), np.uint8)
+    text[0] = np.signbit(x).ravel()
+    text[0] *= ord("-")
+    text[2] = ord(".")
+    text[digits + 2] = ord("e")
+    text[digits + 3:] = exponents[at].view(np.uint8).reshape(-1, 4).T
+    rest, units = np.empty_like(q), np.empty_like(q)
+    for slot in (*range(digits + 1, 2, -1), 1):
+        np.floor_divide(q, 10, out=rest)
+        np.multiply(rest, 10, out=units)
+        np.subtract(q, units, out=units)
+        text[slot] = units
+        q, rest = rest, q
+    text[1] += ord("0")
+    text[3:digits + 2] += ord("0")
+    text = text.T
+
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        # left-justified in the row; the text itself has no spaces
+        text[slow] = np.frombuffer(
+            (f"%-{width}.{digits - 1}e" * slow.size
+             % tuple(x.ravel()[slow].tolist())).encode("ascii")
+            .replace(b" ", b"\0"), np.uint8).reshape(-1, width)
+    return text.reshape(x.shape + (width,))
+
+
+def _text_lines(lead: bytes, fields, digits: int, sep: bytes) -> bytes:
+    """One line per element of the float arrays ``fields``, broadcast
+    together, in C order: ``lead``, then the element of each field as
+    ``'%.{digits-1}e'`` text, joined by ``sep``, then LF."""
+    shape = np.broadcast_shapes(*(np.shape(f) for f in fields))
+    width = digits + 7
+    start = len(lead)
+    line = np.empty(shape + (start + len(fields) * (width + 1),), np.uint8)
+    line[..., :start] = np.frombuffer(lead, np.uint8)
+    for i, field in enumerate(fields):
+        col = start + i * (width + 1)
+        line[..., col:col + width] = _sci_text(field, digits)
+        line[..., col + width] = ord(sep)
+    line[..., -1] = ord("\n")
+    return line.tobytes().translate(None, b"\0")
+
+
+# profile rows per formatted block of the CSV writer, so memory stays flat
+# in n
+CSV_BLOCK_ROWS = 8192
 
 
 def write_profile_csv(path: str, alpha, u, du) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("alpha,u,du\n")
-        for a, uu, d in zip(alpha, u, du):
-            fh.write(f"{_fmt(a)},{_fmt(uu)},{_fmt(d)}\n")
+    """Header ``alpha,u,du``, then one row per sample with each value as
+    ``%.13e`` (14 significant digits) and LF endings.  The rows are text
+    from ``_sci_text``, in blocks of CSV_BLOCK_ROWS rows."""
+    columns = [np.asarray(c, dtype=float) for c in (alpha, u, du)]
+    with open(path, "wb") as fh:
+        fh.write(b"alpha,u,du\n")
+        for i in range(0, len(alpha), CSV_BLOCK_ROWS):
+            fh.write(_text_lines(
+                b"", [c[i:i + CSV_BLOCK_ROWS] for c in columns], 14, b","))
 
 
 def read_profile_csv(path: str):
@@ -190,8 +322,9 @@ def read_profile_csv(path: str):
     return data[:, 0], data[:, 1], data[:, 2]
 
 
-# profile rows per formatted block of the OBJ writer: one block is one
-# string of about 0.3 MB at 96 segments, so memory stays flat in n
+# profile rows per formatted block of the OBJ writer: at 96 segments one
+# block is 6,208 vertices, one slot matrix of about 0.4 MB for their text,
+# so memory stays flat in n
 OBJ_BLOCK_ROWS = 64
 
 
@@ -199,7 +332,9 @@ def write_obj(path: str, alpha, u, segments: int) -> None:
     """Revolved mesh; the v = 0 seam ring is duplicated at v = 2*pi.
 
     Vertices and faces are written in blocks of OBJ_BLOCK_ROWS profile
-    rows, each block one %-format of a flat tuple.  The ring angles go
+    rows.  A block of vertices is one slot matrix of ``v x y z`` lines,
+    each coordinate as ``%.10e`` text from ``_sci_text``; a block of
+    faces is one ``%d`` format of a flat tuple.  The ring angles go
     through math.cos/math.sin and numpy only multiplies, so the floats,
     and the bytes, are those of a per-vertex loop.
     """
@@ -211,22 +346,19 @@ def write_obj(path: str, alpha, u, segments: int) -> None:
     cos_v = np.array([math.cos(v) for v in angles])
     sin_v = np.array([math.sin(v) for v in angles])
     ring_index = np.arange(1, segments + 1)  # 1-based OBJ index in a ring
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(path, "wb") as fh:
         for i in range(0, n, OBJ_BLOCK_ROWS):
             a = alpha[i:i + OBJ_BLOCK_ROWS, None]
-            xyz = np.empty((len(a), rings, 3))
-            xyz[:, :, 0] = a * cos_v
-            xyz[:, :, 1] = a * sin_v
-            xyz[:, :, 2] = u[i:i + OBJ_BLOCK_ROWS, None]
-            fh.write("v %.10e %.10e %.10e\n" * (xyz.size // 3)
-                     % tuple(xyz.ravel().tolist()))
+            fh.write(_text_lines(
+                b"v ", [a * cos_v, a * sin_v, u[i:i + OBJ_BLOCK_ROWS, None]],
+                11, b" "))
         for i in range(0, n - 1, OBJ_BLOCK_ROWS):
             rows = np.arange(i, min(i + OBJ_BLOCK_ROWS, n - 1))
             a = rows[:, None] * rings + ring_index
             b = a + rings
             quads = np.stack([a, b, b + 1, a, b + 1, a + 1], axis=-1)
-            fh.write("f %d %d %d\nf %d %d %d\n" * (quads.size // 6)
-                     % tuple(quads.ravel().tolist()))
+            fh.write(("f %d %d %d\nf %d %d %d\n" * (quads.size // 6)
+                      % tuple(quads.ravel().tolist())).encode("ascii"))
 
 
 def _json_dump(path: str, payload: dict) -> None:

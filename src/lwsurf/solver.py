@@ -670,8 +670,11 @@ def _gen_low_plan(req: SolveRequest) -> _Plan:
             "c1* <= 0 with lam < -1: t*G(t) stays nonpositive, no admissible "
             "interval")
     a22 = _low_pow("a22 = (c1*w)^(-1/w)", w, c1 * w, -1.0 / w)
-    a23, = _roots(law, a22, 10.0 * a22 + w + 10.0, 512,
-                  "upper admissibility root not found")
+    top = 10.0 * a22 + w + 10.0
+    if math.isinf(top):  # a22 is finite but past a tenth of the range
+        raise BracketError(f"a23's search bound = 10*a22 + w + 10 exceeds "
+                           f"the float range at w = -(lam+1) = {w!r}")
+    a23, = _roots(law, a22, top, 512, "upper admissibility root not found")
     return _single(CaseTag.GEN_LOW_MINUS, a22, a23, _CAP, _ROOT, a23, law)
 
 

@@ -2,13 +2,17 @@
 
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lwsurf import NormParameter, residual_scan_table
 from lwsurf.cli import (
     CsvFormatError,
+    _sci_text,
     main,
     read_profile_csv,
     write_obj,
@@ -207,6 +211,81 @@ class TestCsvFormat:
         a2, u2, d2 = read_profile_csv(path)
         assert np.max(np.abs(a2 - alpha)) < 1e-13
         assert np.max(np.abs(u2 - u)) < 1e-13
+
+
+def sci_strings(x, digits):
+    """The kernel's text of each element, NUL slots dropped."""
+    text = _sci_text(np.asarray(x, dtype=float), digits)
+    return [row.tobytes().replace(b"\0", b"").decode("ascii")
+            for row in text.reshape(-1, text.shape[-1])]
+
+
+def python_strings(x, digits):
+    return [f"%.{digits - 1}e" % v
+            for v in np.asarray(x, dtype=float).ravel().tolist()]
+
+
+# every float: a bit pattern of 64 bits, signaling NaNs included
+FLOAT_BITS = st.integers(0, 2 ** 64 - 1).map(
+    lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
+
+
+class TestSciText:
+    """``_sci_text`` writes the bytes of Python's %-format, at the 11 digits
+    of the OBJ vertices and the 14 of the profile CSV."""
+
+    @pytest.mark.parametrize("digits", [11, 14])
+    def test_zeros_subnormals_and_non_finite(self, digits):
+        tiny = 2.2250738585072014e-308  # the smallest normal float
+        x = [0.0, -0.0, 5e-324, -5e-324, np.nextafter(tiny, 0.0), tiny,
+             -tiny, math.inf, -math.inf, math.nan, -math.nan]
+        assert sci_strings(x, digits) == python_strings(x, digits)
+
+    @pytest.mark.parametrize("digits", [11, 14])
+    def test_powers_of_ten_and_their_neighbours(self, digits):
+        powers = np.array([float(f"1e{j}") for j in range(-330, 309)])
+        x = np.concatenate([powers, np.nextafter(powers, 0.0),
+                            np.nextafter(powers, math.inf)])
+        x = np.concatenate([x, -x])
+        assert sci_strings(x, digits) == python_strings(x, digits)
+
+    @pytest.mark.parametrize("digits", [11, 14])
+    def test_near_ties(self, digits):
+        # (N + 0.5) * 10**j for a digits-digit N: the float nearest a
+        # decimal tie, and its two neighbours
+        rng = np.random.default_rng(digits)
+        big = rng.integers(10 ** (digits - 1), 10 ** digits, 3000).tolist()
+        scale = rng.integers(-30, 31, 3000).tolist()
+        ties = np.array([float(f"{n}5e{j - 1}") for n, j in zip(big, scale)])
+        x = np.concatenate([ties, np.nextafter(ties, 0.0),
+                            np.nextafter(ties, math.inf)])
+        x = np.concatenate([x, -x])
+        assert sci_strings(x, digits) == python_strings(x, digits)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.lists(st.one_of(st.floats(), FLOAT_BITS), min_size=1,
+                    max_size=64),
+           st.sampled_from([11, 14]))
+    def test_any_floats(self, values, digits):
+        assert sci_strings(values, digits) == python_strings(values, digits)
+
+    @pytest.mark.parametrize("n", [2, 4096, 8193])
+    def test_csv_writer_matches_per_row_writer(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        alpha = rng.normal(0.0, 3.0, n) * 10.0 ** rng.integers(-20, 20, n)
+        u = rng.normal(0.0, 1e3, n)
+        du = rng.normal(0.0, 1.0, n)
+        u[::5] = -0.0
+        du[::7] = 0.0
+        du[1::11] *= 1e-310  # subnormal
+        write_profile_csv(str(tmp_path / "block.csv"), alpha, u, du)
+        with open(tmp_path / "loop.csv", "w", encoding="utf-8",
+                  newline="\n") as fh:
+            fh.write("alpha,u,du\n")
+            for a, uu, d in zip(alpha, u, du):
+                fh.write(f"{a:.13e},{uu:.13e},{d:.13e}\n")
+        block = (tmp_path / "block.csv").read_bytes()
+        assert block == (tmp_path / "loop.csv").read_bytes()
 
 
 class TestObjExport:

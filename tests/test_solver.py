@@ -116,11 +116,15 @@ class TestRelationDispatch:
     @pytest.mark.parametrize("lam, mu, c1, bound", [
         (-1.0016337197121628, -2.9065051014020944, 4.761904961672993, "a22"),
         (-1.0016337197121628, 2.9065051014020944, -4.761904961672993, "a18"),
-        (-1.0045781137662064, 1.0, -8.507942799627445, "beta")])
+        (-1.0045781137662064, 1.0, -8.507942799627445, "beta"),
+        (-1.0252007350855719, -1.0, 7.0755919173524e-07,
+         "a23's search bound")])
     def test_interval_end_beyond_the_float_range(self, lam, mu, c1, bound):
         # sweep seed 433: at lam = -1 - 1.6e-3 the end (|c1|*w)^(-1/w) of
         # the admissible interval is about 10^1290; at the third input
-        # a19 = 2.8e307 is finite but a19^(w+1) is not
+        # a19 = 2.8e307 is finite but a19^(w+1) is not; at the fourth
+        # a22 = 3.0e306 is finite but the root search's upper bound
+        # 10*a22 + w + 10 is not
         req = SolveRequest(NormParameter(1), WeingartenRelation(lam, mu),
                            c1=c1)
         for call in (solve, classify):
