@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .quadrature import LibmArray, as_libm, libm
+from .quadrature import LibmArray, libm
 
 __all__ = [
     "Chart",
@@ -35,7 +35,6 @@ __all__ = [
     "birkhoff_normal",
     "principal_curvatures",
     "oriented_radius_chart_curvatures",
-    "axis_jet_from_radius_jet",
     "weingarten_residual",
 ]
 
@@ -186,30 +185,6 @@ def oriented_radius_chart_curvatures(p: NormParameter, radius, d1,
     if d1 < 0.0:
         return PrincipalCurvatures(k1=-k.k1, k2=-k.k2)
     return k
-
-
-def axis_jet_from_radius_jet(jet: ProfileJet) -> ProfileJet:
-    """Convert a graph-over-radius jet to the inverse graph-over-axis jet.
-
-    On float arrays, an element where the float jet raises is NaN: d1 = 0,
-    or d1 ** 3 overflows or is 0.
-    """
-    if jet.chart is not Chart.GRAPH_OVER_RADIUS:
-        raise ValueError("expected a graph-over-radius jet")
-    d1 = as_libm(jet.d1)
-    if isinstance(d1, np.ndarray):
-        cube = d1 ** 3
-        d1 = np.where(np.isnan(cube) | (cube == 0.0), math.nan,
-                      d1).view(LibmArray)
-    elif d1 == 0.0:
-        raise ValueError("chart inversion needs d1 != 0")
-    return ProfileJet(
-        chart=Chart.GRAPH_OVER_AXIS,
-        value=jet.radius,
-        d1=1.0 / d1,
-        d2=-jet.d2 / d1 ** 3,
-        radius=jet.radius,
-    )
 
 
 def weingarten_residual(k: PrincipalCurvatures, lam: float, mu: float) -> float:

@@ -61,8 +61,8 @@ class NoSurfaceError(ValueError):
 
 class BracketError(RuntimeError):
     """The roots that the case needs were not bracketed: the probe grid
-    missed them, or an end of the interval they lie in exceeds the float
-    range."""
+    missed them, or an end or search bound of the interval they lie in
+    leaves the float range."""
 
 
 class IllConditionedWarning(UserWarning):
@@ -491,6 +491,24 @@ def _roots(law: SlopeLaw, lo: float, hi: float, probes: int,
     return roots
 
 
+def _end(term: str, lam: float, value: Callable[[], float],
+         zero: bool = False) -> float:
+    """value(), the interval end, search bound or stationary point of a
+    plan that ``term`` names; BracketError where it overflows or is not
+    in (0, inf).  With ``zero``, 0.0 passes too: a lower end that
+    underflows starts the branch on the axis, which is where it starts
+    to within the underflow (sweep seed 409 builds a passing 6.3iv-3
+    branch from a15 = 10^-767)."""
+    try:
+        x = value()
+    except OverflowError:
+        x = math.inf
+    if not 0.0 <= x < math.inf or (x == 0.0 and not zero):
+        raise BracketError(f"{term} leaves the float range at lam = "
+                           f"{lam!r}: got {x!r}")
+    return x
+
+
 def _split_plan(law: SlopeLaw, double: tuple, c1: float, c_crit: float,
                 top: float, case: str, sub_anchor: float,
                 probes: int) -> _Plan:
@@ -543,7 +561,8 @@ def _lm1_plan(req: SolveRequest) -> _Plan:
     mu, c1 = req.relation.mu, req.c1
     law = SlopeLaw(_lm1, (c1, mu), req.p.m)
     if mu > 0.0:
-        top = math.exp(c1)  # g vanishes there; admissibility needs t < top
+        # g vanishes at top; admissibility needs t < top
+        top = _end("top = e^c1", -1.0, lambda: math.exp(c1))
         c_crit = critical_c1(-1.0)
         _boundary_warn(c1, c_crit, "c1")
         # 1 - g is stationary at t_d = e^(c1-1), where it equals
@@ -551,9 +570,12 @@ def _lm1_plan(req: SolveRequest) -> _Plan:
         t_d = math.exp(c1 - 1.0)
         return _split_plan(law, (t_d, 1.0, t_d), c1, c_crit, top, "6.1i",
                            sub_anchor=top, probes=256)
-    # mu < 0: domain (e^(-c1), a3) with a3 the unique solution of g = 1
+    # mu < 0: domain (e^(-c1), a3) with a3 the unique solution of g = 1;
+    # e^(-c1) underflows to the axis at c1 > 745 and stays the end there
+    hi = _end("a3's search bound = e^(-c1) + 10*(1+|c1|)", -1.0,
+              lambda: math.exp(-c1) + 10.0 * (1.0 + abs(c1)))
     bottom = math.exp(-c1)
-    a3, = _roots(law, bottom, bottom + 10.0 * (1.0 + abs(c1)), 256,
+    a3, = _roots(law, bottom, hi, 256,
                  "root of t*(c1 + log t) = 1 not bracketed")
     return _single(CaseTag.LM1_NEG, bottom, a3, _CAP, _ROOT, a3, law)
 
@@ -566,7 +588,8 @@ def _gen_pos_plan(req: SolveRequest) -> _Plan:
         if c1 <= 0.0:
             raise NoSurfaceError(
                 "c1 <= 0: admissibility 0 < c1 - alpha^(lam+1)/(lam+1) fails")
-        a4 = math.pow(c1 * (lam + 1.0), 1.0 / (lam + 1.0))
+        a4 = _end("a4 = (c1*(lam+1))^(1/(lam+1))", lam,
+                  lambda: math.pow(c1 * (lam + 1.0), 1.0 / (lam + 1.0)))
         a5, = _roots(law, 1e-12, a4, 256,
                      f"expected one simple root below {a4}", 1)
         return _single(CaseTag.GEN_POS_PLUS, a5, a4, _ROOT, _CAP, a5, law)
@@ -581,6 +604,7 @@ def _gen_pos_plan(req: SolveRequest) -> _Plan:
         if c1 >= bound or _near(c1, bound):
             raise NoSurfaceError(
                 f"c1* >= lam^lam/(lam+1) = {bound}: admissible band is empty")
+        # finite: below 10*max(lam, 1) + 10, since c1*(lam+1) < lam^lam
         hi = 10.0 * math.pow(max(c1 * (lam + 1.0), 1.0),
                              1.0 / (lam + 1.0)) + 10.0
         a6, a7 = _roots(law, 1e-12, hi, 512,
@@ -588,9 +612,11 @@ def _gen_pos_plan(req: SolveRequest) -> _Plan:
         return _single(CaseTag.GEN_POS_MINUS_BAND, a6, a7, _ROOT, _ROOT, a6,
                        law)
     # c1 < 0: domain starts where N vanishes
-    a8 = math.pow(-c1 * (lam + 1.0), 1.0 / (lam + 1.0))
-    a9, = _roots(law, a8, 10.0 * a8 + 10.0, 512,
-                 f"expected one root above {a8}", 1)
+    a8 = _end("a8 = (-c1*(lam+1))^(1/(lam+1))", lam,
+              lambda: math.pow(-c1 * (lam + 1.0), 1.0 / (lam + 1.0)),
+              zero=True)
+    hi = _end("a9's search bound = 10*a8 + 10", lam, lambda: 10.0 * a8 + 10.0)
+    a9, = _roots(law, a8, hi, 512, f"expected one root above {a8}", 1)
     return _single(CaseTag.GEN_POS_MINUS_OUTER, a8, a9, _CAP, _ROOT, a9, law)
 
 
@@ -603,7 +629,8 @@ def _gen_mid_plan(req: SolveRequest) -> _Plan:
         if c1 <= 0.0:
             raise NoSurfaceError(
                 "c1 <= 0: admissibility 0 < c1 - alpha^(lam+1)/(lam+1) fails")
-        a10 = math.pow(c1 * (lam + 1.0), 1.0 / (lam + 1.0))
+        a10 = _end("a10 = (c1*(lam+1))^(1/(lam+1))", lam,
+                   lambda: math.pow(c1 * (lam + 1.0), 1.0 / (lam + 1.0)))
         c_crit = critical_c1(lam)
         _boundary_warn(c1, c_crit, "c1")
         # P - Q = (lam+1) + t - c1*(lam+1)*t^(-lam) is stationary at a11
@@ -621,22 +648,14 @@ def _gen_mid_plan(req: SolveRequest) -> _Plan:
                       "root of the admissibility function not found")
         return _single(CaseTag.GEN_MID_MINUS_INNER, 0.0, a14, _AXIS, _ROOT,
                        a14, law)
-    a15 = math.pow(-c1 * (lam + 1.0), 1.0 / (lam + 1.0))
-    a16, = _roots(law, a15, 10.0 * a15 + 10.0 * (lam + 1.0) + 10.0, 512,
-                  "outer admissibility root not found")
+    a15 = _end("a15 = (-c1*(lam+1))^(1/(lam+1))", lam,
+               lambda: math.pow(-c1 * (lam + 1.0), 1.0 / (lam + 1.0)),
+              zero=True)
+    hi = _end("a16's search bound = 10*a15 + 10*(lam+1) + 10", lam,
+              lambda: 10.0 * a15 + 10.0 * (lam + 1.0) + 10.0)
+    a16, = _roots(law, a15, hi, 512, "outer admissibility root not found")
     return _single(CaseTag.GEN_MID_MINUS_OUTER, a15, a16, _CAP, _ROOT, a16,
                    law)
-
-
-def _low_pow(bound: str, w: float, base: float, exponent: float) -> float:
-    """base^exponent, a term of the lam < -1 interval end or stationary
-    point that ``bound`` names; BracketError where it exceeds the float
-    range."""
-    try:
-        return math.pow(base, exponent)
-    except OverflowError:
-        raise BracketError(f"{bound} exceeds the float range at "
-                           f"w = -(lam+1) = {w!r}") from None
 
 
 def _gen_low_plan(req: SolveRequest) -> _Plan:
@@ -656,11 +675,13 @@ def _gen_low_plan(req: SolveRequest) -> _Plan:
             return _single(CaseTag.GEN_LOW_PLUS_POS, 0.0, a17, _AXIS, _ROOT,
                            a17, law)
         # c1 < 0: t*G(t) > 0 only below the zero of G
-        a18 = _low_pow("a18 = (-c1*w)^(-1/w)", w, -c1 * w, -1.0 / w)
+        a18 = _end("a18 = (-c1*w)^(-1/w)", lam,
+                   lambda: math.pow(-c1 * w, -1.0 / w))
         # P - Q = w - t - c1*w*t^(w+1) is stationary at a19
-        a19 = _low_pow("a19 = (-c1*w*(w+1))^(-1/w)", w,
-                       -c1 * w * (w + 1.0), -1.0 / w)
-        beta = -c1 * w * _low_pow("beta = -c1*w*a19^(w+1)", w, a19, w + 1.0)
+        a19 = _end("a19 = (-c1*w*(w+1))^(-1/w)", lam,
+                   lambda: math.pow(-c1 * w * (w + 1.0), -1.0 / w), zero=True)
+        beta = _end("beta = -c1*w*a19^(w+1)", lam,
+                    lambda: -c1 * w * math.pow(a19, w + 1.0), zero=True)
         return _split_plan(law, (beta, w + 1.0, a19), c1, thr, a18, "6.3v-3",
                            sub_anchor=0.0, probes=512)
 
@@ -669,11 +690,10 @@ def _gen_low_plan(req: SolveRequest) -> _Plan:
         raise NoSurfaceError(
             "c1* <= 0 with lam < -1: t*G(t) stays nonpositive, no admissible "
             "interval")
-    a22 = _low_pow("a22 = (c1*w)^(-1/w)", w, c1 * w, -1.0 / w)
-    top = 10.0 * a22 + w + 10.0
-    if math.isinf(top):  # a22 is finite but past a tenth of the range
-        raise BracketError(f"a23's search bound = 10*a22 + w + 10 exceeds "
-                           f"the float range at w = -(lam+1) = {w!r}")
+    a22 = _end("a22 = (c1*w)^(-1/w)", lam,
+               lambda: math.pow(c1 * w, -1.0 / w), zero=True)
+    top = _end("a23's search bound = 10*a22 + w + 10", lam,
+               lambda: 10.0 * a22 + w + 10.0)
     a23, = _roots(law, a22, top, 512, "upper admissibility root not found")
     return _single(CaseTag.GEN_LOW_MINUS, a22, a23, _CAP, _ROOT, a23, law)
 

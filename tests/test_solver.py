@@ -118,18 +118,32 @@ class TestRelationDispatch:
         (-1.0016337197121628, 2.9065051014020944, -4.761904961672993, "a18"),
         (-1.0045781137662064, 1.0, -8.507942799627445, "beta"),
         (-1.0252007350855719, -1.0, 7.0755919173524e-07,
-         "a23's search bound")])
+         "a23's search bound"),
+        (-1.1055068881201473, 1.0, -9.567059257880739e+304, "a18"),
+        (-1.0, 1.0, 710.0, "top"),
+        (-1.0, 1.0, -800.0, "top"),
+        (-1.0, -1.0, -800.0, "a3's search bound"),
+        (1.0, 1.0, 1e308, "a4"),
+        (43.30876175918273, -1.0, -6.251488035456173e+306, "a8"),
+        (0.00016959614642154424, -1.0, -9.135643218014772e+307,
+         "a9's search bound"),
+        (-0.999, 1.0, 1e6, "a10"),
+        (-0.999, -1.0, -1e6, "a15"),
+        (-0.15844026511151618, -1.0, -1.5585410947371256e+259,
+         "a16's search bound")])
     def test_interval_end_beyond_the_float_range(self, lam, mu, c1, bound):
         # sweep seed 433: at lam = -1 - 1.6e-3 the end (|c1|*w)^(-1/w) of
         # the admissible interval is about 10^1290; at the third input
         # a19 = 2.8e307 is finite but a19^(w+1) is not; at the fourth
         # a22 = 3.0e306 is finite but the root search's upper bound
-        # 10*a22 + w + 10 is not
+        # 10*a22 + w + 10 is not.  Then an end or bound of each plan that
+        # overflows, or underflows to 0 (a18 = 0.0 and e^-800 = 0.0), or
+        # whose pow or exp raises OverflowError (e^710, a10, a15)
         req = SolveRequest(NormParameter(1), WeingartenRelation(lam, mu),
                            c1=c1)
         for call in (solve, classify):
-            with pytest.raises(BracketError,
-                               match=rf"^{bound} = .* exceeds the float range"):
+            with pytest.raises(BracketError, match=rf"^{bound} = .* leaves "
+                               rf"the float range at lam = {lam!r}: got "):
                 call(req)
 
 
