@@ -32,6 +32,7 @@ from .assembler import (
 )
 from .normgeom import NormParameter
 from .solver import (
+    CaseTag,
     IllConditionedWarning,
     NoSurfaceError,
     SolveRequest,
@@ -152,6 +153,37 @@ def _request(settings: dict) -> SolveRequest:
 # writers
 
 
+def _put_digits(text: np.ndarray, slots, q: np.ndarray,
+                blank: bool = False) -> None:
+    """Write the decimal digits of the nonnegative int64 array q, units
+    first, as ASCII into the rows ``slots`` of the uint8 matrix text, one
+    digit per slot, by integer ``//`` and ``-``.  With ``blank``, a zero
+    before q's leading digit is NUL (the units digit always prints).  The
+    slots must hold every digit; q is overwritten."""
+    rest, units = np.empty_like(q), np.empty_like(q)
+    for i, slot in enumerate(slots):
+        np.floor_divide(q, 10, out=rest)
+        np.multiply(rest, 10, out=units)
+        np.subtract(q, units, out=units)
+        units += ord("0")
+        if blank and i:
+            # q is the number from this digit up: 0 before the lead
+            units *= q != 0
+        text[slot] = units
+        q, rest = rest, q
+
+
+def _int_text(q, width: int) -> np.ndarray:
+    """The text of ``'%d' % v`` for every element v of the nonnegative
+    integer array q, as a uint8 slot matrix of shape ``q.shape +
+    (width,)``, right-aligned with NUL before the leading digit; every v
+    has at most ``width`` digits."""
+    q = np.array(q, dtype=np.int64)
+    text = np.empty((width, q.size), np.uint8)
+    _put_digits(text, range(width - 1, -1, -1), q.ravel(), blank=True)
+    return np.ascontiguousarray(text.T).reshape(q.shape + (width,))
+
+
 @functools.cache
 def _sci_tables(digits: int) -> tuple:
     """The tables of ``_sci_text``, built on first use and indexed by
@@ -239,15 +271,7 @@ def _sci_text(x, digits: int) -> np.ndarray:
     text[2] = ord(".")
     text[digits + 2] = ord("e")
     text[digits + 3:] = exponents[at].view(np.uint8).reshape(-1, 4).T
-    rest, units = np.empty_like(q), np.empty_like(q)
-    for slot in (*range(digits + 1, 2, -1), 1):
-        np.floor_divide(q, 10, out=rest)
-        np.multiply(rest, 10, out=units)
-        np.subtract(q, units, out=units)
-        text[slot] = units
-        q, rest = rest, q
-    text[1] += ord("0")
-    text[3:digits + 2] += ord("0")
+    _put_digits(text, (*range(digits + 1, 2, -1), 1), q)
     text = text.T
 
     slow = np.flatnonzero(~fast)
@@ -260,19 +284,21 @@ def _sci_text(x, digits: int) -> np.ndarray:
     return text.reshape(x.shape + (width,))
 
 
-def _text_lines(lead: bytes, fields, digits: int, sep: bytes) -> bytes:
-    """One line per element of the float arrays ``fields``, broadcast
-    together, in C order: ``lead``, then the element of each field as
-    ``'%.{digits-1}e'`` text, joined by ``sep``, then LF."""
-    shape = np.broadcast_shapes(*(np.shape(f) for f in fields))
-    width = digits + 7
-    start = len(lead)
-    line = np.empty(shape + (start + len(fields) * (width + 1),), np.uint8)
-    line[..., :start] = np.frombuffer(lead, np.uint8)
-    for i, field in enumerate(fields):
-        col = start + i * (width + 1)
-        line[..., col:col + width] = _sci_text(field, digits)
-        line[..., col + width] = ord(sep)
+def _text_lines(lead: bytes, fields, sep: bytes) -> bytes:
+    """One line per element of the slot matrices ``fields`` (text along
+    the last axis), broadcast together, in C order: ``lead``, then the
+    element's text in each field, joined by ``sep``, then LF; the NUL
+    bytes are deleted."""
+    shape = np.broadcast_shapes(*(f.shape[:-1] for f in fields))
+    col = len(lead)
+    line = np.empty(shape + (col + sum(f.shape[-1] + 1 for f in fields),),
+                    np.uint8)
+    line[..., :col] = np.frombuffer(lead, np.uint8)
+    for field in fields:
+        end = col + field.shape[-1]
+        line[..., col:end] = field
+        line[..., end] = ord(sep)
+        col = end + 1
     line[..., -1] = ord("\n")
     return line.tobytes().translate(None, b"\0")
 
@@ -291,7 +317,8 @@ def write_profile_csv(path: str, alpha, u, du) -> None:
         fh.write(b"alpha,u,du\n")
         for i in range(0, len(alpha), CSV_BLOCK_ROWS):
             fh.write(_text_lines(
-                b"", [c[i:i + CSV_BLOCK_ROWS] for c in columns], 14, b","))
+                b"", [_sci_text(c[i:i + CSV_BLOCK_ROWS], 14) for c in columns],
+                b","))
 
 
 def read_profile_csv(path: str):
@@ -333,10 +360,12 @@ def write_obj(path: str, alpha, u, segments: int) -> None:
 
     Vertices and faces are written in blocks of OBJ_BLOCK_ROWS profile
     rows.  A block of vertices is one slot matrix of ``v x y z`` lines,
-    each coordinate as ``%.10e`` text from ``_sci_text``; a block of
-    faces is one ``%d`` format of a flat tuple.  The ring angles go
-    through math.cos/math.sin and numpy only multiplies, so the floats,
-    and the bytes, are those of a per-vertex loop.
+    each coordinate as ``%.10e`` text from ``_sci_text``.  A block of
+    faces is one slot matrix of ``f a b c`` lines: the ``%d`` text of
+    the vertex indices the block's faces use, from ``_int_text``,
+    gathered by index.  The ring angles go through math.cos/math.sin and
+    numpy only multiplies, so the floats, and the bytes, are those of a
+    per-vertex loop.
     """
     alpha = np.asarray(alpha, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -350,15 +379,20 @@ def write_obj(path: str, alpha, u, segments: int) -> None:
         for i in range(0, n, OBJ_BLOCK_ROWS):
             a = alpha[i:i + OBJ_BLOCK_ROWS, None]
             fh.write(_text_lines(
-                b"v ", [a * cos_v, a * sin_v, u[i:i + OBJ_BLOCK_ROWS, None]],
-                11, b" "))
+                b"v ", [_sci_text(f, 11) for f in
+                        (a * cos_v, a * sin_v, u[i:i + OBJ_BLOCK_ROWS, None])],
+                b" "))
         for i in range(0, n - 1, OBJ_BLOCK_ROWS):
             rows = np.arange(i, min(i + OBJ_BLOCK_ROWS, n - 1))
             a = rows[:, None] * rings + ring_index
             b = a + rings
-            quads = np.stack([a, b, b + 1, a, b + 1, a + 1], axis=-1)
-            fh.write(("f %d %d %d\nf %d %d %d\n" * (quads.size // 6)
-                      % tuple(quads.ravel().tolist())).encode("ascii"))
+            corners = np.stack([a, b, b + 1, a, b + 1, a + 1], axis=-1)
+            # the faces of rows i..j use the vertices of rows i..j+1
+            first, last = i * rings + 1, (rows[-1] + 2) * rings
+            names = _int_text(np.arange(first, last + 1), len(str(last)))
+            text = np.take(names, corners.reshape(-1, 3) - first, axis=0)
+            fh.write(_text_lines(b"f ", [text[:, 0], text[:, 1], text[:, 2]],
+                                 b" "))
 
 
 def _json_dump(path: str, payload: dict) -> None:
@@ -400,11 +434,10 @@ def build_assembly(settings: dict, recipe_name: str) -> AssembledSurface:
         c1 = critical_c1(lam)
     pair = []
     for mu, c, want in ((1.0, c1, want1), (-1.0, -c1, want2)):
-        branches = solve(SolveRequest(
-            p=p, relation=WeingartenRelation.linear(lam, mu), c1=c,
-            samples=samples, tol=settings["tol"]))
-        # without the wanted case, glue names the mismatch
-        pair.append(next((b for b in branches if b.case is want), branches[0]))
+        req = SolveRequest(p=p, relation=WeingartenRelation.linear(lam, mu),
+                           c1=c, samples=samples, tol=settings["tol"])
+        # without the wanted case, glue names the mismatch on the first piece
+        pair.append((solve(req, case=want) or solve(req))[0])
     return glue(*pair, recipe)
 
 
@@ -498,12 +531,13 @@ def cmd_generate(settings: dict) -> int:
         # the translated sphere is the relation k1 + inf*k2 = -1
         solved = ({**settings, "lam": math.inf, "mu": -1.0}
                   if special == "sphere" else settings)
-        branches = solve(_request(solved))
+        req = _request(solved)
+        pieces = [dom.label for dom in classify(req)[1]]
         idx = settings["piece"]
-        if not 0 <= idx < len(branches):
+        if not 0 <= idx < len(pieces):
             raise ValueError(f"piece index {idx} out of range "
-                             f"(found {len(branches)} pieces)")
-        branch = branches[idx]
+                             f"(found {len(pieces)} pieces)")
+        branch, = solve(req, case=CaseTag(pieces[idx]))
         alpha, u, du = branch.alpha, branch.u, branch.du
         meta = {
             "case": branch.case.value, "m": p.m,
@@ -516,7 +550,7 @@ def cmd_generate(settings: dict) -> int:
             "d_value": None if not math.isfinite(branch.span)
             else branch.span,
             "d_error": branch.quad_error,
-            "pieces": [b.domain.label for b in branches],
+            "pieces": pieces,
             "settings": {k: settings[k] for k in
                          ("m", "lam", "mu", "c1", "c2", "shift", "sign",
                           "samples")},

@@ -61,8 +61,8 @@ class NoSurfaceError(ValueError):
 
 class BracketError(RuntimeError):
     """The roots that the case needs were not bracketed: the probe grid
-    missed them, or an end or search bound of the interval they lie in
-    leaves the float range."""
+    missed them, or an end or search bound of the interval they lie in,
+    or the threshold that selects it, leaves the float range."""
 
 
 class IllConditionedWarning(UserWarning):
@@ -493,8 +493,8 @@ def _roots(law: SlopeLaw, lo: float, hi: float, probes: int,
 
 def _end(term: str, lam: float, value: Callable[[], float],
          zero: bool = False) -> float:
-    """value(), the interval end, search bound or stationary point of a
-    plan that ``term`` names; BracketError where it overflows or is not
+    """value(), the interval end, search bound, stationary point or case
+    threshold of a plan that ``term`` names; BracketError where it overflows or is not
     in (0, inf).  With ``zero``, 0.0 passes too: a lower end that
     underflows starts the branch on the axis, which is where it starts
     to within the underflow (sweep seed 409 builds a passing 6.3iv-3
@@ -594,8 +594,10 @@ def _gen_pos_plan(req: SolveRequest) -> _Plan:
                      f"expected one simple root below {a4}", 1)
         return _single(CaseTag.GEN_POS_PLUS, a5, a4, _ROOT, _CAP, a5, law)
 
-    # mu < 0 (the c1* family)
-    bound = lam ** lam / (lam + 1.0)
+    # mu < 0 (the c1* family); the band's threshold overflows from lam
+    # of about 143
+    bound = _end("band threshold = lam^lam/(lam+1)", lam,
+                 lambda: lam ** lam / (lam + 1.0))
     _boundary_warn(c1, bound, "c1*")
     _boundary_warn(c1, 0.0, "c1*")
     if _near(c1, 0.0):
@@ -813,14 +815,19 @@ def _rescale(branch: ProfileBranch, scale: float) -> ProfileBranch:
         scale=scale)
 
 
-def solve(req: SolveRequest) -> list:
-    """All admissible branches for a request, one per maximal interval."""
+def solve(req: SolveRequest, *, case: CaseTag | None = None) -> list:
+    """All admissible branches for a request, one per maximal interval.
+
+    With ``case``, only the branch of the piece with that tag, or [] where
+    the request has no such piece.  Each branch is built on its own, so it
+    has the bits of the same branch among all of them.
+    """
     norm_req, scale = _normalize(req)
     plan = _plan(norm_req)
     build = (_norm_circle_branch if isinstance(plan.slope, NormCircle)
              else _quadrature_branch)
     return [_rescale(build(norm_req, piece, plan.slope), scale)
-            for piece in plan.pieces]
+            for piece in plan.pieces if case in (None, piece.tag)]
 
 
 # ---------------------------------------------------------------------------

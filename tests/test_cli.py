@@ -9,9 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lwsurf import NormParameter, residual_scan_table
+from lwsurf import (
+    NormParameter,
+    SolveRequest,
+    WeingartenRelation,
+    residual_scan_table,
+    solve,
+)
 from lwsurf.cli import (
     CsvFormatError,
+    _int_text,
     _sci_text,
     main,
     read_profile_csv,
@@ -288,6 +295,34 @@ class TestSciText:
         assert block == (tmp_path / "loop.csv").read_bytes()
 
 
+class TestIntText:
+    """``_int_text`` writes the bytes of ``'%d'``, right-aligned with NUL
+    before the leading digit."""
+
+    @staticmethod
+    def strings(q, width):
+        text = _int_text(q, width)
+        assert text.shape == np.shape(q) + (width,)
+        rows = text.reshape(-1, width)
+        # the NULs, if any, all come before the digits
+        assert all(row.tobytes().lstrip(b"\0").isdigit() for row in rows)
+        return [row.tobytes().lstrip(b"\0").decode("ascii") for row in rows]
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        q = [n for k in range(13) for n in (10 ** k - 1, 10 ** k, 10 ** k + 1)]
+        want = ["%d" % n for n in q]
+        assert self.strings(q, 13) == want
+        assert self.strings(q, 16) == want
+
+    def test_random_draw(self):
+        rng = np.random.default_rng(29)
+        q = rng.integers(0, 10 ** rng.integers(1, 19, 5000), dtype=np.int64)
+        width = len(str(q.max()))
+        assert self.strings(q, width) == ["%d" % n for n in q.tolist()]
+        assert self.strings(q.reshape(50, 100), width) == [
+            "%d" % n for n in q.tolist()]
+
+
 class TestObjExport:
     def test_mesh_counts(self, capsys, tmp_path):
         prefix = str(tmp_path / "s")
@@ -401,6 +436,23 @@ class TestRecipeGeneration:
         assert err.splitlines() == ["error: need at least 2 samples"]
         assert list(tmp_path.iterdir()) == []
 
+    def test_second_piece_alone(self, capsys, tmp_path):
+        # generate builds only the piece it writes; the bytes are those of
+        # the same piece among all of them, and the metadata lists both
+        code, _, err = run(capsys, "generate", "--lambda", "-1", "--mu", "1",
+                           "--c1", "1.5", "--piece", "1",
+                           "--out", str(tmp_path / "p"))
+        assert code == 0, err
+        req = SolveRequest(NormParameter(2), WeingartenRelation(-1.0, 1.0),
+                           c1=1.5)
+        b = solve(req)[1]
+        write_profile_csv(str(tmp_path / "want.csv"), b.alpha, b.u, b.du)
+        assert ((tmp_path / "p.csv").read_bytes()
+                == (tmp_path / "want.csv").read_bytes())
+        meta = json.loads((tmp_path / "p.meta.json").read_text())
+        assert meta["case"] == "6.1i-3-2"
+        assert meta["pieces"] == ["6.1i-3-1", "6.1i-3-2"]
+
     def test_piece_out_of_range(self, capsys):
         code, _, err = run(capsys, "generate", "--lambda", "1", "--mu", "0",
                            "--piece", "5", "--out", "/tmp/nope")
@@ -411,7 +463,7 @@ class TestRecipeGeneration:
 class TestUnexpectedErrors:
     def test_one_line_message_without_traceback(self, capsys, monkeypatch,
                                                 tmp_path):
-        def boom(req):
+        def boom(req, **kwargs):
             raise KeyError("boom")
 
         monkeypatch.setattr("lwsurf.cli.solve", boom)

@@ -130,7 +130,8 @@ class TestRelationDispatch:
         (-0.999, 1.0, 1e6, "a10"),
         (-0.999, -1.0, -1e6, "a15"),
         (-0.15844026511151618, -1.0, -1.5585410947371256e+259,
-         "a16's search bound")])
+         "a16's search bound"),
+        (200.0, -1.0, 0.5, "band threshold")])
     def test_interval_end_beyond_the_float_range(self, lam, mu, c1, bound):
         # sweep seed 433: at lam = -1 - 1.6e-3 the end (|c1|*w)^(-1/w) of
         # the admissible interval is about 10^1290; at the third input
@@ -138,7 +139,8 @@ class TestRelationDispatch:
         # a22 = 3.0e306 is finite but the root search's upper bound
         # 10*a22 + w + 10 is not.  Then an end or bound of each plan that
         # overflows, or underflows to 0 (a18 = 0.0 and e^-800 = 0.0), or
-        # whose pow or exp raises OverflowError (e^710, a10, a15)
+        # whose pow or exp raises OverflowError (e^710, a10, a15, and
+        # lam^lam at lam = 200)
         req = SolveRequest(NormParameter(1), WeingartenRelation(lam, mu),
                            c1=c1)
         for call in (solve, classify):
@@ -468,6 +470,34 @@ class TestSpanFailures:
         monkeypatch.setattr(quadrature, "_span", fail)
         with pytest.raises(ZeroDivisionError):
             solve_inhom_general(P2, 0.5, 1.0, 0.8)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_one_case_has_the_bits_of_every_case(m):
+    """solve(req, case=tag) builds the one branch of that piece, with the
+    bits of the same branch of solve(req), on every two-piece taxonomy
+    call; a tag outside the plan gives []."""
+    p = NormParameter(m)
+    calls = [(name, args) for name, args, tags in workloads()._taxonomy_calls(m)
+             if len(tags) == 2]
+    assert len(calls) == 6
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        for name, args in calls:
+            full = getattr(solver, name)(p, *args)
+            req = full[0].request
+            for b in full:
+                one, = solve(req, case=b.case)
+                assert one.case is b.case
+                for field in ("alpha", "u", "du"):
+                    assert (getattr(one, field).tobytes()
+                            == getattr(b, field).tobytes()), (name, b.case)
+                assert one.span.hex() == b.span.hex()
+                assert one.quad_error.hex() == b.quad_error.hex()
+                assert one.anchor == b.anchor
+            other = next(tag for tag in CaseTag
+                         if tag not in {b.case for b in full})
+            assert solve(req, case=other) == []
 
 
 @pytest.mark.parametrize("m", range(1, 7))
