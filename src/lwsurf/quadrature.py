@@ -115,6 +115,19 @@ class LibmArray(np.ndarray):
         return libm(pow, self, e).view(LibmArray)
 
 
+def sorted_unique(x: np.ndarray) -> np.ndarray:
+    """The distinct values of the 1-d array x in ascending order: np.sort,
+    then each element that differs from the one before it.  On finite
+    arrays these are the values of np.unique, whose first call on numpy
+    2.x imports numpy.ma to ask whether x is masked; lwsurf passes plain
+    arrays, so the commands never load it.  Unlike np.unique, NaNs are not
+    merged, and of -0.0 and 0.0 the one that sorts first is kept."""
+    s = np.sort(x)
+    keep = np.ones(s.shape, dtype=bool)
+    keep[1:] = s[1:] != s[:-1]
+    return s[keep]
+
+
 def as_libm(t):
     """t viewed as a LibmArray if it is an array; a float unchanged."""
     if isinstance(t, np.ndarray):
@@ -589,8 +602,7 @@ def _build_grid(domain: DomainInterval, samples: int, m: int,
     n_hi = samples - n_lo
     lo_pts = lo + _edge_offsets(mid - lo, n_lo, lk, m)
     hi_pts = up - _edge_offsets(up - mid, n_hi, uk, m)
-    grid = np.unique(np.concatenate([lo_pts, hi_pts]))
-    return grid
+    return sorted_unique(np.concatenate([lo_pts, hi_pts]))
 
 
 def profile_from_integral(law: SlopeLaw, domain: DomainInterval,

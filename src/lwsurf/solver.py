@@ -28,6 +28,7 @@ from .quadrature import (
     double_root_factor,
     log,
     profile_from_integral,
+    sorted_unique,
 )
 
 __all__ = [
@@ -767,9 +768,9 @@ def _norm_circle_branch(req: SolveRequest, piece: _Piece,
     """Closed-form branch on a norm circle, on the rows of _build_grid
     strictly inside the domain and off its root."""
     dom = piece.domain
-    grid = np.unique(np.clip(_build_grid(dom, req.samples, req.p.m, math.inf),
-                             np.nextafter(dom.lower, math.inf),
-                             np.nextafter(dom.upper, 0.0)))
+    grid = sorted_unique(np.clip(
+        _build_grid(dom, req.samples, req.p.m, math.inf),
+        np.nextafter(dom.lower, math.inf), np.nextafter(dom.upper, 0.0)))
     with np.errstate(all="ignore"):
         du = req.sign * np.asarray(slope(grid))
     off_root = np.isfinite(du)

@@ -49,6 +49,7 @@ from .quadrature import (
     _brent,
     as_libm,
     log,
+    sorted_unique,
 )
 from .solver import ProfileBranch, fd_step
 
@@ -175,6 +176,21 @@ def _edge_growth(alphas: np.ndarray, residuals: np.ndarray) -> bool:
     return outer > 10.0 * max(middle, 1e-16)
 
 
+def _median(x) -> np.float64:
+    """np.median of a non-empty 1-d float array, with its bits: partition
+    at numpy's kth plus -1; a NaN at the end is the median, and otherwise
+    the mean of the middle one or two elements.  np.median's NaN check
+    imports numpy.ma on its first call on numpy 2.x, to ask whether the
+    partition is masked; lwsurf passes plain arrays."""
+    a = np.asarray(x)
+    half, odd = divmod(a.size, 2)
+    kth = [half] if odd else [half - 1, half]
+    part = np.partition(a, kth + [-1])
+    if np.isnan(part[-1]):
+        return part[-1]
+    return np.mean(part[half - 1 + odd:half + 1])
+
+
 def _report(kind: str, case: str, tol: float, residuals, alphas=None,
             **fields) -> VerificationReport:
     """The report whose verdict and statistics come from ``residuals``;
@@ -183,7 +199,7 @@ def _report(kind: str, case: str, tol: float, residuals, alphas=None,
     r = np.asarray(residuals, dtype=float)
     top = median = math.nan
     if r.size:
-        top, median = float(np.max(r)), float(np.median(r))
+        top, median = float(np.max(r)), float(_median(r))
         if alphas is not None:
             fields["rms_residual"] = float(np.sqrt(np.mean(r ** 2)))
             fields["edge_growth"] = _edge_growth(np.asarray(alphas), r)
@@ -240,14 +256,14 @@ def residual_scan_table(p: NormParameter, alpha: np.ndarray, u: np.ndarray,
     rows, since a table does not carry its constant.
 
     Every row is checked but one on the axis, alpha = 0, where the terms
-    are singular.  The check reads alpha and du only: u is validated for
-    shape, not compared, so an offset u column passes.
+    are singular, so any table with 2 rows off the axis can be checked:
+    unlike residual_scan's finite differences, the median needs no
+    window of neighbouring rows.  The check reads alpha and du only: u is
+    validated for shape, not compared, so an offset u column passes.
     """
     alpha, u, du = (np.asarray(x, dtype=float) for x in (alpha, u, du))
     if alpha.ndim != 1 or alpha.shape != u.shape or alpha.shape != du.shape:
         raise ValueError("alpha, u, du must be 1-d arrays of equal length")
-    if len(alpha) < 32:
-        raise ValueError("residual scan needs at least 32 samples")
     steps = np.diff(alpha)
     if np.all(steps <= 0.0) and np.any(steps < 0.0):
         alpha, du = alpha[::-1], du[::-1]
@@ -257,6 +273,8 @@ def residual_scan_table(p: NormParameter, alpha: np.ndarray, u: np.ndarray,
     lam, mu = _finite_relation(lam, mu)
     axis = alpha == 0.0
     alphas = alpha[~axis]
+    if alphas.size < 2:  # a row compared with itself passes anything
+        raise ValueError("a table needs at least 2 rows off the axis")
     residuals, constant = _first_integral_check(p, lam, mu, alphas,
                                                 du[~axis])
     return _report(
@@ -308,12 +326,12 @@ def _first_integral_check(p: NormParameter, lam: float, mu: float,
         else:
             t1, t2 = a ** lam * w, mu / (lam + 1.0) * a ** (lam + 1.0)
         value, size = t1 + t2, np.abs(t1) + np.abs(t2)
-        if not value.size:  # no point: np.median would warn
+        if not value.size:  # no point has a median
             return value, constant
         if constant is None:
-            constant = float(np.median(value))
+            constant = float(_median(value))
         return (np.abs(value - constant)
-                / np.maximum(size, np.median(size))), constant
+                / np.maximum(size, _median(size))), constant
 
 
 def first_integral_drift(branch: ProfileBranch,
@@ -765,7 +783,8 @@ def ode_oracle(branch: ProfileBranch, tol: float = 1e-7) -> VerificationReport:
             events += [floor, flat]
         # the table points ahead, in the direction of integration; rescaled
         # tables can repeat an alpha, which t_eval must not
-        ahead = np.unique(branch.alpha[direction * (branch.alpha - a0) > 0])
+        ahead = sorted_unique(
+            branch.alpha[direction * (branch.alpha - a0) > 0])
         t_eval = ahead[::direction]
         t_eval = t_eval[np.abs(t_eval - a0) <= abs(end - a0)]
         run = _dop853(f, a0, (u0, d10), end, t_eval.tolist(), events,

@@ -170,6 +170,21 @@ class TestGenerateVerifyRoundTrip:
         assert report["passed"] and report["n_points"] == len(alpha)
         assert report["excluded_fraction"] == 0.0
 
+    def test_a_table_under_32_rows_is_verified(self, capsys, tmp_path):
+        """The table check compares every row with the median and needs
+        no window: a 15-row CSV passes, where a floor of 32 rows, left
+        over from a windowed scan, refused it with exit 1."""
+        prefix = str(tmp_path / "p")
+        code, _, _ = run(capsys, "generate", "--lambda", "-1", "--mu", "1",
+                         "--c1", "1.5", "--samples", "16", "--out", prefix)
+        assert code == 0
+        code, out, err = run(capsys, "verify", "--profile", prefix + ".csv",
+                             "--lambda", "-1", "--mu", "1")
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["passed"] and report["n_points"] == 15
+        assert report["max_residual"] < 1e-13
+
 
 class TestDeterminism:
     def test_byte_identical_outputs(self, capsys, tmp_path):

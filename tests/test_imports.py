@@ -1,7 +1,9 @@
 """lwsurf never loads scipy: importing lwsurf, quadrature, every CLI
 command and the ODE oracle, whose DOP853 tableau is written out as
-floats, leave it unloaded.  Each check runs in a fresh interpreter,
-because the test process itself has scipy loaded.
+floats, leave it unloaded.  Nor does a CLI command load numpy.ma, which
+numpy 2.x imports on the first call of np.unique or np.median.  Each
+check runs in a fresh interpreter, because the test process itself has
+scipy and numpy.ma loaded.
 """
 
 import os
@@ -9,6 +11,8 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -74,3 +78,40 @@ def test_the_oracle_leaves_scipy_unloaded(tmp_path):
         print(branch.case.value, report.n_points > 0)
         """, tmp_path)
     assert out.split()[-2:] == ["6.1i-1", "True"]
+
+
+C3 = ["--lambda", "-1", "--mu", "1", "--c1", "1.5"]
+
+# the cold commands of the benchmark's cli workload, in its order: each
+# verify reads the CSV that the generate before it writes
+CLI_COMMANDS = {
+    "classify": ["classify", "--m", "2", *C3],
+    "generate-sphere": ["generate", "--special", "sphere", "--out", "sphere",
+                        "--obj"],
+    "verify-sphere": ["verify", "--profile", "sphere.csv", "--lambda", "1",
+                      "--mu", "-2", "--report", "sphere.report.json"],
+    "generate-c3": ["generate", *C3, "--recipe", "C3", "--out", "tube",
+                    "--obj"],
+    "generate-4096": ["generate", *C3, "--samples", "4096", "--out", "prof"],
+    "verify-4096": ["verify", "--profile", "prof.csv", "--lambda", "-1",
+                    "--mu", "1", "--report", "prof.report.json"],
+    "scan-coincidence": ["scan-coincidence", "--recipe", "C3", "--lambda",
+                         "-1", "--mu", "1", "--c1-min", "1.3", "--c1-max",
+                         "1.7", "--steps", "9"],
+}
+
+
+def numpy_ma_loaded(code: str, cwd) -> bool:
+    out = run_python(code + '\nprint("numpy.ma" in sys.modules)\n', cwd)
+    return out.split()[-1] == "True"
+
+
+def test_cli_commands_leave_numpy_ma_unloaded(tmp_path):
+    """Each command in its own interpreter, as the benchmark runs them."""
+    if numpy_ma_loaded("import numpy", tmp_path):
+        pytest.skip("import numpy alone loads numpy.ma (numpy 1.x)")
+    loaded = [name for name, argv in CLI_COMMANDS.items()
+              if numpy_ma_loaded("import lwsurf.cli\n"
+                                 f"assert lwsurf.cli.main({argv!r}) == 0",
+                                 tmp_path)]
+    assert loaded == []

@@ -19,7 +19,7 @@ from lwsurf import (
     integrate_singular,
     profile_from_integral,
 )
-from lwsurf.quadrature import log
+from lwsurf.quadrature import log, sorted_unique
 from lwsurf.solver import SlopeLaw, _hom_pos
 
 
@@ -37,6 +37,47 @@ def simple_root_integral(m: int, a: float, t: float) -> float:
 
 def interval(a: float, b: float, lower: str, upper: str) -> DomainInterval:
     return DomainInterval(a, b, EndpointKind[lower], EndpointKind[upper])
+
+
+def same_array(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestSortedUnique:
+    """sorted_unique has the bits of np.unique on finite arrays."""
+
+    def test_seeded_draws_with_repeats(self):
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            n = int(rng.integers(1, 300))
+            x = rng.integers(-40, 40, n) * 10.0 ** rng.integers(-30, 30)
+            if rng.random() < 0.5:
+                x = x + rng.normal(0.0, 1.0, n)
+            assert same_array(sorted_unique(x), np.unique(x)), x
+
+    @pytest.mark.parametrize("x", [[2.5], [0.0], [-1e-300], [math.pi] * 5,
+                                   []])
+    def test_single_values_and_no_value(self, x):
+        x = np.array(x, dtype=float)
+        assert same_array(sorted_unique(x), np.unique(x))
+
+    def test_two_sorted_halves_meeting_at_a_shared_value(self):
+        """The shape of _build_grid's input: each end's graded rows, the
+        midpoint in both halves."""
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            lo, up = np.sort(rng.normal(0.0, 10.0, 2))
+            mid = 0.5 * (lo + up)
+            n = int(rng.integers(1, 200))
+            lo_pts = lo + (mid - lo) * np.sort(rng.random(n)) ** 4
+            hi_pts = up - (up - mid) * np.sort(rng.random(n)) ** 4
+            x = np.concatenate([lo_pts, [mid], hi_pts, [mid]])
+            assert same_array(sorted_unique(x), np.unique(x))
+
+    def test_the_input_is_not_reordered(self):
+        x = np.array([3.0, 1.0, 3.0, 2.0])
+        assert sorted_unique(x).tolist() == [1.0, 2.0, 3.0]
+        assert x.tolist() == [3.0, 1.0, 3.0, 2.0]
 
 
 class TestBracketRoots:

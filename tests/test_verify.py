@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lwsurf import (
     NormParameter,
@@ -202,9 +204,30 @@ class TestResidualScanTable:
         with pytest.raises(ValueError):
             residual_scan_table(P2, np.zeros(40), np.zeros(40),
                                 np.zeros(39), 1.0, 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="2 rows off the axis"):
             residual_scan_table(P2, np.zeros(8), np.zeros(8), np.zeros(8),
                                 1.0, 0.0)
+        with pytest.raises(ValueError, match="2 rows off the axis"):
+            residual_scan_table(P2, np.array([0.0, 1.0]), np.zeros(2),
+                                np.zeros(2), 1.0, 0.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 15])
+    def test_a_short_table_is_checked(self, n):
+        """A table of any length from 2 rows is checked against its median,
+        and one slope off by 1e-6 still fails (at 8e-8 in 2 rows, and at
+        7.7e-10 or more in 15, where rows near the root barely move W)."""
+        req = SolveRequest(p=P2, relation=WeingartenRelation.linear(-1.0, 1.0),
+                           c1=1.5, samples=16)
+        b = solve(req)[0]  # the piece lwsurf generate writes
+        assert len(b.alpha) == 15
+        alpha, u, du = b.alpha[:n], b.u[:n], b.du[:n]
+        rep = residual_scan_table(P2, alpha, u, du, -1.0, 1.0)
+        assert rep.passed and rep.n_points == n, rep.max_residual
+        for i in range(n):
+            bad = du.copy()
+            bad[i] *= 1 + 1e-6
+            rep = residual_scan_table(P2, alpha, u, bad, -1.0, 1.0)
+            assert not rep.passed, (i, rep.max_residual)
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_one_corrupted_slope_fails(self, m, tmp_path):
@@ -224,6 +247,46 @@ class TestResidualScanTable:
                 bad[i] *= 1 + 1e-7
                 assert not residual_scan_table(*args, bad, *relation).passed, \
                     (tag, i, du[i])
+
+
+def same_bits(a, b) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+# the values that steer np.median: signed zeros, infinities and NaN
+SPECIAL = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan]
+
+
+class TestMedian:
+    """verify._median has the bits of np.median on 1-d float arrays, the
+    NaN it returns included."""
+
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_every_size_with_repeats_and_special_values(self, n):
+        rng = np.random.default_rng(n)
+        for trial in range(20):
+            x = rng.normal(0.0, 1.0, n)
+            if trial % 2:  # repeats
+                x = rng.choice(x[: max(1, n // 3)], n)
+            if trial % 4 >= 2:
+                x[rng.random(n) < 0.3] = rng.choice(SPECIAL[:-1])
+            if trial % 8 >= 4:
+                x[rng.integers(n)] = math.nan
+            with np.errstate(all="ignore"):
+                assert same_bits(verify._median(x), np.median(x)), x
+
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(st.lists(st.one_of(st.floats(), st.sampled_from(SPECIAL)),
+                    min_size=1, max_size=64))
+    def test_any_floats(self, values):
+        x = np.array(values, dtype=float)
+        with np.errstate(all="ignore"):
+            assert same_bits(verify._median(x), np.median(x))
+
+    def test_the_input_is_not_reordered(self):
+        x = np.array([3.0, 1.0, 2.0, math.nan])
+        verify._median(x)
+        assert x.tobytes() == np.array([3.0, 1.0, 2.0, math.nan]).tobytes()
 
 
 class TestEdgeGrowthFlag:
