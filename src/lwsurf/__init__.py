@@ -8,13 +8,9 @@ them into complete surfaces, and verifies everything numerically.
 """
 
 from .normgeom import (
-    Chart,
     NormParameter,
     PrincipalCurvatures,
-    ProfileJet,
-    birkhoff_normal,
     oriented_radius_chart_curvatures,
-    phi,
     principal_curvatures,
     signed_odd_root_pow,
 )

@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .normgeom import Chart, NormParameter, ProfileJet, principal_curvatures
+from .normgeom import NormParameter, principal_curvatures
 from .quadrature import EndpointKind
 from .solver import CaseTag, ProfileBranch, fd_step
 
@@ -263,9 +263,7 @@ def _oriented_curvatures(p: NormParameter, arc: Arc, a: float) -> tuple:
     # a floor of 1e-9 of the width, not fd_step's default: the junctions'
     # recorded k1 values are graded with it
     d2 = branch.fd_second(a, fd_step(a, lo, hi, 1e-9 * (hi - lo)))
-    k = principal_curvatures(
-        p, ProfileJet(Chart.GRAPH_OVER_RADIUS, value=0.0, d1=d1, d2=d2,
-                      radius=a))
+    k = principal_curvatures(p, a, d1, d2)
     return arc.direction * k.k1, arc.direction * k.k2
 
 

@@ -75,6 +75,9 @@ DEFAULTS = {
 
 # the closed forms that ``generate --special`` and the config key name
 SPECIALS = ("sphere", "cylinder")
+# what ``--recipe`` and ``--sign`` and their config keys take
+RECIPES = tuple(r.value for r in Recipe)
+SIGNS = (-1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -99,22 +102,25 @@ def _read_config(path: str) -> dict:
 
 
 def _one_of(values: tuple, convert=str):
-    """Parser of a config key that takes only the given values."""
+    """Parser of a config key that takes what its flag takes."""
     def parse(val: str):
-        if val not in values:
-            raise ValueError(f"must be {' or '.join(values)}, got {val!r}")
-        return convert(val)
+        out = convert(val)
+        if out not in values:
+            raise ValueError(f"must be {' or '.join(map(str, values))}, "
+                             f"got {val!r}")
+        return out
     return parse
 
 
 # parser of each config key: float unless listed as int, str or a choice
 _CONFIG_PARSERS = {
     **dict.fromkeys(DEFAULTS.keys() | {"c1_min", "c1_max"}, float),
-    **dict.fromkeys(("m", "sign", "samples", "segments", "piece", "steps"),
-                    int),
-    **dict.fromkeys(("recipe", "out", "profile", "report"), str),
-    "obj": _one_of(("true", "false"), lambda val: val == "true"),
+    **dict.fromkeys(("m", "samples", "segments", "piece", "steps"), int),
+    **dict.fromkeys(("out", "profile", "report"), str),
+    "obj": lambda val: _one_of(("true", "false"))(val) == "true",
     "special": _one_of(SPECIALS),
+    "recipe": _one_of(RECIPES),
+    "sign": _one_of(SIGNS, int),
 }
 
 
@@ -509,10 +515,19 @@ def cmd_generate(settings: dict) -> int:
         raise ValueError(f"--segments must be at least 1, got {segments}")
     special = settings.get("special")
     recipe = settings.get("recipe")
+    if special and recipe:
+        raise ValueError(f"--special {special} and --recipe {recipe} "
+                         "cannot be combined")
     p = NormParameter(settings["m"])
 
-    if special == "cylinder" or (not special and _relation(settings).form
-                                 is RelationForm.K1_ZERO):
+    if recipe:
+        surface = build_assembly(settings, recipe)
+        alpha, u, du = surface.profile_polyline()
+        meta = _surface_metadata(surface, settings)
+        meta["case"] = surface.arcs[0].branch.case.value
+        meta["recipe"] = recipe
+    elif special == "cylinder" or (not special and _relation(settings).form
+                                   is RelationForm.K1_ZERO):
         radius, height = settings["c2"], settings["height"]
         surface = cylinder(p, radius, height)
         n = max(2, settings["samples"] // 8)
@@ -521,12 +536,6 @@ def cmd_generate(settings: dict) -> int:
         du = np.zeros(n)
         meta = {"case": "4i", "topology": surface.topology.value,
                 "constants": surface.constants, "m": p.m}
-    elif recipe:
-        surface = build_assembly(settings, recipe)
-        alpha, u, du = surface.profile_polyline()
-        meta = _surface_metadata(surface, settings)
-        meta["case"] = surface.arcs[0].branch.case.value
-        meta["recipe"] = recipe
     else:
         # the translated sphere is the relation k1 + inf*k2 = -1
         solved = ({**settings, "lam": math.inf, "mu": -1.0}
@@ -635,7 +644,7 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--c1", type=float, dest="c1")
     sp.add_argument("--c2", type=float, dest="c2")
     sp.add_argument("--shift", type=float, dest="shift")
-    sp.add_argument("--sign", type=int, choices=(-1, 1), dest="sign")
+    sp.add_argument("--sign", type=int, choices=SIGNS, dest="sign")
     sp.add_argument("--samples", type=int, dest="samples")
     sp.add_argument("--tol", type=float, dest="tol")
 
@@ -660,7 +669,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="which maximal interval to sample")
     sp.add_argument("--special", choices=SPECIALS)
     sp.add_argument("--height", type=float, dest="height")
-    sp.add_argument("--recipe", choices=[r.value for r in Recipe])
+    sp.add_argument("--recipe", choices=RECIPES)
 
     sp = sub.add_parser("verify",
                        help="first-integral check of a profile CSV")
@@ -672,7 +681,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("scan-coincidence",
                         help="sweep c1 hunting d-value coincidences")
     _add_common(sp)
-    sp.add_argument("--recipe", choices=[r.value for r in Recipe])
+    sp.add_argument("--recipe", choices=RECIPES)
     sp.add_argument("--c1-min", type=float, dest="c1_min")
     sp.add_argument("--c1-max", type=float, dest="c1_max")
     sp.add_argument("--steps", type=int, dest="steps")

@@ -637,6 +637,7 @@ def _gen_mid_plan(req: SolveRequest) -> _Plan:
         c_crit = critical_c1(lam)
         _boundary_warn(c1, c_crit, "c1")
         # P - Q = (lam+1) + t - c1*(lam+1)*t^(-lam) is stationary at a11
+        # c1*nl*(lam+1) <= c1*(lam+1), so a11 <= a10: a11, beta are finite
         a11 = math.pow(c1 * nl * (lam + 1.0), 1.0 / (lam + 1.0))
         beta = -c1 * (lam + 1.0) * a11 ** nl
         return _split_plan(law, (beta, nl, a11), c1, c_crit, a10, "6.3iii",

@@ -14,10 +14,8 @@ import pytest
 from scipy import special
 
 from lwsurf import (
-    Chart,
     IllConditionedWarning,
     NormParameter,
-    ProfileJet,
     Recipe,
     Topology,
     extend_periodic,
@@ -233,16 +231,12 @@ class TestAcceptance:
         for a in (0.2, 0.5, 0.8):
             d1 = a / math.sqrt(1.0 - a * a)
             d2 = 1.0 / (1.0 - a * a) ** 1.5
-            k = principal_curvatures(
-                p, ProfileJet(Chart.GRAPH_OVER_RADIUS, value=0.0,
-                              d1=d1, d2=d2, radius=a))
+            k = principal_curvatures(p, a, d1, d2)
             worst = max(worst, abs(k.k1 + 1.0), abs(k.k2 + 1.0))
         for a in (1.2, 1.8, 2.5):
             d1 = 1.0 / math.sqrt(a * a - 1.0)
             d2 = -a / (a * a - 1.0) ** 1.5
-            k = principal_curvatures(
-                p, ProfileJet(Chart.GRAPH_OVER_RADIUS, value=0.0,
-                              d1=d1, d2=d2, radius=a))
+            k = principal_curvatures(p, a, d1, d2)
             worst = max(worst, abs(k.k1 - 1.0 / a ** 2),
                         abs(k.k2 + 1.0 / a ** 2))
         ok = worst < 1e-12

@@ -39,8 +39,6 @@ from lwsurf import (
     solve_inhom_lambda_minus1,
 )
 from lwsurf.normgeom import (
-    Chart,
-    ProfileJet,
     oriented_radius_chart_curvatures,
     principal_curvatures,
     signed_odd_root_pow,
@@ -314,18 +312,12 @@ def test_curvature_functions_on_arrays(m):
             got = signed_odd_root_pow(d1, k, p.q)
             want = scalar_each(lambda x: signed_odd_root_pow(x, k, p.q), d1)
             assert bits(got) == bits(w for (w,) in want), k
-        for chart in Chart:
-            got = curvature_pairs(principal_curvatures(
-                p, ProfileJet(chart, 0.0, d1, d2, radius)))
+        for curvatures in (principal_curvatures,
+                           oriented_radius_chart_curvatures):
+            got = curvature_pairs(curvatures(p, radius, d1, d2))
             want = scalar_each(lambda r, x, y: curvature_pairs(
-                principal_curvatures(p, ProfileJet(chart, 0.0, x, y, r))),
-                radius, d1, d2)
+                curvatures(p, r, x, y)), radius, d1, d2)
             assert [bits(g) for g in got] == [bits(w) for w in zip(*want)]
-        got = curvature_pairs(oriented_radius_chart_curvatures(
-            p, radius, d1, d2))
-        want = scalar_each(lambda r, x, y: curvature_pairs(
-            oriented_radius_chart_curvatures(p, r, x, y)), radius, d1, d2)
-        assert [bits(g) for g in got] == [bits(w) for w in zip(*want)]
         for lam in (1.0, -0.5, -2.0, math.inf):
             got = verify._relation_residual(p, radius, d1, d2, lam, -1.0)
             want = scalar_each(lambda r, x, y: verify._relation_residual(

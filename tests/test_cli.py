@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from lwsurf import (
     NormParameter,
+    Recipe,
     SolveRequest,
     WeingartenRelation,
     residual_scan_table,
@@ -468,6 +469,54 @@ class TestRecipeGeneration:
         assert meta["case"] == "6.1i-3-2"
         assert meta["pieces"] == ["6.1i-3-1", "6.1i-3-2"]
 
+    @pytest.mark.parametrize("special", ["sphere", "cylinder"])
+    @pytest.mark.parametrize("config, flags", [
+        ("", ["--special", "{}", "--recipe", "C3"]),
+        ("special = {}\nrecipe = C3\n", []),
+        ("special = {}\n", ["--recipe", "C3"]),
+    ], ids=["flags", "config", "config-and-flag"])
+    def test_special_with_recipe_rejected(self, capsys, tmp_path, special,
+                                          config, flags):
+        # from flags or from the config file, one of the two would be
+        # dropped: generate refuses the pair before any output
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text(config.format(special))
+        code, out, err = run(capsys, "generate", "--config", str(cfg),
+                             *[f.format(special) for f in flags],
+                             "--lambda", "-1", "--mu", "1", "--c1", "1.5",
+                             "--out", str(tmp_path / "s"))
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: --special {special} and --recipe C3 cannot be combined"]
+        assert [p.name for p in tmp_path.iterdir()] == ["job.cfg"]
+
+    def test_recipe_fixes_its_own_relation(self, capsys, tmp_path):
+        # lam = mu = 0 is the cylinder's relation, but torus-4iii sets its
+        # own; the flags change nothing in the table
+        for name, relation in (("plain", []),
+                               ("zero", ["--lambda", "0", "--mu", "0"])):
+            code, _, err = run(capsys, "generate", *relation, "--recipe",
+                               "torus-4iii", "--c1", "2", "--samples", "128",
+                               "--out", str(tmp_path / name))
+            assert code == 0, err
+        meta = json.loads((tmp_path / "zero.meta.json").read_text())
+        assert (meta["case"], meta["topology"]) == ("4iii-1", "torus")
+        assert ((tmp_path / "zero.csv").read_bytes()
+                == (tmp_path / "plain.csv").read_bytes())
+
+    def test_cap_recipe_does_not_become_a_cylinder(self, capsys, tmp_path):
+        # cap solves the requested relation, which here has no profile
+        code, out, err = run(capsys, "generate", "--lambda", "0", "--mu", "0",
+                             "--recipe", "cap", "--c1", "2",
+                             "--out", str(tmp_path / "c"))
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            "error: no profile construction for relation form "
+            "RelationForm.K1_ZERO"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_piece_out_of_range(self, capsys):
         code, _, err = run(capsys, "generate", "--lambda", "1", "--mu", "0",
                            "--piece", "5", "--out", "/tmp/nope")
@@ -613,6 +662,51 @@ class TestConfigFile:
         assert [p.name for p in tmp_path.iterdir()] == ["job.cfg"]
 
 
+    @pytest.mark.parametrize("command, flags", [
+        ("generate", ["--out", "s"]),
+        ("scan-coincidence", ["--c1-min", "1.4", "--c1-max", "1.6"]),
+    ])
+    def test_recipe_key_takes_the_flag_choices(self, capsys, tmp_path,
+                                               monkeypatch, command, flags):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "job.cfg").write_text("recipe = nope\n")
+        code, out, err = run(capsys, command, "--config", "job.cfg",
+                             "--lambda", "-1", "--mu", "1", *flags)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            "error: config key 'recipe': must be "
+            + " or ".join(r.value for r in Recipe) + ", got 'nope'"]
+        assert [p.name for p in tmp_path.iterdir()] == ["job.cfg"]
+
+    @pytest.mark.parametrize("value", ["2", "0", "+2", "-3"])
+    def test_sign_key_takes_the_flag_choices(self, capsys, tmp_path, value):
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text(f"sign = {value}\n")
+        code, out, err = run(capsys, "generate", "--config", str(cfg),
+                             "--lambda", "-1", "--mu", "1", "--c1", "1.5",
+                             "--out", str(tmp_path / "s"))
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: config key 'sign': must be -1 or 1, got '{value}'"]
+        assert [p.name for p in tmp_path.iterdir()] == ["job.cfg"]
+
+    @pytest.mark.parametrize("value, flag", [("+1", "1"), ("-1", "-1")])
+    def test_sign_key_converts_like_the_flag(self, capsys, tmp_path, value,
+                                             flag):
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text(f"sign = {value}\n")
+        relation = ["--lambda", "-1", "--mu", "1", "--c1", "1.5",
+                    "--samples", "64"]
+        assert run(capsys, "generate", "--config", str(cfg), *relation,
+                   "--out", str(tmp_path / "c"))[0] == 0
+        assert run(capsys, "generate", "--sign", flag, *relation,
+                   "--out", str(tmp_path / "f"))[0] == 0
+        assert ((tmp_path / "c.csv").read_bytes()
+                == (tmp_path / "f.csv").read_bytes())
+
+
 class TestNonFiniteConstants:
     """Constants are checked when the request is built: exit 1, one error
     line naming the field, and no file."""
@@ -649,7 +743,9 @@ class TestNonFiniteConstants:
         assert code == 1
         assert out == ""
         lines = err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith(f"error: {field} "), err
+        # a sign outside the flag's choices is refused as its config key
+        prefix = "config key 'sign': " if field == "sign" else f"{field} "
+        assert len(lines) == 1 and lines[0].startswith(f"error: {prefix}"), err
         assert [p.name for p in tmp_path.iterdir()] == ["job.cfg"]
 
     def test_sphere_ignores_the_relation_flags(self, capsys, tmp_path):

@@ -8,20 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lwsurf import (
-    Chart,
     NormParameter,
-    ProfileJet,
-    birkhoff_normal,
     oriented_radius_chart_curvatures,
-    phi,
     principal_curvatures,
     signed_odd_root_pow,
 )
-from lwsurf.normgeom import weingarten_residual
 
 
-def sphere_radius_jet(m: int, a: float) -> ProfileJet:
-    """Jet of u(alpha) = -(1 - alpha^(2m))^(1/2m), the lower unit sphere.
+def sphere_radius_jet(m: int, a: float) -> tuple:
+    """(radius, d1, d2) of u(alpha) = -(1 - alpha^(2m))^(1/2m), the lower
+    unit sphere.
 
     Derivatives computed by hand from the implicit equation
     alpha^(2m) + u^(2m) = 1.
@@ -29,8 +25,21 @@ def sphere_radius_jet(m: int, a: float) -> ProfileJet:
     w = (1.0 - a ** (2 * m)) ** (1.0 / (2 * m))
     d1 = a ** (2 * m - 1) / w ** (2 * m - 1)
     d2 = ((2 * m - 1) * a ** (2 * m - 2) / w ** (4 * m - 1))
-    return ProfileJet(Chart.GRAPH_OVER_RADIUS, value=-w, d1=d1, d2=d2,
-                      radius=a)
+    return a, d1, d2
+
+
+def graph_over_axis_curvatures(m: int, radius: float, d1: float,
+                               d2: float) -> tuple:
+    """(k1, k2) of the profile written as the graph radius(u) over the
+    axis, with radius' = d1 and radius'' = d2: the chart lwsurf does not
+    use, written here as an independent check of the one it does."""
+    q = 2 * m - 1
+    A1 = signed_odd_root_pow(d1, 2 * m, q) + 1.0
+    outer = A1 ** (-(2 * m + 1) / (2 * m))
+    inner = signed_odd_root_pow(d1, -(2 * m - 2), q)
+    k1 = (1.0 / q) * outer * inner * d2
+    k2 = -(1.0 / radius) * A1 ** (-1.0 / (2 * m))
+    return k1, k2
 
 
 class TestSignedOddRootPow:
@@ -80,31 +89,20 @@ class TestNormParameter:
             NormParameter(-2)
 
 
-class TestBirkhoffNormal:
-    @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_normal_is_unit_vector(self, m):
-        p = NormParameter(m)
-        frame = birkhoff_normal(p, 0.6, -1.3, 0.7)
-        assert phi(p, frame.eta) == pytest.approx(1.0, abs=1e-12)
-
-    def test_zero_tangent_rejected(self):
-        with pytest.raises(ValueError):
-            birkhoff_normal(NormParameter(2), 0.0, 0.0, 0.0)
-
-
 class TestSphereCurvatures:
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("a", [0.1, 0.5, 0.9])
     def test_unit_sphere_both_curvatures(self, m, a):
         p = NormParameter(m)
-        k = principal_curvatures(p, sphere_radius_jet(m, a))
+        k = principal_curvatures(p, *sphere_radius_jet(m, a))
         assert k.k1 == pytest.approx(-1.0, abs=1e-11)
         assert k.k2 == pytest.approx(-1.0, abs=1e-11)
 
     def test_weingarten_residual_on_sphere(self):
         p = NormParameter(2)
-        k = principal_curvatures(p, sphere_radius_jet(2, 0.4))
-        assert weingarten_residual(k, 1.0, -2.0) == pytest.approx(0.0, abs=1e-11)
+        k = principal_curvatures(p, *sphere_radius_jet(2, 0.4))
+        lam, mu = 1.0, -2.0
+        assert k.k1 + lam * k.k2 - mu == pytest.approx(0.0, abs=1e-11)
 
 
 class TestEuclideanCrossCheck:
@@ -115,9 +113,7 @@ class TestEuclideanCrossCheck:
         a = 0.3
         d1 = a / math.sqrt(1.0 - a * a)
         d2 = 1.0 / (1.0 - a * a) ** 1.5
-        k = principal_curvatures(
-            p, ProfileJet(Chart.GRAPH_OVER_RADIUS, value=0.0, d1=d1, d2=d2,
-                          radius=a))
+        k = principal_curvatures(p, a, d1, d2)
         assert k.k1 == pytest.approx(-1.0, abs=1e-12)
         assert k.k2 == pytest.approx(-1.0, abs=1e-12)
 
@@ -127,9 +123,7 @@ class TestEuclideanCrossCheck:
         p = NormParameter(1)
         d1 = 1.0 / math.sqrt(a * a - 1.0)
         d2 = -a / (a * a - 1.0) ** 1.5
-        k = principal_curvatures(
-            p, ProfileJet(Chart.GRAPH_OVER_RADIUS, value=0.0, d1=d1, d2=d2,
-                          radius=a))
+        k = principal_curvatures(p, a, d1, d2)
         assert k.k1 == pytest.approx(1.0 / a ** 2, abs=1e-12)
         assert k.k2 == pytest.approx(-1.0 / a ** 2, abs=1e-12)
         assert k.k1 + k.k2 == pytest.approx(0.0, abs=1e-12)
@@ -138,9 +132,7 @@ class TestEuclideanCrossCheck:
         # k1 = -u''/(1+u'^2)^(3/2), k2 = -u'/(r*sqrt(1+u'^2)) at m = 1
         p = NormParameter(1)
         r, d1, d2 = 1.7, -0.8, 0.45
-        k = principal_curvatures(
-            p, ProfileJet(Chart.GRAPH_OVER_RADIUS, value=0.0, d1=d1, d2=d2,
-                          radius=r))
+        k = principal_curvatures(p, r, d1, d2)
         assert k.k1 == pytest.approx(-d2 / (1 + d1 ** 2) ** 1.5, abs=1e-12)
         assert k.k2 == pytest.approx(-d1 / (r * math.sqrt(1 + d1 ** 2)),
                                      abs=1e-12)
@@ -158,19 +150,15 @@ class TestChartConsistency:
         p = NormParameter(m)
         d1 = sign * 10.0 ** log_d1
         k_r = oriented_radius_chart_curvatures(p, a, d1, d2)
-        k_a = principal_curvatures(p, ProfileJet(
-            Chart.GRAPH_OVER_AXIS, value=a, d1=1.0 / d1, d2=-d2 / d1 ** 3,
-            radius=a))
-        assert k_a.k1 == pytest.approx(k_r.k1, rel=1e-12, abs=0.0)
-        assert k_a.k2 == pytest.approx(k_r.k2, rel=1e-12, abs=0.0)
+        k1, k2 = graph_over_axis_curvatures(m, a, 1.0 / d1, -d2 / d1 ** 3)
+        assert k1 == pytest.approx(k_r.k1, rel=1e-12, abs=0.0)
+        assert k2 == pytest.approx(k_r.k2, rel=1e-12, abs=0.0)
 
     def test_oriented_curvatures_negative_slope(self):
         """Orientation normalization flips both signs together for d1 < 0."""
         p = NormParameter(2)
         k_pos = oriented_radius_chart_curvatures(p, 0.8, 1.2, 0.5)
-        raw = principal_curvatures(
-            p, ProfileJet(Chart.GRAPH_OVER_RADIUS, value=0.0, d1=-1.2,
-                          d2=0.5, radius=0.8))
+        raw = principal_curvatures(p, 0.8, -1.2, 0.5)
         k_neg = oriented_radius_chart_curvatures(p, 0.8, -1.2, 0.5)
         assert k_neg.k1 == pytest.approx(-raw.k1)
         assert k_neg.k2 == pytest.approx(-raw.k2)
@@ -180,8 +168,6 @@ class TestChartConsistency:
     def test_degenerate_jets_rejected(self):
         p = NormParameter(2)
         with pytest.raises(ValueError):
-            principal_curvatures(p, ProfileJet(Chart.GRAPH_OVER_RADIUS,
-                                               0.0, 0.0, 1.0, 1.0))
+            principal_curvatures(p, 1.0, 0.0, 1.0)
         with pytest.raises(ValueError):
-            principal_curvatures(p, ProfileJet(Chart.GRAPH_OVER_RADIUS,
-                                               0.0, 1.0, 1.0, -1.0))
+            principal_curvatures(p, -1.0, 1.0, 1.0)
