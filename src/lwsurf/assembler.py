@@ -3,10 +3,11 @@
 A single branch u(alpha) is monotone and only covers one sweep of the
 profile.  Full surfaces arise by joining the + and - branches at a cap
 (where u' blows up), by joining two different cases at a shared smooth
-endpoint (where u' = 0), or by periodic extension.  Each junction carries
-a numeric smoothness verdict obtained from one-sided derivative limits,
-computed in the chart where the quantities stay finite: u(alpha) at smooth
-joins, the inverse alpha(u) at caps.
+endpoint (where u' = 0; each such recipe is a row of RECIPE_TABLE), or
+by periodic extension.  Each junction carries a numeric smoothness
+verdict obtained from one-sided derivative limits, computed in the chart
+where the quantities stay finite: u(alpha) at smooth joins, the inverse
+alpha(u) at caps.
 """
 
 from __future__ import annotations
@@ -14,18 +15,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
 from .normgeom import NormParameter, principal_curvatures
 from .quadrature import EndpointKind
-from .solver import CaseTag, ProfileBranch, fd_step
+from .solver import CaseTag, ProfileBranch, _near, fd_step
 
 __all__ = [
     "Smoothness",
     "Topology",
     "Recipe",
-    "Chain",
+    "RecipeRow",
     "RECIPE_TABLE",
     "Junction",
     "AxisPoint",
@@ -196,13 +198,6 @@ def _shift_branch(branch: ProfileBranch, delta: float) -> ProfileBranch:
         return branch
     return replace(branch, u=branch.u + delta,
                    anchor=(branch.anchor[0], branch.anchor[1] + delta))
-
-
-def _plus_minus(branch: ProfileBranch) -> tuple:
-    if branch.request.sign == +1:
-        return branch, reflect_branch(branch)
-    ref = reflect_branch(branch)
-    return ref, branch
 
 
 # ---------------------------------------------------------------------------
@@ -379,43 +374,52 @@ def _require(cond: bool, equation: str) -> None:
         raise GluingMismatch(f"matching equation violated: {equation}")
 
 
-def _same(a: float, b: float, tol: float = 1e-9) -> bool:
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+class RecipeRow(NamedTuple):
+    """Cases, arcs as (branch 0 or 1, sign, direction) in chain order,
+    the lam both cases are solved at (None: the requested one), and
+    whether c1 is critical_c1(lam), of a two-case recipe."""
+
+    first: CaseTag
+    second: CaseTag
+    arcs: tuple
+    lam: float | None = None
+    critical_c1: bool = False
 
 
-class Chain(Enum):
-    """Order of the four arcs of a two-case recipe (b1, b2 and reflections)."""
+# like-signed (k1 jumps at the joins), cross, and periodic (cap, rise,
+# join, fall, cap; repeats in u) arc orders
+_LIKE_SIGNED = ((0, +1, +1), (1, +1, +1), (1, -1, -1), (0, -1, -1))
+_CROSS = ((0, +1, +1), (1, -1, +1), (1, +1, -1), (0, -1, -1))
+_PERIODIC = ((0, -1, -1), (0, +1, +1), (1, -1, +1), (1, +1, -1))
 
-    LIKE_SIGNED = "like_signed"  # b1+, b2+, b2-, b1-; k1 jumps at the joins
-    CROSS = "cross"              # b1+, b2-, b2+, b1-
-    PERIODIC = "periodic"        # cap, rise, join, fall, cap; repeats in u
-    TORUS = "torus"              # a cross chain closed by a cap at its start
-
-
-# each two-case recipe: the case of its first and second branch, and how
-# the arcs are chained; topology, pieces and constants follow from these.
-# An open chain closes into a sphere when it ends on the axis, and runs
-# off to |u| = infinity when it ends at a double root.
+# topology, pieces and constants follow from the row.  An open chain
+# closes into a sphere when it ends on the axis, and runs off to |u| =
+# infinity when it ends at a double root.  The torus is the one closed
+# chain: a cross chain closed by a cap at its start.
 RECIPE_TABLE = {
-    Recipe.TORUS_4III: (CaseTag.K1_CONST_PLUS, CaseTag.K1_CONST_MINUS,
-                        Chain.TORUS),
-    Recipe.C1_1: (CaseTag.LM1_SUB, CaseTag.LM1_NEG, Chain.LIKE_SIGNED),
-    Recipe.C1_2: (CaseTag.LM1_SUB, CaseTag.LM1_NEG, Chain.CROSS),
-    Recipe.C2: (CaseTag.LM1_DOUBLE_OUTER, CaseTag.LM1_NEG, Chain.CROSS),
-    Recipe.C3: (CaseTag.LM1_TWO_OUTER, CaseTag.LM1_NEG, Chain.PERIODIC),
-    Recipe.C4: (CaseTag.GEN_POS_PLUS, CaseTag.GEN_POS_MINUS_OUTER,
-                Chain.PERIODIC),
-    Recipe.C5: (CaseTag.GEN_MID_PLUS_SUB, CaseTag.GEN_MID_MINUS_OUTER,
-                Chain.CROSS),
-    Recipe.C6: (CaseTag.GEN_MID_PLUS_DOUBLE_OUTER, CaseTag.GEN_MID_MINUS_OUTER,
-                Chain.CROSS),
-    Recipe.C7: (CaseTag.GEN_MID_PLUS_TWO_OUTER, CaseTag.GEN_MID_MINUS_OUTER,
-                Chain.PERIODIC),
-    Recipe.C8: (CaseTag.GEN_LOW_PLUS_SUB, CaseTag.GEN_LOW_MINUS, Chain.CROSS),
-    Recipe.C9: (CaseTag.GEN_LOW_PLUS_DOUBLE_OUTER, CaseTag.GEN_LOW_MINUS,
-                Chain.CROSS),
-    Recipe.C10: (CaseTag.GEN_LOW_PLUS_TWO_OUTER, CaseTag.GEN_LOW_MINUS,
-                 Chain.PERIODIC),
+    Recipe.TORUS_4III: RecipeRow(CaseTag.K1_CONST_PLUS,
+                                 CaseTag.K1_CONST_MINUS, _CROSS, 0.0),
+    Recipe.C1_1: RecipeRow(CaseTag.LM1_SUB, CaseTag.LM1_NEG, _LIKE_SIGNED,
+                           -1.0),
+    Recipe.C1_2: RecipeRow(CaseTag.LM1_SUB, CaseTag.LM1_NEG, _CROSS, -1.0),
+    Recipe.C2: RecipeRow(CaseTag.LM1_DOUBLE_OUTER, CaseTag.LM1_NEG, _CROSS,
+                         -1.0, True),
+    Recipe.C3: RecipeRow(CaseTag.LM1_TWO_OUTER, CaseTag.LM1_NEG, _PERIODIC,
+                         -1.0),
+    Recipe.C4: RecipeRow(CaseTag.GEN_POS_PLUS, CaseTag.GEN_POS_MINUS_OUTER,
+                         _PERIODIC),
+    Recipe.C5: RecipeRow(CaseTag.GEN_MID_PLUS_SUB,
+                         CaseTag.GEN_MID_MINUS_OUTER, _CROSS),
+    Recipe.C6: RecipeRow(CaseTag.GEN_MID_PLUS_DOUBLE_OUTER,
+                         CaseTag.GEN_MID_MINUS_OUTER, _CROSS, None, True),
+    Recipe.C7: RecipeRow(CaseTag.GEN_MID_PLUS_TWO_OUTER,
+                         CaseTag.GEN_MID_MINUS_OUTER, _PERIODIC),
+    Recipe.C8: RecipeRow(CaseTag.GEN_LOW_PLUS_SUB, CaseTag.GEN_LOW_MINUS,
+                         _CROSS),
+    Recipe.C9: RecipeRow(CaseTag.GEN_LOW_PLUS_DOUBLE_OUTER,
+                         CaseTag.GEN_LOW_MINUS, _CROSS, None, True),
+    Recipe.C10: RecipeRow(CaseTag.GEN_LOW_PLUS_TWO_OUTER,
+                          CaseTag.GEN_LOW_MINUS, _PERIODIC),
 }
 
 
@@ -427,11 +431,11 @@ def glue(bplus: ProfileBranch, bminus: ProfileBranch,
     closes from its last arc back to its first.
     """
     p = bplus.request.p
-    chain = None
+    closed = recipe is Recipe.TORUS_4III
     if recipe is Recipe.CAP:
         b1, arcs, constants = _cap_arcs(bplus, bminus)
     elif recipe in RECIPE_TABLE:
-        want1, want2, chain = RECIPE_TABLE[recipe]
+        want1, want2, row_arcs, *_ = RECIPE_TABLE[recipe]
         b1, b2 = bplus, bminus
         if b1.case is want2 and b2.case is want1:
             b1, b2 = b2, b1
@@ -439,29 +443,25 @@ def glue(bplus: ProfileBranch, bminus: ProfileBranch,
                  f"{recipe.value} connects cases {want1.value} and "
                  f"{want2.value}")
         _require(b1.request.p.m == b2.request.p.m, "equal norm exponent m")
-        _require(_same(b1.lam, b2.lam), "equal lambda")
-        _require(_same(b2.request.c1, -b1.request.c1), "c1* = -c1")
+        _require(_near(b1.lam, b2.lam, 1e-9), "equal lambda")
+        _require(_near(b2.request.c1, -b1.request.c1, 1e-9), "c1* = -c1")
         a_star = b1.domain.upper
-        _require(_same(a_star, b2.domain.lower),
+        _require(_near(a_star, b2.domain.lower, 1e-9),
                  "shared smooth endpoint alpha (e.g. alpha_4 = alpha_8)")
-        if chain is Chain.TORUS:
+        if closed:
             _require(b1.request.c1 > 1.0, "c1 > 1 (profile clears the axis)")
-
-        b1p, b1m = _plus_minus(b1)
-        b2p, b2m = _plus_minus(b2)
-        if chain is Chain.PERIODIC:
-            arcs = [Arc(b1m, -1), Arc(b1p, +1), Arc(b2m, +1), Arc(b2p, -1)]
-        else:
-            rise, fall = (b2p, b2m) if chain is Chain.LIKE_SIGNED else (b2m, b2p)
-            arcs = [Arc(b1p, +1), Arc(rise, +1), Arc(fall, -1), Arc(b1m, -1)]
-        constants = ({"c1": b1.request.c1} if chain is Chain.TORUS else
+        arcs = []
+        for i, sign, d in row_arcs:
+            b = (b1, b2)[i]
+            arcs.append(Arc(b if b.request.sign == sign
+                            else reflect_branch(b), d))
+        constants = ({"c1": b1.request.c1} if closed else
                      {"alpha_star": a_star, "d_first": b1.span,
                       "d_second": b2.span})
     else:
         raise ValueError(f"unknown recipe {recipe}")
 
     arcs = _chain(arcs)
-    closed = chain is Chain.TORUS
     junctions = [_evaluate_junction(p, left, right) for left, right
                  in zip(arcs, arcs[1:] + arcs[:1] if closed else arcs[1:])]
     topology, axis_points = ((Topology.TORUS, []) if closed
@@ -482,7 +482,7 @@ def _cap_arcs(bplus: ProfileBranch, bminus: ProfileBranch) -> tuple:
     """(plus branch, arcs, constants) of the cap recipe: the + and -
     branch of one case, joined at the simple root they are anchored at."""
     _require(bplus.case is bminus.case, "cap joins branches of one case")
-    _require(_same(bplus.request.c1, bminus.request.c1), "equal c1")
+    _require(_near(bplus.request.c1, bminus.request.c1, 1e-9), "equal c1")
     _require(bplus.request.sign != bminus.request.sign, "opposite signs")
     if bplus.request.sign == -1:
         bplus, bminus = bminus, bplus
@@ -491,7 +491,8 @@ def _cap_arcs(bplus: ProfileBranch, bminus: ProfileBranch) -> tuple:
     plus, minus = Arc(bplus, +1), Arc(bminus, -1)
     for first, arcs in ((True, [minus, plus]), (False, [plus, minus])):
         a, kind, _ = plus.end_record(first)
-        if kind is EndpointKind.SIMPLE_ROOT and _same(bplus.anchor[0], a):
+        if (kind is EndpointKind.SIMPLE_ROOT
+                and _near(bplus.anchor[0], a, 1e-9)):
             return bplus, arcs, {"alpha_star": bplus.anchor[0],
                                  "d": bplus.span}
     raise GluingMismatch(
@@ -508,7 +509,7 @@ def _mark_extendable(surface: AssembledSurface) -> None:
     a1, k1, s1 = last.end_record(first=False)
     turns = k0 is EndpointKind.SIMPLE_ROOT
     if (k0 not in (EndpointKind.SMOOTH_CAP, EndpointKind.SIMPLE_ROOT)
-            or k1 is not k0 or not _same(a0, a1)
+            or k1 is not k0 or not _near(a0, a1, 1e-9)
             or (first.direction == last.direction) == turns):
         return
     if turns:

@@ -31,7 +31,9 @@ from .assembler import (
     glue,
 )
 from .normgeom import NormParameter
+from .quadrature import ToleranceError
 from .solver import (
+    BracketError,
     CaseTag,
     IllConditionedWarning,
     NoSurfaceError,
@@ -144,7 +146,7 @@ def _merge_settings(args: argparse.Namespace) -> dict:
 
 
 def _relation(settings: dict) -> WeingartenRelation:
-    return WeingartenRelation.linear(settings["lam"], settings["mu"])
+    return WeingartenRelation(settings["lam"], settings["mu"])
 
 
 def _request(settings: dict) -> SolveRequest:
@@ -413,9 +415,6 @@ def _json_dump(path: str, payload: dict) -> None:
 
 def build_assembly(settings: dict, recipe_name: str) -> AssembledSurface:
     p = NormParameter(settings["m"])
-    samples = settings["samples"]
-    lam = settings["lam"]
-    c1 = settings["c1"]
     recipe = Recipe(recipe_name)
 
     if recipe is Recipe.CAP:
@@ -431,17 +430,13 @@ def build_assembly(settings: dict, recipe_name: str) -> AssembledSurface:
         raise GluingMismatch(
             "matching equation violated: no branch with a simple-root cap")
 
-    want1, want2, _ = RECIPE_TABLE[recipe]
-    if want1.name.startswith("LM1_"):  # the 6.1 families have lam = -1
-        lam = -1.0
-    elif want1.name.startswith("K1_"):  # the 4iii arcs have lam = 0
-        lam = 0.0
-    if want1.name.endswith("_DOUBLE_OUTER"):  # C2, C6, C9
-        c1 = critical_c1(lam)
+    row = RECIPE_TABLE[recipe]
+    lam = settings["lam"] if row.lam is None else row.lam
+    c1 = critical_c1(lam) if row.critical_c1 else settings["c1"]
     pair = []
-    for mu, c, want in ((1.0, c1, want1), (-1.0, -c1, want2)):
-        req = SolveRequest(p=p, relation=WeingartenRelation.linear(lam, mu),
-                           c1=c, samples=samples, tol=settings["tol"])
+    for mu, c, want in ((1.0, c1, row.first), (-1.0, -c1, row.second)):
+        req = SolveRequest(p, WeingartenRelation(lam, mu), c,
+                           samples=settings["samples"], tol=settings["tol"])
         # without the wanted case, glue names the mismatch on the first piece
         pair.append((solve(req, case=want) or solve(req))[0])
     return glue(*pair, recipe)
@@ -601,25 +596,33 @@ def cmd_scan_coincidence(settings: dict) -> int:
         raise ValueError("scan-coincidence needs --c1-min and --c1-max")
     if steps < 1:
         raise ValueError(f"--steps must be at least 1, got {steps}")
-    print("# d-value coincidence scan; numeric events only, no torus "
-          "existence is claimed")
-    print(f"{'c1':>14} {'d_first':>16} {'d_second':>16} {'|diff|':>12} "
-          f"{'period':>12}")
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"--c1-min and --c1-max must be finite, and so "
+                         f"must their difference, got {lo} and {hi}")
+    # rows are printed once every row is built: an error of the request
+    # itself leaves stdout empty, and a row is skipped only on a failure
+    # at its own c1
+    lines = ["# d-value coincidence scan; numeric events only, no torus "
+             "existence is claimed",
+             f"{'c1':>14} {'d_first':>16} {'d_second':>16} {'|diff|':>12} "
+             f"{'period':>12}"]
     for c1 in np.linspace(float(lo), float(hi), steps):
         row_settings = dict(settings)
         row_settings["c1"] = float(c1)
         try:
             surface = build_assembly(row_settings, recipe)
-        except (ValueError, RuntimeError) as exc:
-            print(f"{c1:14.6g} skipped: {exc}")
+        except (NoSurfaceError, GluingMismatch, BracketError,
+                ToleranceError) as exc:
+            lines.append(f"{c1:14.6g} skipped: {exc}")
             continue
         d1 = surface.constants.get("d_first", surface.constants.get("d"))
         d1 = math.nan if d1 is None else float(d1)
         d2 = float(surface.constants.get("d_second", math.nan))
         diff = abs(d1 - d2)
         period = surface.period if surface.period is not None else math.nan
-        print(f"{c1:14.6g} {d1:16.9g} {d2:16.9g} {diff:12.3e} "
-              f"{period:12.3e}")
+        lines.append(f"{c1:14.6g} {d1:16.9g} {d2:16.9g} {diff:12.3e} "
+                     f"{period:12.3e}")
+    print("\n".join(lines))
     return EXIT_OK
 
 

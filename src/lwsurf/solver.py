@@ -734,7 +734,9 @@ def _plan(req: SolveRequest) -> _Plan:
         if lam > -1.0:
             return _gen_mid_plan(req)
         return _gen_low_plan(req)
-    raise ValueError(f"no profile construction for relation form {form}")
+    # the one form left, K1_ZERO
+    raise ValueError("lam = mu = 0 is the cylinder 4i, alpha = const, "
+                     "which has no profile u(alpha)")
 
 
 def classify(req: SolveRequest) -> tuple:

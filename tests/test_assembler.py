@@ -24,6 +24,7 @@ from lwsurf import (
     solve_constant_k2,
     solve_inhom_lambda_minus1,
 )
+from lwsurf.assembler import RECIPE_TABLE
 from lwsurf.cli import DEFAULTS, build_assembly
 from lwsurf.solver import critical_c1
 
@@ -96,6 +97,33 @@ class TestRecipes:
         c1s = {a.branch.request.c1 for a in surf.arcs}
         assert c1s == {critical_c1(lam_used), -critical_c1(lam_used)}
         assert surf.lam == lam_used
+
+    @pytest.mark.parametrize("recipe", list(RECIPE_TABLE),
+                             ids=lambda r: r.value)
+    def test_row_fixes_cases_lam_and_c1(self, recipe):
+        # the flags ask for lam = 3 and c1 = 0.123 wherever the row fixes
+        # them, and for mu = 5, which no two-case recipe reads
+        row = RECIPE_TABLE[recipe]
+        settings = dict(DEFAULTS, **RECIPE_PARAMS[recipe.value], mu=5.0,
+                        samples=96)
+        if row.lam is not None:
+            settings["lam"] = 3.0
+        if row.critical_c1:
+            settings["c1"] = 0.123
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            surf = build_assembly(settings, recipe.value)
+        lam = settings["lam"] if row.lam is None else row.lam
+        c1 = critical_c1(lam) if row.critical_c1 else settings["c1"]
+        cases = (row.first, row.second)
+        assert [(a.branch.case, a.branch.request.sign, a.direction)
+                for a in surf.arcs] == [(cases[i], sign, d)
+                                        for i, sign, d in row.arcs]
+        assert surf.lam == lam
+        for arc in surf.arcs:
+            b = arc.branch
+            mu = 1.0 if b.case is row.first else -1.0
+            assert (b.lam, b.mu, b.request.c1) == (lam, mu, mu * c1)
 
     def test_torus_ignores_the_relation_flags(self):
         # the 4iii arcs have lam = 0 and mu = +/-1

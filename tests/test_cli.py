@@ -3,6 +3,7 @@
 import json
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -513,9 +514,19 @@ class TestRecipeGeneration:
         assert code == 1
         assert out == ""
         assert err.splitlines() == [
-            "error: no profile construction for relation form "
-            "RelationForm.K1_ZERO"]
+            "error: lam = mu = 0 is the cylinder 4i, alpha = const, which "
+            "has no profile u(alpha)"]
         assert list(tmp_path.iterdir()) == []
+
+    def test_torus_ignores_a_relation_that_is_no_relation(self, capsys,
+                                                          tmp_path):
+        # (inf, 0) is not a relation; the torus fixes its own
+        code, _, err = run(capsys, "generate", "--recipe", "torus-4iii",
+                           "--lambda", "inf", "--c1", "2", "--samples", "96",
+                           "--out", str(tmp_path / "t"))
+        assert code == 0, err
+        meta = json.loads((tmp_path / "t.meta.json").read_text())
+        assert (meta["lam"], meta["topology"]) == (0.0, "torus")
 
     def test_piece_out_of_range(self, capsys):
         code, _, err = run(capsys, "generate", "--lambda", "1", "--mu", "0",
@@ -576,6 +587,54 @@ class TestScanCoincidence:
         rows = [ln for ln in out.splitlines()
                 if ln and not ln.startswith("#") and "c1" not in ln]
         assert len(rows) == 3
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--samples", "1"], "need at least 2 samples"),
+        (["--tol", "nan"], "tol must be finite and >= 0, got nan"),
+        (["--c1-min", "nan"], "--c1-min and --c1-max must be finite, and "
+         "so must their difference, got nan and 1.6"),
+        (["--c1-max", "inf"], "--c1-min and --c1-max must be finite, and "
+         "so must their difference, got 1.4 and inf"),
+        (["--c1-min=-1e308", "--c1-max=1e308"],
+         "--c1-min and --c1-max must be finite, and so must their "
+         "difference, got -1e+308 and 1e+308"),
+    ])
+    def test_request_errors_exit_before_output(self, capsys, flags, message):
+        # an error of the request holds on every row: no row is printed
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "scan-coincidence", "--recipe", "C3",
+                                 "--lambda", "-1", "--mu", "1",
+                                 "--c1-min", "1.4", "--c1-max", "1.6",
+                                 "--steps", "2", *flags)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [f"error: {message}"]
+        assert [str(w.message) for w in caught] == []
+
+    def test_rows_skip_their_own_failures(self, capsys):
+        # below c1 = 1 there is no 6.1i-3-2 piece: that row is skipped
+        code, out, _ = run(capsys, "scan-coincidence", "--recipe", "C3",
+                           "--lambda", "-1", "--mu", "1",
+                           "--c1-min", "0.5", "--c1-max", "1.6",
+                           "--steps", "3", "--samples", "96")
+        assert code == 0
+        rows = out.splitlines()[2:]
+        assert len(rows) == 3
+        assert rows[0].split(None, 1) == [
+            "0.5", "skipped: matching equation violated: C3 connects "
+            "cases 6.1i-3-2 and 6.1ii"]
+        assert not any("skipped" in row for row in rows[1:])
+
+    def test_torus_rows_ignore_the_requested_relation(self, capsys):
+        code, out, err = run(capsys, "scan-coincidence", "--recipe",
+                             "torus-4iii", "--lambda", "inf",
+                             "--c1-min", "2", "--c1-max", "2.5",
+                             "--steps", "2", "--samples", "96")
+        assert code == 0, err
+        rows = out.splitlines()[2:]
+        assert len(rows) == 2
+        assert not any("skipped" in row for row in rows)
 
     @pytest.mark.parametrize("steps", ["0", "-2"])
     def test_steps_below_one_rejected_before_output(self, capsys, steps):

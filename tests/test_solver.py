@@ -79,6 +79,16 @@ class TestRelationDispatch:
         assert [f.name for f in dataclasses.fields(WeingartenRelation)] \
             == ["lam", "mu"]
 
+    def test_cylinder_relation_has_no_profile(self):
+        # lam = mu = 0 is the cylinder alpha = const; the error names it
+        req = SolveRequest(P2, WeingartenRelation(0.0, 0.0), c1=2.0)
+        message = ("lam = mu = 0 is the cylinder 4i, alpha = const, which "
+                   "has no profile u(alpha)")
+        for build in (solve, classify):
+            with pytest.raises(ValueError) as exc:
+                build(req)
+            assert str(exc.value) == message
+
     def test_invalid_constants(self):
         # lam = inf stands only for the translated sphere, mu = -1
         for lam, mu, field in ((math.nan, 1.0, "lam"),
