@@ -144,12 +144,8 @@ class Junction:
     right_case: CaseTag
     u_gap: float
     du_gap: float
-    d2_left: float
-    d2_right: float
     k1_left: float
     k1_right: float
-    k2_left: float
-    k2_right: float
     smoothness: Smoothness
 
 
@@ -251,7 +247,8 @@ def _inv_d2_limit(branch: ProfileBranch, a_star: float, side: int,
     return (vals[1] - r * vals[0]) / (1.0 - r)
 
 
-def _oriented_curvatures(p: NormParameter, arc: Arc, a: float) -> tuple:
+def _oriented_curvatures(p: NormParameter, arc: Arc, a: float) -> float:
+    """The arc's k1 at a, signed by its direction."""
     branch = arc.branch
     lo, hi = branch.domain.lower, branch.domain.upper
     d1 = branch.uprime(a)
@@ -259,7 +256,7 @@ def _oriented_curvatures(p: NormParameter, arc: Arc, a: float) -> tuple:
     # recorded k1 values are graded with it
     d2 = branch.fd_second(a, fd_step(a, lo, hi, 1e-9 * (hi - lo)))
     k = principal_curvatures(p, a, d1, d2)
-    return arc.direction * k.k1, arc.direction * k.k2
+    return arc.direction * k.k1
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +285,8 @@ def _evaluate_junction(p: NormParameter, left: Arc, right: Arc) -> Junction:
         d2r = _inv_d2_limit(rb, a_star, rside, p.m)
 
     h_eval = 1e-3 * min(lw, rw)
-    k1l, k2l = _oriented_curvatures(p, left, a_star + lside * h_eval)
-    k1r, k2r = _oriented_curvatures(p, right, a_star + rside * h_eval)
+    k1l = _oriented_curvatures(p, left, a_star + lside * h_eval)
+    k1r = _oriented_curvatures(p, right, a_star + rside * h_eval)
 
     d2_scale = max(1.0, abs(d2l), abs(d2r))
     if u_gap > 1e-8 or du_gap > 1e-6:
@@ -302,8 +299,7 @@ def _evaluate_junction(p: NormParameter, left: Arc, right: Arc) -> Junction:
         verdict = Smoothness.C2
     return Junction(alpha_star=a_star, kind=kind, left_case=lb.case,
                     right_case=rb.case, u_gap=u_gap, du_gap=du_gap,
-                    d2_left=d2l, d2_right=d2r, k1_left=k1l, k1_right=k1r,
-                    k2_left=k2l, k2_right=k2r, smoothness=verdict)
+                    k1_left=k1l, k1_right=k1r, smoothness=verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -547,9 +543,12 @@ def extend_periodic(surface: AssembledSurface) -> AssembledSurface:
 
 
 def cylinder(p: NormParameter, radius: float, height: float = 1.0) -> AssembledSurface:
-    """Circular cylinder alpha = radius: the k1 = 0 surface."""
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
+    """Circular cylinder alpha = radius: the k1 = 0 surface.  The radius
+    must be finite and positive, the height finite (it may be negative)."""
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise ValueError(f"radius must be finite and positive, got {radius}")
+    if not math.isfinite(height):
+        raise ValueError(f"height must be finite, got {height}")
     return AssembledSurface(
         arcs=[], junctions=[], topology=Topology.CYLINDER, axis_points=[],
         p=p, lam=0.0, mu=0.0,

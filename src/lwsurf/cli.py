@@ -3,9 +3,10 @@
 Exit codes: 0 success, 1 generic failure (a usage error included), 2 no
 admissible surface for the given constants (the violated inequality is
 printed), 3 malformed profile CSV.  Precedence for settings is flags >
-config file > defaults; the config file is a flat ``key = value`` text
-format using the long flag names.  The environment variable LWSURF_LOG
-sets the log level.
+config file > defaults.  Every option is a row of ``OPTIONS``: the config
+file is a flat ``key = value`` text whose keys are the long flag names
+(or the options' setting keys), each taking what its flag takes.  The
+environment variable LWSURF_LOG sets the log level.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import math
 import os
 import sys
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,28 +60,57 @@ class CsvFormatError(ValueError):
     """Profile CSV does not match the alpha,u,du format."""
 
 
-DEFAULTS = {
-    "m": 2,
-    "lam": 1.0,
-    "mu": 0.0,
-    "c1": 0.0,
-    "c2": 1.0,
-    "shift": 0.0,
-    "sign": 1,
-    "samples": 512,
-    "tol": 1e-10,
-    "verify_tol": TABLE_TOL,
-    "segments": 96,
-    "piece": 0,
-    "height": 1.0,
-    "steps": 9,
-}
+class Option(NamedTuple):
+    """One option: its flag, its setting key, what it takes (a type, a
+    tuple of the values it allows, or bool for a switch, whose config key
+    takes true or false), its default (None: unset), the commands that
+    have it (None: every command) and its help text."""
 
-# the closed forms that ``generate --special`` and the config key name
-SPECIALS = ("sphere", "cylinder")
-# what ``--recipe`` and ``--sign`` and their config keys take
-RECIPES = tuple(r.value for r in Recipe)
-SIGNS = (-1, 1)
+    flag: str
+    key: str
+    takes: object
+    default: object = None
+    commands: tuple | None = None
+    help: str | None = None
+
+
+# every option, in --help order.  The flag and the config key take the
+# same values: argparse converts and checks the flag, _parse the key
+OPTIONS = (
+    Option("--m", "m", int, 2),
+    Option("--lambda", "lam", float, 1.0),
+    Option("--mu", "mu", float, 0.0),
+    Option("--c1", "c1", float, 0.0),
+    Option("--c2", "c2", float, 1.0),
+    Option("--shift", "shift", float, 0.0),
+    Option("--sign", "sign", (-1, 1), 1),
+    Option("--samples", "samples", int, 512),
+    Option("--tol", "tol", float, 1e-10),
+    Option("--out", "out", str, None, ("generate",), "output prefix"),
+    Option("--obj", "obj", bool, None, ("generate",),
+           "also write a revolved OBJ mesh"),
+    Option("--segments", "segments", int, 96, ("generate",)),
+    Option("--piece", "piece", int, 0, ("generate",),
+           "which maximal interval to sample"),
+    Option("--special", "special", ("sphere", "cylinder"), None,
+           ("generate",)),
+    Option("--height", "height", float, 1.0, ("generate",)),
+    Option("--recipe", "recipe", tuple(r.value for r in Recipe), None,
+           ("generate", "scan-coincidence")),
+    Option("--profile", "profile", str, None, ("verify",), "profile CSV path"),
+    Option("--verify-tol", "verify_tol", float, TABLE_TOL, ("verify",)),
+    Option("--report", "report", str, None, ("verify",),
+           "write the JSON report here"),
+    Option("--c1-min", "c1_min", float, None, ("scan-coincidence",)),
+    Option("--c1-max", "c1_max", float, None, ("scan-coincidence",)),
+    Option("--steps", "steps", int, 9, ("scan-coincidence",)),
+)
+
+DEFAULTS = {o.key: o.default for o in OPTIONS if o.default is not None}
+
+# a config key is an option's flag name or its setting key, - read as _
+_CONFIG_KEYS = {name: o for o in OPTIONS
+                for name in (o.flag[2:].replace("-", "_"), o.key)}
 
 
 # ---------------------------------------------------------------------------
@@ -97,33 +128,23 @@ def _read_config(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, val = (part.strip() for part in line.split("=", 1))
             key = key.replace("-", "_")
-            if key == "lambda":
-                key = "lam"
-            values[key] = val
+            # the last line that names a setting sets it
+            option = _CONFIG_KEYS.get(key)
+            values[option.key if option else key] = val
     return values
 
 
-def _one_of(values: tuple, convert=str):
-    """Parser of a config key that takes what its flag takes."""
-    def parse(val: str):
-        out = convert(val)
-        if out not in values:
-            raise ValueError(f"must be {' or '.join(map(str, values))}, "
-                             f"got {val!r}")
-        return out
-    return parse
-
-
-# parser of each config key: float unless listed as int, str or a choice
-_CONFIG_PARSERS = {
-    **dict.fromkeys(DEFAULTS.keys() | {"c1_min", "c1_max"}, float),
-    **dict.fromkeys(("m", "samples", "segments", "piece", "steps"), int),
-    **dict.fromkeys(("out", "profile", "report"), str),
-    "obj": lambda val: _one_of(("true", "false"))(val) == "true",
-    "special": _one_of(SPECIALS),
-    "recipe": _one_of(RECIPES),
-    "sign": _one_of(SIGNS, int),
-}
+def _parse(takes, val: str):
+    """A config value converted and checked as its flag's would be."""
+    if takes is bool:
+        return _parse(("true", "false"), val) == "true"
+    if not isinstance(takes, tuple):
+        return takes(val)
+    out = type(takes[0])(val)
+    if out not in takes:
+        raise ValueError(f"must be {' or '.join(map(str, takes))}, "
+                         f"got {val!r}")
+    return out
 
 
 def _merge_settings(args: argparse.Namespace) -> dict:
@@ -131,10 +152,10 @@ def _merge_settings(args: argparse.Namespace) -> dict:
     cfg_path = getattr(args, "config", None)
     if cfg_path:
         for key, val in _read_config(cfg_path).items():
-            if key not in _CONFIG_PARSERS:
+            if key not in _CONFIG_KEYS:
                 raise ValueError(f"unknown config key {key!r}")
             try:
-                settings[key] = _CONFIG_PARSERS[key](val)
+                settings[key] = _parse(_CONFIG_KEYS[key].takes, val)
             except ValueError as exc:
                 raise ValueError(f"config key {key!r}: {exc}") from exc
     for key, val in vars(args).items():
@@ -589,6 +610,10 @@ def cmd_scan_coincidence(settings: dict) -> int:
     recipe = settings.get("recipe")
     if not recipe:
         raise ValueError("scan-coincidence needs --recipe")
+    row = RECIPE_TABLE.get(Recipe(recipe))
+    if row is not None and row.critical_c1:
+        raise ValueError(f"recipe {recipe} fixes c1 at critical_c1(lam): "
+                         "there is no c1 to scan")
     lo = settings.get("c1_min")
     hi = settings.get("c1_max")
     steps = settings["steps"]
@@ -639,17 +664,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", help="flat key = value settings file")
-    sp.add_argument("--m", type=int, dest="m")
-    sp.add_argument("--lambda", type=float, dest="lam")
-    sp.add_argument("--mu", type=float, dest="mu")
-    sp.add_argument("--c1", type=float, dest="c1")
-    sp.add_argument("--c2", type=float, dest="c2")
-    sp.add_argument("--shift", type=float, dest="shift")
-    sp.add_argument("--sign", type=int, choices=SIGNS, dest="sign")
-    sp.add_argument("--samples", type=int, dest="samples")
-    sp.add_argument("--tol", type=float, dest="tol")
+def _argument(option: Option) -> dict:
+    """add_argument's keywords for an option; unset, a flag is None."""
+    takes = option.takes
+    kwargs = {"dest": option.key, "default": None, "help": option.help}
+    if takes is bool:
+        return {**kwargs, "action": "store_true"}
+    if isinstance(takes, tuple):
+        return {**kwargs, "type": type(takes[0]), "choices": takes}
+    return {**kwargs, "type": takes}
+
+
+# each command's help line and its function
+_COMMANDS = {
+    "classify": ("case tag and admissible intervals", cmd_classify),
+    "generate": ("profile CSV / OBJ mesh / metadata", cmd_generate),
+    "verify": ("first-integral check of a profile CSV", cmd_verify),
+    "scan-coincidence": ("sweep c1 hunting d-value coincidences",
+                         cmd_scan_coincidence),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -658,45 +691,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Rotational linear Weingarten surfaces in the "
                     "((x1^2+x2^2)^m + x3^(2m))^(1/2m) normed space")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("classify", help="case tag and admissible intervals")
-    _add_common(sp)
-
-    sp = sub.add_parser("generate", help="profile CSV / OBJ mesh / metadata")
-    _add_common(sp)
-    sp.add_argument("--out", help="output prefix")
-    sp.add_argument("--obj", action="store_true", default=None,
-                    help="also write a revolved OBJ mesh")
-    sp.add_argument("--segments", type=int, dest="segments")
-    sp.add_argument("--piece", type=int, dest="piece",
-                    help="which maximal interval to sample")
-    sp.add_argument("--special", choices=SPECIALS)
-    sp.add_argument("--height", type=float, dest="height")
-    sp.add_argument("--recipe", choices=RECIPES)
-
-    sp = sub.add_parser("verify",
-                       help="first-integral check of a profile CSV")
-    _add_common(sp)
-    sp.add_argument("--profile", help="profile CSV path")
-    sp.add_argument("--verify-tol", type=float, dest="verify_tol")
-    sp.add_argument("--report", help="write the JSON report here")
-
-    sp = sub.add_parser("scan-coincidence",
-                        help="sweep c1 hunting d-value coincidences")
-    _add_common(sp)
-    sp.add_argument("--recipe", choices=RECIPES)
-    sp.add_argument("--c1-min", type=float, dest="c1_min")
-    sp.add_argument("--c1-max", type=float, dest="c1_max")
-    sp.add_argument("--steps", type=int, dest="steps")
+    for name, (help_line, _) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_line)
+        sp.add_argument("--config", help="flat key = value settings file")
+        for option in OPTIONS:
+            if option.commands is None or name in option.commands:
+                sp.add_argument(option.flag, **_argument(option))
     return ap
-
-
-_COMMANDS = {
-    "classify": cmd_classify,
-    "generate": cmd_generate,
-    "verify": cmd_verify,
-    "scan-coincidence": cmd_scan_coincidence,
-}
 
 
 def main(argv=None) -> int:
@@ -704,7 +705,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         settings = _merge_settings(args)
-        return _COMMANDS[args.command](settings)
+        return _COMMANDS[args.command][1](settings)
     except NoSurfaceError as exc:
         print(f"no surface: {exc}", file=sys.stderr)
         return EXIT_NO_SURFACE

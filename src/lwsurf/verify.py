@@ -260,7 +260,10 @@ def residual_scan_table(p: NormParameter, alpha: np.ndarray, u: np.ndarray,
     unlike residual_scan's finite differences, the median needs no
     window of neighbouring rows.  The check reads alpha and du only: u is
     validated for shape, not compared, so an offset u column passes.
+    ``tol`` must be finite and >= 0, as a SolveRequest's.
     """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     alpha, u, du = (np.asarray(x, dtype=float) for x in (alpha, u, du))
     if alpha.ndim != 1 or alpha.shape != u.shape or alpha.shape != du.shape:
         raise ValueError("alpha, u, du must be 1-d arrays of equal length")

@@ -88,7 +88,7 @@ class TestAcceptance:
             hi = arc.branch.domain.upper
             w = hi - lo
             for a in np.linspace(lo + 0.05 * w, hi - 0.05 * w, 30):
-                k1, _ = _oriented_curvatures(p, arc, float(a))
+                k1 = _oriented_curvatures(p, arc, float(a))
                 worst_k1 = max(worst_k1, abs(k1 - 1.0))
         ok = du_gap < 1e-8 and worst_k1 < 1e-6
         verdict(2, ok, f"torus junction slope gap {du_gap:.2e} (tol 1e-8), "

@@ -315,3 +315,18 @@ class TestCylinder:
     def test_positive_radius_required(self):
         with pytest.raises(ValueError):
             cylinder(P2, 0.0)
+
+    @pytest.mark.parametrize("radius, height, message", [
+        (math.nan, 1.0, "radius must be finite and positive, got nan"),
+        (math.inf, 1.0, "radius must be finite and positive, got inf"),
+        (2.0, math.nan, "height must be finite, got nan"),
+        (2.0, math.inf, "height must be finite, got inf"),
+        (2.0, -math.inf, "height must be finite, got -inf"),
+    ])
+    def test_finite_radius_and_height_required(self, radius, height,
+                                               message):
+        with pytest.raises(ValueError, match=message):
+            cylinder(P2, radius, height)
+
+    def test_negative_height_allowed(self):
+        assert cylinder(P2, 2.0, -3.0).constants["height"] == -3.0

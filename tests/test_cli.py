@@ -19,9 +19,14 @@ from lwsurf import (
     solve,
 )
 from lwsurf.cli import (
+    _COMMANDS,
+    DEFAULTS,
+    OPTIONS,
     CsvFormatError,
     _int_text,
+    _merge_settings,
     _sci_text,
+    build_parser,
     main,
     read_profile_csv,
     write_obj,
@@ -636,6 +641,22 @@ class TestScanCoincidence:
         assert len(rows) == 2
         assert not any("skipped" in row for row in rows)
 
+    @pytest.mark.parametrize("recipe, lam", [("C2", "-1"), ("C6", "0.5"),
+                                             ("C9", "-3")])
+    def test_recipe_that_fixes_c1_rejected_before_output(self, capsys,
+                                                          recipe, lam):
+        # the row's critical_c1(lam) would replace every scanned c1: each
+        # row would be the same surface, or the same skip
+        code, out, err = run(capsys, "scan-coincidence", "--recipe", recipe,
+                             "--lambda", lam, "--mu", "1",
+                             "--c1-min", "1", "--c1-max", "2",
+                             "--steps", "3", "--samples", "96")
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: recipe {recipe} fixes c1 at critical_c1(lam): there is "
+            "no c1 to scan"]
+
     @pytest.mark.parametrize("steps", ["0", "-2"])
     def test_steps_below_one_rejected_before_output(self, capsys, steps):
         code, out, err = run(capsys, "scan-coincidence", "--recipe", "C3",
@@ -659,6 +680,15 @@ class TestConfigFile:
                            "--c1", "0.5")
         assert code == 0
         assert len(out.strip().splitlines()) == 1
+
+    def test_lam_key_is_lambda(self, capsys, tmp_path):
+        cfg = tmp_path / "job.cfg"
+        runs = []
+        for key in ("lambda", "lam"):
+            cfg.write_text(f"{key} = -1\nmu = 1\nc1 = 1.5\n")
+            runs.append(run(capsys, "classify", "--config", str(cfg)))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0 and len(runs[0][1].splitlines()) == 2
 
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "job.cfg"
@@ -791,6 +821,13 @@ class TestNonFiniteConstants:
                         "--tol", tol], "", "tol")
           for tol in ("-1", "nan", "inf")],
         ("classify", ["--lambda", "1", "--mu", "0"], "tol = nan\n", "tol"),
+        *[("generate", ["--special", "cylinder", flag, value], "", field)
+          for flag, field in (("--c2", "radius"), ("--height", "height"))
+          for value in ("nan", "inf")],
+        ("generate", ["--lambda", "0", "--mu", "0", "--c2", "nan"], "",
+         "radius"),
+        ("generate", ["--lambda", "0", "--mu", "0"], "height = inf\n",
+         "height"),
     ])
     def test_rejected(self, capsys, tmp_path, command, flags, config, field):
         cfg = tmp_path / "job.cfg"
@@ -807,6 +844,25 @@ class TestNonFiniteConstants:
         assert len(lines) == 1 and lines[0].startswith(f"error: {prefix}"), err
         assert [p.name for p in tmp_path.iterdir()] == ["job.cfg"]
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+    @pytest.mark.parametrize("source", ["flag", "verify-tol", "verify_tol"])
+    def test_verify_tol_rejected(self, capsys, tmp_path, source, tol):
+        prefix = str(tmp_path / "s")
+        assert run(capsys, "generate", "--special", "sphere",
+                   "--out", prefix)[0] == 0
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text("" if source == "flag" else f"{source} = {tol}\n")
+        flags = ["--verify-tol", tol] if source == "flag" else []
+        code, out, err = run(capsys, "verify", "--config", str(cfg),
+                             "--profile", prefix + ".csv",
+                             "--lambda", "1", "--mu", "-2",
+                             "--report", str(tmp_path / "r.json"), *flags)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: tol must be finite and >= 0, got {float(tol)}"]
+        assert not (tmp_path / "r.json").exists()
+
     def test_sphere_ignores_the_relation_flags(self, capsys, tmp_path):
         code, _, _ = run(capsys, "generate", "--special", "sphere",
                          "--lambda", "nan", "--mu", "inf",
@@ -822,3 +878,87 @@ class TestNonFiniteConstants:
                            "--lambda", "inf", "--mu", "-1")
         assert code == 0
         assert json.loads(out)["passed"]
+
+
+def _option_values(option) -> tuple:
+    """The texts an option is tried with, and one it refuses (None where
+    any text is a value)."""
+    takes = option.takes
+    if takes is bool:
+        return ["true"], "yes"
+    if isinstance(takes, tuple):
+        refused = max(takes) + 1 if isinstance(takes[0], int) else "nope"
+        return [str(v) for v in takes], str(refused)
+    return {int: (["3"], "2.5"), float: (["-0.25"], "one"),
+            str: (["job"], None)}[takes]
+
+
+def _flag_argv(option, text: str) -> list:
+    if option.takes is bool:
+        return [option.flag] if text == "true" else [f"{option.flag}={text}"]
+    return [option.flag, text]
+
+
+def _config_keys(option) -> list:
+    """The flag's name, and the setting key where that differs."""
+    return list(dict.fromkeys((option.flag[2:], option.key)))
+
+
+def _settings(*argv) -> dict:
+    return _merge_settings(build_parser().parse_args(list(argv)))
+
+
+OPTION_CASES = [(command, option) for option in OPTIONS
+                for command in option.commands or _COMMANDS]
+REFUSING = [(command, option) for command, option in OPTION_CASES
+            if _option_values(option)[1] is not None]
+
+
+def _case_ids(cases) -> list:
+    return [f"{command}{option.flag}" for command, option in cases]
+
+
+class TestOptionTable:
+    """Each row of OPTIONS is one option of each command that has it: the
+    flag and its config keys take the same values, to the same settings,
+    and refuse the same values."""
+
+    @pytest.mark.parametrize("command, option", OPTION_CASES,
+                             ids=_case_ids(OPTION_CASES))
+    def test_flag_and_config_key_give_the_same_settings(self, tmp_path,
+                                                        command, option):
+        takes = option.takes
+        cfg = tmp_path / "job.cfg"
+        for text in _option_values(option)[0]:
+            if takes is bool:
+                want = True
+            else:
+                want = (type(takes[0]) if isinstance(takes, tuple)
+                        else takes)(text)
+            from_flag = _settings(command, *_flag_argv(option, text))
+            assert from_flag == {**DEFAULTS, option.key: want}
+            for key in _config_keys(option):
+                cfg.write_text(f"{key} = {text}\n")
+                assert _settings(command, "--config", str(cfg)) == from_flag
+
+    @pytest.mark.parametrize("command, option", REFUSING,
+                             ids=_case_ids(REFUSING))
+    def test_a_refused_value_fails_both_ways(self, capsys, tmp_path,
+                                             command, option):
+        refused = _option_values(option)[1]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *_flag_argv(option, refused)])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith(f"lwsurf {command}: error: argument "
+                                  f"{option.flag}: ")
+        cfg = tmp_path / "job.cfg"
+        for key in _config_keys(option):
+            cfg.write_text(f"{key} = {refused}\n")
+            code, out, err = run(capsys, command, "--config", str(cfg))
+            assert code == 1
+            assert out == ""
+            lines = err.splitlines()
+            assert len(lines) == 1
+            assert lines[0].startswith(f"error: config key '{option.key}': ")
+        assert [p.name for p in tmp_path.iterdir()] == ["job.cfg"]

@@ -211,6 +211,16 @@ class TestResidualScanTable:
             residual_scan_table(P2, np.array([0.0, 1.0]), np.zeros(2),
                                 np.zeros(2), 1.0, 0.0)
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0, -math.inf])
+    def test_tol_must_be_finite_and_nonnegative(self, generic, tol):
+        # as a SolveRequest's tol: inf would pass every table, and nan or
+        # a negative tol would fail every one
+        with pytest.raises(ValueError,
+                           match=f"tol must be finite and >= 0, got {tol}"):
+            residual_scan_table(P2, generic.alpha, generic.u, generic.du,
+                                generic.lam, generic.mu / generic.scale,
+                                tol=tol)
+
     @pytest.mark.parametrize("n", [2, 3, 15])
     def test_a_short_table_is_checked(self, n):
         """A table of any length from 2 rows is checked against its median,
