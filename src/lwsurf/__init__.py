@@ -10,9 +10,9 @@ them into complete surfaces, and verifies everything numerically.
 from .normgeom import (
     NormParameter,
     PrincipalCurvatures,
+    normal_angle,
     oriented_radius_chart_curvatures,
     principal_curvatures,
-    signed_odd_root_pow,
 )
 from .quadrature import (
     DomainInterval,

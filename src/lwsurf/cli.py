@@ -509,6 +509,7 @@ def _interval_str(dom) -> str:
 
 def cmd_classify(settings: dict) -> int:
     if _relation(settings).form is RelationForm.K1_ZERO:
+        _request(settings)  # the request's checks, on m and the rest
         print("4i, cylinder alpha = const (any radius)")
         return EXIT_OK
     with warnings.catch_warnings(record=True) as caught:
@@ -546,6 +547,8 @@ def cmd_generate(settings: dict) -> int:
                                    is RelationForm.K1_ZERO):
         radius, height = settings["c2"], settings["height"]
         surface = cylinder(p, radius, height)
+        # the request's checks; --special cylinder ignores lam and mu
+        _request({**settings, "lam": 0.0, "mu": 0.0})
         n = max(2, settings["samples"] // 8)
         alpha = np.full(n, radius)
         u = np.linspace(0.0, height, n)

@@ -4,9 +4,9 @@ The ambient space is R^3 with the rotationally symmetric norm
 ``((x1^2 + x2^2)^m + x3^(2m))^(1/2m)`` for an integer m >= 1.  A rotational
 surface is generated by a profile u(alpha), its axis coordinate over the
 radius; its two principal curvatures come from the differential of the
-Birkhoff normal field.  All fractional powers with odd denominator 2m-1
-use the real odd-root convention so that profiles with negative slope
-stay inside the real formulas.
+Birkhoff normal field, whose radial part is one function W of the
+slope's size |u'| (``normal_angle``).  Every fractional power, with odd
+denominator 2m-1, is a power of |u'|; the sign of u' enters k2 alone.
 
 The curvature functions take floats or float arrays.  On arrays, powers
 run through ``quadrature.libm`` and the rest through numpy's +, -, *, /,
@@ -21,12 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import LibmArray, libm
+from .quadrature import as_libm
 
 __all__ = [
     "NormParameter",
     "PrincipalCurvatures",
-    "signed_odd_root_pow",
+    "normal_angle",
     "principal_curvatures",
     "oriented_radius_chart_curvatures",
 ]
@@ -54,30 +54,33 @@ class PrincipalCurvatures:
     k2: float  # parallel curvature
 
 
-def signed_odd_root_pow(x, p: int, q: int):
-    """Real power x^(p/q) for odd q: sign(x)^p * |x|^(p/q).
-
-    Continuous in x for p >= q; raises for a negative power of zero.  x is
-    a float or a float array, whose elements have the float's bits and
-    are NaN where the float raises.
+def normal_angle(p: NormParameter) -> tuple:
+    """``(W, W_dW)``: the normal-angle function of the norm p, W(s) =
+    s^(1/q) * (1 + s^(2m/q))^(-1/2m) of the slope's size s = |u'|, and the
+    pair (W(s), dW/ds).  k1 = -dW/ds * u'', k2 = -sign(u') * W / alpha,
+    and alpha^lam * W + mu * alpha^(lam+1)/(lam+1) is the first integral.
+    s is a float or a LibmArray, whose elements have the float's bits; a
+    float raises where Python's pow does, as at s = 0 for m > 1.
     """
-    if q <= 0 or q % 2 == 0:
-        raise ValueError(f"q must be an odd positive integer, got {q}")
-    if isinstance(x, np.ndarray):
-        y = libm(pow, np.abs(x), p / q).view(LibmArray)
-        return np.negative(y, where=x < 0.0, out=y) if p % 2 else y
-    if x == 0.0:
-        if p < 0:
-            raise ZeroDivisionError("negative fractional power of zero")
-        return 1.0 if p == 0 else 0.0
-    sign = -1.0 if (x < 0.0 and p % 2 != 0) else 1.0
-    return sign * abs(x) ** (p / q)
+    m, q = p.m, p.q
+    e_w, e_a, e_norm = 1.0 / q, 2 * m / q, -1.0 / (2 * m)
+    e_outer, e_b = -(2 * m + 1) / (2 * m), -(2 * m - 2) / q
+
+    def W(s):
+        return s ** e_w * (1.0 + s ** e_a) ** e_norm
+
+    def W_dW(s):
+        a1 = 1.0 + s ** e_a
+        return s ** e_w * a1 ** e_norm, e_w * a1 ** e_outer * s ** e_b
+
+    return W, W_dW
 
 
 def principal_curvatures(p: NormParameter, radius, d1,
                          d2) -> PrincipalCurvatures:
     """Principal curvatures of a rotational surface whose profile u(alpha)
-    has u' = d1 != 0 and u'' = d2 at alpha = radius > 0.
+    has u' = d1 != 0 and u'' = d2 at alpha = radius > 0, from
+    ``normal_angle``: k1 = -dW * d2 and k2 = -(1/radius) * (sign(d1) * W).
 
     Signs follow the normal with positive axis component; see
     ``oriented_radius_chart_curvatures`` for the orientation-normalized
@@ -85,19 +88,17 @@ def principal_curvatures(p: NormParameter, radius, d1,
     element whose float evaluation raises is NaN.
     """
     if isinstance(d1, np.ndarray):
-        d1 = np.where((d1 == 0.0) | (radius <= 0.0), math.nan, d1)
+        d1 = as_libm(np.where((d1 == 0.0) | (radius <= 0.0), math.nan, d1))
     elif d1 == 0.0:
         raise ValueError("profile jet needs d1 != 0")
     elif radius <= 0.0:
         raise ValueError("profile jet needs radius > 0")
-    m, q = p.m, p.q
-    A1 = signed_odd_root_pow(d1, 2 * m, q) + 1.0
-    outer = A1 ** (-(2 * m + 1) / (2 * m))
-    inner = signed_odd_root_pow(d1, -(2 * m - 2), q)
-    k1 = -(1.0 / q) * outer * inner * d2
-    k2 = (-(1.0 / radius) * A1 ** (-1.0 / (2 * m))
-          * signed_odd_root_pow(d1, 1, q))
-    return PrincipalCurvatures(k1=k1, k2=k2)
+    w, dw = normal_angle(p)[1](abs(d1))
+    if isinstance(d1, np.ndarray):
+        w = np.where(d1 < 0.0, -w, w)
+    elif d1 < 0.0:
+        w = -w
+    return PrincipalCurvatures(k1=-dw * d2, k2=-(1.0 / radius) * w)
 
 
 def oriented_radius_chart_curvatures(p: NormParameter, radius, d1,

@@ -184,14 +184,6 @@ class QuadratureResult:
     value: float = math.nan
     error_estimate: float = math.nan
 
-    @staticmethod
-    def finite_value(value: float, error: float) -> "QuadratureResult":
-        return QuadratureResult(True, value=value, error_estimate=error)
-
-    @staticmethod
-    def divergent() -> "QuadratureResult":
-        return QuadratureResult(False)
-
 
 def _brent(f: Callable[[float], float], a: float, b: float, xtol: float,
            rtol: float, maxiter: int = 100) -> float:
@@ -512,7 +504,7 @@ def _span(values: list, errors: list, tol: float) -> QuadratureResult:
     if err_total > max(tol * abs(total), 1e-12) * 50:
         raise ToleranceError("quadrature error estimate exceeds tolerance",
                              total, err_total)
-    return QuadratureResult.finite_value(total, err_total)
+    return QuadratureResult(True, value=total, error_estimate=err_total)
 
 
 def _edge_integrands(law: SlopeLaw, domain: DomainInterval) -> list:
@@ -547,7 +539,7 @@ def integrate_singular(law: SlopeLaw, domain: DomainInterval,
     """
     plan = _span_plan(law, domain)
     if plan is None:
-        return QuadratureResult.divergent()
+        return QuadratureResult(False)
     which, a, b = map(np.array, zip(*plan))
     values, errors = _panel_quad(_edge_integrands(law, domain), which, a,
                                  b, tol)

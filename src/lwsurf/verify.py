@@ -42,7 +42,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .normgeom import NormParameter, oriented_radius_chart_curvatures
+from .normgeom import (
+    NormParameter,
+    normal_angle,
+    oriented_radius_chart_curvatures,
+)
 from .quadrature import (
     _SINGULAR_KINDS,
     EndpointKind,
@@ -51,7 +55,7 @@ from .quadrature import (
     log,
     sorted_unique,
 )
-from .solver import ProfileBranch, fd_step
+from .solver import ProfileBranch, WeingartenRelation, fd_step
 
 __all__ = [
     "REPORT_VERSION",
@@ -260,10 +264,12 @@ def residual_scan_table(p: NormParameter, alpha: np.ndarray, u: np.ndarray,
     unlike residual_scan's finite differences, the median needs no
     window of neighbouring rows.  The check reads alpha and du only: u is
     validated for shape, not compared, so an offset u column passes.
-    ``tol`` must be finite and >= 0, as a SolveRequest's.
+    ``tol`` must be finite and >= 0, as a SolveRequest's, and (lam, mu)
+    the constants of a WeingartenRelation, which raises on any other.
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    WeingartenRelation(lam, mu)
     alpha, u, du = (np.asarray(x, dtype=float) for x in (alpha, u, du))
     if alpha.ndim != 1 or alpha.shape != u.shape or alpha.shape != du.shape:
         raise ValueError("alpha, u, du must be 1-d arrays of equal length")
@@ -296,21 +302,13 @@ def _finite_relation(lam: float, mu: float) -> tuple:
     return (1.0, 2.0 * mu) if math.isinf(lam) else (lam, mu)
 
 
-def _W(p: NormParameter, d1):
-    """Conserved slope factor |u'|^(1/q) * (1 + |u'|^(2m/q))^(-1/2m) of a
-    float or, with libm's powers, of every float of an array."""
-    m, q = p.m, p.q
-    s = abs(as_libm(d1))
-    return s ** (1.0 / q) * (1.0 + s ** (2 * m / q)) ** (-1.0 / (2 * m))
-
-
 def _first_integral_check(p: NormParameter, lam: float, mu: float,
                           alpha: np.ndarray, du: np.ndarray,
                           constant: float | None = None) -> tuple:
     """``(residuals, constant)`` of the first integral t1 + t2 at the radii
     alpha and slopes du of a profile of k1 + lam*k2 = mu, lam finite.
 
-    With W the normal-angle function of the slope, k1 = -dW/dalpha and
+    With W = W(|u'|) from ``normal_angle``, k1 = -dW/dalpha and
     k2 = -W/alpha, so t1 = alpha^lam * W and t2 = mu/(lam+1) *
     alpha^(lam+1) keep one sum: W/alpha and mu*log(alpha) at lam = -1,
     and t2 = 0 when mu = 0.  The sum is compared with ``constant``, or
@@ -321,7 +319,7 @@ def _first_integral_check(p: NormParameter, lam: float, mu: float,
     fall far below the typical point's.
     """
     with np.errstate(all="ignore"):
-        a, w = as_libm(alpha), _W(p, du)
+        a, w = as_libm(alpha), normal_angle(p)[0](abs(as_libm(du)))
         if mu == 0.0:
             t1, t2 = a ** lam * w, 0.0
         elif lam == -1.0:
@@ -368,32 +366,22 @@ def _ode_rhs(p: NormParameter, lam: float, mu: float, s: float):
     so the stepper carries u and never passes it.  The orientation ``s``,
     +1.0 or -1.0, is the sign of the start slope, held for the whole run
     since a monotone branch never changes it; the sign of each u' would
-    flip u'' where a step's stages cross u' = 0 next to a smooth cap.  The
-    odd-root powers of u' are ``signed_odd_root_pow`` written out, with
-    its exponents computed once: this runs on every solver stage.
+    flip u'' where a step's stages cross u' = 0 next to a smooth cap.
+    With (W, dW) from ``normal_angle`` at |u'|, k1 = -dW*u'' and k2 =
+    -(1/a)*(s*W), and s*(k1 + lam*k2) = mu gives u'' = -(s*mu +
+    lam*(1/a)*(s*W))/dW.
     """
-    m, q = p.m, p.q
-    e_a1 = (2 * m) / q
-    e_b = -(2 * m - 2) / q
-    e_k2 = 1 / q
-    e_outer = -(2 * m + 1) / (2 * m)
-    e_norm = -1.0 / (2 * m)
-
-    def second(a, d1):
-        r = abs(d1)
-        A1 = r ** e_a1 + 1.0
-        B = A1 ** e_outer * r ** e_b
-        k2_raw = -(1.0 / a) * A1 ** e_norm * (s * r ** e_k2)
-        return -q * (s * mu - lam * k2_raw) / B
+    _, W_dW = normal_angle(p)
 
     def f(a: float, d1: float) -> float:
         try:
-            return second(a, d1)
+            w, dw = W_dW(abs(d1))
+            return -(s * mu + lam * (1.0 / a) * (s * w)) / dw
         except (ZeroDivisionError, OverflowError):
             # Python floats raise where IEEE arithmetic gives 0 or inf, as
             # for 0.0 ** -x at u' = 0; numpy scalars give the IEEE value
             with np.errstate(all="ignore"):
-                return float(second(np.float64(a), np.float64(d1)))
+                return float(f(np.float64(a), np.float64(d1)))
 
     return f
 

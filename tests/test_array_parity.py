@@ -39,9 +39,9 @@ from lwsurf import (
     solve_inhom_lambda_minus1,
 )
 from lwsurf.normgeom import (
+    normal_angle,
     oriented_radius_chart_curvatures,
     principal_curvatures,
-    signed_odd_root_pow,
 )
 from lwsurf.quadrature import (
     ROOT_VALUE_TOL,
@@ -49,6 +49,7 @@ from lwsurf.quadrature import (
     ToleranceError,
     _edge_integrand,
     _refine,
+    as_libm,
     libm,
 )
 from lwsurf.solver import (
@@ -307,11 +308,16 @@ def test_curvature_functions_on_arrays(m):
     form, or is NaN where the float form raises."""
     p = NormParameter(m)
     radius, d1, d2 = jet_corpus()
+    W, W_dW = normal_angle(p)
+    s = np.abs(d1)
     with np.errstate(all="ignore"):
-        for k in range(-2 * m, 2 * m + 1):
-            got = signed_odd_root_pow(d1, k, p.q)
-            want = scalar_each(lambda x: signed_odd_root_pow(x, k, p.q), d1)
-            assert bits(got) == bits(w for (w,) in want), k
+        w = W(as_libm(s))
+        assert bits(w) == bits(v for (v,) in scalar_each(W, s))
+        # the pair's W is W, also at s = 0, where the float dW raises
+        w_pair, dw = W_dW(as_libm(s))
+        assert bits(w_pair) == bits(w)
+        assert bits(dw) == bits(v for (v,) in scalar_each(
+            lambda x: W_dW(x)[1], s))
         for curvatures in (principal_curvatures,
                            oriented_radius_chart_curvatures):
             got = curvature_pairs(curvatures(p, radius, d1, d2))

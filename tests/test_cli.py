@@ -863,6 +863,63 @@ class TestNonFiniteConstants:
             f"error: tol must be finite and >= 0, got {float(tol)}"]
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("lam, mu, message", [
+        ("nan", "-2", "lam must be finite, or inf with mu = -1, got nan"),
+        ("inf", "0", "lam must be finite, or inf with mu = -1, got inf"),
+        ("1", "inf", "mu must be finite, got inf"),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "lambda", "lam"])
+    def test_verify_relation_rejected(self, capsys, tmp_path, source, lam,
+                                      mu, message):
+        """verify refuses a (lam, mu) that WeingartenRelation refuses, from
+        the flags and from the config keys, before any output."""
+        prefix = str(tmp_path / "s")
+        assert run(capsys, "generate", "--special", "sphere",
+                   "--out", prefix)[0] == 0
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text("" if source == "flag"
+                       else f"{source} = {lam}\nmu = {mu}\n")
+        flags = ["--lambda", lam, "--mu", mu] if source == "flag" else []
+        code, out, err = run(capsys, "verify", "--config", str(cfg),
+                             "--profile", prefix + ".csv",
+                             "--report", str(tmp_path / "r.json"), *flags)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["generate", "--special", "cylinder", "--samples", "-5"],
+         "need at least 2 samples"),
+        (["generate", "--special", "cylinder", "--samples", "1", "--tol",
+          "nan", "--c1", "nan"], "c1 must be finite, got nan"),
+        (["generate", "--special", "cylinder", "--tol", "nan"],
+         "tol must be finite and >= 0, got nan"),
+        (["generate", "--lambda", "0", "--mu", "0", "--shift", "nan"],
+         "shift must be finite, got nan"),
+        (["classify", "--m", "0", "--lambda", "0", "--mu", "0"],
+         "m must be a positive integer, got 0"),
+        (["classify", "--lambda", "0", "--mu", "0", "--samples", "1"],
+         "need at least 2 samples"),
+    ])
+    def test_cylinder_request_checked(self, capsys, tmp_path, argv, message):
+        """The cylinder paths check the request's fields as every other
+        path does: exit 1, one error line and no file."""
+        if argv[0] == "generate":
+            argv = [*argv, "--out", str(tmp_path / "cyl"), "--obj"]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [f"error: {message}"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_cylinder_ignores_the_relation_flags(self, capsys, tmp_path):
+        code, _, _ = run(capsys, "generate", "--special", "cylinder",
+                         "--lambda", "nan", "--mu", "inf",
+                         "--out", str(tmp_path / "c"))
+        assert code == 0
+        assert (tmp_path / "c.csv").is_file()
+
     def test_sphere_ignores_the_relation_flags(self, capsys, tmp_path):
         code, _, _ = run(capsys, "generate", "--special", "sphere",
                          "--lambda", "nan", "--mu", "inf",

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from lwsurf import (
     NormParameter,
+    normal_angle,
     oriented_radius_chart_curvatures,
     principal_curvatures,
-    signed_odd_root_pow,
 )
 
 
@@ -32,49 +32,14 @@ def graph_over_axis_curvatures(m: int, radius: float, d1: float,
                                d2: float) -> tuple:
     """(k1, k2) of the profile written as the graph radius(u) over the
     axis, with radius' = d1 and radius'' = d2: the chart lwsurf does not
-    use, written here as an independent check of the one it does."""
+    use, written here from |d1| as an independent check of the one it
+    does."""
     q = 2 * m - 1
-    A1 = signed_odd_root_pow(d1, 2 * m, q) + 1.0
-    outer = A1 ** (-(2 * m + 1) / (2 * m))
-    inner = signed_odd_root_pow(d1, -(2 * m - 2), q)
-    k1 = (1.0 / q) * outer * inner * d2
-    k2 = -(1.0 / radius) * A1 ** (-1.0 / (2 * m))
+    s = abs(d1)
+    A1 = s ** (2 * m / q) + 1.0
+    k1 = A1 ** (-(2 * m + 1) / (2 * m)) * s ** (-(2 * m - 2) / q) * d2 / q
+    k2 = -A1 ** (-1.0 / (2 * m)) / radius
     return k1, k2
-
-
-class TestSignedOddRootPow:
-    def test_positive_base(self):
-        assert signed_odd_root_pow(8.0, 1, 3) == pytest.approx(2.0)
-
-    def test_negative_base_odd_power(self):
-        assert signed_odd_root_pow(-8.0, 1, 3) == pytest.approx(-2.0)
-
-    def test_negative_base_even_power(self):
-        assert signed_odd_root_pow(-8.0, 2, 3) == pytest.approx(4.0)
-
-    def test_zero_base(self):
-        assert signed_odd_root_pow(0.0, 2, 3) == 0.0
-        assert signed_odd_root_pow(0.0, 0, 3) == 1.0
-        with pytest.raises(ZeroDivisionError):
-            signed_odd_root_pow(0.0, -1, 3)
-
-    def test_even_q_rejected(self):
-        with pytest.raises(ValueError):
-            signed_odd_root_pow(1.0, 1, 2)
-
-    @given(x=st.floats(-10.0, 10.0, allow_nan=False).filter(
-               lambda v: v == 0.0 or abs(v) >= 1e-3),
-           p=st.integers(-3, 6), q=st.sampled_from([1, 3, 5, 7]))
-    @settings(max_examples=200, deadline=None)
-    def test_odd_symmetry(self, x, p, q):
-        if x == 0.0 and p <= 0:
-            return
-        a = signed_odd_root_pow(x, p, q)
-        b = signed_odd_root_pow(-x, p, q)
-        if p % 2 == 0:
-            assert a == pytest.approx(b, abs=1e-12)
-        else:
-            assert a == pytest.approx(-b, abs=1e-12)
 
 
 class TestNormParameter:
@@ -87,6 +52,28 @@ class TestNormParameter:
             NormParameter(0)
         with pytest.raises(ValueError):
             NormParameter(-2)
+
+
+class TestNormalAngle:
+    @pytest.mark.parametrize("s", [1e-8, 0.3, 1.0, 2.5, 1e3, 1e8])
+    def test_euclidean_closed_form(self, s):
+        """m = 1: W = |u'|/sqrt(1 + u'^2) and dW = (1 + u'^2)^(-3/2)."""
+        W, W_dW = normal_angle(NormParameter(1))
+        w, dw = W_dW(s)
+        assert W(s) == w
+        assert w == pytest.approx(s / math.sqrt(1.0 + s * s), rel=1e-15)
+        assert dw == pytest.approx((1.0 + s * s) ** -1.5, rel=1e-14)
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    @pytest.mark.parametrize("s", [0.05, 0.7, 3.0, 40.0])
+    def test_dw_is_the_derivative_of_w(self, m, s):
+        """dW matches a central difference of W; W lies in (0, 1)."""
+        W, W_dW = normal_angle(NormParameter(m))
+        h = 1e-5 * s
+        w, dw = W_dW(s)
+        assert 0.0 < w < 1.0
+        assert dw == pytest.approx((W(s + h) - W(s - h)) / (2 * h),
+                                   rel=1e-8)
 
 
 class TestSphereCurvatures:

@@ -221,6 +221,15 @@ class TestResidualScanTable:
                                 generic.lam, generic.mu / generic.scale,
                                 tol=tol)
 
+    @pytest.mark.parametrize("lam, mu", [(math.nan, -2.0), (math.inf, 0.0),
+                                         (-math.inf, -1.0), (1.0, math.inf),
+                                         (1.0, math.nan)])
+    def test_relation_must_be_a_weingarten_relation(self, generic, lam, mu):
+        # nan made a NaN report, and (inf, 0) was checked as k1 + k2 = 0
+        with pytest.raises(ValueError, match="must be finite"):
+            residual_scan_table(P2, generic.alpha, generic.u, generic.du,
+                                lam, mu)
+
     @pytest.mark.parametrize("n", [2, 3, 15])
     def test_a_short_table_is_checked(self, n):
         """A table of any length from 2 rows is checked against its median,
