@@ -20,14 +20,20 @@ Integrands take a float or a float array, and every element of an array
 has the bits of the scalar evaluation (``libm``, ``LibmArray``).  Powers
 run through ``np.float_power``: numpy does not SIMD-dispatch that ufunc,
 so it is a plain C loop over libm's pow, the function Python's
-``float ** e`` calls.  log, log1p and expm1 call libm one float at a
-time, because numpy's float64 loops for them are SIMD-dispatched and
-differ from libm in the last bit.  Only +, -, *, / and abs run as other
-numpy loops, which round as Python floats do.
+``float ** e`` calls.  log, log1p and expm1 run as numpy's float64
+ufuncs on a reversed view of the array.  On a contiguous array numpy
+dispatches them to SIMD loops that differ from libm in the last bit; on
+a negative stride it runs its plain loop over libm, the functions
+``math`` calls.  Each proves that at its first use on a fixed probe
+(``_PROBE``: special values, and inputs where the AVX-512 loops round
+otherwise), bit for bit against ``math``; one that fails is called once
+per element from then on.  Only +, -, *, / and abs run as other numpy
+loops, which round as Python floats do.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -64,17 +70,44 @@ _LIMIT = 200     # dqagse's subdivision limit on a finite range
 _quadpack = None
 
 
+# math's log, log1p and expm1 and the numpy ufuncs that stand in for them
+# on arrays once the probe has shown their bits (_passes_probe)
+_UFUNCS = {math.log: np.log, math.log1p: np.log1p, math.expm1: np.expm1}
+# special values, and for each function four inputs where numpy 2.4's
+# contiguous AVX-512 loop rounds otherwise than math
+_PROBE = tuple(float.fromhex(h) for h in (
+    "0x0.0p+0", "-0x0.0p+0", "0x0.0000000000001p-1022",
+    "-0x0.0000000000001p-1022", "0x1.0p-1022", "0x1.0p+0", "-0x1.0p+0",
+    "-0x1.0p+1", "0x1.62e42fefa39efp+9", "0x1.630p+9",
+    "0x1.fffffffffffffp+1023", "inf", "-inf", "nan",
+    # log
+    "0x1.0cc2712954499p-1", "0x1.24aa0f92dd644p-75",
+    "0x1.bd73653e39ea6p-1", "0x1.78f2ca63290c9p-733",
+    # log1p
+    "0x1.2c9ec0f7feb7ep-1", "-0x1.566e2d8674100p-2",
+    "-0x1.29097336d27bap-1", "0x1.88b3b9f8a51d2p-1",
+    # expm1
+    "0x1.847ace25901b8p+1", "0x1.7711ee94aaf0cp+0",
+    "0x1.e7b1acf708be8p+1", "0x1.016dc01a3a18cp+1",
+))
+
+
 def libm(fn, x, *args):
     """fn(v, *args) for every float v of the array x, with the bits of
     the float call.
 
     ``libm(pow, x, e)`` is ``np.float_power(x, e)``, a plain C loop over
-    libm's pow (see above); other functions are called once per element.
-    An element whose float call raises or gives a complex number is NaN:
-    for pow, an infinite power of a finite base, where Python raises
-    OverflowError (or ZeroDivisionError at ``0.0 ** -e``), and a
-    fractional power of a negative base.  So is every element of a
-    complex array, whose scalar values are complex.
+    libm's pow (see above).  ``math.log``, ``math.log1p`` and
+    ``math.expm1`` run as numpy's ufunc on a reversed view of x once
+    ``_PROBE`` has shown that ufunc to give math's bits; other functions,
+    and one the probe rejects, are called once per element.  An element
+    whose float call raises or gives a complex number is NaN: for log,
+    log1p and expm1, a NaN from an input that is not NaN and an infinity
+    from a finite input (log(0), log1p(-1), expm1(710)); for pow, an
+    infinite power of a finite base, where Python raises OverflowError
+    (or ZeroDivisionError at ``0.0 ** -e``), and a fractional power of a
+    negative base.  So is every element of a complex array, whose scalar
+    values are complex.
     """
     x = np.asarray(x)
     if np.iscomplexobj(x):
@@ -84,6 +117,25 @@ def libm(fn, x, *args):
             out = np.asarray(np.float_power(x, *args))
         out[np.isinf(out) & np.isfinite(x)] = math.nan
         return out
+    if fn in _UFUNCS and _passes_probe(fn):
+        return _reversed_ufunc(_UFUNCS[fn], x)
+    return _each(fn, x, args)
+
+
+def _reversed_ufunc(ufunc, x: np.ndarray) -> np.ndarray:
+    """ufunc on the elements of x through a negative stride, which numpy
+    serves with its plain loop over libm, with NaN where math raises."""
+    flat = np.asarray(x, dtype=float).ravel()
+    with np.errstate(all="ignore"):
+        out = ufunc(flat[::-1])[::-1]
+    if not np.isfinite(out).all():
+        out[(np.isnan(out) & ~np.isnan(flat))
+            | (np.isinf(out) & np.isfinite(flat))] = math.nan
+    return out.reshape(x.shape)
+
+
+def _each(fn, x: np.ndarray, args: tuple) -> np.ndarray:
+    """fn called on each element of x."""
     # a memoryview yields the Python floats one at a time, where a list
     # would hold them all
     values = memoryview(np.ascontiguousarray(x, dtype=float).ravel())
@@ -103,15 +155,28 @@ def _or_nan(fn, v: float, args: tuple) -> float:
     return math.nan if isinstance(y, complex) else y
 
 
+@functools.cache
+def _passes_probe(fn) -> bool:
+    """Whether _UFUNCS[fn] gives fn's bits on every element of _PROBE,
+    NaN payloads included; asked once per fn and process."""
+    x = np.array(_PROBE)
+    return np.array_equal(_reversed_ufunc(_UFUNCS[fn], x).view(np.int64),
+                          _each(fn, x, ()).view(np.int64))
+
+
 class LibmArray(np.ndarray):
     """A float array whose ``**`` rounds every element as libm's pow.
 
     Formulas written for floats run unchanged on it: +, -, *, / and abs
     are numpy loops, which round as Python floats do, and ``x ** e`` is
-    ``libm(pow, x, e)`` for a float or int exponent e.
+    ``libm(pow, x, e)`` for a float or int exponent e.  ``x ** 1`` is a
+    copy of x, without a pow pass: Python's ``v ** 1`` is v, and
+    float_power gives v too, except that it clears a NaN's sign bit.
     """
 
     def __pow__(self, e):
+        if e == 1 and self.dtype == np.float64:
+            return self.copy()
         return libm(pow, self, e).view(LibmArray)
 
 

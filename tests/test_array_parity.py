@@ -5,16 +5,21 @@ residual scan's 5-point stencil, normgeom's curvature functions and the
 residual scan's residuals take float arrays.  Powers run through
 ``np.float_power``, which numpy does not SIMD-dispatch: it is a plain C
 loop over libm's pow, the function Python's ``float ** e`` calls.  log,
-log1p and expm1 call libm one float at a time, because numpy's float64
-loops for them are SIMD-dispatched and differ from ``math`` in the last
-bit.  Only +, -, *, / and abs run as other numpy loops.  So each element
-rounds as the scalar evaluation does.  These tests check that on a fixed
-corpus of powers and on every table grid of the taxonomy.  CI runs them a
-second time with numpy's AVX-512 loops disabled, and the floor job on the
-oldest numpy, to show that the bits depend on neither.
+log1p and expm1 run as numpy's ufuncs on a reversed view, where numpy
+calls libm in a plain loop; on a contiguous array its SIMD loops differ
+from ``math`` in the last bit.  Each is kept only once a fixed probe
+shows ``math``'s bits, and is called once per element otherwise.  Only
++, -, *, / and abs run as other numpy loops.  So each element rounds as
+the scalar evaluation does.  These tests check that on fixed corpora of
+powers and of log, log1p and expm1, and on every table grid of the
+taxonomy, and that the probe rejects a ufunc one ulp off.  CI runs them
+again with numpy's AVX-512 loops disabled, and with its AVX2 loops
+disabled too, and the floor job on the oldest numpy, to show that the
+bits depend on none of these.
 """
 
 import dataclasses
+import functools
 import math
 import warnings
 from pathlib import Path
@@ -22,6 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import lwsurf.quadrature as quadrature
 import lwsurf.solver as solver
 import lwsurf.verify as verify
 from conftest import build_instances, instances, workloads
@@ -131,6 +137,102 @@ def test_float_power_gives_pythons_pow_bits():
                                  for y in want), e
         assert bits(x.view(LibmArray) ** e) == bits(got), e
     assert raised > 0 and complex_values > 0
+
+
+def int_bits(values) -> list:
+    """The bit patterns of floats, NaN payloads and signs included."""
+    return np.asarray(values, dtype=float).view(np.int64).ravel().tolist()
+
+
+def math_or_nan(fn, v: float) -> float:
+    try:
+        return fn(v)
+    except (ValueError, OverflowError):
+        return math.nan
+
+
+LOG_INPUTS = [
+    0.0, -0.0, 5e-324, -5e-324, TINY / 3, -TINY / 3, TINY, -TINY, 1e-300,
+    1e-10, 0.5, 1.0 - 2.0 ** -53, 1.0, 1.0 + 2.0 ** -52, 2.0, -0.5, -1.0,
+    -1.0 + 2.0 ** -53, -1.0 - 2.0 ** -52, -2.0, -1e300,
+    709.78, 709.782712893384, 709.7827128933841, 709.8, 710.0, 1e10, 1e300,
+    1.7976931348623157e308, -1.7976931348623157e308, -709.8, -746.0,
+    math.inf, -math.inf, math.nan, -math.nan, *quadrature._PROBE,
+]
+_rng = np.random.default_rng(35)
+LOG_DRAWS = (_rng.choice([-1.0, 1.0], 100_000)
+             * 10.0 ** np.concatenate([_rng.uniform(-320, 308, 50_000),
+                                       _rng.uniform(-6, 3, 50_000)])).tolist()
+
+
+@pytest.mark.parametrize("fn", [math.log, math.log1p, math.expm1],
+                         ids=["log", "log1p", "expm1"])
+def test_log_log1p_expm1_give_maths_bits(fn):
+    """libm(fn, ...) has math's bits on every element, with NaN where
+    math raises, on 0-d, 1-d, 2-d, strided and reversed arrays."""
+    x = np.array(LOG_INPUTS + LOG_DRAWS)
+    want = np.array([math_or_nan(fn, v) for v in x.tolist()])
+    assert np.isnan(want).sum() > 100
+    assert int_bits(libm(fn, x)) == int_bits(want)
+    assert int_bits(libm(fn, x.view(LibmArray))) == int_bits(want)
+    n = len(x) // 4 * 4
+    assert int_bits(libm(fn, x[:n].reshape(4, -1))) == int_bits(want[:n])
+    assert int_bits(libm(fn, x[:n].reshape(4, -1).T)) == int_bits(
+        want[:n].reshape(4, -1).T)
+    assert int_bits(libm(fn, x[::3])) == int_bits(want[::3])
+    assert int_bits(libm(fn, x[::-1])) == int_bits(want[::-1])
+    for v in LOG_INPUTS:
+        got = libm(fn, np.array(v))
+        assert got.shape == () and int_bits(got) == int_bits(
+            math_or_nan(fn, v)), v
+    for n in range(1, 40):  # every length up to a few SIMD widths
+        assert int_bits(libm(fn, x[-n:])) == int_bits(want[-n:]), n
+
+
+@pytest.mark.parametrize("fn", [math.log, math.log1p, math.expm1],
+                         ids=["log", "log1p", "expm1"])
+def test_probe_rejects_a_ufunc_one_ulp_off(fn, monkeypatch):
+    """A ufunc that is one ulp off on one probe input fails the probe:
+    libm drops it and still gives math's bits."""
+    ufunc = getattr(np, fn.__name__)
+    probe = quadrature._PROBE[-1]
+    calls = []
+
+    def off(x):
+        calls.append(len(x))
+        out = ufunc(x)
+        hit = x == probe
+        out[hit] = np.nextafter(out[hit], math.inf)
+        return out
+
+    monkeypatch.setattr(quadrature, "_UFUNCS", {fn: off})
+    monkeypatch.setattr(quadrature, "_passes_probe", functools.cache(
+        quadrature._passes_probe.__wrapped__))
+    x = np.array([0.25, probe, 3.0, probe])
+    want = [math_or_nan(fn, v) for v in x.tolist()]
+    assert int_bits(libm(fn, x)) == int_bits(want)
+    assert calls == [len(quadrature._PROBE)]
+    assert not quadrature._passes_probe(fn)
+    assert int_bits(libm(fn, x)) == int_bits(want)
+    assert calls == [len(quadrature._PROBE)]
+
+
+def test_power_one_is_a_copy():
+    """LibmArray ** 1 is a new array with the bits of Python's v ** 1,
+    which is v, not a view.  float_power gives those bits too, except
+    that it clears the sign of a NaN."""
+    x = np.array(POW_BASES + [-math.nan]).view(LibmArray)
+    want = [v ** 1 for v in x.tolist()]
+    assert int_bits(want) == int_bits(x)
+    for e in (1, 1.0):
+        y = x ** e
+        assert type(y) is LibmArray and not np.shares_memory(x, y)
+        assert int_bits(y) == int_bits(want)
+    number = ~np.isnan(x)
+    assert int_bits(x[number] ** 1) == int_bits(
+        np.float_power(x[number], 1.0))
+    y = x[::-2] ** 1
+    assert y.flags.c_contiguous and int_bits(y) == int_bits(x[::-2])
 
 
 @pytest.mark.parametrize("m", [2, 3])
