@@ -16,6 +16,7 @@ whose float evaluation raises is NaN.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -54,26 +55,40 @@ class PrincipalCurvatures:
     k2: float  # parallel curvature
 
 
+# W and dW/ds at the slope's size s, as the lines that set w and dw; a1 =
+# 1 + s^(2m/q) is their common factor, and the exponents are the names in
+# _EXPONENTS, which _exponents binds.  normal_angle compiles W from the
+# first two lines and W_dW from all three, and the ODE oracle writes all
+# three into its stages (verify._RELATION).
+_NORMAL_ANGLE = ("a1 = 1.0 + s ** e_a",
+                 "w = s ** e_w * a1 ** e_norm",
+                 "dw = e_w * a1 ** e_outer * s ** e_b")
+_EXPONENTS = ("e_w", "e_a", "e_norm", "e_outer", "e_b")
+
+
+def _exponents(p: NormParameter) -> dict:
+    """The exponents that _NORMAL_ANGLE reads, by name, for the norm p."""
+    m, q = p.m, p.q
+    return dict(zip(_EXPONENTS, (1.0 / q, 2 * m / q, -1.0 / (2 * m),
+                                 -(2 * m + 1) / (2 * m), -(2 * m - 2) / q)))
+
+
+@functools.cache
 def normal_angle(p: NormParameter) -> tuple:
     """``(W, W_dW)``: the normal-angle function of the norm p, W(s) =
     s^(1/q) * (1 + s^(2m/q))^(-1/2m) of the slope's size s = |u'|, and the
     pair (W(s), dW/ds).  k1 = -dW/ds * u'', k2 = -sign(u') * W / alpha,
     and alpha^lam * W + mu * alpha^(lam+1)/(lam+1) is the first integral.
     s is a float or a LibmArray, whose elements have the float's bits; a
-    float raises where Python's pow does, as at s = 0 for m > 1.
+    float raises where Python's pow does, as at s = 0 for m > 1.  Both
+    are compiled from ``_NORMAL_ANGLE``, once per p, on the first call.
     """
-    m, q = p.m, p.q
-    e_w, e_a, e_norm = 1.0 / q, 2 * m / q, -1.0 / (2 * m)
-    e_outer, e_b = -(2 * m + 1) / (2 * m), -(2 * m - 2) / q
-
-    def W(s):
-        return s ** e_w * (1.0 + s ** e_a) ** e_norm
-
-    def W_dW(s):
-        a1 = 1.0 + s ** e_a
-        return s ** e_w * a1 ** e_norm, e_w * a1 ** e_outer * s ** e_b
-
-    return W, W_dW
+    body = ["    " + line for line in _NORMAL_ANGLE]
+    source = "\n".join(["def W(s):", *body[:2], "    return w", "",
+                        "def W_dW(s):", *body, "    return w, dw"])
+    namespace = _exponents(p)
+    exec(compile(source, "<normal angle>", "exec"), namespace)
+    return namespace["W"], namespace["W_dW"]
 
 
 def principal_curvatures(p: NormParameter, radius, d1,

@@ -107,7 +107,9 @@ def libm(fn, x, *args):
     infinite power of a finite base, where Python raises OverflowError
     (or ZeroDivisionError at ``0.0 ** -e``), and a fractional power of a
     negative base.  So is every element of a complex array, whose scalar
-    values are complex.
+    values are complex.  A power of a NaN base is that NaN, sign and
+    payload kept, for every exponent but 0, as in Python
+    (``_pow_fixup``).
     """
     x = np.asarray(x)
     if np.iscomplexobj(x):
@@ -115,11 +117,25 @@ def libm(fn, x, *args):
     if fn is pow:
         with np.errstate(all="ignore"):
             out = np.asarray(np.float_power(x, *args))
-        out[np.isinf(out) & np.isfinite(x)] = math.nan
+        if not np.isfinite(out).all():
+            _pow_fixup(out, x, *args)
         return out
     if fn in _UFUNCS and _passes_probe(fn):
         return _reversed_ufunc(_UFUNCS[fn], x)
     return _each(fn, x, args)
+
+
+def _pow_fixup(out: np.ndarray, x: np.ndarray, e) -> None:
+    """Python's pow, in place, where ``out = np.float_power(x, e)`` has an
+    element that is not finite; libm calls it only then, so a finite
+    array pays one pass for it.  An infinity from a finite base, where
+    Python raises, becomes NaN.  A NaN base gives itself, sign and
+    payload, for every e != 0, as Python's ``v ** e`` does; float_power
+    clears its sign bit for an odd integer e."""
+    out[np.isinf(out) & np.isfinite(x)] = math.nan
+    if e != 0:
+        nan = np.isnan(x)
+        out[nan] = x[nan]
 
 
 def _reversed_ufunc(ufunc, x: np.ndarray) -> np.ndarray:

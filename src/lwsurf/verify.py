@@ -12,8 +12,14 @@ Three checks of a branch, with different failure modes:
   8(5,3), with the bits of ``scipy.integrate.DOP853``'s coefficients) on
   two Python floats, with solve_ivp's step rules, dense output and
   events, and does not import scipy.  The stages are straight-line float
-  code generated once from the tableau, and u is carried but never read:
-  the relation gives u'' from (alpha, u') alone.
+  code generated from the tableau on the oracle's first call, with the
+  relation's u'' written inline in each, and u is carried but never read:
+  the relation gives u'' from (alpha, u') alone.  A stage where Python
+  floats raise (u' = 0, alpha = 0) is evaluated again by the scalar
+  right-hand side, which gives the IEEE value.  The sums leave out the
+  tableau's zero terms, which change nothing in a step that is accepted,
+  but the zero that E3 and E5 put on the last stage: it fails a step
+  whose end slope is not finite, as in scipy.
 
 ``residual_scan_table`` checks a bare table, such as a CSV that ``lwsurf
 verify`` reads: the same first integral on every row, from the alpha and
@@ -43,7 +49,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .normgeom import (
+    _EXPONENTS,
+    _NORMAL_ANGLE,
     NormParameter,
+    _exponents,
     normal_angle,
     oriented_radius_chart_curvatures,
 )
@@ -359,6 +368,16 @@ def first_integral_drift(branch: ProfileBranch,
                             "form": req.relation.form.value})
 
 
+# u'' at the radius {a} and the slope {v}, solved from the oriented
+# curvature relation (``_ode_rhs``) with normgeom's lines for W and dW at
+# s = |u'|; the last line sets {out}
+_RELATION = "\n".join([
+    "s = abs({v})", *_NORMAL_ANGLE,
+    "{out} = -(sign * mu + lam * (1.0 / {a}) * (sign * w)) / dw"])
+# a callable f(a, u') in its place
+_CALL = "{out} = f({a}, {v})"
+
+
 def _ode_rhs(p: NormParameter, lam: float, mu: float, s: float):
     """u'' solved from the oriented curvature relation k1 + lam*k2 = mu.
 
@@ -369,21 +388,13 @@ def _ode_rhs(p: NormParameter, lam: float, mu: float, s: float):
     flip u'' where a step's stages cross u' = 0 next to a smooth cap.
     With (W, dW) from ``normal_angle`` at |u'|, k1 = -dW*u'' and k2 =
     -(1/a)*(s*W), and s*(k1 + lam*k2) = mu gives u'' = -(s*mu +
-    lam*(1/a)*(s*W))/dW.
+    lam*(1/a)*(s*W))/dW, ``_RELATION``.  f, and the stages that
+    ``_dop853`` runs for it with that relation inline (``f.stages``), are
+    compiled from that one text, on the first call (``_stage_code``).
+    Where Python floats raise, as 0.0 ** -x does at u' = 0 and 1.0 / 0.0
+    at a = 0, f gives the IEEE value: it retries on numpy scalars.
     """
-    _, W_dW = normal_angle(p)
-
-    def f(a: float, d1: float) -> float:
-        try:
-            w, dw = W_dW(abs(d1))
-            return -(s * mu + lam * (1.0 / a) * (s * w)) / dw
-        except (ZeroDivisionError, OverflowError):
-            # Python floats raise where IEEE arithmetic gives 0 or inf, as
-            # for 0.0 ** -x at u' = 0; numpy scalars give the IEEE value
-            with np.errstate(all="ignore"):
-                return float(f(np.float64(a), np.float64(d1)))
-
-    return f
+    return _stage_code(_RELATION)(lam, mu, s, **_exponents(p))
 
 
 # Dormand-Prince 8(5,3) (Hairer, Norsett & Wanner, Solving ODEs I, II.10)
@@ -505,86 +516,140 @@ def _rms(a: float, b: float) -> float:
     return math.sqrt(a * a + b * b) / math.sqrt(2.0)
 
 
+_LAST = len(_B)  # the step's last stage: its slope at the new point
+
+
 def _sum_source(coefficients, k: str) -> str:
     """The source of ``0.0 + c0 * k0 + c1 * k1 + ...`` over the stages
-    named k0, k1, ..., in the tableau's order.
+    named k0, k1, ..., in the tableau's order, without the zero terms
+    but those on stage ``_LAST``.
 
     Python adds left to right, so this is the sum ``builtins.sum`` gives
     on Python 3.11 (``0.0 + x`` equals ``0 + x`` for every float, -0.0
     included) and that its compensated form no longer gives from 3.12.
-    Zero coefficients stay: ``0.0 * k`` is -0.0 for a negative stage and
-    NaN for an infinite one.
+    The leading 0.0 turns a sum of -0.0 terms into +0.0, so no partial
+    sum is -0.0, and adding a zero term ``0.0 * k``, +-0.0 for a finite
+    stage, leaves every other sum as it is.  A zero term matters only on
+    a stage that is not finite, where it is NaN.  In a step that is
+    accepted, stages 0-11 are finite: one that is not makes the next
+    stage's u' input infinite or NaN, u'' is NaN there, and so is every
+    later stage and both error sums, which rejects the step.  Stage
+    ``_LAST`` feeds no other stage, so the zero that E3 and E5 put on it
+    stays: it makes a step whose end slope is not finite fail its error
+    test, as in scipy.
     """
     return " + ".join(["0.0"] + [f"{c!r} * {k}{s}"
-                                 for s, c in enumerate(coefficients)])
+                                 for s, c in enumerate(coefficients)
+                                 if c or s == _LAST])
 
 
-def _stage_source() -> str:
-    """The source of ``_step`` and ``_dense``, written out from the
-    tableau.
+def _stage_source(rhs: str) -> str:
+    """The source of ``bind``, which binds one DOP853 step and its
+    interpolant, written out from the tableau, to a right-hand side.
 
-    Stage s of the pair (u, u') evaluates ``f`` at its u' input, named
-    ``ku{s}`` because it is also the stage's slope of u; ``kv{s}`` is
-    ``f``'s value there.  The u inputs are never formed: f does not read
-    them.  Stages 0-12 are the step's, 13-15 the interpolant's extra ones.
+    ``rhs`` is ``_CALL`` or ``_RELATION``: the lines that set {out} to
+    u'' at the radius {a} and the slope {v}.  Stage s of the pair (u, u')
+    evaluates it at its u' input, named ``ku{s}`` because it is also the
+    stage's slope of u; ``kv{s}`` is its value there.  The u inputs are
+    never formed: u'' does not read u.  Stages 0-12 are the step's, 13-15
+    the interpolant's extra ones.
+
+    ``bind(f)`` of ``_CALL`` returns ``(_step, _dense)``, whose stages
+    call f.  ``bind(lam, mu, sign, e_w, ...)`` of ``_RELATION``, which
+    takes the exponents of normgeom's lines by name, returns
+    ``_ode_rhs``'s scalar f, built from the same lines, with ``f.stages =
+    (_step, _dense)``, whose stages have the relation inline.  A stage
+    whose inline lines raise ZeroDivisionError or OverflowError on Python
+    floats is evaluated again by f, which gives the IEEE value there; so
+    each stage has f's bits.
     """
-    last = len(_B)
+    def indent(lines) -> list:
+        return ["    " + x if x else x for x in lines]
+
+    def value(s: int, a: str) -> list:
+        """The lines that set kv{s} to u'' at the radius a and ku{s}."""
+        lines = rhs.format(out=f"kv{s}", a=f"({a})", v=f"ku{s}").split("\n")
+        if rhs == _CALL:
+            return lines
+        return ["try:", *indent(lines),
+                "except (ZeroDivisionError, OverflowError):",
+                f"    kv{s} = f({a}, ku{s})"]
+
+    def stage(s: int, v: str, a: str, c) -> list:
+        return [f"ku{s} = {v} + ({_sum_source(a, 'kv')}) * h",
+                *value(s, f"t + {c!r} * h")]
+
+    last = _LAST
     ku = ", ".join(f"ku{s}" for s in range(last + 1))
     kv = ", ".join(f"kv{s}" for s in range(last + 1))
-    lines = ["def _step(f, t, h, u, v, kv0):", "    ku0 = v"]
-    for s, (a, c) in enumerate(zip(_A, _C), 1):
-        lines += [f"    ku{s} = v + ({_sum_source(a, 'kv')}) * h",
-                  f"    kv{s} = f(t + {c!r} * h, ku{s})"]
     errors = ", ".join(_sum_source(e, k) for e in (_E5, _E3)
                        for k in ("ku", "kv"))
-    lines += [
-        f"    u_new = u + h * ({_sum_source(_B, 'ku')})",
-        f"    ku{last} = v + h * ({_sum_source(_B, 'kv')})",
-        f"    kv{last} = f(t + h, ku{last})",
-        f"    return u_new, ku{last}, {errors}, ({ku}), ({kv})",
-        "",
-        "def _dense(f, t, h, u_old, v_old, u, v, ku, kv):",
-        f"    {ku} = ku",
-        f"    {kv} = kv"]
+    step = ["ku0 = v"]
+    for s, (a, c) in enumerate(zip(_A, _C), 1):
+        step += stage(s, "v", a, c)
+    step += [f"u_new = u + h * ({_sum_source(_B, 'ku')})",
+             f"ku{last} = v + h * ({_sum_source(_B, 'kv')})",
+             *value(last, "t + h"),
+             f"return u_new, ku{last}, {errors}, ({ku}), ({kv})"]
+    dense = [f"{ku} = ku", f"{kv} = kv"]
     for s, (a, c) in enumerate(zip(_A_EXTRA, _C_EXTRA), last + 1):
-        lines += [f"    ku{s} = v_old + ({_sum_source(a, 'kv')}) * h",
-                  f"    kv{s} = f(t + {c!r} * h, ku{s})"]
+        dense += stage(s, "v_old", a, c)
     for y, k in (("u", "ku"), ("v", "kv")):
-        lines += [f"    c{y}0 = {y} - {y}_old",
-                  f"    c{y}1 = h * {k}0 - c{y}0",
-                  f"    c{y}2 = 2 * c{y}0 - h * ({k}{last} + {k}0)"]
-        lines += [f"    c{y}{j} = h * ({_sum_source(d, k)})"
+        dense += [f"c{y}0 = {y} - {y}_old",
+                  f"c{y}1 = h * {k}0 - c{y}0",
+                  f"c{y}2 = 2 * c{y}0 - h * ({k}{last} + {k}0)"]
+        dense += [f"c{y}{j} = h * ({_sum_source(d, k)})"
                   for j, d in enumerate(_D, 3)]
     horner = ("((((((c{0}6 * x + c{0}5) * x1 + c{0}4) * x + c{0}3) * x1"
               " + c{0}2) * x + c{0}1) * x1 + c{0}0) * x + {0}_old")
-    lines += ["",
-              "    def at(s):",
-              "        x = (s - t) / h",
-              "        x1 = 1 - x",
-              f"        return ({horner.format('u')},",
-              f"                {horner.format('v')})",
+    dense += ["",
+              "def at(t_out):",
+              "    x = (t_out - t) / h",
+              "    x1 = 1 - x",
+              f"    return ({horner.format('u')},",
+              f"            {horner.format('v')})",
               "",
-              "    return at"]
-    return "\n".join(lines) + "\n"
+              "return at"]
+    if rhs == _CALL:
+        head, tail = ["def bind(f):"], ["return _step, _dense"]
+    else:
+        lines = rhs.format(out="u2", a="a", v="v").split("\n")
+        head = [f"def bind(lam, mu, sign, {', '.join(_EXPONENTS)}):",
+                *indent(["def f(a, v):",
+                         "    try:",
+                         *indent(indent(lines)),
+                         "        return u2",
+                         "    except (ZeroDivisionError, OverflowError):",
+                         "        with np.errstate(all='ignore'):",
+                         "            return float(f(np.float64(a), "
+                         "np.float64(v)))",
+                         ""])]
+        tail = ["f.stages = _step, _dense", "return f"]
+    body = ["def _step(t, h, u, v, kv0):", *indent(step), "",
+            "def _dense(t, h, u_old, v_old, u, v, ku, kv):", *indent(dense),
+            "", *tail]
+    return "\n".join(head + indent(body)) + "\n"
 
 
 @functools.cache
-def _stage_code() -> tuple:
-    """``(_step, _dense)`` compiled from ``_stage_source()``, once, on the
-    first ``_dop853`` call: importing lwsurf does not pay for it.
+def _stage_code(rhs: str):
+    """``bind`` compiled from ``_stage_source(rhs)``, once per rhs, on its
+    first use: ``_RELATION``'s when the oracle first binds its relation,
+    ``_CALL``'s when ``_dop853`` first gets another callable.  Importing
+    lwsurf compiles neither.
 
-    ``_step(f, t, h, u, v, f(t, v))`` takes one DOP853 step and returns
+    ``_step(t, h, u, v, f(t, v))`` takes one DOP853 step and returns
     ``(u_new, v_new, e5_u, e5_v, e3_u, e3_v, ku, kv)``: the 8th-order
     solution, the E5 and E3 error sums of each component, and the 13
     stage slopes of each; ``kv[12]`` is f at the new point.
-    ``_dense(f, t, h, u_old, v_old, u, v, ku, kv)`` runs the three extra
-    stages and returns ``at(s) -> (u, u')``, the step's 7th-order
+    ``_dense(t, h, u_old, v_old, u, v, ku, kv)`` runs the three extra
+    stages and returns ``at(t) -> (u, u')``, the step's 7th-order
     interpolant.  Both follow scipy's formulas, with every sum added left
     to right (``_sum_source``).
     """
-    namespace = {}
-    exec(compile(_stage_source(), "<dop853 stages>", "exec"), namespace)
-    return namespace["_step"], namespace["_dense"]
+    namespace = {"np": np}
+    exec(compile(_stage_source(rhs), "<dop853 stages>", "exec"), namespace)
+    return namespace["bind"]
 
 
 @dataclass
@@ -608,20 +673,23 @@ def _dop853(f, t0: float, y0: tuple, t_bound: float, t_eval, events,
     Runs scipy's DOP853 as ``solve_ivp`` does on y' = (u', f(t, u')), on
     two Python floats: the initial step, the 5/3 blended error norm, the
     step controller and the 7th-order dense output follow scipy's code.
-    The stages are straight-line code, ``_stage_code()``; u is carried
-    and never passed to f.  ``rhs_evals`` counts the evaluations of f, as
+    The stages are straight-line code (``_stage_code``): the oracle's f
+    brings its own, ``f.stages``, with the relation inline, and any other
+    callable gets stages that call it.  u is carried and never passed to
+    f.  The sums leave out the zero terms on stages 0-11, which keeps the
+    bits of the full sums where f gives NaN at a u' that is not finite, as
+    the relation does, or never gives a value that is not finite
+    (``_sum_source``).  ``rhs_evals`` counts the evaluations of f, as
     scipy's ``nfev`` counts those of y'.  ``t_eval`` lists the output
     points in the direction of integration.  ``events`` are ``(g,
     direction)`` pairs, all terminal: g(t, y) changing sign over a step
     in the given direction (0 for either) stops the run at the root of g
-    on the dense output.
+    on the dense output.  The loops keep their state in local variables.
     """
-    step, dense_output = _stage_code()
-    run = _Trajectory()
+    step, dense_output = getattr(f, "stages", None) or _stage_code(_CALL)(f)
     direction = 1.0 if t_bound >= t0 else -1.0
     t, (u, v) = t0, y0
     fv = f(t, v)
-    run.rhs_evals = 2
 
     # initial step (scipy's select_initial_step); the slope of u is v
     interval = abs(t_bound - t0)
@@ -639,10 +707,15 @@ def _dop853(f, t0: float, y0: tuple, t_bound: float, t_eval, events,
         h1 = (0.01 / max(d1, d2)) ** -_ERROR_EXPONENT
     h_abs = min(100 * h0, h1, interval)
 
+    run = _Trajectory()
+    out_t, out_u, out_du = run.t, run.u, run.du
+    hypot, sqrt = math.hypot, math.sqrt
+    far = direction * math.inf
+    steps = rejected_steps = dense_steps = i_eval = 0
+    n_eval = len(t_eval)
     g = [ev(t, (u, v)) for ev, _ in events]
-    i_eval = 0
     while True:
-        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, far) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
@@ -655,17 +728,15 @@ def _dop853(f, t0: float, y0: tuple, t_bound: float, t_eval, events,
                 t_new = t_bound
             h = t_new - t
             h_abs = abs(h)
-            (u_new, v_new, e5u, e5v, e3u, e3v,
-             ku, kv) = step(f, t, h, u, v, fv)
-            run.rhs_evals += 12
+            u_new, v_new, e5u, e5v, e3u, e3v, ku, kv = step(t, h, u, v, fv)
             su = atol + max(abs(u), abs(u_new)) * rtol
             sv = atol + max(abs(v), abs(v_new)) * rtol
-            e5 = math.hypot(e5u / su, e5v / sv) ** 2
-            e3 = math.hypot(e3u / su, e3v / sv) ** 2
+            e5 = hypot(e5u / su, e5v / sv) ** 2
+            e3 = hypot(e3u / su, e3v / sv) ** 2
             if e5 == 0.0 and e3 == 0.0:
                 error = 0.0
             else:
-                error = abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * 2)
+                error = h_abs * e5 / sqrt((e5 + 0.01 * e3) * 2)
             if error < 1.0:
                 if error == 0.0:
                     factor = _MAX_FACTOR
@@ -678,20 +749,22 @@ def _dop853(f, t0: float, y0: tuple, t_bound: float, t_eval, events,
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * error ** _ERROR_EXPONENT)
             rejected = True
-            run.rejected_steps += 1
-        run.steps += 1
+            rejected_steps += 1
+        steps += 1
         t_old, u_old, v_old = t, u, v
         t, u, v, fv = t_new, u_new, v_new, kv[-1]
         finished = direction * (t - t_bound) >= 0
-        g_new = [ev(t, (u, v)) for ev, _ in events]
-        active = [k for k, (_, d) in enumerate(events)
-                  if (d >= 0 and g[k] <= 0 <= g_new[k])
-                  or (d <= 0 and g[k] >= 0 >= g_new[k])]
-        g = g_new
-        if active or (i_eval < len(t_eval)
+        active = []
+        y = (u, v)
+        for k, (ev, d) in enumerate(events):
+            g_old, g[k] = g[k], ev(t, y)
+            if ((d >= 0 and g_old <= 0 <= g[k])
+                    or (d <= 0 and g_old >= 0 >= g[k])):
+                active.append(k)
+        if active or (i_eval < n_eval
                       and direction * (t_eval[i_eval] - t) <= 0):
-            dense = dense_output(f, t_old, h, u_old, v_old, u, v, ku, kv)
-            run.rhs_evals += 3
+            dense = dense_output(t_old, h, u_old, v_old, u, v, ku, kv)
+            dense_steps += 1
         if active:
             roots = [(_brent(lambda s, ev=events[k][0]: ev(s, dense(s)),
                              t_old, t, _EVENT_XTOL, _EVENT_XTOL), k)
@@ -699,14 +772,17 @@ def _dop853(f, t0: float, y0: tuple, t_bound: float, t_eval, events,
             t, run.event = min(roots, key=lambda r: direction * r[0])
             run.t_event = t
             u, v = dense(t)
-        while i_eval < len(t_eval) and direction * (t_eval[i_eval] - t) <= 0:
+        while i_eval < n_eval and direction * (t_eval[i_eval] - t) <= 0:
             s = t_eval[i_eval]
             us, vs = dense(s)
-            run.t.append(s)
-            run.u.append(us)
-            run.du.append(vs)
+            out_t.append(s)
+            out_u.append(us)
+            out_du.append(vs)
             i_eval += 1
         if finished or run.event is not None:
+            run.steps, run.rejected_steps = steps, rejected_steps
+            run.rhs_evals = (2 + 12 * (steps + rejected_steps)
+                             + 3 * dense_steps)
             return run
 
 

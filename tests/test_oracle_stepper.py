@@ -8,6 +8,7 @@ below runs the same stages as ``verify._dop853``'s straight-line code,
 one tableau row at a time, and must give the same bits.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -22,7 +23,10 @@ from lwsurf import (
     solve_inhom_general,
 )
 from lwsurf import verify
+from lwsurf.normgeom import _exponents
 from lwsurf.verify import _dop853, _ode_rhs
+
+from conftest import instances
 
 
 def solve_ivp_run(f, t0, y0, t_bound, t_eval, events, rtol, atol):
@@ -274,6 +278,15 @@ class TestLoopForm:
             ode_oracle(branch)
         assert len(checked_runs) >= len(branches)
 
+    @pytest.mark.parametrize("m", [1, 6])
+    def test_taxonomy_at_m_1_and_6(self, m, checked_runs):
+        """m = 1 reads s ** 0.0 in dW and s ** 1.0 in W; m = 6 has the
+        largest exponents."""
+        branches = list(instances(m).values())
+        for branch in branches:
+            ode_oracle(branch)
+        assert len(checked_runs) >= len(branches)
+
     @pytest.mark.parametrize("m", [4, 5, 6])
     def test_spheres(self, m, checked_runs):
         p = NormParameter(m)
@@ -283,6 +296,81 @@ class TestLoopForm:
         for branch in branches:
             ode_oracle(branch)
         assert len(checked_runs) >= len(branches)
+
+
+def inline_value(p, lam, mu, sign, a, v):
+    """u'' from the oracle's inline lines alone, without f's fallback."""
+    namespace = dict(_exponents(p), lam=lam, mu=mu, sign=sign)
+    exec(verify._RELATION.format(out="u2", a=repr(a), v=repr(v)), namespace)
+    return namespace["u2"]
+
+
+def logged(f, calls):
+    """f, with each radius it is called at appended to calls."""
+    def g(a, v):
+        calls.append(a)
+        return f(a, v)
+    return g
+
+
+class TestInlineStages:
+    """The oracle's stages with the relation inline, where Python floats
+    raise and the stage falls back to f."""
+
+    # (m, lam, mu, sign): its u'' at u' = 0 is 0, and 1.0 / a raises at a = 0
+    RELATION = (2, -0.5, 1.0, 1.0)
+
+    def rhs(self):
+        m, lam, mu, sign = self.RELATION
+        return _ode_rhs(NormParameter(m), lam, mu, sign)
+
+    def test_start_at_zero_slope(self):
+        """At u' = 0, 0.0 ** e_b raises for m > 1, so every stage falls
+        back to f, whose u'' is 0: u' stays 0."""
+        m, lam, mu, sign = self.RELATION
+        with pytest.raises(ZeroDivisionError):
+            inline_value(NormParameter(m), lam, mu, sign, 0.5, 0.0)
+        f = self.rhs()
+        args = (0.5, (1.0, 0.0), 1.5, [0.75, 1.0, 1.25], [], 1e-10, 1e-12)
+        ours = _dop853(f, *args)
+        assert bits(ours) == bits(loop_dop853(f, *args))
+        assert ours.du == [0.0, 0.0, 0.0] and ours.steps > 0
+
+    def test_stage_at_the_axis(self):
+        """Integrating toward t_bound = 0, the first attempt lands on
+        a = 0, where 1.0 / a raises: its last stage falls back to f, which
+        gives a value that is not finite, and the step is rejected."""
+        m, lam, mu, sign = self.RELATION
+        with pytest.raises(ZeroDivisionError):
+            inline_value(NormParameter(m), lam, mu, sign, 0.0, 0.02)
+        f = self.rhs()
+        args = (0.01, (1.0, 0.02), 0.0, [0.009, 0.006],
+                [(lambda a, y: a - 0.005, 0)], 1e-10, 1e-12)
+        calls = []
+        ours = _dop853(f, *args)
+        assert bits(ours) == bits(loop_dop853(logged(f, calls), *args))
+        assert 0.0 in calls
+        assert ours.rejected_steps > 0 and ours.event == 0
+
+    def test_step_with_an_infinite_last_stage_is_rejected(self):
+        """f is infinite at the last stage of the first attempt alone: the
+        zero that E3 and E5 put on that stage makes both error sums NaN,
+        and the attempt is rejected, as in the loop form."""
+        def spiked():
+            calls = itertools.count(1)
+
+            def f(t, v):
+                # calls 1 and 2 choose the initial step; 14 is the first
+                # attempt's stage 12
+                return math.inf if next(calls) == 14 else oscillator(t, v)
+            return f
+
+        args = TERMINAL[:3]
+        ours = _dop853(spiked(), 0.0, (0.0, 1.0), *args, 1e-10, 1e-12)
+        ref = loop_dop853(spiked(), 0.0, (0.0, 1.0), *args, 1e-10, 1e-12)
+        assert bits(ours) == bits(ref)
+        smooth = _dop853(oscillator, 0.0, (0.0, 1.0), *args, 1e-10, 1e-12)
+        assert ours.rejected_steps == smooth.rejected_steps + 1
 
 
 class TestOracleParity:
