@@ -463,33 +463,14 @@ def critical_c1(lam: float) -> float:
         f"lam = {lam}: the mu > 0 family has a double root only for lam < 0")
 
 
-def _single(tag: CaseTag, lo: float, hi: float, lo_kind: EndpointKind,
-            hi_kind: EndpointKind, anchor: float,
-            slope: SlopeLaw | NormCircle) -> _Plan:
-    """Plan with one piece."""
-    dom = DomainInterval(lo, hi, lo_kind, hi_kind, label=tag.value)
-    return _Plan([_Piece(dom, anchor, tag)], slope)
-
-
-def _sphere_plan(tag: CaseTag, radius: float, m: int) -> _Plan:
-    """Closed-form branch of alpha^2m + (u - shift)^2m = radius^2m."""
-    return _single(tag, 0.0, radius, _AXIS, _ROOT, radius,
-                   NormCircle(0.0, -1.0, radius, m))
-
-
-def _roots(law: SlopeLaw, lo: float, hi: float, probes: int,
-           message: str, count: int = 0) -> list:
-    """The roots of the gap P - Q of the law on (lo, hi): exactly ``count``
-    of them, or with count 0 the first one; BracketError(message)
-    otherwise."""
-    roots = bracket_roots(law.gap, lo, hi, probes=probes)
-    if not count:
-        if not roots:
-            raise BracketError(message)
-        return roots[:1]
-    if len(roots) != count:
-        raise BracketError(f"{message}, got {roots}")
-    return roots
+def _piece(tag: CaseTag, lo: float, lo_kind: EndpointKind, hi: float,
+           hi_kind: EndpointKind, anchor: float | None = None) -> _Piece:
+    """The piece of a plan on (lo, hi), anchored by default at its root
+    end, the lower one where both ends are roots."""
+    if anchor is None:
+        anchor = lo if lo_kind is _ROOT else hi
+    return _Piece(DomainInterval(lo, hi, lo_kind, hi_kind, label=tag.value),
+                  anchor, tag)
 
 
 def _end(term: str, lam: float, value: Callable[[], float],
@@ -510,204 +491,180 @@ def _end(term: str, lam: float, value: Callable[[], float],
     return x
 
 
-def _split_plan(law: SlopeLaw, double: tuple, c1: float, c_crit: float,
-                top: float, case: str, sub_anchor: float,
-                probes: int) -> _Plan:
-    """Axis-to-cap interval (0, top) of a mu > 0 family, split at c_crit.
+# The 6.3 cases by family (lam > 0, -1 < lam < 0, lam < -1) and sign of
+# mu (+, -), each with the name of its closed-form end E
+_GENERAL_CASES = (("6.3i", "a4 = (c1*(lam+1))^(1/(lam+1))"),
+                  ("6.3ii", "a8 = (-c1*(lam+1))^(1/(lam+1))"),
+                  ("6.3iii", "a10 = (c1*(lam+1))^(1/(lam+1))"),
+                  ("6.3iv", "a15 = (-c1*(lam+1))^(1/(lam+1))"),
+                  ("6.3v", "a18 = (-c1*w)^(-1/w)"),
+                  ("6.3vi", "a22 = (c1*w)^(-1/w)"))
 
-    The gap P - Q of the law (P constant) is stationary at t_d, where
-    ``double = (beta, p, t_d)`` gives P - Q = beta*phi_p(t/t_d - 1) up to
-    the constant (P - Q)(t_d) that vanishes at c_crit.  Below c_crit the
-    interval is one piece, tag case-1; at it a double root at t_d splits it
-    (case-2-1, case-2-2); above it two simple roots below top cut out an
-    inner and an outer piece (case-3-1, case-3-2).
+
+def _c1_plan(req: SolveRequest) -> _Plan:
+    """The plan of an inhomogeneous relation, lam != 0 and |mu| = 1:
+    cases 6.1 (lam = -1) and 6.3, by the sign of mu*(lam+1) and by c1.
+
+    - The closed-form end E is where N = c1*(lam+1) - mu*t^(lam+1)
+      vanishes, E = (mu*c1*(lam+1))^(1/(lam+1)), and E = e^(mu*c1) where
+      g = t*(c1 - mu*log t) vanishes at lam = -1.  It is a cap: the top
+      of the interval for mu > 0 and its bottom for mu < 0.
+    - Where mu*(lam+1) > 0, c1 <= 0 admits no surface (6.3i, 6.3iii,
+      6.3vi).
+    - Where mu*(lam+1) < 0, c1 = 0 is the sphere of radius |lam+1|
+      (6.3ii-1, 6.3iv-1, 6.3v-1), c1 > 0 an interval between roots of
+      the gap P - Q or the axis, and c1 < 0 an interval ending at E.
+    - For mu > 0 and lam < 0, the axis-to-cap interval (0, E) splits at
+      critical_c1(lam).  The gap, with P constant, is stationary at t_d,
+      where ``double = (beta, p, t_d)`` gives P - Q = beta*phi_p(t/t_d -
+      1) up to the constant (P - Q)(t_d) that vanishes at the critical
+      c1.  Below it the interval is one piece, tag case-1; at it a double
+      root at t_d splits it (case-2-1, case-2-2); above it two simple
+      roots below E cut out an inner and an outer piece (case-3-1,
+      case-3-2).
+
+    Each end is the axis, the cap E or a root of the gap, and that role
+    fixes its kind.  The ends are computed in the order that decides
+    which BracketError a request gets.
     """
-    if _near(c1, c_crit):
-        a_in = a_out = double[2]
-        law = replace(law, double=double)
-        n, kind, anchors = "2", EndpointKind.DOUBLE_ROOT, (0.0, top)
-    elif c1 < c_crit:
-        return _single(CaseTag(f"{case}-1"), 0.0, top, _AXIS, _CAP,
-                       sub_anchor, law)
+    lam, mu, c1, m = req.relation.lam, req.relation.mu, req.c1, req.p.m
+    lp, w = lam + 1.0, -(lam + 1.0)
+    label = "c1" if mu > 0.0 else "c1*"
+    if lam == -1.0:
+        law = SlopeLaw(_lm1, (c1, mu), m)
+        case = "6.1i" if mu > 0.0 else "6.1ii"
     else:
-        a_in, a_out = _roots(law, 1e-12, top, probes,
-                             f"expected two roots below {top}", 2)
-        n, kind, anchors = "3", _ROOT, (a_in, a_out)
-    inner, outer = CaseTag(f"{case}-{n}-1"), CaseTag(f"{case}-{n}-2")
-    d_in = DomainInterval(0.0, a_in, _AXIS, kind, label=inner.value)
-    d_out = DomainInterval(a_out, top, kind, _CAP, label=outer.value)
-    return _Plan([_Piece(d_in, anchors[0], inner),
-                  _Piece(d_out, anchors[1], outer)], law)
+        k = (lam < 0.0) + (lam < -1.0)
+        law = SlopeLaw((_gen_pos, _gen_mid, _gen_low)[k], (lam, c1, mu), m)
+        case, e_name = _GENERAL_CASES[2 * k + (mu < 0.0)]
 
+    def cap() -> float:
+        if lam == -1.0:
+            return _end("top = e^c1", lam, lambda: math.exp(c1))
+        return _end(e_name, lam, lambda: math.pow(mu * c1 * lp, 1.0 / lp),
+                    zero=mu < 0.0)
 
-def _homogeneous_plan(req: SolveRequest) -> _Plan:
-    m, lam, c2 = req.p.m, req.relation.lam, req.c2
-    if c2 <= 0.0:
-        raise ValueError("homogeneous relation needs c2 > 0")
+    def roots(lo: float, hi: float, probes: int, search: str,
+              count: int = 0) -> list:
+        """Exactly ``count`` roots of the gap on (lo, hi), or with count 0
+        the first one; BracketError naming the search otherwise."""
+        found = bracket_roots(law.gap, lo, hi, probes=probes)
+        if not count:
+            if not found:
+                raise BracketError(search)
+            return found[:1]
+        if len(found) != count:
+            raise BracketError(f"{search}, got {found}")
+        return found
+
+    def one(tag: str, *ends) -> _Plan:
+        return _Plan([_piece(CaseTag(tag), *ends)], law)
+
+    if mu * lp > 0.0 and c1 <= 0.0:
+        raise NoSurfaceError(
+            "c1* <= 0 with lam < -1: t*G(t) stays nonpositive, no admissible "
+            "interval" if lam < -1.0 else
+            "c1 <= 0: admissibility 0 < c1 - alpha^(lam+1)/(lam+1) fails")
+    if mu * lp < 0.0:
+        if lam > 0.0:
+            # the band's threshold overflows from lam of about 143
+            bound = _end("band threshold = lam^lam/(lam+1)", lam,
+                         lambda: lam ** lam / (lam + 1.0))
+            _boundary_warn(c1, bound, label)
+        elif lam < -1.0:
+            c_crit = critical_c1(lam)
+            _boundary_warn(c1, c_crit, label)
+        _boundary_warn(c1, 0.0, label)
+        if _near(c1, 0.0):
+            return _Plan([_piece(CaseTag(f"{case}-1"), 0.0, _AXIS, abs(lp),
+                                 _ROOT)], NormCircle(0.0, -1.0, abs(lp), m))
+        if c1 > 0.0 and lam > 0.0:
+            if c1 >= bound or _near(c1, bound):
+                raise NoSurfaceError(f"c1* >= lam^lam/(lam+1) = {bound}: "
+                                     "admissible band is empty")
+            # finite: below 10*max(lam, 1) + 10, since c1*(lam+1) < lam^lam
+            hi = 10.0 * math.pow(max(c1 * lp, 1.0), 1.0 / lp) + 10.0
+            a6, a7 = roots(1e-12, hi, 512, "expected two band roots", 2)
+            return one(f"{case}-2", a6, _ROOT, a7, _ROOT)
+        if c1 > 0.0:
+            a, = roots(1e-12, 2.0 * lp + 10.0 if lam > -1.0 else w + 1.0, 512,
+                       "root of the admissibility function not found"
+                       if lam > -1.0 else
+                       "admissibility root not found for c1 > 0")
+            return one(f"{case}-2", 0.0, _AXIS, a, _ROOT)
+        case += "-3"
+    if mu < 0.0:
+        # E is the bottom, and the interval runs up to a root of the gap
+        if lam == -1.0:
+            hi = _end("a3's search bound = e^(-c1) + 10*(1+|c1|)", lam,
+                      lambda: math.exp(-c1) + 10.0 * (1.0 + abs(c1)))
+            bottom, count = math.exp(-c1), 0
+            search = "root of t*(c1 + log t) = 1 not bracketed"
+        else:
+            bottom = cap()
+            bound, extra, search, count = (
+                ("a9's search bound = 10*a8 + 10", 0.0,
+                 f"expected one root above {bottom}", 1),
+                ("a16's search bound = 10*a15 + 10*(lam+1) + 10", 10.0 * lp,
+                 "outer admissibility root not found", 0),
+                ("a23's search bound = 10*a22 + w + 10", w,
+                 "upper admissibility root not found", 0))[k]
+            hi = _end(bound, lam, lambda: 10.0 * bottom + extra + 10.0)
+        a, = roots(bottom, hi, 256 if lam == -1.0 else 512, search, count)
+        return one(case, bottom, _CAP, a, _ROOT)
+    # E is the top
+    top = cap()
     if lam > 0.0:
-        decay = (2 * m - 1) * lam
-        _boundary_warn(decay, 1.0, "(2m-1)*lam")
-        law = SlopeLaw(_hom_pos, (lam, c2), m, decay_exponent=decay)
-        tag = CaseTag.HOM_POS_FAST if decay > 1.0 and not _near(decay, 1.0) \
-            else CaseTag.HOM_POS_SLOW
-        return _single(tag, c2, math.inf, _ROOT, EndpointKind.UNBOUNDED, c2,
-                       law)
-    # lam < 0: domain (0, c2), integrand rewritten to stay finite at 0
-    law = SlopeLaw(_hom_neg, (lam, c2), m)
-    return _single(CaseTag.HOM_NEG, 0.0, c2, _AXIS, _ROOT, c2, law)
-
-
-def _lm1_plan(req: SolveRequest) -> _Plan:
-    """lam = -1 taxonomy; auxiliary function g(t) = t*(c1 - mu*log t)."""
-    mu, c1 = req.relation.mu, req.c1
-    law = SlopeLaw(_lm1, (c1, mu), req.p.m)
-    if mu > 0.0:
-        # g vanishes at top; admissibility needs t < top
-        top = _end("top = e^c1", -1.0, lambda: math.exp(c1))
-        c_crit = critical_c1(-1.0)
-        _boundary_warn(c1, c_crit, "c1")
+        a5, = roots(1e-12, top, 256, f"expected one simple root below {top}",
+                    1)
+        return one(case, a5, _ROOT, top, _CAP)
+    if lam >= -1.0:
+        c_crit = critical_c1(lam)
+        _boundary_warn(c1, c_crit, label)
+    if lam == -1.0:
         # 1 - g is stationary at t_d = e^(c1-1), where it equals
         # (1 - t_d) + t_d * ((1+x)*log1p(x) - x) with x = t/t_d - 1
         t_d = math.exp(c1 - 1.0)
-        return _split_plan(law, (t_d, 1.0, t_d), c1, c_crit, top, "6.1i",
-                           sub_anchor=top, probes=256)
-    # mu < 0: domain (e^(-c1), a3) with a3 the unique solution of g = 1;
-    # e^(-c1) underflows to the axis at c1 > 745 and stays the end there
-    hi = _end("a3's search bound = e^(-c1) + 10*(1+|c1|)", -1.0,
-              lambda: math.exp(-c1) + 10.0 * (1.0 + abs(c1)))
-    bottom = math.exp(-c1)
-    a3, = _roots(law, bottom, hi, 256,
-                 "root of t*(c1 + log t) = 1 not bracketed")
-    return _single(CaseTag.LM1_NEG, bottom, a3, _CAP, _ROOT, a3, law)
-
-
-def _gen_pos_plan(req: SolveRequest) -> _Plan:
-    """lam > 0 branch of the general relation."""
-    lam, mu, c1 = req.relation.lam, req.relation.mu, req.c1
-    law = SlopeLaw(_gen_pos, (lam, c1, mu), req.p.m)
-    if mu > 0.0:
-        if c1 <= 0.0:
-            raise NoSurfaceError(
-                "c1 <= 0: admissibility 0 < c1 - alpha^(lam+1)/(lam+1) fails")
-        a4 = _end("a4 = (c1*(lam+1))^(1/(lam+1))", lam,
-                  lambda: math.pow(c1 * (lam + 1.0), 1.0 / (lam + 1.0)))
-        a5, = _roots(law, 1e-12, a4, 256,
-                     f"expected one simple root below {a4}", 1)
-        return _single(CaseTag.GEN_POS_PLUS, a5, a4, _ROOT, _CAP, a5, law)
-
-    # mu < 0 (the c1* family); the band's threshold overflows from lam
-    # of about 143
-    bound = _end("band threshold = lam^lam/(lam+1)", lam,
-                 lambda: lam ** lam / (lam + 1.0))
-    _boundary_warn(c1, bound, "c1*")
-    _boundary_warn(c1, 0.0, "c1*")
-    if _near(c1, 0.0):
-        return _sphere_plan(CaseTag.GEN_POS_MINUS_SPHERE, lam + 1.0, req.p.m)
-    if c1 > 0.0:
-        if c1 >= bound or _near(c1, bound):
-            raise NoSurfaceError(
-                f"c1* >= lam^lam/(lam+1) = {bound}: admissible band is empty")
-        # finite: below 10*max(lam, 1) + 10, since c1*(lam+1) < lam^lam
-        hi = 10.0 * math.pow(max(c1 * (lam + 1.0), 1.0),
-                             1.0 / (lam + 1.0)) + 10.0
-        a6, a7 = _roots(law, 1e-12, hi, 512,
-                        "expected two band roots", 2)
-        return _single(CaseTag.GEN_POS_MINUS_BAND, a6, a7, _ROOT, _ROOT, a6,
-                       law)
-    # c1 < 0: domain starts where N vanishes
-    a8 = _end("a8 = (-c1*(lam+1))^(1/(lam+1))", lam,
-              lambda: math.pow(-c1 * (lam + 1.0), 1.0 / (lam + 1.0)),
-              zero=True)
-    hi = _end("a9's search bound = 10*a8 + 10", lam, lambda: 10.0 * a8 + 10.0)
-    a9, = _roots(law, a8, hi, 512, f"expected one root above {a8}", 1)
-    return _single(CaseTag.GEN_POS_MINUS_OUTER, a8, a9, _CAP, _ROOT, a9, law)
-
-
-def _gen_mid_plan(req: SolveRequest) -> _Plan:
-    """-1 < lam < 0 branch; integrand rewritten to stay finite at the axis."""
-    lam, mu, c1 = req.relation.lam, req.relation.mu, req.c1
-    nl = -lam
-    law = SlopeLaw(_gen_mid, (lam, c1, mu), req.p.m)
-    if mu > 0.0:
-        if c1 <= 0.0:
-            raise NoSurfaceError(
-                "c1 <= 0: admissibility 0 < c1 - alpha^(lam+1)/(lam+1) fails")
-        a10 = _end("a10 = (c1*(lam+1))^(1/(lam+1))", lam,
-                   lambda: math.pow(c1 * (lam + 1.0), 1.0 / (lam + 1.0)))
-        c_crit = critical_c1(lam)
-        _boundary_warn(c1, c_crit, "c1")
-        # P - Q = (lam+1) + t - c1*(lam+1)*t^(-lam) is stationary at a11
+        double = (t_d, 1.0, t_d)
+    elif lam > -1.0:
+        # P - Q = (lam+1) + t - c1*(lam+1)*t^(-lam) is stationary at a11;
         # c1*nl*(lam+1) <= c1*(lam+1), so a11 <= a10: a11, beta are finite
-        a11 = math.pow(c1 * nl * (lam + 1.0), 1.0 / (lam + 1.0))
-        beta = -c1 * (lam + 1.0) * a11 ** nl
-        return _split_plan(law, (beta, nl, a11), c1, c_crit, a10, "6.3iii",
-                           sub_anchor=0.0, probes=512)
-
-    # mu < 0
-    _boundary_warn(c1, 0.0, "c1*")
-    if _near(c1, 0.0):
-        return _sphere_plan(CaseTag.GEN_MID_MINUS_SPHERE, lam + 1.0, req.p.m)
-    if c1 > 0.0:
-        a14, = _roots(law, 1e-12, 2.0 * (lam + 1.0) + 10.0, 512,
-                      "root of the admissibility function not found")
-        return _single(CaseTag.GEN_MID_MINUS_INNER, 0.0, a14, _AXIS, _ROOT,
-                       a14, law)
-    a15 = _end("a15 = (-c1*(lam+1))^(1/(lam+1))", lam,
-               lambda: math.pow(-c1 * (lam + 1.0), 1.0 / (lam + 1.0)),
-              zero=True)
-    hi = _end("a16's search bound = 10*a15 + 10*(lam+1) + 10", lam,
-              lambda: 10.0 * a15 + 10.0 * (lam + 1.0) + 10.0)
-    a16, = _roots(law, a15, hi, 512, "outer admissibility root not found")
-    return _single(CaseTag.GEN_MID_MINUS_OUTER, a15, a16, _CAP, _ROOT, a16,
-                   law)
-
-
-def _gen_low_plan(req: SolveRequest) -> _Plan:
-    """lam < -1 branch, parameterized internally by omega = -(lam+1) > 0."""
-    lam, mu, c1 = req.relation.lam, req.relation.mu, req.c1
-    w = -(lam + 1.0)
-    law = SlopeLaw(_gen_low, (lam, c1, mu), req.p.m)
-    if mu > 0.0:
-        thr = critical_c1(lam)
-        _boundary_warn(c1, thr, "c1")
-        _boundary_warn(c1, 0.0, "c1")
-        if _near(c1, 0.0):
-            return _sphere_plan(CaseTag.GEN_LOW_PLUS_SPHERE, w, req.p.m)
-        if c1 > 0.0:
-            a17, = _roots(law, 1e-12, w + 1.0, 512,
-                          "admissibility root not found for c1 > 0")
-            return _single(CaseTag.GEN_LOW_PLUS_POS, 0.0, a17, _AXIS, _ROOT,
-                           a17, law)
-        # c1 < 0: t*G(t) > 0 only below the zero of G
-        a18 = _end("a18 = (-c1*w)^(-1/w)", lam,
-                   lambda: math.pow(-c1 * w, -1.0 / w))
+        nl = -lam
+        a11 = math.pow(c1 * nl * lp, 1.0 / lp)
+        double = (-c1 * lp * a11 ** nl, nl, a11)
+    else:
         # P - Q = w - t - c1*w*t^(w+1) is stationary at a19
         a19 = _end("a19 = (-c1*w*(w+1))^(-1/w)", lam,
                    lambda: math.pow(-c1 * w * (w + 1.0), -1.0 / w), zero=True)
         beta = _end("beta = -c1*w*a19^(w+1)", lam,
                     lambda: -c1 * w * math.pow(a19, w + 1.0), zero=True)
-        return _split_plan(law, (beta, w + 1.0, a19), c1, thr, a18, "6.3v-3",
-                           sub_anchor=0.0, probes=512)
-
-    # mu < 0: need c1 > 0 so that G turns positive
-    if c1 <= 0.0:
-        raise NoSurfaceError(
-            "c1* <= 0 with lam < -1: t*G(t) stays nonpositive, no admissible "
-            "interval")
-    a22 = _end("a22 = (c1*w)^(-1/w)", lam,
-               lambda: math.pow(c1 * w, -1.0 / w), zero=True)
-    top = _end("a23's search bound = 10*a22 + w + 10", lam,
-               lambda: 10.0 * a22 + w + 10.0)
-    a23, = _roots(law, a22, top, 512, "upper admissibility root not found")
-    return _single(CaseTag.GEN_LOW_MINUS, a22, a23, _CAP, _ROOT, a23, law)
+        double = (beta, w + 1.0, a19)
+    if _near(c1, c_crit):
+        t_d, kind = double[2], EndpointKind.DOUBLE_ROOT
+        pieces = [_piece(CaseTag(f"{case}-2-1"), 0.0, _AXIS, t_d, kind, 0.0),
+                  _piece(CaseTag(f"{case}-2-2"), t_d, kind, top, _CAP)]
+        return _Plan(pieces, replace(law, double=double))
+    if c1 < c_crit:
+        return one(f"{case}-1", 0.0, _AXIS, top, _CAP,
+                   top if lam == -1.0 else 0.0)
+    a_in, a_out = roots(1e-12, top, 256 if lam == -1.0 else 512,
+                        f"expected two roots below {top}", 2)
+    return _Plan([_piece(CaseTag(f"{case}-3-1"), 0.0, _AXIS, a_in, _ROOT),
+                  _piece(CaseTag(f"{case}-3-2"), a_out, _ROOT, top, _CAP)],
+                 law)
 
 
 def _plan(req: SolveRequest) -> _Plan:
-    form = req.relation.form
+    form, m = req.relation.form, req.p.m
+    lam, mu, c1, c2 = req.relation.lam, req.relation.mu, req.c1, req.c2
+    if form is RelationForm.K1_ZERO:
+        raise ValueError("lam = mu = 0 is the cylinder 4i, alpha = const, "
+                         "which has no profile u(alpha)")
     if form is RelationForm.K2_CONST:
-        return _sphere_plan(CaseTag.SPHERE_TRANSLATE, 1.0, req.p.m)
+        # alpha^2m + (u - shift)^2m = 1
+        return _Plan([_piece(CaseTag.SPHERE_TRANSLATE, 0.0, _AXIS, 1.0,
+                             _ROOT)], NormCircle(0.0, -1.0, 1.0, m))
     if form is RelationForm.K1_CONST:
-        mu, c1 = req.relation.mu, req.c1
         # at the inner end c1 - mu*alpha = 1 and u' blows up
         if mu > 0.0:
             lo, hi = max(0.0, c1 - 1.0), c1
@@ -720,23 +677,24 @@ def _plan(req: SolveRequest) -> _Plan:
         if not lo < hi:
             raise NoSurfaceError(
                 "0 < c1 - mu*alpha < 1 has no solution with alpha > 0")
-        anchor = hi if mu > 0.0 else lo
-        return _single(tag, lo, hi, *kinds, anchor,
-                       NormCircle(c1, mu, 1.0, req.p.m))
-    if form is RelationForm.HOMOGENEOUS:
-        return _homogeneous_plan(req)
-    if form is RelationForm.INHOM_LAMBDA_MINUS1:
-        return _lm1_plan(req)
-    if form is RelationForm.INHOM_GENERAL:
-        lam = req.relation.lam
-        if lam > 0.0:
-            return _gen_pos_plan(req)
-        if lam > -1.0:
-            return _gen_mid_plan(req)
-        return _gen_low_plan(req)
-    # the one form left, K1_ZERO
-    raise ValueError("lam = mu = 0 is the cylinder 4i, alpha = const, "
-                     "which has no profile u(alpha)")
+        return _Plan([_piece(tag, lo, kinds[0], hi, kinds[1],
+                             hi if mu > 0.0 else lo)],
+                     NormCircle(c1, mu, 1.0, m))
+    if form is not RelationForm.HOMOGENEOUS:
+        return _c1_plan(req)
+    if c2 <= 0.0:
+        raise ValueError("homogeneous relation needs c2 > 0")
+    if lam > 0.0:
+        decay = (2 * m - 1) * lam
+        _boundary_warn(decay, 1.0, "(2m-1)*lam")
+        tag = CaseTag.HOM_POS_FAST if decay > 1.0 and not _near(decay, 1.0) \
+            else CaseTag.HOM_POS_SLOW
+        return _Plan([_piece(tag, c2, _ROOT, math.inf,
+                             EndpointKind.UNBOUNDED)],
+                     SlopeLaw(_hom_pos, (lam, c2), m, decay_exponent=decay))
+    # lam < 0: domain (0, c2), integrand rewritten to stay finite at 0
+    return _Plan([_piece(CaseTag.HOM_NEG, 0.0, _AXIS, c2, _ROOT)],
+                  SlopeLaw(_hom_neg, (lam, c2), m))
 
 
 def classify(req: SolveRequest) -> tuple:

@@ -23,12 +23,19 @@ Each line is one group and its digest:
   scan-coincidence --recipe`` print and write at m = 2, 3 for every
   recipe at the constants of ``tests/test_assembler.py``'s
   ``RECIPE_PARAMS``, for three more caps (a band, ``mu = -0.9`` and a
-  sphere piece), and for three inputs that raise ``GluingMismatch``.
+  sphere piece), and for three inputs that raise ``GluingMismatch``;
+* ``plans``: ``solver._plan`` of the normalized request for 20,000
+  seeded draws over a box wider than the sweep's: ``lam = -1`` exactly
+  and near it, ``lam`` up to 250 either way, ``c1`` at 0, tiny, near
+  +-750 and up to +-1e308, ``c1`` close to ``critical_c1(lam)`` and to
+  the band threshold ``lam^lam/(lam+1)``, and ``mu`` = +-1, 0 or general.
 
 A branch contributes the bytes of ``alpha``, ``u`` and ``du`` and the bits
 of ``span``, ``quad_error`` and ``anchor``; a verifier its report as
 ``as_dict()`` JSON with sorted keys; a call that raises its exception type
-and message.  ``--root`` names the checkout whose ``src`` is imported
+and message.  A plan contributes each piece's tag, ends, end kinds and
+anchor, and the fields of its slope, floats as hex; then come the
+warnings it raised, in order.  ``--root`` names the checkout whose ``src`` is imported
 (default: the one this script is in); the item lists come from this
 checkout's ``perfbench/workloads.py`` and ``tests/test_assembler.py``.
 """
@@ -37,10 +44,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
+import random
 import sys
 import tempfile
 import warnings
@@ -121,7 +131,7 @@ def sweep(lwsurf, workloads, seed: int) -> str:
                                 for x in (m, lam, mu, c1)).encode())
         req = lwsurf.SolveRequest(
             p=lwsurf.NormParameter(m),
-            relation=lwsurf.WeingartenRelation.linear(lam, mu), c1=c1)
+            relation=lwsurf.WeingartenRelation(lam, mu), c1=c1)
         entries += _solved(lambda: lwsurf.solve(req), checks)
     return _digest(entries)
 
@@ -191,6 +201,106 @@ def assemblies(lwsurf_cli, recipe_params) -> str:
     return _cli_digest(lwsurf_cli, calls)
 
 
+def _plan_draws(critical_c1, n: int = 20000, seed: int = 2403) -> list:
+    """(m, lam, mu, c1, c2) draws that reach every plan, its boundaries
+    and its float-range limits."""
+    rng = random.Random(seed)
+
+    def sign() -> float:
+        return rng.choice((1.0, -1.0))
+
+    def log_uniform(lo: float, hi: float) -> float:
+        return 10.0 ** rng.uniform(lo, hi)
+
+    def near(c: float) -> float:
+        """c moved by 1e-14 to 1e-1 relative."""
+        return c * (1.0 + sign() * log_uniform(-14.0, -1.0))
+
+    def c1_near(lam: float) -> float:
+        try:
+            c = (critical_c1(lam) if lam < 0.0
+                 else lam ** lam / (lam + 1.0))
+        except (OverflowError, ValueError, ZeroDivisionError):
+            return rng.uniform(-5.0, 5.0)
+        c = near(c)
+        return c if math.isfinite(c) else rng.uniform(-5.0, 5.0)
+
+    lams = (lambda: -1.0,
+            lambda: -1.0 + rng.uniform(-1e-2, 1e-2),
+            lambda: -1.0 + sign() * log_uniform(-14.0, -2.0),
+            lambda: rng.uniform(-4.0, 3.0),
+            lambda: sign() * log_uniform(-3.0, math.log10(250.0)),
+            lambda: 0.0)
+    draws = []
+    for _ in range(n):
+        m = rng.randint(1, 6)
+        lam = rng.choice(lams)()
+        r = rng.random()
+        mu = (sign() if r < 0.7 else 0.0 if r < 0.75
+              else sign() * log_uniform(-2.0, 2.0))
+        c1 = rng.choice((
+            lambda: 0.0,
+            lambda: sign() * log_uniform(-320.0, -1.0),
+            lambda: sign() * rng.uniform(700.0, 800.0),
+            lambda: sign() * log_uniform(0.0, 308.0),
+            lambda: rng.uniform(-5.0, 5.0),
+            lambda: c1_near(lam),
+            lambda: c1_near(lam)))()
+        c2 = log_uniform(-3.0, 3.0) if rng.random() < 0.9 else -rng.random()
+        if rng.random() < 0.01:
+            lam, mu = math.inf, -1.0
+        draws.append((m, lam, mu, c1, c2))
+    return draws
+
+
+def _field(x) -> str:
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, tuple):
+        return "(" + " ".join(map(_field, x)) + ")"
+    if callable(x):
+        return x.__name__
+    return repr(x)
+
+
+def _plan_bytes(solver, req) -> bytes:
+    """The plan of req, or its exception, then the warnings raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            plan = solver._plan(solver._normalize(req)[0])
+            parts = [" ".join((
+                piece.tag.value, piece.domain.label,
+                piece.domain.lower.hex(), piece.domain.upper.hex(),
+                piece.domain.lower_kind.name, piece.domain.upper_kind.name,
+                float(piece.anchor_alpha).hex()))
+                for piece in plan.pieces]
+            parts.append(type(plan.slope).__name__ + " " + " ".join(
+                f"{f.name}={_field(getattr(plan.slope, f.name))}"
+                for f in dataclasses.fields(plan.slope)))
+        except Exception as exc:
+            parts = [_error(exc)]
+    parts += [f"{w.category.__name__}: {w.message}" for w in caught]
+    return "\0".join(parts).encode()
+
+
+def plan_entries(lwsurf) -> list:
+    """One entry per draw of ``_plan_draws``: the draw, then its plan."""
+    entries = []
+    for m, lam, mu, c1, c2 in _plan_draws(lwsurf.solver.critical_c1):
+        entries.append(" ".join(float(x).hex()
+                                for x in (m, lam, mu, c1, c2)).encode())
+        req = lwsurf.SolveRequest(
+            p=lwsurf.NormParameter(m),
+            relation=lwsurf.WeingartenRelation(lam, mu), c1=c1, c2=c2)
+        entries.append(_plan_bytes(lwsurf.solver, req))
+    return entries
+
+
+def plans(lwsurf) -> str:
+    return _digest(plan_entries(lwsurf))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--root", type=Path, default=HERE,
@@ -214,6 +324,7 @@ def main(argv=None) -> int:
             print(f"sweep-{seed}", sweep(lwsurf, workloads, seed))
         print("cli", cli(lwsurf.cli, workloads))
         print("assemblies", assemblies(lwsurf.cli, RECIPE_PARAMS))
+        print("plans", plans(lwsurf))
     return 0
 
 
