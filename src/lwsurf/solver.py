@@ -463,10 +463,12 @@ def critical_c1(lam: float) -> float:
         f"lam = {lam}: the mu > 0 family has a double root only for lam < 0")
 
 
-def _piece(tag: CaseTag, lo: float, lo_kind: EndpointKind, hi: float,
+def _piece(tag: CaseTag | str, lo: float, lo_kind: EndpointKind, hi: float,
            hi_kind: EndpointKind, anchor: float | None = None) -> _Piece:
-    """The piece of a plan on (lo, hi), anchored by default at its root
-    end, the lower one where both ends are roots."""
+    """The piece of a plan on (lo, hi) with the tag, or the tag's value;
+    anchored by default at its root end, the lower one where both ends
+    are roots."""
+    tag = CaseTag(tag)
     if anchor is None:
         anchor = lo if lo_kind is _ROOT else hi
     return _Piece(DomainInterval(lo, hi, lo_kind, hi_kind, label=tag.value),
@@ -537,6 +539,7 @@ def _c1_plan(req: SolveRequest) -> _Plan:
         k = (lam < 0.0) + (lam < -1.0)
         law = SlopeLaw((_gen_pos, _gen_mid, _gen_low)[k], (lam, c1, mu), m)
         case, e_name = _GENERAL_CASES[2 * k + (mu < 0.0)]
+    probes = 256 if case in ("6.1i", "6.1ii", "6.3i") else 512
 
     def cap() -> float:
         if lam == -1.0:
@@ -544,10 +547,13 @@ def _c1_plan(req: SolveRequest) -> _Plan:
         return _end(e_name, lam, lambda: math.pow(mu * c1 * lp, 1.0 / lp),
                     zero=mu < 0.0)
 
-    def roots(lo: float, hi: float, probes: int, search: str,
-              count: int = 0) -> list:
+    def roots(lo: float, hi: float, search: str, count: int = 0) -> list:
         """Exactly ``count`` roots of the gap on (lo, hi), or with count 0
-        the first one; BracketError naming the search otherwise."""
+        the first one; BracketError naming the search otherwise, and
+        where the window is empty."""
+        if not lo < hi:
+            raise BracketError(f"{search}: the search window ({lo!r}, "
+                               f"{hi!r}) is empty")
         found = bracket_roots(law.gap, lo, hi, probes=probes)
         if not count:
             if not found:
@@ -558,7 +564,7 @@ def _c1_plan(req: SolveRequest) -> _Plan:
         return found
 
     def one(tag: str, *ends) -> _Plan:
-        return _Plan([_piece(CaseTag(tag), *ends)], law)
+        return _Plan([_piece(tag, *ends)], law)
 
     if mu * lp > 0.0 and c1 <= 0.0:
         raise NoSurfaceError(
@@ -576,18 +582,18 @@ def _c1_plan(req: SolveRequest) -> _Plan:
             _boundary_warn(c1, c_crit, label)
         _boundary_warn(c1, 0.0, label)
         if _near(c1, 0.0):
-            return _Plan([_piece(CaseTag(f"{case}-1"), 0.0, _AXIS, abs(lp),
-                                 _ROOT)], NormCircle(0.0, -1.0, abs(lp), m))
+            return _Plan([_piece(f"{case}-1", 0.0, _AXIS, abs(lp), _ROOT)],
+                         NormCircle(0.0, -1.0, abs(lp), m))
         if c1 > 0.0 and lam > 0.0:
             if c1 >= bound or _near(c1, bound):
                 raise NoSurfaceError(f"c1* >= lam^lam/(lam+1) = {bound}: "
                                      "admissible band is empty")
             # finite: below 10*max(lam, 1) + 10, since c1*(lam+1) < lam^lam
             hi = 10.0 * math.pow(max(c1 * lp, 1.0), 1.0 / lp) + 10.0
-            a6, a7 = roots(1e-12, hi, 512, "expected two band roots", 2)
+            a6, a7 = roots(1e-12, hi, "expected two band roots", 2)
             return one(f"{case}-2", a6, _ROOT, a7, _ROOT)
         if c1 > 0.0:
-            a, = roots(1e-12, 2.0 * lp + 10.0 if lam > -1.0 else w + 1.0, 512,
+            a, = roots(1e-12, 2.0 * lp + 10.0 if lam > -1.0 else w + 1.0,
                        "root of the admissibility function not found"
                        if lam > -1.0 else
                        "admissibility root not found for c1 > 0")
@@ -610,13 +616,12 @@ def _c1_plan(req: SolveRequest) -> _Plan:
                 ("a23's search bound = 10*a22 + w + 10", w,
                  "upper admissibility root not found", 0))[k]
             hi = _end(bound, lam, lambda: 10.0 * bottom + extra + 10.0)
-        a, = roots(bottom, hi, 256 if lam == -1.0 else 512, search, count)
+        a, = roots(bottom, hi, search, count)
         return one(case, bottom, _CAP, a, _ROOT)
     # E is the top
     top = cap()
     if lam > 0.0:
-        a5, = roots(1e-12, top, 256, f"expected one simple root below {top}",
-                    1)
+        a5, = roots(1e-12, top, f"expected one simple root below {top}", 1)
         return one(case, a5, _ROOT, top, _CAP)
     if lam >= -1.0:
         c_crit = critical_c1(lam)
@@ -641,17 +646,15 @@ def _c1_plan(req: SolveRequest) -> _Plan:
         double = (beta, w + 1.0, a19)
     if _near(c1, c_crit):
         t_d, kind = double[2], EndpointKind.DOUBLE_ROOT
-        pieces = [_piece(CaseTag(f"{case}-2-1"), 0.0, _AXIS, t_d, kind, 0.0),
-                  _piece(CaseTag(f"{case}-2-2"), t_d, kind, top, _CAP)]
+        pieces = [_piece(f"{case}-2-1", 0.0, _AXIS, t_d, kind, 0.0),
+                  _piece(f"{case}-2-2", t_d, kind, top, _CAP)]
         return _Plan(pieces, replace(law, double=double))
     if c1 < c_crit:
         return one(f"{case}-1", 0.0, _AXIS, top, _CAP,
                    top if lam == -1.0 else 0.0)
-    a_in, a_out = roots(1e-12, top, 256 if lam == -1.0 else 512,
-                        f"expected two roots below {top}", 2)
-    return _Plan([_piece(CaseTag(f"{case}-3-1"), 0.0, _AXIS, a_in, _ROOT),
-                  _piece(CaseTag(f"{case}-3-2"), a_out, _ROOT, top, _CAP)],
-                 law)
+    a_in, a_out = roots(1e-12, top, f"expected two roots below {top}", 2)
+    return _Plan([_piece(f"{case}-3-1", 0.0, _AXIS, a_in, _ROOT),
+                  _piece(f"{case}-3-2", a_out, _ROOT, top, _CAP)], law)
 
 
 def _plan(req: SolveRequest) -> _Plan:
@@ -822,12 +825,12 @@ def solve_homogeneous(p, lam: float, c2: float, sign: int = +1,
 
 def solve_inhom_lambda_minus1(p, mu: float, c1: float, sign: int = +1,
                               samples: int = 512, tol: float = 1e-10) -> list:
-    req = SolveRequest(p=p, relation=WeingartenRelation.linear(-1.0, mu),
+    req = SolveRequest(p=p, relation=WeingartenRelation(-1.0, mu),
                        c1=c1, sign=sign, samples=samples, tol=tol)
     return solve(req)
 
 def solve_inhom_general(p, lam: float, mu: float, c1: float, sign: int = +1,
                         samples: int = 512, tol: float = 1e-10) -> list:
-    req = SolveRequest(p=p, relation=WeingartenRelation.linear(lam, mu),
+    req = SolveRequest(p=p, relation=WeingartenRelation(lam, mu),
                        c1=c1, sign=sign, samples=samples, tol=tol)
     return solve(req)

@@ -77,7 +77,7 @@ def bits(values) -> list:
 
 def request(m, lam, mu, c1, sign=1) -> SolveRequest:
     return SolveRequest(p=NormParameter(m),
-                        relation=WeingartenRelation.linear(lam, mu), c1=c1,
+                        relation=WeingartenRelation(lam, mu), c1=c1,
                         sign=sign)
 
 

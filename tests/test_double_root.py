@@ -67,7 +67,7 @@ def plain_denominator(lam: float, m: int, c1):
 def double_plan(lam: float, m: int):
     c1 = critical_c1(lam)
     req = SolveRequest(p=NormParameter(m),
-                       relation=WeingartenRelation.linear(lam, 1.0), c1=c1)
+                       relation=WeingartenRelation(lam, 1.0), c1=c1)
     return c1, solver._plan(req)
 
 

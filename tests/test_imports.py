@@ -61,7 +61,7 @@ def test_the_oracle_leaves_scipy_unloaded(tmp_path):
         from lwsurf import (NormParameter, SolveRequest, WeingartenRelation,
                             ode_oracle, solve)
         [branch] = solve(SolveRequest(
-            p=NormParameter(2), relation=WeingartenRelation.linear(-1.0, 1.0),
+            p=NormParameter(2), relation=WeingartenRelation(-1.0, 1.0),
             c1=0.5, samples=64))
         assert scipy_loaded() == [], scipy_loaded()
         c3 = ["--lambda", "-1", "--mu", "1"]

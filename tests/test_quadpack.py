@@ -517,7 +517,7 @@ def test_complex_slope_raises_from_solve(m, lam, mu, c1):
     raises ToleranceError instead of returning a table, without casting a
     complex value to a real one or warning of the NaN."""
     req = SolveRequest(p=NormParameter(m),
-                       relation=WeingartenRelation.linear(lam, mu), c1=c1)
+                       relation=WeingartenRelation(lam, mu), c1=c1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         warnings.simplefilter("error", np.exceptions.ComplexWarning)

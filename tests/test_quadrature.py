@@ -132,8 +132,8 @@ class TestBracketRoots:
         """A sweep draw whose probe values are so large that the product
         of two neighbours overflows: the sign test still holds, and no
         RuntimeWarning comes out of the probe scan."""
-        req = SolveRequest(p=NormParameter(3), relation=WeingartenRelation
-                           .linear(-1.0099327183766427, -1.3347097074541474),
+        req = SolveRequest(p=NormParameter(3), relation=WeingartenRelation(
+                               -1.0099327183766427, -1.3347097074541474),
                            c1=0.7042997230779999)
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")

@@ -55,7 +55,7 @@ P2 = NormParameter(2)
 
 
 def req_for(p, lam, mu, c1=0.0, c2=1.0):
-    return SolveRequest(p=p, relation=WeingartenRelation.linear(lam, mu),
+    return SolveRequest(p=p, relation=WeingartenRelation(lam, mu),
                         c1=c1, c2=c2)
 
 
@@ -157,6 +157,29 @@ class TestRelationDispatch:
             with pytest.raises(BracketError, match=rf"^{bound} = .* leaves "
                                rf"the float range at lam = {lam!r}: got "):
                 call(req)
+
+
+    def test_collapsed_search_window(self):
+        # the 6.3i end a4 = 6.6e-18 lies below the root search's lower end
+        # 1e-12; at the 6.1ii input, e^(-c1) + 10*(1+|c1|) rounds to
+        # e^(-c1).  Each raises a BracketError that names the search and
+        # its empty window
+        lam, c1 = 2.205227987729904, 2.7296941439379285e-56
+        a4 = math.pow(c1 * (lam + 1.0), 1.0 / (lam + 1.0))
+        bottom = math.exp(708.8090365071876)
+        assert bottom + 10.0 * (1.0 + 708.8090365071876) == bottom
+        for m, lam, mu, c1, message in (
+                (5, lam, 1.0, c1, f"expected one simple root below {a4}: "
+                 f"the search window (1e-12, {a4!r}) is empty"),
+                (2, -1.0, -1.0, -708.8090365071876,
+                 "root of t*(c1 + log t) = 1 not bracketed: the search "
+                 f"window ({bottom!r}, {bottom!r}) is empty")):
+            req = SolveRequest(NormParameter(m), WeingartenRelation(lam, mu),
+                               c1=c1)
+            for call in (solve, classify):
+                with pytest.raises(BracketError) as exc:
+                    call(req)
+                assert str(exc.value) == message
 
 
 class TestClassification:
@@ -432,7 +455,7 @@ class TestBranchesAsData:
             assert b.lam == b.request.relation.lam, tag
             assert b.mu == b.request.relation.mu, tag
         b = inst["6.3i"]
-        other = WeingartenRelation.linear(0.25, -1.0)
+        other = WeingartenRelation(0.25, -1.0)
         moved = dataclasses.replace(
             b, request=dataclasses.replace(b.request, relation=other))
         assert (moved.lam, moved.mu) == (0.25, -1.0)

@@ -93,8 +93,8 @@ class TestResidualScan:
         reports a failure instead of raising."""
         req = SolveRequest(
             p=NormParameter(5),
-            relation=WeingartenRelation.linear(-0.9676349260580417,
-                                               2.263783851459214),
+            relation=WeingartenRelation(-0.9676349260580417,
+                                        2.263783851459214),
             c1=1.065926470183868)
         (b,) = solve(req)
         assert b.case.value == "6.3iii-1" and b.domain.upper < 1e-45
@@ -129,15 +129,15 @@ class TestResidualScan:
         passes with a hundredfold margin, and against a relation whose mu
         is off by 1e-5 of itself it still fails."""
         req = SolveRequest(
-            p=P2, relation=WeingartenRelation.linear(1.82372283242643,
-                                                     4.374456136843154),
+            p=P2, relation=WeingartenRelation(1.82372283242643,
+                                              4.374456136843154),
             c1=0.02295669838045722)
         branch, = solve(req)
         assert branch.case.value == "6.3i"
         rep = residual_scan(branch)
         assert rep.passed and rep.max_residual < 1e-7, rep.max_residual
         off = dataclasses.replace(branch, request=dataclasses.replace(
-            req, relation=WeingartenRelation.linear(
+            req, relation=WeingartenRelation(
                 branch.lam, branch.mu * (1.0 + 1e-5))))
         rep = residual_scan(off)
         assert not rep.passed and rep.max_residual > 1e-5
@@ -189,8 +189,8 @@ class TestResidualScanTable:
         row is left out and reported, every other row is checked."""
         req = SolveRequest(
             p=NormParameter(6),
-            relation=WeingartenRelation.linear(-0.9971090282468014,
-                                               -1.745293185482544),
+            relation=WeingartenRelation(-0.9971090282468014,
+                                        -1.745293185482544),
             c1=-2.0513967321393913)
         (b,) = solve(req)
         assert b.case.value == "6.3iv-3" and b.alpha[0] == 0.0
@@ -235,7 +235,7 @@ class TestResidualScanTable:
         """A table of any length from 2 rows is checked against its median,
         and one slope off by 1e-6 still fails (at 8e-8 in 2 rows, and at
         7.7e-10 or more in 15, where rows near the root barely move W)."""
-        req = SolveRequest(p=P2, relation=WeingartenRelation.linear(-1.0, 1.0),
+        req = SolveRequest(p=P2, relation=WeingartenRelation(-1.0, 1.0),
                            c1=1.5, samples=16)
         b = solve(req)[0]  # the piece lwsurf generate writes
         assert len(b.alpha) == 15
@@ -471,8 +471,8 @@ class TestOdeOracle:
         # the |mu| rescaling rounds two pairs of grid points to one alpha
         b = solve(SolveRequest(
             p=NormParameter(6), c1=-3.081271370571117,
-            relation=WeingartenRelation.linear(1.1828585412877528,
-                                               -1.4725058400636137)))[0]
+            relation=WeingartenRelation(1.1828585412877528,
+                                        -1.4725058400636137)))[0]
         assert len(np.unique(b.alpha)) < len(b.alpha)
         rep = ode_oracle(b)
         assert rep.passed
@@ -484,8 +484,8 @@ class TestOdeOracle:
         # instead of failing inside scipy
         b = solve(SolveRequest(
             p=NormParameter(6), c1=1.9107808635661785,
-            relation=WeingartenRelation.linear(-0.9117989047655644,
-                                               2.960521662685622)))[0]
+            relation=WeingartenRelation(-0.9117989047655644,
+                                        2.960521662685622)))[0]
         assert b.domain.upper - b.domain.lower < 1e-9
         rep = ode_oracle(b)
         assert not rep.passed and rep.n_points == 0
@@ -512,7 +512,7 @@ class TestOdeOracle:
         # stages cross u' = 0; taking the orientation from each u' flipped
         # u'' there, and the dense output was off by up to 1e-3 in alpha
         (b,) = [b for b in solve(SolveRequest(
-            p=NormParameter(1), relation=WeingartenRelation.linear(lam, 1.0),
+            p=NormParameter(1), relation=WeingartenRelation(lam, 1.0),
             c1=c1)) if b.case.value == tag]
         rep = ode_oracle(b)
         assert rep.passed and rep.max_residual < 1e-9, tag
@@ -529,7 +529,7 @@ def test_decreasing_profiles_pass_every_verifier(m):
                         (-0.5, -1.0, 2.0), (-2.0, 1.0, 0.3),
                         (-2.0, -1.0, 0.4), (1.0, -1.0, 0.3)):
         branches += solve(SolveRequest(
-            p=NormParameter(m), relation=WeingartenRelation.linear(lam, mu),
+            p=NormParameter(m), relation=WeingartenRelation(lam, mu),
             c1=c1, sign=-1))
     assert len(branches) == 8
     for b in branches:
