@@ -35,9 +35,10 @@ of ``span``, ``quad_error`` and ``anchor``; a verifier its report as
 ``as_dict()`` JSON with sorted keys; a call that raises its exception type
 and message.  A plan contributes each piece's tag, ends, end kinds and
 anchor, and the fields of its slope, floats as hex; then come the
-warnings it raised, in order.  ``--root`` names the checkout whose ``src`` is imported
-(default: the one this script is in); the item lists come from this
-checkout's ``perfbench/workloads.py`` and ``tests/test_assembler.py``.
+warnings it raised, in order.  ``--root`` names the checkout whose
+``src`` is imported (default: the one this script is in); the item lists
+come from this checkout's ``perfbench/workloads.py`` and
+``tests/test_assembler.py``.
 """
 
 from __future__ import annotations
@@ -212,17 +213,14 @@ def _plan_draws(critical_c1, n: int = 20000, seed: int = 2403) -> list:
     def log_uniform(lo: float, hi: float) -> float:
         return 10.0 ** rng.uniform(lo, hi)
 
-    def near(c: float) -> float:
-        """c moved by 1e-14 to 1e-1 relative."""
-        return c * (1.0 + sign() * log_uniform(-14.0, -1.0))
-
     def c1_near(lam: float) -> float:
+        """c1 within 1e-14 to 1e-1 relative of critical_c1(lam) for
+        lam < 0, and of the band threshold lam^lam/(lam+1) otherwise."""
         try:
-            c = (critical_c1(lam) if lam < 0.0
-                 else lam ** lam / (lam + 1.0))
-        except (OverflowError, ValueError, ZeroDivisionError):
-            return rng.uniform(-5.0, 5.0)
-        c = near(c)
+            c = critical_c1(lam) if lam < 0.0 else lam ** lam / (lam + 1.0)
+        except OverflowError:
+            c = math.inf
+        c *= 1.0 + sign() * log_uniform(-14.0, -1.0)
         return c if math.isfinite(c) else rng.uniform(-5.0, 5.0)
 
     lams = (lambda: -1.0,
@@ -244,6 +242,7 @@ def _plan_draws(critical_c1, n: int = 20000, seed: int = 2403) -> list:
             lambda: sign() * rng.uniform(700.0, 800.0),
             lambda: sign() * log_uniform(0.0, 308.0),
             lambda: rng.uniform(-5.0, 5.0),
+            # twice as often: the plans change at these boundaries
             lambda: c1_near(lam),
             lambda: c1_near(lam)))()
         c2 = log_uniform(-3.0, 3.0) if rng.random() < 0.9 else -rng.random()
