@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -200,15 +200,23 @@ def _shift_branch(branch: ProfileBranch, delta: float) -> ProfileBranch:
 # one-sided limits
 
 
+def _extrapolate(y: Callable[[float], float], h: float, p: float) -> float:
+    """The limit at h -> 0 of y(h) = y(0) + c*h^p, one Richardson step
+    from y(h) and y(h/2); y(h/2) where p = 0."""
+    y1, y2 = y(h), y(h / 2.0)
+    if p == 0.0:
+        return y2
+    r = 2.0 ** (-p)
+    return (y2 - r * y1) / (1.0 - r)
+
+
 def _u2_limit(branch: ProfileBranch, a_star: float, side: int) -> float:
     """One-sided limit of u'' at a smooth endpoint; side=-1 from below."""
     width = branch.domain.upper - branch.domain.lower
-    h1 = 1e-5 * max(1.0, width)
-    h2 = h1 / 2.0
     v0 = _slope_at(branch, a_star)
-    d1 = (v0 - branch.uprime(a_star + side * h1)) / (-side * h1)
-    d2 = (v0 - branch.uprime(a_star + side * h2)) / (-side * h2)
-    return 2.0 * d2 - d1
+    return _extrapolate(
+        lambda h: (v0 - branch.uprime(a_star + side * h)) / (-side * h),
+        1e-5 * max(1.0, width), 1.0)
 
 
 def _slope_at(branch: ProfileBranch, a: float) -> float:
@@ -220,31 +228,25 @@ def _slope_at(branch: ProfileBranch, a: float) -> float:
 
 def _inv_d1_limit(branch: ProfileBranch, a_star: float, side: int,
                   m: int) -> float:
-    """Limit of d(alpha)/du = 1/u' at a cap, power-law extrapolated."""
+    """Limit of d(alpha)/du = 1/u' at a cap, where 1/u' ~ dist^p at a
+    simple root."""
     width = branch.domain.upper - branch.domain.lower
-    h1 = 1e-6 * width
-    y1 = 1.0 / branch.uprime(a_star + side * h1)
-    y2 = 1.0 / branch.uprime(a_star + side * h1 / 2.0)
-    p = (2 * m - 1) / (2 * m)  # 1/u' ~ dist^p at a simple root
-    r = 2.0 ** (-p)
-    return (y2 - r * y1) / (1.0 - r)
+    return _extrapolate(lambda h: 1.0 / branch.uprime(a_star + side * h),
+                        1e-6 * width, (2 * m - 1) / (2 * m))
 
 
 def _inv_d2_limit(branch: ProfileBranch, a_star: float, side: int,
                   m: int) -> float:
-    """Limit of the inverse-chart second derivative -u''/(u')^3 at a cap."""
+    """Limit of the inverse-chart second derivative -u''/(u')^3 at a cap,
+    which decays at the rate (m-1)/m."""
     width = branch.domain.upper - branch.domain.lower
-    vals = []
-    for h in (1e-3 * width, 5e-4 * width):
+
+    def y(h: float) -> float:
         a = a_star + side * h
         up = branch.uprime(a)
-        upp = branch.fd_second(a, 0.05 * h)
-        vals.append(-upp / up ** 3)
-    p = (m - 1) / m  # decay rate of the inverse second derivative
-    if p == 0.0:
-        return vals[1]
-    r = 2.0 ** (-p)
-    return (vals[1] - r * vals[0]) / (1.0 - r)
+        return -branch.fd_second(a, 0.05 * h) / up ** 3
+
+    return _extrapolate(y, 1e-3 * width, (m - 1) / m)
 
 
 def _oriented_curvatures(p: NormParameter, arc: Arc, a: float) -> float:

@@ -413,8 +413,8 @@ def _edge_integrand(law: SlopeLaw, root: float, inward: int):
     The denominator factor (t-root) is divided out analytically, and its
     power s^(2m-1) cancels that of dt/ds; the remaining cofactor is
     evaluated as denominator(t)/|t-root| with a one-sided derivative
-    fallback very close to the root.  s is a float or an array; on an
-    array the denominator is evaluated only where the quotient is used.
+    fallback very close to the root.  s is a float or an array; the law is
+    called once, on every point.
     """
     m = law.m
     e = law.exponent
@@ -431,19 +431,13 @@ def _edge_integrand(law: SlopeLaw, root: float, inward: int):
         s = as_libm(s)
         d = s ** (2 * m)
         t = root + inward * d
+        num, den = law.terms(t)
         if isinstance(s, np.ndarray):
             far = d > h0
-            num = np.empty_like(d)
             cof = cof0 + cof_slope * d
-            num[far], den = law.terms(t[far])
-            cof[far] = den / d[far]
-            num[~far] = law.terms(t[~far], denominator=False)[0]
-        elif d > h0:
-            num, den = law.terms(t)
-            cof = den / d
+            cof[far] = den[far] / d[far]
         else:
-            num = law.terms(t, denominator=False)[0]
-            cof = cof0 + cof_slope * d
+            cof = den / d if d > h0 else cof0 + cof_slope * d
         return 2 * m * num * cof ** (-e)
 
     return g

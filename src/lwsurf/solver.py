@@ -376,15 +376,12 @@ class SlopeLaw:
         vars(self).update(_base=base, _P=P, _Q=Q, _phi=phi, _p_pows=p_pows,
                           exponent=(m2 - 1) / m2)
 
-    def terms(self, t, denominator: bool = True) -> tuple:
-        """(Q^q, denominator) at t; the denominator is None when not
-        asked for."""
+    def terms(self, t) -> tuple:
+        """(Q^q, denominator) at t."""
         t = as_libm(t)
         m2, Q = 2 * self.m, self._Q
         b = self._base(t) if self._base else None
         num = Q(m2 - 1, t, b)
-        if not denominator:
-            return num, None
         if not self.double:
             return num, self._P(m2, t, b) - Q(m2, t, b)
         beta, _, t_d = self.double

@@ -374,8 +374,6 @@ def first_integral_drift(branch: ProfileBranch,
 _RELATION = "\n".join([
     "s = abs({v})", *_NORMAL_ANGLE,
     "{out} = -(sign * mu + lam * (1.0 / {a}) * (sign * w)) / dw"])
-# a callable f(a, u') in its place
-_CALL = "{out} = f({a}, {v})"
 
 
 def _ode_rhs(p: NormParameter, lam: float, mu: float, s: float):
@@ -394,7 +392,7 @@ def _ode_rhs(p: NormParameter, lam: float, mu: float, s: float):
     Where Python floats raise, as 0.0 ** -x does at u' = 0 and 1.0 / 0.0
     at a = 0, f gives the IEEE value: it retries on numpy scalars.
     """
-    return _stage_code(_RELATION)(lam, mu, s, **_exponents(p))
+    return _stage_code()(lam, mu, s, **_exponents(p))
 
 
 # Dormand-Prince 8(5,3) (Hairer, Norsett & Wanner, Solving ODEs I, II.10)
@@ -543,34 +541,32 @@ def _sum_source(coefficients, k: str) -> str:
                                  if c or s == _LAST])
 
 
-def _stage_source(rhs: str) -> str:
+def _stage_source() -> str:
     """The source of ``bind``, which binds one DOP853 step and its
-    interpolant, written out from the tableau, to a right-hand side.
+    interpolant, written out from the tableau, to the relation.
 
-    ``rhs`` is ``_CALL`` or ``_RELATION``: the lines that set {out} to
-    u'' at the radius {a} and the slope {v}.  Stage s of the pair (u, u')
-    evaluates it at its u' input, named ``ku{s}`` because it is also the
-    stage's slope of u; ``kv{s}`` is its value there.  The u inputs are
-    never formed: u'' does not read u.  Stages 0-12 are the step's, 13-15
-    the interpolant's extra ones.
+    ``_RELATION`` gives the lines that set {out} to u'' at the radius {a}
+    and the slope {v}.  Stage s of the pair (u, u') evaluates them at its
+    u' input, named ``ku{s}`` because it is also the stage's slope of u;
+    ``kv{s}`` is its value there.  The u inputs are never formed: u''
+    does not read u.  Stages 0-12 are the step's, 13-15 the
+    interpolant's extra ones.
 
-    ``bind(f)`` of ``_CALL`` returns ``(_step, _dense)``, whose stages
-    call f.  ``bind(lam, mu, sign, e_w, ...)`` of ``_RELATION``, which
-    takes the exponents of normgeom's lines by name, returns
-    ``_ode_rhs``'s scalar f, built from the same lines, with ``f.stages =
-    (_step, _dense)``, whose stages have the relation inline.  A stage
-    whose inline lines raise ZeroDivisionError or OverflowError on Python
-    floats is evaluated again by f, which gives the IEEE value there; so
-    each stage has f's bits.
+    ``bind(lam, mu, sign, e_w, ...)``, which takes the exponents of
+    normgeom's lines by name, returns ``_ode_rhs``'s scalar f, built from
+    the same lines, with ``f.stages = (_step, _dense)``, whose stages have
+    the relation inline.  A stage whose inline lines raise
+    ZeroDivisionError or OverflowError on Python floats is evaluated
+    again by f, which gives the IEEE value there; so each stage has f's
+    bits.
     """
     def indent(lines) -> list:
         return ["    " + x if x else x for x in lines]
 
     def value(s: int, a: str) -> list:
         """The lines that set kv{s} to u'' at the radius a and ku{s}."""
-        lines = rhs.format(out=f"kv{s}", a=f"({a})", v=f"ku{s}").split("\n")
-        if rhs == _CALL:
-            return lines
+        lines = _RELATION.format(out=f"kv{s}", a=f"({a})",
+                                 v=f"ku{s}").split("\n")
         return ["try:", *indent(lines),
                 "except (ZeroDivisionError, OverflowError):",
                 f"    kv{s} = f({a}, ku{s})"]
@@ -610,33 +606,27 @@ def _stage_source(rhs: str) -> str:
               f"            {horner.format('v')})",
               "",
               "return at"]
-    if rhs == _CALL:
-        head, tail = ["def bind(f):"], ["return _step, _dense"]
-    else:
-        lines = rhs.format(out="u2", a="a", v="v").split("\n")
-        head = [f"def bind(lam, mu, sign, {', '.join(_EXPONENTS)}):",
-                *indent(["def f(a, v):",
-                         "    try:",
-                         *indent(indent(lines)),
-                         "        return u2",
-                         "    except (ZeroDivisionError, OverflowError):",
-                         "        with np.errstate(all='ignore'):",
-                         "            return float(f(np.float64(a), "
-                         "np.float64(v)))",
-                         ""])]
-        tail = ["f.stages = _step, _dense", "return f"]
+    lines = _RELATION.format(out="u2", a="a", v="v").split("\n")
+    head = [f"def bind(lam, mu, sign, {', '.join(_EXPONENTS)}):",
+            *indent(["def f(a, v):",
+                     "    try:",
+                     *indent(indent(lines)),
+                     "        return u2",
+                     "    except (ZeroDivisionError, OverflowError):",
+                     "        with np.errstate(all='ignore'):",
+                     "            return float(f(np.float64(a), "
+                     "np.float64(v)))",
+                     ""])]
     body = ["def _step(t, h, u, v, kv0):", *indent(step), "",
             "def _dense(t, h, u_old, v_old, u, v, ku, kv):", *indent(dense),
-            "", *tail]
+            "", "f.stages = _step, _dense", "return f"]
     return "\n".join(head + indent(body)) + "\n"
 
 
 @functools.cache
-def _stage_code(rhs: str):
-    """``bind`` compiled from ``_stage_source(rhs)``, once per rhs, on its
-    first use: ``_RELATION``'s when the oracle first binds its relation,
-    ``_CALL``'s when ``_dop853`` first gets another callable.  Importing
-    lwsurf compiles neither.
+def _stage_code():
+    """``bind`` compiled from ``_stage_source()``, once, when the oracle
+    first binds its relation.  Importing lwsurf does not compile it.
 
     ``_step(t, h, u, v, f(t, v))`` takes one DOP853 step and returns
     ``(u_new, v_new, e5_u, e5_v, e3_u, e3_v, ku, kv)``: the 8th-order
@@ -648,7 +638,7 @@ def _stage_code(rhs: str):
     to right (``_sum_source``).
     """
     namespace = {"np": np}
-    exec(compile(_stage_source(rhs), "<dop853 stages>", "exec"), namespace)
+    exec(compile(_stage_source(), "<dop853 stages>", "exec"), namespace)
     return namespace["bind"]
 
 
@@ -673,20 +663,19 @@ def _dop853(f, t0: float, y0: tuple, t_bound: float, t_eval, events,
     Runs scipy's DOP853 as ``solve_ivp`` does on y' = (u', f(t, u')), on
     two Python floats: the initial step, the 5/3 blended error norm, the
     step controller and the 7th-order dense output follow scipy's code.
-    The stages are straight-line code (``_stage_code``): the oracle's f
-    brings its own, ``f.stages``, with the relation inline, and any other
-    callable gets stages that call it.  u is carried and never passed to
-    f.  The sums leave out the zero terms on stages 0-11, which keeps the
-    bits of the full sums where f gives NaN at a u' that is not finite, as
-    the relation does, or never gives a value that is not finite
-    (``_sum_source``).  ``rhs_evals`` counts the evaluations of f, as
-    scipy's ``nfev`` counts those of y'.  ``t_eval`` lists the output
-    points in the direction of integration.  ``events`` are ``(g,
-    direction)`` pairs, all terminal: g(t, y) changing sign over a step
-    in the given direction (0 for either) stops the run at the root of g
-    on the dense output.  The loops keep their state in local variables.
+    f is ``_ode_rhs``'s, and brings its stages as straight-line code with
+    the relation inline, ``f.stages`` (``_stage_code``).  u is carried and
+    never passed to f.  The sums leave out the zero terms on stages 0-11,
+    which keeps the bits of the full sums, since f gives NaN at a u' that
+    is not finite (``_sum_source``).  ``rhs_evals`` counts the
+    evaluations of f, as scipy's ``nfev`` counts those of y'.  ``t_eval``
+    lists the output points in the direction of integration.  ``events``
+    are ``(g, direction)`` pairs, all terminal: g(t, y) changing sign over
+    a step in the given direction (0 for either) stops the run at the
+    root of g on the dense output.  The loops keep their state in local
+    variables.
     """
-    step, dense_output = getattr(f, "stages", None) or _stage_code(_CALL)(f)
+    step, dense_output = f.stages
     direction = 1.0 if t_bound >= t0 else -1.0
     t, (u, v) = t0, y0
     fv = f(t, v)

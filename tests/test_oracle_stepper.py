@@ -8,7 +8,6 @@ below runs the same stages as ``verify._dop853``'s straight-line code,
 one tableau row at a time, and must give the same bits.
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -217,23 +216,28 @@ def checked_runs(monkeypatch) -> list:
     return runs
 
 
-def oscillator(t, du):
-    """u'' = -sin t, so u = sin t and u' = cos t from (0, 1) at t = 0."""
-    return -math.sin(t)
+def circle():
+    """u'' of the unit circle u = sqrt(1 - alpha^2): at m = 1 the relation
+    k1 + k2 = -2, oriented by u' < 0."""
+    return _ode_rhs(NormParameter(1), 1.0, -2.0, -1.0)
+
+
+# (alpha, (u, u')) on the unit circle
+START = (0.5, (math.sqrt(0.75), -0.5 / math.sqrt(0.75)))
 
 
 def both_runs(t_bound, t_eval, events, reference=solve_ivp_run):
-    args = (oscillator, 0.0, (0.0, 1.0), t_bound, t_eval, events,
-            1e-10, 1e-12)
+    args = (circle(), *START, t_bound, t_eval, events, 1e-10, 1e-12)
     return _dop853(*args), reference(*args)
 
 
-TERMINAL = (5.0, list(np.linspace(0.1, 3.0, 30)), [(lambda t, y: y[1], 0)])
-# integrating toward negative t, u + 1/2 falls through zero at -pi/6 and
-# rises through it at -5*pi/6; only the rise may stop the run.  The decoy
-# with direction -1 never sees a fall of u'.
-BACKWARD = (-5.0, list(np.linspace(-0.1, -4.9, 49)),
-            [(lambda t, y: y[1] + 2.0, -1), (lambda t, y: y[0] + 0.5, +1)])
+TERMINAL = (0.95, list(np.linspace(0.52, 0.94, 22)),
+            [(lambda t, y: y[1] + 1.0, 0)])
+# integrating toward the axis, u' + 1/2 rises through zero at
+# 1/sqrt(5) and u - 0.95 at sqrt(0.0975); only the second event may stop
+# the run.  The decoy with direction -1 never sees a fall of u'.
+BACKWARD = (0.05, list(np.linspace(0.48, 0.06, 22)),
+            [(lambda t, y: y[1] + 0.5, -1), (lambda t, y: y[0] - 0.95, +1)])
 
 
 class TestEvents:
@@ -241,10 +245,10 @@ class TestEvents:
         t_eval = TERMINAL[1]
         ours, ref = both_runs(*TERMINAL)
         assert ours.event == ref.event == 0
-        assert ours.t_event == pytest.approx(math.pi / 2, abs=1e-10)
+        assert ours.t_event == pytest.approx(math.sqrt(0.5), abs=1e-10)
         assert ours.t_event == pytest.approx(ref.t_event, rel=1e-14)
         # grid points up to the event are kept, and the event is not one
-        assert ours.t == ref.t == [t for t in t_eval if t <= math.pi / 2]
+        assert ours.t == ref.t == [t for t in t_eval if t <= math.sqrt(0.5)]
         np.testing.assert_allclose(ours.u, ref.u, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(ours.du, ref.du, rtol=1e-12, atol=1e-15)
         assert ours.rhs_evals == ref.rhs_evals
@@ -252,12 +256,13 @@ class TestEvents:
     def test_directional_event_backward(self):
         ours, ref = both_runs(*BACKWARD)
         assert ours.event == ref.event == 1
-        assert ours.t_event == pytest.approx(-5 * math.pi / 6, abs=1e-10)
+        assert ours.t_event == pytest.approx(math.sqrt(0.0975), abs=1e-10)
         assert ours.t_event == pytest.approx(ref.t_event, rel=1e-14)
         # the grid points passed before the event are kept
         assert ours.t == ref.t == [t for t in BACKWARD[1]
                                    if t >= ours.t_event]
-        np.testing.assert_allclose(ours.u, np.sin(ours.t), atol=1e-9)
+        np.testing.assert_allclose(
+            ours.u, np.sqrt(1.0 - np.square(ours.t)), atol=1e-10)
         np.testing.assert_allclose(ours.u, ref.u, rtol=1e-12, atol=1e-15)
         assert ours.rhs_evals == ref.rhs_evals
 
@@ -267,7 +272,7 @@ class TestLoopForm:
 
     @pytest.mark.parametrize("case", [TERMINAL, BACKWARD],
                              ids=["terminal", "backward"])
-    def test_oscillator(self, case):
+    def test_circle(self, case):
         ours, ref = both_runs(*case, reference=loop_dop853)
         assert bits(ours) == bits(ref)
 
@@ -353,24 +358,16 @@ class TestInlineStages:
         assert ours.rejected_steps > 0 and ours.event == 0
 
     def test_step_with_an_infinite_last_stage_is_rejected(self):
-        """f is infinite at the last stage of the first attempt alone: the
-        zero that E3 and E5 put on that stage makes both error sums NaN,
-        and the attempt is rejected, as in the loop form."""
-        def spiked():
-            calls = itertools.count(1)
-
-            def f(t, v):
-                # calls 1 and 2 choose the initial step; 14 is the first
-                # attempt's stage 12
-                return math.inf if next(calls) == 14 else oscillator(t, v)
-            return f
-
-        args = TERMINAL[:3]
-        ours = _dop853(spiked(), 0.0, (0.0, 1.0), *args, 1e-10, 1e-12)
-        ref = loop_dop853(spiked(), 0.0, (0.0, 1.0), *args, 1e-10, 1e-12)
-        assert bits(ours) == bits(ref)
-        smooth = _dop853(oscillator, 0.0, (0.0, 1.0), *args, 1e-10, 1e-12)
-        assert ours.rejected_steps == smooth.rejected_steps + 1
+        """With stage _LAST alone infinite, the zero that E3 and E5 put on
+        it makes both error sums NaN, which fails the step's error test,
+        while the solution's sum over _B does not read that stage."""
+        last = verify._LAST
+        stages = {f"k{s}": 1.0 for s in range(last)}
+        stages[f"k{last}"] = math.inf
+        for e in (verify._E5, verify._E3):
+            assert e[last] == 0.0
+            assert math.isnan(eval(verify._sum_source(e, "k"), stages))
+        assert math.isfinite(eval(verify._sum_source(verify._B, "k"), stages))
 
 
 class TestOracleParity:
