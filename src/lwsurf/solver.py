@@ -455,7 +455,14 @@ def critical_c1(lam: float) -> float:
         return 1.0 / ((lam + 1.0) * math.pow(-lam, -lam))
     if lam < -1.0:
         w = -(lam + 1.0)
-        return -1.0 / (w * math.pow(w + 1.0, w + 1.0))
+        try:
+            scale = w * math.pow(w + 1.0, w + 1.0)
+        except OverflowError:
+            scale = math.inf
+        # from lam of about -143 scale is inf; the reciprocal power
+        # underflows there, and does not raise
+        return (-1.0 / scale if scale < math.inf
+                else -math.pow(w + 1.0, -(w + 1.0)) / w)
     raise NoSurfaceError(
         f"lam = {lam}: the mu > 0 family has a double root only for lam < 0")
 
@@ -482,7 +489,9 @@ def _end(term: str, lam: float, value: Callable[[], float],
     branch from a15 = 10^-767)."""
     try:
         x = value()
-    except OverflowError:
+    except (OverflowError, ValueError):
+        # math.pow raises ValueError at 0.0 to a negative power, where
+        # IEEE gives inf
         x = math.inf
     if not 0.0 <= x < math.inf or (x == 0.0 and not zero):
         raise BracketError(f"{term} leaves the float range at lam = "

@@ -141,7 +141,8 @@ class TestRelationDispatch:
         (-0.999, -1.0, -1e6, "a15"),
         (-0.15844026511151618, -1.0, -1.5585410947371256e+259,
          "a16's search bound"),
-        (200.0, -1.0, 0.5, "band threshold")])
+        (200.0, -1.0, 0.5, "band threshold"),
+        (-1.0000000000002824, -1.0, 9.54870906e-316, "a22")])
     def test_interval_end_beyond_the_float_range(self, lam, mu, c1, bound):
         # sweep seed 433: at lam = -1 - 1.6e-3 the end (|c1|*w)^(-1/w) of
         # the admissible interval is about 10^1290; at the third input
@@ -150,7 +151,8 @@ class TestRelationDispatch:
         # 10*a22 + w + 10 is not.  Then an end or bound of each plan that
         # overflows, or underflows to 0 (a18 = 0.0 and e^-800 = 0.0), or
         # whose pow or exp raises OverflowError (e^710, a10, a15, and
-        # lam^lam at lam = 200)
+        # lam^lam at lam = 200).  At the last input c1*w underflows to 0,
+        # and math.pow raises ValueError for 0.0 ** (-1/w)
         req = SolveRequest(NormParameter(1), WeingartenRelation(lam, mu),
                            c1=c1)
         for call in (solve, classify):
@@ -266,6 +268,22 @@ class TestClassification:
     def test_critical_c1_matches_independent_formulas(self, lam):
         expected = crit_mid(lam) if lam > -1.0 else thr_low(lam)
         assert critical_c1(lam) == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("lam", [-143.0, -143.5, -150.0, -1000.0])
+    def test_critical_c1_where_the_power_overflows(self, lam):
+        """From lam of about -143, w*(w+1)^(w+1) is inf, and from -143.5
+        (w+1)^(w+1) raises OverflowError: the critical c1 -1/(w*(w+1)^(w+1))
+        is then tiny, or -0.0, and the mu > 0 plans of 6.3v still build."""
+        w = -(lam + 1.0)
+        expected = -math.exp(-(w + 1.0) * math.log(w + 1.0)) / w
+        assert critical_c1(lam) == pytest.approx(expected, rel=1e-9,
+                                                 abs=1e-320)
+        for c1, tag, upper in ((1.0, "6.3v-2", EndpointKind.SIMPLE_ROOT),
+                               (-1.0, "6.3v-3-1", EndpointKind.SMOOTH_CAP)):
+            got, domains = classify(req_for(P2, lam, 1.0, c1=c1))
+            assert got.value == tag
+            assert domains[0].lower == 0.0 and 0.9 < domains[0].upper < 1.0
+            assert domains[0].upper_kind is upper
 
     def test_critical_c1_lambda_minus_one_and_no_double_root(self):
         assert critical_c1(-1.0) == 1.0

@@ -27,8 +27,9 @@ Each line is one group and its digest:
 * ``plans``: ``solver._plan`` of the normalized request for 20,000
   seeded draws over a box wider than the sweep's: ``lam = -1`` exactly
   and near it, ``lam`` up to 250 either way, ``c1`` at 0, tiny, near
-  +-750 and up to +-1e308, ``c1`` close to ``critical_c1(lam)`` and to
-  the band threshold ``lam^lam/(lam+1)``, and ``mu`` = +-1, 0 or general.
+  +-750 and up to +-1e308, ``c1`` close to the critical ``c1`` and to
+  the band threshold ``lam^lam/(lam+1)``, from the script's own formulas,
+  and ``mu`` = +-1, 0 or general.
 
 A branch contributes the bytes of ``alpha``, ``u`` and ``du`` and the bits
 of ``span``, ``quad_error`` and ``anchor``; a verifier its report as
@@ -202,9 +203,28 @@ def assemblies(lwsurf_cli, recipe_params) -> str:
     return _cli_digest(lwsurf_cli, calls)
 
 
-def _plan_draws(critical_c1, n: int = 20000, seed: int = 2403) -> list:
+def _threshold(lam: float) -> float:
+    """The c1 at which a plan changes: the critical constant of the mu > 0
+    family for lam < 0, and the band threshold lam^lam/(lam+1) otherwise;
+    inf where a power overflows.  Written here, so the draws do not
+    depend on the code under test."""
+    w = -(lam + 1.0)
+    try:
+        if lam == -1.0:
+            return 1.0
+        if -1.0 < lam < 0.0:
+            return 1.0 / ((lam + 1.0) * math.pow(-lam, -lam))
+        if lam < -1.0:
+            return -1.0 / (w * math.pow(w + 1.0, w + 1.0))
+        return lam ** lam / (lam + 1.0)
+    except OverflowError:
+        return math.inf
+
+
+def _plan_draws(n: int = 20000, seed: int = 2403) -> list:
     """(m, lam, mu, c1, c2) draws that reach every plan, its boundaries
-    and its float-range limits."""
+    and its float-range limits.  Each draw takes the same random numbers
+    whatever its values are."""
     rng = random.Random(seed)
 
     def sign() -> float:
@@ -214,14 +234,11 @@ def _plan_draws(critical_c1, n: int = 20000, seed: int = 2403) -> list:
         return 10.0 ** rng.uniform(lo, hi)
 
     def c1_near(lam: float) -> float:
-        """c1 within 1e-14 to 1e-1 relative of critical_c1(lam) for
-        lam < 0, and of the band threshold lam^lam/(lam+1) otherwise."""
-        try:
-            c = critical_c1(lam) if lam < 0.0 else lam ** lam / (lam + 1.0)
-        except OverflowError:
-            c = math.inf
-        c *= 1.0 + sign() * log_uniform(-14.0, -1.0)
-        return c if math.isfinite(c) else rng.uniform(-5.0, 5.0)
+        """c1 within 1e-14 to 1e-1 relative of _threshold(lam), or
+        uniform on (-5, 5) where that is not finite."""
+        c = _threshold(lam) * (1.0 + sign() * log_uniform(-14.0, -1.0))
+        other = rng.uniform(-5.0, 5.0)
+        return c if math.isfinite(c) else other
 
     lams = (lambda: -1.0,
             lambda: -1.0 + rng.uniform(-1e-2, 1e-2),
@@ -286,7 +303,7 @@ def _plan_bytes(solver, req) -> bytes:
 def plan_entries(lwsurf) -> list:
     """One entry per draw of ``_plan_draws``: the draw, then its plan."""
     entries = []
-    for m, lam, mu, c1, c2 in _plan_draws(lwsurf.solver.critical_c1):
+    for m, lam, mu, c1, c2 in _plan_draws():
         entries.append(" ".join(float(x).hex()
                                 for x in (m, lam, mu, c1, c2)).encode())
         req = lwsurf.SolveRequest(
