@@ -11,10 +11,11 @@ Divergence is decided from the endpoint kinds and exponent arithmetic,
 never from the size of a numeric estimate.
 
 Every finite integral runs through quadpack.panels on arrays: a table's
-grid panels, the piece out to an anchor off the grid and the span's
-pieces go through one panel call per table (``_panel_quad``).  The
-span's unbounded tail is one of those pieces, on (0, 1) after QUADPACK's
-map for QAGI (dqagie), and the same 21-point rule integrates it.
+grid panels and the piece out to an anchor off the grid go through one
+panel call per table, and a span's pieces through one more
+(``_panel_quad``).  The span's unbounded tail is one of its pieces, on
+(0, 1) after QUADPACK's map for QAGI (dqagie), and the same 21-point rule
+integrates it.
 
 Integrands take a float or a float array, and every element of an array
 has the bits of the scalar evaluation (``libm``, ``LibmArray``).  Powers
@@ -530,25 +531,27 @@ def _tail_start(domain: DomainInterval) -> float:
     return max(2.0 * abs(domain.lower) + 10.0, 10.0)
 
 
-def _span_plan(law: SlopeLaw, domain: DomainInterval):
-    """The span's pieces (integrand, a, b) in the order their values are
-    added, or None where it diverges.  The integrand is 0 for the law, 1
-    and 2 for the lower and upper edge integrands in s, and 3 for the
-    unbounded tail on (0, 1) (_edge_integrands).
+def integrate_singular(law: SlopeLaw, domain: DomainInterval,
+                       tol: float = 1e-10) -> QuadratureResult:
+    """Integral of the law over the domain with singular-endpoint handling:
+    a branch's span, the total |u|-variation over its domain.
 
     Double-root endpoints are divergent because the local exponent
     2*(2m-1)/2m is at least 1; an unbounded upper limit is finite exactly
-    when the declared decay exponent exceeds 1.  The domain is split at
-    its midpoint (at the tail's start on an unbounded one), with one
-    substituted edge per simple root.
+    when the declared decay exponent exceeds 1.  Otherwise the domain is
+    split at its midpoint (at the tail's start on an unbounded one), with
+    one substituted edge per simple root, and the pieces go through one
+    _panel_quad call (_span adds them up).
     """
     if EndpointKind.DOUBLE_ROOT in (domain.lower_kind, domain.upper_kind):
-        return None
+        return QuadratureResult(False)
     lo, hi = domain.lower, domain.upper
     if not domain.bounded:
         if law.decay_exponent is None or law.decay_exponent <= 1.0:
-            return None
+            return QuadratureResult(False)
         hi = _tail_start(domain)
+    # each piece (integrand, a, b): 0 for the law, 1 and 2 for the lower
+    # and upper edge integrands in s, 3 for the tail (_edge_integrands)
     mid = 0.5 * (lo + hi)
     pieces = []
     if domain.lower_kind is EndpointKind.SIMPLE_ROOT:
@@ -562,7 +565,10 @@ def _span_plan(law: SlopeLaw, domain: DomainInterval):
         pieces.append((0, lo, hi))
     if not domain.bounded:
         pieces.append((3, 0.0, 1.0))
-    return pieces
+    which, a, b = map(np.array, zip(*pieces))
+    values, errors = _panel_quad(_edge_integrands(law, domain), which, a,
+                                 b, tol)
+    return _span(values.tolist(), errors.tolist(), tol)
 
 
 def _span(values: list, errors: list, tol: float) -> QuadratureResult:
@@ -583,11 +589,11 @@ def _span(values: list, errors: list, tol: float) -> QuadratureResult:
 
 
 def _edge_integrands(law: SlopeLaw, domain: DomainInterval) -> list:
-    """The integrands of _span_plan's and profile_from_integral's pieces:
-    the law; the edge integrands in s at the lower and upper simple roots
-    (None where the end is not one); and on an unbounded domain the tail
-    on dqagie's map x = 1/(1 + t - start) of (start, inf) to (0, 1]
-    (else None)."""
+    """The integrands of integrate_singular's and profile_from_integral's
+    pieces: the law; the edge integrands in s at the lower and upper
+    simple roots (None where the end is not one); and on an unbounded
+    domain the tail on dqagie's map x = 1/(1 + t - start) of (start, inf)
+    to (0, 1] (else None)."""
     root_lo = domain.lower_kind is EndpointKind.SIMPLE_ROOT
     root_hi = domain.upper_kind is EndpointKind.SIMPLE_ROOT
     tail = None
@@ -603,33 +609,15 @@ def _edge_integrands(law: SlopeLaw, domain: DomainInterval) -> list:
             tail]
 
 
-def integrate_singular(law: SlopeLaw, domain: DomainInterval,
-                       tol: float = 1e-10) -> QuadratureResult:
-    """Integral of the law over the domain with singular-endpoint handling.
-
-    Divergence is decided from the endpoint kinds and the decay exponent
-    (_span_plan); simple-root endpoints are regularized by substitution,
-    and the pieces go through one _panel_quad call, as the span pieces of
-    profile_from_integral do, so both give the same bits.
-    """
-    plan = _span_plan(law, domain)
-    if plan is None:
-        return QuadratureResult(False)
-    which, a, b = map(np.array, zip(*plan))
-    values, errors = _panel_quad(_edge_integrands(law, domain), which, a,
-                                 b, tol)
-    return _span(values.tolist(), errors.tolist(), tol)
-
-
 @dataclass
 class ProfileSamples:
-    """Monotone table (alpha, u, du) of one signed profile branch."""
+    """Monotone table (alpha, u, du) of one signed profile branch; its
+    span is integrate_singular's."""
 
     alpha: np.ndarray
     u: np.ndarray
     du: np.ndarray
     quad_error: float = 0.0
-    span: float = math.nan  # total |u|-variation over the domain
 
 
 def _edge_offsets(width: float, n: int, kind: EndpointKind,
@@ -677,17 +665,15 @@ def profile_from_integral(law: SlopeLaw, domain: DomainInterval,
                           samples: int = 512, tol: float = 1e-10,
                           upper_cut: float = math.inf) -> ProfileSamples:
     """Sample u(alpha) = u0 + sign * int_{alpha0}^{alpha} law on a graded
-    grid, with the span integrate_singular gives.
+    grid.
 
     The anchor alpha0 is domain.lower or domain.upper, and may be an
     integrable singular endpoint; the panels next to a simple denominator
-    root are integrated in the regularized variable.  The grid panels,
-    the piece out to an anchor off the grid and the span's pieces
-    (_span_plan) go through one _panel_quad call.  The du column is the
-    closed-form integrand, signed.  A non-finite table or anchor piece
-    raises ToleranceError, as integrate_singular does.  The span is the
-    value when finite, inf when divergent and NaN where _span raises
-    ToleranceError.
+    root are integrated in the regularized variable.  The grid panels and
+    the piece out to an anchor off the grid go through one _panel_quad
+    call; the span is not integrated here (integrate_singular).  The du
+    column is the closed-form integrand, signed.  A non-finite table or
+    anchor piece raises ToleranceError, as integrate_singular does.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
@@ -734,8 +720,6 @@ def profile_from_integral(law: SlopeLaw, domain: DomainInterval,
     elif row is None:
         pieces.append((2, 0.0, (upper - grid[-1]) ** to_s) if root_hi
                       else (0, grid[-1], a0))
-    plan = _span_plan(law, domain)
-    pieces += plan or []
     more = np.array(pieces).reshape(-1, 3).T
     values, errors = _panel_quad(
         integrands, np.concatenate((which, more[0].astype(int))),
@@ -756,18 +740,8 @@ def profile_from_integral(law: SlopeLaw, domain: DomainInterval,
                 "integral evaluation produced non-finite value",
                 float(piece), float(errors[n]))
         offset = float(U[0] - piece if a0 == lower else U[-1] + piece)
-        n += 1
-    if plan is None:
-        span = math.inf
-    else:
-        try:
-            span = _span(values[n:].tolist(), errors[n:].tolist(),
-                         tol).value
-        except ToleranceError:
-            span = math.nan
     u = u0 + sign * (U - offset)
     with np.errstate(all="ignore"):
         # a plain array: the law gives a LibmArray, whose ** is libm's
         du = sign * np.asarray(law(grid))
-    return ProfileSamples(alpha=grid, u=u, du=du, quad_error=err_total,
-                          span=span)
+    return ProfileSamples(alpha=grid, u=u, du=du, quad_error=err_total)

@@ -19,9 +19,11 @@ from typing import Callable
 
 import numpy as np
 
+from . import quadrature
 from .quadrature import (
     DomainInterval,
     EndpointKind,
+    ToleranceError,
     _build_grid,
     as_libm,
     bracket_roots,
@@ -189,6 +191,24 @@ class SolveRequest:
             raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
 
 
+class _Span:
+    """integrate_singular(*args) as a span: the value, inf where the
+    integral diverges and NaN where it raises ToleranceError, integrated
+    on the first call of ``value`` and kept; or a closed form's value."""
+
+    def __init__(self, args: tuple = (), value: float | None = None):
+        self.args, self.known = args, value
+
+    def value(self) -> float:
+        if self.known is None:
+            try:
+                res = quadrature.integrate_singular(*self.args)
+                self.known = res.value if res.finite else math.inf
+            except ToleranceError:
+                self.known = math.nan
+        return self.known
+
+
 @dataclass
 class ProfileBranch:
     """One signed monotone branch u(alpha) with its sample table.
@@ -197,7 +217,9 @@ class ProfileBranch:
     the SlopeLaw of a quadrature branch, the NormCircle of a closed form.
     The signed physical slope, the relation constants and the reflected
     branch are all derived from it, ``request`` and ``scale``.  Both
-    slopes are plain data, so branches pickle.
+    slopes are plain data, so branches pickle.  ``span`` is ``scale``
+    times a norm circle's R or the law's integral, integrated on first
+    read (_Span); copies made by dataclasses.replace share it.
     """
 
     request: SolveRequest
@@ -208,9 +230,13 @@ class ProfileBranch:
     du: np.ndarray
     slope: SlopeLaw | NormCircle
     anchor: tuple
-    span: float = math.inf       # total |u|-variation over the domain
+    _span: _Span                 # total |u|-variation over the domain
     quad_error: float = 0.0
     scale: float = 1.0           # homothety applied after normalization
+
+    @property
+    def span(self) -> float:
+        return self.scale * self._span.value()
 
     @property
     def lam(self) -> float:
@@ -752,7 +778,7 @@ def _norm_circle_branch(req: SolveRequest, piece: _Piece,
         du=du,
         slope=slope,
         anchor=(a0, float(req.sign * slope.height(a0) + req.shift)),
-        span=slope.R)
+        _span=_Span(value=slope.R))
 
 
 def _quadrature_branch(req: SolveRequest, piece: _Piece,
@@ -767,8 +793,8 @@ def _quadrature_branch(req: SolveRequest, piece: _Piece,
     return ProfileBranch(
         request=req, case=piece.tag, domain=dom, alpha=table.alpha,
         u=table.u, du=table.du, slope=law,
-        anchor=(piece.anchor_alpha, req.shift), span=table.span,
-        quad_error=table.quad_error)
+        anchor=(piece.anchor_alpha, req.shift),
+        _span=_Span((law, dom, req.tol)), quad_error=table.quad_error)
 
 
 def _rescale(branch: ProfileBranch, scale: float) -> ProfileBranch:
@@ -782,8 +808,7 @@ def _rescale(branch: ProfileBranch, scale: float) -> ProfileBranch:
                               dom.lower_kind, dom.upper_kind, label=dom.label),
         alpha=scale * branch.alpha, u=scale * branch.u, du=branch.du.copy(),
         anchor=(scale * branch.anchor[0], scale * branch.anchor[1]),
-        span=scale * branch.span, quad_error=scale * branch.quad_error,
-        scale=scale)
+        quad_error=scale * branch.quad_error, scale=scale)
 
 
 def solve(req: SolveRequest, *, case: CaseTag | None = None) -> list:

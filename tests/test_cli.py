@@ -428,6 +428,45 @@ class TestRecipeGeneration:
         assert meta["end_derivative_match"] < 1e-8
         assert all(j["u_gap"] < 1e-8 for j in meta["junctions"])
 
+    def test_each_span_is_integrated_once(self, capsys, tmp_path,
+                                          monkeypatch):
+        # glue reads the spans of the two solved branches; its arcs are
+        # their reflected and shifted copies, which share them, so reading
+        # every arc's span afterwards integrates nothing more
+        import lwsurf.cli as cli
+        import lwsurf.quadrature as quadrature
+        import lwsurf.solver as solver
+
+        tables, spans, surfaces = [], [], []
+
+        def recorder(fn, into):
+            def recorded(*args, **kwargs):
+                into.append(args[:2])
+                return fn(*args, **kwargs)
+            return recorded
+
+        build = cli.build_assembly
+
+        def assembled(*args):
+            surfaces.append(build(*args))
+            return surfaces[-1]
+
+        monkeypatch.setattr(cli, "build_assembly", assembled)
+        monkeypatch.setattr(solver, "profile_from_integral", recorder(
+            solver.profile_from_integral, tables))
+        monkeypatch.setattr(quadrature, "integrate_singular", recorder(
+            quadrature.integrate_singular, spans))
+        code, _, _ = run(capsys, "generate", "--lambda", "-1", "--mu", "1",
+                         "--c1", "1.5", "--recipe", "C3",
+                         "--samples", "128", "--out", str(tmp_path / "c3"))
+        assert code == 0
+        arcs = [arc.branch for arc in surfaces[0].arcs]
+        assert len(arcs) == 4 and len(tables) == 2
+        assert all(math.isfinite(b.span) for b in arcs)
+        # each (law, domain) of a table once: identity, not equality
+        assert sorted(map(id, sum(spans, ()))) \
+            == sorted(map(id, sum(tables, ())))
+
     @pytest.mark.parametrize("relation, mu", [
         (("--lambda", "0", "--mu", "2", "--c1", "2"), 2.0),
         (("--lambda", "-1", "--mu", "-2", "--c1", "0.5", "--recipe", "cap"),

@@ -25,6 +25,7 @@ import pytest
 from scipy.integrate import quad as scipy_quad
 
 import lwsurf.quadrature as quadrature
+import lwsurf.solver as solver
 from conftest import build_instances
 from lwsurf import NormParameter, SolveRequest, WeingartenRelation, solve
 import lwsurf.quadpack as quadpack
@@ -99,12 +100,20 @@ def assert_same(f, a, b, epsrel=1e-10, limit=200) -> int:
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_taxonomy_panels_bit_identical(m, monkeypatch):
-    """Every panel, span piece, anchor piece and unbounded tail that
-    building every m = 2, 3 instance integrates has the (value, abserr)
-    bits of scipy's quad on its floats.  Some of them bisect, and the
-    span pieces reach dqagse's bisection too."""
+    """Every panel, anchor piece, span piece and unbounded tail that
+    building every m = 2, 3 instance and reading every built branch's
+    span integrates has the (value, abserr) bits of scipy's quad on its
+    floats.  Some of them bisect, and the span pieces reach dqagse's
+    bisection too."""
     pieces = []
+    built = []
     panel_quad = quadrature._panel_quad
+    solve = solver.solve
+
+    def record_branches(*args, **kwargs):
+        branches = solve(*args, **kwargs)
+        built.extend(branches)
+        return branches
 
     def record_panels(integrands, which, a, b, tol):
         values, errors = panel_quad(integrands, which, a, b, tol)
@@ -115,7 +124,10 @@ def test_taxonomy_panels_bit_identical(m, monkeypatch):
         return values, errors
 
     monkeypatch.setattr(quadrature, "_panel_quad", record_panels)
+    monkeypatch.setattr(solver, "solve", record_branches)
     build_instances(m)
+    for b in built:
+        b.span
     monkeypatch.undo()
     assert len(pieces) > 13000
     # the tail of tag 5i-1, the one unbounded span

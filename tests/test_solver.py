@@ -54,6 +54,26 @@ from conftest import (
 P2 = NormParameter(2)
 
 
+class _SpanCalled(Exception):
+    pass
+
+
+def record_spans(monkeypatch, fail: bool = False) -> list:
+    """The (law, domain) of every integrate_singular call from now on;
+    with ``fail``, each call raises _SpanCalled once recorded."""
+    calls = []
+    integrate = quadrature.integrate_singular
+
+    def recorded(law, domain, *args, **kwargs):
+        calls.append((law, domain))
+        if fail:
+            raise _SpanCalled
+        return integrate(law, domain, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "integrate_singular", recorded)
+    return calls
+
+
 def req_for(p, lam, mu, c1=0.0, c2=1.0):
     return SolveRequest(p=p, relation=WeingartenRelation(lam, mu),
                         c1=c1, c2=c2)
@@ -422,14 +442,18 @@ class TestBranchTables:
         lambda mu: solve_inhom_lambda_minus1(P2, mu, 1.5),
         lambda mu: solve_inhom_general(P2, 0.5, mu, 0.8),
     ], ids=["general", "lam=-1", "lam>0"])
-    def test_mu_rescaling_scales_span_and_error(self, build):
+    def test_mu_rescaling_scales_span_and_error(self, build, monkeypatch):
         # mu = 4 is the mu = 1 branch scaled by 1/4, a power of two, so
-        # lengths and their error estimates scale exactly
+        # lengths and their error estimates scale exactly; each span is
+        # integrated on its read, on the normalized law and domain
+        calls = record_spans(monkeypatch)
         unit, scaled = build(1.0), build(4.0)
         assert len(unit) == len(scaled) > 0
+        assert calls == []
         for b1, b4 in zip(unit, scaled):
             assert b4.scale == 0.25
             assert b4.span == 0.25 * b1.span
+            assert calls[-2:] == [(b1.slope, b1.domain)] * 2
             assert b1.quad_error > 0.0
             assert b4.quad_error == 0.25 * b1.quad_error
 
@@ -515,12 +539,70 @@ class TestSpanFailures:
         assert math.isnan(b.span)
 
     def test_other_errors_propagate(self, monkeypatch):
+        # the span is integrated on its first read, so that read raises
         def fail(*args, **kwargs):
             raise ZeroDivisionError("bug")
 
         monkeypatch.setattr(quadrature, "_span", fail)
+        b = solve_inhom_general(P2, 0.5, 1.0, 0.8)[0]
         with pytest.raises(ZeroDivisionError):
-            solve_inhom_general(P2, 0.5, 1.0, 0.8)
+            b.span
+
+
+class TestLazySpan:
+    """solve builds the table only; a branch's span is integrated by
+    quadrature.integrate_singular on its first read, once."""
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_solve_and_the_verifiers_never_integrate_it(self, m,
+                                                        monkeypatch):
+        calls = record_spans(monkeypatch, fail=True)
+        p = NormParameter(m)
+        laws = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IllConditionedWarning)
+            for name, args, _ in workloads()._taxonomy_calls(m):
+                built = getattr(solver, name)(p, *args)
+                for b in built if isinstance(built, list) else [built]:
+                    for verifier in (residual_scan, first_integral_drift,
+                                     ode_oracle):
+                        verifier(b)
+                    if isinstance(b.slope, SlopeLaw):
+                        laws.append(b)
+        assert calls == []
+        assert len(laws) >= 25
+        for b in laws:
+            with pytest.raises(_SpanCalled):
+                b.span
+        assert len(calls) == len(laws)
+
+    def test_closed_forms_keep_their_radius(self, monkeypatch):
+        calls = record_spans(monkeypatch, fail=True)
+        b = solve_constant_k1(P2, 1.0, 2.0)
+        assert isinstance(b.slope, solver.NormCircle)
+        assert b.span == b.slope.R
+        b4 = solve_inhom_general(P2, 0.0, 4.0, 2.0)[0]
+        assert b4.span == 0.25 * b4.slope.R
+        assert calls == []
+
+    def test_integrated_once_per_branch(self, monkeypatch):
+        calls = record_spans(monkeypatch)
+        b = solve_inhom_general(P2, 0.5, 1.0, 0.8)[0]
+        copy = dataclasses.replace(b, u=b.u + 1.0)
+        reflected = reflect_branch(b)
+        assert calls == []
+        spans = [x.span.hex() for x in (b, copy, reflected, b)]
+        assert calls == [(b.slope, b.domain)]
+        assert spans == [spans[0]] * 4
+
+    def test_pickled_before_its_first_read(self, monkeypatch):
+        calls = record_spans(monkeypatch)
+        b = solve_inhom_general(P2, -0.5, 1.0, 2.0)[0]
+        copy = pickle.loads(pickle.dumps(b))
+        assert calls == []
+        assert copy.span.hex() == b.span.hex()
+        assert len(calls) == 2
+
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -553,10 +635,10 @@ def test_one_case_has_the_bits_of_every_case(m):
 
 @pytest.mark.parametrize("m", range(1, 7))
 def test_span_is_integrate_singulars(m):
-    """solve takes the span from its table's panel call; on every
+    """A branch's span is integrated on its first read; on every
     taxonomy branch it has the bits of integrate_singular on the branch's
-    law and domain: the value, inf where it diverges, and NaN where it
-    raises ToleranceError."""
+    law, domain and tolerance: the value, inf where it diverges, and NaN
+    where it raises ToleranceError."""
     p = NormParameter(m)
     laws = 0
     with warnings.catch_warnings():
