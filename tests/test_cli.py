@@ -18,6 +18,7 @@ from lwsurf import (
     residual_scan_table,
     solve,
 )
+from lwsurf import cli, quadrature, solver
 from lwsurf.cli import (
     _COMMANDS,
     DEFAULTS,
@@ -433,10 +434,6 @@ class TestRecipeGeneration:
         # glue reads the spans of the two solved branches; its arcs are
         # their reflected and shifted copies, which share them, so reading
         # every arc's span afterwards integrates nothing more
-        import lwsurf.cli as cli
-        import lwsurf.quadrature as quadrature
-        import lwsurf.solver as solver
-
         tables, spans, surfaces = [], [], []
 
         def recorder(fn, into):

@@ -604,7 +604,6 @@ class TestLazySpan:
         assert len(calls) == 2
 
 
-
 @pytest.mark.parametrize("m", [2, 3])
 def test_one_case_has_the_bits_of_every_case(m):
     """solve(req, case=tag) builds the one branch of that piece, with the
