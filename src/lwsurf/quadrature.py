@@ -11,11 +11,14 @@ Divergence is decided from the endpoint kinds and exponent arithmetic,
 never from the size of a numeric estimate.
 
 Every finite integral runs through quadpack.panels on arrays: a table's
-grid panels and the piece out to an anchor off the grid go through one
+grid intervals and the piece out to an anchor off the grid go through one
 panel call per table, and a span's pieces through one more
-(``_panel_quad``).  The span's unbounded tail is one of its pieces, on
+(``_panel_quad``).  One map, ``_panels``, turns those t-intervals into
+panels, in s = |t - root|^(1/2m) next to a simple root and in t
+elsewhere.  The span's unbounded tail is one more of its pieces, on
 (0, 1) after QUADPACK's map for QAGI (dqagie), and the same 21-point rule
-integrates it.
+integrates it.  An unbounded table ends at a cut that the domain fixes
+(``_table_end``).
 
 Integrands take a float or a float array, and every element of an array
 has the bits of the scalar evaluation (``libm``, ``LibmArray``).  Powers
@@ -59,6 +62,8 @@ __all__ = [
 ]
 
 ROOT_VALUE_TOL = 1e-13
+# an unbounded branch is tabulated up to ALPHA_MAX_FACTOR * max(lower, 1)
+ALPHA_MAX_FACTOR = 4.0
 
 # panels per array pass of the 21-point rule; a block's nodes are
 # 512*21 floats, so no table holds all its nodes at once
@@ -538,10 +543,12 @@ def integrate_singular(law: SlopeLaw, domain: DomainInterval,
 
     Double-root endpoints are divergent because the local exponent
     2*(2m-1)/2m is at least 1; an unbounded upper limit is finite exactly
-    when the declared decay exponent exceeds 1.  Otherwise the domain is
-    split at its midpoint (at the tail's start on an unbounded one), with
-    one substituted edge per simple root, and the pieces go through one
-    _panel_quad call (_span adds them up).
+    when the declared decay exponent exceeds 1.  Otherwise the domain (up
+    to the tail's start on an unbounded one) is split at its midpoint when
+    an end is a simple root, its pieces mapped by _panels, and they and
+    the tail go through one _panel_quad call and are added in order.
+    ToleranceError where the total is not finite or its error estimate
+    exceeds the tolerance.
     """
     if EndpointKind.DOUBLE_ROOT in (domain.lower_kind, domain.upper_kind):
         return QuadratureResult(False)
@@ -550,33 +557,19 @@ def integrate_singular(law: SlopeLaw, domain: DomainInterval,
         if law.decay_exponent is None or law.decay_exponent <= 1.0:
             return QuadratureResult(False)
         hi = _tail_start(domain)
-    # each piece (integrand, a, b): 0 for the law, 1 and 2 for the lower
-    # and upper edge integrands in s, 3 for the tail (_edge_integrands)
-    mid = 0.5 * (lo + hi)
-    pieces = []
-    if domain.lower_kind is EndpointKind.SIMPLE_ROOT:
-        pieces.append((1, 0.0, (mid - lo) ** (1.0 / (2 * law.m))))
-        lo = mid
-    if domain.upper_kind is EndpointKind.SIMPLE_ROOT:
-        w = hi - mid
-        pieces.append((2, 0.0, w ** (1.0 / (2 * law.m))))
-        hi = hi - w
-    if hi > lo:
-        pieces.append((0, lo, hi))
+    ends = np.array([lo, hi])
+    if EndpointKind.SIMPLE_ROOT in (domain.lower_kind, domain.upper_kind):
+        ends = np.array([lo, 0.5 * (lo + hi), hi])
+    # twice the longer piece: on a domain a few ulp wide the midpoint's
+    # rounding can leave a half beyond 0.51*(hi - lo) of its root
+    width = 2.0 * float(np.max(np.diff(ends)))
+    which, a, b = _panels(domain, law.m, ends[:-1], ends[1:], width)
     if not domain.bounded:
-        pieces.append((3, 0.0, 1.0))
-    which, a, b = map(np.array, zip(*pieces))
+        which, a, b = np.append(which, 3), np.append(a, 0.0), np.append(b, 1.0)
     values, errors = _panel_quad(_edge_integrands(law, domain), which, a,
                                  b, tol)
-    return _span(values.tolist(), errors.tolist(), tol)
-
-
-def _span(values: list, errors: list, tol: float) -> QuadratureResult:
-    """The span from its pieces' values and errors, added in order;
-    ToleranceError where the total is not finite or its error estimate
-    exceeds the tolerance."""
     total, err_total = 0.0, 0.0
-    for value, error in zip(values, errors):
+    for value, error in zip(values.tolist(), errors.tolist()):
         total += value
         err_total += error
     if not math.isfinite(total):
@@ -588,12 +581,36 @@ def _span(values: list, errors: list, tol: float) -> QuadratureResult:
     return QuadratureResult(True, value=total, error_estimate=err_total)
 
 
+def _panels(domain: DomainInterval, m: int, t0: np.ndarray, t1: np.ndarray,
+            width: float) -> tuple:
+    """_panel_quad's (which, a, b) for the t-intervals (t0[i], t1[i]): the
+    law's panel in t, or, for an interval that lies within 0.51*width of
+    a simple root, that root's edge integrand's panel in
+    s = |t - root|^(1/2m), the lower root taken first (_edge_integrands).
+    """
+    which = np.zeros(t0.size, dtype=int)
+    a, b = t0.copy(), t1.copy()
+    to_s = 1.0 / (2 * m)
+    lower, upper = domain.lower, domain.upper
+    if domain.lower_kind is EndpointKind.SIMPLE_ROOT:
+        near = t1 - lower <= 0.51 * width
+        which[near] = 1
+        a[near] = libm(pow, t0[near] - lower, to_s)
+        b[near] = libm(pow, t1[near] - lower, to_s)
+    if domain.upper_kind is EndpointKind.SIMPLE_ROOT:
+        near = (which == 0) & (upper - t0 <= 0.51 * width)
+        which[near] = 2
+        a[near] = libm(pow, upper - t1[near], to_s)
+        b[near] = libm(pow, upper - t0[near], to_s)
+    return which, a, b
+
+
 def _edge_integrands(law: SlopeLaw, domain: DomainInterval) -> list:
-    """The integrands of integrate_singular's and profile_from_integral's
-    pieces: the law; the edge integrands in s at the lower and upper
-    simple roots (None where the end is not one); and on an unbounded
-    domain the tail on dqagie's map x = 1/(1 + t - start) of (start, inf)
-    to (0, 1] (else None)."""
+    """The integrands of _panel_quad's ``which`` = 0..3, as _panels and
+    integrate_singular number them: 0 the law; 1 and 2 the edge
+    integrands in s at the lower and upper simple roots (None where the
+    end is not one); and 3 on an unbounded domain the tail on dqagie's
+    map x = 1/(1 + t - start) of (start, inf) to (0, 1] (else None)."""
     root_lo = domain.lower_kind is EndpointKind.SIMPLE_ROOT
     root_hi = domain.upper_kind is EndpointKind.SIMPLE_ROOT
     tail = None
@@ -611,8 +628,9 @@ def _edge_integrands(law: SlopeLaw, domain: DomainInterval) -> list:
 
 @dataclass
 class ProfileSamples:
-    """Monotone table (alpha, u, du) of one signed profile branch; its
-    span is integrate_singular's."""
+    """Monotone table (alpha, u, du) of one signed profile branch, from
+    domain.lower to _table_end, and the sum of its grid panels' error
+    estimates; its span is integrate_singular's."""
 
     alpha: np.ndarray
     u: np.ndarray
@@ -640,13 +658,21 @@ _SINGULAR_KINDS = (EndpointKind.SIMPLE_ROOT, EndpointKind.DOUBLE_ROOT,
                    EndpointKind.AXIS_ZERO)
 
 
-def _build_grid(domain: DomainInterval, samples: int, m: int,
-                upper_cut: float) -> np.ndarray:
-    """The rows of every branch table.  With a singular end, half of them
-    come from each end, graded by its kind (_edge_offsets); otherwise they
-    are uniform.  A cap or cut end is a row, and at m >= 4 rows can round
-    onto a simple root; the closed forms clip them off the ends."""
-    lo, up = domain.lower, min(domain.upper, upper_cut)
+def _table_end(domain: DomainInterval) -> float:
+    """A branch table's last row: the domain's upper end, or on an
+    unbounded domain the cut ALPHA_MAX_FACTOR * max(lower, 1)."""
+    if domain.bounded:
+        return domain.upper
+    return ALPHA_MAX_FACTOR * max(domain.lower, 1.0)
+
+
+def _build_grid(domain: DomainInterval, samples: int, m: int) -> np.ndarray:
+    """The rows of every branch table, from domain.lower to _table_end.
+    With a singular end, half of them come from each end, graded by its
+    kind (_edge_offsets); otherwise they are uniform.  A cap or cut end is
+    a row, and at m >= 4 rows can round onto a simple root; the closed
+    forms clip them off the ends."""
+    lo, up = domain.lower, _table_end(domain)
     lk, uk = domain.lower_kind, domain.upper_kind
     if math.isinf(domain.upper):
         uk = EndpointKind.UNBOUNDED
@@ -662,18 +688,19 @@ def _build_grid(domain: DomainInterval, samples: int, m: int,
 
 def profile_from_integral(law: SlopeLaw, domain: DomainInterval,
                           sign: int, anchor: tuple[float, float],
-                          samples: int = 512, tol: float = 1e-10,
-                          upper_cut: float = math.inf) -> ProfileSamples:
+                          samples: int = 512,
+                          tol: float = 1e-10) -> ProfileSamples:
     """Sample u(alpha) = u0 + sign * int_{alpha0}^{alpha} law on a graded
-    grid.
+    grid (_build_grid), cut at _table_end on an unbounded domain.
 
     The anchor alpha0 is domain.lower or domain.upper, and may be an
-    integrable singular endpoint; the panels next to a simple denominator
-    root are integrated in the regularized variable.  The grid panels and
-    the piece out to an anchor off the grid go through one _panel_quad
-    call; the span is not integrated here (integrate_singular).  The du
-    column is the closed-form integrand, signed.  A non-finite table or
-    anchor piece raises ToleranceError, as integrate_singular does.
+    integrable singular endpoint.  The grid intervals, and the piece out
+    to an anchor off the grid, are mapped by _panels, so those next to a
+    simple denominator root are integrated in the regularized variable,
+    and go through one _panel_quad call; the span is not integrated here
+    (integrate_singular).  The du column is the closed-form integrand,
+    signed.  A non-finite table or anchor piece raises ToleranceError, as
+    integrate_singular does.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
@@ -687,44 +714,21 @@ def profile_from_integral(law: SlopeLaw, domain: DomainInterval,
     if not math.isfinite(a0):
         raise ValueError(f"anchor {a0} is not finite")
 
-    grid = _build_grid(domain, samples, law.m, upper_cut)
-    span_hi = min(upper, upper_cut) - lower
-    # each panel's integrand: the law, or next to a simple root the edge
-    # integrand in s, t = root +/- s^(2m)
-    integrands = _edge_integrands(law, domain)
-    root_lo, root_hi = (g is not None for g in integrands[1:3])
+    grid = _build_grid(domain, samples, law.m)
     t0, t1 = grid[:-1], grid[1:]
-    a, b = t0.copy(), t1.copy()
-    which = np.zeros(t0.size, dtype=int)
-    to_s = 1.0 / (2 * law.m)
-    if root_lo:
-        near = t1 - lower <= 0.51 * span_hi
-        which[near] = 1
-        a[near] = libm(pow, t0[near] - lower, to_s)
-        b[near] = libm(pow, t1[near] - lower, to_s)
-    if root_hi:
-        near = (which == 0) & (upper - t0 <= 0.51 * (upper - lower))
-        which[near] = 2
-        a[near] = libm(pow, upper - t1[near], to_s)
-        b[near] = libm(pow, upper - t0[near], to_s)
+    n = t0.size
     # the anchor's row: one within 1e-12 * max(1, |a0|) of it, j - 1
     # tried before j; off the grid, the piece out to it is integrated
     j = int(np.clip(np.searchsorted(grid, a0), 0, len(grid) - 1))
     radius = 1e-12 * max(1.0, abs(a0))
     row = next((k for k in (j - 1, j, j + 1)
                 if 0 <= k < len(grid) and abs(grid[k] - a0) <= radius), None)
-    pieces = []
-    if row is None and a0 == lower:
-        pieces.append((1, 0.0, (grid[0] - lower) ** to_s) if root_lo
-                      else (0, a0, grid[0]))
-    elif row is None:
-        pieces.append((2, 0.0, (upper - grid[-1]) ** to_s) if root_hi
-                      else (0, grid[-1], a0))
-    more = np.array(pieces).reshape(-1, 3).T
-    values, errors = _panel_quad(
-        integrands, np.concatenate((which, more[0].astype(int))),
-        np.concatenate((a, more[1])), np.concatenate((b, more[2])), tol)
-    n = t0.size
+    if row is None:
+        piece = (lower, grid[0]) if a0 == lower else (grid[-1], upper)
+        t0, t1 = np.append(t0, piece[0]), np.append(t1, piece[1])
+    which, a, b = _panels(domain, law.m, t0, t1, _table_end(domain) - lower)
+    values, errors = _panel_quad(_edge_integrands(law, domain), which, a, b,
+                                 tol)
     # cumulative integral from grid[0]
     U = _running_sum(values[:n])
     err_total = float(_running_sum(errors[:n])[-1])

@@ -54,8 +54,6 @@ __all__ = [
 
 EQUALITY_RTOL = 1e-12
 ILL_CONDITIONED_RTOL = 1e-4
-# an unbounded branch is tabulated up to ALPHA_MAX_FACTOR * max(lower, 1)
-ALPHA_MAX_FACTOR = 4.0
 
 
 class NoSurfaceError(ValueError):
@@ -765,7 +763,7 @@ def _norm_circle_branch(req: SolveRequest, piece: _Piece,
     strictly inside the domain and off its root."""
     dom = piece.domain
     grid = sorted_unique(np.clip(
-        _build_grid(dom, req.samples, req.p.m, math.inf),
+        _build_grid(dom, req.samples, req.p.m),
         np.nextafter(dom.lower, math.inf), np.nextafter(dom.upper, 0.0)))
     with np.errstate(all="ignore"):
         du = req.sign * np.asarray(slope(grid))
@@ -784,12 +782,9 @@ def _norm_circle_branch(req: SolveRequest, piece: _Piece,
 def _quadrature_branch(req: SolveRequest, piece: _Piece,
                        law: SlopeLaw) -> ProfileBranch:
     dom = piece.domain
-    cut = math.inf
-    if not dom.bounded:
-        cut = ALPHA_MAX_FACTOR * max(dom.lower, 1.0)
     table = profile_from_integral(
         law, dom, req.sign, (piece.anchor_alpha, req.shift),
-        samples=req.samples, tol=req.tol, upper_cut=cut)
+        samples=req.samples, tol=req.tol)
     return ProfileBranch(
         request=req, case=piece.tag, domain=dom, alpha=table.alpha,
         u=table.u, du=table.du, slope=law,
@@ -859,6 +854,7 @@ def solve_inhom_lambda_minus1(p, mu: float, c1: float, sign: int = +1,
     req = SolveRequest(p=p, relation=WeingartenRelation(-1.0, mu),
                        c1=c1, sign=sign, samples=samples, tol=tol)
     return solve(req)
+
 
 def solve_inhom_general(p, lam: float, mu: float, c1: float, sign: int = +1,
                         samples: int = 512, tol: float = 1e-10) -> list:

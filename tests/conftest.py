@@ -6,21 +6,13 @@ the suite.
 """
 
 import importlib.util
-import math
 import warnings
 from pathlib import Path
 
 import pytest
 
-from lwsurf import (
-    IllConditionedWarning,
-    NormParameter,
-    solve_constant_k1,
-    solve_constant_k2,
-    solve_homogeneous,
-    solve_inhom_general,
-    solve_inhom_lambda_minus1,
-)
+import lwsurf
+from lwsurf import IllConditionedWarning, NormParameter
 
 
 def crit_mid(lam: float) -> float:
@@ -35,44 +27,20 @@ def thr_low(lam: float) -> float:
 
 
 def build_instances(m: int) -> dict:
-    """One representative ProfileBranch per reachable case tag.
+    """One representative ProfileBranch per reachable case tag, built by
+    the benchmark's taxonomy calls (perfbench/workloads.py).
 
     The cylinder tag 4i has no profile table (alpha is constant) and is
     therefore not in the map; it is covered by the assembler tests.
     """
     p = NormParameter(m)
-    slow_lam = 0.5 / (2 * m - 1)  # below the (2m-1)*lam = 1 threshold
     out = {}
-
-    def put(branches):
-        if not isinstance(branches, list):
-            branches = [branches]
-        for b in branches:
-            out.setdefault(b.case.value, b)
-
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IllConditionedWarning)
-        put(solve_constant_k2(p))
-        put(solve_constant_k1(p, 1.0, 2.0))
-        put(solve_constant_k1(p, -1.0, -2.0))
-        put(solve_homogeneous(p, 1.0, 1.0))
-        put(solve_homogeneous(p, slow_lam, 1.0))
-        put(solve_homogeneous(p, -0.5, 1.0))
-        for c1 in (0.5, 1.0, 1.5):
-            put(solve_inhom_lambda_minus1(p, 1.0, c1))
-        put(solve_inhom_lambda_minus1(p, -1.0, -0.5))
-        put(solve_inhom_general(p, 0.5, 1.0, 0.8))
-        put(solve_inhom_general(p, 0.5, -1.0, 0.0))
-        put(solve_inhom_general(p, 1.0, -1.0, 0.3))
-        put(solve_inhom_general(p, 0.5, -1.0, -0.5))
-        for c1 in (2.0, crit_mid(-0.5), 3.2):
-            put(solve_inhom_general(p, -0.5, 1.0, c1))
-        put(solve_inhom_general(p, -0.5, -1.0, 0.0))
-        put(solve_inhom_general(p, -0.5, -1.0, 2.0))
-        put(solve_inhom_general(p, -0.5, -1.0, -1.0))
-        for c1 in (0.0, 0.3, -0.4, thr_low(-2.0), -0.1):
-            put(solve_inhom_general(p, -2.0, 1.0, c1))
-        put(solve_inhom_general(p, -2.0, -1.0, 0.4))
+        for name, args, _ in workloads()._taxonomy_calls(m):
+            built = getattr(lwsurf, name)(p, *args)
+            for b in built if isinstance(built, list) else [built]:
+                out.setdefault(b.case.value, b)
     return out
 
 

@@ -10,7 +10,6 @@ import sys
 import warnings
 
 import numpy as np
-import pytest
 from scipy import special
 
 from lwsurf import (
@@ -34,7 +33,7 @@ from lwsurf import (
 from lwsurf.assembler import _oriented_curvatures
 from lwsurf.cli import DEFAULTS, build_assembly
 
-from conftest import crit_mid, thr_low, instances, ALL_TAGS_WITH_TABLE
+from conftest import crit_mid, thr_low, ALL_TAGS_WITH_TABLE
 
 
 def verdict(n: int, ok: bool, detail: str) -> None:

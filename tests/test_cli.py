@@ -118,6 +118,24 @@ class TestGenerateVerifyRoundTrip:
                            "--lambda", "1", "--mu", "0")
         assert code == 0
 
+    def test_unbounded_profile_with_a_divergent_span(self, capsys, tmp_path):
+        # 5i-2: the table is cut at the domain's ALPHA_MAX_FACTOR end, and
+        # the slow decay makes the span diverge, which the metadata
+        # records as null
+        prefix = str(tmp_path / "slow")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _, _ = run(capsys, "generate", "--lambda", "0.1", "--mu",
+                             "0", "--c2", "1", "--out", prefix)
+        assert code == 0
+        meta = json.loads((tmp_path / "slow.meta.json").read_text())
+        assert meta["case"] == "5i-2"
+        assert meta["domain"][1] == math.inf
+        assert meta["d_value"] is None
+        code, _, _ = run(capsys, "verify", "--profile", prefix + ".csv",
+                         "--lambda", "0.1", "--mu", "0")
+        assert code == 0
+
     def test_file_scan_reproduces_memory_scan(self, tmp_path):
         # 14 significant digits perturb the first integral's terms by
         # ~5e-14 relative; the statistics agree to that level, not to

@@ -390,10 +390,6 @@ def test_panel_quad_matches_a_loop_of_quad(name, monkeypatch):
     assert not first_rule(f, lo, hi, EPSABS, 1e-10)[2].all()
 
 
-def epsilon_table_integrand(x):
-    return 1.0 / (x * (-log(x)) ** 3)
-
-
 # dqagse paths a lockstep panel takes, each from a synthetic integrand
 # above: (integrand, range, epsrel, limit, scipy's message or None)
 LOCKSTEP_PATHS = {

@@ -18,6 +18,7 @@ from lwsurf import (
     classify,
     integrate_singular,
     profile_from_integral,
+    solve_homogeneous,
 )
 from lwsurf.quadrature import log, sorted_unique
 from lwsurf.solver import SlopeLaw, _hom_pos
@@ -162,6 +163,19 @@ class TestIntegrateSingular:
         assert res.value == pytest.approx(simple_root_integral(m, a, b),
                                           abs=1e-10)
 
+    def test_domain_a_few_ulp_wide(self):
+        # the midpoint of (1, 1 + 3 ulp) rounds to 1 + 2 ulp, and that of
+        # (1, 1 + 1 ulp) to 1; each half is still its root's edge piece in
+        # s, never the law evaluated at the root
+        law = simple_root_law(2, 1.0)
+        ends = {ulps: 1.0 + ulps * math.ulp(1.0) for ulps in (1, 3)}
+        spans = {ulps: integrate_singular(
+                     law, interval(1.0, b, "SIMPLE_ROOT", "SMOOTH_CAP"))
+                 for ulps, b in ends.items()}
+        assert all(math.isfinite(res.value) for res in spans.values())
+        assert spans[1].value == pytest.approx(
+            simple_root_integral(2, 1.0, ends[1]), rel=1e-9)
+
     def test_quarter_beta_integral(self):
         # int_1^inf dt / (t^4 - 1)^(3/4) = B(1/2, 1/4) / 4, evaluated
         # independently through the Gamma function
@@ -256,8 +270,20 @@ class TestProfileFromIntegral:
         dom = DomainInterval(1.0, math.inf, EndpointKind.SIMPLE_ROOT,
                              EndpointKind.UNBOUNDED)
         with pytest.raises(ValueError, match="anchor inf is not finite"):
-            profile_from_integral(law, dom, +1, (math.inf, 0.0), samples=64,
-                                  upper_cut=50.0)
+            profile_from_integral(law, dom, +1, (math.inf, 0.0), samples=64)
+
+    def test_unbounded_table_is_cut_where_solve_cuts_it(self):
+        # the cut comes from the domain, so a table of the 5i-1 law with
+        # no cut given is the solver's branch, without a numpy warning
+        b = solve_homogeneous(NormParameter(2), 1.0, 1.0, samples=64)
+        assert not b.domain.bounded
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            table = profile_from_integral(b.slope, b.domain, +1, (1.0, 0.0),
+                                          samples=64)
+        for col in ("alpha", "u", "du"):
+            assert (getattr(table, col).tobytes()
+                    == getattr(b, col).tobytes()), col
 
     def test_graded_grid_denser_near_simple_root(self):
         dom = DomainInterval(1.0, 2.0, EndpointKind.SIMPLE_ROOT,

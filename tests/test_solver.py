@@ -534,7 +534,7 @@ class TestSpanFailures:
         def fail(*args, **kwargs):
             raise ToleranceError("over budget", 1.0, 1.0)
 
-        monkeypatch.setattr(quadrature, "_span", fail)
+        monkeypatch.setattr(quadrature, "integrate_singular", fail)
         b = solve_inhom_general(P2, 0.5, 1.0, 0.8)[0]
         assert math.isnan(b.span)
 
@@ -543,7 +543,7 @@ class TestSpanFailures:
         def fail(*args, **kwargs):
             raise ZeroDivisionError("bug")
 
-        monkeypatch.setattr(quadrature, "_span", fail)
+        monkeypatch.setattr(quadrature, "integrate_singular", fail)
         b = solve_inhom_general(P2, 0.5, 1.0, 0.8)[0]
         with pytest.raises(ZeroDivisionError):
             b.span
